@@ -1,8 +1,7 @@
 //! The unified `BENCH_*.json` report schema and writer.
 //!
-//! Every gating benchmark binary (`lock_bench`, `commit_bench`,
-//! `load_bench`) emits the same top-level shape so CI artifacts and
-//! trend tooling can consume them uniformly (see `DESIGN.md` §5.3):
+//! `load_bench` emits this top-level shape so CI artifacts and trend
+//! tooling can consume it uniformly (see `DESIGN.md` §5.3):
 //!
 //! ```json
 //! {

@@ -631,6 +631,11 @@ impl Runtime {
     /// Runs a conventional top-level atomic action: single (default)
     /// colour, commit on `Ok`, abort on `Err`.
     ///
+    /// A deadlock victim gets its error back once; to try again use
+    /// [`Runtime::atomic_retry`], the only supported retry idiom. A
+    /// bare `loop { rt.atomic(..) }` can livelock: each retry is a
+    /// fresh — hence the youngest — action and is victimised again.
+    ///
     /// # Errors
     ///
     /// Propagates the body's error after aborting, or any commit error.

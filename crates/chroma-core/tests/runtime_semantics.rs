@@ -433,21 +433,20 @@ fn deadlock_victims_make_progress_possible() {
         let rt = rt.clone();
         handles.push(std::thread::spawn(move || {
             let (first, second) = if flip { (o2, o1) } else { (o1, o2) };
-            // Retry on deadlock victimisation.
-            for _ in 0..20 {
-                let result = rt.atomic(|a| {
-                    a.write(first, &1i64)?;
-                    std::thread::sleep(Duration::from_millis(10));
-                    a.write(second, &1i64)?;
-                    Ok(())
-                });
-                match result {
-                    Ok(()) => return true,
-                    Err(e) if e.is_deadlock_victim() => continue,
-                    Err(e) => panic!("unexpected error: {e}"),
-                }
+            // Retry on deadlock victimisation, through the one retry
+            // idiom: a bare loop re-enters as the youngest action and
+            // is victimised again, 20 times in a row on a bad day.
+            let result = rt.atomic_retry(20, |a| {
+                a.write(first, &1i64)?;
+                std::thread::sleep(Duration::from_millis(10));
+                a.write(second, &1i64)?;
+                Ok(())
+            });
+            match result {
+                Ok(()) => true,
+                Err(e) if e.is_deadlock_victim() => false,
+                Err(e) => panic!("unexpected error: {e}"),
             }
-            false
         }));
     }
     for h in handles {

@@ -4,6 +4,11 @@
 //! run's flight-recorder dump must parse and audit through the
 //! offline `TraceAuditor`.
 
+// the exact-vs-windowed differential check, shared with chroma-obs's
+// own suites
+#[path = "../../chroma-obs/tests/agreement/mod.rs"]
+mod agreement;
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -11,7 +16,7 @@ use std::sync::Arc;
 use chroma_base::ColourSet;
 use chroma_core::{DiskBackend, Runtime, RuntimeConfig};
 use chroma_obs::{
-    Event, EventBus, EventKind, FlightRecorder, MemorySink, Obs, Observable, TraceAuditor, Watchdog,
+    Event, EventBus, EventKind, FlightRecorder, MemorySink, Obs, Observable, Watchdog,
 };
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -78,8 +83,9 @@ fn clean_run_with_watchdog_stays_violation_free() {
 
     assert_eq!(watchdog.violations(), 0, "clean run must stay silent");
     assert_eq!(fired.load(Ordering::Relaxed), 0);
-    // the offline auditor agrees with the online one
-    let report = TraceAuditor::audit_events(&sink.events());
+    // the offline auditor agrees with the online one, live and
+    // replayed
+    let report = agreement::audit(&sink.events());
     assert!(report.is_clean(), "{report}");
     // the gauge snapshot landed on the bus and in the trace
     let snap = bus.snapshot();
@@ -140,7 +146,7 @@ fn crashed_run_dump_parses_and_audits_offline() {
     assert!(events
         .iter()
         .any(|e| matches!(e.kind, EventKind::NodeCrash { .. })));
-    let report = TraceAuditor::audit_events(&events);
+    let report = agreement::audit(&events);
     assert!(report.is_clean(), "{report}");
 
     std::fs::remove_dir_all(&dir).ok();

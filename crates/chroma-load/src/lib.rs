@@ -1,8 +1,8 @@
 //! `chroma-load` — a seeded, deterministic end-to-end load harness
 //! with latency SLOs.
 //!
-//! The micro-benchmarks (`lock_bench`, `commit_bench`) referee single
-//! subsystems; this crate referees the *whole stack*: seeded open- and
+//! The benchmark's workloads (`bench/`) each stress a few layers; this
+//! crate referees the *whole stack*: seeded open- and
 //! closed-loop traffic generators behind a [`Workload`] trait drive
 //! millions of mixed coloured actions — Zipfian hot-key skew with
 //! configurable θ, a configurable read/write/structure mix across

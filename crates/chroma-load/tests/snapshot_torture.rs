@@ -6,15 +6,19 @@
 //! Seeded like the rest of the torture tooling: `CHROMA_TORTURE_SEED`
 //! selects the run, so a failing CI seed reproduces locally.
 
+// the exact-vs-windowed differential check, shared with chroma-obs's
+// own suites: every audit below holds the windowed policy to the
+// exact one on the same recording
+#[path = "../../chroma-obs/tests/agreement/mod.rs"]
+mod agreement;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use chroma_base::{ActionId, Colour, ObjectId};
 use chroma_core::Runtime;
 use chroma_load::Zipf;
-use chroma_obs::{
-    Event, EventBus, EventKind, MemorySink, Obs, Observable, TraceAuditor, Violation,
-};
+use chroma_obs::{Event, EventBus, EventKind, MemorySink, Obs, Observable, Violation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -163,7 +167,7 @@ fn zipfian_writers_vs_snapshot_scans_survive_crashes_and_audit_clean() {
             .any(|e| matches!(e.kind, EventKind::VersionPublish { .. })),
         "torture run published no versions"
     );
-    let report = TraceAuditor::audit_events(&events);
+    let report = agreement::audit(&events);
     assert!(report.is_clean(), "seed {seed}: {report}");
 }
 
@@ -197,7 +201,7 @@ fn crash_kills_open_snapshots() {
     fresh.end();
 
     assert_eq!(sink.dropped(), 0);
-    let report = TraceAuditor::audit_events(&sink.events());
+    let report = agreement::audit(&sink.events());
     assert!(report.is_clean(), "{report}");
 }
 
@@ -272,7 +276,7 @@ fn auditor_flags_stale_snapshot_read() {
         }),
         ev(EventKind::ActionCommit { action: snap }),
     ];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = agreement::audit(&trace);
     assert!(matches!(
         report.violations.as_slice(),
         [Violation::SnapshotReadNotNewest {
@@ -319,7 +323,7 @@ fn auditor_flags_snapshot_read_beyond_its_stamp() {
         }),
         ev(EventKind::ActionCommit { action: snap }),
     ];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = agreement::audit(&trace);
     assert!(matches!(
         report.violations.as_slice(),
         [Violation::SnapshotReadNotNewest {
@@ -357,7 +361,7 @@ fn auditor_flags_snapshot_reader_in_lock_traffic() {
         }),
         ev(EventKind::ActionCommit { action: snap }),
     ];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = agreement::audit(&trace);
     assert!(
         report
             .violations

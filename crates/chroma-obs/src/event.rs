@@ -81,8 +81,9 @@ impl fmt::Display for MsgKind {
 }
 
 /// The invariant a streaming [`watchdog`](crate::Watchdog) violation
-/// reports, mirroring the offline auditor's online-checkable subset
-/// (R1–R4, R9, R10).
+/// reports: the rules the windowed retention policy evaluates (R1–R4,
+/// R9–R11), one tag per [`Violation`](crate::Violation) variant that
+/// [`Violation::online`](crate::Violation::online) maps.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum WatchdogRule {
     /// R1: a lock was granted to an action that already shrank

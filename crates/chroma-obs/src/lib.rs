@@ -12,12 +12,14 @@
 //! * [`EventBus`] collects events from every subsystem, counts them,
 //!   feeds latency [`Histogram`]s and fans out to pluggable sinks
 //!   ([`MemorySink`] for tests, [`JsonlSink`] for offline analysis);
-//! * [`TraceAuditor`] replays a captured event stream and checks the
-//!   paper's invariants after the fact: strict 2PL, commit-time lock
-//!   inheritance by the closest ancestor holding the colour, no write
-//!   without a write lock, 2PC safety, replication monotonicity and —
-//!   via per-node Lamport clocks and send/receive correlation ids —
-//!   the absence of happens-before inversions (R8);
+//! * one rule engine states the paper's invariants R1–R11 once —
+//!   strict 2PL, commit-time lock inheritance by the closest ancestor
+//!   holding the colour, no write without a write lock, 2PC safety,
+//!   replication monotonicity, happens-before (per-node Lamport clocks
+//!   and send/receive correlation ids), group-commit coverage,
+//!   snapshot reads, segment lifecycle — and runs under two retention
+//!   policies: [`TraceAuditor`] replays a captured event stream with
+//!   nothing ever evicted, and reports each [`Violation`];
 //! * [`SpanForest`] folds a trace back into action/transaction span
 //!   trees, pairs RPC sends with deliveries as [`Flow`]s, and its
 //!   critical-path profiler attributes end-to-end commit latency to
@@ -26,10 +28,10 @@
 //!   (one track per node, flow arrows for RPC pairs) for Perfetto;
 //!   the `chroma-trace` binary wraps audit, export and profiling as
 //!   a CLI over JSONL trace files;
-//! * [`Watchdog`] runs the online half of the auditor: installed on a
-//!   bus it re-checks the windowed rule subset (R1–R4, R9, R10)
-//!   in-line with bounded memory and raises `watchdog_violation`
-//!   events plus a non-fatal callback while the system is running;
+//! * [`Watchdog`] is the same engine under the windowed policy:
+//!   installed on a bus it checks R1–R4 and R9–R11 in-line with
+//!   bounded memory and raises `watchdog_violation` events plus a
+//!   non-fatal callback while the system is running;
 //! * [`FlightRecorder`] is an always-on, lock-sharded ring of recent
 //!   events that dumps an offline-analyzable JSONL post-mortem on
 //!   crash, violation, or demand.
@@ -69,10 +71,11 @@ mod export;
 mod merge;
 mod metrics;
 mod recorder;
+mod rules;
 mod span;
 mod watchdog;
 
-pub use audit::{AuditReport, TraceAuditor, Violation};
+pub use audit::{AuditReport, TraceAuditor};
 pub use bus::{
     AppendJsonlSink, EventBus, EventSink, JsonlSink, MemorySink, Obs, ObsCell, Observable,
 };
@@ -81,8 +84,9 @@ pub use export::{chrome_trace, chrome_trace_from};
 pub use merge::{merge_events, merge_trace_files, MergeOutcome};
 pub use metrics::{Histogram, Snapshot, Summary};
 pub use recorder::FlightRecorder;
+pub use rules::Violation;
 pub use span::{
     ColourBreakdown, CriticalPathReport, Flow, Outcome, Phase, Span, SpanForest, SpanKind,
     TxnBreakdown,
 };
-pub use watchdog::{Watchdog, WatchdogConfig};
+pub use watchdog::Watchdog;

@@ -1,158 +1,32 @@
 //! The streaming watchdog: online, bounded-memory enforcement of the
-//! offline auditor's checkable-in-flight rules.
+//! rules whose state can be windowed by *live* entities.
 //!
 //! [`TraceAuditor`](crate::TraceAuditor) re-reads a finished JSONL
-//! trace; the [`Watchdog`] instead taps the [`EventBus`] in-line
-//! (see [`EventBus::install_watchdog`]) and re-implements the rules
-//! whose state can be windowed by *live* entities — R1 (no lock after
-//! shrink), R2 (Moss inheritance moves a held lock to the closest
-//! colour-holding ancestor), R3 (writes under write locks), R4 (2PC
-//! atomicity), R9 (group-fsync coverage), R10 (snapshot reads serve
-//! the newest visible version; snapshot actions never lock) and R11
-//! (segment GC stays behind the checkpoint watermark; recovery
-//! replays exactly the manifest's live suffix).
+//! trace; the [`Watchdog`] instead taps the [`EventBus`](crate::EventBus)
+//! in-line (see [`EventBus::install_watchdog`](crate::EventBus::install_watchdog))
+//! and runs the same rule engine (the `rules` module, which catalogues
+//! the rules and both policies) under its **windowed** retention
+//! policy: R1–R4 and R9–R11 over bounded state, a check whose answer
+//! fell off a window *skipped*, never guessed — the watchdog trades
+//! completeness for bounded memory, the offline auditor stays exact.
 //!
 //! When a rule fires the bus emits a structured `watchdog_violation`
 //! event *immediately after the offending event* — zero intervening
 //! events — and the non-fatal callback registered with
 //! [`Watchdog::on_violation`] runs synchronously. The watchdog never
 //! panics and never stops the traced system.
-//!
-//! # Windowing discipline
-//!
-//! All state is bounded:
-//!
-//! * per-action state (held locks, shrunk flag, snapshot stamps) is
-//!   keyed by *live* actions and evicted on commit/abort;
-//! * recently terminated action ids sit in a fixed ring so a grant to
-//!   a dead action is still caught ([`WatchdogConfig::retired_window`]);
-//! * 2PC state is an insertion-ordered window of recent transactions
-//!   ([`WatchdogConfig::txn_window`]);
-//! * R9 is two counters and a flag;
-//! * R11 keeps the uncheckpointed sealed segments in a window of at
-//!   most [`WatchdogConfig::segment_window`] entries; if it ever
-//!   overflows, the replay-matches-live-suffix check is skipped (the
-//!   GC-behind-watermark check needs only the watermark and stays
-//!   exact);
-//! * R10 publication chains keep the newest
-//!   [`WatchdogConfig::published_window`] versions per object over at
-//!   most [`WatchdogConfig::published_objects`] objects. A check whose
-//!   answer fell off a window is *skipped*, never guessed — the
-//!   watchdog trades completeness for bounded memory, the offline
-//!   auditor stays exact.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use chroma_base::{ActionId, Colour, LockMode, ObjectId};
 use parking_lot::{Mutex, RwLock};
 
 use crate::event::{Event, EventKind, WatchdogRule};
+use crate::rules::{Rules, Violation, Windows};
 
-/// Size limits for the watchdog's windowed state.
-#[derive(Clone, Copy, Debug)]
-pub struct WatchdogConfig {
-    /// Recently terminated action ids remembered, so a lock grant to a
-    /// dead action is still flagged as R1.
-    pub retired_window: usize,
-    /// Transactions tracked for R4, evicted oldest-first.
-    pub txn_window: usize,
-    /// Version publications retained per object for R10.
-    pub published_window: usize,
-    /// Objects with tracked publication chains; beyond this the
-    /// oldest-tracked object is forgotten and reads of untracked
-    /// objects go unchecked.
-    pub published_objects: usize,
-    /// Uncheckpointed sealed segments tracked for R11's
-    /// replay-matches-live-suffix check; on overflow that check is
-    /// skipped until the next replay resets the window.
-    pub segment_window: usize,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            retired_window: 4096,
-            txn_window: 1024,
-            published_window: 32,
-            published_objects: 65536,
-            segment_window: 1024,
-        }
-    }
-}
-
-struct LiveAction {
-    parent: Option<ActionId>,
-    colours: u64,
-    /// The action released or inherited away a lock: 2PL's shrinking
-    /// phase began, no further grants are legal (R1).
-    shrunk: bool,
-    /// Locks currently held, keyed by (object, colour index).
-    held: HashMap<(u64, usize), LockMode>,
-    /// Declared read-only snapshot action (saw a `snapshot_open`).
-    snapshot: bool,
-    /// Captured per-colour-index stamps of a snapshot action.
-    caps: HashMap<usize, u64>,
-}
-
-impl LiveAction {
-    fn new(parent: Option<ActionId>, colours: u64) -> Self {
-        LiveAction {
-            parent,
-            colours,
-            shrunk: false,
-            held: HashMap::new(),
-            snapshot: false,
-            caps: HashMap::new(),
-        }
-    }
-}
-
-#[derive(Default)]
-struct TxnWatch {
-    yes: BTreeSet<u32>,
-    no: BTreeSet<u32>,
-    decision: Option<bool>,
-}
-
-#[derive(Default)]
-struct PubChain {
-    /// (colour index, stamp), in publication order.
-    entries: VecDeque<(usize, u64)>,
-    /// Older publications were dropped; an "expected = base" answer is
-    /// no longer trustworthy.
-    truncated: bool,
-}
-
-#[derive(Default)]
 struct WatchdogState {
-    actions: HashMap<ActionId, LiveAction>,
-    retired: HashSet<u64>,
-    retired_order: VecDeque<u64>,
-    txns: HashMap<u64, TxnWatch>,
-    txn_order: VecDeque<u64>,
-    group_appends: u64,
-    marked_unchecked: u64,
-    saw_group_commit: bool,
-    /// R11: uncheckpointed sealed segments as (sequence, batches).
-    sealed_live: VecDeque<(u64, u64)>,
-    /// The seal window overflowed: the replay check is unreliable and
-    /// is skipped, never guessed.
-    sealed_truncated: bool,
-    /// R11: batches committed into the active segment since the last
-    /// seal.
-    active_batches: u64,
-    /// R11: highest checkpointed segment sequence.
-    ckpt_watermark: u64,
-    saw_segment: bool,
-    /// Publication chains keyed by (node raw id or 0, object raw id).
-    published: HashMap<(u32, u64), PubChain>,
-    published_order: VecDeque<(u32, u64)>,
-    /// Once any whole object was evicted, an absent chain no longer
-    /// means "nothing ever published" — reads of absent chains are
-    /// then skipped instead of expected at the base version.
-    published_evictions: u64,
+    rules: Rules,
     rule_counts: HashMap<WatchdogRule, u64>,
 }
 
@@ -163,7 +37,6 @@ type Callback = dyn Fn(&Event) + Send + Sync;
 /// (or the [`Watchdog::attach`] shorthand); it then inspects every
 /// emitted event in-line.
 pub struct Watchdog {
-    config: WatchdogConfig,
     state: Mutex<WatchdogState>,
     violations: AtomicU64,
     callback: RwLock<Option<Arc<Callback>>>,
@@ -176,36 +49,39 @@ impl Default for Watchdog {
 }
 
 impl Watchdog {
-    /// A watchdog with default window sizes.
+    /// A watchdog with the standard window sizes.
     #[must_use]
     pub fn new() -> Self {
-        Watchdog::with_config(WatchdogConfig::default())
+        Watchdog::with_windows(Windows::DEFAULT)
     }
 
-    /// A watchdog with explicit window sizes (each clamped to ≥ 1).
-    #[must_use]
-    pub fn with_config(config: WatchdogConfig) -> Self {
-        let config = WatchdogConfig {
-            retired_window: config.retired_window.max(1),
-            txn_window: config.txn_window.max(1),
-            published_window: config.published_window.max(1),
-            published_objects: config.published_objects.max(1),
-            segment_window: config.segment_window.max(1),
-        };
+    pub(crate) fn with_windows(windows: Windows) -> Self {
         Watchdog {
-            config,
-            state: Mutex::new(WatchdogState::default()),
+            state: Mutex::new(WatchdogState {
+                rules: Rules::windowed(windows),
+                rule_counts: HashMap::new(),
+            }),
             violations: AtomicU64::new(0),
             callback: RwLock::new(None),
         }
     }
 
-    /// Creates a default watchdog, installs it on `bus` and returns
-    /// the handle.
+    /// Creates a watchdog, installs it on `bus` and returns the
+    /// handle.
     pub fn attach(bus: &crate::EventBus) -> Arc<Watchdog> {
         let watchdog = Arc::new(Watchdog::new());
         bus.install_watchdog(Some(Arc::clone(&watchdog)));
         watchdog
+    }
+
+    /// Replays a recorded stream through a fresh watchdog, off any
+    /// bus, and returns the `watchdog_violation` payloads it would
+    /// have raised live — the windowed counterpart of
+    /// [`TraceAuditor::audit_events`](crate::TraceAuditor::audit_events).
+    #[must_use]
+    pub fn replay(events: &[Event]) -> Vec<EventKind> {
+        let watchdog = Watchdog::new();
+        events.iter().flat_map(|e| watchdog.scan(e)).collect()
     }
 
     /// Registers the non-fatal violation callback, replacing any
@@ -241,476 +117,46 @@ impl Watchdog {
         }
     }
 
-    /// Feeds one event through the rule machine; returns the violation
+    /// Feeds one event through the rule engine; returns the violation
     /// kinds it triggered (usually empty).
     pub(crate) fn scan(&self, event: &Event) -> Vec<EventKind> {
-        let mut out = Vec::new();
-        {
-            let mut state = self.state.lock();
-            self.step(&mut state, event, &mut out);
-            let n = out.len() as u64;
-            if n > 0 {
-                self.violations.fetch_add(n, Ordering::Relaxed);
-                for kind in &out {
-                    if let EventKind::WatchdogViolation { rule, .. } = kind {
-                        *state.rule_counts.entry(*rule).or_insert(0) += 1;
-                    }
-                }
+        let mut found = Vec::new();
+        let mut state = self.state.lock();
+        state.rules.step(event, &mut found);
+        if found.is_empty() {
+            return Vec::new();
+        }
+        // (the windowed policy raises no exact-only finding)
+        let kinds: Vec<_> = found.iter().filter_map(violation_event).collect();
+        for kind in &kinds {
+            if let EventKind::WatchdogViolation { rule, .. } = kind {
+                *state.rule_counts.entry(*rule).or_insert(0) += 1;
             }
         }
-        out
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn step(&self, state: &mut WatchdogState, event: &Event, out: &mut Vec<EventKind>) {
-        let violation =
-            |rule: WatchdogRule, action: ActionId, object: ObjectId, aux: u64| -> EventKind {
-                EventKind::WatchdogViolation {
-                    rule,
-                    action,
-                    object,
-                    aux,
-                }
-            };
-        let zero_a = ActionId::from_raw(0);
-        let zero_o = ObjectId::from_raw(0);
-        match event.kind {
-            EventKind::ActionBegin {
-                action,
-                parent,
-                colours,
-            } => {
-                state
-                    .actions
-                    .insert(action, LiveAction::new(parent, colours));
-            }
-            EventKind::ActionCommit { action } | EventKind::ActionAbort { action } => {
-                state.actions.remove(&action);
-                if state.retired.insert(action.as_raw()) {
-                    state.retired_order.push_back(action.as_raw());
-                    while state.retired_order.len() > self.config.retired_window {
-                        if let Some(old) = state.retired_order.pop_front() {
-                            state.retired.remove(&old);
-                        }
-                    }
-                }
-            }
-            EventKind::LockRequest { action, object, .. }
-            | EventKind::LockConflict { action, object, .. }
-                if state.actions.get(&action).is_some_and(|a| a.snapshot) =>
-            {
-                out.push(violation(
-                    WatchdogRule::SnapshotReaderLocks,
-                    action,
-                    object,
-                    0,
-                ));
-            }
-            EventKind::LockGrant {
-                action,
-                object,
-                colour,
-                mode,
-            } => {
-                if let Some(a) = state.actions.get_mut(&action) {
-                    if a.snapshot {
-                        out.push(violation(
-                            WatchdogRule::SnapshotReaderLocks,
-                            action,
-                            object,
-                            0,
-                        ));
-                    }
-                    if a.shrunk {
-                        out.push(violation(
-                            WatchdogRule::LockAfterShrink,
-                            action,
-                            object,
-                            colour.index() as u64,
-                        ));
-                    }
-                    let slot = a
-                        .held
-                        .entry((object.as_raw(), colour.index()))
-                        .or_insert(mode);
-                    *slot = slot.strongest(mode);
-                } else if state.retired.contains(&action.as_raw()) {
-                    // A grant to a terminated action: shrunk for good.
-                    out.push(violation(
-                        WatchdogRule::LockAfterShrink,
-                        action,
-                        object,
-                        colour.index() as u64,
-                    ));
-                }
-                // An action the watchdog never saw begin predates the
-                // attach; its lock discipline is unknowable online.
-            }
-            EventKind::LockInherit {
-                from,
-                to,
-                object,
-                colour,
-            } => {
-                let key = (object.as_raw(), colour.index());
-                let mut moved = LockMode::Read;
-                if let Some(a) = state.actions.get_mut(&from) {
-                    a.shrunk = true;
-                    match a.held.remove(&key) {
-                        Some(mode) => moved = mode,
-                        None => out.push(violation(
-                            WatchdogRule::InheritWithoutLock,
-                            from,
-                            object,
-                            colour.index() as u64,
-                        )),
-                    }
-                    if let Some(expected) = closest_ancestor_with_colour(state, from, colour) {
-                        if expected != to {
-                            out.push(violation(
-                                WatchdogRule::BadInheritTarget,
-                                from,
-                                object,
-                                expected.as_raw(),
-                            ));
-                        }
-                    }
-                }
-                if let Some(target) = state.actions.get_mut(&to) {
-                    let slot = target.held.entry(key).or_insert(moved);
-                    *slot = slot.strongest(moved);
-                }
-            }
-            EventKind::LockRelease {
-                action,
-                object,
-                colour,
-            } => {
-                if let Some(a) = state.actions.get_mut(&action) {
-                    a.shrunk = true;
-                    if a.held.remove(&(object.as_raw(), colour.index())).is_none() {
-                        out.push(violation(
-                            WatchdogRule::ReleaseWithoutLock,
-                            action,
-                            object,
-                            colour.index() as u64,
-                        ));
-                    }
-                }
-            }
-            EventKind::UndoRecord {
-                action,
-                object,
-                colour,
-            } => {
-                if let Some(a) = state.actions.get(&action) {
-                    let covered = a
-                        .held
-                        .get(&(object.as_raw(), colour.index()))
-                        .is_some_and(|m| m.permits_write());
-                    if !covered {
-                        out.push(violation(
-                            WatchdogRule::WriteWithoutWriteLock,
-                            action,
-                            object,
-                            colour.index() as u64,
-                        ));
-                    }
-                }
-            }
-            EventKind::TpcVote { node, txn, yes } => {
-                let watch = txn_entry(state, txn, self.config.txn_window);
-                if yes {
-                    watch.yes.insert(node.as_raw());
-                } else {
-                    watch.no.insert(node.as_raw());
-                    if watch.decision == Some(true) {
-                        out.push(violation(
-                            WatchdogRule::CommitDespiteNoVote,
-                            zero_a,
-                            zero_o,
-                            txn,
-                        ));
-                    }
-                }
-            }
-            EventKind::TpcDecide {
-                txn,
-                commit,
-                participants,
-                ..
-            } => {
-                let watch = txn_entry(state, txn, self.config.txn_window);
-                match watch.decision {
-                    None => {
-                        watch.decision = Some(commit);
-                        if commit {
-                            if (watch.yes.len() as u64) < participants {
-                                out.push(violation(
-                                    WatchdogRule::CommitWithoutQuorum,
-                                    zero_a,
-                                    zero_o,
-                                    txn,
-                                ));
-                            }
-                            if !watch.no.is_empty() {
-                                out.push(violation(
-                                    WatchdogRule::CommitDespiteNoVote,
-                                    zero_a,
-                                    zero_o,
-                                    txn,
-                                ));
-                            }
-                        }
-                    }
-                    Some(prior) if prior != commit => {
-                        out.push(violation(
-                            WatchdogRule::DivergentDecision,
-                            zero_a,
-                            zero_o,
-                            txn,
-                        ));
-                    }
-                    Some(_) => {}
-                }
-            }
-            EventKind::TpcResolve { txn, commit, .. } => {
-                let watch = txn_entry(state, txn, self.config.txn_window);
-                match watch.decision {
-                    // Presumed abort: a participant may resolve before
-                    // the watchdog saw any decision.
-                    None => watch.decision = Some(commit),
-                    Some(prior) if prior != commit => {
-                        out.push(violation(
-                            WatchdogRule::DivergentDecision,
-                            zero_a,
-                            zero_o,
-                            txn,
-                        ));
-                    }
-                    Some(_) => {}
-                }
-            }
-            EventKind::DiskAppend { .. } => {
-                state.group_appends += 1;
-            }
-            EventKind::DiskGroupCommit { batches, .. } => {
-                state.saw_group_commit = true;
-                if batches != state.group_appends {
-                    out.push(violation(
-                        WatchdogRule::GroupFsyncCoverage,
-                        zero_a,
-                        zero_o,
-                        batches,
-                    ));
-                }
-                state.group_appends = 0;
-                state.marked_unchecked += batches;
-                // R11: until the next seal these batches live in the
-                // active segment.
-                state.active_batches += batches;
-            }
-            EventKind::DiskCheckpoint { .. } if state.saw_group_commit => {
-                state.marked_unchecked = state.marked_unchecked.saturating_sub(1);
-            }
-            EventKind::SegmentSeal {
-                segment, batches, ..
-            } => {
-                state.saw_segment = true;
-                state.active_batches = 0;
-                state.sealed_live.push_back((segment, batches));
-                while state.sealed_live.len() > self.config.segment_window {
-                    state.sealed_live.pop_front();
-                    state.sealed_truncated = true;
-                }
-            }
-            EventKind::CheckpointEnd { upto, batches, .. } => {
-                if state.saw_group_commit {
-                    state.marked_unchecked = state.marked_unchecked.saturating_sub(batches);
-                }
-                state.ckpt_watermark = state.ckpt_watermark.max(upto);
-                state.sealed_live.retain(|&(seq, _)| seq > upto);
-            }
-            EventKind::SegmentGc { segment, .. }
-                if state.saw_segment && segment > state.ckpt_watermark =>
-            {
-                out.push(violation(
-                    WatchdogRule::GcUncheckpointedSegment,
-                    zero_a,
-                    zero_o,
-                    segment,
-                ));
-            }
-            EventKind::DiskReplay { batches, .. }
-                if state.saw_group_commit || state.saw_segment =>
-            {
-                if state.saw_group_commit {
-                    if batches != state.marked_unchecked {
-                        out.push(violation(
-                            WatchdogRule::ReplayMarkMismatch,
-                            zero_a,
-                            zero_o,
-                            batches,
-                        ));
-                    }
-                    state.marked_unchecked = 0;
-                }
-                if state.saw_segment {
-                    if !state.sealed_truncated {
-                        let live: u64 = state.sealed_live.iter().map(|&(_, b)| b).sum::<u64>()
-                            + state.active_batches;
-                        if batches != live {
-                            out.push(violation(
-                                WatchdogRule::ReplayManifestMismatch,
-                                zero_a,
-                                zero_o,
-                                batches,
-                            ));
-                        }
-                    }
-                    state.sealed_live.clear();
-                    state.sealed_truncated = false;
-                    state.active_batches = 0;
-                }
-            }
-            EventKind::SnapshotOpen {
-                action,
-                colour,
-                stamp,
-            } => {
-                let a = state
-                    .actions
-                    .entry(action)
-                    .or_insert_with(|| LiveAction::new(None, 0));
-                a.snapshot = true;
-                a.caps.insert(colour.index(), stamp);
-            }
-            EventKind::SnapshotRead {
-                action,
-                object,
-                stamp,
-                ..
-            } => {
-                let Some(a) = state.actions.get(&action) else {
-                    return;
-                };
-                if !a.snapshot {
-                    return;
-                }
-                let key = (event.node.map_or(0, |n| n.as_raw()), object.as_raw());
-                let expected = match state.published.get(&key) {
-                    Some(chain) => {
-                        let newest_visible = chain
-                            .entries
-                            .iter()
-                            .rev()
-                            .find(|(ci, s)| a.caps.get(ci).copied().unwrap_or(0) >= *s)
-                            .map(|&(_, s)| s);
-                        match newest_visible {
-                            Some(s) => Some(s),
-                            // Every retained publication is newer than
-                            // the snapshot; with older ones dropped the
-                            // true answer is unknowable.
-                            None if chain.truncated => None,
-                            None => Some(0),
-                        }
-                    }
-                    None if state.published_evictions > 0 => None,
-                    None => Some(0),
-                };
-                if let Some(expected) = expected {
-                    if stamp != expected {
-                        out.push(violation(
-                            WatchdogRule::SnapshotReadNotNewest,
-                            action,
-                            object,
-                            stamp,
-                        ));
-                    }
-                }
-            }
-            EventKind::VersionPublish {
-                object,
-                colour,
-                stamp,
-            } => {
-                let key = (event.node.map_or(0, |n| n.as_raw()), object.as_raw());
-                if !state.published.contains_key(&key) {
-                    state.published_order.push_back(key);
-                    while state.published.len() >= self.config.published_objects {
-                        match state.published_order.pop_front() {
-                            Some(old) if old != key => {
-                                if state.published.remove(&old).is_some() {
-                                    state.published_evictions += 1;
-                                }
-                            }
-                            _ => break,
-                        }
-                    }
-                }
-                let chain = state.published.entry(key).or_default();
-                chain.entries.push_back((colour.index(), stamp));
-                while chain.entries.len() > self.config.published_window {
-                    chain.entries.pop_front();
-                    chain.truncated = true;
-                }
-            }
-            EventKind::NodeCrash { node } => {
-                // The node's version chains are volatile: publications
-                // die with it (recovery reseeds base versions).
-                state.published.retain(|&(n, _), _| n != node.as_raw());
-            }
-            _ => {}
-        }
+        drop(state);
+        self.violations
+            .fetch_add(kinds.len() as u64, Ordering::Relaxed);
+        kinds
     }
 }
 
-/// Walks `from`'s ancestors through the live-action map; the first one
-/// possessing `colour` is the legal Moss inheritance target. `None`
-/// when the walk leaves the window (unknown ancestor) — the check is
-/// then skipped — or genuinely reaches the root.
-fn closest_ancestor_with_colour(
-    state: &WatchdogState,
-    from: ActionId,
-    colour: Colour,
-) -> Option<ActionId> {
-    let bit = 1u64 << colour.index();
-    let mut cursor = state.actions.get(&from)?.parent;
-    let mut hops = 0u32;
-    while let Some(id) = cursor {
-        let a = state.actions.get(&id)?;
-        if a.colours & bit != 0 {
-            return Some(id);
-        }
-        cursor = a.parent;
-        hops += 1;
-        if hops > 10_000 {
-            return None; // cycle guard: corrupt parent chain
-        }
-    }
-    None
-}
-
-fn txn_entry(state: &mut WatchdogState, txn: u64, window: usize) -> &mut TxnWatch {
-    if !state.txns.contains_key(&txn) {
-        state.txn_order.push_back(txn);
-        while state.txns.len() >= window {
-            match state.txn_order.pop_front() {
-                Some(old) if old != txn => {
-                    state.txns.remove(&old);
-                }
-                _ => break,
-            }
-        }
-    }
-    state.txns.entry(txn).or_default()
+/// The `watchdog_violation` event for a finding the windowed policy
+/// can make.
+fn violation_event(violation: &Violation) -> Option<EventKind> {
+    let (rule, action, object, aux) = violation.online()?;
+    Some(EventKind::WatchdogViolation {
+        rule,
+        action,
+        object,
+        aux,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bus::{EventBus, MemorySink};
-    use chroma_base::NodeId;
+    use chroma_base::{ActionId, Colour, LockMode, NodeId, ObjectId};
     use std::sync::atomic::AtomicUsize;
 
     fn aid(n: u64) -> ActionId {
@@ -779,6 +225,20 @@ mod tests {
             "no {rule} violation within {budget} events; tail: {:?}",
             &events[offending..]
         );
+        // Differential: the exact policy, fed the same recording, finds
+        // the same breaches (these streams attach at the start and
+        // stay inside the windows).
+        let live: Vec<_> = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::WatchdogViolation { .. }))
+            .map(|e| e.kind)
+            .collect();
+        let exact: Vec<_> = crate::TraceAuditor::audit_events(&events)
+            .violations
+            .iter()
+            .filter_map(violation_event)
+            .collect();
+        assert_eq!(live, exact, "the policies disagree on {events:?}");
     }
 
     #[test]
@@ -1067,9 +527,9 @@ mod tests {
     #[test]
     fn r11_truncated_segment_window_skips_rather_than_guesses() {
         let bus = Arc::new(EventBus::new());
-        let watchdog = Arc::new(Watchdog::with_config(WatchdogConfig {
-            segment_window: 1,
-            ..WatchdogConfig::default()
+        let watchdog = Arc::new(Watchdog::with_windows(Windows {
+            segments: 1,
+            ..Windows::DEFAULT
         }));
         bus.install_watchdog(Some(watchdog.clone()));
         for segment in 1..=3u64 {
@@ -1232,9 +692,9 @@ mod tests {
     #[test]
     fn truncated_publication_window_skips_rather_than_guesses() {
         let bus = Arc::new(EventBus::new());
-        let watchdog = Arc::new(Watchdog::with_config(WatchdogConfig {
-            published_window: 2,
-            ..WatchdogConfig::default()
+        let watchdog = Arc::new(Watchdog::with_windows(Windows {
+            versions: 2,
+            ..Windows::DEFAULT
         }));
         bus.install_watchdog(Some(watchdog.clone()));
         for stamp in 1..=5 {
@@ -1267,15 +727,13 @@ mod tests {
         begin(&bus, 1);
         grant(&bus, 1, 7, LockMode::Write);
         bus.emit(EventKind::ActionCommit { action: aid(1) });
-        {
-            let state = wd.state.lock();
-            assert!(state.actions.is_empty(), "live state evicted at commit");
-            assert!(state.retired.contains(&1));
-        }
+        let (live, retired, _) = wd.state.lock().rules.footprint();
+        assert_eq!(live, 0, "live state evicted at commit");
+        assert_eq!(retired, 1);
         // The retired ring is bounded.
-        let wd2 = Watchdog::with_config(WatchdogConfig {
-            retired_window: 2,
-            ..WatchdogConfig::default()
+        let wd2 = Watchdog::with_windows(Windows {
+            retired: 2,
+            ..Windows::DEFAULT
         });
         let bus2 = Arc::new(EventBus::new());
         bus2.install_watchdog(Some(Arc::new(wd2)));
@@ -1284,9 +742,8 @@ mod tests {
             begin(&bus2, n);
             bus2.emit(EventKind::ActionCommit { action: aid(n) });
         }
-        let state = wd2.state.lock();
-        assert_eq!(state.retired.len(), 2);
-        assert_eq!(state.retired_order.len(), 2);
+        let (_, retired, _) = wd2.state.lock().rules.footprint();
+        assert_eq!(retired, 2);
     }
 
     #[test]
@@ -1299,10 +756,11 @@ mod tests {
             colour: col(0),
             stamp: 1,
         });
-        assert_eq!(wd.state.lock().published.len(), 1);
+        assert_eq!(wd.state.lock().rules.footprint().2, 1);
         bus.emit(EventKind::NodeCrash { node: n });
-        assert!(
-            wd.state.lock().published.is_empty(),
+        assert_eq!(
+            wd.state.lock().rules.footprint().2,
+            0,
             "crash clears the node's chains"
         );
         assert_eq!(wd.violations(), 0);

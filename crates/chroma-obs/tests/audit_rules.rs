@@ -1,50 +1,14 @@
 //! Negative tests for the trace auditor: each invariant rule must fire
 //! on a trace violating exactly it, and corrupted JSONL traces must be
-//! rejected outright rather than partially audited.
+//! rejected outright rather than partially audited. Every trace is
+//! audited through [`agreement::audit`], so the windowed policy is
+//! held to the exact one on this corpus too.
 
-use chroma_base::{ActionId, Colour, LockMode, NodeId, ObjectId};
+mod agreement;
+
+use agreement::{a, audit, begin, ev, grant, n, o, release};
+use chroma_base::{Colour, LockMode};
 use chroma_obs::{Event, EventKind, TraceAuditor, Violation};
-
-fn ev(kind: EventKind) -> Event {
-    Event::at(0, kind)
-}
-
-fn a(raw: u64) -> ActionId {
-    ActionId::from_raw(raw)
-}
-
-fn o(raw: u64) -> ObjectId {
-    ObjectId::from_raw(raw)
-}
-
-fn n(raw: u32) -> NodeId {
-    NodeId::from_raw(raw)
-}
-
-fn begin(action: ActionId, parent: Option<ActionId>, colours: u64) -> Event {
-    ev(EventKind::ActionBegin {
-        action,
-        parent,
-        colours,
-    })
-}
-
-fn grant(action: ActionId, object: ObjectId, mode: LockMode) -> Event {
-    ev(EventKind::LockGrant {
-        action,
-        object,
-        colour: Colour::from_index(0),
-        mode,
-    })
-}
-
-fn release(action: ActionId, object: ObjectId) -> Event {
-    ev(EventKind::LockRelease {
-        action,
-        object,
-        colour: Colour::from_index(0),
-    })
-}
 
 // ---------------------------------------------------------------------
 // R1: strict two-phase locking
@@ -58,7 +22,7 @@ fn r1_grant_after_release_fires() {
         release(a(1), o(1)),
         grant(a(1), o(2), LockMode::Read),
     ];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = audit(&trace);
     assert!(matches!(
         report.violations.as_slice(),
         [Violation::LockAfterShrink { action, .. }] if *action == a(1)
@@ -72,7 +36,7 @@ fn r1_grant_after_termination_fires() {
         ev(EventKind::ActionCommit { action: a(1) }),
         grant(a(1), o(1), LockMode::Read),
     ];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = audit(&trace);
     assert!(matches!(
         report.violations.as_slice(),
         [Violation::LockAfterShrink { .. }]
@@ -94,7 +58,7 @@ fn r1_grant_after_inherit_fires() {
         }),
         grant(a(2), o(2), LockMode::Read),
     ];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = audit(&trace);
     assert!(matches!(
         report.violations.as_slice(),
         [Violation::LockAfterShrink { action, .. }] if *action == a(2)
@@ -122,7 +86,7 @@ fn r2_inherit_skipping_closest_ancestor_fires() {
             colour: Colour::from_index(0),
         }),
     ];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = audit(&trace);
     assert!(matches!(
         report.violations.as_slice(),
         [Violation::BadInheritTarget { from, to, expected, .. }]
@@ -145,7 +109,7 @@ fn r2_inherit_when_no_ancestor_has_colour_fires() {
             colour: Colour::from_index(0),
         }),
     ];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = audit(&trace);
     assert!(matches!(
         report.violations.as_slice(),
         [Violation::BadInheritTarget { expected: None, .. }]
@@ -164,7 +128,7 @@ fn r2_inherit_of_never_granted_lock_fires() {
             colour: Colour::from_index(0),
         }),
     ];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = audit(&trace);
     assert!(report
         .violations
         .iter()
@@ -174,7 +138,7 @@ fn r2_inherit_of_never_granted_lock_fires() {
 #[test]
 fn release_of_never_granted_lock_fires() {
     let trace = vec![begin(a(1), None, 0b1), release(a(1), o(1))];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = audit(&trace);
     assert!(matches!(
         report.violations.as_slice(),
         [Violation::ReleaseWithoutLock { .. }]
@@ -195,7 +159,7 @@ fn r3_undo_without_any_lock_fires() {
             colour: Colour::from_index(0),
         }),
     ];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = audit(&trace);
     assert!(matches!(
         report.violations.as_slice(),
         [Violation::WriteWithoutWriteLock { .. }]
@@ -213,7 +177,7 @@ fn r3_undo_under_read_lock_fires() {
             colour: Colour::from_index(0),
         }),
     ];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = audit(&trace);
     assert!(matches!(
         report.violations.as_slice(),
         [Violation::WriteWithoutWriteLock { .. }]
@@ -233,7 +197,7 @@ fn r3_undo_under_write_lock_is_clean() {
         release(a(1), o(1)),
         ev(EventKind::ActionCommit { action: a(1) }),
     ];
-    assert!(TraceAuditor::audit_events(&trace).is_clean());
+    assert!(audit(&trace).is_clean());
 }
 
 // ---------------------------------------------------------------------
@@ -260,7 +224,7 @@ fn r4_divergent_resolution_fires() {
             commit: false,
         }),
     ];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = audit(&trace);
     assert!(matches!(
         report.violations.as_slice(),
         [Violation::DivergentDecision {
@@ -288,7 +252,7 @@ fn r4_commit_without_quorum_fires() {
             participants: 2,
         }),
     ];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = audit(&trace);
     assert!(matches!(
         report.violations.as_slice(),
         [Violation::CommitWithoutQuorum {
@@ -324,7 +288,7 @@ fn r4_commit_despite_no_vote_fires() {
             participants: 2,
         }),
     ];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = audit(&trace);
     assert!(report
         .violations
         .iter()
@@ -348,7 +312,7 @@ fn r4_presumed_abort_resolution_then_agreeing_decide_is_clean() {
             participants: 1,
         }),
     ];
-    assert!(TraceAuditor::audit_events(&trace).is_clean());
+    assert!(audit(&trace).is_clean());
 }
 
 // ---------------------------------------------------------------------
@@ -358,7 +322,7 @@ fn r4_presumed_abort_resolution_then_agreeing_decide_is_clean() {
 #[test]
 fn unknown_action_reference_fires() {
     let trace = vec![grant(a(99), o(1), LockMode::Read)];
-    let report = TraceAuditor::audit_events(&trace);
+    let report = audit(&trace);
     assert!(matches!(
         report.violations.as_slice(),
         [Violation::UnknownAction { action, .. }] if *action == a(99)
