@@ -10,7 +10,7 @@
 //! | Meeting scheduler | §4 v, fig. 9 | glued chain with per-round hand-over | [`diary`] |
 //!
 //! Each application is a small but complete program over the public
-//! API; the experiment harness (`chroma-bench`) drives them to
+//! API; the experiment harness (`chroma-sim`) drives them to
 //! regenerate the corresponding figures.
 
 #![forbid(unsafe_code)]

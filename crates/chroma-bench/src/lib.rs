@@ -1,29 +1,11 @@
-//! Shared helpers for the criterion benchmark harness.
+//! The dependency-free JSON report writer (`report`) the load harness
+//! (`chroma-load`'s `load_bench`) writes its results with.
 //!
-//! The benchmarks live in `benches/`, one group per paper figure
-//! (`fig01`…`fig15`) plus the ablations (`ablation_*`); see
-//! `DESIGN.md` §5 for the experiment index and `EXPERIMENTS.md` for the
-//! measured results. Run with:
-//!
-//! ```text
-//! cargo bench -p chroma-bench
-//! ```
+//! Performance is measured by the benchmark package under `bench/`
+//! (`bash bench/run.sh`, contract in `/BENCHMARK.json`), which has its
+//! own report writer; this crate holds no benchmarks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod report;
-
-use chroma_core::{Runtime, RuntimeConfig};
-use std::time::Duration;
-
-/// A runtime configured with short lock timeouts, suitable for
-/// benchmark bodies that never contend pathologically.
-#[must_use]
-pub fn bench_runtime() -> Runtime {
-    Runtime::builder()
-        .config(RuntimeConfig {
-            lock_timeout: Some(Duration::from_secs(2)),
-        })
-        .build()
-}

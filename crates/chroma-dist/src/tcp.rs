@@ -158,6 +158,12 @@ struct InboundState {
     window: DedupWindow,
 }
 
+/// The live inbound connections: each reader thread with a clone of
+/// the stream it blocks on (so `Drop` can unblock it). The acceptor
+/// reaps finished readers before adding one, so a flapping peer costs
+/// one entry, not one per reconnect.
+type Readers = Arc<Mutex<Vec<(TcpStream, JoinHandle<()>)>>>;
+
 /// The masking layer over real sockets. See the [module docs](self).
 ///
 /// Event-driven: the host loop calls [`Transport::poll`], which yields
@@ -186,8 +192,7 @@ pub struct TcpTransport {
     stats: MaskingStats,
     shutdown: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
-    reader_streams: Arc<Mutex<Vec<TcpStream>>>,
-    reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    readers: Readers,
 }
 
 impl std::fmt::Debug for TcpTransport {
@@ -214,16 +219,14 @@ impl TcpTransport {
         let listener_addr = listener.local_addr()?;
         let (tx, rx) = mpsc::channel();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let reader_streams = Arc::new(Mutex::new(Vec::new()));
-        let reader_handles = Arc::new(Mutex::new(Vec::new()));
+        let readers = Readers::default();
         let acceptor = {
             let tx = tx.clone();
             let shutdown = Arc::clone(&shutdown);
-            let streams = Arc::clone(&reader_streams);
-            let handles = Arc::clone(&reader_handles);
+            let readers = Arc::clone(&readers);
             std::thread::Builder::new()
                 .name(format!("chtp-accept-{local}"))
-                .spawn(move || accept_loop(&listener, &tx, &shutdown, &streams, &handles))?
+                .spawn(move || accept_loop(&listener, &tx, &shutdown, &readers))?
         };
         let incarnation = SystemTime::now()
             .duration_since(UNIX_EPOCH)
@@ -250,8 +253,7 @@ impl TcpTransport {
             stats: MaskingStats::default(),
             shutdown,
             acceptor: Some(acceptor),
-            reader_streams,
-            reader_handles,
+            readers,
         })
     }
 
@@ -611,15 +613,13 @@ impl Drop for TcpTransport {
                 stream.shutdown(Shutdown::Both).ok();
             }
         }
-        // unblock reader threads stuck in read_exact
-        for stream in self.reader_streams.lock().drain(..) {
-            stream.shutdown(Shutdown::Both).ok();
-        }
         if let Some(acceptor) = self.acceptor.take() {
             acceptor.join().ok();
         }
-        let handles: Vec<JoinHandle<()>> = self.reader_handles.lock().drain(..).collect();
-        for handle in handles {
+        let readers: Vec<_> = self.readers.lock().drain(..).collect();
+        for (stream, handle) in readers {
+            // unblock a reader stuck in read_exact
+            stream.shutdown(Shutdown::Both).ok();
             handle.join().ok();
         }
     }
@@ -659,8 +659,7 @@ fn accept_loop(
     listener: &TcpListener,
     tx: &mpsc::Sender<InEvent>,
     shutdown: &Arc<AtomicBool>,
-    streams: &Arc<Mutex<Vec<TcpStream>>>,
-    handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+    readers: &Readers,
 ) {
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -668,16 +667,21 @@ fn accept_loop(
                 if stream.set_nonblocking(false).is_err() {
                     continue;
                 }
-                if let Ok(clone) = stream.try_clone() {
-                    streams.lock().push(clone);
-                }
+                // no clone, no way to unblock the reader: refuse the
+                // connection and let the sender redial
+                let Ok(clone) = stream.try_clone() else {
+                    continue;
+                };
                 let tx = tx.clone();
                 let shutdown = Arc::clone(shutdown);
                 if let Ok(handle) = std::thread::Builder::new()
                     .name("chtp-read".into())
                     .spawn(move || read_loop(stream, &tx, &shutdown))
                 {
-                    handles.lock().push(handle);
+                    let mut readers = readers.lock();
+                    // a reader ends when its peer hangs up or redials
+                    readers.retain(|(_, reader)| !reader.is_finished());
+                    readers.push((clone, handle));
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -843,5 +847,51 @@ mod tests {
             a.peer_acked(b_id) >= 1,
             "cumulative ack never travelled back"
         );
+    }
+
+    #[test]
+    fn flapping_peer_does_not_accumulate_readers() {
+        let (a_id, b_id) = (NodeId::from_raw(1), NodeId::from_raw(2));
+        let mut a = TcpTransport::bind(a_id, "127.0.0.1:0", TcpConfig::default()).unwrap();
+        let mut b = TcpTransport::bind(b_id, "127.0.0.1:0", TcpConfig::default()).unwrap();
+        a.add_peer(b_id, b.local_addr());
+        b.add_peer(a_id, a.local_addr());
+        let deadline = Instant::now() + Duration::from_secs(30);
+        for round in 1..=25u64 {
+            // every round dials afresh: the previous one cut the link
+            a.send(
+                b_id,
+                Message::Ack {
+                    txn: crate::msg::TxnId(round),
+                },
+            );
+            // wait for the ack too: with nothing in flight, only the
+            // next send redials
+            while a.peer_acked(b_id) < round {
+                assert!(Instant::now() < deadline, "round {round} never acked");
+                b.poll(Some(Duration::from_millis(5)));
+                a.poll(Some(Duration::from_millis(1)));
+            }
+            let readers = b.readers.lock().len();
+            assert!(
+                readers <= 2,
+                "round {round}: {readers} readers for one peer"
+            );
+            a.disconnect(b_id);
+            // the cut reaches b's reader before the next dial
+            while !b.readers.lock().iter().all(|(_, r)| r.is_finished()) {
+                assert!(
+                    Instant::now() < deadline,
+                    "round {round}: reader outlived its link"
+                );
+                std::thread::yield_now();
+            }
+            a.connect(b_id);
+        }
+        assert_eq!(b.stats().fresh, 25);
+        assert!(a.stats().reconnects >= 20, "{:?}", a.stats());
+        assert_eq!(b.stats().gaps, 0);
+        // b's acks ride its one outbound link to a, which never flapped
+        assert_eq!(a.readers.lock().len(), 1);
     }
 }

@@ -10,178 +10,373 @@
 //! untraced), and for network events a correlation id (`corr`) that
 //! pairs each delivery with the send that caused it even when the
 //! network duplicates or drops messages.
+//!
+//! The vocabulary has one definition: the `event_kinds!` table below.
+//! Each row — variant, wire tag, fields — expands to the [`EventKind`]
+//! variant, its dense index and tag, and its arm of the JSONL encoder
+//! and decoder; a field's name is its wire key and its type's
+//! `WireField` impl is its wire form. To add an event kind, add one
+//! row (new kinds go last: the row order is the index order) and one
+//! golden line in `tests/wire_golden.rs`.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use chroma_base::{ActionId, Colour, LockMode, NodeId, ObjectId, MAX_LIVE_COLOURS};
 
-/// The network message classes the simulator traces.
-///
-/// Mirrors `chroma-dist`'s wire vocabulary without depending on it
-/// (the dependency points the other way).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[allow(missing_docs)]
-pub enum MsgKind {
-    Prepare,
-    VoteYes,
-    VoteNo,
-    Decision,
-    Ack,
-    DecisionQuery,
-    RpcRequest,
-    RpcReply,
-    ReplicaState,
-    ReplicaNone,
-    ReplicaPull,
+/// The fields of one parsed trace line.
+type Fields = [(String, JsonValue)];
+
+/// The wire form of one field type: how a value is written into a
+/// trace line and read back out of a parsed one.
+trait WireField: Sized {
+    /// Appends `,"key":value` to `line`.
+    fn put(&self, line: &mut String, key: &str);
+    /// Reads `key` from `fields`, or says what is wrong with it.
+    fn get(fields: &Fields, key: &str) -> Result<Self, TraceParseError>;
 }
 
-impl MsgKind {
-    /// Every kind, in wire-tag order.
-    pub const ALL: [MsgKind; 11] = [
-        MsgKind::Prepare,
-        MsgKind::VoteYes,
-        MsgKind::VoteNo,
-        MsgKind::Decision,
-        MsgKind::Ack,
-        MsgKind::DecisionQuery,
-        MsgKind::RpcRequest,
-        MsgKind::RpcReply,
-        MsgKind::ReplicaState,
-        MsgKind::ReplicaNone,
-        MsgKind::ReplicaPull,
-    ];
+/// Appends a field whose value needs no quotes (a number or a bool).
+fn put_bare(line: &mut String, key: &str, value: impl fmt::Display) {
+    write!(line, ",\"{key}\":{value}").expect("writing to a String cannot fail");
+}
 
-    /// The stable wire tag.
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            MsgKind::Prepare => "prepare",
-            MsgKind::VoteYes => "vote_yes",
-            MsgKind::VoteNo => "vote_no",
-            MsgKind::Decision => "decision",
-            MsgKind::Ack => "ack",
-            MsgKind::DecisionQuery => "decision_query",
-            MsgKind::RpcRequest => "rpc_request",
-            MsgKind::RpcReply => "rpc_reply",
-            MsgKind::ReplicaState => "replica_state",
-            MsgKind::ReplicaNone => "replica_none",
-            MsgKind::ReplicaPull => "replica_pull",
+/// Appends a string field; tags are plain identifiers, never escaped.
+fn put_tag(line: &mut String, key: &str, tag: impl fmt::Display) {
+    write!(line, ",\"{key}\":\"{tag}\"").expect("writing to a String cannot fail");
+}
+
+fn find<'a>(fields: &'a Fields, key: &str) -> Option<&'a JsonValue> {
+    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+fn require<'a>(fields: &'a Fields, key: &str) -> Result<&'a JsonValue, TraceParseError> {
+    find(fields, key).ok_or_else(|| TraceParseError::new(format!("missing field `{key}`")))
+}
+
+fn mistyped(key: &str, want: &str, got: &JsonValue) -> TraceParseError {
+    TraceParseError::new(format!("field `{key}` should be {want}, got {got:?}"))
+}
+
+fn as_num(key: &str, value: &JsonValue) -> Result<u64, TraceParseError> {
+    match value {
+        JsonValue::Num(n) => Ok(*n),
+        other => Err(mistyped(key, "a number", other)),
+    }
+}
+
+fn get_num(fields: &Fields, key: &str) -> Result<u64, TraceParseError> {
+    as_num(key, require(fields, key)?)
+}
+
+/// An optional numeric field: absent is `None`, mistyped is an error.
+fn opt_num(fields: &Fields, key: &str) -> Result<Option<u64>, TraceParseError> {
+    find(fields, key).map(|v| as_num(key, v)).transpose()
+}
+
+fn get_tag<'a>(fields: &'a Fields, key: &str) -> Result<&'a str, TraceParseError> {
+    match require(fields, key)? {
+        JsonValue::Str(s) => Ok(s),
+        other => Err(mistyped(key, "a string", other)),
+    }
+}
+
+fn node_from_raw(raw: u64) -> Result<NodeId, TraceParseError> {
+    u32::try_from(raw)
+        .map(NodeId::from_raw)
+        .map_err(|_| TraceParseError::new(format!("node id {raw} out of range")))
+}
+
+impl WireField for u64 {
+    fn put(&self, line: &mut String, key: &str) {
+        put_bare(line, key, *self);
+    }
+    fn get(fields: &Fields, key: &str) -> Result<Self, TraceParseError> {
+        get_num(fields, key)
+    }
+}
+
+impl WireField for bool {
+    fn put(&self, line: &mut String, key: &str) {
+        put_bare(line, key, self);
+    }
+    fn get(fields: &Fields, key: &str) -> Result<Self, TraceParseError> {
+        match require(fields, key)? {
+            JsonValue::Bool(b) => Ok(*b),
+            other => Err(mistyped(key, "a bool", other)),
         }
     }
+}
 
-    fn parse(tag: &str) -> Option<MsgKind> {
-        MsgKind::ALL.iter().copied().find(|k| k.name() == tag)
+impl WireField for ActionId {
+    fn put(&self, line: &mut String, key: &str) {
+        put_bare(line, key, self.as_raw());
+    }
+    fn get(fields: &Fields, key: &str) -> Result<Self, TraceParseError> {
+        get_num(fields, key).map(ActionId::from_raw)
     }
 }
 
-impl fmt::Display for MsgKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The invariant a streaming [`watchdog`](crate::Watchdog) violation
-/// reports: the rules the windowed retention policy evaluates (R1–R4,
-/// R9–R11), one tag per [`Violation`](crate::Violation) variant that
-/// [`Violation::online`](crate::Violation::online) maps.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum WatchdogRule {
-    /// R1: a lock was granted to an action that already shrank
-    /// (released or inherited away a lock, or terminated).
-    LockAfterShrink,
-    /// R2: a commit-time inheritance moved a lock the source never
-    /// held.
-    InheritWithoutLock,
-    /// R2: a lock was inherited by something other than the closest
-    /// ancestor possessing the colour.
-    BadInheritTarget,
-    /// R2: a release for a lock the action never held.
-    ReleaseWithoutLock,
-    /// R3: a before-image was recorded without a write-permitting lock.
-    WriteWithoutWriteLock,
-    /// R4: a commit decision without yes-votes from every participant.
-    CommitWithoutQuorum,
-    /// R4: a commit decision despite a recorded no-vote.
-    CommitDespiteNoVote,
-    /// R4: conflicting decisions recorded for one transaction.
-    DivergentDecision,
-    /// R9: a group fsync declared a batch count that does not match
-    /// the appends since the previous group fsync.
-    GroupFsyncCoverage,
-    /// R9: replay batches did not equal group-fsynced-not-checkpointed.
-    ReplayMarkMismatch,
-    /// R10: a declared read-only snapshot action appeared in lock
-    /// traffic.
-    SnapshotReaderLocks,
-    /// R10: a snapshot read served a version older than the newest
-    /// visible at the snapshot's captured stamps.
-    SnapshotReadNotNewest,
-    /// R11: a segment was garbage-collected above the checkpoint
-    /// watermark — its batches were never folded into the object
-    /// store.
-    GcUncheckpointedSegment,
-    /// R11: recovery replayed a batch count that does not match the
-    /// manifest's live suffix (sealed segments + active tail).
-    ReplayManifestMismatch,
-}
-
-impl WatchdogRule {
-    /// Every rule, in wire-tag order.
-    pub const ALL: [WatchdogRule; 14] = [
-        WatchdogRule::LockAfterShrink,
-        WatchdogRule::InheritWithoutLock,
-        WatchdogRule::BadInheritTarget,
-        WatchdogRule::ReleaseWithoutLock,
-        WatchdogRule::WriteWithoutWriteLock,
-        WatchdogRule::CommitWithoutQuorum,
-        WatchdogRule::CommitDespiteNoVote,
-        WatchdogRule::DivergentDecision,
-        WatchdogRule::GroupFsyncCoverage,
-        WatchdogRule::ReplayMarkMismatch,
-        WatchdogRule::SnapshotReaderLocks,
-        WatchdogRule::SnapshotReadNotNewest,
-        WatchdogRule::GcUncheckpointedSegment,
-        WatchdogRule::ReplayManifestMismatch,
-    ];
-
-    /// The stable wire tag.
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            WatchdogRule::LockAfterShrink => "lock_after_shrink",
-            WatchdogRule::InheritWithoutLock => "inherit_without_lock",
-            WatchdogRule::BadInheritTarget => "bad_inherit_target",
-            WatchdogRule::ReleaseWithoutLock => "release_without_lock",
-            WatchdogRule::WriteWithoutWriteLock => "write_without_write_lock",
-            WatchdogRule::CommitWithoutQuorum => "commit_without_quorum",
-            WatchdogRule::CommitDespiteNoVote => "commit_despite_no_vote",
-            WatchdogRule::DivergentDecision => "divergent_decision",
-            WatchdogRule::GroupFsyncCoverage => "group_fsync_coverage",
-            WatchdogRule::ReplayMarkMismatch => "replay_mark_mismatch",
-            WatchdogRule::SnapshotReaderLocks => "snapshot_reader_locks",
-            WatchdogRule::SnapshotReadNotNewest => "snapshot_read_not_newest",
-            WatchdogRule::GcUncheckpointedSegment => "gc_uncheckpointed_segment",
-            WatchdogRule::ReplayManifestMismatch => "replay_manifest_mismatch",
+/// Written only when `Some`; absent reads as `None`.
+impl WireField for Option<ActionId> {
+    fn put(&self, line: &mut String, key: &str) {
+        if let Some(action) = self {
+            action.put(line, key);
         }
     }
-
-    fn parse(tag: &str) -> Option<WatchdogRule> {
-        WatchdogRule::ALL.iter().copied().find(|r| r.name() == tag)
+    fn get(fields: &Fields, key: &str) -> Result<Self, TraceParseError> {
+        Ok(opt_num(fields, key)?.map(ActionId::from_raw))
     }
 }
 
-impl fmt::Display for WatchdogRule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+impl WireField for ObjectId {
+    fn put(&self, line: &mut String, key: &str) {
+        put_bare(line, key, self.as_raw());
+    }
+    fn get(fields: &Fields, key: &str) -> Result<Self, TraceParseError> {
+        get_num(fields, key).map(ObjectId::from_raw)
     }
 }
 
-/// What happened, strongly typed. See [`Event`] for the timestamped
-/// record.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EventKind {
+impl WireField for NodeId {
+    fn put(&self, line: &mut String, key: &str) {
+        put_bare(line, key, u64::from(self.as_raw()));
+    }
+    fn get(fields: &Fields, key: &str) -> Result<Self, TraceParseError> {
+        node_from_raw(get_num(fields, key)?)
+    }
+}
+
+impl WireField for Colour {
+    fn put(&self, line: &mut String, key: &str) {
+        put_bare(line, key, self.index() as u64);
+    }
+    fn get(fields: &Fields, key: &str) -> Result<Self, TraceParseError> {
+        let idx = get_num(fields, key)?;
+        if idx >= MAX_LIVE_COLOURS as u64 {
+            return Err(TraceParseError::new(format!(
+                "colour index {idx} out of range"
+            )));
+        }
+        Ok(Colour::from_index(idx as usize))
+    }
+}
+
+impl WireField for LockMode {
+    fn put(&self, line: &mut String, key: &str) {
+        put_tag(line, key, self);
+    }
+    fn get(fields: &Fields, key: &str) -> Result<Self, TraceParseError> {
+        match get_tag(fields, key)? {
+            "read" => Ok(LockMode::Read),
+            "exclusive-read" => Ok(LockMode::ExclusiveRead),
+            "write" => Ok(LockMode::Write),
+            other => Err(TraceParseError::new(format!("unknown lock mode `{other}`"))),
+        }
+    }
+}
+
+/// Declares an enum of wire tags once: each `Variant "tag"` row gives
+/// the variant, its place in `ALL`, `name()`, `parse` and `Display`,
+/// and the enum's [`WireField`] form (a string field; `$what` names it
+/// in the unknown-tag error).
+macro_rules! tag_enum {
+    (
+        $(#[$meta:meta])*
+        $name:ident, $what:literal {
+            $( $(#[$vmeta:meta])* $variant:ident $tag:literal, )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+        pub enum $name {
+            $( $(#[$vmeta])* $variant, )+
+        }
+
+        impl $name {
+            /// Every variant, in wire-tag order.
+            pub const ALL: [$name; [$($tag),+].len()] = [$($name::$variant),+];
+
+            /// The stable wire tag.
+            #[must_use]
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $tag, )+
+                }
+            }
+
+            fn parse(tag: &str) -> Option<$name> {
+                match tag {
+                    $( $tag => Some($name::$variant), )+
+                    _ => None,
+                }
+            }
+        }
+
+        impl fmt::Display for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(self.name())
+            }
+        }
+
+        impl WireField for $name {
+            fn put(&self, line: &mut String, key: &str) {
+                put_tag(line, key, self.name());
+            }
+            fn get(fields: &Fields, key: &str) -> Result<Self, TraceParseError> {
+                let tag = get_tag(fields, key)?;
+                $name::parse(tag).ok_or_else(|| {
+                    TraceParseError::new(format!(concat!("unknown ", $what, " `{}`"), tag))
+                })
+            }
+        }
+    };
+}
+
+tag_enum! {
+    /// The network message classes the simulator traces.
+    ///
+    /// Mirrors `chroma-dist`'s wire vocabulary without depending on it
+    /// (the dependency points the other way).
+    #[allow(missing_docs)]
+    MsgKind, "message kind" {
+        Prepare "prepare",
+        VoteYes "vote_yes",
+        VoteNo "vote_no",
+        Decision "decision",
+        Ack "ack",
+        DecisionQuery "decision_query",
+        RpcRequest "rpc_request",
+        RpcReply "rpc_reply",
+        ReplicaState "replica_state",
+        ReplicaNone "replica_none",
+        ReplicaPull "replica_pull",
+    }
+}
+
+tag_enum! {
+    /// The invariant a streaming [`watchdog`](crate::Watchdog) violation
+    /// reports: the rules the windowed retention policy evaluates (R1–R4,
+    /// R9–R11), one tag per [`Violation`](crate::Violation) variant that
+    /// [`Violation::online`](crate::Violation::online) maps.
+    WatchdogRule, "watchdog rule" {
+        /// R1: a lock was granted to an action that already shrank
+        /// (released or inherited away a lock, or terminated).
+        LockAfterShrink "lock_after_shrink",
+        /// R2: a commit-time inheritance moved a lock the source never
+        /// held.
+        InheritWithoutLock "inherit_without_lock",
+        /// R2: a lock was inherited by something other than the closest
+        /// ancestor possessing the colour.
+        BadInheritTarget "bad_inherit_target",
+        /// R2: a release for a lock the action never held.
+        ReleaseWithoutLock "release_without_lock",
+        /// R3: a before-image was recorded without a write-permitting lock.
+        WriteWithoutWriteLock "write_without_write_lock",
+        /// R4: a commit decision without yes-votes from every participant.
+        CommitWithoutQuorum "commit_without_quorum",
+        /// R4: a commit decision despite a recorded no-vote.
+        CommitDespiteNoVote "commit_despite_no_vote",
+        /// R4: conflicting decisions recorded for one transaction.
+        DivergentDecision "divergent_decision",
+        /// R9: a group fsync declared a batch count that does not match
+        /// the appends since the previous group fsync.
+        GroupFsyncCoverage "group_fsync_coverage",
+        /// R9: replay batches did not equal group-fsynced-not-checkpointed.
+        ReplayMarkMismatch "replay_mark_mismatch",
+        /// R10: a declared read-only snapshot action appeared in lock
+        /// traffic.
+        SnapshotReaderLocks "snapshot_reader_locks",
+        /// R10: a snapshot read served a version older than the newest
+        /// visible at the snapshot's captured stamps.
+        SnapshotReadNotNewest "snapshot_read_not_newest",
+        /// R11: a segment was garbage-collected above the checkpoint
+        /// watermark — its batches were never folded into the object
+        /// store.
+        GcUncheckpointedSegment "gc_uncheckpointed_segment",
+        /// R11: recovery replayed a batch count that does not match the
+        /// manifest's live suffix (sealed segments + active tail).
+        ReplayManifestMismatch "replay_manifest_mismatch",
+    }
+}
+
+/// Declares the event vocabulary once: each row is
+/// `Variant "wire_tag" { field: Type, … }`, in index order.
+macro_rules! event_kinds {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident $tag:literal {
+            $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )+
+        }
+    )+) => {
+        /// What happened, strongly typed. See [`Event`] for the timestamped
+        /// record.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum EventKind {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    $( $(#[$fmeta])* $field: $ty, )+
+                },
+            )+
+        }
+
+        /// The stable tag of every kind, indexed by [`EventKind::index`].
+        pub(crate) const KIND_NAMES: &[&str] = &[$($tag),+];
+
+        /// Count of [`EventKind`] variants; sizes the per-kind counter array.
+        pub(crate) const KIND_COUNT: usize = KIND_NAMES.len();
+
+        /// The variants again without payloads: their discriminants are
+        /// the dense indices.
+        enum KindIndex {
+            $($variant,)+
+        }
+
+        impl EventKind {
+            /// Dense index of this kind (for counter arrays).
+            #[must_use]
+            pub const fn index(&self) -> usize {
+                match self {
+                    $( EventKind::$variant { .. } => KindIndex::$variant as usize, )+
+                }
+            }
+
+            /// The stable snake_case tag (the `ev` field on the wire).
+            #[must_use]
+            pub const fn name(&self) -> &'static str {
+                KIND_NAMES[self.index()]
+            }
+
+            /// Appends every payload field, in declaration order.
+            fn put_fields(&self, line: &mut String) {
+                match self {
+                    $(
+                        EventKind::$variant { $($field),+ } => {
+                            $( $field.put(line, stringify!($field)); )+
+                        }
+                    )+
+                }
+            }
+
+            /// Reads the payload of the kind tagged `ev`, in declaration
+            /// order, so the first bad field is the one reported.
+            fn from_fields(ev: &str, fields: &Fields) -> Result<EventKind, TraceParseError> {
+                match ev {
+                    $(
+                        $tag => Ok(EventKind::$variant {
+                            $( $field: <$ty>::get(fields, stringify!($field))?, )+
+                        }),
+                    )+
+                    other => Err(TraceParseError::new(format!("unknown event tag `{other}`"))),
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
     /// An action started (top-level when `parent` is `None`).
-    ActionBegin {
+    ActionBegin "action_begin" {
         /// The new action.
         action: ActionId,
         /// Its enclosing action, if nested.
@@ -189,19 +384,19 @@ pub enum EventKind {
         /// Bitmask of the colours the action runs in
         /// (bit *i* = colour index *i*).
         colours: u64,
-    },
+    }
     /// An action committed.
-    ActionCommit {
+    ActionCommit "action_commit" {
         /// The committing action.
         action: ActionId,
-    },
+    }
     /// An action aborted (explicitly or by cascade).
-    ActionAbort {
+    ActionAbort "action_abort" {
         /// The aborting action.
         action: ActionId,
-    },
+    }
     /// An action asked the lock table for a lock.
-    LockRequest {
+    LockRequest "lock_request" {
         /// The requesting action.
         action: ActionId,
         /// The object to lock.
@@ -210,9 +405,9 @@ pub enum EventKind {
         colour: Colour,
         /// The requested mode.
         mode: LockMode,
-    },
+    }
     /// A lock request succeeded (fresh grant, re-grant or upgrade).
-    LockGrant {
+    LockGrant "lock_grant" {
         /// The holding action.
         action: ActionId,
         /// The locked object.
@@ -221,9 +416,9 @@ pub enum EventKind {
         colour: Colour,
         /// The granted mode.
         mode: LockMode,
-    },
+    }
     /// A lock request was refused or had to wait.
-    LockConflict {
+    LockConflict "lock_conflict" {
         /// The blocked action.
         action: ActionId,
         /// The contended object.
@@ -232,10 +427,10 @@ pub enum EventKind {
         colour: Colour,
         /// The mode requested.
         mode: LockMode,
-    },
+    }
     /// At commit, a lock moved from an action to an ancestor that also
     /// holds the colour (the Moss inheritance rule).
-    LockInherit {
+    LockInherit "lock_inherit" {
         /// The committing (shrinking) action.
         from: ActionId,
         /// The inheriting ancestor.
@@ -244,53 +439,53 @@ pub enum EventKind {
         object: ObjectId,
         /// The colour concerned.
         colour: Colour,
-    },
+    }
     /// A lock was released outright.
-    LockRelease {
+    LockRelease "lock_release" {
         /// The releasing action.
         action: ActionId,
         /// The unlocked object.
         object: ObjectId,
         /// The colour released.
         colour: Colour,
-    },
+    }
     /// A before-image was recorded prior to a write.
-    UndoRecord {
+    UndoRecord "undo_record" {
         /// The writing action.
         action: ActionId,
         /// The object about to change.
         object: ObjectId,
         /// The colour of the write.
         colour: Colour,
-    },
+    }
     /// Records were appended to a durable log.
-    WalAppend {
+    WalAppend "wal_append" {
         /// How many records were appended.
         records: u64,
-    },
+    }
     /// An intentions-list batch was installed durably.
-    WalFlush {
+    WalFlush "wal_flush" {
         /// How many objects the batch installed.
         objects: u64,
-    },
+    }
     /// A participant force-logged the prepared state of a transaction.
-    TpcPrepare {
+    TpcPrepare "tpc_prepare" {
         /// The participant.
         node: NodeId,
         /// The transaction.
         txn: u64,
-    },
+    }
     /// A participant voted.
-    TpcVote {
+    TpcVote "tpc_vote" {
         /// The voting participant.
         node: NodeId,
         /// The transaction.
         txn: u64,
         /// `true` = yes (prepared), `false` = no (veto).
         yes: bool,
-    },
+    }
     /// The coordinator reached a decision.
-    TpcDecide {
+    TpcDecide "tpc_decide" {
         /// The coordinator.
         node: NodeId,
         /// The transaction.
@@ -299,118 +494,106 @@ pub enum EventKind {
         commit: bool,
         /// How many participants the transaction had.
         participants: u64,
-    },
+    }
     /// A participant learned and applied the decision.
-    TpcResolve {
+    TpcResolve "tpc_resolve" {
         /// The resolving participant.
         node: NodeId,
         /// The transaction.
         txn: u64,
         /// The decision it applied.
         commit: bool,
-    },
+    }
     /// A node fail-silently crashed.
-    NodeCrash {
+    NodeCrash "node_crash" {
         /// The crashed node.
         node: NodeId,
-    },
+    }
     /// A node recovered from stable storage.
-    NodeRecover {
+    NodeRecover "node_recover" {
         /// The recovering node.
         node: NodeId,
-    },
+    }
     /// A message entered the network.
-    MsgSend {
+    MsgSend "msg_send" {
         /// Sender.
         from: NodeId,
         /// Destination.
         to: NodeId,
         /// Message class.
         kind: MsgKind,
-    },
+    }
     /// The network dropped a message (loss, partition, or dead target).
-    MsgDrop {
+    MsgDrop "msg_drop" {
         /// Sender.
         from: NodeId,
         /// Destination.
         to: NodeId,
         /// Message class.
         kind: MsgKind,
-    },
+    }
     /// The network duplicated a message.
-    MsgDup {
+    MsgDup "msg_dup" {
         /// Sender.
         from: NodeId,
         /// Destination.
         to: NodeId,
         /// Message class.
         kind: MsgKind,
-    },
+    }
     /// A message reached a live node.
-    MsgDeliver {
+    MsgDeliver "msg_deliver" {
         /// Sender.
         from: NodeId,
         /// Destination.
         to: NodeId,
         /// Message class.
         kind: MsgKind,
-    },
+    }
     /// Records were appended (and fsynced) to the on-disk intentions
     /// log.
-    DiskAppend {
+    DiskAppend "disk_append" {
         /// How many records the batch appended (intents + commit).
         records: u64,
         /// Total bytes written, including length framing.
         bytes: u64,
-    },
+    }
     /// A committed batch was installed into per-object files and the
     /// intentions log was truncated.
-    DiskCheckpoint {
+    DiskCheckpoint "disk_checkpoint" {
         /// How many objects the batch installed.
         objects: u64,
-    },
+    }
     /// Opening the store replayed committed batches from the
     /// intentions log (crash recovery).
-    DiskReplay {
+    DiskReplay "disk_replay" {
         /// How many committed batches were replayed.
         batches: u64,
         /// How many object installs the replay performed.
         objects: u64,
-    },
-    /// A leader flushed a whole group of pending batches with one
-    /// intents-fsync and one marker-fsync (group commit). Every batch
-    /// in the group keeps its own commit marker; this event records
-    /// the shared durability point that covered them all.
-    DiskGroupCommit {
-        /// How many batches the group contained.
-        batches: u64,
-        /// Total records appended for the group (intents + markers).
-        records: u64,
-        /// Total bytes written, including length framing.
-        bytes: u64,
-    },
+    }
     /// A replicated write started fanning out to the available
     /// members of a replica group.
-    ReplicaWrite {
+    ReplicaWrite "replica_write" {
         /// The replicated object.
         object: ObjectId,
         /// The version this write will install.
         version: u64,
         /// How many members the write targets.
         fanout: u64,
-    },
+    }
     /// A member durably installed a version of a replicated object
     /// (the per-replica version bump).
-    ReplicaInstall {
+    ReplicaInstall "replica_install" {
         /// The installing member.
         node: NodeId,
         /// The replicated object.
         object: ObjectId,
         /// The version installed.
         version: u64,
-    },
+    }
     /// A read was served from a member's copy of a replicated object.
-    ReplicaRead {
+    ReplicaRead "replica_read" {
         /// The serving member.
         node: NodeId,
         /// The replicated object.
@@ -421,28 +604,40 @@ pub enum EventKind {
         /// correct implementations never emit this; the auditor flags
         /// it.
         stale: bool,
-    },
+    }
     /// A recovering member began catching its copy up from its peers.
-    CatchupBegin {
+    CatchupBegin "catchup_begin" {
         /// The recovering member.
         node: NodeId,
         /// The object being caught up.
         object: ObjectId,
-    },
+    }
     /// A recovering member finished catch-up and rejoined the group.
-    CatchupEnd {
+    CatchupEnd "catchup_end" {
         /// The recovered member.
         node: NodeId,
         /// The object caught up.
         object: ObjectId,
         /// The member's version at rejoin.
         version: u64,
-    },
+    }
+    /// A leader flushed a whole group of pending batches with one
+    /// intents-fsync and one marker-fsync (group commit). Every batch
+    /// in the group keeps its own commit marker; this event records
+    /// the shared durability point that covered them all.
+    DiskGroupCommit "disk_group_commit" {
+        /// How many batches the group contained.
+        batches: u64,
+        /// Total records appended for the group (intents + markers).
+        records: u64,
+        /// Total bytes written, including length framing.
+        bytes: u64,
+    }
     /// A declared read-only action captured one colour's published
     /// commit frontier at open. Emitted once per colour with a
     /// non-zero frontier (or once with colour 0 / stamp 0 when nothing
     /// has committed yet), before any read by the action.
-    SnapshotOpen {
+    SnapshotOpen "snapshot_open" {
         /// The read-only action.
         action: ActionId,
         /// The colour whose frontier was captured.
@@ -450,10 +645,10 @@ pub enum EventKind {
         /// The captured stamp: the snapshot sees this colour's
         /// versions with stamps `<=` it.
         stamp: u64,
-    },
+    }
     /// A snapshot read was served from a version chain (or from stable
     /// storage, reported as the stamp-0 base version).
-    SnapshotRead {
+    SnapshotRead "snapshot_read" {
         /// The reading read-only action.
         action: ActionId,
         /// The object read.
@@ -462,29 +657,29 @@ pub enum EventKind {
         colour: Colour,
         /// The served version's commit stamp (0 = base version).
         stamp: u64,
-    },
+    }
     /// An outermost-coloured commit appended a new version to an
     /// object's chain, just before publishing the colour's frontier.
-    VersionPublish {
+    VersionPublish "version_publish" {
         /// The object whose chain grew.
         object: ObjectId,
         /// The committing colour.
         colour: Colour,
         /// The version's commit stamp.
         stamp: u64,
-    },
+    }
     /// A version-chain GC sweep reclaimed versions no live snapshot
     /// can reach.
-    VersionGc {
+    VersionGc "version_gc" {
         /// Versions dropped by the sweep.
         reclaimed: u64,
         /// Versions still held after the sweep.
         retained: u64,
-    },
+    }
     /// The streaming watchdog detected a violated invariant while the
     /// system was running (the online counterpart of an offline
     /// [`Violation`](crate::Violation)).
-    WatchdogViolation {
+    WatchdogViolation "watchdog_violation" {
         /// Which online rule fired.
         rule: WatchdogRule,
         /// The implicated action (`0` when the rule has none).
@@ -494,11 +689,11 @@ pub enum EventKind {
         /// Rule-dependent extra context — a transaction id for R4, a
         /// served stamp for R10, a batch count for R9; `0` otherwise.
         aux: u64,
-    },
+    }
     /// A periodic gauge sample: the live occupancy of the system's
     /// bounded structures, published so an operator (or `chroma-trace
     /// watch`) can follow a run without stopping it.
-    MetricsSnapshot {
+    MetricsSnapshot "metrics_snapshot" {
         /// Granted lock entries across all shards.
         lock_entries: u64,
         /// Actions currently parked in a blocking lock wait.
@@ -515,149 +710,48 @@ pub enum EventKind {
         live_actions: u64,
         /// Batches committed to the segmented intentions log but not
         /// yet folded behind the checkpoint watermark (the recovery
-        /// replay debt). Absent in traces from before segmented logs;
-        /// parsed as 0.
+        /// replay debt).
         ckpt_backlog: u64,
-    },
+    }
     /// The active intentions-log segment was sealed: a fresh segment
     /// took over appends and the manifest committed to it.
-    SegmentSeal {
+    SegmentSeal "segment_seal" {
         /// The sealed segment's sequence number.
         segment: u64,
         /// Batches committed into the sealed segment.
         batches: u64,
         /// Record bytes the sealed segment holds (past the magic).
         bytes: u64,
-    },
+    }
     /// The checkpointer started folding fully-committed sealed
     /// segments into the object store.
-    CheckpointBegin {
+    CheckpointBegin "checkpoint_begin" {
         /// Sealed segments in this fold.
         segments: u64,
         /// Committed batches the fold covers.
         batches: u64,
-    },
+    }
     /// The checkpointer committed a fold: the manifest no longer lists
     /// the folded segments and the watermark advanced.
-    CheckpointEnd {
+    CheckpointEnd "checkpoint_end" {
         /// Highest folded segment sequence (the new watermark).
         upto: u64,
         /// Committed batches folded behind the watermark.
         batches: u64,
         /// Object states installed by the fold.
         objects: u64,
-    },
+    }
     /// A folded segment's file was garbage-collected (always behind
     /// the checkpoint watermark — the auditor's R11 checks this).
-    SegmentGc {
+    SegmentGc "segment_gc" {
         /// The deleted segment's sequence number.
         segment: u64,
         /// Record bytes reclaimed.
         bytes: u64,
-    },
+    }
 }
 
-/// Count of [`EventKind`] variants; sizes the per-kind counter array.
-pub(crate) const KIND_COUNT: usize = 40;
-
-/// The stable tag of every kind, indexed by [`EventKind::index`].
-pub(crate) const KIND_NAMES: [&str; KIND_COUNT] = [
-    "action_begin",
-    "action_commit",
-    "action_abort",
-    "lock_request",
-    "lock_grant",
-    "lock_conflict",
-    "lock_inherit",
-    "lock_release",
-    "undo_record",
-    "wal_append",
-    "wal_flush",
-    "tpc_prepare",
-    "tpc_vote",
-    "tpc_decide",
-    "tpc_resolve",
-    "node_crash",
-    "node_recover",
-    "msg_send",
-    "msg_drop",
-    "msg_dup",
-    "msg_deliver",
-    "disk_append",
-    "disk_checkpoint",
-    "disk_replay",
-    "replica_write",
-    "replica_install",
-    "replica_read",
-    "catchup_begin",
-    "catchup_end",
-    "disk_group_commit",
-    "snapshot_open",
-    "snapshot_read",
-    "version_publish",
-    "version_gc",
-    "watchdog_violation",
-    "metrics_snapshot",
-    "segment_seal",
-    "checkpoint_begin",
-    "checkpoint_end",
-    "segment_gc",
-];
-
 impl EventKind {
-    /// Dense index of this kind (for counter arrays).
-    #[must_use]
-    pub const fn index(&self) -> usize {
-        match self {
-            EventKind::ActionBegin { .. } => 0,
-            EventKind::ActionCommit { .. } => 1,
-            EventKind::ActionAbort { .. } => 2,
-            EventKind::LockRequest { .. } => 3,
-            EventKind::LockGrant { .. } => 4,
-            EventKind::LockConflict { .. } => 5,
-            EventKind::LockInherit { .. } => 6,
-            EventKind::LockRelease { .. } => 7,
-            EventKind::UndoRecord { .. } => 8,
-            EventKind::WalAppend { .. } => 9,
-            EventKind::WalFlush { .. } => 10,
-            EventKind::TpcPrepare { .. } => 11,
-            EventKind::TpcVote { .. } => 12,
-            EventKind::TpcDecide { .. } => 13,
-            EventKind::TpcResolve { .. } => 14,
-            EventKind::NodeCrash { .. } => 15,
-            EventKind::NodeRecover { .. } => 16,
-            EventKind::MsgSend { .. } => 17,
-            EventKind::MsgDrop { .. } => 18,
-            EventKind::MsgDup { .. } => 19,
-            EventKind::MsgDeliver { .. } => 20,
-            EventKind::DiskAppend { .. } => 21,
-            EventKind::DiskCheckpoint { .. } => 22,
-            EventKind::DiskReplay { .. } => 23,
-            EventKind::ReplicaWrite { .. } => 24,
-            EventKind::ReplicaInstall { .. } => 25,
-            EventKind::ReplicaRead { .. } => 26,
-            EventKind::CatchupBegin { .. } => 27,
-            EventKind::CatchupEnd { .. } => 28,
-            EventKind::DiskGroupCommit { .. } => 29,
-            EventKind::SnapshotOpen { .. } => 30,
-            EventKind::SnapshotRead { .. } => 31,
-            EventKind::VersionPublish { .. } => 32,
-            EventKind::VersionGc { .. } => 33,
-            EventKind::WatchdogViolation { .. } => 34,
-            EventKind::MetricsSnapshot { .. } => 35,
-            EventKind::SegmentSeal { .. } => 36,
-            EventKind::CheckpointBegin { .. } => 37,
-            EventKind::CheckpointEnd { .. } => 38,
-            EventKind::SegmentGc { .. } => 39,
-        }
-    }
-
-    /// The stable snake_case tag (the `ev` field on the wire).
-    #[must_use]
-    pub const fn name(&self) -> &'static str {
-        KIND_NAMES[self.index()]
-    }
-
     /// The node this kind is intrinsically *about*, when the payload
     /// already names one: 2PC and replica events carry the acting
     /// participant, network events are attributed to the sender
@@ -730,275 +824,26 @@ impl Event {
     /// Serialises to one line of flat JSON (no trailing newline).
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let mut s = format!("{{\"at_us\":{},\"ev\":\"{}\"", self.at_us, self.kind.name());
-        let num = |s: &mut String, key: &str, v: u64| {
-            s.push_str(&format!(",\"{key}\":{v}"));
-        };
-        match self.kind {
-            EventKind::ActionBegin {
-                action,
-                parent,
-                colours,
-            } => {
-                num(&mut s, "action", action.as_raw());
-                if let Some(p) = parent {
-                    num(&mut s, "parent", p.as_raw());
-                }
-                num(&mut s, "colours", colours);
-            }
-            EventKind::ActionCommit { action } | EventKind::ActionAbort { action } => {
-                num(&mut s, "action", action.as_raw());
-            }
-            EventKind::LockRequest {
-                action,
-                object,
-                colour,
-                mode,
-            }
-            | EventKind::LockGrant {
-                action,
-                object,
-                colour,
-                mode,
-            }
-            | EventKind::LockConflict {
-                action,
-                object,
-                colour,
-                mode,
-            } => {
-                num(&mut s, "action", action.as_raw());
-                num(&mut s, "object", object.as_raw());
-                num(&mut s, "colour", colour.index() as u64);
-                s.push_str(&format!(",\"mode\":\"{mode}\""));
-            }
-            EventKind::LockInherit {
-                from,
-                to,
-                object,
-                colour,
-            } => {
-                num(&mut s, "from", from.as_raw());
-                num(&mut s, "to", to.as_raw());
-                num(&mut s, "object", object.as_raw());
-                num(&mut s, "colour", colour.index() as u64);
-            }
-            EventKind::LockRelease {
-                action,
-                object,
-                colour,
-            }
-            | EventKind::UndoRecord {
-                action,
-                object,
-                colour,
-            } => {
-                num(&mut s, "action", action.as_raw());
-                num(&mut s, "object", object.as_raw());
-                num(&mut s, "colour", colour.index() as u64);
-            }
-            EventKind::WalAppend { records } => num(&mut s, "records", records),
-            EventKind::WalFlush { objects } => num(&mut s, "objects", objects),
-            EventKind::TpcPrepare { node, txn } => {
-                num(&mut s, "node", u64::from(node.as_raw()));
-                num(&mut s, "txn", txn);
-            }
-            EventKind::TpcVote { node, txn, yes } => {
-                num(&mut s, "node", u64::from(node.as_raw()));
-                num(&mut s, "txn", txn);
-                s.push_str(&format!(",\"yes\":{yes}"));
-            }
-            EventKind::TpcDecide {
-                node,
-                txn,
-                commit,
-                participants,
-            } => {
-                num(&mut s, "node", u64::from(node.as_raw()));
-                num(&mut s, "txn", txn);
-                s.push_str(&format!(",\"commit\":{commit}"));
-                num(&mut s, "participants", participants);
-            }
-            EventKind::TpcResolve { node, txn, commit } => {
-                num(&mut s, "node", u64::from(node.as_raw()));
-                num(&mut s, "txn", txn);
-                s.push_str(&format!(",\"commit\":{commit}"));
-            }
-            EventKind::NodeCrash { node } | EventKind::NodeRecover { node } => {
-                num(&mut s, "node", u64::from(node.as_raw()));
-            }
-            EventKind::MsgSend { from, to, kind }
-            | EventKind::MsgDrop { from, to, kind }
-            | EventKind::MsgDup { from, to, kind }
-            | EventKind::MsgDeliver { from, to, kind } => {
-                num(&mut s, "from", u64::from(from.as_raw()));
-                num(&mut s, "to", u64::from(to.as_raw()));
-                s.push_str(&format!(",\"kind\":\"{kind}\""));
-            }
-            EventKind::DiskAppend { records, bytes } => {
-                num(&mut s, "records", records);
-                num(&mut s, "bytes", bytes);
-            }
-            EventKind::DiskCheckpoint { objects } => num(&mut s, "objects", objects),
-            EventKind::DiskReplay { batches, objects } => {
-                num(&mut s, "batches", batches);
-                num(&mut s, "objects", objects);
-            }
-            EventKind::DiskGroupCommit {
-                batches,
-                records,
-                bytes,
-            } => {
-                num(&mut s, "batches", batches);
-                num(&mut s, "records", records);
-                num(&mut s, "bytes", bytes);
-            }
-            EventKind::ReplicaWrite {
-                object,
-                version,
-                fanout,
-            } => {
-                num(&mut s, "object", object.as_raw());
-                num(&mut s, "version", version);
-                num(&mut s, "fanout", fanout);
-            }
-            EventKind::ReplicaInstall {
-                node,
-                object,
-                version,
-            } => {
-                num(&mut s, "node", u64::from(node.as_raw()));
-                num(&mut s, "object", object.as_raw());
-                num(&mut s, "version", version);
-            }
-            EventKind::ReplicaRead {
-                node,
-                object,
-                version,
-                stale,
-            } => {
-                num(&mut s, "node", u64::from(node.as_raw()));
-                num(&mut s, "object", object.as_raw());
-                num(&mut s, "version", version);
-                s.push_str(&format!(",\"stale\":{stale}"));
-            }
-            EventKind::CatchupBegin { node, object } => {
-                num(&mut s, "node", u64::from(node.as_raw()));
-                num(&mut s, "object", object.as_raw());
-            }
-            EventKind::CatchupEnd {
-                node,
-                object,
-                version,
-            } => {
-                num(&mut s, "node", u64::from(node.as_raw()));
-                num(&mut s, "object", object.as_raw());
-                num(&mut s, "version", version);
-            }
-            EventKind::SnapshotOpen {
-                action,
-                colour,
-                stamp,
-            } => {
-                num(&mut s, "action", action.as_raw());
-                num(&mut s, "colour", colour.index() as u64);
-                num(&mut s, "stamp", stamp);
-            }
-            EventKind::SnapshotRead {
-                action,
-                object,
-                colour,
-                stamp,
-            } => {
-                num(&mut s, "action", action.as_raw());
-                num(&mut s, "object", object.as_raw());
-                num(&mut s, "colour", colour.index() as u64);
-                num(&mut s, "stamp", stamp);
-            }
-            EventKind::VersionPublish {
-                object,
-                colour,
-                stamp,
-            } => {
-                num(&mut s, "object", object.as_raw());
-                num(&mut s, "colour", colour.index() as u64);
-                num(&mut s, "stamp", stamp);
-            }
-            EventKind::VersionGc {
-                reclaimed,
-                retained,
-            } => {
-                num(&mut s, "reclaimed", reclaimed);
-                num(&mut s, "retained", retained);
-            }
-            EventKind::WatchdogViolation {
-                rule,
-                action,
-                object,
-                aux,
-            } => {
-                s.push_str(&format!(",\"rule\":\"{rule}\""));
-                num(&mut s, "action", action.as_raw());
-                num(&mut s, "object", object.as_raw());
-                num(&mut s, "aux", aux);
-            }
-            EventKind::MetricsSnapshot {
-                lock_entries,
-                lock_waiters,
-                group_queue,
-                versions,
-                gc_backlog,
-                snapshots,
-                live_actions,
-                ckpt_backlog,
-            } => {
-                num(&mut s, "lock_entries", lock_entries);
-                num(&mut s, "lock_waiters", lock_waiters);
-                num(&mut s, "group_queue", group_queue);
-                num(&mut s, "versions", versions);
-                num(&mut s, "gc_backlog", gc_backlog);
-                num(&mut s, "snapshots", snapshots);
-                num(&mut s, "live_actions", live_actions);
-                num(&mut s, "ckpt_backlog", ckpt_backlog);
-            }
-            EventKind::SegmentSeal {
-                segment,
-                batches,
-                bytes,
-            } => {
-                num(&mut s, "segment", segment);
-                num(&mut s, "batches", batches);
-                num(&mut s, "bytes", bytes);
-            }
-            EventKind::CheckpointBegin { segments, batches } => {
-                num(&mut s, "segments", segments);
-                num(&mut s, "batches", batches);
-            }
-            EventKind::CheckpointEnd {
-                upto,
-                batches,
-                objects,
-            } => {
-                num(&mut s, "upto", upto);
-                num(&mut s, "batches", batches);
-                num(&mut s, "objects", objects);
-            }
-            EventKind::SegmentGc { segment, bytes } => {
-                num(&mut s, "segment", segment);
-                num(&mut s, "bytes", bytes);
-            }
-        }
+        let mut s = String::with_capacity(128);
+        write!(
+            s,
+            "{{\"at_us\":{},\"ev\":\"{}\"",
+            self.at_us,
+            self.kind.name()
+        )
+        .expect("writing to a String cannot fail");
+        self.kind.put_fields(&mut s);
         if self.lc > 0 {
-            num(&mut s, "lc", self.lc);
+            put_bare(&mut s, "lc", self.lc);
         }
         if let Some(corr) = self.corr {
-            num(&mut s, "corr", corr);
+            put_bare(&mut s, "corr", corr);
         }
         // A kind with an intrinsic node already wrote it as payload;
         // writing it again would trip the duplicate-field check.
         if self.kind.intrinsic_node().is_none() {
             if let Some(node) = self.node {
-                num(&mut s, "node", u64::from(node.as_raw()));
+                node.put(&mut s, "node");
             }
         }
         s.push('}');
@@ -1013,310 +858,14 @@ impl Event {
     /// unknown tag, missing or mistyped field, out-of-range colour.
     pub fn from_json_line(line: &str) -> Result<Event, TraceParseError> {
         let fields = parse_flat_object(line)?;
-        let get = |key: &str| -> Result<&JsonValue, TraceParseError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| TraceParseError::new(format!("missing field `{key}`")))
+        let at_us = get_num(&fields, "at_us")?;
+        let kind = EventKind::from_fields(get_tag(&fields, "ev")?, &fields)?;
+        let lc = opt_num(&fields, "lc")?.unwrap_or(0);
+        let corr = opt_num(&fields, "corr")?;
+        let node = match kind.intrinsic_node() {
+            Some(n) => Some(n),
+            None => opt_num(&fields, "node")?.map(node_from_raw).transpose()?,
         };
-        let get_u64 = |key: &str| -> Result<u64, TraceParseError> {
-            match get(key)? {
-                JsonValue::Num(n) => Ok(*n),
-                other => Err(TraceParseError::new(format!(
-                    "field `{key}` should be a number, got {other:?}"
-                ))),
-            }
-        };
-        let get_bool = |key: &str| -> Result<bool, TraceParseError> {
-            match get(key)? {
-                JsonValue::Bool(b) => Ok(*b),
-                other => Err(TraceParseError::new(format!(
-                    "field `{key}` should be a bool, got {other:?}"
-                ))),
-            }
-        };
-        let get_str = |key: &str| -> Result<&str, TraceParseError> {
-            match get(key)? {
-                JsonValue::Str(s) => Ok(s.as_str()),
-                other => Err(TraceParseError::new(format!(
-                    "field `{key}` should be a string, got {other:?}"
-                ))),
-            }
-        };
-        let action = |key: &str| get_u64(key).map(ActionId::from_raw);
-        let object = || get_u64("object").map(ObjectId::from_raw);
-        let node = |key: &str| -> Result<NodeId, TraceParseError> {
-            let raw = get_u64(key)?;
-            u32::try_from(raw)
-                .map(NodeId::from_raw)
-                .map_err(|_| TraceParseError::new(format!("node id {raw} out of range")))
-        };
-        let colour = || -> Result<Colour, TraceParseError> {
-            let idx = get_u64("colour")? as usize;
-            if idx >= MAX_LIVE_COLOURS {
-                return Err(TraceParseError::new(format!(
-                    "colour index {idx} out of range"
-                )));
-            }
-            Ok(Colour::from_index(idx))
-        };
-        let mode = || -> Result<LockMode, TraceParseError> {
-            match get_str("mode")? {
-                "read" => Ok(LockMode::Read),
-                "exclusive-read" => Ok(LockMode::ExclusiveRead),
-                "write" => Ok(LockMode::Write),
-                other => Err(TraceParseError::new(format!("unknown lock mode `{other}`"))),
-            }
-        };
-        let msg_kind = || -> Result<MsgKind, TraceParseError> {
-            let tag = get_str("kind")?;
-            MsgKind::parse(tag)
-                .ok_or_else(|| TraceParseError::new(format!("unknown message kind `{tag}`")))
-        };
-
-        let at_us = get_u64("at_us")?;
-        let ev = get_str("ev")?;
-        let kind = match ev {
-            "action_begin" => EventKind::ActionBegin {
-                action: action("action")?,
-                parent: match fields.iter().find(|(k, _)| k == "parent") {
-                    Some((_, JsonValue::Num(n))) => Some(ActionId::from_raw(*n)),
-                    Some((_, other)) => {
-                        return Err(TraceParseError::new(format!(
-                            "field `parent` should be a number, got {other:?}"
-                        )))
-                    }
-                    None => None,
-                },
-                colours: get_u64("colours")?,
-            },
-            "action_commit" => EventKind::ActionCommit {
-                action: action("action")?,
-            },
-            "action_abort" => EventKind::ActionAbort {
-                action: action("action")?,
-            },
-            "lock_request" => EventKind::LockRequest {
-                action: action("action")?,
-                object: object()?,
-                colour: colour()?,
-                mode: mode()?,
-            },
-            "lock_grant" => EventKind::LockGrant {
-                action: action("action")?,
-                object: object()?,
-                colour: colour()?,
-                mode: mode()?,
-            },
-            "lock_conflict" => EventKind::LockConflict {
-                action: action("action")?,
-                object: object()?,
-                colour: colour()?,
-                mode: mode()?,
-            },
-            "lock_inherit" => EventKind::LockInherit {
-                from: action("from")?,
-                to: action("to")?,
-                object: object()?,
-                colour: colour()?,
-            },
-            "lock_release" => EventKind::LockRelease {
-                action: action("action")?,
-                object: object()?,
-                colour: colour()?,
-            },
-            "undo_record" => EventKind::UndoRecord {
-                action: action("action")?,
-                object: object()?,
-                colour: colour()?,
-            },
-            "wal_append" => EventKind::WalAppend {
-                records: get_u64("records")?,
-            },
-            "wal_flush" => EventKind::WalFlush {
-                objects: get_u64("objects")?,
-            },
-            "tpc_prepare" => EventKind::TpcPrepare {
-                node: node("node")?,
-                txn: get_u64("txn")?,
-            },
-            "tpc_vote" => EventKind::TpcVote {
-                node: node("node")?,
-                txn: get_u64("txn")?,
-                yes: get_bool("yes")?,
-            },
-            "tpc_decide" => EventKind::TpcDecide {
-                node: node("node")?,
-                txn: get_u64("txn")?,
-                commit: get_bool("commit")?,
-                participants: get_u64("participants")?,
-            },
-            "tpc_resolve" => EventKind::TpcResolve {
-                node: node("node")?,
-                txn: get_u64("txn")?,
-                commit: get_bool("commit")?,
-            },
-            "node_crash" => EventKind::NodeCrash {
-                node: node("node")?,
-            },
-            "node_recover" => EventKind::NodeRecover {
-                node: node("node")?,
-            },
-            "msg_send" => EventKind::MsgSend {
-                from: node("from")?,
-                to: node("to")?,
-                kind: msg_kind()?,
-            },
-            "msg_drop" => EventKind::MsgDrop {
-                from: node("from")?,
-                to: node("to")?,
-                kind: msg_kind()?,
-            },
-            "msg_dup" => EventKind::MsgDup {
-                from: node("from")?,
-                to: node("to")?,
-                kind: msg_kind()?,
-            },
-            "msg_deliver" => EventKind::MsgDeliver {
-                from: node("from")?,
-                to: node("to")?,
-                kind: msg_kind()?,
-            },
-            "disk_append" => EventKind::DiskAppend {
-                records: get_u64("records")?,
-                bytes: get_u64("bytes")?,
-            },
-            "disk_checkpoint" => EventKind::DiskCheckpoint {
-                objects: get_u64("objects")?,
-            },
-            "disk_replay" => EventKind::DiskReplay {
-                batches: get_u64("batches")?,
-                objects: get_u64("objects")?,
-            },
-            "disk_group_commit" => EventKind::DiskGroupCommit {
-                batches: get_u64("batches")?,
-                records: get_u64("records")?,
-                bytes: get_u64("bytes")?,
-            },
-            "replica_write" => EventKind::ReplicaWrite {
-                object: object()?,
-                version: get_u64("version")?,
-                fanout: get_u64("fanout")?,
-            },
-            "replica_install" => EventKind::ReplicaInstall {
-                node: node("node")?,
-                object: object()?,
-                version: get_u64("version")?,
-            },
-            "replica_read" => EventKind::ReplicaRead {
-                node: node("node")?,
-                object: object()?,
-                version: get_u64("version")?,
-                stale: get_bool("stale")?,
-            },
-            "catchup_begin" => EventKind::CatchupBegin {
-                node: node("node")?,
-                object: object()?,
-            },
-            "catchup_end" => EventKind::CatchupEnd {
-                node: node("node")?,
-                object: object()?,
-                version: get_u64("version")?,
-            },
-            "snapshot_open" => EventKind::SnapshotOpen {
-                action: action("action")?,
-                colour: colour()?,
-                stamp: get_u64("stamp")?,
-            },
-            "snapshot_read" => EventKind::SnapshotRead {
-                action: action("action")?,
-                object: object()?,
-                colour: colour()?,
-                stamp: get_u64("stamp")?,
-            },
-            "version_publish" => EventKind::VersionPublish {
-                object: object()?,
-                colour: colour()?,
-                stamp: get_u64("stamp")?,
-            },
-            "version_gc" => EventKind::VersionGc {
-                reclaimed: get_u64("reclaimed")?,
-                retained: get_u64("retained")?,
-            },
-            "watchdog_violation" => EventKind::WatchdogViolation {
-                rule: {
-                    let tag = get_str("rule")?;
-                    WatchdogRule::parse(tag).ok_or_else(|| {
-                        TraceParseError::new(format!("unknown watchdog rule `{tag}`"))
-                    })?
-                },
-                action: action("action")?,
-                object: object()?,
-                aux: get_u64("aux")?,
-            },
-            "metrics_snapshot" => EventKind::MetricsSnapshot {
-                lock_entries: get_u64("lock_entries")?,
-                lock_waiters: get_u64("lock_waiters")?,
-                group_queue: get_u64("group_queue")?,
-                versions: get_u64("versions")?,
-                gc_backlog: get_u64("gc_backlog")?,
-                snapshots: get_u64("snapshots")?,
-                live_actions: get_u64("live_actions")?,
-                // Traces from before segmented logs lack the gauge.
-                ckpt_backlog: match fields.iter().find(|(k, _)| k == "ckpt_backlog") {
-                    Some((_, JsonValue::Num(n))) => *n,
-                    Some((_, other)) => {
-                        return Err(TraceParseError::new(format!(
-                            "field `ckpt_backlog` should be a number, got {other:?}"
-                        )))
-                    }
-                    None => 0,
-                },
-            },
-            "segment_seal" => EventKind::SegmentSeal {
-                segment: get_u64("segment")?,
-                batches: get_u64("batches")?,
-                bytes: get_u64("bytes")?,
-            },
-            "checkpoint_begin" => EventKind::CheckpointBegin {
-                segments: get_u64("segments")?,
-                batches: get_u64("batches")?,
-            },
-            "checkpoint_end" => EventKind::CheckpointEnd {
-                upto: get_u64("upto")?,
-                batches: get_u64("batches")?,
-                objects: get_u64("objects")?,
-            },
-            "segment_gc" => EventKind::SegmentGc {
-                segment: get_u64("segment")?,
-                bytes: get_u64("bytes")?,
-            },
-            other => {
-                return Err(TraceParseError::new(format!("unknown event tag `{other}`")));
-            }
-        };
-        let opt_u64 = |key: &str| -> Result<Option<u64>, TraceParseError> {
-            match fields.iter().find(|(k, _)| k == key) {
-                Some((_, JsonValue::Num(n))) => Ok(Some(*n)),
-                Some((_, other)) => Err(TraceParseError::new(format!(
-                    "field `{key}` should be a number, got {other:?}"
-                ))),
-                None => Ok(None),
-            }
-        };
-        let lc = opt_u64("lc")?.unwrap_or(0);
-        let corr = opt_u64("corr")?;
-        let node =
-            match kind.intrinsic_node() {
-                Some(n) => Some(n),
-                None => match opt_u64("node")? {
-                    Some(raw) => Some(u32::try_from(raw).map(NodeId::from_raw).map_err(|_| {
-                        TraceParseError::new(format!("node id {raw} out of range"))
-                    })?),
-                    None => None,
-                },
-            };
         Ok(Event {
             at_us,
             node,
@@ -1869,20 +1418,15 @@ mod tests {
     }
 
     #[test]
-    fn pre_segment_metrics_snapshot_still_parses() {
-        // Traces from before the segmented log lack `ckpt_backlog`;
-        // they must load with the gauge defaulted to 0.
+    fn metrics_snapshot_without_ckpt_backlog_is_rejected() {
+        // No field has a default: a gauge line from before segmented
+        // logs (no `ckpt_backlog`) is a missing-field error like any
+        // other.
         let line = "{\"at_us\":5,\"ev\":\"metrics_snapshot\",\"lock_entries\":1,\
                     \"lock_waiters\":0,\"group_queue\":0,\"versions\":2,\
                     \"gc_backlog\":0,\"snapshots\":1,\"live_actions\":3}";
-        let event = Event::from_json_line(line).unwrap();
-        assert!(matches!(
-            event.kind,
-            EventKind::MetricsSnapshot {
-                ckpt_backlog: 0,
-                ..
-            }
-        ));
+        let err = Event::from_json_line(line).unwrap_err();
+        assert_eq!(err.message, "missing field `ckpt_backlog`");
     }
 
     #[test]

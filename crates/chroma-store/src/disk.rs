@@ -62,10 +62,11 @@
 //! convention). A complete record whose checksum mismatches is
 //! corruption within the committed prefix and fails `open`; an
 //! incomplete record at the tail is a torn append and is discarded.
-//! A pre-segment store (a single `log` file, with or without the
-//! magic) is still opened: its committed batches are folded into
-//! `objects/` once and the directory is migrated to the manifest
-//! layout.
+//! A segment that does not open with the magic is corruption too (a
+//! file shorter than the magic that is a prefix of it is a torn
+//! creation and holds no records). The pre-segment layout — a single
+//! `log` file and no `MANIFEST` — is refused with `CorruptLog`, never
+//! opened as empty.
 //!
 //! Layout inside the store directory:
 //!
@@ -81,7 +82,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read as _, Seek as _, Write as _};
+use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -1103,7 +1104,7 @@ fn write_manifest(dir: &Path, seqs: &[u64], fsyncs: &mut u64) -> Result<(), Disk
 }
 
 /// Parses the manifest's live segment list; `Ok(None)` when no
-/// manifest exists (a fresh or pre-segment store).
+/// manifest exists (a fresh store).
 fn read_manifest(dir: &Path) -> Result<Option<Vec<u64>>, DiskError> {
     let raw = match fs::read_to_string(dir.join("MANIFEST")) {
         Ok(raw) => raw,
@@ -1152,7 +1153,6 @@ fn install_object(objects_dir: &Path, object: u64, state: &[u8]) -> Result<(), D
 /// record, not the log length.
 struct FrameReader {
     src: io::BufReader<File>,
-    checksummed: bool,
     /// Bytes left in the file; a frame promising more is a torn tail.
     remaining: u64,
     /// Reusable frame buffer: `[len: u32 LE][payload]`, the
@@ -1161,9 +1161,9 @@ struct FrameReader {
 }
 
 impl FrameReader {
-    /// Opens `path`, consuming the format magic if present (its
-    /// absence selects the pre-checksum `[len][payload]` framing).
-    /// `Ok(None)` means the file does not exist.
+    /// Opens `path` and consumes the format magic; a file that opens
+    /// with anything else is corrupt. `Ok(None)` means the file does
+    /// not exist.
     fn open(path: &Path) -> Result<Option<FrameReader>, DiskError> {
         let file = match File::open(path) {
             Ok(file) => file,
@@ -1172,20 +1172,20 @@ impl FrameReader {
         };
         let mut remaining = file.metadata()?.len();
         let mut src = io::BufReader::new(file);
-        let mut magic = [0u8; 8];
-        let checksummed = remaining >= LOG_MAGIC.len() as u64 && {
-            src.read_exact(&mut magic)?;
-            if &magic == LOG_MAGIC {
-                remaining -= LOG_MAGIC.len() as u64;
-                true
-            } else {
-                src.seek(io::SeekFrom::Start(0))?;
-                false
-            }
-        };
+        // A file cut short inside the magic is a torn creation: it
+        // must match as far as it goes, and then holds no records.
+        let mut magic = [0u8; LOG_MAGIC.len()];
+        let header = usize::try_from(remaining).map_or(magic.len(), |n| n.min(magic.len()));
+        src.read_exact(&mut magic[..header])?;
+        if magic[..header] != LOG_MAGIC[..header] {
+            return Err(DiskError::CorruptLog(format!(
+                "{} does not open with the CHLOG001 magic",
+                path.display()
+            )));
+        }
+        remaining -= header as u64;
         Ok(Some(FrameReader {
             src,
-            checksummed,
             remaining,
             frame: Vec::new(),
         }))
@@ -1199,25 +1199,22 @@ impl FrameReader {
         }
         self.src.read_exact(&mut len_bytes)?;
         let len = u64::from(u32::from_le_bytes(len_bytes));
-        let trailer = if self.checksummed { 4 } else { 0 };
-        if self.remaining < 4 + len + trailer {
+        if self.remaining < 4 + len + 4 {
             return Ok(None); // torn record: discard from here
         }
-        self.remaining -= 4 + len + trailer;
+        self.remaining -= 4 + len + 4;
         self.frame.clear();
         self.frame.extend_from_slice(&len_bytes);
         self.frame.resize(4 + len as usize, 0);
         self.src.read_exact(&mut self.frame[4..])?;
-        if self.checksummed {
-            let mut crc_bytes = [0u8; 4];
-            self.src.read_exact(&mut crc_bytes)?;
-            let stored = u32::from_le_bytes(crc_bytes);
-            let computed = crc32(&self.frame);
-            if stored != computed {
-                return Err(DiskError::CorruptLog(format!(
-                    "record checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
-                )));
-            }
+        let mut crc_bytes = [0u8; 4];
+        self.src.read_exact(&mut crc_bytes)?;
+        let stored = u32::from_le_bytes(crc_bytes);
+        let computed = crc32(&self.frame);
+        if stored != computed {
+            return Err(DiskError::CorruptLog(format!(
+                "record checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
+            )));
         }
         codec::from_bytes::<DiskRecord>(&self.frame[4..])
             .map(Some)
@@ -1282,11 +1279,17 @@ struct Recovered {
 }
 
 /// Crash recovery: sweep temp orphans, replay exactly the manifest's
-/// live suffix (or migrate a pre-segment `log`), sweep segment files
-/// the manifest never committed to, then collapse to a single fresh
-/// active segment.
-#[allow(clippy::too_many_lines)]
+/// live suffix, sweep segment files the manifest never committed to,
+/// then collapse to a single fresh active segment.
 fn recover(dir: &Path) -> Result<Recovered, DiskError> {
+    let manifest = read_manifest(dir)?;
+    let stray_log = dir.join("log");
+    if manifest.is_none() && stray_log.exists() {
+        return Err(DiskError::CorruptLog(format!(
+            "{} holds a `log` file but no MANIFEST: the pre-segment single-log layout is not supported",
+            dir.display()
+        )));
+    }
     let objects_dir = dir.join("objects");
     let segments_dir = dir.join("segments");
     fs::create_dir_all(&objects_dir)?;
@@ -1306,30 +1309,16 @@ fn recover(dir: &Path) -> Result<Recovered, DiskError> {
         fs::remove_file(dir.join("MANIFEST.tmp"))?;
     }
 
-    let manifest = read_manifest(dir)?;
-    let legacy_log = dir.join("log");
+    // The manifest is authoritative. A `log` alongside it is a stale
+    // leftover (e.g. resurrected bytes from the pre-segment format's
+    // unsynced truncate): never replay it.
+    if stray_log.exists() {
+        fs::remove_file(&stray_log)?;
+    }
     let mut stats = ReplayStats::default();
     let mut max_batch = 0u64;
-    let live: Vec<u64> = match &manifest {
-        Some(seqs) => {
-            // The manifest is authoritative. A legacy `log` alongside
-            // it is a stale leftover (e.g. resurrected bytes from the
-            // pre-segment format's unsynced truncate): never replay
-            // it.
-            if legacy_log.exists() {
-                fs::remove_file(&legacy_log)?;
-            }
-            seqs.clone()
-        }
-        None => {
-            // Pre-segment store: stream the old single log once, fold
-            // it into objects/, then adopt the manifest layout below.
-            if legacy_log.exists() {
-                replay_file(&legacy_log, &objects_dir, &mut stats, &mut max_batch)?;
-            }
-            Vec::new()
-        }
-    };
+    let had_manifest = manifest.is_some();
+    let live = manifest.unwrap_or_default();
 
     // Replay exactly the live suffix, oldest segment first.
     let mut last_segment_records = 0u64;
@@ -1361,7 +1350,7 @@ fn recover(dir: &Path) -> Result<Recovered, DiskError> {
 
     // Fast path: a lone, empty active segment can simply be reused —
     // restarting an idle store must not churn the manifest.
-    if manifest.is_some() && live.len() == 1 && last_segment_records == 0 && stats.records == 0 {
+    if had_manifest && live.len() == 1 && last_segment_records == 0 && stats.records == 0 {
         let seq = live[0];
         let active_file = OpenOptions::new()
             .append(true)
@@ -1391,10 +1380,6 @@ fn recover(dir: &Path) -> Result<Recovered, DiskError> {
     write_manifest(dir, &[fresh], &mut dir_fsyncs)?;
     for &seq in &live {
         fs::remove_file(segments_dir.join(segment_file_name(seq)))?;
-    }
-    if manifest.is_none() && legacy_log.exists() {
-        fs::remove_file(&legacy_log)?;
-        fsync_dir(dir, &mut dir_fsyncs)?;
     }
     Ok(Recovered {
         active: SegmentInfo {
@@ -1445,15 +1430,19 @@ mod tests {
         }
     }
 
-    /// Hand-writes a pre-segment `log` file in the checksummed format
-    /// (the migration input).
-    fn write_log(dir: &Path, records: &[DiskRecord]) {
-        fs::create_dir_all(dir.join("objects")).unwrap();
-        let mut log = File::create(dir.join("log")).unwrap();
+    /// Hand-writes a store whose manifest lists one segment holding
+    /// `records` (what a crash before any checkpoint leaves behind);
+    /// returns the segment's path.
+    fn write_log(dir: &Path, records: &[DiskRecord]) -> PathBuf {
+        fs::create_dir_all(dir.join("segments")).unwrap();
+        let path = dir.join("segments").join(segment_file_name(1));
+        let mut log = File::create(&path).unwrap();
         log.write_all(LOG_MAGIC).unwrap();
         for record in records {
             append_record(&mut log, record).unwrap();
         }
+        write_manifest(dir, &[1], &mut 0).unwrap();
+        path
     }
 
     #[test]
@@ -1536,7 +1525,7 @@ mod tests {
     #[test]
     fn torn_log_tail_is_tolerated() {
         let dir = temp_dir();
-        write_log(
+        let log_path = write_log(
             &dir,
             &[
                 DiskRecord::Intent {
@@ -1548,10 +1537,7 @@ mod tests {
             ],
         );
         // A torn append: length prefix promising more bytes than exist.
-        let mut log = OpenOptions::new()
-            .append(true)
-            .open(dir.join("log"))
-            .unwrap();
+        let mut log = OpenOptions::new().append(true).open(log_path).unwrap();
         log.write_all(&100u32.to_le_bytes()).unwrap();
         log.write_all(b"short").unwrap();
         drop(log);
@@ -1561,12 +1547,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_log_without_magic_still_recovers() {
-        // A log written before checksums: plain [len][payload] frames,
-        // no magic. The versioned decode must replay it.
+    fn segment_without_magic_is_refused() {
+        // Plain `[len][payload]` frames, no magic, no checksums (the
+        // pre-`CHLOG001` format): never parsed, not even when every
+        // frame would decode.
         let dir = temp_dir();
-        fs::create_dir_all(dir.join("objects")).unwrap();
-        let mut log = File::create(dir.join("log")).unwrap();
+        let log_path = write_log(&dir, &[]);
+        let mut log = File::create(&log_path).unwrap();
         for record in [
             &DiskRecord::Intent {
                 batch: 2,
@@ -1581,22 +1568,50 @@ mod tests {
             log.write_all(&payload).unwrap();
         }
         drop(log);
+        match DiskStore::open(&dir) {
+            Err(DiskError::CorruptLog(msg)) => assert!(msg.contains("CHLOG001 magic"), "{msg}"),
+            other => panic!("magic-less segment not refused: {other:?}"),
+        }
+        // cut short inside the magic it is a torn creation: no records
+        fs::write(&log_path, &LOG_MAGIC[..5]).unwrap();
         let store = DiskStore::open(&dir).unwrap();
-        assert_eq!(
-            store.read(o(4)).unwrap().as_deref(),
-            Some(&b"old format"[..])
-        );
-        // The store is migrated to the manifest layout: the single log
-        // is gone, a manifest with one fresh segment owns the dir.
-        assert!(!dir.join("log").exists());
-        assert_eq!(DiskStore::live_segment_paths(&dir).unwrap().len(), 1);
+        assert!(store.read(o(4)).unwrap().is_none());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn pre_segment_directory_is_refused_not_opened_empty() {
+        // A single `log` and no MANIFEST is the layout from before
+        // segmented logs; its committed batch must not vanish behind a
+        // fresh, empty store.
+        let dir = temp_dir();
+        fs::create_dir_all(dir.join("objects")).unwrap();
+        let mut log = File::create(dir.join("log")).unwrap();
+        log.write_all(LOG_MAGIC).unwrap();
+        append_record(
+            &mut log,
+            &DiskRecord::Intent {
+                batch: 1,
+                object: 1,
+                state: b"committed".to_vec(),
+            },
+        )
+        .unwrap();
+        append_record(&mut log, &DiskRecord::Commit { batch: 1 }).unwrap();
+        drop(log);
+        match DiskStore::open(&dir) {
+            Err(DiskError::CorruptLog(msg)) => assert!(msg.contains("pre-segment"), "{msg}"),
+            other => panic!("pre-segment layout not refused: {other:?}"),
+        }
+        assert!(dir.join("log").exists(), "a refusal leaves the data alone");
+        assert!(!dir.join("MANIFEST").exists());
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn flipped_byte_in_committed_record_is_detected() {
         let dir = temp_dir();
-        write_log(
+        let log_path = write_log(
             &dir,
             &[
                 DiskRecord::Intent {
@@ -1607,7 +1622,6 @@ mod tests {
                 DiskRecord::Commit { batch: 1 },
             ],
         );
-        let log_path = dir.join("log");
         let mut raw = fs::read(&log_path).unwrap();
         // Flip one payload byte inside the first record (past magic +
         // length prefix).

@@ -189,15 +189,13 @@ proptest! {
 }
 
 /// The log's byte ranges where a flip may legally degrade to silent
-/// all-or-nothing truncation instead of checksum detection: the format
-/// magic and each record's length prefix (damage there derails framing
-/// before any checksum can be read). Every other byte — record payloads
-/// and the checksums themselves — is CRC-protected and a flip *must* be
-/// detected.
+/// all-or-nothing truncation instead of detection: each record's
+/// length prefix (damage there derails framing before any checksum can
+/// be read). Every other byte — the format magic, record payloads and
+/// the checksums themselves — is checked and a flip *must* be detected.
 fn unprotected_ranges(log: &[u8]) -> Vec<std::ops::Range<usize>> {
     let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
-    ranges.push(0..8); // the `CHLOG001` magic
-    let mut pos = 8;
+    let mut pos = 8; // past the `CHLOG001` magic
     while pos + 4 <= log.len() {
         ranges.push(pos..pos + 4); // this record's length prefix
         let len = u32::from_le_bytes(log[pos..pos + 4].try_into().expect("four bytes")) as usize;
@@ -210,8 +208,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Flip one bit anywhere in a log holding a committed-but-not-yet
-    /// installed batch. A flip in CRC-protected bytes must fail `open`
-    /// with `CorruptLog`; a flip in the framing (magic, length
+    /// installed batch. A flip in the magic or in CRC-protected bytes
+    /// must fail `open` with `CorruptLog`; a flip in the framing (length
     /// prefixes) may instead truncate silently, but recovery must then
     /// be all-or-nothing with the batch rolled back and the baseline
     /// intact.
