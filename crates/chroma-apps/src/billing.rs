@@ -6,24 +6,28 @@
 //! the required functionality."
 
 use chroma_core::{ActionError, ActionScope, ObjectId, Runtime};
+use chroma_store::stored;
 use chroma_structures::independent_sync;
-use serde::{Deserialize, Serialize};
 
-/// One charge on the ledger.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Charge {
-    /// The account charged.
-    pub account: String,
-    /// What was used.
-    pub resource: String,
-    /// Cost in abstract units.
-    pub amount: u64,
+stored! {
+    /// One charge on the ledger.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Charge {
+        /// The account charged.
+        pub account: String,
+        /// What was used.
+        pub resource: String,
+        /// Cost in abstract units.
+        pub amount: u64,
+    }
 }
 
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-struct LedgerState {
-    charges: Vec<Charge>,
-    total: u64,
+stored! {
+    #[derive(Clone, Debug, Default, PartialEq)]
+    struct LedgerState {
+        charges: Vec<Charge>,
+        total: u64,
+    }
 }
 
 /// A persistent usage ledger whose charges survive client aborts.
@@ -175,6 +179,26 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ledger_types_keep_their_bytes() {
+        let charge = Charge {
+            account: "ada".into(),
+            resource: "cpu".into(),
+            amount: 5,
+        };
+        crate::assert_stored_bytes(
+            &charge,
+            "030000000000000061646103000000000000006370750500000000000000",
+        );
+        crate::assert_stored_bytes(
+            &LedgerState {
+                charges: vec![charge],
+                total: 5,
+            },
+            "01000000000000000300000000000000616461030000000000000063707505000000000000000500000000000000",
+        );
+    }
 
     #[test]
     fn charges_survive_client_abort() {

@@ -9,26 +9,30 @@
 //! be necessary to invoke a compensating top-level action."
 
 use chroma_core::{ActionError, ActionScope, Runtime};
+use chroma_store::stored;
 use chroma_structures::{independent_async, independent_sync, IndependentHandle};
-use serde::{Deserialize, Serialize};
 
-/// One bulletin-board entry.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Post {
-    /// Who posted.
-    pub author: String,
-    /// The message.
-    pub text: String,
-    /// Board-assigned sequence number.
-    pub seq: u64,
-    /// `true` if a compensating post retracted this one.
-    pub retracted: bool,
+stored! {
+    /// One bulletin-board entry.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Post {
+        /// Who posted.
+        pub author: String,
+        /// The message.
+        pub text: String,
+        /// Board-assigned sequence number.
+        pub seq: u64,
+        /// `true` if a compensating post retracted this one.
+        pub retracted: bool,
+    }
 }
 
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-struct BoardState {
-    posts: Vec<Post>,
-    next_seq: u64,
+stored! {
+    #[derive(Clone, Debug, Default, PartialEq)]
+    struct BoardState {
+        posts: Vec<Post>,
+        next_seq: u64,
+    }
 }
 
 /// A persistent bulletin board whose operations are atomic actions.
@@ -210,6 +214,27 @@ impl BulletinBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn board_types_keep_their_bytes() {
+        let post = Post {
+            author: "ada".into(),
+            text: "hi".into(),
+            seq: 1,
+            retracted: true,
+        };
+        crate::assert_stored_bytes(
+            &post,
+            "030000000000000061646102000000000000006869010000000000000001",
+        );
+        crate::assert_stored_bytes(
+            &BoardState {
+                posts: vec![post],
+                next_seq: 2,
+            },
+            "01000000000000000300000000000000616461020000000000000068690100000000000000010200000000000000",
+        );
+    }
 
     #[test]
     fn posts_survive_invoker_abort() {

@@ -17,14 +17,16 @@
 //! slot in all diaries.
 
 use chroma_core::{ActionError, ObjectId, Runtime};
+use chroma_store::stored;
 use chroma_structures::GluedChain;
-use serde::{Deserialize, Serialize};
 
-/// One diary slot: free or holding an appointment.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Slot {
-    /// The appointment text, if booked.
-    pub appointment: Option<String>,
+stored! {
+    /// One diary slot: free or holding an appointment.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct Slot {
+        /// The appointment text, if booked.
+        pub appointment: Option<String>,
+    }
 }
 
 /// A personal diary: one individually lockable object per time slot.
@@ -186,6 +188,17 @@ mod tests {
                 lock_timeout: Some(Duration::from_millis(300)),
             })
             .build()
+    }
+
+    #[test]
+    fn slots_keep_their_bytes() {
+        crate::assert_stored_bytes(
+            &Slot {
+                appointment: Some("lunch".into()),
+            },
+            "0105000000000000006c756e6368",
+        );
+        crate::assert_stored_bytes(&Slot::default(), "00");
     }
 
     #[test]

@@ -23,17 +23,19 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use chroma_core::{ActionError, ObjectId, Runtime};
+use chroma_store::stored;
 use chroma_structures::{SerialStep, SerializingAction};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
-/// The persistent state of one file: a change-stamp and its content.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FileState {
-    /// Logical timestamp of the last change (0 = never built).
-    pub stamp: u64,
-    /// Simulated file content.
-    pub content: String,
+stored! {
+    /// The persistent state of one file: a change-stamp and its content.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct FileState {
+        /// Logical timestamp of the last change (0 = never built).
+        pub stamp: u64,
+        /// Simulated file content.
+        pub content: String,
+    }
 }
 
 /// One makefile rule: a target, its prerequisites, and the command that
@@ -528,6 +530,17 @@ impl DistMake {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn file_states_keep_their_bytes() {
+        crate::assert_stored_bytes(
+            &FileState {
+                stamp: 3,
+                content: "out".into(),
+            },
+            "030000000000000003000000000000006f7574",
+        );
+    }
 
     const PAPER_MAKEFILE: &str = "Test: Test0.o Test1.o\n\
                                   \tcc -o Test Test0.o Test1.o\n\

@@ -7,18 +7,21 @@
 //! carrying on with the main computation. There is no reason to undo
 //! the name server updates should the invoking action abort."
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use chroma_base::{NodeId, ObjectId};
 use chroma_core::{ActionError, ActionScope, ColourSet, Runtime};
 use chroma_dist::{ReplicatedObject, Sim};
+use chroma_store::stored;
 use chroma_structures::{independent_async, IndependentHandle};
-use serde::{Deserialize, Serialize};
 
-/// The directory state: names bound to locations.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Directory {
-    bindings: HashMap<String, String>,
+stored! {
+    /// The directory state: names bound to locations, in name order so
+    /// equal directories encode to equal bytes on every replica.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct Directory {
+        bindings: BTreeMap<String, String>,
+    }
 }
 
 /// A local name server whose operations are atomic actions.
@@ -204,6 +207,50 @@ impl ReplicatedNameServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn directories_keep_their_bytes() {
+        let mut directory = Directory::default();
+        directory.bindings.insert("printer".into(), "node-3".into());
+        crate::assert_stored_bytes(
+            &directory,
+            "010000000000000007000000000000007072696e74657206000000000000006e6f64652d33",
+        );
+        directory.bindings.insert("disk".into(), "node-1".into());
+        crate::assert_stored_bytes(
+            &directory,
+            "020000000000000004000000000000006469736b06000000000000006e6f64652d31\
+             07000000000000007072696e74657206000000000000006e6f64652d33",
+        );
+        // the `HashMap` build could also have written the pairs in the
+        // other order: those bytes still decode to the same directory
+        let unordered =
+            "020000000000000007000000000000007072696e74657206000000000000006e6f64652d33\
+             04000000000000006469736b06000000000000006e6f64652d31";
+        assert_eq!(
+            chroma_store::codec::from_bytes::<Directory>(&crate::unhex(unordered)).unwrap(),
+            directory
+        );
+    }
+
+    #[test]
+    fn equal_directories_encode_to_equal_bytes() {
+        let bindings: Vec<(String, String)> = (0..32)
+            .map(|i| (format!("service-{i}"), format!("node-{}", i % 5)))
+            .collect();
+        let mut forward = Directory::default();
+        for (name, location) in &bindings {
+            forward.bindings.insert(name.clone(), location.clone());
+        }
+        let mut backward = Directory::default();
+        for (name, location) in bindings.iter().rev() {
+            backward.bindings.insert(name.clone(), location.clone());
+        }
+        assert_eq!(
+            chroma_store::codec::to_bytes(&forward).unwrap(),
+            chroma_store::codec::to_bytes(&backward).unwrap()
+        );
+    }
 
     #[test]
     fn register_lookup_remove() {

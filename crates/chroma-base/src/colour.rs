@@ -11,7 +11,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::error::ColourError;
 
@@ -35,7 +34,7 @@ pub const MAX_LIVE_COLOURS: usize = 64;
 /// assert_eq!(universe.colour("red"), red); // interned by name
 /// assert_eq!(universe.name(red), "red");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Colour(u8);
 
 impl Colour {
@@ -86,7 +85,7 @@ impl fmt::Display for Colour {
 /// assert!(set.intersects(ColourSet::single(blue)));
 /// assert_eq!(set.minus(ColourSet::single(red)), ColourSet::single(blue));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ColourSet(u64);
 
 impl ColourSet {

@@ -3,12 +3,10 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ActionId, Colour, LockMode, ObjectId};
 
 /// Errors arising from colour allocation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[non_exhaustive]
 pub enum ColourError {
     /// The universe already holds the maximum number of live colours.
@@ -32,7 +30,7 @@ impl Error for ColourError {}
 /// A denial is not fatal: a blocking acquire waits for the conflicting
 /// holders to release, while a try-acquire surfaces the denial to the
 /// caller.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 #[non_exhaustive]
 pub enum LockDenied {
     /// A holder that is not an ancestor of the requester holds a
@@ -74,7 +72,7 @@ impl fmt::Display for LockDenied {
 impl Error for LockDenied {}
 
 /// Errors returned by lock acquisition.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 #[non_exhaustive]
 pub enum LockError {
     /// A try-acquire was denied; the reason is attached.

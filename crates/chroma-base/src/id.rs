@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of an action (an atomic transaction, possibly nested and
 /// possibly multi-coloured).
 ///
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.as_raw(), 7);
 /// assert_eq!(a.to_string(), "A7");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ActionId(u64);
 
 impl ActionId {
@@ -58,7 +56,7 @@ impl fmt::Display for ActionId {
 /// let o = ObjectId::from_raw(3);
 /// assert_eq!(o.to_string(), "O3");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ObjectId(u64);
 
 impl ObjectId {
@@ -92,7 +90,7 @@ impl fmt::Display for ObjectId {
 /// let n = NodeId::from_raw(2);
 /// assert_eq!(n.to_string(), "N2");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(u32);
 
 impl NodeId {

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The mode in which a lock is held on an object.
 ///
 /// The paper (§5.2) assumes three modes:
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(LockMode::Write.permits_write());
 /// assert!(!LockMode::ExclusiveRead.permits_write());
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum LockMode {
     /// Shared read access; compatible with other read locks.
     Read,

@@ -10,13 +10,11 @@ use chroma_base::{
 };
 use chroma_locks::{ColouredPolicy, LockTable, DEFAULT_LOCK_SHARDS};
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
+use chroma_store::codec::{self, Stored};
 use chroma_store::{
-    codec, GcStats, SnapshotStamps, StampClock, StoreBytes, VersionChains, VisibleVersion,
-    VolatileStore,
+    GcStats, SnapshotStamps, StampClock, StoreBytes, VersionChains, VisibleVersion, VolatileStore,
 };
 use parking_lot::Mutex;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 
 use crate::backend::{LocalBackend, PermanenceBackend};
 use crate::error::ActionError;
@@ -320,8 +318,9 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// Returns [`ActionError::Codec`] if the value fails to encode.
-    pub fn create_object<T: Serialize>(&self, value: &T) -> Result<ObjectId, ActionError> {
+    /// [`ActionError::Backend`] if the permanence backend cannot
+    /// install the initial state.
+    pub fn create_object<T: Stored>(&self, value: &T) -> Result<ObjectId, ActionError> {
         let bytes = StoreBytes::from(codec::to_bytes(value)?);
         self.create_object_raw(bytes)
     }
@@ -349,7 +348,7 @@ impl Runtime {
     ///
     /// [`ActionError::NoSuchObject`] if the object has no committed
     /// state; [`ActionError::Codec`] on decode failure.
-    pub fn read_committed<T: DeserializeOwned>(&self, object: ObjectId) -> Result<T, ActionError> {
+    pub fn read_committed<T: Stored>(&self, object: ObjectId) -> Result<T, ActionError> {
         let bytes = self
             .inner
             .stable
@@ -365,7 +364,7 @@ impl Runtime {
     ///
     /// [`ActionError::NoSuchObject`] if the object does not exist;
     /// [`ActionError::Codec`] on decode failure.
-    pub fn read_current<T: DeserializeOwned>(&self, object: ObjectId) -> Result<T, ActionError> {
+    pub fn read_current<T: Stored>(&self, object: ObjectId) -> Result<T, ActionError> {
         let bytes = self
             .current_state(object)
             .ok_or(ActionError::NoSuchObject(object))?;

@@ -1,9 +1,8 @@
 //! The in-action operation surface.
 
 use chroma_base::{ActionId, Colour, ColourSet, LockMode, ObjectId};
-use chroma_store::{codec, StoreBytes};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
+use chroma_store::codec::{self, Stored};
+use chroma_store::StoreBytes;
 
 use crate::error::ActionError;
 use crate::runtime::Runtime;
@@ -94,7 +93,7 @@ impl<'rt> ActionScope<'rt> {
     /// # Errors
     ///
     /// Lock failures, [`ActionError::NoSuchObject`], or decode failures.
-    pub fn read<T: DeserializeOwned>(&self, object: ObjectId) -> Result<T, ActionError> {
+    pub fn read<T: Stored>(&self, object: ObjectId) -> Result<T, ActionError> {
         self.read_in(self.default_colour, object)
     }
 
@@ -103,11 +102,7 @@ impl<'rt> ActionScope<'rt> {
     /// # Errors
     ///
     /// Lock failures, [`ActionError::NoSuchObject`], or decode failures.
-    pub fn read_in<T: DeserializeOwned>(
-        &self,
-        colour: Colour,
-        object: ObjectId,
-    ) -> Result<T, ActionError> {
+    pub fn read_in<T: Stored>(&self, colour: Colour, object: ObjectId) -> Result<T, ActionError> {
         let bytes = self.runtime.op_read_raw(self.id, colour, object)?;
         Ok(codec::from_bytes(&bytes)?)
     }
@@ -129,12 +124,8 @@ impl<'rt> ActionScope<'rt> {
     ///
     /// # Errors
     ///
-    /// Lock failures or encode failures.
-    pub fn write<T: Serialize + ?Sized>(
-        &self,
-        object: ObjectId,
-        value: &T,
-    ) -> Result<(), ActionError> {
+    /// Lock failures.
+    pub fn write<T: Stored>(&self, object: ObjectId, value: &T) -> Result<(), ActionError> {
         self.write_in(self.default_colour, object, value)
     }
 
@@ -142,8 +133,8 @@ impl<'rt> ActionScope<'rt> {
     ///
     /// # Errors
     ///
-    /// Lock failures or encode failures.
-    pub fn write_in<T: Serialize + ?Sized>(
+    /// Lock failures.
+    pub fn write_in<T: Stored>(
         &self,
         colour: Colour,
         object: ObjectId,
@@ -179,7 +170,7 @@ impl<'rt> ActionScope<'rt> {
         f: impl FnOnce(&mut T) -> R,
     ) -> Result<R, ActionError>
     where
-        T: DeserializeOwned + Serialize,
+        T: Stored,
     {
         self.modify_in(self.default_colour, object, f)
     }
@@ -196,7 +187,7 @@ impl<'rt> ActionScope<'rt> {
         f: impl FnOnce(&mut T) -> R,
     ) -> Result<R, ActionError>
     where
-        T: DeserializeOwned + Serialize,
+        T: Stored,
     {
         // Take the write lock before reading: two concurrent modifiers
         // would otherwise both take read locks and deadlock trying to
@@ -219,9 +210,8 @@ impl<'rt> ActionScope<'rt> {
     ///
     /// # Errors
     ///
-    /// Encode failures or lock failures (the latter cannot normally
-    /// happen on a fresh object).
-    pub fn create<T: Serialize + ?Sized>(&self, value: &T) -> Result<ObjectId, ActionError> {
+    /// Lock failures (which cannot normally happen on a fresh object).
+    pub fn create<T: Stored>(&self, value: &T) -> Result<ObjectId, ActionError> {
         self.create_in(self.default_colour, value)
     }
 
@@ -229,12 +219,8 @@ impl<'rt> ActionScope<'rt> {
     ///
     /// # Errors
     ///
-    /// Encode failures or lock failures.
-    pub fn create_in<T: Serialize + ?Sized>(
-        &self,
-        colour: Colour,
-        value: &T,
-    ) -> Result<ObjectId, ActionError> {
+    /// Lock failures.
+    pub fn create_in<T: Stored>(&self, colour: Colour, value: &T) -> Result<ObjectId, ActionError> {
         let bytes = StoreBytes::from(codec::to_bytes(value)?);
         self.runtime.op_create_raw(self.id, colour, bytes)
     }

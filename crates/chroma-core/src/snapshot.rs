@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use chroma_base::{ActionId, Colour, ObjectId};
-use chroma_store::{codec, SnapshotStamps, StoreBytes};
-use serde::de::DeserializeOwned;
+use chroma_store::codec::{self, Stored};
+use chroma_store::{SnapshotStamps, StoreBytes};
 
 use crate::error::ActionError;
 use crate::runtime::Runtime;
@@ -81,7 +81,7 @@ impl<'rt> SnapshotScope<'rt> {
     /// [`ActionError::NotActive`] if the scope was killed by a crash,
     /// [`ActionError::NoSuchObject`] if the object did not exist at the
     /// snapshot, or decode failures.
-    pub fn read<T: DeserializeOwned>(&self, object: ObjectId) -> Result<T, ActionError> {
+    pub fn read<T: Stored>(&self, object: ObjectId) -> Result<T, ActionError> {
         let bytes = self.runtime.op_snapshot_read(self.id, object)?;
         Ok(codec::from_bytes(&bytes)?)
     }

@@ -6,7 +6,6 @@ use std::collections::{HashMap, HashSet};
 use chroma_base::{NodeId, ObjectId};
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
 use chroma_store::{codec, DurableLog, StableStore, StoreBytes};
-use serde::{Deserialize, Serialize};
 
 use crate::msg::{Effect, Message, TimerTag, TxnId, Write};
 
@@ -71,27 +70,31 @@ struct PartState {
     done: bool,
 }
 
-/// An operation of the built-in RPC key-value service (used to exercise
-/// the at-most-once machinery).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RpcOp {
-    /// Store `state` under `object` (non-transactional direct write).
-    Put(u64, Vec<u8>),
-    /// Fetch the state under `object`.
-    Get(u64),
-    /// Liveness probe.
-    Ping,
+chroma_store::stored! {
+    /// An operation of the built-in RPC key-value service (used to exercise
+    /// the at-most-once machinery).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum RpcOp {
+        /// Store `state` under `object` (non-transactional direct write).
+        Put(u64, Vec<u8>),
+        /// Fetch the state under `object`.
+        Get(u64),
+        /// Liveness probe.
+        Ping,
+    }
 }
 
-/// Reply of the built-in RPC service.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RpcResult {
-    /// Put installed.
-    Done,
-    /// Get result (`None` = no such object).
-    Value(Option<Vec<u8>>),
-    /// Pong.
-    Pong,
+chroma_store::stored! {
+    /// Reply of the built-in RPC service.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum RpcResult {
+        /// Put installed.
+        Done,
+        /// Get result (`None` = no such object).
+        Value(Option<Vec<u8>>),
+        /// Pong.
+        Pong,
+    }
 }
 
 /// Volatile client-side state of an outstanding RPC.

@@ -52,8 +52,13 @@ const TAG_DATA: u8 = 1;
 const TAG_ACK: u8 = 2;
 
 /// Upper bound on a single frame body; larger lengths are treated as
-/// stream corruption and kill the connection.
+/// stream corruption and kill the connection, so `send` never queues
+/// one.
 const MAX_FRAME: usize = 16 * 1024 * 1024;
+
+/// Bytes a data frame's body carries ahead of the wire payload: tag,
+/// sequence number, correlation id, send clock, payload length.
+const DATA_HEADER: usize = 1 + 8 + 8 + 8 + 4;
 
 /// Knobs for [`TcpTransport`].
 #[derive(Clone, Copy, Debug)]
@@ -493,12 +498,15 @@ impl Transport for TcpTransport {
         let send_lc = obs
             .emit_corr(corr, EventKind::MsgSend { from, to, kind })
             .map_or(0, |e| e.lc);
-        if !self.addrs.contains_key(&to) {
+        let payload = wire::encode(&msg);
+        // a frame the peer's reader refuses would be resent on every
+        // reconnect, wedging the link: refuse it here, like an unknown
+        // peer, and let the protocol above time out
+        if !self.addrs.contains_key(&to) || DATA_HEADER + payload.len() > MAX_FRAME {
             self.stats.send_errors += 1;
             obs.emit_corr(corr, EventKind::MsgDrop { from, to, kind });
             return;
         }
-        let payload = wire::encode(&msg);
         let mut tail = Vec::with_capacity(20 + payload.len());
         tail.extend_from_slice(&corr.to_le_bytes());
         tail.extend_from_slice(&send_lc.to_le_bytes());
@@ -735,21 +743,21 @@ fn parse_hello(body: &[u8]) -> Option<(NodeId, u64)> {
 fn parse_frame(body: &[u8]) -> Option<InFrame> {
     match *body.first()? {
         TAG_DATA => {
-            if body.len() < 29 {
+            if body.len() < DATA_HEADER {
                 return None;
             }
             let seq = u64::from_le_bytes(body[1..9].try_into().ok()?);
             let corr = u64::from_le_bytes(body[9..17].try_into().ok()?);
             let send_lc = u64::from_le_bytes(body[17..25].try_into().ok()?);
             let len = u32::from_le_bytes(body[25..29].try_into().ok()?) as usize;
-            if body.len() != 29 + len {
+            if body.len() != DATA_HEADER + len {
                 return None;
             }
             Some(InFrame::Data {
                 seq,
                 corr,
                 send_lc,
-                payload: body[29..].to_vec(),
+                payload: body[DATA_HEADER..].to_vec(),
             })
         }
         TAG_ACK => {
@@ -847,6 +855,48 @@ mod tests {
             a.peer_acked(b_id) >= 1,
             "cumulative ack never travelled back"
         );
+    }
+
+    #[test]
+    fn oversized_message_is_refused_without_wedging_the_link() {
+        let (a_id, b_id) = (NodeId::from_raw(1), NodeId::from_raw(2));
+        let mut a = TcpTransport::bind(a_id, "127.0.0.1:0", TcpConfig::default()).unwrap();
+        let mut b = TcpTransport::bind(b_id, "127.0.0.1:0", TcpConfig::default()).unwrap();
+        a.add_peer(b_id, b.local_addr());
+        b.add_peer(a_id, a.local_addr());
+        // b's reader would drop the connection on this frame; queued,
+        // it would be resent on every redial, forever
+        a.send(
+            b_id,
+            Message::RpcRequest {
+                call: 1,
+                body: vec![0; MAX_FRAME + 1].into(),
+            },
+        );
+        let small = Message::Ack {
+            txn: crate::msg::TxnId(2),
+        };
+        a.send(b_id, small.clone());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut delivered = None;
+        while Instant::now() < deadline && delivered.is_none() {
+            if let Some(TransportEvent::Deliver { msg, .. }) =
+                b.poll(Some(Duration::from_millis(20)))
+            {
+                delivered = Some(msg);
+            }
+            a.poll(Some(Duration::from_millis(5)));
+        }
+        assert_eq!(
+            delivered,
+            Some(small),
+            "small message stuck behind the oversized one"
+        );
+        assert_eq!(a.stats().send_errors, 1, "{:?}", a.stats());
+        // one dial for the small message, no redial
+        assert_eq!(a.stats().reconnects, 1, "{:?}", a.stats());
+        assert_eq!(b.stats().gaps, 0);
+        assert_eq!(b.stats().fresh, 1);
     }
 
     #[test]

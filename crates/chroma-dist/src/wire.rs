@@ -5,10 +5,10 @@
 //! version byte, so a process talking to a peer from a different build
 //! fails loudly instead of misparsing. The body is a 1-byte variant tag
 //! followed by fixed-width little-endian fields; variable-length byte
-//! strings carry a `u32` length prefix. The format is deliberately
-//! dependency-free (the payload type [`StoreBytes`] has no serde
-//! support in this build), hand-rolled in the same spirit as
-//! `chroma_store::codec`.
+//! strings carry a `u32` length prefix. The format is hand-rolled in
+//! the same spirit as `chroma_store::codec`, but separate from it: its
+//! lengths are `u32`, its errors are [`WireError`], and the payload
+//! type [`StoreBytes`] is not a `Stored` type.
 //!
 //! [`TpcRecord`] gets the same treatment (magic `CHTL`) so a real
 //! process can mirror its durable protocol log into a

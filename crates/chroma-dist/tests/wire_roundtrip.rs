@@ -8,7 +8,8 @@
 
 use chroma_base::{NodeId, ObjectId};
 use chroma_dist::wire::{self, WireError, WIRE_VERSION};
-use chroma_dist::{Message, TpcRecord, TxnId, Write};
+use chroma_dist::{Message, RpcOp, RpcResult, TpcRecord, TxnId, Write};
+use chroma_store::codec::{from_bytes, to_bytes};
 use chroma_store::StoreBytes;
 use proptest::prelude::*;
 
@@ -139,4 +140,42 @@ fn version_and_magic_are_checked() {
     let mut trailing = good;
     trailing.push(0);
     assert!(matches!(wire::decode(&trailing), Err(WireError::Trailing)));
+}
+
+/// The RPC service's bodies (`RpcRequest`/`RpcResponse` payloads) keep
+/// the bytes the serde-driven codec gave them, so a node from that
+/// build and one from this build still understand each other's calls.
+#[test]
+fn rpc_bodies_keep_their_bytes() {
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+    let ops = [
+        (
+            RpcOp::Put(5, vec![1, 2, 3]),
+            "0000000005000000000000000300000000000000010203",
+        ),
+        (RpcOp::Get(5), "010000000500000000000000"),
+        (RpcOp::Ping, "02000000"),
+    ];
+    for (op, hex) in ops {
+        assert_eq!(to_bytes(&op).unwrap(), unhex(hex), "{op:?}");
+        assert_eq!(from_bytes::<RpcOp>(&unhex(hex)).unwrap(), op);
+    }
+    let results = [
+        (RpcResult::Done, "00000000"),
+        (
+            RpcResult::Value(Some(vec![9])),
+            "0100000001010000000000000009",
+        ),
+        (RpcResult::Value(None), "0100000000"),
+        (RpcResult::Pong, "02000000"),
+    ];
+    for (result, hex) in results {
+        assert_eq!(to_bytes(&result).unwrap(), unhex(hex), "{result:?}");
+        assert_eq!(from_bytes::<RpcResult>(&unhex(hex)).unwrap(), result);
+    }
 }

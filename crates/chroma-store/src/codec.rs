@@ -1,54 +1,74 @@
 //! A compact, dependency-free binary codec for object states.
 //!
-//! Chroma stores object states as byte buffers; this module provides the
-//! bridge from typed values via serde. The format is non-self-describing
-//! (like bincode): primitives are little-endian fixed width, lengths are
-//! `u64` prefixes, enum variants are `u32` indices. Both ends must agree
-//! on the type, which they always do — the store only ever decodes into
-//! the type that encoded the buffer.
+//! Chroma stores object states as byte buffers; a type becomes storable
+//! by implementing [`Stored`], which packs and unpacks its own state the
+//! way the paper's persistent classes do. The format is
+//! non-self-describing (like bincode): both ends must agree on the type,
+//! which they always do — the store only ever decodes into the type that
+//! encoded the buffer.
+//!
+//! | type | encoding |
+//! |---|---|
+//! | `u8`/`i8` | 1 byte |
+//! | `u16`/`i16` | 2 bytes, little-endian |
+//! | `u32`/`i32`/`f32` | 4 bytes, little-endian |
+//! | `u64`/`i64`/`f64` | 8 bytes, little-endian |
+//! | `u128`/`i128` | 16 bytes, little-endian |
+//! | `bool` | 1 byte, `0` or `1` |
+//! | `char` | its scalar value as a `u32` |
+//! | `String` | `u64` byte length, then UTF-8 bytes |
+//! | `Vec<T>` | `u64` element count, then each element |
+//! | `BTreeMap<K, V>` | `u64` entry count, then key, value per entry in key order |
+//! | `Option<T>` | tag byte `0` (none) or `1` followed by the value |
+//! | `()` | nothing |
+//! | tuples, [`stored!`](crate::stored) structs | fields in declaration order |
+//! | [`stored!`](crate::stored) enums | `u32` variant index in declaration order, then the variant's fields |
+//!
+//! Decoding is strict: a bool byte, option tag, UTF-8 string, `char`
+//! scalar or variant index outside its range is
+//! [`CodecError::InvalidValue`], input that ends early is
+//! [`CodecError::UnexpectedEnd`] (a length prefix is checked against
+//! the remaining input before anything that size is allocated), and
+//! input left over is [`CodecError::TrailingBytes`].
 //!
 //! # Examples
 //!
 //! ```
 //! use chroma_store::codec::{from_bytes, to_bytes};
-//! use serde::{Deserialize, Serialize};
+//! use chroma_store::stored;
 //!
-//! #[derive(Serialize, Deserialize, PartialEq, Debug)]
-//! struct Account {
-//!     owner: String,
-//!     balance: i64,
+//! stored! {
+//!     #[derive(PartialEq, Debug)]
+//!     struct Account {
+//!         owner: String,
+//!         balance: i64,
+//!     }
 //! }
 //!
 //! # fn main() -> Result<(), chroma_store::codec::CodecError> {
 //! let account = Account { owner: "ada".into(), balance: 120 };
 //! let bytes = to_bytes(&account)?;
+//! assert_eq!(bytes.len(), 8 + 3 + 8);
 //! let back: Account = from_bytes(&bytes)?;
 //! assert_eq!(back, account);
 //! # Ok(())
 //! # }
 //! ```
 
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
-use serde::ser::{self, Serialize};
-
-/// Errors produced while encoding or decoding object states.
+/// Errors produced while decoding object states.
 #[derive(Clone, PartialEq, Eq, Debug)]
 #[non_exhaustive]
 pub enum CodecError {
     /// The input ended before the value was complete.
     UnexpectedEnd,
-    /// A length prefix or variant index was out of range.
+    /// A length prefix, tag, scalar or variant index was out of range.
     InvalidValue(String),
     /// Trailing bytes remained after decoding the value.
     TrailingBytes(usize),
-    /// The format cannot represent the requested shape (for example
-    /// `deserialize_any` on this non-self-describing format).
-    Unsupported(&'static str),
-    /// An error message raised by serde itself.
-    Message(String),
 }
 
 impl fmt::Display for CodecError {
@@ -57,23 +77,54 @@ impl fmt::Display for CodecError {
             CodecError::UnexpectedEnd => write!(f, "unexpected end of input"),
             CodecError::InvalidValue(what) => write!(f, "invalid encoded value: {what}"),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
-            CodecError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
-            CodecError::Message(msg) => f.write_str(msg),
         }
     }
 }
 
 impl Error for CodecError {}
 
-impl ser::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError::Message(msg.to_string())
-    }
-}
+/// A value that packs itself into, and unpacks itself from, the
+/// codec's byte format (see the [module docs](self) for the layout).
+///
+/// Implemented for the primitives, `String`, `Vec`, `Option`, `()`,
+/// tuples up to four elements and `BTreeMap`; application structs and
+/// enums get it from [`stored!`](crate::stored).
+pub trait Stored: Sized {
+    /// Appends this value's encoding to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
 
-impl de::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError::Message(msg.to_string())
+    /// Decodes one value from the front of `input`, advancing it past
+    /// the bytes consumed.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::UnexpectedEnd`] on truncated input,
+    /// [`CodecError::InvalidValue`] on an out-of-range byte pattern.
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError>;
+
+    /// Appends the elements of `items` back to back (the body of a
+    /// `Vec<Self>`, after its count). Element by element unless a type
+    /// has a bulk layout — `u8` copies the slice in one go.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
+    /// Decodes `len` elements written by
+    /// [`encode_slice`](Stored::encode_slice). The up-front reservation
+    /// is capped at 4096 elements, so a hostile count allocates no more
+    /// than that before the input runs out.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode`](Stored::decode), for any element.
+    fn decode_vec(len: usize, input: &mut &[u8]) -> Result<Vec<Self>, CodecError> {
+        let mut items = Vec::with_capacity(len.min(4096));
+        for _ in 0..len {
+            items.push(Self::decode(input)?);
+        }
+        Ok(items)
     }
 }
 
@@ -81,574 +132,361 @@ impl de::Error for CodecError {
 ///
 /// # Errors
 ///
-/// Returns [`CodecError`] if the value cannot be represented (for
-/// example a sequence of unknown length).
-pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, CodecError> {
-    let mut encoder = Encoder { out: Vec::new() };
-    value.serialize(&mut encoder)?;
-    Ok(encoder.out)
+/// None: every [`Stored`] value encodes. The `Result` is kept so
+/// callers written against a fallible codec compile unchanged.
+pub fn to_bytes<T: Stored>(value: &T) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    value.encode(&mut out);
+    Ok(out)
 }
 
 /// Decodes a value from bytes produced by [`to_bytes`] for the same type.
 ///
 /// # Errors
 ///
-/// Returns [`CodecError`] on truncated input, invalid prefixes, or
+/// Returns [`CodecError`] on truncated input, out-of-range values, or
 /// trailing bytes.
-pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
-    let mut decoder = Decoder { input: bytes };
-    let value = T::deserialize(&mut decoder)?;
-    if decoder.input.is_empty() {
+pub fn from_bytes<T: Stored>(mut bytes: &[u8]) -> Result<T, CodecError> {
+    let value = T::decode(&mut bytes)?;
+    if bytes.is_empty() {
         Ok(value)
     } else {
-        Err(CodecError::TrailingBytes(decoder.input.len()))
+        Err(CodecError::TrailingBytes(bytes.len()))
     }
 }
 
-struct Encoder {
-    out: Vec<u8>,
+/// Splits `n` bytes off the front of `input`.
+fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
+    if input.len() < n {
+        return Err(CodecError::UnexpectedEnd);
+    }
+    let (head, tail) = input.split_at(n);
+    *input = tail;
+    Ok(head)
 }
 
-impl Encoder {
-    fn put_len(&mut self, len: usize) {
-        self.out.extend_from_slice(&(len as u64).to_le_bytes());
-    }
+fn encode_len(len: usize, out: &mut Vec<u8>) {
+    (len as u64).encode(out);
 }
 
-macro_rules! encode_le {
-    ($method:ident, $ty:ty) => {
-        fn $method(self, v: $ty) -> Result<(), CodecError> {
-            self.out.extend_from_slice(&v.to_le_bytes());
-            Ok(())
-        }
-    };
+fn decode_len(input: &mut &[u8]) -> Result<usize, CodecError> {
+    let len = u64::decode(input)?;
+    usize::try_from(len).map_err(|_| CodecError::InvalidValue(format!("length {len}")))
 }
 
-impl<'a> ser::Serializer for &'a mut Encoder {
-    type Ok = ();
-    type Error = CodecError;
-    type SerializeSeq = Compound<'a>;
-    type SerializeTuple = Compound<'a>;
-    type SerializeTupleStruct = Compound<'a>;
-    type SerializeTupleVariant = Compound<'a>;
-    type SerializeMap = Compound<'a>;
-    type SerializeStruct = Compound<'a>;
-    type SerializeStructVariant = Compound<'a>;
-
-    fn serialize_bool(self, v: bool) -> Result<(), CodecError> {
-        self.out.push(u8::from(v));
-        Ok(())
-    }
-
-    encode_le!(serialize_i8, i8);
-    encode_le!(serialize_i16, i16);
-    encode_le!(serialize_i32, i32);
-    encode_le!(serialize_i64, i64);
-    encode_le!(serialize_i128, i128);
-    encode_le!(serialize_u8, u8);
-    encode_le!(serialize_u16, u16);
-    encode_le!(serialize_u32, u32);
-    encode_le!(serialize_u64, u64);
-    encode_le!(serialize_u128, u128);
-    encode_le!(serialize_f32, f32);
-    encode_le!(serialize_f64, f64);
-
-    fn serialize_char(self, v: char) -> Result<(), CodecError> {
-        self.serialize_u32(v as u32)
-    }
-
-    fn serialize_str(self, v: &str) -> Result<(), CodecError> {
-        self.put_len(v.len());
-        self.out.extend_from_slice(v.as_bytes());
-        Ok(())
-    }
-
-    fn serialize_bytes(self, v: &[u8]) -> Result<(), CodecError> {
-        self.put_len(v.len());
-        self.out.extend_from_slice(v);
-        Ok(())
-    }
-
-    fn serialize_none(self) -> Result<(), CodecError> {
-        self.out.push(0);
-        Ok(())
-    }
-
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), CodecError> {
-        self.out.push(1);
-        value.serialize(self)
-    }
-
-    fn serialize_unit(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), CodecError> {
-        Ok(())
-    }
-
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-    ) -> Result<(), CodecError> {
-        self.serialize_u32(variant_index)
-    }
-
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(self)
-    }
-
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        self.serialize_u32(variant_index)?;
-        value.serialize(self)
-    }
-
-    fn serialize_seq(self, len: Option<usize>) -> Result<Compound<'a>, CodecError> {
-        let len = len.ok_or(CodecError::Unsupported("sequences of unknown length"))?;
-        self.put_len(len);
-        Ok(Compound { encoder: self })
-    }
-
-    fn serialize_tuple(self, _len: usize) -> Result<Compound<'a>, CodecError> {
-        Ok(Compound { encoder: self })
-    }
-
-    fn serialize_tuple_struct(
-        self,
-        _name: &'static str,
-        _len: usize,
-    ) -> Result<Compound<'a>, CodecError> {
-        Ok(Compound { encoder: self })
-    }
-
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Compound<'a>, CodecError> {
-        self.out.extend_from_slice(&variant_index.to_le_bytes());
-        Ok(Compound { encoder: self })
-    }
-
-    fn serialize_map(self, len: Option<usize>) -> Result<Compound<'a>, CodecError> {
-        let len = len.ok_or(CodecError::Unsupported("maps of unknown length"))?;
-        self.put_len(len);
-        Ok(Compound { encoder: self })
-    }
-
-    fn serialize_struct(
-        self,
-        _name: &'static str,
-        _len: usize,
-    ) -> Result<Compound<'a>, CodecError> {
-        Ok(Compound { encoder: self })
-    }
-
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Compound<'a>, CodecError> {
-        self.out.extend_from_slice(&variant_index.to_le_bytes());
-        Ok(Compound { encoder: self })
-    }
-
-    fn is_human_readable(&self) -> bool {
-        false
-    }
-}
-
-/// Serializer state for compound shapes; every element serializes in
-/// order with no framing beyond the already-written length prefix.
-pub struct Compound<'a> {
-    encoder: &'a mut Encoder,
-}
-
-macro_rules! impl_compound {
-    ($trait:path, $fn:ident) => {
-        impl<'a> $trait for Compound<'a> {
-            type Ok = ();
-            type Error = CodecError;
-
-            fn $fn<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-                value.serialize(&mut *self.encoder)
+macro_rules! stored_le {
+    ($($ty:ty),*) => {$(
+        impl Stored for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
             }
 
-            fn end(self) -> Result<(), CodecError> {
-                Ok(())
+            fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+                let (bytes, rest) = input
+                    .split_first_chunk()
+                    .ok_or(CodecError::UnexpectedEnd)?;
+                *input = rest;
+                Ok(<$ty>::from_le_bytes(*bytes))
             }
         }
-    };
+    )*};
 }
 
-impl_compound!(ser::SerializeSeq, serialize_element);
-impl_compound!(ser::SerializeTuple, serialize_element);
-impl_compound!(ser::SerializeTupleStruct, serialize_field);
-impl_compound!(ser::SerializeTupleVariant, serialize_field);
+stored_le!(i8, i16, i32, i64, i128, u16, u32, u64, u128, f32, f64);
 
-impl ser::SerializeMap for Compound<'_> {
-    type Ok = ();
-    type Error = CodecError;
-
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), CodecError> {
-        key.serialize(&mut *self.encoder)
+impl Stored for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
     }
 
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-        value.serialize(&mut *self.encoder)
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok(take(input, 1)?[0])
     }
 
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeStruct for Compound<'_> {
-    type Ok = ();
-    type Error = CodecError;
-
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(&mut *self.encoder)
+    fn encode_slice(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
     }
 
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
+    fn decode_vec(len: usize, input: &mut &[u8]) -> Result<Vec<u8>, CodecError> {
+        Ok(take(input, len)?.to_vec())
     }
 }
 
-impl ser::SerializeStructVariant for Compound<'_> {
-    type Ok = ();
-    type Error = CodecError;
-
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(&mut *self.encoder)
+impl Stored for bool {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
     }
 
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-struct Decoder<'de> {
-    input: &'de [u8],
-}
-
-impl<'de> Decoder<'de> {
-    fn take(&mut self, n: usize) -> Result<&'de [u8], CodecError> {
-        if self.input.len() < n {
-            return Err(CodecError::UnexpectedEnd);
-        }
-        let (head, tail) = self.input.split_at(n);
-        self.input = tail;
-        Ok(head)
-    }
-
-    fn take_len(&mut self) -> Result<usize, CodecError> {
-        let bytes = self.take(8)?;
-        let len = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
-        usize::try_from(len).map_err(|_| CodecError::InvalidValue(format!("length {len}")))
-    }
-}
-
-macro_rules! decode_le {
-    ($method:ident, $visit:ident, $ty:ty, $n:expr) => {
-        fn $method<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-            let bytes = self.take($n)?;
-            visitor.$visit(<$ty>::from_le_bytes(bytes.try_into().expect("sized")))
-        }
-    };
-}
-
-impl<'de> de::Deserializer<'de> for &mut Decoder<'de> {
-    type Error = CodecError;
-
-    fn deserialize_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, CodecError> {
-        Err(CodecError::Unsupported(
-            "deserialize_any on a non-self-describing format",
-        ))
-    }
-
-    fn deserialize_bool<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        match self.take(1)?[0] {
-            0 => visitor.visit_bool(false),
-            1 => visitor.visit_bool(true),
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        match u8::decode(input)? {
+            0 => Ok(false),
+            1 => Ok(true),
             other => Err(CodecError::InvalidValue(format!("bool byte {other}"))),
         }
     }
+}
 
-    decode_le!(deserialize_i8, visit_i8, i8, 1);
-    decode_le!(deserialize_i16, visit_i16, i16, 2);
-    decode_le!(deserialize_i32, visit_i32, i32, 4);
-    decode_le!(deserialize_i64, visit_i64, i64, 8);
-    decode_le!(deserialize_i128, visit_i128, i128, 16);
-    decode_le!(deserialize_u8, visit_u8, u8, 1);
-    decode_le!(deserialize_u16, visit_u16, u16, 2);
-    decode_le!(deserialize_u32, visit_u32, u32, 4);
-    decode_le!(deserialize_u64, visit_u64, u64, 8);
-    decode_le!(deserialize_u128, visit_u128, u128, 16);
-    decode_le!(deserialize_f32, visit_f32, f32, 4);
-    decode_le!(deserialize_f64, visit_f64, f64, 8);
-
-    fn deserialize_char<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let bytes = self.take(4)?;
-        let raw = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
-        let c = char::from_u32(raw)
-            .ok_or_else(|| CodecError::InvalidValue(format!("char scalar {raw:#x}")))?;
-        visitor.visit_char(c)
+impl Stored for char {
+    fn encode(&self, out: &mut Vec<u8>) {
+        u32::from(*self).encode(out);
     }
 
-    fn deserialize_str<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.take_len()?;
-        let bytes = self.take(len)?;
-        let s = std::str::from_utf8(bytes)
-            .map_err(|e| CodecError::InvalidValue(format!("utf-8: {e}")))?;
-        visitor.visit_borrowed_str(s)
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let raw = u32::decode(input)?;
+        char::from_u32(raw).ok_or_else(|| CodecError::InvalidValue(format!("char scalar {raw:#x}")))
+    }
+}
+
+impl Stored for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_len(self.len(), out);
+        out.extend_from_slice(self.as_bytes());
     }
 
-    fn deserialize_string<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.deserialize_str(visitor)
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let len = decode_len(input)?;
+        let bytes = take(input, len)?;
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|e| CodecError::InvalidValue(format!("utf-8: {e}")))
+    }
+}
+
+impl<T: Stored> Stored for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_len(self.len(), out);
+        T::encode_slice(self, out);
     }
 
-    fn deserialize_bytes<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.take_len()?;
-        let bytes = self.take(len)?;
-        visitor.visit_borrowed_bytes(bytes)
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let len = decode_len(input)?;
+        T::decode_vec(len, input)
+    }
+}
+
+impl<T: Stored> Stored for Option<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(value) => {
+                out.push(1);
+                value.encode(out);
+            }
+        }
     }
 
-    fn deserialize_byte_buf<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.deserialize_bytes(visitor)
-    }
-
-    fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        match self.take(1)?[0] {
-            0 => visitor.visit_none(),
-            1 => visitor.visit_some(self),
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        match u8::decode(input)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::decode(input)?)),
             other => Err(CodecError::InvalidValue(format!("option tag {other}"))),
         }
     }
-
-    fn deserialize_unit<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        visitor.visit_unit()
-    }
-
-    fn deserialize_unit_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_unit()
-    }
-
-    fn deserialize_newtype_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_newtype_struct(self)
-    }
-
-    fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.take_len()?;
-        visitor.visit_seq(Counted {
-            decoder: self,
-            remaining: len,
-        })
-    }
-
-    fn deserialize_tuple<V: Visitor<'de>>(
-        self,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_seq(Counted {
-            decoder: self,
-            remaining: len,
-        })
-    }
-
-    fn deserialize_tuple_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        self.deserialize_tuple(len, visitor)
-    }
-
-    fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.take_len()?;
-        visitor.visit_map(Counted {
-            decoder: self,
-            remaining: len,
-        })
-    }
-
-    fn deserialize_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        self.deserialize_tuple(fields.len(), visitor)
-    }
-
-    fn deserialize_enum<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        _variants: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_enum(Enum { decoder: self })
-    }
-
-    fn deserialize_identifier<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, CodecError> {
-        Err(CodecError::Unsupported("identifier deserialization"))
-    }
-
-    fn deserialize_ignored_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, CodecError> {
-        Err(CodecError::Unsupported(
-            "ignored_any on a non-self-describing format",
-        ))
-    }
-
-    fn is_human_readable(&self) -> bool {
-        false
-    }
 }
 
-struct Counted<'a, 'de> {
-    decoder: &'a mut Decoder<'de>,
-    remaining: usize,
-}
-
-impl<'de> de::SeqAccess<'de> for Counted<'_, 'de> {
-    type Error = CodecError;
-
-    fn next_element_seed<T: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: T,
-    ) -> Result<Option<T::Value>, CodecError> {
-        if self.remaining == 0 {
-            return Ok(None);
+impl<K: Stored + Ord, V: Stored> Stored for BTreeMap<K, V> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_len(self.len(), out);
+        for (key, value) in self {
+            key.encode(out);
+            value.encode(out);
         }
-        self.remaining -= 1;
-        seed.deserialize(&mut *self.decoder).map(Some)
     }
 
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
-    }
-}
-
-impl<'de> de::MapAccess<'de> for Counted<'_, 'de> {
-    type Error = CodecError;
-
-    fn next_key_seed<K: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: K,
-    ) -> Result<Option<K::Value>, CodecError> {
-        if self.remaining == 0 {
-            return Ok(None);
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let len = decode_len(input)?;
+        let mut map = BTreeMap::new();
+        for _ in 0..len {
+            let key = K::decode(input)?;
+            map.insert(key, V::decode(input)?);
         }
-        self.remaining -= 1;
-        seed.deserialize(&mut *self.decoder).map(Some)
-    }
-
-    fn next_value_seed<V: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: V,
-    ) -> Result<V::Value, CodecError> {
-        seed.deserialize(&mut *self.decoder)
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
+        Ok(map)
     }
 }
 
-struct Enum<'a, 'de> {
-    decoder: &'a mut Decoder<'de>,
-}
+impl Stored for () {
+    fn encode(&self, _out: &mut Vec<u8>) {}
 
-impl<'de> de::EnumAccess<'de> for Enum<'_, 'de> {
-    type Error = CodecError;
-    type Variant = Self;
-
-    fn variant_seed<V: de::DeserializeSeed<'de>>(
-        self,
-        seed: V,
-    ) -> Result<(V::Value, Self), CodecError> {
-        let bytes = self.decoder.take(4)?;
-        let index = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
-        let value = seed.deserialize(index.into_deserializer())?;
-        Ok((value, self))
-    }
-}
-
-impl<'de> de::VariantAccess<'de> for Enum<'_, 'de> {
-    type Error = CodecError;
-
-    fn unit_variant(self) -> Result<(), CodecError> {
+    fn decode(_input: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(())
     }
+}
 
-    fn newtype_variant_seed<T: de::DeserializeSeed<'de>>(
-        self,
-        seed: T,
-    ) -> Result<T::Value, CodecError> {
-        seed.deserialize(self.decoder)
-    }
+macro_rules! stored_tuple {
+    ($($name:ident $field:ident),+) => {
+        impl<$($name: Stored),+> Stored for ($($name,)+) {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let ($($field,)+) = self;
+                $($field.encode(out);)+
+            }
 
-    fn tuple_variant<V: Visitor<'de>>(
-        self,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        de::Deserializer::deserialize_tuple(self.decoder, len, visitor)
-    }
+            fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+                Ok(($($name::decode(input)?,)+))
+            }
+        }
+    };
+}
 
-    fn struct_variant<V: Visitor<'de>>(
-        self,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        de::Deserializer::deserialize_tuple(self.decoder, fields.len(), visitor)
-    }
+stored_tuple!(A a);
+stored_tuple!(A a, B b);
+stored_tuple!(A a, B b, C c);
+stored_tuple!(A a, B b, C c, D d);
+
+/// Declares a struct or enum and implements [`Stored`] for it.
+///
+/// A struct (named fields) encodes its fields in declaration order. An
+/// enum encodes a `u32` variant index in declaration order, then the
+/// variant's fields in order; it may mix unit, tuple (up to eight
+/// fields) and struct variants. Attributes and doc comments on the type,
+/// its fields and its variants are kept. Generic types are not
+/// supported.
+///
+/// # Examples
+///
+/// ```
+/// use chroma_store::codec::{from_bytes, to_bytes};
+/// use chroma_store::stored;
+///
+/// stored! {
+///     /// A request to a key-value service.
+///     #[derive(PartialEq, Debug)]
+///     pub enum Request {
+///         /// Store a value.
+///         Put(u64, Vec<u8>),
+///         /// Move a value.
+///         Move { from: u64, to: u64 },
+///         /// Liveness probe.
+///         Ping,
+///     }
+/// }
+///
+/// let bytes = to_bytes(&Request::Ping).unwrap();
+/// assert_eq!(bytes, 2u32.to_le_bytes());
+/// let put = Request::Put(7, vec![1, 2]);
+/// assert_eq!(from_bytes::<Request>(&to_bytes(&put).unwrap()), Ok(put));
+/// ```
+#[macro_export]
+macro_rules! stored {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field : $fty ),*
+        }
+
+        impl $crate::codec::Stored for $name {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                $( $crate::codec::Stored::encode(&self.$field, out); )*
+            }
+
+            fn decode(input: &mut &[u8]) -> ::std::result::Result<Self, $crate::codec::CodecError> {
+                ::std::result::Result::Ok($name {
+                    $( $field: $crate::codec::Stored::decode(input)? ),*
+                })
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident
+                $( ( $($tty:ty),* $(,)? ) )?
+                $( { $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),* $(,)? } )?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant
+                $( ( $($tty),* ) )?
+                $( { $( $(#[$fmeta])* $field : $fty ),* } )?
+            ),*
+        }
+
+        impl $crate::codec::Stored for $name {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                // a fieldless twin whose discriminants are the indices
+                enum Index { $($variant),* }
+                $(
+                    $crate::__stored_variant!(
+                        self, out, Index::$variant as u32, $variant
+                        $( ( $($tty),* ) )? $( { $($field),* } )?
+                    );
+                )*
+            }
+
+            fn decode(input: &mut &[u8]) -> ::std::result::Result<Self, $crate::codec::CodecError> {
+                enum Index { $($variant),* }
+                let index = <u32 as $crate::codec::Stored>::decode(input)?;
+                $(
+                    if index == Index::$variant as u32 {
+                        return ::std::result::Result::Ok(Self::$variant
+                            $( ( $( <$tty as $crate::codec::Stored>::decode(input)? ),* ) )?
+                            $( { $( $field: $crate::codec::Stored::decode(input)? ),* } )?
+                        );
+                    }
+                )*
+                ::std::result::Result::Err($crate::codec::CodecError::InvalidValue(
+                    ::std::format!("variant index {index} of {}", stringify!($name)),
+                ))
+            }
+        }
+    };
+}
+
+/// Encodes `self` if it is the given variant: index, then fields. One
+/// statement per variant of a [`stored!`] enum; tuple-variant fields
+/// are bound to names drawn from a fixed pool.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __stored_variant {
+    ($self:ident, $out:ident, $index:expr, $variant:ident) => {
+        if let Self::$variant = $self {
+            $crate::codec::Stored::encode(&$index, $out);
+        }
+    };
+    ($self:ident, $out:ident, $index:expr, $variant:ident { $($field:ident),* }) => {
+        if let Self::$variant { $($field),* } = $self {
+            $crate::codec::Stored::encode(&$index, $out);
+            $( $crate::codec::Stored::encode($field, $out); )*
+        }
+    };
+    ($self:ident, $out:ident, $index:expr, $variant:ident ( $($ty:ty),* )) => {
+        $crate::__stored_variant!(
+            @bind $self, $out, $index, $variant, [], [f0 f1 f2 f3 f4 f5 f6 f7], [$($ty),*]
+        )
+    };
+    (@bind $self:ident, $out:ident, $index:expr, $variant:ident,
+        [$($bound:ident)*], [$($pool:ident)*], []) => {
+        if let Self::$variant($($bound),*) = $self {
+            $crate::codec::Stored::encode(&$index, $out);
+            $( $crate::codec::Stored::encode($bound, $out); )*
+        }
+    };
+    (@bind $self:ident, $out:ident, $index:expr, $variant:ident,
+        [$($bound:ident)*], [$next:ident $($pool:ident)*], [$ty:ty $(, $rest:ty)*]) => {
+        $crate::__stored_variant!(
+            @bind $self, $out, $index, $variant, [$($bound)* $next], [$($pool)*], [$($rest),*]
+        )
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{Deserialize, Serialize};
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn round_trip<T>(value: T)
     where
-        T: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug,
+        T: Stored + PartialEq + std::fmt::Debug,
     {
         let bytes = to_bytes(&value).expect("encode");
         let back: T = from_bytes(&bytes).expect("decode");
@@ -678,24 +516,28 @@ mod tests {
         round_trip(Some(42u8));
         round_trip(Option::<u8>::None);
         round_trip((1u8, String::from("x"), vec![true, false]));
-        let mut map = HashMap::new();
+        let mut map = BTreeMap::new();
         map.insert(String::from("a"), 1i64);
         map.insert(String::from("b"), -2i64);
         round_trip(map);
     }
 
-    #[derive(Serialize, Deserialize, PartialEq, Debug)]
-    enum Shape {
-        Point,
-        Circle(f64),
-        Rect { w: u32, h: u32 },
+    crate::stored! {
+        #[derive(PartialEq, Debug)]
+        enum Shape {
+            Point,
+            Circle(f64),
+            Rect { w: u32, h: u32 },
+        }
     }
 
-    #[derive(Serialize, Deserialize, PartialEq, Debug)]
-    struct Nested {
-        name: String,
-        shapes: Vec<Shape>,
-        tag: Option<Box<Nested>>,
+    crate::stored! {
+        #[derive(PartialEq, Debug)]
+        struct Nested {
+            name: String,
+            shapes: Vec<Shape>,
+            tag: Option<Vec<Nested>>,
+        }
     }
 
     #[test]
@@ -706,11 +548,11 @@ mod tests {
         round_trip(Nested {
             name: "outer".into(),
             shapes: vec![Shape::Point, Shape::Rect { w: 1, h: 2 }],
-            tag: Some(Box::new(Nested {
+            tag: Some(vec![Nested {
                 name: "inner".into(),
                 shapes: vec![],
                 tag: None,
-            })),
+            }]),
         });
     }
 

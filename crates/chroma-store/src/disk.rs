@@ -92,9 +92,8 @@ use std::time::Instant;
 use chroma_base::ObjectId;
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
 use parking_lot::{Condvar, Mutex};
-use serde::{Deserialize, Serialize};
 
-use crate::codec;
+use crate::codec::{self, Stored};
 use crate::crc32::crc32;
 use crate::StoreBytes;
 
@@ -239,17 +238,19 @@ pub struct ReplayStats {
     pub objects: u64,
 }
 
-/// One framed record in the on-disk intentions log.
-#[derive(Debug, Serialize, Deserialize)]
-enum DiskRecord {
-    Intent {
-        batch: u64,
-        object: u64,
-        state: Vec<u8>,
-    },
-    Commit {
-        batch: u64,
-    },
+crate::stored! {
+    /// One framed record in the on-disk intentions log.
+    #[derive(Debug)]
+    enum DiskRecord {
+        Intent {
+            batch: u64,
+            object: u64,
+            state: Vec<u8>,
+        },
+        Commit {
+            batch: u64,
+        },
+    }
 }
 
 /// A batch waiting in the pending group for a leader to flush it.
@@ -1052,12 +1053,12 @@ fn fsync_timed(file: &File, obs: &Obs) -> Result<(), DiskError> {
 }
 
 fn append_record(log: &mut File, record: &DiskRecord) -> Result<u64, DiskError> {
-    let bytes = codec::to_bytes(record).map_err(|e| DiskError::CorruptLog(e.to_string()))?;
-    let len =
-        u32::try_from(bytes.len()).map_err(|_| DiskError::CorruptLog("record too large".into()))?;
-    let mut frame = Vec::with_capacity(bytes.len() + 8);
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&bytes);
+    // encode behind a length placeholder, then patch the length in
+    let mut frame = vec![0; 4];
+    record.encode(&mut frame);
+    let len = u32::try_from(frame.len() - 4)
+        .map_err(|_| DiskError::CorruptLog("record too large".into()))?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
     let crc = crc32(&frame);
     log.write_all(&frame)?;
     log.write_all(&crc.to_le_bytes())?;
@@ -1960,6 +1961,52 @@ mod tests {
         drop(DiskStore::open(&dir).unwrap());
         let live_after = DiskStore::live_segment_paths(&dir).unwrap();
         assert_eq!(live_before, live_after, "idle reopen churned the manifest");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Decodes a hex literal.
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn disk_records_keep_their_bytes() {
+        // Captured from the serde-driven codec before `Stored` replaced
+        // it: recovery reads logs written by that build.
+        let intent = unhex("00000000030000000000000009000000000000000200000000000000aabb");
+        let commit = unhex("010000000300000000000000");
+        let record = DiskRecord::Intent {
+            batch: 3,
+            object: 9,
+            state: vec![0xAA, 0xBB],
+        };
+        assert_eq!(codec::to_bytes(&record).unwrap(), intent);
+        assert_eq!(
+            codec::to_bytes(&DiskRecord::Commit { batch: 3 }).unwrap(),
+            commit
+        );
+        assert!(matches!(
+            codec::from_bytes(&intent),
+            Ok(DiskRecord::Intent { batch: 3, object: 9, state }) if state == [0xAA, 0xBB]
+        ));
+        assert!(matches!(
+            codec::from_bytes(&commit),
+            Ok(DiskRecord::Commit { batch: 3 })
+        ));
+        // the whole frame: length, payload, CRC
+        let dir = temp_dir();
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("frame");
+        let written = append_record(&mut File::create(&path).unwrap(), &record).unwrap();
+        let frame = fs::read(&path).unwrap();
+        assert_eq!(
+            frame,
+            unhex("1e00000000000000030000000000000009000000000000000200000000000000aabb83075346")
+        );
+        assert_eq!(written, frame.len() as u64);
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -25,7 +25,8 @@
 //!   chains and the published per-colour commit frontier that let
 //!   declared read-only actions take consistent snapshots without
 //!   touching the lock table;
-//! * [`codec`] — a compact serde binary codec so applications store
+//! * [`codec`] — the [`Stored`](codec::Stored) trait and
+//!   [`stored!`] macro: a compact binary codec so applications store
 //!   typed values.
 //!
 //! # Examples

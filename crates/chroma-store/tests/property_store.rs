@@ -1,20 +1,21 @@
 //! Property tests for the storage layer: codec round-trips on random
 //! data and intentions-list recovery under crashes at every point.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use chroma_base::ObjectId;
 use chroma_store::codec::{from_bytes, to_bytes};
-use chroma_store::{CommitCrashPoint, StableStore, StoreBytes};
+use chroma_store::{stored, CommitCrashPoint, StableStore, StoreBytes};
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
 
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-enum Tree {
-    Leaf(i64),
-    Pair(Box<Tree>, Box<Tree>),
-    Tagged { label: String, values: Vec<u32> },
-    Nothing,
+stored! {
+    #[derive(Clone, Debug, PartialEq)]
+    enum Tree {
+        Leaf(i64),
+        Pair(Vec<Tree>, Vec<Tree>),
+        Tagged { label: String, values: Vec<u32> },
+        Nothing,
+    }
 }
 
 fn tree_strategy() -> impl Strategy<Value = Tree> {
@@ -25,7 +26,7 @@ fn tree_strategy() -> impl Strategy<Value = Tree> {
             .prop_map(|(label, values)| Tree::Tagged { label, values }),
     ];
     leaf.prop_recursive(4, 32, 2, |inner| {
-        (inner.clone(), inner).prop_map(|(a, b)| Tree::Pair(Box::new(a), Box::new(b)))
+        (inner.clone(), inner).prop_map(|(a, b)| Tree::Pair(vec![a], vec![b]))
     })
 }
 
@@ -42,9 +43,10 @@ proptest! {
     #[test]
     fn codec_round_trips_random_maps(
         map in prop::collection::hash_map(".{0,8}", any::<(bool, Option<i32>)>(), 0..16)
+            .prop_map(|map| map.into_iter().collect::<BTreeMap<_, _>>())
     ) {
         let bytes = to_bytes(&map).expect("encode");
-        let back: HashMap<String, (bool, Option<i32>)> = from_bytes(&bytes).expect("decode");
+        let back: BTreeMap<String, (bool, Option<i32>)> = from_bytes(&bytes).expect("decode");
         prop_assert_eq!(back, map);
     }
 

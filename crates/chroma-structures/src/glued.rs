@@ -29,8 +29,7 @@
 
 use chroma_base::{ActionId, Colour, ColourSet, LockMode, ObjectId};
 use chroma_core::{ActionError, ActionScope, Runtime};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
+use chroma_store::codec::Stored;
 
 /// A chain of glued top-level actions with per-gap hand-over.
 ///
@@ -305,7 +304,7 @@ impl GluedStep<'_, '_> {
     /// # Errors
     ///
     /// Lock, object or codec failures.
-    pub fn read<T: DeserializeOwned>(&self, object: ObjectId) -> Result<T, ActionError> {
+    pub fn read<T: Stored>(&self, object: ObjectId) -> Result<T, ActionError> {
         self.scope.read_in(self.update, object)
     }
 
@@ -313,12 +312,8 @@ impl GluedStep<'_, '_> {
     ///
     /// # Errors
     ///
-    /// Lock or codec failures.
-    pub fn write<T: Serialize + ?Sized>(
-        &self,
-        object: ObjectId,
-        value: &T,
-    ) -> Result<(), ActionError> {
+    /// Lock failures.
+    pub fn write<T: Stored>(&self, object: ObjectId, value: &T) -> Result<(), ActionError> {
         self.scope.write_in(self.update, object, value)
     }
 
@@ -326,8 +321,8 @@ impl GluedStep<'_, '_> {
     ///
     /// # Errors
     ///
-    /// Lock or codec failures.
-    pub fn create<T: Serialize + ?Sized>(&self, value: &T) -> Result<ObjectId, ActionError> {
+    /// Lock failures.
+    pub fn create<T: Stored>(&self, value: &T) -> Result<ObjectId, ActionError> {
         self.scope.create_in(self.update, value)
     }
 
@@ -356,7 +351,7 @@ impl GluedStep<'_, '_> {
         f: impl FnOnce(&mut T) -> R,
     ) -> Result<R, ActionError>
     where
-        T: DeserializeOwned + Serialize,
+        T: Stored,
     {
         let mut value: T = self.read(object)?;
         let result = f(&mut value);

@@ -20,8 +20,7 @@
 
 use chroma_base::{ActionId, Colour, ColourSet, LockMode, ObjectId};
 use chroma_core::{ActionError, ActionScope, Runtime};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
+use chroma_store::codec::Stored;
 
 /// A serializing action: a sequence (or concurrent set) of top-level
 /// steps whose locks are handed from each step to the wrapper and on to
@@ -216,7 +215,7 @@ impl SerialStep<'_, '_> {
     /// # Errors
     ///
     /// Lock, object or codec failures.
-    pub fn read<T: DeserializeOwned>(&self, object: ObjectId) -> Result<T, ActionError> {
+    pub fn read<T: Stored>(&self, object: ObjectId) -> Result<T, ActionError> {
         self.scope.lock(self.fence, object, LockMode::Read)?;
         self.scope.read_in(self.update, object)
     }
@@ -226,12 +225,8 @@ impl SerialStep<'_, '_> {
     ///
     /// # Errors
     ///
-    /// Lock or codec failures.
-    pub fn write<T: Serialize + ?Sized>(
-        &self,
-        object: ObjectId,
-        value: &T,
-    ) -> Result<(), ActionError> {
+    /// Lock failures.
+    pub fn write<T: Stored>(&self, object: ObjectId, value: &T) -> Result<(), ActionError> {
         self.scope
             .lock(self.fence, object, LockMode::ExclusiveRead)?;
         self.scope.write_in(self.update, object, value)
@@ -241,8 +236,8 @@ impl SerialStep<'_, '_> {
     ///
     /// # Errors
     ///
-    /// Lock or codec failures.
-    pub fn create<T: Serialize + ?Sized>(&self, value: &T) -> Result<ObjectId, ActionError> {
+    /// Lock failures.
+    pub fn create<T: Stored>(&self, value: &T) -> Result<ObjectId, ActionError> {
         let object = self.scope.create_in(self.update, value)?;
         self.scope
             .lock(self.fence, object, LockMode::ExclusiveRead)?;
@@ -260,7 +255,7 @@ impl SerialStep<'_, '_> {
         f: impl FnOnce(&mut T) -> R,
     ) -> Result<R, ActionError>
     where
-        T: DeserializeOwned + Serialize,
+        T: Stored,
     {
         let mut value: T = self.read(object)?;
         let result = f(&mut value);

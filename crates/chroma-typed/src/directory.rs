@@ -3,8 +3,7 @@
 use std::marker::PhantomData;
 
 use chroma_core::{ActionError, ActionScope, ObjectId, Runtime};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
+use chroma_store::codec::{self, Stored};
 
 /// One bucket's persisted form: association list of key → encoded value.
 type Bucket = Vec<(String, Vec<u8>)>;
@@ -44,7 +43,7 @@ pub struct KeyedDirectory<V> {
     _value: PhantomData<fn() -> V>,
 }
 
-impl<V: Serialize + DeserializeOwned> KeyedDirectory<V> {
+impl<V: Stored> KeyedDirectory<V> {
     /// Creates an empty directory spread over `buckets` lockable parts.
     ///
     /// # Errors
@@ -94,7 +93,7 @@ impl<V: Serialize + DeserializeOwned> KeyedDirectory<V> {
         key: &str,
         value: &V,
     ) -> Result<Option<V>, ActionError> {
-        let encoded = chroma_store_codec_to_bytes(value)?;
+        let encoded = codec::to_bytes(value)?;
         let bucket = self.bucket_of(key);
         let previous = scope.modify_in(
             scope.default_colour(),
@@ -107,9 +106,9 @@ impl<V: Serialize + DeserializeOwned> KeyedDirectory<V> {
                 }
             },
         )?;
-        previous
-            .map(|bytes| chroma_store_codec_from_bytes(&bytes))
-            .transpose()
+        Ok(previous
+            .map(|bytes| codec::from_bytes(&bytes))
+            .transpose()?)
     }
 
     /// Removes `key`, returning its value if it was bound. Write-locks
@@ -126,9 +125,7 @@ impl<V: Serialize + DeserializeOwned> KeyedDirectory<V> {
                 .position(|(k, _)| k == key)
                 .map(|index| entries.remove(index).1)
         })?;
-        removed
-            .map(|bytes| chroma_store_codec_from_bytes(&bytes))
-            .transpose()
+        Ok(removed.map(|bytes| codec::from_bytes(&bytes)).transpose()?)
     }
 
     /// Looks up `key`. Read-locks only the key's bucket, so lookups of
@@ -141,11 +138,11 @@ impl<V: Serialize + DeserializeOwned> KeyedDirectory<V> {
     pub fn lookup(&self, scope: &ActionScope<'_>, key: &str) -> Result<Option<V>, ActionError> {
         let bucket = self.bucket_of(key);
         let entries: Bucket = scope.read_in(scope.default_colour(), bucket)?;
-        entries
+        Ok(entries
             .into_iter()
             .find(|(k, _)| k == key)
-            .map(|(_, bytes)| chroma_store_codec_from_bytes(&bytes))
-            .transpose()
+            .map(|(_, bytes)| codec::from_bytes(&bytes))
+            .transpose()?)
     }
 
     /// Returns every binding, sorted by key (read-locks all buckets —
@@ -159,7 +156,7 @@ impl<V: Serialize + DeserializeOwned> KeyedDirectory<V> {
         for &bucket in &self.buckets {
             let entries: Bucket = scope.read_in(scope.default_colour(), bucket)?;
             for (key, bytes) in entries {
-                all.push((key, chroma_store_codec_from_bytes(&bytes)?));
+                all.push((key, codec::from_bytes(&bytes)?));
             }
         }
         all.sort_by(|a, b| a.0.cmp(&b.0));
@@ -189,14 +186,6 @@ impl<V: Serialize + DeserializeOwned> KeyedDirectory<V> {
     pub fn is_empty(&self, scope: &ActionScope<'_>) -> Result<bool, ActionError> {
         Ok(self.len(scope)? == 0)
     }
-}
-
-fn chroma_store_codec_to_bytes<V: Serialize>(value: &V) -> Result<Vec<u8>, ActionError> {
-    Ok(chroma_store::codec::to_bytes(value)?)
-}
-
-fn chroma_store_codec_from_bytes<V: DeserializeOwned>(bytes: &[u8]) -> Result<V, ActionError> {
-    Ok(chroma_store::codec::from_bytes(bytes)?)
 }
 
 #[cfg(test)]
