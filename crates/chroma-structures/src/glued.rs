@@ -340,7 +340,12 @@ impl GluedStep<'_, '_> {
         self.scope.lock(gap, object, LockMode::ExclusiveRead)
     }
 
-    /// Reads, transforms and writes back an object.
+    /// Reads, transforms and writes back an object in the step's update
+    /// colour.
+    ///
+    /// The write lock is taken before the read, so two concurrent
+    /// modifiers queue instead of both read-locking and deadlocking on
+    /// the upgrade.
     ///
     /// # Errors
     ///
@@ -353,10 +358,7 @@ impl GluedStep<'_, '_> {
     where
         T: Stored,
     {
-        let mut value: T = self.read(object)?;
-        let result = f(&mut value);
-        self.write(object, &value)?;
-        Ok(result)
+        self.scope.modify_in(self.update, object, f)
     }
 }
 

@@ -244,7 +244,13 @@ impl SerialStep<'_, '_> {
         Ok(object)
     }
 
-    /// Reads, transforms and writes back an object.
+    /// Reads, transforms and writes back an object (fenced like a
+    /// write).
+    ///
+    /// Both locks are taken in their final modes before the read — the
+    /// exclusive-read fence, then the update colour's write lock — so
+    /// two concurrent modifiers queue instead of both read-locking and
+    /// deadlocking on the upgrade.
     ///
     /// # Errors
     ///
@@ -257,9 +263,8 @@ impl SerialStep<'_, '_> {
     where
         T: Stored,
     {
-        let mut value: T = self.read(object)?;
-        let result = f(&mut value);
-        self.write(object, &value)?;
-        Ok(result)
+        self.scope
+            .lock(self.fence, object, LockMode::ExclusiveRead)?;
+        self.scope.modify_in(self.update, object, f)
     }
 }

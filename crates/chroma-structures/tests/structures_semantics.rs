@@ -3,8 +3,8 @@
 //! the fig. 13 conflict caveat.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use chroma_base::LockMode;
 use chroma_core::{ActionError, Runtime, RuntimeConfig};
@@ -156,6 +156,48 @@ fn serializing_concurrent_steps_serialize_on_conflicts() {
     }
     Arc::try_unwrap(sa).unwrap().end().unwrap();
     assert_eq!(rt.read_committed::<i64>(o).unwrap(), 40);
+}
+
+#[test]
+fn crossed_serializing_actions_are_broken_by_the_detector() {
+    // Each action fences one object in its first step, then its second
+    // step needs the other's: a cycle through both suspended wrappers,
+    // which the detector must break at once rather than leave to the
+    // lock timeout.
+    let rt = Runtime::builder().build();
+    let objects = [
+        rt.create_object(&0i64).unwrap(),
+        rt.create_object(&0i64).unwrap(),
+    ];
+    let barrier = Barrier::new(2);
+    let started = Instant::now();
+    let outcomes: Vec<Result<(), ActionError>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..2)
+            .map(|i| {
+                let (rt, barrier) = (&rt, &barrier);
+                scope.spawn(move || {
+                    let sa = SerializingAction::begin(rt).unwrap();
+                    sa.step(|s| s.modify(objects[i], |v: &mut i64| *v += 1))
+                        .unwrap();
+                    barrier.wait();
+                    let second = sa.step(|s| s.modify(objects[1 - i], |v: &mut i64| *v += 1));
+                    sa.end().unwrap();
+                    second
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "cycle left to the lock timeout: {outcomes:?}"
+    );
+    let victims = outcomes
+        .iter()
+        .filter(|r| r.as_ref().is_err_and(ActionError::is_deadlock_victim))
+        .count();
+    assert_eq!(victims, 1, "{outcomes:?}");
+    assert_eq!(outcomes.iter().filter(|r| r.is_ok()).count(), 1);
 }
 
 // ---------------------------------------------------------------------
@@ -316,6 +358,26 @@ fn glued_final_step_cannot_hand_over() {
     let err = chain.step(|s| s.hand_over(o)).unwrap_err();
     assert!(matches!(err, ActionError::Failed(_)));
     chain.end().unwrap();
+}
+
+#[test]
+fn glued_concurrent_chains_modify_one_object() {
+    // Steps of unrelated chains modifying one object must queue on the
+    // write lock, not both read-lock it and deadlock on the upgrade.
+    let rt = Runtime::builder().build();
+    let o = rt.create_object(&0i64).unwrap();
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                for _ in 0..10 {
+                    let chain = GluedChain::begin(&rt, 1).unwrap();
+                    chain.step(|s| s.modify(o, |v: &mut i64| *v += 1)).unwrap();
+                    chain.end().unwrap();
+                }
+            });
+        }
+    });
+    assert_eq!(rt.read_committed::<i64>(o).unwrap(), 40);
 }
 
 #[test]
