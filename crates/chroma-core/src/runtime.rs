@@ -1139,20 +1139,6 @@ impl Runtime {
     // Introspection used by structures, tests and experiments
     // ------------------------------------------------------------------
 
-    /// Registers an external wait edge for deadlock detection: `waiter`
-    /// (an action) is blocked on the outcome of `target` outside the
-    /// lock table — e.g. a synchronous independent invocation (§3.3).
-    /// Pair with [`Runtime::remove_external_wait`]. Returns `true` if a
-    /// deadlock was detected (a lock-waiter on the cycle was victimised).
-    pub fn add_external_wait(&self, waiter: ActionId, target: ActionId) -> bool {
-        self.inner.locks.add_external_wait(waiter, target).is_some()
-    }
-
-    /// Removes an external wait edge.
-    pub fn remove_external_wait(&self, waiter: ActionId, target: ActionId) {
-        self.inner.locks.remove_external_wait(waiter, target);
-    }
-
     /// Returns the locks `action` currently holds (for tests/metrics).
     #[must_use]
     pub fn locks_of(&self, action: ActionId) -> Vec<chroma_locks::LockSnapshot> {

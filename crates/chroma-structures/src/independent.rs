@@ -11,10 +11,11 @@
 //!   completion before the invoker continues; the invoker observes the
 //!   outcome and may choose to abort itself (fig. 7a). The fig. 13
 //!   caveat applies: if the invoked action needs conflicting access to
-//!   objects locked by the invoker, the pair would deadlock — chroma
-//!   registers the invoker's wait with the deadlock detector, so the
-//!   invoked action is victimised and the conflict surfaces as an error
-//!   instead of a hang.
+//!   objects locked by the invoker, the pair would deadlock — the
+//!   invoked action is nested under the invoker, and the deadlock
+//!   detector counts a parent as waiting for its waiting descendants, so
+//!   the invoked action is victimised and the conflict surfaces as an
+//!   error instead of a hang.
 //! * **Asynchronous** invocation (fig. 7b) runs the independent action
 //!   on its own thread as a detached top-level action; the invoker may
 //!   await its outcome via the returned handle or simply proceed.
@@ -68,15 +69,13 @@ pub fn independent_sync<R>(
     let rt = scope.runtime().clone();
     let colour = rt.universe().fresh()?;
     let invoker = scope.id();
+    // Nesting the child under the invoker is also what lets the deadlock
+    // detector see the invoker waiting for it, so a child blocked on the
+    // invoker's locks is victimised (fig. 13 caveat) rather than hanging.
     let child = rt.begin_nested(invoker, ColourSet::single(colour))?;
-    // The invoker's thread now executes the child: record the implied
-    // wait so a child blocked on the invoker's locks is recognised as a
-    // deadlock (fig. 13 caveat) rather than hanging.
-    rt.add_external_wait(invoker, child);
     let mut child_scope = match rt.scope(child) {
         Ok(scope) => scope,
         Err(e) => {
-            rt.remove_external_wait(invoker, child);
             rt.universe().release(colour);
             return Err(e);
         }
@@ -88,7 +87,6 @@ pub fn independent_sync<R>(
             Err(error)
         }
     };
-    rt.remove_external_wait(invoker, child);
     rt.universe().release(colour);
     result
 }
@@ -229,19 +227,14 @@ pub fn independent_at_level<R>(
     })?;
     let invoker = scope.id();
     let child = rt.begin_nested(invoker, ColourSet::single(colour))?;
-    rt.add_external_wait(invoker, child);
-    let result = (|| {
-        let mut child_scope = rt.scope(child)?;
-        match body(&mut child_scope) {
-            Ok(value) => rt.commit(child).map(|()| value),
-            Err(error) => {
-                rt.abort(child);
-                Err(error)
-            }
+    let mut child_scope = rt.scope(child)?;
+    match body(&mut child_scope) {
+        Ok(value) => rt.commit(child).map(|()| value),
+        Err(error) => {
+            rt.abort(child);
+            Err(error)
         }
-    })();
-    rt.remove_external_wait(invoker, child);
-    result
+    }
 }
 
 /// A compensation hook: registers `compensation` to run as an
