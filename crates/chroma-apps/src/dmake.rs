@@ -22,9 +22,9 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use chroma_core::{ActionError, ObjectId, Runtime};
+use chroma_core::{ActionError, ActionScope, ObjectId, Runtime};
 use chroma_store::stored;
-use chroma_structures::{SerialStep, SerializingAction};
+use chroma_structures::SerializingAction;
 use parking_lot::Mutex;
 
 stored! {
@@ -376,7 +376,7 @@ impl DistMake {
         let result = self
             .rt
             .run_top(chroma_base::ColourSet::single(colour), colour, |scope| {
-                self.build_monolithic(scope, colour, target, &report)
+                self.build_monolithic(scope, target, &report)
             });
         self.rt.universe().release(colour);
         result.map(|_| report.into_inner())
@@ -384,20 +384,19 @@ impl DistMake {
 
     fn build_monolithic(
         &self,
-        scope: &chroma_core::ActionScope<'_>,
-        colour: chroma_base::Colour,
+        scope: &ActionScope<'_>,
         name: &str,
         report: &Mutex<MakeReport>,
     ) -> Result<u64, ActionError> {
         let object = self.object(name)?;
         let Some(rule) = self.makefile.rule(name) else {
-            return Ok(scope.read_in::<FileState>(colour, object)?.stamp);
+            return Ok(scope.read::<FileState>(object)?.stamp);
         };
         let newest_prereq = std::thread::scope(|s| {
             let handles: Vec<_> = rule
                 .prerequisites
                 .iter()
-                .map(|p| s.spawn(move || self.build_monolithic(scope, colour, p, report)))
+                .map(|p| s.spawn(move || self.build_monolithic(scope, p, report)))
                 .collect();
             handles
                 .into_iter()
@@ -410,37 +409,7 @@ impl DistMake {
         .into_iter()
         .max()
         .unwrap_or(0);
-        let current: FileState = scope.read_in(colour, object)?;
-        if current.stamp != 0 && current.stamp >= newest_prereq {
-            report.lock().up_to_date.push(name.to_owned());
-            return Ok(current.stamp);
-        }
-        if self.fail_commands.lock().contains(&rule.target) {
-            return Err(ActionError::failed(format!(
-                "command failed for target {}",
-                rule.target
-            )));
-        }
-        if !self.command_delay.is_zero() {
-            std::thread::sleep(self.command_delay);
-        }
-        let mut derived = format!("[{}]", rule.command);
-        for p in &rule.prerequisites {
-            let state: FileState = scope.read_in(colour, self.object(p)?)?;
-            derived.push_str(&format!(" {}@{}", p, state.stamp));
-        }
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        scope.write_in(
-            colour,
-            object,
-            &FileState {
-                stamp,
-                content: derived,
-            },
-        )?;
-        self.commands_run.fetch_add(1, Ordering::Relaxed);
-        report.lock().rebuilt.push(rule.target.clone());
-        Ok(stamp)
+        self.rebuild_if_stale(scope, rule, object, newest_prereq, report)
     }
 
     /// Recursively ensures `name` is consistent; returns its stamp.
@@ -471,23 +440,33 @@ impl DistMake {
                 .collect::<Result<Vec<u64>, ActionError>>()
         })?;
         let newest_prereq = prereq_stamps.into_iter().max().unwrap_or(0);
-        // Phases (ii)–(iv) as one constituent step: compare stamps,
-        // execute the command if needed.
-        sa.step(|step| {
-            let current: FileState = step.read(object)?;
-            if current.stamp != 0 && current.stamp >= newest_prereq {
-                report.lock().up_to_date.push(name.to_owned());
-                return Ok(current.stamp);
-            }
-            self.execute_command(step, rule, object, report)
-        })
+        // Phases (ii)–(iv) as one constituent step.
+        sa.step(|step| self.rebuild_if_stale(step, rule, object, newest_prereq, report))
+    }
+
+    /// Phases (ii)–(iv) for one target: compare its stamp with the
+    /// newest prerequisite's and execute the command if it is stale.
+    fn rebuild_if_stale(
+        &self,
+        scope: &ActionScope<'_>,
+        rule: &Rule,
+        object: ObjectId,
+        newest_prereq: u64,
+        report: &Mutex<MakeReport>,
+    ) -> Result<u64, ActionError> {
+        let current: FileState = scope.read(object)?;
+        if current.stamp != 0 && current.stamp >= newest_prereq {
+            report.lock().up_to_date.push(rule.target.clone());
+            return Ok(current.stamp);
+        }
+        self.execute_command(scope, rule, object, report)
     }
 
     /// Simulated command execution: derives the target's content from
     /// its prerequisites and stamps it now.
     fn execute_command(
         &self,
-        step: &SerialStep<'_, '_>,
+        scope: &ActionScope<'_>,
         rule: &Rule,
         object: ObjectId,
         report: &Mutex<MakeReport>,
@@ -503,11 +482,11 @@ impl DistMake {
         }
         let mut derived = format!("[{}]", rule.command);
         for p in &rule.prerequisites {
-            let state: FileState = step.read(self.object(p)?)?;
+            let state: FileState = scope.read(self.object(p)?)?;
             derived.push_str(&format!(" {}@{}", p, state.stamp));
         }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        step.write(
+        scope.write(
             object,
             &FileState {
                 stamp,

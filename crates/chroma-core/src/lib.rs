@@ -19,7 +19,9 @@
 //! A system whose actions all share one colour behaves exactly like a
 //! conventional nested atomic action system; richer assignments yield
 //! the serializing, glued and independent structures of the paper's §3
-//! (implemented in the `chroma-structures` crate).
+//! (implemented in the `chroma-structures` crate). A structure step is
+//! an ordinary [`ActionScope`] carrying a [`Fence`], so any code written
+//! against `ActionScope` runs inside every structure.
 //!
 //! See [`Runtime`] for the entry point and a worked fig. 10 example.
 
@@ -37,7 +39,7 @@ mod undo;
 pub use backend::{BackendError, DiskBackend, LocalBackend, PermanenceBackend};
 pub use error::ActionError;
 pub use runtime::{Runtime, RuntimeBuilder, RuntimeConfig, RuntimeStats};
-pub use scope::ActionScope;
+pub use scope::{ActionScope, Fence};
 pub use snapshot::SnapshotScope;
 pub use tree::{ActionState, ActionTree};
 pub use undo::{BeforeImage, UndoLog};

@@ -1055,14 +1055,27 @@ impl Runtime {
     ) -> Result<(), ActionError> {
         self.acquire(action, colour, object, LockMode::Write, false)?;
         let prior = self.current_state(object);
-        self.inner.undo.record_before(action, object, colour, prior);
-        self.inner.obs.get().emit(EventKind::UndoRecord {
-            action,
-            object,
-            colour,
-        });
-        self.inner.volatile.write(object, state);
+        self.install(action, colour, object, prior, state);
         Ok(())
+    }
+
+    /// Read-transform-write under one write-lock request: two
+    /// concurrent modifiers queue on the write lock instead of both
+    /// read-locking and deadlocking on the upgrade.
+    pub(crate) fn op_modify_raw<R>(
+        &self,
+        action: ActionId,
+        colour: Colour,
+        object: ObjectId,
+        transform: impl FnOnce(&StoreBytes) -> Result<(StoreBytes, R), ActionError>,
+    ) -> Result<R, ActionError> {
+        self.acquire(action, colour, object, LockMode::Write, false)?;
+        let prior = self
+            .current_state(object)
+            .ok_or(ActionError::NoSuchObject(object))?;
+        let (state, result) = transform(&prior)?;
+        self.install(action, colour, object, Some(prior), state);
+        Ok(result)
     }
 
     pub(crate) fn op_create_raw(
@@ -1073,14 +1086,27 @@ impl Runtime {
     ) -> Result<ObjectId, ActionError> {
         let object = ObjectId::from_raw(self.inner.next_object.fetch_add(1, Ordering::Relaxed));
         self.acquire(action, colour, object, LockMode::Write, false)?;
-        self.inner.undo.record_before(action, object, colour, None);
+        self.install(action, colour, object, None, state);
+        Ok(object)
+    }
+
+    /// Records `prior` as the before-image of a write-locked object and
+    /// installs its new working state.
+    fn install(
+        &self,
+        action: ActionId,
+        colour: Colour,
+        object: ObjectId,
+        prior: Option<StoreBytes>,
+        state: StoreBytes,
+    ) {
+        self.inner.undo.record_before(action, object, colour, prior);
         self.inner.obs.get().emit(EventKind::UndoRecord {
             action,
             object,
             colour,
         });
         self.inner.volatile.write(object, state);
-        Ok(object)
     }
 
     fn acquire(

@@ -7,6 +7,30 @@ use chroma_store::StoreBytes;
 use crate::error::ActionError;
 use crate::runtime::Runtime;
 
+/// The fence a structure step keeps on the objects it touches: locks in
+/// a wrapper's colour that pass to the wrapper at the step's commit and
+/// protect those objects until the wrapper ends.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fence {
+    /// Fig. 11 (serializing actions): every access also locks the object
+    /// in this colour — `Read` for reads, `ExclusiveRead` for writes,
+    /// modifies and creates — before touching it.
+    EveryAccess(Colour),
+    /// Fig. 12 (glued actions): only [`ActionScope::hand_over`] locks,
+    /// `ExclusiveRead` in this colour.
+    HandOver(Colour),
+}
+
+impl Fence {
+    /// Returns the wrapper colour the fence locks are taken in.
+    #[must_use]
+    pub fn colour(self) -> Colour {
+        match self {
+            Fence::EveryAccess(colour) | Fence::HandOver(colour) => colour,
+        }
+    }
+}
+
 /// Handle for performing operations *inside* an active action.
 ///
 /// A scope is obtained from the scoped runners
@@ -18,7 +42,12 @@ use crate::runtime::Runtime;
 /// single-colour actions, the only colour). Reads take read locks,
 /// writes take write locks, and [`ActionScope::lock`] takes any mode
 /// explicitly — including [`LockMode::ExclusiveRead`], the fencing mode
-/// used by the serializing/glued implementations.
+/// of the serializing/glued structures.
+///
+/// A structure step is a scope carrying a [`Fence`] (set with
+/// [`ActionScope::set_fence`]): its reads, writes, modifies and creates
+/// then also maintain the step's fence, so code written against
+/// `ActionScope` runs unchanged inside any structure.
 ///
 /// # Examples
 ///
@@ -43,6 +72,7 @@ pub struct ActionScope<'rt> {
     id: ActionId,
     colours: ColourSet,
     default_colour: Colour,
+    fence: Option<Fence>,
 }
 
 impl<'rt> ActionScope<'rt> {
@@ -57,6 +87,7 @@ impl<'rt> ActionScope<'rt> {
             id,
             colours,
             default_colour,
+            fence: None,
         }
     }
 
@@ -84,6 +115,22 @@ impl<'rt> ActionScope<'rt> {
         self.runtime
     }
 
+    /// Makes this scope a structure step that keeps `fence` on what it
+    /// touches. The action must possess the fence's colour, or fenced
+    /// operations fail [`ActionError::ColourNotHeld`].
+    pub fn set_fence(&mut self, fence: Fence) {
+        self.fence = Some(fence);
+    }
+
+    /// Takes the fig. 11 fence on `object` in `mode`, if this scope has
+    /// one.
+    fn fence_access(&self, object: ObjectId, mode: LockMode) -> Result<(), ActionError> {
+        match self.fence {
+            Some(Fence::EveryAccess(colour)) => self.lock(colour, object, mode),
+            _ => Ok(()),
+        }
+    }
+
     // ------------------------------------------------------------------
     // Reads
     // ------------------------------------------------------------------
@@ -103,8 +150,7 @@ impl<'rt> ActionScope<'rt> {
     ///
     /// Lock failures, [`ActionError::NoSuchObject`], or decode failures.
     pub fn read_in<T: Stored>(&self, colour: Colour, object: ObjectId) -> Result<T, ActionError> {
-        let bytes = self.runtime.op_read_raw(self.id, colour, object)?;
-        Ok(codec::from_bytes(&bytes)?)
+        Ok(codec::from_bytes(&self.read_raw_in(colour, object)?)?)
     }
 
     /// Reads an object's raw state, taking a read lock in `colour`.
@@ -113,6 +159,7 @@ impl<'rt> ActionScope<'rt> {
     ///
     /// Lock failures or [`ActionError::NoSuchObject`].
     pub fn read_raw_in(&self, colour: Colour, object: ObjectId) -> Result<StoreBytes, ActionError> {
+        self.fence_access(object, LockMode::Read)?;
         self.runtime.op_read_raw(self.id, colour, object)
     }
 
@@ -140,8 +187,7 @@ impl<'rt> ActionScope<'rt> {
         object: ObjectId,
         value: &T,
     ) -> Result<(), ActionError> {
-        let bytes = StoreBytes::from(codec::to_bytes(value)?);
-        self.runtime.op_write_raw(self.id, colour, object, bytes)
+        self.write_raw_in(colour, object, StoreBytes::from(codec::to_bytes(value)?))
     }
 
     /// Writes an object's raw state, taking a write lock in `colour`.
@@ -155,6 +201,7 @@ impl<'rt> ActionScope<'rt> {
         object: ObjectId,
         state: StoreBytes,
     ) -> Result<(), ActionError> {
+        self.fence_access(object, LockMode::ExclusiveRead)?;
         self.runtime.op_write_raw(self.id, colour, object, state)
     }
 
@@ -163,7 +210,7 @@ impl<'rt> ActionScope<'rt> {
     ///
     /// # Errors
     ///
-    /// Lock, object or codec failures from the underlying read/write.
+    /// Lock, object or codec failures.
     pub fn modify<T, R>(
         &self,
         object: ObjectId,
@@ -175,11 +222,12 @@ impl<'rt> ActionScope<'rt> {
         self.modify_in(self.default_colour, object, f)
     }
 
-    /// Reads, transforms and writes back an object in `colour`.
+    /// Reads, transforms and writes back an object in `colour`, under a
+    /// single write-lock request taken before the read.
     ///
     /// # Errors
     ///
-    /// Lock, object or codec failures from the underlying read/write.
+    /// Lock, object or codec failures.
     pub fn modify_in<T, R>(
         &self,
         colour: Colour,
@@ -189,14 +237,13 @@ impl<'rt> ActionScope<'rt> {
     where
         T: Stored,
     {
-        // Take the write lock before reading: two concurrent modifiers
-        // would otherwise both take read locks and deadlock trying to
-        // upgrade.
-        self.lock(colour, object, LockMode::Write)?;
-        let mut value: T = self.read_in(colour, object)?;
-        let result = f(&mut value);
-        self.write_in(colour, object, &value)?;
-        Ok(result)
+        self.fence_access(object, LockMode::ExclusiveRead)?;
+        self.runtime
+            .op_modify_raw(self.id, colour, object, |bytes: &StoreBytes| {
+                let mut value: T = codec::from_bytes(bytes)?;
+                let result = f(&mut value);
+                Ok((StoreBytes::from(codec::to_bytes(&value)?), result))
+            })
     }
 
     // ------------------------------------------------------------------
@@ -222,7 +269,9 @@ impl<'rt> ActionScope<'rt> {
     /// Lock failures.
     pub fn create_in<T: Stored>(&self, colour: Colour, value: &T) -> Result<ObjectId, ActionError> {
         let bytes = StoreBytes::from(codec::to_bytes(value)?);
-        self.runtime.op_create_raw(self.id, colour, bytes)
+        let object = self.runtime.op_create_raw(self.id, colour, bytes)?;
+        self.fence_access(object, LockMode::ExclusiveRead)?;
+        Ok(object)
     }
 
     // ------------------------------------------------------------------
@@ -230,8 +279,8 @@ impl<'rt> ActionScope<'rt> {
     // ------------------------------------------------------------------
 
     /// Takes a lock on `object` in `colour` and `mode` without touching
-    /// its state. This is how control actions fence objects — e.g. the
-    /// glued-action scheme exclusive-read-locks the hand-over set.
+    /// its state. Never fenced: this is how control actions fence
+    /// objects by hand.
     ///
     /// # Errors
     ///
@@ -245,7 +294,7 @@ impl<'rt> ActionScope<'rt> {
         self.runtime.op_lock(self.id, colour, object, mode)
     }
 
-    /// Attempts a lock without waiting.
+    /// Attempts a lock without waiting. Never fenced.
     ///
     /// # Errors
     ///
@@ -259,13 +308,28 @@ impl<'rt> ActionScope<'rt> {
         self.runtime.op_try_lock(self.id, colour, object, mode)
     }
 
+    /// Hands `object` over to the structure's next step: exclusive-read
+    /// locks it in the fence colour, so the lock passes to the wrapper at
+    /// this step's commit and only the wrapper's later steps can take it.
+    ///
+    /// # Errors
+    ///
+    /// [`ActionError::Failed`] if the scope has no fence (e.g. the final
+    /// possible step of a glued chain); lock failures otherwise.
+    pub fn hand_over(&self, object: ObjectId) -> Result<(), ActionError> {
+        let fence = self
+            .fence
+            .ok_or_else(|| ActionError::failed("no next gap: chain capacity reached"))?;
+        self.lock(fence.colour(), object, LockMode::ExclusiveRead)
+    }
+
     // ------------------------------------------------------------------
     // Nesting
     // ------------------------------------------------------------------
 
-    /// Runs a nested action with the same colours and default colour as
-    /// this one; commit on `Ok`, abort on `Err` (the paper's plain
-    /// nested atomic action).
+    /// Runs a nested action with the same colours, default colour and
+    /// fence as this one; commit on `Ok`, abort on `Err` (the paper's
+    /// plain nested atomic action).
     ///
     /// # Errors
     ///
@@ -275,11 +339,16 @@ impl<'rt> ActionScope<'rt> {
         &mut self,
         body: impl FnOnce(&mut ActionScope<'_>) -> Result<R, ActionError>,
     ) -> Result<R, ActionError> {
-        self.nested_in(self.colours, self.default_colour, body)
+        let fence = self.fence;
+        self.runtime
+            .run_nested(self.id, self.colours, self.default_colour, |child| {
+                child.fence = fence;
+                body(child)
+            })
     }
 
     /// Runs a nested action with an explicit colour set and default
-    /// colour; commit on `Ok`, abort on `Err`.
+    /// colour, and no fence; commit on `Ok`, abort on `Err`.
     ///
     /// # Errors
     ///

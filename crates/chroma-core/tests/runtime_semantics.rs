@@ -554,6 +554,11 @@ fn read_of_missing_object_fails() {
     let bogus = chroma_core::ObjectId::from_raw(99_999);
     let err = rt.atomic(|a| a.read::<i64>(bogus)).unwrap_err();
     assert!(matches!(err, ActionError::NoSuchObject(_)));
+    // `modify` reads too, under its one write lock.
+    let err = rt
+        .atomic(|a| a.modify(bogus, |v: &mut i64| *v += 1))
+        .unwrap_err();
+    assert!(matches!(err, ActionError::NoSuchObject(_)));
 }
 
 #[test]

@@ -1,11 +1,13 @@
 //! Coverage of the less-travelled `ActionScope` and `Runtime` surface:
-//! raw reads/writes, explicit locks, try-locks, colour-explicit
-//! nesting, pruning, and the local permanence backend.
+//! raw reads/writes, the one lock request per `modify`, explicit locks,
+//! try-locks, structure fences, colour-explicit nesting, pruning, and
+//! the local permanence backend.
 
 use chroma_core::{
-    ActionError, ActionState, ColourSet, LocalBackend, LockMode, PermanenceBackend, Runtime,
+    ActionError, ActionState, ColourSet, Fence, LocalBackend, LockMode, PermanenceBackend, Runtime,
     RuntimeConfig,
 };
+use chroma_obs::{EventBus, Obs, Observable};
 use chroma_store::StoreBytes;
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,6 +36,66 @@ fn raw_reads_and_writes_round_trip() {
     let backend_view = rt.read_committed::<u8>(o);
     // Raw bytes [9] decode as u8 == 9.
     assert_eq!(backend_view.unwrap(), 9);
+}
+
+#[test]
+fn modify_requests_one_lock() {
+    let rt = Runtime::builder().build();
+    let bus = Arc::new(EventBus::new());
+    rt.install_obs(Obs::new(bus.clone()));
+    let o = rt.create_object(&0i64).unwrap();
+    rt.atomic(|a| a.modify(o, |v: &mut i64| *v += 1)).unwrap();
+    let snap = bus.snapshot();
+    assert_eq!(snap.counter("lock_request"), 1);
+    assert_eq!(snap.counter("undo_record"), 1);
+    assert_eq!(rt.read_committed::<i64>(o).unwrap(), 1);
+}
+
+#[test]
+fn hand_over_without_a_fence_fails() {
+    let rt = Runtime::builder().build();
+    let o = rt.create_object(&0i64).unwrap();
+    let err = rt.atomic(|a| a.hand_over(o)).unwrap_err();
+    assert!(err.to_string().contains("no next gap"), "{err}");
+}
+
+#[test]
+fn every_access_fence_locks_each_touched_object_in_the_fence_colour() {
+    let rt = rt_fast();
+    let (fence, update) = (
+        rt.universe().colour("fence"),
+        rt.universe().colour("update"),
+    );
+    let (read, written, modified) = (
+        rt.create_object(&0i64).unwrap(),
+        rt.create_object(&0i64).unwrap(),
+        rt.create_object(&0i64).unwrap(),
+    );
+    let step = rt.begin_top(ColourSet::from_iter([fence, update])).unwrap();
+    let mut scope = rt.scope(step).unwrap();
+    scope.set_fence(Fence::EveryAccess(fence));
+    scope.read_in::<i64>(update, read).unwrap();
+    scope.write_in(update, written, &1i64).unwrap();
+    scope
+        .modify_in(update, modified, |v: &mut i64| *v += 1)
+        .unwrap();
+    let created = scope.create_in(update, &7i64).unwrap();
+    // A nested action keeps the fence.
+    let nested = rt.create_object(&0i64).unwrap();
+    scope
+        .nested(|child| child.write_in(update, nested, &1i64))
+        .unwrap();
+    let fenced = |object| {
+        rt.locks_of(step)
+            .into_iter()
+            .find(|l| l.object == object && l.colour == fence)
+            .map(|l| l.mode)
+    };
+    assert_eq!(fenced(read), Some(LockMode::Read));
+    for object in [written, modified, created, nested] {
+        assert_eq!(fenced(object), Some(LockMode::ExclusiveRead), "{object:?}");
+    }
+    rt.abort(step);
 }
 
 #[test]

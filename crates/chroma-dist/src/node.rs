@@ -169,6 +169,7 @@ impl Node {
     /// state can be restored from a [`DiskStore`].
     ///
     /// [`Transport`]: crate::Transport
+    /// [`DiskStore`]: chroma_store::DiskStore
     #[must_use]
     pub fn builder() -> NodeBuilder<'static> {
         NodeBuilder::default()

@@ -169,7 +169,9 @@ struct InboundState {
 /// one entry, not one per reconnect.
 type Readers = Arc<Mutex<Vec<(TcpStream, JoinHandle<()>)>>>;
 
-/// The masking layer over real sockets. See the [module docs](self).
+/// The masking layer over real sockets: length-prefixed frames with
+/// per-peer sequence numbers, a resend buffer with cumulative acks, and
+/// backoff reconnects.
 ///
 /// Event-driven: the host loop calls [`Transport::poll`], which yields
 /// deliveries, timer firings and gap reports, and internally paces

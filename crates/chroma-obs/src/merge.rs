@@ -31,7 +31,8 @@ pub struct MergeOutcome {
 }
 
 /// Merges per-process JSONL trace files into one causally ordered
-/// stream. See the [module docs](self) for ordering and leniency.
+/// stream, sorted by `(lc, node, source)`: the per-node Lamport clocks
+/// put every send before its receives.
 ///
 /// # Errors
 ///

@@ -34,7 +34,9 @@ use crate::event::{Event, EventKind};
 const DEFAULT_SHARDS: usize = 8;
 
 /// A fixed-size, lock-sharded ring buffer of recent events, usable as
-/// an [`EventSink`]. See the [module docs](self) for the design.
+/// an [`EventSink`]. Each event takes a global sequence number and lands
+/// in shard `seq % shards`; a dump re-sorts by sequence number, so the
+/// written trace is in emission order.
 pub struct FlightRecorder {
     shards: Vec<Mutex<VecDeque<(u64, Event)>>>,
     per_shard: usize,
@@ -47,7 +49,7 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder retaining roughly `capacity` events across
-    /// [`DEFAULT_SHARDS`](self) shards.
+    /// eight shards.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         FlightRecorder::with_shards(capacity, DEFAULT_SHARDS)

@@ -15,6 +15,8 @@
 //! for them — effects permanent, non-handed objects free) while the glue
 //! fences pass to G. B, nested in G, may then acquire write locks on the
 //! handed-over objects — G's exclusive-read fence blocks everyone else.
+//! A step is an ordinary [`ActionScope`] with a [`Fence::HandOver`], so
+//! [`ActionScope::hand_over`] is the only operation that fences.
 //!
 //! **Chains (fig. 9):** the diary example needs slot locks released as
 //! soon as a round rejects them. One wrapper per *gap* achieves this,
@@ -27,16 +29,17 @@
 //! realisation of the paper's "entries in diaries are not unnecessarily
 //! kept locked".
 
-use chroma_base::{ActionId, Colour, ColourSet, LockMode, ObjectId};
-use chroma_core::{ActionError, ActionScope, Runtime};
-use chroma_store::codec::Stored;
+use chroma_base::ActionId;
+use chroma_core::{ActionError, ActionScope, Fence, Runtime};
+
+use crate::step::{run_step, Control};
 
 /// A chain of glued top-level actions with per-gap hand-over.
 ///
 /// Each [`step`](GluedChain::step) is a top-level action for permanence.
-/// Inside a step, [`GluedStep::hand_over`] fences an object for the next
-/// step; everything else the step touched becomes available to other
-/// actions the moment the step commits.
+/// Inside a step, [`ActionScope::hand_over`] fences an object for the
+/// next step; everything else the step touched becomes available to
+/// other actions the moment the step commits.
 ///
 /// # Examples
 ///
@@ -69,19 +72,18 @@ use chroma_store::codec::Stored;
 #[derive(Debug)]
 pub struct GluedChain {
     rt: Runtime,
-    /// Gap wrappers, outermost first: `wrappers[0]` is `F_capacity`,
-    /// the last element is `F_1`. Entries are popped (committed) from
-    /// the back as gaps close.
     state: parking_lot::Mutex<ChainState>,
 }
 
 #[derive(Debug)]
 struct ChainState {
-    /// `(wrapper action, gap colour)`, innermost (next to close) last.
-    wrappers: Vec<(ActionId, Colour)>,
+    /// Gap wrappers, outermost first: `wrappers[0]` is `F_capacity`,
+    /// the last element is `F_1`. Wrappers are popped (committed) from
+    /// the back as gaps close; dropping the rest aborts the outermost,
+    /// and with it every wrapper inside.
+    wrappers: Vec<Control>,
     /// Steps run so far.
     steps: usize,
-    finished: bool,
 }
 
 impl GluedChain {
@@ -109,32 +111,16 @@ impl GluedChain {
         parent: Option<ActionId>,
         capacity: usize,
     ) -> Result<Self, ActionError> {
-        let mut wrappers = Vec::with_capacity(capacity);
-        let mut current_parent = parent;
+        let mut wrappers: Vec<Control> = Vec::with_capacity(capacity);
         // Outermost wrapper first: F_capacity, …, F_1.
         for _ in 0..capacity {
-            let gap = rt.universe().fresh()?;
-            let wrapper = match current_parent {
-                Some(p) => rt.begin_nested(p, ColourSet::single(gap))?,
-                None => rt.begin_top(ColourSet::single(gap))?,
-            };
-            wrappers.push((wrapper, gap));
-            current_parent = Some(wrapper);
+            let parent = wrappers.last().map_or(parent, |outer| Some(outer.id));
+            wrappers.push(Control::begin(rt, parent)?);
         }
         Ok(GluedChain {
             rt: rt.clone(),
-            state: parking_lot::Mutex::new(ChainState {
-                wrappers,
-                steps: 0,
-                finished: false,
-            }),
+            state: parking_lot::Mutex::new(ChainState { wrappers, steps: 0 }),
         })
-    }
-
-    /// Returns the number of steps run so far.
-    #[must_use]
-    pub fn steps_run(&self) -> usize {
-        self.state.lock().steps
     }
 
     /// Returns how many further steps the chain can run.
@@ -145,23 +131,21 @@ impl GluedChain {
     #[must_use]
     pub fn remaining_capacity(&self) -> usize {
         let state = self.state.lock();
-        if state.finished || state.wrappers.is_empty() {
-            return 0;
-        }
-        if state.steps <= 1 {
-            state.wrappers.len() + 1 - state.steps
-        } else {
-            state.wrappers.len()
+        match state.wrappers.len() {
+            0 => 0,
+            n if state.steps <= 1 => n + 1 - state.steps,
+            n => n,
         }
     }
 
     /// Runs the next step of the chain as a top-level (for permanence)
     /// action.
     ///
-    /// On commit, objects handed over by the *previous* step that this
-    /// step did not re-fence become available to every other action; the
-    /// objects this step [`hand_over`](GluedStep::hand_over)s stay
-    /// fenced for the next step.
+    /// The body gets a plain [`ActionScope`] whose default colour is the
+    /// step's private update colour; [`ActionScope::hand_over`] fences
+    /// an object for the next step. On commit, objects handed over by
+    /// the *previous* step that this step did not re-fence become
+    /// available to every other action.
     ///
     /// # Errors
     ///
@@ -170,63 +154,42 @@ impl GluedChain {
     /// stays usable — a failed step may be retried).
     pub fn step<R>(
         &self,
-        body: impl FnOnce(&mut GluedStep<'_, '_>) -> Result<R, ActionError>,
+        body: impl FnOnce(&mut ActionScope<'_>) -> Result<R, ActionError>,
     ) -> Result<R, ActionError> {
-        let (host, gap_colour, closes_gap) = {
+        let (host, gap, closes_gap) = {
             let state = self.state.lock();
-            if state.finished {
-                return Err(ActionError::failed("glued chain already ended"));
-            }
             // The host is always the innermost remaining wrapper: steps 1
             // and 2 run in F_1; once step i+1 commits, F_i closes, so
             // step i+2 finds F_{i+1} innermost.
-            let &(host, host_gap) = state.wrappers.last().ok_or_else(cap_err)?;
+            let host = state
+                .wrappers
+                .last()
+                .ok_or_else(|| ActionError::failed("glued chain capacity exhausted"))?;
             let first_step = state.steps == 0;
             // The colour this step fences hand-overs in: the first step
             // uses its host's own gap (F_1 inherits it); later steps use
             // the next wrapper out (F_{i+1}), since their host closes
             // right after they commit. The final possible step has no
             // next gap.
-            let gap_colour = if first_step {
-                Some(host_gap)
+            let gap = if first_step {
+                Some(host.colour)
             } else {
                 let n = state.wrappers.len();
-                n.checked_sub(2).map(|p| state.wrappers[p].1)
+                n.checked_sub(2).map(|p| state.wrappers[p].colour)
             };
-            (host, gap_colour, !first_step)
+            (host.id, gap, !first_step)
         };
 
-        let update = self.rt.universe().fresh()?;
-        let mut colours = ColourSet::single(update);
-        if let Some(gap) = gap_colour {
-            colours = colours.with(gap);
+        let value = run_step(&self.rt, host, gap.map(Fence::HandOver), body)?;
+        let mut state = self.state.lock();
+        state.steps += 1;
+        if closes_gap {
+            // Close the gap wrapper: releases the previous gap's fences
+            // (rejected objects become free mid-chain).
+            let host = state.wrappers.pop().expect("host wrapper still present");
+            host.end()?;
         }
-        let result = self.rt.run_nested(host, colours, update, |scope| {
-            let mut step = GluedStep {
-                scope,
-                gap: gap_colour,
-                update,
-            };
-            body(&mut step)
-        });
-        self.rt.universe().release(update);
-
-        match result {
-            Ok(value) => {
-                let mut state = self.state.lock();
-                state.steps += 1;
-                if closes_gap {
-                    // Close the gap wrapper: releases the previous gap's
-                    // fences (rejected objects become free mid-chain).
-                    let (wrapper, colour) =
-                        state.wrappers.pop().expect("host wrapper still present");
-                    self.rt.commit(wrapper)?;
-                    self.rt.universe().release(colour);
-                }
-                Ok(value)
-            }
-            Err(error) => Err(error),
-        }
+        Ok(value)
     }
 
     /// Ends the chain: commits every remaining wrapper (innermost
@@ -237,10 +200,8 @@ impl GluedChain {
     /// Propagates commit bookkeeping failures.
     pub fn end(self) -> Result<(), ActionError> {
         let mut state = self.state.lock();
-        state.finished = true;
-        while let Some((wrapper, colour)) = state.wrappers.pop() {
-            self.rt.commit(wrapper)?;
-            self.rt.universe().release(colour);
+        while let Some(wrapper) = state.wrappers.pop() {
+            wrapper.end()?;
         }
         Ok(())
     }
@@ -248,117 +209,7 @@ impl GluedChain {
     /// Abandons the chain: aborts every remaining wrapper. Effects of
     /// committed steps remain permanent; only fences are released.
     pub fn abandon(self) {
-        let mut state = self.state.lock();
-        state.finished = true;
-        // Abort the outermost wrapper: children abort recursively.
-        if let Some(&(outermost, _)) = state.wrappers.first() {
-            self.rt.abort(outermost);
-        }
-        for (_, colour) in state.wrappers.drain(..) {
-            self.rt.universe().release(colour);
-        }
-    }
-}
-
-impl Drop for GluedChain {
-    fn drop(&mut self) {
-        let mut state = self.state.lock();
-        if !state.finished {
-            state.finished = true;
-            if let Some(&(outermost, _)) = state.wrappers.first() {
-                self.rt.abort(outermost);
-            }
-            for (_, colour) in state.wrappers.drain(..) {
-                self.rt.universe().release(colour);
-            }
-        }
-    }
-}
-
-fn cap_err() -> ActionError {
-    ActionError::failed("glued chain capacity exhausted")
-}
-
-/// Operation surface of one glued-chain step.
-///
-/// Reads and writes use the step's private update colour (released —
-/// and made permanent — at the step's commit).
-/// [`hand_over`](GluedStep::hand_over) additionally fences an object in the gap
-/// colour so it passes, still locked, to the next step.
-#[derive(Debug)]
-pub struct GluedStep<'a, 'rt> {
-    scope: &'a mut ActionScope<'rt>,
-    gap: Option<Colour>,
-    update: Colour,
-}
-
-impl GluedStep<'_, '_> {
-    /// Returns the underlying action id.
-    #[must_use]
-    pub fn id(&self) -> ActionId {
-        self.scope.id()
-    }
-
-    /// Reads an object in the step's update colour.
-    ///
-    /// # Errors
-    ///
-    /// Lock, object or codec failures.
-    pub fn read<T: Stored>(&self, object: ObjectId) -> Result<T, ActionError> {
-        self.scope.read_in(self.update, object)
-    }
-
-    /// Writes an object in the step's update colour.
-    ///
-    /// # Errors
-    ///
-    /// Lock failures.
-    pub fn write<T: Stored>(&self, object: ObjectId, value: &T) -> Result<(), ActionError> {
-        self.scope.write_in(self.update, object, value)
-    }
-
-    /// Creates a new object inside the step.
-    ///
-    /// # Errors
-    ///
-    /// Lock failures.
-    pub fn create<T: Stored>(&self, value: &T) -> Result<ObjectId, ActionError> {
-        self.scope.create_in(self.update, value)
-    }
-
-    /// Fences `object` in the gap colour so its lock passes atomically
-    /// to the next step of the chain.
-    ///
-    /// # Errors
-    ///
-    /// [`ActionError::Failed`] if this is the chain's final possible
-    /// step (no next gap exists); lock failures otherwise.
-    pub fn hand_over(&self, object: ObjectId) -> Result<(), ActionError> {
-        let gap = self
-            .gap
-            .ok_or_else(|| ActionError::failed("no next gap: chain capacity reached"))?;
-        self.scope.lock(gap, object, LockMode::ExclusiveRead)
-    }
-
-    /// Reads, transforms and writes back an object in the step's update
-    /// colour.
-    ///
-    /// The write lock is taken before the read, so two concurrent
-    /// modifiers queue instead of both read-locking and deadlocking on
-    /// the upgrade.
-    ///
-    /// # Errors
-    ///
-    /// Lock, object or codec failures.
-    pub fn modify<T, R>(
-        &self,
-        object: ObjectId,
-        f: impl FnOnce(&mut T) -> R,
-    ) -> Result<R, ActionError>
-    where
-        T: Stored,
-    {
-        self.scope.modify_in(self.update, object, f)
+        drop(self);
     }
 }
 
@@ -394,10 +245,7 @@ impl GluedStep<'_, '_> {
 /// ```
 #[derive(Debug)]
 pub struct GluedGroup {
-    rt: Runtime,
-    control: ActionId,
-    glue: Colour,
-    finished: parking_lot::Mutex<bool>,
+    control: Control,
 }
 
 impl GluedGroup {
@@ -407,24 +255,13 @@ impl GluedGroup {
     ///
     /// Colour exhaustion or action bookkeeping failures.
     pub fn begin(rt: &Runtime) -> Result<Self, ActionError> {
-        let glue = rt.universe().fresh()?;
-        let control = rt.begin_top(ColourSet::single(glue))?;
         Ok(GluedGroup {
-            rt: rt.clone(),
-            control,
-            glue,
-            finished: parking_lot::Mutex::new(false),
+            control: Control::begin(rt, None)?,
         })
     }
 
-    /// Returns the control action's id (for tests and metrics).
-    #[must_use]
-    pub fn control_id(&self) -> ActionId {
-        self.control
-    }
-
     /// Runs a contributor action (an `A_i` of fig. 6): top-level for
-    /// permanence, able to [`hand_over`](GluedStep::hand_over) objects
+    /// permanence, able to [`hand_over`](ActionScope::hand_over) objects
     /// into the group's glue. Safe to call from several threads.
     ///
     /// # Errors
@@ -432,47 +269,25 @@ impl GluedGroup {
     /// Propagates the body's error after aborting the contributor.
     pub fn contribute<R>(
         &self,
-        body: impl FnOnce(&mut GluedStep<'_, '_>) -> Result<R, ActionError>,
+        body: impl FnOnce(&mut ActionScope<'_>) -> Result<R, ActionError>,
     ) -> Result<R, ActionError> {
-        let update = self.rt.universe().fresh()?;
-        let colours = ColourSet::from_iter([self.glue, update]);
-        let result = self.rt.run_nested(self.control, colours, update, |scope| {
-            let mut step = GluedStep {
-                scope,
-                gap: Some(self.glue),
-                update,
-            };
-            body(&mut step)
-        });
-        self.rt.universe().release(update);
-        result
+        let fence = Fence::HandOver(self.control.colour);
+        self.control.step(Some(fence), body)
     }
 
     /// Runs a receiver action (a `B_i` of fig. 6): top-level for
     /// permanence, able to lock the handed-over objects because it is
-    /// nested inside the fence-holding control. Safe to call from
-    /// several threads.
+    /// nested inside the fence-holding control. It has no fence, so it
+    /// cannot hand anything over. Safe to call from several threads.
     ///
     /// # Errors
     ///
     /// Propagates the body's error after aborting the receiver.
     pub fn receive<R>(
         &self,
-        body: impl FnOnce(&mut GluedStep<'_, '_>) -> Result<R, ActionError>,
+        body: impl FnOnce(&mut ActionScope<'_>) -> Result<R, ActionError>,
     ) -> Result<R, ActionError> {
-        let update = self.rt.universe().fresh()?;
-        let result = self
-            .rt
-            .run_nested(self.control, ColourSet::single(update), update, |scope| {
-                let mut step = GluedStep {
-                    scope,
-                    gap: None,
-                    update,
-                };
-                body(&mut step)
-            });
-        self.rt.universe().release(update);
-        result
+        self.control.step(None, body)
     }
 
     /// Ends the group: commits the control action, releasing all glue
@@ -482,28 +297,12 @@ impl GluedGroup {
     ///
     /// Propagates commit bookkeeping failures.
     pub fn end(self) -> Result<(), ActionError> {
-        *self.finished.lock() = true;
-        let result = self.rt.commit(self.control);
-        self.rt.universe().release(self.glue);
-        result
+        self.control.end()
     }
 
     /// Abandons the group: aborts the control action. Committed
     /// contributors'/receivers' effects remain permanent.
     pub fn abandon(self) {
-        *self.finished.lock() = true;
-        self.rt.abort(self.control);
-        self.rt.universe().release(self.glue);
-    }
-}
-
-impl Drop for GluedGroup {
-    fn drop(&mut self) {
-        let mut finished = self.finished.lock();
-        if !*finished {
-            *finished = true;
-            self.rt.abort(self.control);
-            self.rt.universe().release(self.glue);
-        }
+        drop(self);
     }
 }

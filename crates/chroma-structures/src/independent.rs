@@ -66,27 +66,12 @@ pub fn independent_sync<R>(
     scope: &mut ActionScope<'_>,
     body: impl FnOnce(&mut ActionScope<'_>) -> Result<R, ActionError>,
 ) -> Result<R, ActionError> {
-    let rt = scope.runtime().clone();
+    let rt = scope.runtime();
     let colour = rt.universe().fresh()?;
-    let invoker = scope.id();
     // Nesting the child under the invoker is also what lets the deadlock
     // detector see the invoker waiting for it, so a child blocked on the
     // invoker's locks is victimised (fig. 13 caveat) rather than hanging.
-    let child = rt.begin_nested(invoker, ColourSet::single(colour))?;
-    let mut child_scope = match rt.scope(child) {
-        Ok(scope) => scope,
-        Err(e) => {
-            rt.universe().release(colour);
-            return Err(e);
-        }
-    };
-    let result = match body(&mut child_scope) {
-        Ok(value) => rt.commit(child).map(|()| value),
-        Err(error) => {
-            rt.abort(child);
-            Err(error)
-        }
-    };
+    let result = rt.run_nested(scope.id(), ColourSet::single(colour), colour, body);
     rt.universe().release(colour);
     result
 }
@@ -197,7 +182,7 @@ pub fn independent_at_level<R>(
     if level == 0 {
         return scope.nested(body);
     }
-    let rt = scope.runtime().clone();
+    let rt = scope.runtime();
     // Find the ancestor `level` steps up and a colour of theirs not
     // possessed by any intermediate ancestor.
     let mut cursor = scope.id();
@@ -225,16 +210,7 @@ pub fn independent_at_level<R>(
              give it a private colour",
         )
     })?;
-    let invoker = scope.id();
-    let child = rt.begin_nested(invoker, ColourSet::single(colour))?;
-    let mut child_scope = rt.scope(child)?;
-    match body(&mut child_scope) {
-        Ok(value) => rt.commit(child).map(|()| value),
-        Err(error) => {
-            rt.abort(child);
-            Err(error)
-        }
-    }
+    rt.run_nested(scope.id(), ColourSet::single(colour), colour, body)
 }
 
 /// A compensation hook: registers `compensation` to run as an

@@ -17,6 +17,16 @@
 //! [`chroma_core::ActionScope::nested`]; a coloured system in which all
 //! actions share one colour *is* the conventional system (§5.1).
 //!
+//! Every structure body takes a plain [`chroma_core::ActionScope`]. A
+//! serializing step's scope carries a
+//! [`Fence::EveryAccess`](chroma_core::Fence::EveryAccess), so each of
+//! its reads, writes, modifies and creates also locks the object in the
+//! wrapper's colour (fig. 11); a glued step's carries a
+//! [`Fence::HandOver`](chroma_core::Fence::HandOver), so only
+//! [`hand_over`](chroma_core::ActionScope::hand_over) does (fig. 12).
+//! Code written against `ActionScope` — typed objects, the §4 apps,
+//! nested actions — therefore runs unchanged inside any structure.
+//!
 //! # Choosing a structure
 //!
 //! * Use a plain atomic action when the whole job is short and must be
@@ -38,11 +48,12 @@ pub mod compiler;
 mod glued;
 mod independent;
 mod serializing;
+mod step;
 
 pub use compensating::{CompensatingChain, UnwindReport};
-pub use glued::{GluedChain, GluedGroup, GluedStep};
+pub use glued::{GluedChain, GluedGroup};
 pub use independent::{
     independent_async, independent_at_level, independent_sync, independent_with_compensation,
     probe_conflict, Compensation, IndependentHandle,
 };
-pub use serializing::{SerialStep, SerializingAction};
+pub use serializing::SerializingAction;

@@ -17,10 +17,13 @@
 //! locked in the fence colour (exclusive-read for writes, read for
 //! reads); those fence locks are inherited by the wrapper at the
 //! constituent's commit, protecting the object until the wrapper ends.
+//! A step is an ordinary [`ActionScope`] with a
+//! [`Fence::EveryAccess`], so its own operations take the fence locks.
 
-use chroma_base::{ActionId, Colour, ColourSet, LockMode, ObjectId};
-use chroma_core::{ActionError, ActionScope, Runtime};
-use chroma_store::codec::Stored;
+use chroma_base::ActionId;
+use chroma_core::{ActionError, ActionScope, Fence, Runtime};
+
+use crate::step::Control;
 
 /// A serializing action: a sequence (or concurrent set) of top-level
 /// steps whose locks are handed from each step to the wrapper and on to
@@ -63,10 +66,7 @@ use chroma_store::codec::Stored;
 /// ```
 #[derive(Debug)]
 pub struct SerializingAction {
-    rt: Runtime,
-    control: ActionId,
-    fence: Colour,
-    finished: bool,
+    control: Control,
 }
 
 impl SerializingAction {
@@ -89,38 +89,21 @@ impl SerializingAction {
     ///
     /// Colour exhaustion or action bookkeeping failures.
     pub fn begin_under(rt: &Runtime, parent: Option<ActionId>) -> Result<Self, ActionError> {
-        let fence = rt.universe().fresh()?;
-        let control = match parent {
-            Some(parent) => rt.begin_nested(parent, ColourSet::single(fence))?,
-            None => rt.begin_top(ColourSet::single(fence))?,
-        };
         Ok(SerializingAction {
-            rt: rt.clone(),
-            control,
-            fence,
-            finished: false,
+            control: Control::begin(rt, parent)?,
         })
-    }
-
-    /// Returns the wrapper action's id (for tests and metrics).
-    #[must_use]
-    pub fn control_id(&self) -> ActionId {
-        self.control
-    }
-
-    /// Returns the fence colour (for tests and metrics).
-    #[must_use]
-    pub fn fence_colour(&self) -> Colour {
-        self.fence
     }
 
     /// Runs one constituent step.
     ///
-    /// The step is a top-level action for permanence: if the body
-    /// returns `Ok`, its updates are immediately flushed to stable
-    /// storage, and the locks on every object it touched pass to the
-    /// wrapper. If the body returns `Err`, the step is aborted; earlier
-    /// steps' effects are unaffected, and the serializing action may run
+    /// The body gets a plain [`ActionScope`] whose default colour is the
+    /// step's private update colour and whose [`Fence::EveryAccess`]
+    /// fences every object it reads, writes, modifies or creates. The
+    /// step is a top-level action for permanence: if the body returns
+    /// `Ok`, its updates are immediately flushed to stable storage, and
+    /// the fence locks on every object it touched pass to the wrapper.
+    /// If the body returns `Err`, the step is aborted; earlier steps'
+    /// effects are unaffected, and the serializing action may run
     /// further steps or end.
     ///
     /// Steps may run concurrently from several threads (fig. 8 uses
@@ -132,20 +115,10 @@ impl SerializingAction {
     /// Propagates the body's error after aborting the step.
     pub fn step<R>(
         &self,
-        body: impl FnOnce(&mut SerialStep<'_, '_>) -> Result<R, ActionError>,
+        body: impl FnOnce(&mut ActionScope<'_>) -> Result<R, ActionError>,
     ) -> Result<R, ActionError> {
-        let update = self.rt.universe().fresh()?;
-        let colours = ColourSet::from_iter([self.fence, update]);
-        let result = self.rt.run_nested(self.control, colours, update, |scope| {
-            let mut step = SerialStep {
-                scope,
-                fence: self.fence,
-                update,
-            };
-            body(&mut step)
-        });
-        self.rt.universe().release(update);
-        result
+        let fence = Fence::EveryAccess(self.control.colour);
+        self.control.step(Some(fence), body)
     }
 
     /// Ends the serializing action: commits the wrapper, releasing every
@@ -155,11 +128,8 @@ impl SerializingAction {
     /// # Errors
     ///
     /// Propagates commit bookkeeping failures.
-    pub fn end(mut self) -> Result<(), ActionError> {
-        self.finished = true;
-        let result = self.rt.commit(self.control);
-        self.rt.universe().release(self.fence);
-        result
+    pub fn end(self) -> Result<(), ActionError> {
+        self.control.end()
     }
 
     /// Abandons the serializing action: aborts the wrapper.
@@ -168,103 +138,7 @@ impl SerializingAction {
     /// permanent at each step's commit; only the fences are released.
     /// This is the "not atomic with respect to failures" half of the
     /// structure.
-    pub fn abandon(mut self) {
-        self.finished = true;
-        self.rt.abort(self.control);
-        self.rt.universe().release(self.fence);
-    }
-}
-
-impl Drop for SerializingAction {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.rt.abort(self.control);
-            self.rt.universe().release(self.fence);
-        }
-    }
-}
-
-/// Operation surface of one serializing-action step.
-///
-/// Every access automatically maintains the fig. 11 fence: writes take a
-/// write lock in the step's update colour *and* an exclusive-read lock
-/// in the fence colour; reads take read locks in both. The fence locks
-/// are what the wrapper retains between steps.
-#[derive(Debug)]
-pub struct SerialStep<'a, 'rt> {
-    scope: &'a mut ActionScope<'rt>,
-    fence: Colour,
-    update: Colour,
-}
-
-impl SerialStep<'_, '_> {
-    /// Returns the underlying action id.
-    #[must_use]
-    pub fn id(&self) -> ActionId {
-        self.scope.id()
-    }
-
-    /// Returns the step's private update colour.
-    #[must_use]
-    pub fn update_colour(&self) -> Colour {
-        self.update
-    }
-
-    /// Reads an object (read-locked in both update and fence colours).
-    ///
-    /// # Errors
-    ///
-    /// Lock, object or codec failures.
-    pub fn read<T: Stored>(&self, object: ObjectId) -> Result<T, ActionError> {
-        self.scope.lock(self.fence, object, LockMode::Read)?;
-        self.scope.read_in(self.update, object)
-    }
-
-    /// Writes an object (write-locked in the update colour,
-    /// exclusive-read fenced in the fence colour).
-    ///
-    /// # Errors
-    ///
-    /// Lock failures.
-    pub fn write<T: Stored>(&self, object: ObjectId, value: &T) -> Result<(), ActionError> {
-        self.scope
-            .lock(self.fence, object, LockMode::ExclusiveRead)?;
-        self.scope.write_in(self.update, object, value)
-    }
-
-    /// Creates a new object inside the step (fenced like a write).
-    ///
-    /// # Errors
-    ///
-    /// Lock failures.
-    pub fn create<T: Stored>(&self, value: &T) -> Result<ObjectId, ActionError> {
-        let object = self.scope.create_in(self.update, value)?;
-        self.scope
-            .lock(self.fence, object, LockMode::ExclusiveRead)?;
-        Ok(object)
-    }
-
-    /// Reads, transforms and writes back an object (fenced like a
-    /// write).
-    ///
-    /// Both locks are taken in their final modes before the read — the
-    /// exclusive-read fence, then the update colour's write lock — so
-    /// two concurrent modifiers queue instead of both read-locking and
-    /// deadlocking on the upgrade.
-    ///
-    /// # Errors
-    ///
-    /// Lock, object or codec failures.
-    pub fn modify<T, R>(
-        &self,
-        object: ObjectId,
-        f: impl FnOnce(&mut T) -> R,
-    ) -> Result<R, ActionError>
-    where
-        T: Stored,
-    {
-        self.scope
-            .lock(self.fence, object, LockMode::ExclusiveRead)?;
-        self.scope.modify_in(self.update, object, f)
+    pub fn abandon(self) {
+        drop(self);
     }
 }

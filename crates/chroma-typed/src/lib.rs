@@ -27,7 +27,13 @@
 //!
 //! Both types work inside any action — plain atomic, serializing step,
 //! glued step or independent — because they only use the ordinary
-//! [`ActionScope`](chroma_core::ActionScope) operations.
+//! [`ActionScope`](chroma_core::ActionScope) operations, and every
+//! structure hands its step bodies a plain `ActionScope`. In a
+//! serializing step the scope's fence makes each read, write and
+//! modify also lock the touched stripe or bucket in the wrapper's
+//! colour, so it stays protected until the wrapper ends; in a glued
+//! step it is released at the step's commit unless the step
+//! [`hand_over`](chroma_core::ActionScope::hand_over)s it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,8 +5,9 @@
 use chroma::apps::{
     schedule_meeting, BulletinBoard, Diary, DistMake, Ledger, Makefile, ScheduleOutcome,
 };
-use chroma::core::{ActionError, Runtime, RuntimeConfig};
+use chroma::core::{ActionError, ActionScope, LockMode, ObjectId, Runtime, RuntimeConfig};
 use chroma::structures::{independent_sync, GluedChain, SerializingAction};
+use chroma::{EscrowCounter, KeyedDirectory};
 use std::time::Duration;
 
 fn rt_fast() -> Runtime {
@@ -90,6 +91,87 @@ fn structures_compose_serializing_inside_glued_step() {
     assert_eq!(rt.read_committed::<i64>(detail_b).unwrap(), 0);
 }
 
+/// Whether an outside top-level action could write-lock `object` now.
+fn outside_may_write(rt: &Runtime, object: ObjectId) -> bool {
+    rt.atomic(|a| a.try_lock(a.default_colour(), object, LockMode::Write))
+        .is_ok()
+}
+
+/// The objects `scope`'s own action holds write locks on.
+fn written_by(scope: &ActionScope<'_>) -> Vec<ObjectId> {
+    scope
+        .runtime()
+        .locks_of(scope.id())
+        .into_iter()
+        .filter(|lock| lock.mode == LockMode::Write)
+        .map(|lock| lock.object)
+        .collect()
+}
+
+#[test]
+fn typed_objects_and_nested_actions_stay_fenced_in_a_serializing_step() {
+    // Code written against `ActionScope` runs inside a serializing step
+    // unchanged, and the step's fence covers what it touched.
+    let rt = rt_fast();
+    let hits = EscrowCounter::create(&rt, 4).unwrap();
+    let nested = rt.create_object(&0i64).unwrap();
+    let sa = SerializingAction::begin(&rt).unwrap();
+    let stripe = sa
+        .step(|s| {
+            hits.add(s, 5)?;
+            let stripe = written_by(s)[0];
+            s.nested(|n| n.write(nested, &1i64))?;
+            Ok(stripe)
+        })
+        .unwrap();
+    // The step committed: its effects are permanent...
+    assert_eq!(hits.committed_value(&rt).unwrap(), 5);
+    assert_eq!(rt.read_committed::<i64>(nested).unwrap(), 1);
+    // ...but the wrapper still fences both objects.
+    assert!(!outside_may_write(&rt, stripe));
+    assert!(!outside_may_write(&rt, nested));
+    sa.end().unwrap();
+    assert!(outside_may_write(&rt, stripe));
+    assert!(outside_may_write(&rt, nested));
+}
+
+#[test]
+fn typed_objects_hand_over_through_a_glued_chain() {
+    // A directory insert plus `hand_over` passes the key's bucket to the
+    // next step; a bucket the next step does not re-fence is free
+    // mid-chain.
+    let rt = rt_fast();
+    let kept_dir: KeyedDirectory<String> = KeyedDirectory::create(&rt, 1).unwrap();
+    let rejected_dir: KeyedDirectory<String> = KeyedDirectory::create(&rt, 1).unwrap();
+    let chain = GluedChain::begin(&rt, 3).unwrap();
+    let (kept, rejected) = chain
+        .step(|s| {
+            kept_dir.insert(s, "alice", &"09:00".to_owned())?;
+            let kept = written_by(s)[0];
+            rejected_dir.insert(s, "bob", &"09:00".to_owned())?;
+            let rejected = *written_by(s).iter().find(|&&o| o != kept).unwrap();
+            s.hand_over(kept)?;
+            s.hand_over(rejected)?;
+            Ok((kept, rejected))
+        })
+        .unwrap();
+    assert!(!outside_may_write(&rt, kept));
+    assert!(!outside_may_write(&rt, rejected));
+    // Round 2 keeps alice's bucket and rejects bob's.
+    chain
+        .step(|s| {
+            kept_dir.insert(s, "alice", &"10:00".to_owned())?;
+            s.hand_over(kept)
+        })
+        .unwrap();
+    assert!(!outside_may_write(&rt, kept));
+    assert!(outside_may_write(&rt, rejected));
+    let booked = chain.step(|s| kept_dir.lookup(s, "alice")).unwrap();
+    assert_eq!(booked.as_deref(), Some("10:00"));
+    chain.end().unwrap();
+    assert!(outside_may_write(&rt, kept));
+}
+
 #[test]
 fn independent_actions_inside_serializing_steps() {
     // A serializing step that bills for itself: the charge survives
@@ -98,18 +180,12 @@ fn independent_actions_inside_serializing_steps() {
     let ledger = Ledger::create(&rt).unwrap();
     let target = rt.create_object(&0i64).unwrap();
     let sa = SerializingAction::begin(&rt).unwrap();
-    let failed: Result<(), ActionError> = sa.step(|_s| {
-        // Steps run as coloured actions; independent invocation needs a
-        // scope. Use the runtime directly: the ledger API spawns its
-        // own detached action.
+    let failed: Result<(), ActionError> = sa.step(|s| {
+        ledger.charge_from(s, "user", "attempt", 1)?;
+        independent_sync(s, |i| i.write(target, &1i64))?;
         Err(ActionError::failed("step fails after being metered"))
     });
     assert!(failed.is_err());
-    rt.atomic(|a| {
-        ledger.charge_from(a, "user", "attempt", 1)?;
-        independent_sync(a, |i| i.write(target, &1i64))
-    })
-    .unwrap();
     sa.end().unwrap();
     assert_eq!(ledger.total().unwrap(), 1);
     assert_eq!(rt.read_committed::<i64>(target).unwrap(), 1);
