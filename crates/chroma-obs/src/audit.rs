@@ -688,6 +688,119 @@ mod tests {
         assert!(report.is_clean(), "{report}");
     }
 
+    fn append() -> Event {
+        ev(EventKind::DiskAppend {
+            records: 2,
+            bytes: 64,
+        })
+    }
+
+    fn group(batches: u64) -> Event {
+        ev(EventKind::DiskGroupCommit {
+            batches,
+            records: batches * 2,
+            bytes: batches * 64,
+        })
+    }
+
+    fn seal(segment: u64, batches: u64) -> Event {
+        ev(EventKind::SegmentSeal {
+            segment,
+            batches,
+            bytes: batches * 64,
+        })
+    }
+
+    fn replay(batches: u64) -> Event {
+        ev(EventKind::DiskReplay {
+            batches,
+            objects: batches,
+        })
+    }
+
+    /// A batch sealed into segment 1, one in the active segment 2, a
+    /// crash; one post-recovery batch appended to segment 2, a second
+    /// crash replaying `second_replay` batches.
+    fn crash_commit_crash(second_replay: u64) -> Vec<Event> {
+        vec![
+            append(),
+            group(1),
+            seal(1, 1),
+            append(),
+            group(1),
+            replay(2),
+            append(),
+            group(1),
+            replay(second_replay),
+        ]
+    }
+
+    #[test]
+    fn r9_r11_second_replay_counts_old_and_new_batches() {
+        // recovery folds nothing: the first replay's two batches are
+        // still live at the second crash, next to the new one
+        let report = TraceAuditor::audit_events(&crash_commit_crash(3));
+        assert!(report.is_clean(), "{report}");
+    }
+
+    #[test]
+    fn r9_r11_second_replay_of_only_new_batches_is_flagged() {
+        let report = TraceAuditor::audit_events(&crash_commit_crash(1));
+        assert_eq!(
+            report.violations,
+            [
+                Violation::ReplayMarkMismatch {
+                    replayed: 1,
+                    marked: 3,
+                },
+                Violation::ReplayManifestMismatch {
+                    replayed: 1,
+                    live: 3,
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn r9_r11_trace_attached_at_a_replay() {
+        // The trace starts at a replay of two batches: one in sealed
+        // segment 4, which it never saw sealed, and one in the active
+        // segment 5, which a post-recovery commit then seals.
+        let attached = |last_replay: u64| {
+            vec![
+                replay(2),
+                append(),
+                group(1),
+                seal(5, 2),
+                // segment 4's batch is live but unseen: not guessed
+                replay(3),
+                ev(EventKind::CheckpointEnd {
+                    upto: 5,
+                    batches: 3,
+                    objects: 3,
+                }),
+                // past segment 4: both rules check again
+                replay(last_replay),
+            ]
+        };
+        let report = TraceAuditor::audit_events(&attached(0));
+        assert!(report.is_clean(), "{report}");
+        let report = TraceAuditor::audit_events(&attached(1));
+        assert_eq!(
+            report.violations,
+            [
+                Violation::ReplayMarkMismatch {
+                    replayed: 1,
+                    marked: 0,
+                },
+                Violation::ReplayManifestMismatch {
+                    replayed: 1,
+                    live: 0,
+                },
+            ]
+        );
+    }
+
     #[test]
     fn r11_watermark_survives_replay() {
         // Sequences are monotone across restarts: a post-replay GC of

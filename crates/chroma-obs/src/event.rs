@@ -565,11 +565,13 @@ event_kinds! {
         objects: u64,
     }
     /// Opening the store replayed committed batches from the
-    /// intentions log (crash recovery).
+    /// intentions log (crash recovery). They stay live in their
+    /// segments until a checkpoint folds them.
     DiskReplay "disk_replay" {
         /// How many committed batches were replayed.
         batches: u64,
-        /// How many object installs the replay performed.
+        /// How many distinct objects the replay rebuilt into the
+        /// in-memory tail.
         objects: u64,
     }
     /// A replicated write started fanning out to the available

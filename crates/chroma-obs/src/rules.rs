@@ -43,8 +43,12 @@
 //!   (`DiskGroupCommit` must declare precisely the batches appended
 //!   since the previous group flush), and recovery (`DiskReplay`)
 //!   replays exactly the batches whose markers were group-fsynced but
-//!   never checkpointed. The rule only arms once the trace contains a
-//!   `DiskGroupCommit`, so pre-group-commit traces still audit.
+//!   never checkpointed. Recovery folds nothing, so those batches stay
+//!   marked: a second crash before a checkpoint replays them again,
+//!   plus everything committed since. The rule only arms once the
+//!   trace contains a `DiskGroupCommit`, so pre-group-commit traces
+//!   still audit; a replay seen before that is where the trace
+//!   attached, and its batches become the starting count.
 //! * **R10 — snapshot-read correctness.** A declared read-only action
 //!   (`SnapshotOpen`) must (a) serve every `SnapshotRead` from the
 //!   *newest* published version (`VersionPublish`) whose stamp is
@@ -60,9 +64,13 @@
 //!   watermark (`CheckpointEnd`'s `upto`), and recovery (`DiskReplay`)
 //!   replays exactly the manifest's live suffix — the batches sealed
 //!   into uncheckpointed segments (`SegmentSeal`) plus those committed
-//!   into the active segment since the last seal. The rule only arms
-//!   once the trace contains a `SegmentSeal`, so pre-segment traces
-//!   still audit.
+//!   into the active segment since the last seal, replayed ones
+//!   included (recovery keeps every live segment and appends to the
+//!   last). The rule only arms once the trace contains a
+//!   `SegmentSeal`, so pre-segment traces still audit. Segments whose
+//!   seal the trace cannot have seen (it attached at a replay) are
+//!   not guessed: the replay check waits until a checkpoint passes
+//!   them.
 //!
 //! The engine is deliberately independent of the runtime: it sees only
 //! the trace, so a bug that corrupts runtime state *and* its own
@@ -580,7 +588,7 @@ pub(crate) struct Windows {
     pub(crate) objects: usize,
     /// Uncheckpointed sealed segments tracked for R11's
     /// replay-matches-live-suffix check; on overflow that check is
-    /// skipped until the next replay resets the window.
+    /// skipped until a checkpoint passes the dropped seals.
     pub(crate) segments: usize,
 }
 
@@ -635,9 +643,6 @@ struct Evictions {
     /// means "nothing ever published" — reads of absent chains are
     /// then skipped instead of expected at the base version.
     published_evictions: u64,
-    /// The seal window overflowed: the replay check is unreliable and
-    /// is skipped, never guessed.
-    sealed_truncated: bool,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -755,6 +760,14 @@ struct LogState {
     ckpt_watermark: u64,
     /// R11 only arms once the trace proves the log is segmented.
     saw_segment: bool,
+    /// R11: the newest segment whose seal the state may lack (the
+    /// window dropped it, or it predates a trace that attached at a
+    /// replay). The replay check is skipped, never guessed, until the
+    /// watermark passes it.
+    unseen_upto: u64,
+    /// The trace attached at a replay that found live batches: every
+    /// segment before the next seal is unseen.
+    attached_at_replay: bool,
 }
 
 /// The R1–R11 state machines. Feed events in emission order to
@@ -1099,12 +1112,16 @@ impl Rules {
                 segment, batches, ..
             } => {
                 self.log.saw_segment = true;
+                if std::mem::take(&mut self.log.attached_at_replay) {
+                    self.log.unseen_upto = self.log.unseen_upto.max(segment.saturating_sub(1));
+                }
                 self.log.active_batches = 0;
                 self.log.sealed_live.push_back((segment, batches));
-                if let Retention::Windowed(windows, w) = &mut self.retention {
+                if let Retention::Windowed(windows, _) = &self.retention {
                     while self.log.sealed_live.len() > windows.segments {
-                        self.log.sealed_live.pop_front();
-                        w.sealed_truncated = true;
+                        if let Some((dropped, _)) = self.log.sealed_live.pop_front() {
+                            self.log.unseen_upto = self.log.unseen_upto.max(dropped);
+                        }
                     }
                 }
             }
@@ -1121,18 +1138,24 @@ impl Rules {
                     });
                 }
             }
+            // Recovery folds nothing: the replayed batches stay live in
+            // their segments, so the counters carry on and a later
+            // replay must count them again.
             EventKind::DiskReplay { batches, .. } => {
-                if self.log.saw_group_commit && batches != self.log.marked_unchecked {
-                    out.push(Violation::ReplayMarkMismatch {
-                        replayed: batches,
-                        marked: self.log.marked_unchecked,
-                    });
+                if self.log.saw_group_commit {
+                    if batches != self.log.marked_unchecked {
+                        out.push(Violation::ReplayMarkMismatch {
+                            replayed: batches,
+                            marked: self.log.marked_unchecked,
+                        });
+                    }
+                } else if batches > 0 {
+                    // Batches the trace never saw committed: it attached
+                    // here, and they are its starting debt.
+                    self.log.marked_unchecked = batches;
+                    self.log.attached_at_replay = true;
                 }
-                let window_complete = match &mut self.retention {
-                    Retention::Exact(_) => true,
-                    Retention::Windowed(_, w) => !std::mem::take(&mut w.sealed_truncated),
-                };
-                if self.log.saw_segment && window_complete {
+                if self.log.saw_segment && self.log.unseen_upto <= self.log.ckpt_watermark {
                     let live: u64 = self.log.sealed_live.iter().map(|&(_, b)| b).sum::<u64>()
                         + self.log.active_batches;
                     if batches != live {
@@ -1142,12 +1165,6 @@ impl Rules {
                         });
                     }
                 }
-                // replay installs and collapses the live suffix: no
-                // batch stays marked or live (the watermark survives —
-                // sequences are monotone across restarts)
-                self.log.marked_unchecked = 0;
-                self.log.sealed_live.clear();
-                self.log.active_batches = 0;
             }
             // An open without a begin (the begin predates the attach)
             // still declares the action read-only.

@@ -524,6 +524,60 @@ mod tests {
         assert_eq!(fired.load(Ordering::SeqCst), 0);
     }
 
+    /// One batch committed and sealed into segment 1, one committed
+    /// into the active segment 2, a crash, one post-recovery commit
+    /// appended to segment 2, another crash: the second replay must
+    /// count `second_replay` batches.
+    fn crash_commit_crash(bus: &EventBus, second_replay: u64) {
+        let commit = || {
+            bus.emit(EventKind::DiskAppend {
+                records: 2,
+                bytes: 64,
+            });
+            bus.emit(EventKind::DiskGroupCommit {
+                batches: 1,
+                records: 2,
+                bytes: 64,
+            });
+        };
+        commit();
+        bus.emit(EventKind::SegmentSeal {
+            segment: 1,
+            batches: 1,
+            bytes: 64,
+        });
+        commit();
+        bus.emit(EventKind::DiskReplay {
+            batches: 2,
+            objects: 2,
+        });
+        commit();
+        bus.emit(EventKind::DiskReplay {
+            batches: second_replay,
+            objects: second_replay,
+        });
+    }
+
+    #[test]
+    fn r9_r11_second_replay_counts_old_and_new_batches() {
+        // Recovery folds nothing: both replayed batches are still live
+        // at the second crash, next to the post-recovery one.
+        let (bus, wd, _, fired) = rig();
+        crash_commit_crash(&bus, 3);
+        assert_eq!(wd.violations(), 0);
+        assert_eq!(fired.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn r9_r11_second_replay_of_only_new_batches_fires() {
+        let (bus, wd, sink, _) = rig();
+        crash_commit_crash(&bus, 1);
+        assert_eq!(wd.rule_count(WatchdogRule::ReplayMarkMismatch), 1);
+        assert_eq!(wd.rule_count(WatchdogRule::ReplayManifestMismatch), 1);
+        assert_violation_within(&sink, WatchdogRule::ReplayMarkMismatch, 2);
+        assert_violation_within(&sink, WatchdogRule::ReplayManifestMismatch, 2);
+    }
+
     #[test]
     fn r11_truncated_segment_window_skips_rather_than_guesses() {
         let bus = Arc::new(EventBus::new());
@@ -560,6 +614,19 @@ mod tests {
             0,
             "truncated window must skip the replay check"
         );
+        // A checkpoint past the dropped seals makes the window whole
+        // again: only segment 3's batch is live, and a replay claiming
+        // two is caught.
+        bus.emit(EventKind::CheckpointEnd {
+            upto: 2,
+            batches: 2,
+            objects: 2,
+        });
+        bus.emit(EventKind::DiskReplay {
+            batches: 2,
+            objects: 2,
+        });
+        assert_eq!(watchdog.rule_count(WatchdogRule::ReplayManifestMismatch), 1);
     }
 
     #[test]

@@ -59,6 +59,9 @@ pub fn complete(events: &[Event]) -> bool {
         let acting = match &event.kind {
             EventKind::ActionBegin { action, .. } => {
                 live.insert(*action);
+                // a (repeated) begin starts the action's state afresh,
+                // so its earlier snapshot opens no longer count
+                opened.remove(action);
                 [None, None]
             }
             EventKind::ActionCommit { action } | EventKind::ActionAbort { action } => {

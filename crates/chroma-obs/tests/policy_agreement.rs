@@ -356,14 +356,13 @@ impl Model {
                 segment: 1 + rng.below(self.watermark as usize) as u64,
                 bytes: 64,
             }),
+            // recovery folds nothing: the replayed suffix stays live
             5 => {
                 let live = self.sealed.iter().map(|s| s.1).sum::<u64>() + self.active;
                 self.emit(EventKind::DiskReplay {
                     batches: live,
                     objects: live,
                 });
-                self.sealed.clear();
-                self.active = 0;
             }
             _ => {}
         }

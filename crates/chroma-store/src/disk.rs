@@ -32,13 +32,22 @@
 //! rewriting the manifest without them. Only then are the segment
 //! files deleted, so GC always trails the checkpoint watermark: a
 //! crash anywhere leaves either segments the manifest still owns
-//! (recovery re-replays them, idempotently) or orphan files the
-//! manifest never meant (swept on open, never replayed).
+//! (recovery replays them again) or orphan files the manifest never
+//! meant (swept on open, never replayed).
 //!
-//! Recovery therefore replays **exactly the manifest's live suffix**,
-//! segment by segment through a bounded-buffer reader, then collapses
-//! to a single fresh active segment — replay work is bounded by what
-//! was committed since the last checkpoint, not by history.
+//! # Recovery
+//!
+//! Recovery replays **exactly the manifest's live suffix**, each
+//! segment once through a bounded-buffer reader, into the same
+//! in-memory tail the commit path keeps: read, CRC, decode — no object
+//! installs, no fsyncs. Every live segment stays live. The last one
+//! stays the active segment and appends continue in it (a torn tail is
+//! trimmed off first — the only write recovery makes), and the sealed
+//! ones fold in the background exactly as they would have before the
+//! crash. Replay work is bounded by what was committed since the last
+//! checkpoint, not by history. A failed fold poisons the store (later
+//! commits and checkpoints fail until reopen), because nothing else
+//! would ever fold the tail.
 //!
 //! # Group commit
 //!
@@ -166,7 +175,7 @@ pub enum DiskCrashPoint {
     /// tail: recovery must complete the batch.
     AfterCommitRecord,
     /// After the committed states are published to the tail (the end
-    /// of the commit path): recovery re-installs idempotently.
+    /// of the commit path): recovery rebuilds the tail from the log.
     AfterInstall,
     /// Mid-seal: the next segment file exists and is synced, but the
     /// manifest still ends at the old active segment — the new file is
@@ -177,7 +186,7 @@ pub enum DiskCrashPoint {
     AfterSeal,
     /// Mid-checkpoint: folded states are installed in `objects/`, but
     /// the manifest still lists the folded segments — recovery
-    /// re-replays them idempotently.
+    /// replays them into the tail again and the fold is redone.
     CheckpointBeforeManifest,
     /// After the manifest dropped the folded segments but before their
     /// files were deleted: the files are orphans recovery must sweep
@@ -230,11 +239,11 @@ impl Default for DiskStoreOptions {
 /// What [`DiskStore::open`] replayed from the manifest's live suffix.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplayStats {
-    /// Committed batches (re)installed.
+    /// Committed batches rebuilt into the in-memory tail.
     pub batches: u64,
     /// Log records decoded (committed or not).
     pub records: u64,
-    /// Object states installed into `objects/`.
+    /// Distinct objects those batches left in the tail.
     pub objects: u64,
 }
 
@@ -260,13 +269,34 @@ struct PendingBatch {
     crash: Option<DiskCrashPoint>,
 }
 
+/// Why a store refuses all further work until it is reopened.
+#[derive(Clone, Debug)]
+enum Poison {
+    /// An injected crash killed the "process".
+    Crashed(DiskCrashPoint),
+    /// A real I/O failure in a group flush or a checkpoint: what
+    /// reached disk past it is unknown, so only a replay can vouch for
+    /// the store again.
+    Io(String),
+}
+
+impl Poison {
+    fn error(&self) -> DiskError {
+        match self {
+            Poison::Crashed(point) => DiskError::Crashed(*point),
+            Poison::Io(msg) => DiskError::Io(io::Error::other(msg.clone())),
+        }
+    }
+}
+
 /// How a flushed batch fared — clonable so one flush outcome fans out
 /// to every follower in the group.
 #[derive(Clone)]
 enum GroupOutcome {
     Done,
-    Crashed(DiskCrashPoint),
-    Io(String),
+    /// The flush failed and took the store down with it.
+    Poisoned(Poison),
+    /// The log refused a record; the store itself is unharmed.
     Corrupt(String),
 }
 
@@ -274,8 +304,7 @@ impl GroupOutcome {
     fn into_result(self) -> Result<(), DiskError> {
         match self {
             GroupOutcome::Done => Ok(()),
-            GroupOutcome::Crashed(point) => Err(DiskError::Crashed(point)),
-            GroupOutcome::Io(msg) => Err(DiskError::Io(io::Error::other(msg))),
+            GroupOutcome::Poisoned(poison) => Err(poison.error()),
             GroupOutcome::Corrupt(msg) => Err(DiskError::CorruptLog(msg)),
         }
     }
@@ -291,8 +320,9 @@ struct GroupState {
     results: HashMap<u64, GroupOutcome>,
     /// A leader is currently draining the queue.
     leader_active: bool,
-    /// An injected crash killed the store; every later commit fails.
-    poisoned: Option<DiskCrashPoint>,
+    /// A crash or an I/O failure killed the store; every later commit
+    /// and checkpoint fails with it until reopen.
+    poisoned: Option<Poison>,
 }
 
 impl std::fmt::Debug for GroupState {
@@ -355,7 +385,8 @@ struct Shared {
     ckpt_signal: Condvar,
     /// Batches committed but not yet folded behind the watermark.
     backlog: AtomicU64,
-    /// Fsyncs paid on the active segment (two per flushed group).
+    /// Fsyncs paid on the active segment (two per flushed group, one
+    /// for a torn-tail trim at open).
     log_fsyncs: AtomicU64,
     /// Directory fsyncs (manifest renames, segment creation, object
     /// installs).
@@ -418,6 +449,9 @@ impl DiskStore {
     pub fn open_with(dir: impl AsRef<Path>, opts: DiskStoreOptions) -> Result<Self, DiskError> {
         let dir = dir.as_ref().to_path_buf();
         let recovered = recover(&dir)?;
+        // Sealed segments survived the crash unfolded: hand them to the
+        // checkpointer as their seals would have.
+        let sealed_live = recovered.segments.len() > 1;
         let shared = Arc::new(Shared {
             dir,
             opts,
@@ -430,18 +464,18 @@ impl DiskStore {
             }),
             group_changed: Condvar::new(),
             wal: Mutex::new(WalState {
-                segments: vec![recovered.active],
+                segments: recovered.segments,
                 active: recovered.active_file,
             }),
-            tail: Mutex::new(HashMap::new()),
+            tail: Mutex::new(recovered.tail),
             ckpt_run: Mutex::new(()),
             ckpt: Mutex::new(CkptState {
                 shutdown: false,
-                kicks: 0,
+                kicks: u64::from(sealed_live),
             }),
             ckpt_signal: Condvar::new(),
-            backlog: AtomicU64::new(0),
-            log_fsyncs: AtomicU64::new(0),
+            backlog: AtomicU64::new(recovered.stats.batches),
+            log_fsyncs: AtomicU64::new(recovered.log_fsyncs),
             dir_fsyncs: AtomicU64::new(recovered.dir_fsyncs),
             obs: ObsCell::new(),
             recovered: recovered.stats,
@@ -466,9 +500,9 @@ impl DiskStore {
 
     /// Total fsyncs paid on the active segment since `open` — two per
     /// flushed group, so `log_fsync_count() / commits` is the
-    /// amortised cost group commit exists to shrink. Seal, manifest
-    /// and install fsyncs are not counted (see
-    /// [`dir_fsync_count`](DiskStore::dir_fsync_count)).
+    /// amortised cost group commit exists to shrink, plus one if `open`
+    /// trimmed a torn tail. Seal, manifest and install fsyncs are not
+    /// counted (see [`dir_fsync_count`](DiskStore::dir_fsync_count)).
     #[must_use]
     pub fn log_fsync_count(&self) -> u64 {
         self.shared.log_fsyncs.load(Ordering::Relaxed)
@@ -617,11 +651,12 @@ impl DiskStore {
     ///
     /// # Errors
     ///
-    /// I/O failures, or [`DiskError::Crashed`] on a poisoned store.
+    /// I/O failures (which poison the store until reopen), or the
+    /// error that poisoned it.
     pub fn checkpoint_now(&self) -> Result<bool, DiskError> {
         let shared = &self.shared;
-        if let Some(point) = shared.group.lock().poisoned {
-            return Err(DiskError::Crashed(point));
+        if let Some(poison) = &shared.group.lock().poisoned {
+            return Err(poison.error());
         }
         {
             let mut wal = shared.wal.lock();
@@ -677,9 +712,9 @@ fn checkpointer_loop(shared: &Shared) {
             st.kicks = 0;
         }
         if shared.checkpoint_inner(None).is_err() {
-            // A real I/O failure in the background: leave the segments
-            // in place (recovery will fold them) and stop
-            // checkpointing; commits stay durable without us.
+            // The failure poisoned the store (see `checkpoint_inner`):
+            // commits now fail loudly until a reopen replays the
+            // segments, so there is nothing left to fold.
             return;
         }
     }
@@ -699,8 +734,8 @@ impl Shared {
         crash: Option<DiskCrashPoint>,
     ) -> Result<(), DiskError> {
         let mut group = self.group.lock();
-        if let Some(point) = group.poisoned {
-            return Err(DiskError::Crashed(point));
+        if let Some(poison) = &group.poisoned {
+            return Err(poison.error());
         }
         if updates.is_empty() && crash.is_none() {
             // Vacuously durable: nothing needs logging, so the batch
@@ -727,25 +762,30 @@ impl Shared {
         while !group.queue.is_empty() {
             let drained = std::mem::take(&mut group.queue);
             drop(group);
+            // Any crash or I/O failure mid-flush poisons the store: after
+            // a failed log write or fsync nobody can vouch for what the
+            // log holds, so only a reopen (and its replay) may go on.
             let flushed = match self.flush_group(&drained) {
                 Ok(()) => GroupOutcome::Done,
-                Err(DiskError::Crashed(point)) => GroupOutcome::Crashed(point),
-                Err(DiskError::Io(e)) => GroupOutcome::Io(e.to_string()),
+                Err(DiskError::Crashed(point)) => GroupOutcome::Poisoned(Poison::Crashed(point)),
+                Err(DiskError::Io(e)) => GroupOutcome::Poisoned(Poison::Io(e.to_string())),
                 Err(DiskError::CorruptLog(msg)) => GroupOutcome::Corrupt(msg),
             };
             group = self.group.lock();
-            if let GroupOutcome::Crashed(point) = flushed {
-                group.poisoned = Some(point);
+            if let GroupOutcome::Poisoned(poison) = &flushed {
+                group.poisoned = Some(poison.clone());
             }
             for batch in &drained {
                 group.results.insert(batch.id, flushed.clone());
             }
-            if let Some(point) = group.poisoned {
+            if let Some(poison) = group.poisoned.clone() {
                 // The "process" died mid-flush: batches that queued up
                 // behind us die with it, un-flushed.
                 let orphaned = std::mem::take(&mut group.queue);
                 for batch in orphaned {
-                    group.results.insert(batch.id, GroupOutcome::Crashed(point));
+                    group
+                        .results
+                        .insert(batch.id, GroupOutcome::Poisoned(poison.clone()));
                 }
             }
             self.group_changed.notify_all();
@@ -936,15 +976,25 @@ impl Shared {
 
     /// Folds every sealed segment into `objects/` and garbage-collects
     /// it behind the checkpoint watermark. The manifest rewrite is the
-    /// fold's commit point: a crash before it re-replays (idempotent),
-    /// a crash after it leaves only orphan files (swept, not
-    /// replayed).
+    /// fold's commit point: a crash before it replays the segments
+    /// again, a crash after it leaves only orphan files (swept, not
+    /// replayed). An I/O failure poisons the store: this fold is the
+    /// only one there is, so a store that silently stopped folding
+    /// would grow its tail and replay debt without bound.
     fn checkpoint_inner(&self, crash: Option<DiskCrashPoint>) -> Result<bool, DiskError> {
         let _run = self.ckpt_run.lock();
         if self.group.lock().poisoned.is_some() {
-            // A crashed "process" does no more disk work.
+            // A dead store does no more disk work.
             return Ok(false);
         }
+        let folded = self.fold_sealed(crash);
+        if let Err(DiskError::Io(e)) = &folded {
+            self.group.lock().poisoned = Some(Poison::Io(e.to_string()));
+        }
+        folded
+    }
+
+    fn fold_sealed(&self, crash: Option<DiskCrashPoint>) -> Result<bool, DiskError> {
         let obs = self.obs.get();
         let folds: Vec<SegmentInfo> = {
             let wal = self.wal.lock();
@@ -1154,6 +1204,8 @@ fn install_object(objects_dir: &Path, object: u64, state: &[u8]) -> Result<(), D
 /// record, not the log length.
 struct FrameReader {
     src: io::BufReader<File>,
+    /// The file's length.
+    len: u64,
     /// Bytes left in the file; a frame promising more is a torn tail.
     remaining: u64,
     /// Reusable frame buffer: `[len: u32 LE][payload]`, the
@@ -1171,12 +1223,12 @@ impl FrameReader {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let mut remaining = file.metadata()?.len();
+        let len = file.metadata()?.len();
         let mut src = io::BufReader::new(file);
         // A file cut short inside the magic is a torn creation: it
         // must match as far as it goes, and then holds no records.
         let mut magic = [0u8; LOG_MAGIC.len()];
-        let header = usize::try_from(remaining).map_or(magic.len(), |n| n.min(magic.len()));
+        let header = usize::try_from(len).map_or(magic.len(), |n| n.min(magic.len()));
         src.read_exact(&mut magic[..header])?;
         if magic[..header] != LOG_MAGIC[..header] {
             return Err(DiskError::CorruptLog(format!(
@@ -1184,12 +1236,18 @@ impl FrameReader {
                 path.display()
             )));
         }
-        remaining -= header as u64;
         Ok(Some(FrameReader {
             src,
-            remaining,
+            len,
+            remaining: len - header as u64,
             frame: Vec::new(),
         }))
+    }
+
+    /// Where the last complete frame read so far ends (the end of the
+    /// magic before any): everything past it is unread or torn.
+    fn offset(&self) -> u64 {
+        self.len - self.remaining
     }
 
     /// The next record; `Ok(None)` at a clean EOF or a torn tail.
@@ -1223,65 +1281,76 @@ impl FrameReader {
     }
 }
 
-/// Replays one log file in two streaming passes: collect the committed
-/// batch set, then install committed intents. Returns the number of
-/// records decoded in the file.
+/// Replays one live segment in a single streaming pass. Intents wait
+/// per batch until their commit marker arrives and then move into
+/// `tail`; a batch whose marker never arrives is dropped. Returns the
+/// segment's bookkeeping and where its last complete frame ends.
 fn replay_file(
-    path: &Path,
-    objects_dir: &Path,
+    dir: &Path,
+    seq: u64,
+    tail: &mut HashMap<u64, (u64, StoreBytes)>,
     stats: &mut ReplayStats,
     max_batch: &mut u64,
-) -> Result<u64, DiskError> {
-    let Some(mut reader) = FrameReader::open(path)? else {
-        return Ok(0);
+) -> Result<(SegmentInfo, u64), DiskError> {
+    let path = dir.join("segments").join(segment_file_name(seq));
+    let Some(mut reader) = FrameReader::open(&path)? else {
+        return Err(DiskError::CorruptLog(format!(
+            "manifest lists segment {seq} but its file is missing"
+        )));
     };
-    let mut committed: HashSet<u64> = HashSet::new();
-    let mut records = 0u64;
+    let mut info = SegmentInfo {
+        seq,
+        batches: 0,
+        bytes: 0,
+        max_batch: 0,
+    };
+    let mut intents: HashMap<u64, Vec<(u64, Vec<u8>)>> = HashMap::new();
     while let Some(record) = reader.next()? {
-        records += 1;
+        stats.records += 1;
         match record {
-            DiskRecord::Commit { batch } => {
-                committed.insert(batch);
-                *max_batch = (*max_batch).max(batch);
-            }
-            DiskRecord::Intent { batch, .. } => {
-                *max_batch = (*max_batch).max(batch);
-            }
-        }
-    }
-    if !committed.is_empty() {
-        let mut reader = FrameReader::open(path)?.expect("file existed a moment ago");
-        while let Some(record) = reader.next()? {
-            if let DiskRecord::Intent {
+            DiskRecord::Intent {
                 batch,
                 object,
                 state,
-            } = record
-            {
-                if committed.contains(&batch) {
-                    install_object(objects_dir, object, &state)?;
-                    stats.objects += 1;
+            } => {
+                *max_batch = (*max_batch).max(batch);
+                intents.entry(batch).or_default().push((object, state));
+            }
+            DiskRecord::Commit { batch } => {
+                *max_batch = (*max_batch).max(batch);
+                for (object, state) in intents.remove(&batch).unwrap_or_default() {
+                    tail.insert(object, (batch, StoreBytes::from(state)));
                 }
+                info.batches += 1;
+                info.max_batch = info.max_batch.max(batch);
             }
         }
     }
-    stats.batches += committed.len() as u64;
-    stats.records += records;
-    Ok(records)
+    stats.batches += info.batches;
+    let valid_end = reader.offset();
+    info.bytes = valid_end.saturating_sub(LOG_MAGIC.len() as u64);
+    Ok((info, valid_end))
 }
 
 /// What `recover` hands back to `open_with`.
 struct Recovered {
-    active: SegmentInfo,
+    /// Every live segment in manifest order; the last is the active
+    /// one.
+    segments: Vec<SegmentInfo>,
     active_file: File,
+    /// The live suffix's committed states, newest per object.
+    tail: HashMap<u64, (u64, StoreBytes)>,
     max_batch: u64,
     stats: ReplayStats,
+    log_fsyncs: u64,
     dir_fsyncs: u64,
 }
 
 /// Crash recovery: sweep temp orphans, replay exactly the manifest's
-/// live suffix, sweep segment files the manifest never committed to,
-/// then collapse to a single fresh active segment.
+/// live suffix into the tail, sweep segment files the manifest never
+/// committed to, then reopen the last live segment for appends. Its
+/// torn tail, if any, is the one thing recovery writes; only a
+/// brand-new store also creates its first segment and manifest.
 fn recover(dir: &Path) -> Result<Recovered, DiskError> {
     let manifest = read_manifest(dir)?;
     let stray_log = dir.join("log");
@@ -1295,7 +1364,6 @@ fn recover(dir: &Path) -> Result<Recovered, DiskError> {
     let segments_dir = dir.join("segments");
     fs::create_dir_all(&objects_dir)?;
     fs::create_dir_all(&segments_dir)?;
-    let mut dir_fsyncs = 0u64;
 
     // Sweep leftovers from a crash mid-install or mid-manifest-write:
     // temp files are invisible to the protocol until renamed, so they
@@ -1316,25 +1384,20 @@ fn recover(dir: &Path) -> Result<Recovered, DiskError> {
     if stray_log.exists() {
         fs::remove_file(&stray_log)?;
     }
-    let mut stats = ReplayStats::default();
-    let mut max_batch = 0u64;
-    let had_manifest = manifest.is_some();
     let live = manifest.unwrap_or_default();
 
     // Replay exactly the live suffix, oldest segment first.
-    let mut last_segment_records = 0u64;
+    let mut tail = HashMap::new();
+    let mut stats = ReplayStats::default();
+    let mut max_batch = 0u64;
+    let mut segments = Vec::with_capacity(live.len());
+    let mut active_end = 0u64;
     for &seq in &live {
-        let path = segments_dir.join(segment_file_name(seq));
-        if !path.exists() {
-            return Err(DiskError::CorruptLog(format!(
-                "manifest lists segment {seq} but its file is missing"
-            )));
-        }
-        last_segment_records = replay_file(&path, &objects_dir, &mut stats, &mut max_batch)?;
+        let (info, valid_end) = replay_file(dir, seq, &mut tail, &mut stats, &mut max_batch)?;
+        segments.push(info);
+        active_end = valid_end;
     }
-    if stats.objects > 0 {
-        fsync_dir(&objects_dir, &mut dir_fsyncs)?;
-    }
+    stats.objects = tail.len() as u64;
 
     // Segment files the manifest does not own are dead by definition:
     // a seal that never reached the manifest, or a fold's GC that
@@ -1349,49 +1412,53 @@ fn recover(dir: &Path) -> Result<Recovered, DiskError> {
         }
     }
 
-    // Fast path: a lone, empty active segment can simply be reused —
-    // restarting an idle store must not churn the manifest.
-    if had_manifest && live.len() == 1 && last_segment_records == 0 && stats.records == 0 {
-        let seq = live[0];
-        let active_file = OpenOptions::new()
-            .append(true)
-            .open(segments_dir.join(segment_file_name(seq)))?;
-        return Ok(Recovered {
-            active: SegmentInfo {
-                seq,
+    let mut log_fsyncs = 0u64;
+    let mut dir_fsyncs = 0u64;
+    let active_file = match segments.last().map(|active| active.seq) {
+        // Appends continue in the last live segment. Batch ids continue
+        // past every intent replay saw, so none is ever reused.
+        Some(seq) => {
+            let mut file = OpenOptions::new()
+                .append(true)
+                .open(segments_dir.join(segment_file_name(seq)))?;
+            let magic = LOG_MAGIC.len() as u64;
+            if active_end < file.metadata()?.len() || active_end < magic {
+                // A torn append: cut it off so the next frame follows
+                // the last complete one (and finish a magic torn at
+                // creation).
+                file.set_len(active_end)?;
+                if active_end < magic {
+                    file.write_all(&LOG_MAGIC[active_end as usize..])?;
+                }
+                file.sync_all()?;
+                log_fsyncs += 1;
+            }
+            file
+        }
+        // A brand-new store: its first segment is in the manifest
+        // before any record lands in it.
+        None => {
+            let mut file = File::create(segments_dir.join(segment_file_name(1)))?;
+            file.write_all(LOG_MAGIC)?;
+            file.sync_all()?;
+            fsync_dir(&segments_dir, &mut dir_fsyncs)?;
+            write_manifest(dir, &[1], &mut dir_fsyncs)?;
+            segments.push(SegmentInfo {
+                seq: 1,
                 batches: 0,
                 bytes: 0,
                 max_batch: 0,
-            },
-            active_file,
-            max_batch,
-            stats,
-            dir_fsyncs,
-        });
-    }
-
-    // Collapse: everything replayed is in objects/ now, so restart on
-    // a single fresh active segment — the next recovery replays only
-    // what commits after this point.
-    let fresh = live.iter().max().copied().unwrap_or(0) + 1;
-    let mut active_file = File::create(segments_dir.join(segment_file_name(fresh)))?;
-    active_file.write_all(LOG_MAGIC)?;
-    active_file.sync_all()?;
-    fsync_dir(&segments_dir, &mut dir_fsyncs)?;
-    write_manifest(dir, &[fresh], &mut dir_fsyncs)?;
-    for &seq in &live {
-        fs::remove_file(segments_dir.join(segment_file_name(seq)))?;
-    }
+            });
+            file
+        }
+    };
     Ok(Recovered {
-        active: SegmentInfo {
-            seq: fresh,
-            batches: 0,
-            bytes: 0,
-            max_batch: 0,
-        },
+        segments,
         active_file,
+        tail,
         max_batch,
         stats,
+        log_fsyncs,
         dir_fsyncs,
     })
 }
@@ -1537,13 +1604,26 @@ mod tests {
                 DiskRecord::Commit { batch: 1 },
             ],
         );
+        let intact = fs::metadata(&log_path).unwrap().len();
         // A torn append: length prefix promising more bytes than exist.
-        let mut log = OpenOptions::new().append(true).open(log_path).unwrap();
+        let mut log = OpenOptions::new().append(true).open(&log_path).unwrap();
         log.write_all(&100u32.to_le_bytes()).unwrap();
         log.write_all(b"short").unwrap();
         drop(log);
+        {
+            let store = DiskStore::open(&dir).unwrap();
+            assert_eq!(store.read(o(1)).unwrap().as_deref(), Some(&b"full"[..]));
+            // Appends continue in this segment, so the torn frame must
+            // go first: left in place, the next replay would read the
+            // new frames as its missing bytes and lose them.
+            assert_eq!(fs::metadata(&log_path).unwrap().len(), intact);
+            assert_eq!(store.log_fsync_count(), 1, "the trim is made durable");
+            store.commit_batch(vec![(o(2), bytes(b"after"))]).unwrap();
+        }
         let store = DiskStore::open(&dir).unwrap();
+        assert_eq!(store.replay_stats().batches, 2);
         assert_eq!(store.read(o(1)).unwrap().as_deref(), Some(&b"full"[..]));
+        assert_eq!(store.read(o(2)).unwrap().as_deref(), Some(&b"after"[..]));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1573,10 +1653,12 @@ mod tests {
             Err(DiskError::CorruptLog(msg)) => assert!(msg.contains("CHLOG001 magic"), "{msg}"),
             other => panic!("magic-less segment not refused: {other:?}"),
         }
-        // cut short inside the magic it is a torn creation: no records
+        // cut short inside the magic it is a torn creation: no records,
+        // and the rest of the magic is restored before any append
         fs::write(&log_path, &LOG_MAGIC[..5]).unwrap();
         let store = DiskStore::open(&dir).unwrap();
         assert!(store.read(o(4)).unwrap().is_none());
+        assert_eq!(fs::read(&log_path).unwrap(), LOG_MAGIC);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1843,7 +1925,9 @@ mod tests {
             );
             assert!(store.checkpoint_now().is_err(), "{point:?}: poisoned");
             drop(store);
-            let store = DiskStore::open(&dir).unwrap();
+            // No background checkpointer: the files checked below must
+            // be what recovery left, not a fold racing it.
+            let store = DiskStore::open_with(&dir, manual(1 << 20)).unwrap();
             // All four points sit past the commit point: both batches
             // must survive the crash, whatever the maintenance step
             // was doing.
@@ -1857,9 +1941,15 @@ mod tests {
                 Some(&b"crash"[..]),
                 "{point:?}"
             );
-            // Recovery collapsed to a coherent manifest: exactly the
-            // live segments exist on disk, nothing else.
+            // Recovery leaves a coherent manifest: exactly the live
+            // segments exist on disk, nothing else, and every batch
+            // they hold is replay debt until a fold.
             let live = DiskStore::live_segment_paths(&dir).unwrap();
+            assert_eq!(
+                store.checkpoint_backlog(),
+                store.replay_stats().batches,
+                "{point:?}"
+            );
             for path in &live {
                 assert!(path.exists(), "{point:?}: manifest lists {path:?}");
             }
@@ -1905,28 +1995,177 @@ mod tests {
     #[test]
     fn replay_stats_match_live_suffix() {
         // Replay work is bounded by what committed since the last
-        // checkpoint, not by history.
+        // checkpoint, not by history. Replay folds nothing itself: the
+        // suffix stays live across reopens, growing with every
+        // post-recovery commit, until a checkpoint takes it.
         let dir = temp_dir();
         let store = DiskStore::open_with(&dir, manual(1)).unwrap();
         for i in 0..6 {
             store.commit_batch(vec![(o(i), bytes(b"old"))]).unwrap();
         }
         store.checkpoint_now().unwrap();
-        for i in 0..3 {
-            store
-                .commit_batch(vec![(o(100 + i), bytes(b"new"))])
-                .unwrap();
-        }
-        let live = store.checkpoint_backlog();
-        assert_eq!(live, 3);
+        store.commit_batch(vec![(o(100), bytes(b"new"))]).unwrap();
+        store.commit_batch(vec![(o(100), bytes(b"newer"))]).unwrap();
+        store.commit_batch(vec![(o(101), bytes(b"new"))]).unwrap();
+        assert_eq!(store.checkpoint_backlog(), 3);
         drop(store);
-        let store = DiskStore::open(&dir).unwrap();
-        let stats = store.replay_stats();
-        assert_eq!(stats.batches, live, "replayed more than the live suffix");
-        assert_eq!(stats.objects, 3);
+        let live = DiskStore::live_segment_paths(&dir).unwrap();
+
+        let store = DiskStore::open_with(&dir, manual(1)).unwrap();
+        assert_eq!(
+            store.replay_stats(),
+            ReplayStats {
+                batches: 3,
+                records: 6,
+                objects: 2, // o100 twice, o101 once
+            }
+        );
+        assert_eq!(DiskStore::live_segment_paths(&dir).unwrap(), live);
+        assert_eq!(store.read(o(100)).unwrap().as_deref(), Some(&b"newer"[..]));
         for i in 0..6 {
             assert_eq!(store.read(o(i)).unwrap().as_deref(), Some(&b"old"[..]));
         }
+        store.commit_batch(vec![(o(102), bytes(b"after"))]).unwrap();
+        drop(store);
+
+        let store = DiskStore::open_with(&dir, manual(1)).unwrap();
+        assert_eq!(store.replay_stats().batches, 4);
+        assert_eq!(store.replay_stats().objects, 3);
+        assert_eq!(store.read(o(102)).unwrap().as_deref(), Some(&b"after"[..]));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every file under `dir` with its bytes, in path order.
+    fn snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files = Vec::new();
+        for entry in fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                files.extend(snapshot(&path));
+            } else {
+                let contents = fs::read(&path).unwrap();
+                files.push((path, contents));
+            }
+        }
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn clean_reopen_writes_nothing() {
+        // Two sealed segments and one batch in the active segment: a
+        // live suffix recovery must read, not rewrite.
+        let dir = temp_dir();
+        {
+            let store = DiskStore::open_with(&dir, manual(1)).unwrap();
+            store.commit_batch(vec![(o(1), bytes(b"a"))]).unwrap();
+            store.commit_batch(vec![(o(2), bytes(b"b"))]).unwrap();
+        }
+        {
+            let store = DiskStore::open_with(&dir, manual(1 << 20)).unwrap();
+            store.commit_batch(vec![(o(3), bytes(b"c"))]).unwrap();
+        }
+        let live = DiskStore::live_segment_paths(&dir).unwrap();
+        assert_eq!(live.len(), 3);
+        let before = snapshot(&dir);
+
+        let store = DiskStore::open_with(&dir, manual(1 << 20)).unwrap();
+        assert_eq!(store.replay_stats().batches, 3);
+        assert_eq!(store.log_fsync_count(), 0);
+        assert_eq!(store.dir_fsync_count(), 0);
+        assert_eq!(DiskStore::live_segment_paths(&dir).unwrap(), live);
+        assert_eq!(snapshot(&dir), before, "recovery changed a file");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reopen_seeds_the_checkpoint_backlog() {
+        // The replayed batches are the debt the next fold retires; an
+        // unseeded backlog would wrap when it does.
+        let dir = temp_dir();
+        {
+            let store = DiskStore::open_with(&dir, manual(1)).unwrap();
+            for i in 0..3 {
+                store.commit_batch(vec![(o(i), bytes(b"v"))]).unwrap();
+            }
+        }
+        let store = DiskStore::open_with(&dir, manual(1)).unwrap();
+        assert_eq!(store.checkpoint_backlog(), store.replay_stats().batches);
+        assert_eq!(store.checkpoint_backlog(), 3);
+        assert!(store.checkpoint_now().unwrap());
+        assert_eq!(store.checkpoint_backlog(), 0);
+        for i in 0..3 {
+            assert!(dir.join("objects").join(format!("o{i}.bin")).exists());
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reopen_folds_surviving_sealed_segments_in_the_background() {
+        let dir = temp_dir();
+        {
+            let store = DiskStore::open_with(&dir, manual(1)).unwrap();
+            for i in 0..4 {
+                store.commit_batch(vec![(o(i), bytes(&[i as u8]))]).unwrap();
+            }
+        }
+        let store = DiskStore::open_with(
+            &dir,
+            DiskStoreOptions {
+                segment_bytes: 1 << 20,
+                auto_checkpoint: true,
+            },
+        )
+        .unwrap();
+        assert_eq!(store.replay_stats().batches, 4);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while store.checkpoint_backlog() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(
+            store.checkpoint_backlog(),
+            0,
+            "sealed segments never folded"
+        );
+        for i in 0..4 {
+            assert!(dir.join("objects").join(format!("o{i}.bin")).exists());
+            assert_eq!(store.read(o(i)).unwrap().as_deref(), Some(&[i as u8][..]));
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_io_failure_poisons_until_reopen() {
+        // With recovery no longer folding, a checkpoint that failed
+        // quietly would let the tail and the replay debt grow unseen.
+        // A regular file where `objects/` belongs fails the fold with
+        // ENOTDIR, whatever the caller's privileges.
+        let dir = temp_dir();
+        let store = DiskStore::open_with(&dir, manual(1 << 20)).unwrap();
+        store.commit_batch(vec![(o(1), bytes(b"a"))]).unwrap();
+        store.commit_batch(vec![(o(2), bytes(b"b"))]).unwrap();
+        let objects = dir.join("objects");
+        fs::remove_dir(&objects).unwrap();
+        fs::write(&objects, b"not a directory").unwrap();
+
+        assert!(matches!(store.checkpoint_now(), Err(DiskError::Io(_))));
+        assert!(
+            matches!(
+                store.commit_batch(vec![(o(3), bytes(b"c"))]),
+                Err(DiskError::Io(_))
+            ),
+            "a failed fold must poison the store"
+        );
+        assert!(matches!(store.checkpoint_now(), Err(DiskError::Io(_))));
+        drop(store);
+
+        fs::remove_file(&objects).unwrap();
+        fs::create_dir(&objects).unwrap();
+        let store = DiskStore::open(&dir).unwrap();
+        assert_eq!(store.read(o(1)).unwrap().as_deref(), Some(&b"a"[..]));
+        assert_eq!(store.read(o(2)).unwrap().as_deref(), Some(&b"b"[..]));
+        assert!(store.read(o(3)).unwrap().is_none());
+        store.commit_batch(vec![(o(3), bytes(b"c"))]).unwrap();
         fs::remove_dir_all(&dir).ok();
     }
 

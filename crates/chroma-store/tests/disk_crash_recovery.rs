@@ -140,9 +140,18 @@ proptest! {
 
         let store = DiskStore::open(&dir).unwrap();
         assert_all_or_nothing(&store, batch_size, survives);
-        // The store stays live after recovery.
+        // The store stays live after recovery, appending to the torn
+        // segment once its tear is trimmed.
         store.commit_batch(vec![(o(9), bytes(&[9, 9]))]).unwrap();
         prop_assert_eq!(store.read(o(9)).unwrap().as_deref(), Some(&[9u8, 9][..]));
+        drop(store);
+
+        // A second restart replays the same segment: the surviving batch
+        // (if any) and the post-recovery one, nothing torn in between.
+        let store = DiskStore::open(&dir).unwrap();
+        assert_all_or_nothing(&store, batch_size, survives);
+        prop_assert_eq!(store.read(o(9)).unwrap().as_deref(), Some(&[9u8, 9][..]));
+        prop_assert_eq!(store.replay_stats().batches, u64::from(survives) + 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

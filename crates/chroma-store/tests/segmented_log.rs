@@ -65,17 +65,28 @@ fn tiny() -> DiskStoreOptions {
     }
 }
 
+/// Opens the store with `tiny` options and traces it into `bus`.
+fn open_traced(dir: &std::path::Path, bus: &Arc<EventBus>) -> DiskStore {
+    let store = DiskStore::open_with(dir, tiny()).unwrap();
+    store.install_obs(Obs::new(bus.clone()));
+    store
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A random script of commits, checkpoints and restarts over a
-    /// store sealing every ~64 bytes matches a plain `HashMap` model,
-    /// and every restart's replay is bounded by the batches committed
-    /// since the last checkpoint — not total history.
+    /// store sealing every ~64 bytes matches a plain `HashMap` model;
+    /// every restart replays exactly the batches committed since the
+    /// last checkpoint — not total history, and not less; and the
+    /// whole script, restarts included, audits clean under R1–R11.
     #[test]
     fn multi_segment_script_matches_model(steps in proptest::collection::vec(step_strategy(), 1..40)) {
         let dir = temp_dir();
-        let mut store = DiskStore::open_with(&dir, tiny()).unwrap();
+        let bus = Arc::new(EventBus::new());
+        let sink = Arc::new(MemorySink::new(100_000));
+        bus.add_sink(sink.clone());
+        let mut store = open_traced(&dir, &bus);
         let mut model: std::collections::HashMap<u64, StoreBytes> =
             std::collections::HashMap::new();
         let mut total_batches = 0u64;
@@ -100,13 +111,13 @@ proptest! {
                 Step::Reopen => {
                     let live_batches = store.checkpoint_backlog();
                     drop(store);
-                    store = DiskStore::open_with(&dir, tiny()).unwrap();
-                    // Bounded recovery: replay covers the live suffix
-                    // only, never the `total_batches` full history.
+                    store = open_traced(&dir, &bus);
+                    // Bounded recovery: replay covers exactly the live
+                    // suffix, never the `total_batches` full history.
                     let replayed = store.replay_stats().batches;
                     prop_assert!(
-                        replayed <= live_batches,
-                        "replayed {replayed} batches but only {live_batches} were uncheckpointed \
+                        replayed == live_batches,
+                        "replayed {replayed} batches but {live_batches} were uncheckpointed \
                          ({total_batches} committed in total)"
                     );
                 }
@@ -124,7 +135,7 @@ proptest! {
         // Final restart: everything survives, and the ids the store
         // reports are exactly the model's keys.
         drop(store);
-        let store = DiskStore::open_with(&dir, tiny()).unwrap();
+        let store = open_traced(&dir, &bus);
         let mut ids: Vec<u64> = store
         .object_ids()
         .unwrap()
@@ -135,6 +146,10 @@ proptest! {
         let mut expect: Vec<u64> = model.keys().copied().collect();
         expect.sort_unstable();
         prop_assert_eq!(ids, expect);
+
+        prop_assert_eq!(sink.dropped(), 0);
+        let report = TraceAuditor::audit_events(&sink.events());
+        prop_assert!(report.is_clean(), "script audit failed:\n{report}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
