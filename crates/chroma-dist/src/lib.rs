@@ -35,7 +35,7 @@ pub use masking::{Accept, Backoff, DedupWindow, SendWindow};
 pub use msg::{CorrId, Effect, Message, TimerTag, TxnId, Write};
 pub use node::{
     Node, NodeBuilder, RpcOp, RpcResult, TpcRecord, MAX_DECISION_ATTEMPTS, MAX_PREPARE_ATTEMPTS,
-    RETRY_INTERVAL,
+    RETRY_INTERVAL, TPC_LOG_BASE,
 };
 pub use replica::ReplicatedObject;
 pub use sim::{NetConfig, NetStats, Sim, SimTransport, TraceEntry};

@@ -1,7 +1,7 @@
 //! A fail-silent node: stable + volatile halves, two-phase-commit state
 //! machines, at-most-once RPC server, replica state.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use chroma_base::{NodeId, ObjectId};
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
@@ -122,6 +122,11 @@ pub struct Node {
     /// Installed object states (intentions-list commit inside).
     pub store: StableStore,
     tpc_log: DurableLog<TpcRecord>,
+    // ---- durability barrier bookkeeping (process deployments) ----
+    /// `tpc_log` records [`Node::persist_durable`] already wrote.
+    persisted_records: usize,
+    /// Store objects written since the last barrier that wrote.
+    dirty: BTreeSet<ObjectId>,
     // ---- volatile ----
     coord: HashMap<TxnId, CoordState>,
     part: HashMap<TxnId, PartState>,
@@ -151,6 +156,8 @@ impl Node {
             up: true,
             store: StableStore::new(),
             tpc_log: DurableLog::new(),
+            persisted_records: 0,
+            dirty: BTreeSet::new(),
             coord: HashMap::new(),
             part: HashMap::new(),
             veto: HashSet::new(),
@@ -254,6 +261,12 @@ impl Node {
             }
         }
         prepared && !done
+    }
+
+    /// A snapshot of the node's durable 2PC log, in append order.
+    #[must_use]
+    pub fn tpc_records(&self) -> Vec<TpcRecord> {
+        self.tpc_log.entries()
     }
 
     // ------------------------------------------------------------------
@@ -519,7 +532,7 @@ impl Node {
                         updates.push((w.object, w.state));
                     }
                     if !updates.is_empty() {
-                        self.store.commit_batch(updates);
+                        self.write_stable(updates);
                     }
                     for (object, version) in installed {
                         self.obs().emit(EventKind::ReplicaInstall {
@@ -596,8 +609,7 @@ impl Node {
         }
         let result = match codec::from_bytes::<RpcOp>(body) {
             Ok(RpcOp::Put(raw, state)) => {
-                self.store
-                    .commit_batch(vec![(ObjectId::from_raw(raw), StoreBytes::from(state))]);
+                self.write_stable(vec![(ObjectId::from_raw(raw), StoreBytes::from(state))]);
                 RpcResult::Done
             }
             Ok(RpcOp::Get(raw)) => {
@@ -713,13 +725,20 @@ impl Node {
     /// Writes a replicated object's `(version, state)` to the store.
     pub fn write_versioned(&mut self, object: ObjectId, version: u64, state: &[u8]) {
         let bytes = codec::to_bytes(&(version, state.to_vec())).expect("versioned encodes");
-        self.store
-            .commit_batch(vec![(object, StoreBytes::from(bytes))]);
+        self.write_stable(vec![(object, StoreBytes::from(bytes))]);
         self.obs().emit(EventKind::ReplicaInstall {
             node: self.id,
             object,
             version,
         });
+    }
+
+    /// Commits `updates` to the stable store and marks them for the
+    /// next [`Node::persist_durable`] — the one way a handler writes the
+    /// store.
+    fn write_stable(&mut self, updates: Vec<(ObjectId, StoreBytes)>) {
+        self.dirty.extend(updates.iter().map(|(object, _)| *object));
+        self.store.commit_batch(updates);
     }
 
     // ------------------------------------------------------------------
@@ -1003,67 +1022,113 @@ impl Node {
     }
 
     // ------------------------------------------------------------------
-    // Durable mirroring (process deployments)
+    // Durability barrier (process deployments)
     // ------------------------------------------------------------------
 
-    /// Mirrors the node's stable half — installed object states and the
-    /// 2PC log — into `disk`, atomically. A `chroma-node` process calls
-    /// this as its durability barrier: after a handler mutated stable
-    /// state, before the resulting messages leave.
+    /// The node's durability barrier: writes what changed in its
+    /// stable half since the last barrier that wrote — the objects its
+    /// handlers installed and the 2PC records they appended — into
+    /// `disk` as one atomic batch. A `chroma-node` process calls this
+    /// after every dispatch, before the resulting messages leave.
+    ///
+    /// Each record lands at its own object id, [`TPC_LOG_BASE`] + its
+    /// log index, so the log on disk grows by the records written and
+    /// never by the log's length. A handler that changed nothing costs
+    /// no write and no fsync. Neither does one whose only new records
+    /// are `CoordEnd`s: losing an end record only makes a recovered
+    /// coordinator re-send a decision its participants acknowledge
+    /// again, so it waits for the next barrier that writes. Everything
+    /// else — `Prepared`, `CoordCommit`, a participant's install with
+    /// its `ParticipantDone` — is forced before its messages leave.
     ///
     /// # Errors
     ///
-    /// [`DiskError`](chroma_store::DiskError) on filesystem failure.
+    /// [`DiskError`](chroma_store::DiskError) on filesystem failure;
+    /// nothing counts as written then, so the next barrier retries it.
     pub fn persist_durable(
-        &self,
+        &mut self,
         disk: &chroma_store::DiskStore,
     ) -> Result<(), chroma_store::DiskError> {
-        let mut updates: Vec<(ObjectId, StoreBytes)> = Vec::new();
-        for object in self.store.object_ids() {
+        let first = self.persisted_records;
+        let records = self.tpc_log.entries_from(first);
+        let lazy_only = records
+            .iter()
+            .all(|r| matches!(r, TpcRecord::CoordEnd { .. }));
+        if self.dirty.is_empty() && lazy_only {
+            return Ok(());
+        }
+        let mut updates: Vec<(ObjectId, StoreBytes)> =
+            Vec::with_capacity(self.dirty.len() + records.len());
+        for &object in &self.dirty {
             if let Some(state) = self.store.read(object) {
                 updates.push((object, state));
             }
         }
-        let records = self.tpc_log.entries();
-        updates.push((
-            TPC_LOG_OBJECT,
-            StoreBytes::from(crate::wire::encode_records(&records)),
-        ));
-        disk.commit_batch(updates)
+        for (index, record) in (first..).zip(&records) {
+            updates.push((
+                tpc_record_object(index),
+                StoreBytes::from(crate::wire::encode_records(std::slice::from_ref(record))),
+            ));
+        }
+        disk.commit_batch(updates)?;
+        self.persisted_records = first + records.len();
+        self.dirty.clear();
+        Ok(())
     }
 
-    /// Restores the stable half from a [`persist_durable`] mirror:
-    /// object states re-enter the in-memory stable store, 2PC records
-    /// re-enter the durable log. Ignores objects outside the mirror's
-    /// namespace (e.g. ones a co-hosted `Runtime` allocated).
+    /// Restores the stable half that [`persist_durable`] wrote into a
+    /// freshly built node: object states re-enter the in-memory stable
+    /// store, and the 2PC records re-enter the durable log in index
+    /// order. Later barriers then write only records appended after
+    /// these. Ignores objects outside the node's namespace (e.g. ones
+    /// a co-hosted `Runtime` allocated).
     ///
     /// [`persist_durable`]: Node::persist_durable
     ///
     /// # Errors
     ///
-    /// [`DiskError`](chroma_store::DiskError) on filesystem failure or
-    /// an unreadable log blob.
+    /// [`DiskError`](chroma_store::DiskError) on filesystem failure.
+    /// [`DiskError::CorruptLog`](chroma_store::DiskError::CorruptLog)
+    /// if the record ids are not dense from [`TPC_LOG_BASE`] (every
+    /// barrier writes a contiguous run atomically, so a hole is damage)
+    /// or an object there does not hold exactly one record.
     pub fn restore_durable(
         &mut self,
         disk: &chroma_store::DiskStore,
     ) -> Result<(), chroma_store::DiskError> {
+        let corrupt = chroma_store::DiskError::CorruptLog;
         let mut updates = Vec::new();
+        let mut indices = Vec::new();
         for object in disk.object_ids()? {
-            if object == TPC_LOG_OBJECT {
-                if let Some(blob) = disk.read(object)? {
-                    let records = crate::wire::decode_records(&blob).map_err(|e| {
-                        chroma_store::DiskError::CorruptLog(format!("tpc log blob: {e}"))
-                    })?;
-                    for record in records {
-                        self.tpc_log.append(record);
-                    }
-                }
-            } else if (MIRROR_FLOOR..TPC_LOG_OBJECT.as_raw()).contains(&object.as_raw()) {
+            let raw = object.as_raw();
+            if raw >= TPC_LOG_BASE.as_raw() {
+                indices.push(raw - TPC_LOG_BASE.as_raw());
+            } else if raw >= MIRROR_FLOOR {
                 if let Some(state) = disk.read(object)? {
                     updates.push((object, state));
                 }
             }
         }
+        indices.sort_unstable();
+        for (expected, index) in (0u64..).zip(indices) {
+            if index != expected {
+                return Err(corrupt(format!(
+                    "tpc log: record {expected} missing (next on disk is {index})"
+                )));
+            }
+            let blob = disk
+                .read(tpc_record_object(index as usize))?
+                .ok_or_else(|| corrupt(format!("tpc log: record {index} vanished")))?;
+            let records = crate::wire::decode_records(&blob)
+                .map_err(|e| corrupt(format!("tpc log record {index}: {e}")))?;
+            let Ok([record]) = <[TpcRecord; 1]>::try_from(records) else {
+                return Err(corrupt(format!(
+                    "tpc log record {index}: want exactly one record"
+                )));
+            };
+            self.tpc_log.append(record);
+        }
+        self.persisted_records = self.tpc_log.len();
         if !updates.is_empty() {
             self.store.commit_batch(updates);
         }
@@ -1071,12 +1136,18 @@ impl Node {
     }
 }
 
-/// Where [`Node::persist_durable`] keeps the encoded 2PC log inside a
-/// shared [`DiskStore`](chroma_store::DiskStore) — far above any real
-/// object id.
-pub const TPC_LOG_OBJECT: ObjectId = ObjectId::from_raw(1 << 62);
+/// The first of the object ids where [`Node::persist_durable`] keeps
+/// the 2PC log inside a shared [`DiskStore`](chroma_store::DiskStore):
+/// record `i` of the log lives at `TPC_LOG_BASE + i`, one encoded
+/// record per object — far above any real object id.
+pub const TPC_LOG_BASE: ObjectId = ObjectId::from_raw(1 << 62);
 
-/// Lowest object id [`Node::restore_durable`] treats as mirrored node
+/// The object holding 2PC log record `index`.
+fn tpc_record_object(index: usize) -> ObjectId {
+    ObjectId::from_raw(TPC_LOG_BASE.as_raw() + index as u64)
+}
+
+/// Lowest object id [`Node::restore_durable`] treats as persisted node
 /// state; ids below belong to a co-hosted `Runtime`.
 const MIRROR_FLOOR: u64 = 1_000;
 
@@ -1140,8 +1211,8 @@ impl<'a> NodeBuilder<'a> {
         self
     }
 
-    /// Restores the node's stable half from a [`Node::persist_durable`]
-    /// mirror in `disk` at build time.
+    /// Restores the node's stable half from what
+    /// [`Node::persist_durable`] wrote into `disk`, at build time.
     #[must_use]
     pub fn backend(self, disk: &chroma_store::DiskStore) -> NodeBuilder<'_> {
         NodeBuilder {

@@ -96,7 +96,12 @@ pub struct MaskingStats {
     pub duplicates: u64,
     /// Sequence holes surfaced as [`TransportEvent::Gap`].
     pub gaps: u64,
-    /// Successful outbound (re)connections, Hello included.
+    /// First successful outbound connection to a peer, Hello included
+    /// — one per peer this transport ever sent to.
+    pub dials: u64,
+    /// Successful outbound redials after a peer's stream was lost
+    /// (a write failed, or [`Transport::disconnect`] cut it) — zero in
+    /// a healthy run.
     pub reconnects: u64,
     /// Data frames retransmitted on a new connection.
     pub resent: u64,
@@ -139,6 +144,9 @@ struct Outbound {
     /// All-time highest sequence number written, across connections —
     /// writing at or below it is a retransmission.
     max_written: u64,
+    /// Whether a dial to this peer ever succeeded: the next one is a
+    /// reconnect, not a first dial.
+    dialed: bool,
 }
 
 impl Outbound {
@@ -153,6 +161,7 @@ impl Outbound {
             blocked: false,
             next_attempt_us: 0,
             max_written: 0,
+            dialed: false,
         }
     }
 }
@@ -365,7 +374,12 @@ impl TcpTransport {
                     out.stream = Some(stream);
                     out.window.rewind_sent();
                     out.backoff.reset();
-                    self.stats.reconnects += 1;
+                    if out.dialed {
+                        self.stats.reconnects += 1;
+                    } else {
+                        out.dialed = true;
+                        self.stats.dials += 1;
+                    }
                 }
                 Err(_) => {
                     out.next_attempt_us = now + out.backoff.next_delay_us();
@@ -860,6 +874,41 @@ mod tests {
     }
 
     #[test]
+    fn healthy_link_dials_once_and_never_reconnects() {
+        let (a_id, b_id) = (NodeId::from_raw(1), NodeId::from_raw(2));
+        let mut a = TcpTransport::bind(a_id, "127.0.0.1:0", TcpConfig::default()).unwrap();
+        let mut b = TcpTransport::bind(b_id, "127.0.0.1:0", TcpConfig::default()).unwrap();
+        a.add_peer(b_id, b.local_addr());
+        b.add_peer(a_id, a.local_addr());
+        let ping = Message::Ack {
+            txn: crate::msg::TxnId(1),
+        };
+        a.send(b_id, ping.clone());
+        b.send(a_id, ping);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let (mut at_a, mut at_b) = (0, 0);
+        while at_a + at_b < 2 || a.peer_acked(b_id) < 1 || b.peer_acked(a_id) < 1 {
+            assert!(
+                Instant::now() < deadline,
+                "a={:?} b={:?}",
+                a.stats(),
+                b.stats()
+            );
+            if let Some(TransportEvent::Deliver { .. }) = a.poll(Some(Duration::from_millis(5))) {
+                at_a += 1;
+            }
+            if let Some(TransportEvent::Deliver { .. }) = b.poll(Some(Duration::from_millis(5))) {
+                at_b += 1;
+            }
+        }
+        assert_eq!((at_a, at_b), (1, 1));
+        for stats in [a.stats(), b.stats()] {
+            assert_eq!(stats.dials, 1, "{stats:?}");
+            assert_eq!(stats.reconnects, 0, "{stats:?}");
+        }
+    }
+
+    #[test]
     fn oversized_message_is_refused_without_wedging_the_link() {
         let (a_id, b_id) = (NodeId::from_raw(1), NodeId::from_raw(2));
         let mut a = TcpTransport::bind(a_id, "127.0.0.1:0", TcpConfig::default()).unwrap();
@@ -896,7 +945,8 @@ mod tests {
         );
         assert_eq!(a.stats().send_errors, 1, "{:?}", a.stats());
         // one dial for the small message, no redial
-        assert_eq!(a.stats().reconnects, 1, "{:?}", a.stats());
+        assert_eq!(a.stats().dials, 1, "{:?}", a.stats());
+        assert_eq!(a.stats().reconnects, 0, "{:?}", a.stats());
         assert_eq!(b.stats().gaps, 0);
         assert_eq!(b.stats().fresh, 1);
     }
@@ -941,6 +991,7 @@ mod tests {
             a.connect(b_id);
         }
         assert_eq!(b.stats().fresh, 25);
+        assert_eq!(a.stats().dials, 1, "{:?}", a.stats());
         assert!(a.stats().reconnects >= 20, "{:?}", a.stats());
         assert_eq!(b.stats().gaps, 0);
         // b's acks ride its one outbound link to a, which never flapped

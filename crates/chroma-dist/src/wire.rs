@@ -10,10 +10,11 @@
 //! lengths are `u32`, its errors are [`WireError`], and the payload
 //! type [`StoreBytes`] is not a `Stored` type.
 //!
-//! [`TpcRecord`] gets the same treatment (magic `CHTL`) so a real
-//! process can mirror its durable protocol log into a
+//! [`TpcRecord`]s get the same treatment (magic `CHTL`) so a real
+//! process can keep its durable protocol log in a
 //! [`DiskStore`](chroma_store::DiskStore) and recover it after
-//! `kill -9`.
+//! `kill -9`: the node's durability barrier writes each record as its
+//! own one-record encoding, at its own object id.
 
 use chroma_base::{NodeId, ObjectId};
 use chroma_store::StoreBytes;

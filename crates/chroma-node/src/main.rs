@@ -23,9 +23,13 @@
 //! Three things make `kill -9` survivable:
 //!
 //! * every dispatch runs [`Node::persist_durable`] as its durability
-//!   barrier — stable state reaches the [`DiskBackend`]'s intentions
-//!   log *before* any resulting message leaves;
-//! * on restart the node rebuilds from that mirror
+//!   barrier — what the handler changed (installed objects, new 2PC
+//!   records) reaches the [`DiskBackend`]'s intentions log as one batch
+//!   *before* any resulting message leaves. A handler that changed
+//!   nothing costs no write; a coordinator's `CoordEnd` rides along with
+//!   the next barrier that writes, since losing it only repeats a
+//!   decision the participants acknowledge again;
+//! * on restart the node rebuilds from what the barriers wrote
 //!   (`Node::builder().backend(..)`) and [`Node::recover`] re-derives
 //!   its protocol obligations;
 //! * the process appends to its per-node JSONL trace with its Lamport
@@ -51,8 +55,9 @@ use chroma_obs::{AppendJsonlSink, EventBus, EventKind, Obs, Observable};
 use chroma_store::StoreBytes;
 
 /// Lowest object id the coordinator writes through 2PC; ids below
-/// belong to each process's co-hosted [`Runtime`], ids at or above
-/// `1 << 62` to the node mirror itself.
+/// belong to each process's co-hosted [`Runtime`], ids from
+/// [`chroma_dist::TPC_LOG_BASE`] (`1 << 62`) on to the node's 2PC log
+/// records, one per object.
 const APP_OBJECT_BASE: u64 = 1_000;
 
 /// How long a coordinator drives one transaction before giving up and
@@ -191,7 +196,7 @@ fn run(opts: &Opts) -> Result<(), String> {
     bus.add_sink(Arc::new(sink));
     let obs = Obs::new(Arc::clone(&bus));
 
-    // -- durability: one DiskStore shared by the node mirror and the
+    // -- durability: one DiskStore shared by the node's durable state and the
     // co-hosted Runtime (kept in disjoint object-id ranges). The store
     // stays un-observed: its WAL events belong to single-process
     // deployments, not this per-node protocol trace.
@@ -220,7 +225,7 @@ fn run(opts: &Opts) -> Result<(), String> {
         tcp.add_peer(peer, addr);
     }
 
-    // -- the protocol node, restored from its durable mirror
+    // -- the protocol node, restored from its durable state
     let mut node = Node::builder()
         .transport(&tcp)
         .backend(backend.store())
@@ -238,7 +243,7 @@ fn run(opts: &Opts) -> Result<(), String> {
 
     // -- a co-hosted Runtime on the same backend: each boot commits a
     // genuine action recording the incarnation, proving the full local
-    // stack (locks, undo, WAL) runs over the same disk as the mirror.
+    // stack (locks, undo, WAL) runs over the same disk as the node.
     // Untraced: its action/object ids are per-process, so they would
     // collide across the merged cluster trace — only protocol events
     // belong in a per-node trace.
@@ -253,10 +258,12 @@ fn run(opts: &Opts) -> Result<(), String> {
         .atomic(|a| a.modify(boot, |count: &mut u64| *count += 1))
         .map_err(|e| format!("boot action failed: {e}"))?;
 
+    // the barrier writes only what the handler changed; if it cannot,
+    // the node must not send what that state would justify
     let disk = Arc::clone(&backend);
     let barrier = move |n: &mut Node| {
         n.persist_durable(disk.store())
-            .expect("durability barrier: cannot mirror stable state");
+            .expect("durability barrier: cannot persist stable state");
     };
 
     match opts.role {

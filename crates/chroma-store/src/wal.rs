@@ -86,6 +86,16 @@ impl<T: Clone> DurableLog<T> {
         self.records.lock().clone()
     }
 
+    /// Returns a snapshot of the records from index `from` on, in
+    /// append order — empty if `from` is at or past the end.
+    #[must_use]
+    pub fn entries_from(&self, from: usize) -> Vec<T> {
+        self.records
+            .lock()
+            .get(from..)
+            .map_or_else(Vec::new, <[T]>::to_vec)
+    }
+
     /// Returns the most recent record matching `pred`, if any.
     #[must_use]
     pub fn rfind(&self, pred: impl FnMut(&&T) -> bool) -> Option<T> {
@@ -105,6 +115,18 @@ mod tests {
         log.append(3);
         assert_eq!(log.entries(), vec![1, 2, 3]);
         assert_eq!(log.len(), 3);
+    }
+
+    #[test]
+    fn entries_from_returns_the_suffix() {
+        let log = DurableLog::new();
+        log.append(1);
+        log.append(2);
+        log.append(3);
+        assert_eq!(log.entries_from(0), vec![1, 2, 3]);
+        assert_eq!(log.entries_from(2), vec![3]);
+        assert!(log.entries_from(3).is_empty());
+        assert!(log.entries_from(9).is_empty());
     }
 
     #[test]
