@@ -6,8 +6,10 @@
 //! *permanence of effect* step — flushing a colour's updates atomically
 //! when its outermost action commits — through this trait:
 //!
-//! * [`LocalBackend`] installs batches into a single node's
+//! * [`LocalBackend`] installs batches into a single node's in-memory
 //!   [`StableStore`] (the paper's trial setup);
+//! * [`DiskBackend`] writes them through [`DiskStore`]'s intentions
+//!   log to a real directory;
 //! * `chroma-dist`'s `PartitionedStore` installs them into object
 //!   stores spread over simulated fail-silent nodes, using two-phase
 //!   commit with replication (the distributed version).
@@ -64,8 +66,13 @@ pub trait PermanenceBackend: Send + Sync + Observable {
         self.read(object).is_some()
     }
 
-    /// Runs crash recovery (completes or discards interrupted batches).
-    fn recover(&self);
+    /// Runs crash recovery after [`Runtime::crash_and_recover`] wiped
+    /// the volatile state. The default does nothing: a backend whose
+    /// commits are atomic in memory, or that recovers when it is
+    /// opened, has nothing left to do.
+    ///
+    /// [`Runtime::crash_and_recover`]: crate::Runtime::crash_and_recover
+    fn recover(&self) {}
 
     /// The highest [`ObjectId`] with committed state, if the backend can
     /// tell. A runtime opened over a pre-existing store continues object
@@ -90,8 +97,9 @@ pub trait PermanenceBackend: Send + Sync + Observable {
     }
 }
 
-/// Single-node permanence: a [`StableStore`] with intentions-list
-/// commit. The default backend of [`Runtime`](crate::Runtime).
+/// Single-node permanence: an in-memory [`StableStore`], which a
+/// simulated crash never touches. The default backend of
+/// [`Runtime`](crate::Runtime).
 #[derive(Debug, Default)]
 pub struct LocalBackend {
     store: StableStore,
@@ -123,10 +131,6 @@ impl PermanenceBackend for LocalBackend {
 
     fn contains(&self, object: ObjectId) -> bool {
         self.store.contains(object)
-    }
-
-    fn recover(&self) {
-        self.store.recover();
     }
 
     fn max_object(&self) -> Option<ObjectId> {
@@ -202,11 +206,6 @@ impl PermanenceBackend for DiskBackend {
 
     fn contains(&self, object: ObjectId) -> bool {
         self.store.contains(object)
-    }
-
-    fn recover(&self) {
-        // Recovery runs at open: the store replays the manifest's live
-        // segment suffix then; mid-process there is nothing to replay.
     }
 
     fn max_object(&self) -> Option<ObjectId> {

@@ -12,9 +12,9 @@ use chroma_locks::{ColouredPolicy, LockTable, DEFAULT_LOCK_SHARDS};
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
 use chroma_store::codec::{self, Stored};
 use chroma_store::{
-    GcStats, SnapshotStamps, StampClock, StoreBytes, VersionChains, VisibleVersion, VolatileStore,
+    GcStats, SnapshotStamps, StampClock, StoreBytes, VersionChains, VisibleVersion,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use crate::backend::{LocalBackend, PermanenceBackend};
 use crate::error::ActionError;
@@ -70,7 +70,10 @@ struct Inner {
     default_colour: Colour,
     tree: ActionTree,
     locks: LockTable<ColouredPolicy>,
-    volatile: VolatileStore,
+    /// Working states actions read and write: volatile storage, which
+    /// [`Runtime::crash_and_recover`] wipes. Objects missing here are
+    /// loaded lazily from `stable`.
+    volatile: RwLock<HashMap<ObjectId, StoreBytes>>,
     stable: Arc<dyn PermanenceBackend>,
     undo: UndoLog,
     next_action: AtomicU64,
@@ -250,7 +253,7 @@ impl RuntimeBuilder {
                     ColouredPolicy,
                     self.lock_shards.unwrap_or(DEFAULT_LOCK_SHARDS),
                 ),
-                volatile: VolatileStore::new(),
+                volatile: RwLock::new(HashMap::new()),
                 stable: backend,
                 undo: UndoLog::new(),
                 next_action: AtomicU64::new(1),
@@ -374,7 +377,7 @@ impl Runtime {
     /// Returns `true` if the object exists in volatile or stable storage.
     #[must_use]
     pub fn object_exists(&self, object: ObjectId) -> bool {
-        self.inner.volatile.contains(object) || self.inner.stable.contains(object)
+        self.inner.volatile.read().contains_key(&object) || self.inner.stable.contains(object)
     }
 
     // ------------------------------------------------------------------
@@ -495,12 +498,15 @@ impl Runtime {
                     // aggregate `core.commit_us`.
                     let flush_started = obs.enabled().then(Instant::now);
                     let records = inner.undo.take_colour(action, colour);
-                    let updates: Vec<(ObjectId, StoreBytes)> = records
-                        .iter()
-                        .filter_map(|(object, _)| {
-                            inner.volatile.read(*object).map(|state| (*object, state))
-                        })
-                        .collect();
+                    let updates: Vec<(ObjectId, StoreBytes)> = {
+                        let volatile = inner.volatile.read();
+                        records
+                            .iter()
+                            .filter_map(|(object, _)| {
+                                volatile.get(object).map(|state| (*object, state.clone()))
+                            })
+                            .collect()
+                    };
                     if !updates.is_empty() {
                         // Seed each updated object's version chain with
                         // its before-image *before* the stable install:
@@ -590,10 +596,10 @@ impl Runtime {
         for (object, _colour, image) in inner.undo.take_all(action) {
             match image {
                 Some(state) => {
-                    inner.volatile.write(object, state);
+                    inner.volatile.write().insert(object, state);
                 }
                 None => {
-                    inner.volatile.remove(object);
+                    inner.volatile.write().remove(&object);
                 }
             }
         }
@@ -751,8 +757,8 @@ impl Runtime {
 
     /// Simulates a node crash followed by recovery: every active action
     /// is killed (its locks vanish with the volatile lock table), the
-    /// volatile store and undo log are wiped, and the stable store runs
-    /// its recovery protocol.
+    /// volatile working states and undo log are wiped, and the
+    /// permanence backend runs its [`recover`](PermanenceBackend::recover).
     ///
     /// Effects already committed by outermost coloured actions survive;
     /// everything else is gone — exactly the paper's failure model.
@@ -795,7 +801,7 @@ impl Runtime {
             }
         }
         inner.undo.clear();
-        inner.volatile.crash();
+        inner.volatile.write().clear();
         // Version chains are volatile too; recovery rebuilds bases
         // lazily from stable storage. The stamp clock itself survives
         // (stamps are never reused, the published frontier only
@@ -1106,7 +1112,7 @@ impl Runtime {
             object,
             colour,
         });
-        self.inner.volatile.write(object, state);
+        self.inner.volatile.write().insert(object, state);
     }
 
     fn acquire(
@@ -1153,11 +1159,11 @@ impl Runtime {
     }
 
     pub(crate) fn current_state(&self, object: ObjectId) -> Option<StoreBytes> {
-        if let Some(state) = self.inner.volatile.read(object) {
-            return Some(state);
+        if let Some(state) = self.inner.volatile.read().get(&object) {
+            return Some(state.clone());
         }
         let state = self.inner.stable.read(object)?;
-        self.inner.volatile.write(object, state.clone());
+        self.inner.volatile.write().insert(object, state.clone());
         Some(state)
     }
 

@@ -38,6 +38,31 @@ fn nested_workload_trace_audits_clean() {
     }
     rt.abort(id);
 
+    // One outermost commit of n objects reaches the local backend as one
+    // batch: exactly `wal_append { records: n + 1 }` (n intents plus the
+    // commit record), then `wal_flush { objects: n }`.
+    let objects: Vec<_> = (0..3i64).map(|v| rt.create_object(&v).unwrap()).collect();
+    let before = sink.events().len();
+    rt.atomic(|a| {
+        for &object in &objects {
+            a.modify(object, |v: &mut i64| *v += 1)?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    let wal: Vec<EventKind> = sink.events()[before..]
+        .iter()
+        .map(|e| e.kind)
+        .filter(|k| matches!(k, EventKind::WalAppend { .. } | EventKind::WalFlush { .. }))
+        .collect();
+    assert_eq!(
+        wal,
+        [
+            EventKind::WalAppend { records: 4 },
+            EventKind::WalFlush { objects: 3 },
+        ]
+    );
+
     assert_eq!(sink.dropped(), 0);
     let report = TraceAuditor::audit_events(&sink.events());
     assert!(report.is_clean(), "{report}");

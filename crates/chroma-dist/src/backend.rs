@@ -255,10 +255,6 @@ impl PermanenceBackend for PartitionedStore {
         Some(state)
     }
 
-    fn contains(&self, object: ObjectId) -> bool {
-        self.read(object).is_some()
-    }
-
     fn recover(&self) {
         let mut inner = self.inner.lock();
         let down: Vec<NodeId> = inner

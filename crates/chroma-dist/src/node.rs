@@ -5,7 +5,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use chroma_base::{NodeId, ObjectId};
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
-use chroma_store::{codec, DurableLog, StableStore, StoreBytes};
+use chroma_store::{codec, StableStore, StoreBytes};
 
 use crate::msg::{Effect, Message, TimerTag, TxnId, Write};
 
@@ -63,13 +63,6 @@ struct CoordState {
     begin_at_us: u64,
 }
 
-/// Volatile participant state.
-#[derive(Clone, Debug)]
-struct PartState {
-    coordinator: NodeId,
-    done: bool,
-}
-
 chroma_store::stored! {
     /// An operation of the built-in RPC key-value service (used to exercise
     /// the at-most-once machinery).
@@ -110,7 +103,7 @@ struct RpcCall {
 ///
 /// Everything in the *stable* section survives [`Node::crash`];
 /// everything volatile is lost, and [`Node::recover`] rebuilds
-/// obligations from the durable logs — re-sending decisions for
+/// obligations from the 2PC log — re-sending decisions for
 /// committed-but-unacknowledged transactions and querying coordinators
 /// for prepared-but-undecided ones.
 #[derive(Debug)]
@@ -119,9 +112,11 @@ pub struct Node {
     /// `false` while crashed: the simulation drops deliveries.
     pub up: bool,
     // ---- stable ----
-    /// Installed object states (intentions-list commit inside).
+    /// Installed object states; a batch installs atomically.
     pub store: StableStore,
-    tpc_log: DurableLog<TpcRecord>,
+    /// The 2PC log, in append order. Handlers append through
+    /// `Node::log`; [`Node::crash`] never clears it.
+    tpc_log: Vec<TpcRecord>,
     // ---- durability barrier bookkeeping (process deployments) ----
     /// `tpc_log` records [`Node::persist_durable`] already wrote.
     persisted_records: usize,
@@ -129,7 +124,6 @@ pub struct Node {
     dirty: BTreeSet<ObjectId>,
     // ---- volatile ----
     coord: HashMap<TxnId, CoordState>,
-    part: HashMap<TxnId, PartState>,
     /// Transactions this node will refuse to prepare (fault injection).
     pub veto: HashSet<TxnId>,
     rpc_seen: HashMap<(NodeId, u64), StoreBytes>,
@@ -155,11 +149,10 @@ impl Node {
             id,
             up: true,
             store: StableStore::new(),
-            tpc_log: DurableLog::new(),
+            tpc_log: Vec::new(),
             persisted_records: 0,
             dirty: BTreeSet::new(),
             coord: HashMap::new(),
-            part: HashMap::new(),
             veto: HashSet::new(),
             rpc_seen: HashMap::new(),
             rpc_calls: HashMap::new(),
@@ -205,16 +198,7 @@ impl Node {
             }
         }
         // Fall back to the durable log (post-crash).
-        let committed = self
-            .tpc_log
-            .entries()
-            .iter()
-            .any(|r| matches!(r, TpcRecord::CoordCommit { txn: t, .. } if *t == txn));
-        if committed {
-            Some(true)
-        } else {
-            None
-        }
+        self.coord_committed(txn).then_some(true)
     }
 
     /// Returns `true` while this node, as coordinator, still holds
@@ -226,47 +210,59 @@ impl Node {
         self.coord.contains_key(&txn)
     }
 
-    /// Returns `true` if this node, as a participant, installed `txn`'s
-    /// writes.
+    /// Returns `true` once this node, as a participant, prepared `txn`
+    /// and then processed its decision — commit or abort alike.
     #[must_use]
-    pub fn installed(&self, txn: TxnId) -> bool {
-        let mut prepared = false;
-        let mut done = false;
-        for record in self.tpc_log.entries() {
-            match record {
-                TpcRecord::Prepared { txn: t, .. } if t == txn => prepared = true,
-                TpcRecord::ParticipantDone { txn: t } if t == txn => done = true,
-                _ => {}
-            }
-        }
-        // `Prepared` + `Done` means the decision was processed; whether
-        // it installed depends on the decision — check the store via
-        // the writes. Simplest reliable signal: done with commit means
-        // the store contains the written states; tests check the store
-        // directly. Here we report "obligation resolved".
-        prepared && done
+    pub fn resolved(&self, txn: TxnId) -> bool {
+        matches!(self.participant_log(txn), (Some(_), true))
     }
 
     /// Returns `true` if the participant has a prepared-but-unresolved
     /// obligation for `txn`.
     #[must_use]
     pub fn in_doubt(&self, txn: TxnId) -> bool {
-        let mut prepared = false;
-        let mut done = false;
-        for record in self.tpc_log.entries() {
-            match record {
-                TpcRecord::Prepared { txn: t, .. } if t == txn => prepared = true,
-                TpcRecord::ParticipantDone { txn: t } if t == txn => done = true,
-                _ => {}
-            }
-        }
-        prepared && !done
+        matches!(self.participant_log(txn), (Some(_), false))
     }
 
     /// A snapshot of the node's durable 2PC log, in append order.
     #[must_use]
     pub fn tpc_records(&self) -> Vec<TpcRecord> {
-        self.tpc_log.entries()
+        self.tpc_log.clone()
+    }
+
+    /// Appends `record` to the 2PC log. A simulated crash never loses
+    /// it; a process host forces it with [`Node::persist_durable`].
+    fn log(&mut self, record: TpcRecord) {
+        self.tpc_log.push(record);
+        self.obs().emit(EventKind::WalAppend { records: 1 });
+    }
+
+    /// This node's participant records of `txn`: the coordinator and
+    /// writes of its `Prepared` record, if it prepared, and whether it
+    /// logged `ParticipantDone`.
+    fn participant_log(&self, txn: TxnId) -> (Option<(NodeId, &[Write])>, bool) {
+        let mut prepared = None;
+        let mut done = false;
+        for record in &self.tpc_log {
+            match record {
+                TpcRecord::Prepared {
+                    txn: t,
+                    coordinator,
+                    writes,
+                } if *t == txn => prepared = Some((*coordinator, writes.as_slice())),
+                TpcRecord::ParticipantDone { txn: t } if *t == txn => done = true,
+                _ => {}
+            }
+        }
+        (prepared, done)
+    }
+
+    /// Returns `true` if this node, as coordinator, logged the commit
+    /// of `txn`.
+    fn coord_committed(&self, txn: TxnId) -> bool {
+        self.tpc_log
+            .iter()
+            .any(|r| matches!(r, TpcRecord::CoordCommit { txn: t, .. } if *t == txn))
     }
 
     // ------------------------------------------------------------------
@@ -325,13 +321,6 @@ impl Node {
         state.decided = Some(commit);
         let participants = state.participants.len() as u64;
         let begun = state.begin_at_us;
-        if commit {
-            // The commit point: durable before any Decision leaves.
-            self.tpc_log.append(TpcRecord::CoordCommit {
-                txn,
-                participants: state.participants.clone(),
-            });
-        }
         let mut effects: Vec<Effect> = state
             .participants
             .iter()
@@ -344,6 +333,11 @@ impl Node {
             delay: RETRY_INTERVAL,
             tag: TimerTag::DecisionRetry(txn),
         });
+        if commit {
+            // The commit point: durable before any Decision leaves.
+            let participants = state.participants.clone();
+            self.log(TpcRecord::CoordCommit { txn, participants });
+        }
         self.obs().emit(EventKind::TpcDecide {
             node: self.id,
             txn: txn.0,
@@ -383,7 +377,7 @@ impl Node {
         if finished {
             let state = self.coord.remove(&txn).expect("state present");
             if state.decided == Some(true) {
-                self.tpc_log.append(TpcRecord::CoordEnd { txn });
+                self.log(TpcRecord::CoordEnd { txn });
             }
         }
         Vec::new()
@@ -404,16 +398,11 @@ impl Node {
                 }
             }
         }
-        let committed = self
-            .tpc_log
-            .entries()
-            .iter()
-            .any(|r| matches!(r, TpcRecord::CoordCommit { txn: t, .. } if *t == txn));
         vec![Effect::Send {
             to: from,
             msg: Message::Decision {
                 txn,
-                commit: committed,
+                commit: self.coord_committed(txn),
             },
         }]
     }
@@ -425,19 +414,11 @@ impl Node {
     fn on_prepare(&mut self, txn: TxnId, writes: Vec<Write>, coordinator: NodeId) -> Vec<Effect> {
         // Deduplicate: already done → ignore; already prepared →
         // re-vote.
-        let mut prepared = false;
-        let mut done = false;
-        for record in self.tpc_log.entries() {
-            match record {
-                TpcRecord::Prepared { txn: t, .. } if t == txn => prepared = true,
-                TpcRecord::ParticipantDone { txn: t } if t == txn => done = true,
-                _ => {}
-            }
-        }
+        let (prepared, done) = self.participant_log(txn);
         if done {
             return Vec::new();
         }
-        if prepared {
+        if prepared.is_some() {
             self.obs().emit(EventKind::TpcVote {
                 node: self.id,
                 txn: txn.0,
@@ -459,7 +440,7 @@ impl Node {
                 msg: Message::VoteNo { txn },
             }];
         }
-        self.tpc_log.append(TpcRecord::Prepared {
+        self.log(TpcRecord::Prepared {
             txn,
             coordinator,
             writes,
@@ -473,13 +454,6 @@ impl Node {
             txn: txn.0,
             yes: true,
         });
-        self.part.insert(
-            txn,
-            PartState {
-                coordinator,
-                done: false,
-            },
-        );
         vec![
             Effect::Send {
                 to: coordinator,
@@ -493,17 +467,8 @@ impl Node {
     }
 
     fn on_decision(&mut self, from: NodeId, txn: TxnId, commit: bool) -> Vec<Effect> {
-        let mut prepared_writes: Option<Vec<Write>> = None;
-        let mut done = false;
-        for record in self.tpc_log.entries() {
-            match record {
-                TpcRecord::Prepared { txn: t, writes, .. } if t == txn => {
-                    prepared_writes = Some(writes)
-                }
-                TpcRecord::ParticipantDone { txn: t } if t == txn => done = true,
-                _ => {}
-            }
-        }
+        let (prepared, done) = self.participant_log(txn);
+        let prepared_writes = prepared.map(|(_, writes)| writes.to_vec());
         if !done {
             self.obs().emit(EventKind::TpcResolve {
                 node: self.id,
@@ -543,10 +508,7 @@ impl Node {
                     }
                 }
             }
-            if let Some(state) = self.part.get_mut(&txn) {
-                state.done = true;
-            }
-            self.tpc_log.append(TpcRecord::ParticipantDone { txn });
+            self.log(TpcRecord::ParticipantDone { txn });
         }
         vec![Effect::Send {
             to: from,
@@ -745,7 +707,7 @@ impl Node {
     // Event entry points (called by the simulation)
     // ------------------------------------------------------------------
 
-    /// Handles a delivered message. Crashed nodes never get here.
+    /// Handles a delivered message. A node that is down never gets here.
     pub fn handle_message(&mut self, from: NodeId, msg: Message) -> Vec<Effect> {
         match msg {
             Message::Prepare {
@@ -776,7 +738,7 @@ impl Node {
         }
     }
 
-    /// Handles a timer firing. Crashed nodes never get here.
+    /// Handles a timer firing. A node that is down never gets here.
     pub fn handle_timer(&mut self, tag: TimerTag) -> Vec<Effect> {
         match tag {
             TimerTag::CoordinatorRetry(txn) => {
@@ -842,20 +804,8 @@ impl Node {
                 effects
             }
             TimerTag::QueryDecision(txn) => {
-                if !self.in_doubt(txn) {
-                    return Vec::new();
-                }
-                let coordinator = self.part.get(&txn).map(|p| p.coordinator).or_else(|| {
-                    self.tpc_log.entries().iter().find_map(|r| match r {
-                        TpcRecord::Prepared {
-                            txn: t,
-                            coordinator,
-                            ..
-                        } if *t == txn => Some(*coordinator),
-                        _ => None,
-                    })
-                });
-                let Some(coordinator) = coordinator else {
+                // Still in doubt: ask the coordinator the record names.
+                let (Some((coordinator, _)), false) = self.participant_log(txn) else {
                     return Vec::new();
                 };
                 vec![
@@ -898,7 +848,6 @@ impl Node {
     pub fn crash(&mut self) {
         self.up = false;
         self.coord.clear();
-        self.part.clear();
         self.rpc_seen.clear();
         self.rpc_calls.clear();
         self.pull_pending.clear();
@@ -913,17 +862,16 @@ impl Node {
         self.stale.extend(replicated);
     }
 
-    /// Recovers the node: replays the stable store, rebuilds protocol
-    /// obligations from the durable log, pulls replica state from
-    /// peers. Returns the effects to schedule.
+    /// Recovers the node: rebuilds protocol obligations from the
+    /// durable log and pulls replica state from peers. Returns the
+    /// effects to schedule.
     pub fn recover(&mut self) -> Vec<Effect> {
         self.up = true;
-        self.store.recover();
         let mut effects = Vec::new();
 
         // Coordinator obligations: committed but not ended → push the
         // decision again.
-        let records = self.tpc_log.entries();
+        let records = &self.tpc_log;
         let ended: HashSet<TxnId> = records
             .iter()
             .filter_map(|r| match r {
@@ -931,7 +879,7 @@ impl Node {
                 _ => None,
             })
             .collect();
-        for record in &records {
+        for record in records {
             if let TpcRecord::CoordCommit { txn, participants } = record {
                 if !ended.contains(txn) {
                     self.coord.insert(
@@ -972,19 +920,12 @@ impl Node {
                 _ => None,
             })
             .collect();
-        for record in &records {
+        for record in records {
             if let TpcRecord::Prepared {
                 txn, coordinator, ..
             } = record
             {
                 if !done.contains(txn) {
-                    self.part.insert(
-                        *txn,
-                        PartState {
-                            coordinator: *coordinator,
-                            done: false,
-                        },
-                    );
                     effects.push(Effect::Send {
                         to: *coordinator,
                         msg: Message::DecisionQuery { txn: *txn },
@@ -1050,7 +991,7 @@ impl Node {
         disk: &chroma_store::DiskStore,
     ) -> Result<(), chroma_store::DiskError> {
         let first = self.persisted_records;
-        let records = self.tpc_log.entries_from(first);
+        let records = &self.tpc_log[first..];
         let lazy_only = records
             .iter()
             .all(|r| matches!(r, TpcRecord::CoordEnd { .. }));
@@ -1064,14 +1005,14 @@ impl Node {
                 updates.push((object, state));
             }
         }
-        for (index, record) in (first..).zip(&records) {
+        for (index, record) in (first..).zip(records) {
             updates.push((
                 tpc_record_object(index),
                 StoreBytes::from(crate::wire::encode_records(std::slice::from_ref(record))),
             ));
         }
         disk.commit_batch(updates)?;
-        self.persisted_records = first + records.len();
+        self.persisted_records = self.tpc_log.len();
         self.dirty.clear();
         Ok(())
     }
@@ -1126,7 +1067,7 @@ impl Node {
                     "tpc log record {index}: want exactly one record"
                 )));
             };
-            self.tpc_log.append(record);
+            self.tpc_log.push(record);
         }
         self.persisted_records = self.tpc_log.len();
         if !updates.is_empty() {
@@ -1153,15 +1094,14 @@ const MIRROR_FLOOR: u64 = 1_000;
 
 impl Observable for Node {
     /// Installs an observability handle, forwarding it to the stable
-    /// store and the commit log so WAL events flow through too.
+    /// store so its WAL events flow through too.
     ///
     /// The handle is rebound to this node's identity first, so every
-    /// event the node (or its store/log) emits carries a `node` field
+    /// event the node (or its store) emits carries a `node` field
     /// and ticks this node's Lamport clock.
     fn install_obs(&self, obs: Obs) {
         let obs = obs.at_node(self.id);
         self.store.install_obs(obs.clone());
-        self.tpc_log.install_obs(obs.clone());
         self.obs.set(obs);
     }
 }

@@ -1,8 +1,11 @@
 //! Edge cases of the distributed protocols: duplicate messages, vetoes,
 //! stale queries, RPC retransmission limits, network statistics.
 
+use std::sync::Arc;
+
 use chroma_base::{NodeId, ObjectId};
-use chroma_dist::{Message, RpcOp, RpcResult, Sim, TxnId, Write, RETRY_INTERVAL};
+use chroma_dist::{Message, Node, RpcOp, RpcResult, Sim, TxnId, Write, RETRY_INTERVAL};
+use chroma_obs::{EventBus, EventKind, MemorySink, Obs};
 use chroma_store::StoreBytes;
 
 fn w(object: u64, value: u8) -> Write {
@@ -45,8 +48,60 @@ fn veto_from_one_participant_aborts_all() {
     assert!(!sim.node(p1).in_doubt(txn));
     assert!(sim.node(p1).store.read(ObjectId::from_raw(1)).is_none());
     assert!(sim.node(p2).store.read(ObjectId::from_raw(2)).is_none());
-    // installed() reports obligation state, not commitment.
-    assert!(sim.node(p1).installed(txn));
+    // resolved() reports obligation state, not commitment.
+    assert!(sim.node(p1).resolved(txn));
+}
+
+#[test]
+fn participant_log_and_store_events_are_pinned() {
+    // Drive one participant by hand and pin its WAL events: a prepare
+    // forces one 2PC record; a commit decision installs the writes as
+    // one store batch (n intents + commit record, then the flush), then
+    // forces `ParticipantDone`. Every event carries the node's id.
+    let bus = Arc::new(EventBus::new());
+    let sink = Arc::new(MemorySink::new(1_000));
+    bus.add_sink(sink.clone());
+    let (coord, p) = (NodeId::from_raw(1), NodeId::from_raw(2));
+    let mut node = Node::builder()
+        .id(p)
+        .obs(Obs::new(bus))
+        .build()
+        .expect("no backend to restore from");
+    let wal_events = |from: usize| -> Vec<(Option<NodeId>, EventKind)> {
+        sink.events()[from..]
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::WalAppend { .. } | EventKind::WalFlush { .. }
+                )
+            })
+            .map(|e| (e.node, e.kind))
+            .collect()
+    };
+    let txn = TxnId(5);
+    node.handle_message(
+        coord,
+        Message::Prepare {
+            txn,
+            writes: vec![w(1, 1), w(2, 2)],
+            coordinator: coord,
+        },
+    );
+    assert_eq!(
+        wal_events(0),
+        [(Some(p), EventKind::WalAppend { records: 1 })]
+    );
+    let mark = sink.events().len();
+    node.handle_message(coord, Message::Decision { txn, commit: true });
+    assert_eq!(
+        wal_events(mark),
+        [
+            (Some(p), EventKind::WalAppend { records: 3 }),
+            (Some(p), EventKind::WalFlush { objects: 2 }),
+            (Some(p), EventKind::WalAppend { records: 1 }),
+        ]
+    );
 }
 
 #[test]

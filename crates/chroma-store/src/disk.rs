@@ -1,9 +1,10 @@
-//! A disk-backed stable store: the same intentions-list protocol as
-//! [`StableStore`](crate::StableStore), persisted to a real directory
-//! as a **segmented intentions log** under a tiny manifest.
+//! A disk-backed stable store: the intentions-list protocol persisted
+//! to a real directory as a **segmented intentions log** under a tiny
+//! manifest.
 //!
-//! The in-memory [`StableStore`] *models* stable storage for simulation
-//! and fault-injection; `DiskStore` *is* stable storage: updates go
+//! The in-memory [`StableStore`](crate::StableStore) *models* stable
+//! storage for simulated nodes, whose crashes never touch it;
+//! `DiskStore` *is* stable storage: updates go
 //! through a write-ahead intentions log that is fsynced before the
 //! commit marker, and [`DiskStore::open`] replays the log — completing
 //! committed batches and discarding uncommitted ones — so a process
@@ -148,11 +149,9 @@ impl std::error::Error for DiskError {
     }
 }
 
-/// Where [`DiskStore::commit_batch_with_crash`] abandons the commit,
-/// mirroring [`CommitCrashPoint`](crate::CommitCrashPoint) on the
-/// in-memory model store. The store is left on disk exactly as a
-/// process crash at that point would leave it; re-`open`ing runs
-/// recovery.
+/// Where [`DiskStore::commit_batch_with_crash`] abandons the commit.
+/// The store is left on disk exactly as a process crash at that point
+/// would leave it; re-`open`ing runs recovery.
 ///
 /// Because committers share group flushes, an injected crash fails the
 /// *whole* group (every batch sharing the flush gets

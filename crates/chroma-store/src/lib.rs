@@ -1,26 +1,20 @@
-//! Object stores for chroma: volatile working state, stable
-//! (crash-surviving) state, and the intentions-list commit that moves
-//! updates from the former to the latter atomically.
+//! Object stores for chroma: the stable (crash-surviving) states of
+//! committed objects, in memory or on disk.
 //!
 //! The paper's system model (§2) gives each node volatile storage, lost
 //! on a crash, and optionally *stable storage*, which survives crashes;
 //! the permanence-of-effect property requires that the new states of all
 //! objects updated by a committing top-level (outermost-coloured) action
-//! reach stable storage atomically. This crate models that storage
-//! hierarchy explicitly:
+//! reach stable storage atomically. Volatile working states live in the
+//! runtime itself; this crate provides the stable half:
 //!
-//! * [`VolatileStore`] — the in-memory working states actions read and
-//!   write; [`VolatileStore::crash`] wipes it, as a node crash would;
-//! * [`StableStore`] — installed object states plus an intentions log;
-//!   batches of updates commit via the classic intentions-list protocol
-//!   (log intents → log commit record → install → truncate), and
-//!   [`StableStore::recover`] replays or discards partial batches
-//!   idempotently;
-//! * [`DiskStore`] — the same intentions-list protocol persisted to a
-//!   real directory (write-ahead log + per-object files), for
-//!   deployments wanting true on-disk durability;
-//! * [`DurableLog`] — a generic append-only crash-surviving log used by
-//!   the distributed commit protocol for prepare/decision records;
+//! * [`StableStore`] — an in-memory atomic map for simulated nodes: a
+//!   simulated crash never touches it, and a batch of updates installs
+//!   under one write lock;
+//! * [`DiskStore`] — stable storage on a real directory: the
+//!   intentions-list protocol (log intents → log commit record →
+//!   install) over a segmented write-ahead log, recovered at open, with
+//!   controllable crash points ([`DiskCrashPoint`]) for fault injection;
 //! * [`VersionChains`] + [`StampClock`] — short per-object version
 //!   chains and the published per-colour commit frontier that let
 //!   declared read-only actions take consistent snapshots without
@@ -49,14 +43,10 @@ mod crc32;
 mod disk;
 mod stable;
 mod versions;
-mod volatile;
-mod wal;
 
 pub use disk::{DiskCrashPoint, DiskError, DiskStore, DiskStoreOptions, ReplayStats};
-pub use stable::{BatchId, CommitCrashPoint, Crashed, LogRecord, StableStore};
+pub use stable::StableStore;
 pub use versions::{GcStats, SnapshotStamps, StampClock, VersionChains, VisibleVersion};
-pub use volatile::VolatileStore;
-pub use wal::DurableLog;
 
 /// The byte-buffer type object states are stored as (cheaply clonable).
 pub type StoreBytes = bytes::Bytes;

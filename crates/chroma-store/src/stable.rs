@@ -1,137 +1,35 @@
-//! The stable (crash-surviving) half of a node's storage, with
-//! intentions-list commit.
+//! The stable (crash-surviving) half of a simulated node's storage.
 //!
-//! The store keeps two crash-surviving structures: the *pages* (installed
-//! object states) and the *intentions log*. A batch of updates commits
-//! in the classic sequence:
-//!
-//! 1. append an intent record per object (new state);
-//! 2. append a single commit record — **this is the atomic commit
-//!    point**;
-//! 3. install the intents into the pages;
-//! 4. append an installed record, allowing the log to be truncated.
-//!
-//! A crash between (2) and (4) leaves a committed-but-uninstalled batch
-//! in the log; [`StableStore::recover`] re-installs it (idempotently). A
-//! crash before (2) leaves orphan intents, which recovery discards.
-//! Fault-injection tests drive
-//! [`StableStore::commit_batch_with_crash`] to stop at every possible
-//! point and assert the all-or-nothing outcome.
+//! A simulated crash never touches this map, so everything committed
+//! to it survives; what the paper asks of stable storage beyond that is
+//! that a batch of updates lands atomically, which one write lock
+//! gives. The intentions-list protocol that provides the same
+//! guarantee against real crashes runs in [`DiskStore`](crate::DiskStore).
 
-use std::collections::{HashMap, HashSet};
-use std::fmt;
+use std::collections::HashMap;
 
 use chroma_base::ObjectId;
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 
 use crate::StoreBytes;
 
-/// Identifier of one committed (or attempted) batch of updates.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct BatchId(u64);
-
-impl BatchId {
-    /// Returns the raw value (for logging and tests).
-    #[must_use]
-    pub const fn as_raw(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for BatchId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "B{}", self.0)
-    }
-}
-
-/// A record in the intentions log.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LogRecord {
-    /// The new state intended for `object` under `batch`.
-    Intent {
-        /// The batch this intent belongs to.
-        batch: BatchId,
-        /// The object to be updated.
-        object: ObjectId,
-        /// The state to install.
-        state: StoreBytes,
-    },
-    /// `batch` is committed: its intents must be installed.
-    Commit {
-        /// The committed batch.
-        batch: BatchId,
-    },
-    /// `batch` has been fully installed; its records may be truncated.
-    Installed {
-        /// The installed batch.
-        batch: BatchId,
-    },
-}
-
-/// Where to crash inside [`StableStore::commit_batch_with_crash`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CommitCrashPoint {
-    /// Crash before anything is logged: the batch vanishes entirely.
-    BeforeIntents,
-    /// Crash after some (here: all) intents are logged but before the
-    /// commit record: recovery must discard the batch.
-    AfterIntents,
-    /// Crash after the commit record but before installation: recovery
-    /// must install the batch.
-    AfterCommitRecord,
-    /// Crash after installation but before the installed record:
-    /// recovery must re-install (idempotently).
-    AfterInstall,
-}
-
-/// Error returned by the crash-injecting commit: the simulated node died.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Crashed;
-
-impl fmt::Display for Crashed {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("simulated crash during commit")
-    }
-}
-
-impl std::error::Error for Crashed {}
-
-#[derive(Debug, Default)]
-struct StableInner {
-    pages: HashMap<ObjectId, StoreBytes>,
-    log: Vec<LogRecord>,
-    next_batch: u64,
-}
-
-/// A crash-surviving object store with intentions-list commit.
-///
-/// Everything inside survives
-/// [`VolatileStore::crash`](crate::VolatileStore::crash) by construction — a crash simply never
-/// touches this structure; what crashes *interrupt* is the multi-step
-/// commit, which is what the log protects.
+/// A crash-surviving object store: an atomic map of installed states.
 ///
 /// # Examples
 ///
 /// ```
 /// use chroma_base::ObjectId;
-/// use chroma_store::{CommitCrashPoint, StableStore, StoreBytes};
+/// use chroma_store::{StableStore, StoreBytes};
 ///
 /// let store = StableStore::new();
 /// let o = ObjectId::from_raw(1);
-///
-/// // A crash after the commit record: recovery completes the batch.
-/// let _ = store.commit_batch_with_crash(
-///     vec![(o, StoreBytes::from(vec![7]))],
-///     CommitCrashPoint::AfterCommitRecord,
-/// );
-/// assert!(store.read(o).is_none()); // not installed yet
-/// store.recover();
+/// store.commit_batch(vec![(o, StoreBytes::from(vec![7]))]);
 /// assert_eq!(store.read(o).as_deref(), Some(&[7u8][..]));
 /// ```
 #[derive(Debug, Default)]
 pub struct StableStore {
-    inner: Mutex<StableInner>,
+    pages: RwLock<HashMap<ObjectId, StoreBytes>>,
     obs: ObsCell,
 }
 
@@ -145,184 +43,32 @@ impl StableStore {
     /// Returns the installed state of `object`, if any.
     #[must_use]
     pub fn read(&self, object: ObjectId) -> Option<StoreBytes> {
-        self.inner.lock().pages.get(&object).cloned()
+        self.pages.read().get(&object).cloned()
     }
 
     /// Returns `true` if `object` has an installed state.
     #[must_use]
     pub fn contains(&self, object: ObjectId) -> bool {
-        self.inner.lock().pages.contains_key(&object)
+        self.pages.read().contains_key(&object)
     }
 
     /// Returns the identifiers of all installed objects, unordered.
     #[must_use]
     pub fn object_ids(&self) -> Vec<ObjectId> {
-        self.inner.lock().pages.keys().copied().collect()
+        self.pages.read().keys().copied().collect()
     }
 
-    /// Returns the number of installed objects.
-    #[must_use]
-    pub fn page_count(&self) -> usize {
-        self.inner.lock().pages.len()
-    }
-
-    /// Returns the number of records currently in the intentions log.
-    #[must_use]
-    pub fn log_len(&self) -> usize {
-        self.inner.lock().log.len()
-    }
-
-    /// Commits a batch of updates atomically and returns its id.
-    ///
-    /// Runs the full intentions-list sequence; on return all updates are
-    /// installed and the log is truncated.
-    pub fn commit_batch(&self, updates: Vec<(ObjectId, StoreBytes)>) -> BatchId {
-        self.commit_batch_with_crash(updates, None)
-            .expect("no crash point given")
-    }
-
-    /// Commits a batch, optionally crashing at `crash_at`.
-    ///
-    /// With `crash_at: None` this is [`StableStore::commit_batch`]. With
-    /// a crash point the sequence stops there, the store is left exactly
-    /// as a real crash would leave it, and `Err(Crashed)` is returned;
-    /// call [`StableStore::recover`] to model the node coming back up.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Crashed`] iff a crash point was injected.
-    pub fn commit_batch_with_crash(
-        &self,
-        updates: Vec<(ObjectId, StoreBytes)>,
-        crash_at: impl Into<Option<CommitCrashPoint>>,
-    ) -> Result<BatchId, Crashed> {
-        let crash_at = crash_at.into();
-        let mut inner = self.inner.lock();
-        let batch = BatchId(inner.next_batch);
-        inner.next_batch += 1;
-
-        if crash_at == Some(CommitCrashPoint::BeforeIntents) {
-            return Err(Crashed);
-        }
-        for (object, state) in &updates {
-            inner.log.push(LogRecord::Intent {
-                batch,
-                object: *object,
-                state: state.clone(),
-            });
-        }
-        if crash_at == Some(CommitCrashPoint::AfterIntents) {
-            return Err(Crashed);
-        }
-        inner.log.push(LogRecord::Commit { batch });
-        // intents + the commit record are now durably logged
+    /// Installs a batch of updates atomically: no reader sees part of
+    /// it. Emits `WalAppend` (one record per update plus the commit
+    /// record), then `WalFlush`, as the on-disk commit does.
+    pub fn commit_batch(&self, updates: Vec<(ObjectId, StoreBytes)>) {
+        let objects = updates.len() as u64;
+        let mut pages = self.pages.write();
         self.obs.get().emit(EventKind::WalAppend {
-            records: updates.len() as u64 + 1,
+            records: objects + 1,
         });
-        if crash_at == Some(CommitCrashPoint::AfterCommitRecord) {
-            return Err(Crashed);
-        }
-        let installed = updates.len() as u64;
-        for (object, state) in updates {
-            inner.pages.insert(object, state);
-        }
-        if crash_at == Some(CommitCrashPoint::AfterInstall) {
-            return Err(Crashed);
-        }
-        inner.log.push(LogRecord::Installed { batch });
-        Self::truncate(&mut inner);
-        self.obs
-            .get()
-            .emit(EventKind::WalFlush { objects: installed });
-        Ok(batch)
-    }
-
-    /// Recovers after a crash: installs committed-but-uninstalled
-    /// batches, discards uncommitted intents, truncates the log.
-    ///
-    /// Idempotent — calling it any number of times (including with no
-    /// crash at all) leaves the same state.
-    pub fn recover(&self) {
-        let mut inner = self.inner.lock();
-        let committed: HashSet<BatchId> = inner
-            .log
-            .iter()
-            .filter_map(|r| match r {
-                LogRecord::Commit { batch } => Some(*batch),
-                _ => None,
-            })
-            .collect();
-        let installed: HashSet<BatchId> = inner
-            .log
-            .iter()
-            .filter_map(|r| match r {
-                LogRecord::Installed { batch } => Some(*batch),
-                _ => None,
-            })
-            .collect();
-        let to_install: Vec<(BatchId, ObjectId, StoreBytes)> = inner
-            .log
-            .iter()
-            .filter_map(|r| match r {
-                LogRecord::Intent {
-                    batch,
-                    object,
-                    state,
-                } if committed.contains(batch) && !installed.contains(batch) => {
-                    Some((*batch, *object, state.clone()))
-                }
-                _ => None,
-            })
-            .collect();
-        let reinstalled = to_install.len() as u64;
-        let mut finished: Vec<BatchId> = Vec::new();
-        for (batch, object, state) in to_install {
-            inner.pages.insert(object, state);
-            if !finished.contains(&batch) {
-                finished.push(batch);
-            }
-        }
-        for batch in finished {
-            inner.log.push(LogRecord::Installed { batch });
-        }
-        Self::truncate(&mut inner);
-        if reinstalled > 0 {
-            self.obs.get().emit(EventKind::WalFlush {
-                objects: reinstalled,
-            });
-        }
-    }
-
-    /// Drops all log records belonging to fully installed batches and
-    /// all intents of uncommitted batches (only meaningful at recovery
-    /// or after a complete commit; invoked internally).
-    fn truncate(inner: &mut StableInner) {
-        let committed: HashSet<BatchId> = inner
-            .log
-            .iter()
-            .filter_map(|r| match r {
-                LogRecord::Commit { batch } => Some(*batch),
-                _ => None,
-            })
-            .collect();
-        let installed: HashSet<BatchId> = inner
-            .log
-            .iter()
-            .filter_map(|r| match r {
-                LogRecord::Installed { batch } => Some(*batch),
-                _ => None,
-            })
-            .collect();
-        inner.log.retain(|r| {
-            let batch = match r {
-                LogRecord::Intent { batch, .. }
-                | LogRecord::Commit { batch }
-                | LogRecord::Installed { batch } => *batch,
-            };
-            // Keep only records of batches that are committed but not
-            // yet installed (mid-flight from this store's perspective).
-            committed.contains(&batch) && !installed.contains(&batch)
-        });
+        pages.extend(updates);
+        self.obs.get().emit(EventKind::WalFlush { objects });
     }
 }
 
@@ -351,73 +97,9 @@ mod tests {
         store.commit_batch(vec![(o(1), bytes(1)), (o(2), bytes(2))]);
         assert_eq!(store.read(o(1)).as_deref(), Some(&[1u8][..]));
         assert_eq!(store.read(o(2)).as_deref(), Some(&[2u8][..]));
-        assert_eq!(store.log_len(), 0);
-        assert_eq!(store.page_count(), 2);
-    }
-
-    #[test]
-    fn crash_before_intents_loses_batch() {
-        let store = StableStore::new();
-        let err =
-            store.commit_batch_with_crash(vec![(o(1), bytes(1))], CommitCrashPoint::BeforeIntents);
-        assert_eq!(err, Err(Crashed));
-        store.recover();
-        assert!(store.read(o(1)).is_none());
-        assert_eq!(store.log_len(), 0);
-    }
-
-    #[test]
-    fn crash_after_intents_discards_batch() {
-        let store = StableStore::new();
-        let _ =
-            store.commit_batch_with_crash(vec![(o(1), bytes(1))], CommitCrashPoint::AfterIntents);
-        store.recover();
-        assert!(store.read(o(1)).is_none());
-        assert_eq!(store.log_len(), 0);
-    }
-
-    #[test]
-    fn crash_after_commit_record_installs_on_recovery() {
-        let store = StableStore::new();
-        let _ = store.commit_batch_with_crash(
-            vec![(o(1), bytes(1)), (o(2), bytes(2))],
-            CommitCrashPoint::AfterCommitRecord,
-        );
-        assert!(store.read(o(1)).is_none());
-        store.recover();
-        assert_eq!(store.read(o(1)).as_deref(), Some(&[1u8][..]));
-        assert_eq!(store.read(o(2)).as_deref(), Some(&[2u8][..]));
-        assert_eq!(store.log_len(), 0);
-    }
-
-    #[test]
-    fn crash_after_install_is_idempotent_on_recovery() {
-        let store = StableStore::new();
-        let _ =
-            store.commit_batch_with_crash(vec![(o(1), bytes(9))], CommitCrashPoint::AfterInstall);
-        assert_eq!(store.read(o(1)).as_deref(), Some(&[9u8][..]));
-        store.recover();
-        store.recover();
-        assert_eq!(store.read(o(1)).as_deref(), Some(&[9u8][..]));
-        assert_eq!(store.log_len(), 0);
-    }
-
-    #[test]
-    fn recovery_with_mixed_batches() {
-        let store = StableStore::new();
-        // Batch 0: fully committed.
-        store.commit_batch(vec![(o(1), bytes(1))]);
-        // Batch 1: crashed after commit record.
-        let _ = store
-            .commit_batch_with_crash(vec![(o(2), bytes(2))], CommitCrashPoint::AfterCommitRecord);
-        // A second, later store user crashes pre-commit. (New batch id.)
-        let _ =
-            store.commit_batch_with_crash(vec![(o(3), bytes(3))], CommitCrashPoint::AfterIntents);
-        store.recover();
-        assert_eq!(store.read(o(1)).as_deref(), Some(&[1u8][..]));
-        assert_eq!(store.read(o(2)).as_deref(), Some(&[2u8][..]));
-        assert!(store.read(o(3)).is_none());
-        assert_eq!(store.log_len(), 0);
+        let mut ids = store.object_ids();
+        ids.sort();
+        assert_eq!(ids, [o(1), o(2)]);
     }
 
     #[test]
@@ -429,28 +111,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_ids_are_increasing() {
-        let store = StableStore::new();
-        let b1 = store.commit_batch(vec![(o(1), bytes(1))]);
-        let b2 = store.commit_batch(vec![(o(2), bytes(2))]);
-        assert!(b2 > b1);
-        assert_eq!(b1.to_string(), format!("B{}", b1.as_raw()));
-    }
-
-    #[test]
-    fn recovery_on_clean_store_is_a_no_op() {
-        let store = StableStore::new();
-        store.commit_batch(vec![(o(1), bytes(1))]);
-        store.recover();
-        assert_eq!(store.read(o(1)).as_deref(), Some(&[1u8][..]));
-        assert_eq!(store.page_count(), 1);
-    }
-
-    #[test]
     fn empty_batch_commits_cleanly() {
         let store = StableStore::new();
+        let bus = std::sync::Arc::new(chroma_obs::EventBus::new());
+        store.install_obs(Obs::new(bus.clone()));
         store.commit_batch(Vec::new());
-        assert_eq!(store.page_count(), 0);
-        assert_eq!(store.log_len(), 0);
+        assert!(store.object_ids().is_empty());
+        assert_eq!(bus.counter("wal_append"), 1);
+        assert_eq!(bus.counter("wal_flush"), 1);
     }
 }

@@ -1,11 +1,10 @@
-//! Property tests for the storage layer: codec round-trips on random
-//! data and intentions-list recovery under crashes at every point.
+//! Property tests for the storage layer's codec: round-trips on random
+//! data and rejection of truncated encodings.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use chroma_base::ObjectId;
 use chroma_store::codec::{from_bytes, to_bytes};
-use chroma_store::{stored, CommitCrashPoint, StableStore, StoreBytes};
+use chroma_store::stored;
 use proptest::prelude::*;
 
 stored! {
@@ -58,58 +57,5 @@ proptest! {
             let cut = bytes.len() / 2;
             prop_assert!(from_bytes::<Tree>(&bytes[..cut]).is_err());
         }
-    }
-
-    /// Crash a random subset of batches at random points; after
-    /// recovery, exactly the batches that reached their commit record
-    /// are installed — each in full.
-    #[test]
-    fn intentions_recovery_is_all_or_nothing(
-        batches in prop::collection::vec(
-            (
-                prop::collection::vec((0..6u64, any::<u8>()), 1..4),
-                prop_oneof![
-                    Just(None),
-                    Just(Some(CommitCrashPoint::BeforeIntents)),
-                    Just(Some(CommitCrashPoint::AfterIntents)),
-                    Just(Some(CommitCrashPoint::AfterCommitRecord)),
-                    Just(Some(CommitCrashPoint::AfterInstall)),
-                ],
-            ),
-            1..10,
-        )
-    ) {
-        let store = StableStore::new();
-        // Model of what must survive: replay writes of batches that
-        // reached the commit record, in order.
-        let mut model: HashMap<ObjectId, u8> = HashMap::new();
-        for (writes, crash) in &batches {
-            let updates: Vec<(ObjectId, StoreBytes)> = writes
-                .iter()
-                .map(|&(o, v)| (ObjectId::from_raw(o), StoreBytes::from(vec![v])))
-                .collect();
-            let survives = !matches!(
-                crash,
-                Some(CommitCrashPoint::BeforeIntents) | Some(CommitCrashPoint::AfterIntents)
-            );
-            let _ = store.commit_batch_with_crash(updates, *crash);
-            // A crash interrupts everything after it; recovery completes
-            // committed batches. We recover after every batch to model
-            // the node coming back before the next one.
-            store.recover();
-            if survives {
-                for &(o, v) in writes {
-                    model.insert(ObjectId::from_raw(o), v);
-                }
-            }
-        }
-        store.recover(); // idempotent
-        for object in 0..6u64 {
-            let expected = model
-                .get(&ObjectId::from_raw(object))
-                .map(|&v| StoreBytes::from(vec![v]));
-            prop_assert_eq!(store.read(ObjectId::from_raw(object)), expected);
-        }
-        prop_assert_eq!(store.log_len(), 0);
     }
 }

@@ -245,7 +245,7 @@ fn transport_boundary_through_the_facade() {
         Some(true),
         "a healthy loopback commit must succeed"
     );
-    assert!(worker.installed(txn), "the participant must have resolved");
+    assert!(worker.resolved(txn), "the participant must have resolved");
 
     // `NetConfig` is the simulator's failure-model knob — the same
     // replication workload shrugs off a duplicating network.
