@@ -10,8 +10,8 @@
 //! | Meeting scheduler | §4 v, fig. 9 | glued chain with per-round hand-over | [`diary`] |
 //!
 //! Each application is a small but complete program over the public
-//! API; the experiment harness (`chroma-sim`) drives them to
-//! regenerate the corresponding figures.
+//! API; the root `tests/paper_claims.rs` drives them to check the
+//! corresponding figures' claims.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,7 +13,7 @@
 //!
 //! The commit protocol here is what a *distributed* chroma deployment
 //! would run when an outermost coloured action spans object stores on
-//! several nodes; the experiments in `EXPERIMENTS.md` (A3, A4) validate
+//! several nodes; the claims A3 and A4 in `EXPERIMENTS.md` check
 //! its atomicity and the availability gain from replication under
 //! crash/loss schedules.
 

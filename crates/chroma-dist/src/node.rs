@@ -279,18 +279,22 @@ impl Node {
         txn: TxnId,
         writes: HashMap<NodeId, Vec<Write>>,
     ) -> Vec<Effect> {
-        let participants: Vec<NodeId> = writes.keys().copied().collect();
-        let mut effects = Vec::new();
-        for (&to, w) in &writes {
-            effects.push(Effect::Send {
+        // Fan out in node order, not map order: every later send to the
+        // participants (decisions, retries) follows this list, so a
+        // seeded run sends the same messages in the same order.
+        let mut participants: Vec<NodeId> = writes.keys().copied().collect();
+        participants.sort_unstable();
+        let mut effects: Vec<Effect> = participants
+            .iter()
+            .map(|&to| Effect::Send {
                 to,
                 msg: Message::Prepare {
                     txn,
-                    writes: w.clone(),
+                    writes: writes[&to].clone(),
                     coordinator: self.id,
                 },
-            });
-        }
+            })
+            .collect();
         effects.push(Effect::SetTimer {
             delay: RETRY_INTERVAL,
             tag: TimerTag::CoordinatorRetry(txn),

@@ -22,8 +22,6 @@
 //! * [`dist`] — a deterministic simulated distributed system (fail-silent
 //!   nodes, lossy network, RPC, two-phase commit, replication);
 //! * [`apps`] — the paper's five example applications;
-//! * [`sim`] — workload generators and metrics used by the experiment
-//!   harness;
 //! * [`typed`] — typed handles ([`EscrowCounter`], [`KeyedDirectory`])
 //!   that encode an object's commutativity in its API.
 //!
@@ -77,7 +75,6 @@ pub use chroma_core as core;
 pub use chroma_dist as dist;
 pub use chroma_locks as locks;
 pub use chroma_obs as obs;
-pub use chroma_sim as sim;
 pub use chroma_store as store;
 pub use chroma_structures as structures;
 pub use chroma_typed as typed;

@@ -201,7 +201,6 @@ fn facade_reexports_are_complete() {
     let _board = chroma::apps::BulletinBoard::create(&rt).unwrap();
     let mut sim = chroma::dist::Sim::new(1);
     let _node = sim.add_node();
-    let _cfg = chroma::sim::WorkloadConfig::default();
     let _structure = chroma::structures::compiler::Structure::work("w");
 }
 
@@ -236,18 +235,4 @@ fn concurrent_applications_do_not_interfere() {
     let mut seqs: Vec<u64> = posts.iter().map(|p| p.seq).collect();
     seqs.sort_unstable();
     assert_eq!(seqs, (0..40).collect::<Vec<u64>>());
-}
-
-#[test]
-fn workload_runs_through_the_facade() {
-    let rt = Runtime::builder().build();
-    let result = chroma::sim::run_contention(
-        &rt,
-        &chroma::sim::WorkloadConfig {
-            threads: 2,
-            actions_per_thread: 10,
-            ..chroma::sim::WorkloadConfig::default()
-        },
-    );
-    assert_eq!(result.committed, 20);
 }
