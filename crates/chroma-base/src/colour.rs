@@ -346,12 +346,18 @@ impl ColourUniverse {
     /// Released slots report `"<released>"`.
     #[must_use]
     pub fn name(&self, colour: Colour) -> String {
+        self.with_name(colour, str::to_owned)
+    }
+
+    /// Calls `f` with the name [`ColourUniverse::name`] returns, without
+    /// copying it. The universe stays locked while `f` runs.
+    pub fn with_name<R>(&self, colour: Colour, f: impl FnOnce(&str) -> R) -> R {
         let state = self.state.lock();
-        state
+        f(state
             .slots
             .get(colour.index())
-            .and_then(|slot| slot.clone())
-            .unwrap_or_else(|| "<released>".to_owned())
+            .and_then(Option::as_deref)
+            .unwrap_or("<released>"))
     }
 
     /// Returns the number of live colours.

@@ -94,6 +94,9 @@ struct Inner {
     snapshots: Mutex<HashMap<ActionId, Arc<SnapshotStamps>>>,
     /// Stamped outermost flushes since boot; drives automatic GC.
     gc_tick: AtomicU64,
+    /// The per-colour flush histogram `core.commit_us.<name>`, by
+    /// colour name, built at a name's first traced flush.
+    commit_metrics: Mutex<HashMap<String, String>>,
 }
 
 /// The multi-coloured action runtime: persistent objects, coloured
@@ -265,6 +268,7 @@ impl RuntimeBuilder {
                 stamps: StampClock::new(),
                 snapshots: Mutex::new(HashMap::new()),
                 gc_tick: AtomicU64::new(0),
+                commit_metrics: Mutex::new(HashMap::new()),
             }),
         };
         if let Some(obs) = self.obs {
@@ -549,10 +553,15 @@ impl Runtime {
                     }
                     inner.locks.release_colour(action, colour);
                     if let Some(flush_started) = flush_started {
-                        obs.observe(
-                            &format!("core.commit_us.{}", inner.universe.name(colour)),
-                            u64::try_from(flush_started.elapsed().as_micros()).unwrap_or(u64::MAX),
-                        );
+                        let us =
+                            u64::try_from(flush_started.elapsed().as_micros()).unwrap_or(u64::MAX);
+                        inner.universe.with_name(colour, |name| {
+                            let mut metrics = inner.commit_metrics.lock();
+                            if !metrics.contains_key(name) {
+                                metrics.insert(name.to_owned(), format!("core.commit_us.{name}"));
+                            }
+                            obs.observe(&metrics[name], us);
+                        });
                     }
                 }
             }

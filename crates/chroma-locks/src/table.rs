@@ -91,15 +91,18 @@ struct Shard {
     changed: Condvar,
     waits_started: AtomicU64,
     wait_micros: AtomicU64,
+    /// This shard's wait histogram, `locks.wait_us.shard<index>`.
+    wait_metric: String,
 }
 
-impl Default for Shard {
-    fn default() -> Self {
+impl Shard {
+    fn new(index: usize) -> Self {
         Shard {
             state: Mutex::new(ShardState::default()),
             changed: Condvar::new(),
             waits_started: AtomicU64::new(0),
             wait_micros: AtomicU64::new(0),
+            wait_metric: format!("locks.wait_us.shard{index}"),
         }
     }
 }
@@ -228,7 +231,7 @@ impl<P> LockTable<P> {
         let shards = shards.clamp(1, MAX_LOCK_SHARDS).next_power_of_two();
         LockTable {
             policy,
-            shards: (0..shards).map(|_| Shard::default()).collect(),
+            shards: (0..shards).map(Shard::new).collect(),
             shard_bits: shards.trailing_zeros(),
             graph: Mutex::new(WaitForGraph::new()),
             action_index: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
@@ -622,7 +625,7 @@ impl<P: LockPolicy> LockTable<P> {
             shard.wait_micros.fetch_add(waited, Ordering::Relaxed);
             if obs.enabled() {
                 obs.observe("locks.wait_us", waited);
-                obs.observe(&format!("locks.wait_us.shard{shard_idx}"), waited);
+                obs.observe(&shard.wait_metric, waited);
                 obs.observe("locks.shard_contention", shard_idx as u64);
             }
         }

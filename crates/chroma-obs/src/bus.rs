@@ -1,18 +1,28 @@
 //! The event bus, the `Obs` handle instrumented code holds, and the
 //! built-in sinks.
+//!
+//! An emit makes one write that other threads share: the global
+//! sequence stamp, taken only while a watchdog or recorder is attached.
+//! Counters, histograms and the stamped events wait in the emitting
+//! thread's own staging slot. Monitoring reads the slots later, and a
+//! drain steps the staged events through the watchdog and into the
+//! recorders in stamp order. That order is total and consistent with
+//! happens-before, which is all the rules need.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::cell::Cell;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::Write as IoWrite;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
 use chroma_base::NodeId;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::event::{Event, EventKind, KIND_COUNT, KIND_NAMES};
 use crate::metrics::{Histogram, Snapshot};
+use crate::recorder::FlightRecorder;
 use crate::watchdog::Watchdog;
 
 /// Receives every event emitted on a bus, in emission order.
@@ -24,34 +34,66 @@ pub trait EventSink: Send + Sync {
     fn flush(&self) {}
 }
 
+/// Staging slots per bus. A thread stages into slot
+/// `thread index % SLOTS`, so threads share a slot only past this many.
+const SLOTS: usize = 32;
+
+/// The emitting thread tries to drain the bus each time its slot has
+/// staged another this many events (it gives way if another thread is
+/// draining).
+const CHUNK: usize = 64;
+
+static THREADS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's staging slot, before the modulus.
+    static THREAD_INDEX: usize = THREADS.fetch_add(1, Ordering::Relaxed);
+    /// The address of the bus this thread is draining (0: none). The
+    /// drain's own emissions and callbacks must not start another.
+    static DRAINING: Cell<usize> = const { Cell::new(0) };
+}
+
 /// Central collector: counts events per kind, aggregates latency
 /// histograms, stamps timestamps and fans events out to sinks.
+///
+/// Sinks see each event in-line. The watchdog and flight recorders see
+/// it later, in stamp order: each time the emitting thread has staged
+/// another 64 events, when a `node_crash` or `watchdog_violation` is
+/// emitted, and before any read that reports on them
+/// ([`Watchdog::violations`], [`FlightRecorder::events`],
+/// [`EventBus::snapshot`], [`EventBus::flush`], ...).
 ///
 /// The clock starts as wall time from bus creation; a deterministic
 /// simulator switches it to manual mode with [`EventBus::set_time_us`]
 /// so traces carry simulated time.
 pub struct EventBus {
-    counters: [AtomicU64; KIND_COUNT],
-    histograms: Mutex<BTreeMap<String, Histogram>>,
+    core: Arc<Core>,
+}
+
+/// The shared state of a bus. Monitors hold a [`Feed`] (a weak
+/// reference to it) so their reads can drain first.
+pub(crate) struct Core {
+    /// The one shared write per monitored emit.
+    seq: Stamp,
+    slots: Box<[Slot]>,
     /// Named instantaneous values — occupancies and queue depths that
     /// move in both directions, unlike the monotone counters.
     gauges: Mutex<BTreeMap<String, u64>>,
-    sinks: RwLock<Vec<Arc<dyn EventSink>>>,
-    /// The in-line streaming watchdog, when installed. Kept apart from
-    /// `sinks` because the watchdog emits `watchdog_violation` events
-    /// *back through the bus*: running it after the sink fan-out (and
-    /// outside the sink read lock) keeps that re-entry safe.
-    watchdog: RwLock<Option<Arc<Watchdog>>>,
-    /// Fast-path flag mirroring `watchdog.is_some()`, so untraced
-    /// emissions never touch the watchdog lock.
-    has_watchdog: AtomicBool,
+    sinks: AppendList<Arc<dyn EventSink>>,
+    /// The installed watchdog. Only installs and drains touch it.
+    watchdog: Mutex<Option<Arc<Watchdog>>>,
+    recorders: AppendList<Arc<FlightRecorder>>,
+    /// A watchdog or recorder is attached: emits stamp and stage.
+    staging: AtomicBool,
+    /// Held by the draining thread; its buffer is reused.
+    drain: Mutex<Vec<(u64, Event)>>,
     origin: Instant,
     manual: AtomicBool,
     manual_us: AtomicU64,
     /// Per-node Lamport clocks, keyed by raw node id. A node's clock
     /// ticks on every event it emits and is merged forward past the
     /// send's clock when it receives a message.
-    clocks: Mutex<HashMap<u32, u64>>,
+    clocks: AppendList<(u32, AtomicU64)>,
     /// Debug-only: actions seen beginning, so a parented begin whose
     /// parent never began trips an assertion at emission time rather
     /// than much later in an offline audit.
@@ -59,69 +101,110 @@ pub struct EventBus {
     begun: Mutex<std::collections::HashSet<u64>>,
 }
 
+/// The sequence stamp, on a cache line of its own: every monitored
+/// emit writes it, and nothing every emit reads may share its line.
+#[repr(align(128))]
+struct Stamp(AtomicU64);
+
+/// One thread's staging area, on its own cache lines. Locked by its
+/// owner on every emit and by readers.
+#[repr(align(128))]
+struct Slot(Mutex<Staged>);
+
+struct Staged {
+    counters: [u64; KIND_COUNT],
+    histograms: BTreeMap<String, Histogram>,
+    /// Stamped events not yet drained, in stamp order.
+    events: Vec<(u64, Event)>,
+}
+
 impl EventBus {
     /// Creates a bus with no sinks, on the wall clock.
     #[must_use]
     pub fn new() -> Self {
         EventBus {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            histograms: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            sinks: RwLock::new(Vec::new()),
-            watchdog: RwLock::new(None),
-            has_watchdog: AtomicBool::new(false),
-            origin: Instant::now(),
-            manual: AtomicBool::new(false),
-            manual_us: AtomicU64::new(0),
-            clocks: Mutex::new(HashMap::new()),
-            #[cfg(debug_assertions)]
-            begun: Mutex::new(std::collections::HashSet::new()),
+            core: Arc::new(Core {
+                seq: Stamp(AtomicU64::new(0)),
+                slots: (0..SLOTS)
+                    .map(|_| {
+                        Slot(Mutex::new(Staged {
+                            counters: [0; KIND_COUNT],
+                            histograms: BTreeMap::new(),
+                            events: Vec::new(),
+                        }))
+                    })
+                    .collect(),
+                gauges: Mutex::new(BTreeMap::new()),
+                sinks: AppendList::default(),
+                watchdog: Mutex::new(None),
+                recorders: AppendList::default(),
+                staging: AtomicBool::new(false),
+                drain: Mutex::new(Vec::new()),
+                origin: Instant::now(),
+                manual: AtomicBool::new(false),
+                manual_us: AtomicU64::new(0),
+                clocks: AppendList::default(),
+                #[cfg(debug_assertions)]
+                begun: Mutex::new(std::collections::HashSet::new()),
+            }),
         }
     }
 
     /// Attaches a sink; it sees every subsequent event.
     pub fn add_sink(&self, sink: Arc<dyn EventSink>) {
-        self.sinks.write().push(sink);
+        self.core.sinks.push(sink);
     }
 
-    /// Installs (or, with `None`, removes) the streaming watchdog: it
-    /// then inspects every subsequent event in-line and emits a
-    /// `watchdog_violation` event the moment a rule fires — the
-    /// violation appears in the trace immediately after the offending
-    /// event, with zero intervening events.
+    /// Installs (or, with `None`, removes) the streaming watchdog. It
+    /// steps every event emitted from now on, in stamp order, and the
+    /// bus emits a `watchdog_violation` event for each rule that fires:
+    /// about a chunk after the offending event, and at the latest at the
+    /// next read of the watchdog. Events emitted before the call go to
+    /// the previous watchdog, if any.
     pub fn install_watchdog(&self, watchdog: Option<Arc<Watchdog>>) {
-        self.has_watchdog
-            .store(watchdog.is_some(), Ordering::Relaxed);
-        *self.watchdog.write() = watchdog;
+        self.core.drain(true);
+        if let Some(watchdog) = &watchdog {
+            watchdog.feed.set(&self.core);
+        }
+        let mut installed = self.core.watchdog.lock();
+        *installed = watchdog;
+        self.core.staging.store(
+            installed.is_some() || self.core.recorders.iter().next().is_some(),
+            Ordering::Relaxed,
+        );
     }
 
     /// The installed watchdog, if any.
     #[must_use]
     pub fn watchdog(&self) -> Option<Arc<Watchdog>> {
-        self.watchdog.read().clone()
+        self.core.watchdog.lock().clone()
+    }
+
+    /// Feeds `recorder` every event emitted from now on.
+    pub(crate) fn attach_recorder(&self, recorder: Arc<FlightRecorder>) {
+        self.core.drain(true);
+        recorder.feed.set(&self.core);
+        self.core.recorders.push(recorder);
+        self.core.staging.store(true, Ordering::Relaxed);
     }
 
     /// Current bus time in microseconds (wall since creation, or the
     /// last manually set simulated time).
     #[must_use]
     pub fn now_us(&self) -> u64 {
-        if self.manual.load(Ordering::Relaxed) {
-            self.manual_us.load(Ordering::Relaxed)
-        } else {
-            u64::try_from(self.origin.elapsed().as_micros()).unwrap_or(u64::MAX)
-        }
+        self.core.now_us()
     }
 
     /// Switches to manual (simulated) time and sets it.
     pub fn set_time_us(&self, us: u64) {
-        self.manual.store(true, Ordering::Relaxed);
-        self.manual_us.store(us, Ordering::Relaxed);
+        self.core.manual.store(true, Ordering::Relaxed);
+        self.core.manual_us.store(us, Ordering::Relaxed);
     }
 
     /// Counts, stamps and fans out one event with no node binding;
     /// returns the stamped record.
     pub fn emit(&self, kind: EventKind) -> Event {
-        self.emit_traced(None, None, kind)
+        self.core.emit(None, None, kind)
     }
 
     /// Counts, stamps and fans out one event with causal context.
@@ -131,39 +214,7 @@ impl EventBus {
     /// ticks and stamps the event (`lc > 0`). `corr` flows through
     /// untouched.
     pub fn emit_traced(&self, node: Option<NodeId>, corr: Option<u64>, kind: EventKind) -> Event {
-        self.counters[kind.index()].fetch_add(1, Ordering::Relaxed);
-        self.debug_check_parent(&kind);
-        let node = kind.intrinsic_node().or(node);
-        let lc = node.map_or(0, |n| {
-            let mut clocks = self.clocks.lock();
-            let c = clocks.entry(n.as_raw()).or_insert(0);
-            *c += 1;
-            *c
-        });
-        let event = Event {
-            at_us: self.now_us(),
-            node,
-            lc,
-            corr,
-            kind,
-        };
-        for sink in self.sinks.read().iter() {
-            sink.record(&event);
-        }
-        if self.has_watchdog.load(Ordering::Relaxed)
-            && !matches!(kind, EventKind::WatchdogViolation { .. })
-        {
-            // Clone the Arc out so the watchdog lock is not held while
-            // the violation recursively re-enters `emit_traced`.
-            let watchdog = self.watchdog.read().clone();
-            if let Some(watchdog) = watchdog {
-                for violation in watchdog.scan(&event) {
-                    let emitted = self.emit_traced(None, None, violation);
-                    watchdog.deliver(&emitted);
-                }
-            }
-        }
-        event
+        self.core.emit(node, corr, kind)
     }
 
     /// Merges an observed remote clock into `node`'s clock (sets it to
@@ -171,15 +222,226 @@ impl EventBus {
     /// the delivery event, so the delivery's clock strictly exceeds
     /// the matching send's.
     pub fn merge_clock(&self, node: NodeId, observed_lc: u64) {
-        let mut clocks = self.clocks.lock();
-        let c = clocks.entry(node.as_raw()).or_insert(0);
-        *c = (*c).max(observed_lc);
+        self.core
+            .clock(node)
+            .fetch_max(observed_lc, Ordering::Relaxed);
     }
 
     /// The current Lamport clock of `node` (0 if it never emitted).
     #[must_use]
     pub fn lamport(&self, node: NodeId) -> u64 {
-        self.clocks.lock().get(&node.as_raw()).copied().unwrap_or(0)
+        self.core
+            .clocks
+            .iter()
+            .find(|(raw, _)| *raw == node.as_raw())
+            .map_or(0, |(_, clock)| clock.load(Ordering::Relaxed))
+    }
+
+    /// Records one latency sample into the named histogram.
+    ///
+    /// Names may be built dynamically (e.g. a per-colour breakdown
+    /// like `core.commit_us.red`); the name is only allocated the
+    /// first time a thread feeds that histogram.
+    pub fn observe(&self, metric: &str, us: u64) {
+        let mut staged = self.core.slot();
+        if let Some(h) = staged.histograms.get_mut(metric) {
+            h.observe(us);
+        } else {
+            staged
+                .histograms
+                .entry(metric.to_owned())
+                .or_default()
+                .observe(us);
+        }
+    }
+
+    /// Sets a named gauge to its current value. Gauges are sampled
+    /// occupancies (lock entries, queue depths, live actions); setting
+    /// one repeatedly just overwrites the reading.
+    pub fn set_gauge(&self, name: &str, value: u64) {
+        let mut gauges = self.core.gauges.lock();
+        if let Some(g) = gauges.get_mut(name) {
+            *g = value;
+        } else {
+            gauges.insert(name.to_owned(), value);
+        }
+    }
+
+    /// The current value of a named gauge, if one was ever set.
+    #[must_use]
+    pub fn gauge(&self, name: &str) -> Option<u64> {
+        self.core.gauges.lock().get(name).copied()
+    }
+
+    /// The count of one event kind by its tag (0 for unknown tags).
+    #[must_use]
+    pub fn counter(&self, name: &str) -> u64 {
+        KIND_NAMES
+            .iter()
+            .position(|n| *n == name)
+            .map_or(0, |i| self.counters()[i])
+    }
+
+    /// Every kind's count, summed over the slots, after a drain (so
+    /// pending violations are counted too).
+    fn counters(&self) -> [u64; KIND_COUNT] {
+        self.core.drain(true);
+        let mut sum = [0; KIND_COUNT];
+        for slot in &self.core.slots {
+            for (total, n) in sum.iter_mut().zip(slot.0.lock().counters) {
+                *total += n;
+            }
+        }
+        sum
+    }
+
+    /// Copies out all counters and histogram summaries.
+    #[must_use]
+    pub fn snapshot(&self) -> Snapshot {
+        let counters = self.counters();
+        let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
+        for slot in &self.core.slots {
+            for (name, h) in &slot.0.lock().histograms {
+                if let Some(merged) = histograms.get_mut(name) {
+                    merged.merge(h);
+                } else {
+                    histograms.insert(name.clone(), h.clone());
+                }
+            }
+        }
+        Snapshot {
+            counters: KIND_NAMES.iter().copied().zip(counters).collect(),
+            gauges: self
+                .core
+                .gauges
+                .lock()
+                .iter()
+                .map(|(name, v)| (name.clone(), *v))
+                .collect(),
+            histograms: histograms
+                .iter()
+                .map(|(name, h)| (name.clone(), h.summary()))
+                .collect(),
+        }
+    }
+
+    /// Drains the bus, then flushes every attached sink.
+    pub fn flush(&self) {
+        self.core.drain(true);
+        for sink in self.core.sinks.iter() {
+            sink.flush();
+        }
+    }
+}
+
+impl Core {
+    fn now_us(&self) -> u64 {
+        if self.manual.load(Ordering::Relaxed) {
+            self.manual_us.load(Ordering::Relaxed)
+        } else {
+            u64::try_from(self.origin.elapsed().as_micros()).unwrap_or(u64::MAX)
+        }
+    }
+
+    /// This thread's staging slot, locked.
+    fn slot(&self) -> MutexGuard<'_, Staged> {
+        self.slots[THREAD_INDEX.with(|i| *i) % SLOTS].0.lock()
+    }
+
+    /// `node`'s Lamport clock, created at 0 on first use.
+    fn clock(&self, node: NodeId) -> &AtomicU64 {
+        let raw = node.as_raw();
+        &self
+            .clocks
+            .find_or_push(|(r, _)| *r == raw, || (raw, AtomicU64::new(0)))
+            .1
+    }
+
+    fn emit(&self, node: Option<NodeId>, corr: Option<u64>, kind: EventKind) -> Event {
+        self.debug_check_parent(&kind);
+        let node = kind.intrinsic_node().or(node);
+        let lc = node.map_or(0, |n| self.clock(n).fetch_add(1, Ordering::Relaxed) + 1);
+        let event = Event {
+            at_us: self.now_us(),
+            node,
+            lc,
+            corr,
+            kind,
+        };
+        let full = {
+            let mut staged = self.slot();
+            staged.counters[kind.index()] += 1;
+            // Stamp and append under the slot lock, so a drain that
+            // reads a watermark past this stamp finds the event here:
+            // its Acquire load of `seq` pairs with this Release, and
+            // the slot lock it takes next orders it after the append.
+            if self.staging.load(Ordering::Relaxed) {
+                let seq = self.seq.0.fetch_add(1, Ordering::AcqRel);
+                staged.events.push((seq, event));
+            }
+            !staged.events.is_empty() && staged.events.len().is_multiple_of(CHUNK)
+        };
+        for sink in self.sinks.iter() {
+            sink.record(&event);
+        }
+        if matches!(
+            kind,
+            EventKind::NodeCrash { .. } | EventKind::WatchdogViolation { .. }
+        ) {
+            self.drain(true);
+        } else if full {
+            self.drain(false);
+        }
+        event
+    }
+
+    /// Steps every event stamped below the current watermark through
+    /// the watchdog and into the recorders, in stamp order, then emits
+    /// the violations found (and hands those to the recorders too).
+    /// With `block` false, returns at once if another thread is
+    /// draining. A no-op on a thread already draining this bus.
+    pub(crate) fn drain(&self, block: bool) {
+        let me = std::ptr::from_ref(self) as usize;
+        if DRAINING.with(Cell::get) == me {
+            return;
+        }
+        let mut batch = if block {
+            self.drain.lock()
+        } else if let Some(batch) = self.drain.try_lock() {
+            batch
+        } else {
+            return;
+        };
+        let _draining = Draining::enter(me);
+        let watchdog = self.watchdog.lock().clone();
+        let mut found = Vec::new();
+        loop {
+            let watermark = self.seq.0.load(Ordering::Acquire);
+            for slot in &self.slots {
+                let mut staged = slot.0.lock();
+                let upto = staged.events.partition_point(|&(seq, _)| seq < watermark);
+                batch.extend(staged.events.drain(..upto));
+            }
+            if batch.is_empty() {
+                break;
+            }
+            // Each slot's run is already sorted: a merge of runs.
+            batch.sort_by_key(|&(seq, _)| seq);
+            if let Some(watchdog) = &watchdog {
+                watchdog.scan(batch.iter().map(|(_, event)| event), &mut found);
+            }
+            for recorder in self.recorders.iter() {
+                recorder.record(batch.iter().map(|(_, event)| event));
+            }
+            batch.clear();
+            let Some(watchdog) = watchdog.as_ref().filter(|_| !found.is_empty()) else {
+                break;
+            };
+            for kind in found.drain(..) {
+                let violation = self.emit(None, None, kind);
+                watchdog.deliver(&violation);
+            }
+        }
     }
 
     #[cfg(debug_assertions)]
@@ -199,76 +461,103 @@ impl EventBus {
     #[cfg(not(debug_assertions))]
     #[allow(clippy::unused_self)]
     fn debug_check_parent(&self, _kind: &EventKind) {}
+}
 
-    /// Records one latency sample into the named histogram.
-    ///
-    /// Names may be built dynamically (e.g. a per-colour breakdown
-    /// like `core.commit_us.red`); the name is only allocated the
-    /// first time a histogram is created.
-    pub fn observe(&self, metric: &str, us: u64) {
-        let mut histograms = self.histograms.lock();
-        if let Some(h) = histograms.get_mut(metric) {
-            h.observe(us);
-        } else {
-            histograms.entry(metric.to_owned()).or_default().observe(us);
+impl Drop for Core {
+    /// Hands the last staged events to the monitors, which may outlive
+    /// the bus.
+    fn drop(&mut self) {
+        self.drain(true);
+    }
+}
+
+/// Marks this thread as draining one bus until dropped (a panicking
+/// callback included).
+struct Draining(usize);
+
+impl Draining {
+    fn enter(bus: usize) -> Self {
+        Draining(DRAINING.with(|d| d.replace(bus)))
+    }
+}
+
+impl Drop for Draining {
+    fn drop(&mut self) {
+        DRAINING.with(|d| d.set(self.0));
+    }
+}
+
+/// A monitor's link to the bus that feeds it, so the monitor's reads
+/// can drain that bus first.
+#[derive(Default)]
+pub(crate) struct Feed(Mutex<Weak<Core>>);
+
+impl Feed {
+    fn set(&self, core: &Arc<Core>) {
+        *self.0.lock() = Arc::downgrade(core);
+    }
+
+    /// Drains the feeding bus, if there is one.
+    pub(crate) fn drain(&self) {
+        let core = self.0.lock().upgrade();
+        if let Some(core) = core {
+            core.drain(true);
         }
     }
+}
 
-    /// Sets a named gauge to its current value. Gauges are sampled
-    /// occupancies (lock entries, queue depths, live actions); setting
-    /// one repeatedly just overwrites the reading.
-    pub fn set_gauge(&self, name: &str, value: u64) {
-        let mut gauges = self.gauges.lock();
-        if let Some(g) = gauges.get_mut(name) {
-            *g = value;
-        } else {
-            gauges.insert(name.to_owned(), value);
+/// An append-only list that readers walk without a lock: each link is
+/// written once, and writers race only to fill the tail.
+struct AppendList<T> {
+    head: OnceLock<Box<Link<T>>>,
+}
+
+struct Link<T> {
+    value: T,
+    next: OnceLock<Box<Link<T>>>,
+}
+
+impl<T> Default for AppendList<T> {
+    fn default() -> Self {
+        AppendList {
+            head: OnceLock::new(),
         }
     }
+}
 
-    /// The current value of a named gauge, if one was ever set.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.lock().get(name).copied()
+impl<T> AppendList<T> {
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        std::iter::successors(self.head.get(), |link| link.next.get()).map(|link| &link.value)
     }
 
-    /// The count of one event kind by its tag (0 for unknown tags).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        KIND_NAMES
-            .iter()
-            .position(|n| *n == name)
-            .map_or(0, |i| self.counters[i].load(Ordering::Relaxed))
+    fn push(&self, value: T) {
+        self.find_or_push(|_| false, || value);
     }
 
-    /// Copies out all counters and histogram summaries.
-    #[must_use]
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: KIND_NAMES
-                .iter()
-                .enumerate()
-                .map(|(i, name)| (*name, self.counters[i].load(Ordering::Relaxed)))
-                .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .iter()
-                .map(|(name, v)| (name.clone(), *v))
-                .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .iter()
-                .map(|(name, h)| (name.clone(), h.summary()))
-                .collect(),
-        }
-    }
-
-    /// Flushes every attached sink.
-    pub fn flush(&self) {
-        for sink in self.sinks.read().iter() {
-            sink.flush();
+    /// The first element matching `same`, else `make()` appended.
+    fn find_or_push(&self, same: impl Fn(&T) -> bool, make: impl FnOnce() -> T) -> &T {
+        let mut tail = &self.head;
+        let mut make = Some(make);
+        let mut link = None;
+        loop {
+            if let Some(present) = tail.get() {
+                if same(&present.value) {
+                    return &present.value;
+                }
+                tail = &present.next;
+                continue;
+            }
+            let new = link.take().unwrap_or_else(|| {
+                Box::new(Link {
+                    value: make.take().expect("made at most once")(),
+                    next: OnceLock::new(),
+                })
+            });
+            match tail.set(new) {
+                Ok(()) => return &tail.get().expect("just set").value,
+                // Another writer filled the tail first: check it.
+                Err(back) => link = Some(back),
+            }
         }
     }
 }
@@ -282,7 +571,7 @@ impl Default for EventBus {
 impl fmt::Debug for EventBus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventBus")
-            .field("sinks", &self.sinks.read().len())
+            .field("sinks", &self.core.sinks.iter().count())
             .finish_non_exhaustive()
     }
 }

@@ -29,12 +29,13 @@
 //!   the `chroma-trace` binary wraps audit, export and profiling as
 //!   a CLI over JSONL trace files;
 //! * [`Watchdog`] is the same engine under the windowed policy:
-//!   installed on a bus it checks R1–R4 and R9–R11 in-line with
-//!   bounded memory and raises `watchdog_violation` events plus a
-//!   non-fatal callback while the system is running;
-//! * [`FlightRecorder`] is an always-on, lock-sharded ring of recent
-//!   events that dumps an offline-analyzable JSONL post-mortem on
-//!   crash, violation, or demand.
+//!   installed on a bus it checks R1–R4 and R9–R11 with bounded memory,
+//!   over the bus's events in stamp order, and raises
+//!   `watchdog_violation` events plus a non-fatal callback while the
+//!   system is running;
+//! * [`FlightRecorder`] is an always-on ring of recent events, fed in
+//!   the same order, that dumps an offline-analyzable JSONL post-mortem
+//!   on crash, violation, or demand.
 //!
 //! Instrumented code holds an [`Obs`] handle — a cheap clone that is a
 //! no-op until a bus is installed, so the hot paths pay one branch when

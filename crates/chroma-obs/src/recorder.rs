@@ -1,23 +1,17 @@
-//! The always-on flight recorder: a fixed-size, lock-sharded ring of
-//! recent events that turns any live incident into a post-mortem
-//! trace.
+//! The always-on flight recorder: a fixed-size ring of recent events
+//! that turns any live incident into a post-mortem trace.
 //!
 //! Unlike [`JsonlSink`](crate::JsonlSink), which streams the whole run
 //! to disk, the recorder keeps only the newest
-//! [`FlightRecorder::capacity`] events in memory at a bounded cost per
-//! event (one shard mutex, no allocation beyond the ring slots) — cheap
-//! enough to leave attached in production. On a crash, a
-//! `watchdog_violation`, or an explicit [`FlightRecorder::dump_to`]
-//! call, the ring is merged back into emission order and written as the
-//! same JSONL the offline [`TraceAuditor`](crate::TraceAuditor) and
-//! [`SpanForest`](crate::SpanForest) tooling already consume.
-//!
-//! Sharding trades strict ordering at record time for lower contention:
-//! each event gets a global sequence number from one atomic, then lands
-//! in shard `seq % shards`; the dump re-sorts by sequence number, so
-//! the written trace is in true emission order (with a window of the
-//! oldest `shards − 1` entries possibly trimmed unevenly across
-//! shards).
+//! [`FlightRecorder::capacity`] events in memory, and it costs the
+//! emitting thread nothing beyond staging the event: the bus hands the
+//! recorder whole batches in stamp order when it drains (see
+//! [`EventBus`](crate::EventBus)) — cheap enough to leave attached in
+//! production. On a crash, a `watchdog_violation`, or an explicit
+//! [`FlightRecorder::dump_to`] call, the ring is written as the same
+//! JSONL the offline [`TraceAuditor`](crate::TraceAuditor) and
+//! [`SpanForest`](crate::SpanForest) tooling already consume. Every
+//! read drains the bus first, so it covers every event emitted so far.
 
 use std::collections::VecDeque;
 use std::fs::{self, File};
@@ -28,55 +22,40 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::bus::EventSink;
+use crate::bus::Feed;
 use crate::event::{Event, EventKind};
 
-const DEFAULT_SHARDS: usize = 8;
-
-/// A fixed-size, lock-sharded ring buffer of recent events, usable as
-/// an [`EventSink`]. Each event takes a global sequence number and lands
-/// in shard `seq % shards`; a dump re-sorts by sequence number, so the
-/// written trace is in emission order.
+/// A fixed-size ring of the newest events, in the bus's stamp order.
 pub struct FlightRecorder {
-    shards: Vec<Mutex<VecDeque<(u64, Event)>>>,
-    per_shard: usize,
-    seq: AtomicU64,
+    ring: Mutex<VecDeque<Event>>,
+    capacity: usize,
     dropped: AtomicU64,
     auto_dump: RwLock<Option<PathBuf>>,
     auto_dumps: AtomicU64,
     dump_errors: AtomicU64,
+    pub(crate) feed: Feed,
 }
 
 impl FlightRecorder {
-    /// A recorder retaining roughly `capacity` events across
-    /// eight shards.
+    /// A recorder retaining the newest `capacity` events (minimum 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        FlightRecorder::with_shards(capacity, DEFAULT_SHARDS)
-    }
-
-    /// A recorder retaining roughly `capacity` events across `shards`
-    /// independently locked rings (both clamped to ≥ 1).
-    #[must_use]
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard = capacity.max(1).div_ceil(shards);
         FlightRecorder {
-            shards: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
-            per_shard,
-            seq: AtomicU64::new(0),
+            ring: Mutex::new(VecDeque::new()),
+            capacity: capacity.max(1),
             dropped: AtomicU64::new(0),
             auto_dump: RwLock::new(None),
             auto_dumps: AtomicU64::new(0),
             dump_errors: AtomicU64::new(0),
+            feed: Feed::default(),
         }
     }
 
-    /// Convenience: builds a recorder, registers it as a sink on `bus`
-    /// and returns the handle.
+    /// Convenience: builds a recorder, feeds it every subsequent event
+    /// of `bus` and returns the handle.
     pub fn attach(bus: &crate::EventBus, capacity: usize) -> Arc<FlightRecorder> {
         let recorder = Arc::new(FlightRecorder::new(capacity));
-        bus.add_sink(recorder.clone());
+        bus.attach_recorder(recorder.clone());
         recorder
     }
 
@@ -94,48 +73,48 @@ impl FlightRecorder {
     /// How many auto-dumps have been triggered so far.
     #[must_use]
     pub fn auto_dumps(&self) -> u64 {
+        self.feed.drain();
         self.auto_dumps.load(Ordering::Relaxed)
     }
 
     /// How many dump attempts (auto or explicit) failed on I/O.
     #[must_use]
     pub fn dump_errors(&self) -> u64 {
+        self.feed.drain();
         self.dump_errors.load(Ordering::Relaxed)
     }
 
-    /// Maximum events the ring retains (per-shard cap × shard count).
+    /// Maximum events the ring retains.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.per_shard * self.shards.len()
+        self.capacity
     }
 
     /// Events currently held in the ring.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.feed.drain();
+        self.ring.lock().len()
     }
 
     /// `true` when the ring holds no events.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
+        self.len() == 0
     }
 
     /// Events evicted from the ring so far (total seen minus retained).
     #[must_use]
     pub fn dropped(&self) -> u64 {
+        self.feed.drain();
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// The retained events merged back into emission order.
+    /// The retained events, oldest first.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        let mut stamped: Vec<(u64, Event)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            stamped.extend(shard.lock().iter().cloned());
-        }
-        stamped.sort_by_key(|&(seq, _)| seq);
-        stamped.into_iter().map(|(_, event)| event).collect()
+        self.feed.drain();
+        self.ring.lock().iter().copied().collect()
     }
 
     /// The retained events as JSONL lines (no trailing newline), in
@@ -154,53 +133,52 @@ impl FlightRecorder {
     /// Propagates any I/O failure (also counted in
     /// [`FlightRecorder::dump_errors`]).
     pub fn dump_to(&self, path: &Path) -> io::Result<()> {
-        let result = self.try_dump(path);
+        self.feed.drain();
+        let result = write_dump(&self.ring.lock(), path);
         if result.is_err() {
             self.dump_errors.fetch_add(1, Ordering::Relaxed);
         }
         result
     }
 
-    fn try_dump(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
-        }
-        let mut out = BufWriter::new(File::create(path)?);
-        for line in self.dump_lines() {
-            out.write_all(line.as_bytes())?;
-            out.write_all(b"\n")?;
-        }
-        out.flush()
-    }
-}
-
-impl EventSink for FlightRecorder {
-    fn record(&self, event: &Event) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        {
-            let shard = &self.shards[(seq % self.shards.len() as u64) as usize];
-            let mut ring = shard.lock();
-            ring.push_back((seq, *event));
-            if ring.len() > self.per_shard {
+    /// Appends a drained batch, in stamp order, evicting the oldest
+    /// events past capacity and auto-dumping at each trigger.
+    pub(crate) fn record<'a>(&self, events: impl IntoIterator<Item = &'a Event>) {
+        let mut ring = self.ring.lock();
+        for event in events {
+            if ring.len() == self.capacity {
                 ring.pop_front();
                 self.dropped.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        if matches!(
-            event.kind,
-            EventKind::WatchdogViolation { .. } | EventKind::NodeCrash { .. }
-        ) {
-            let path = self.auto_dump.read().clone();
-            if let Some(path) = path {
-                self.auto_dumps.fetch_add(1, Ordering::Relaxed);
-                if self.try_dump(&path).is_err() {
-                    self.dump_errors.fetch_add(1, Ordering::Relaxed);
+            ring.push_back(*event);
+            if matches!(
+                event.kind,
+                EventKind::WatchdogViolation { .. } | EventKind::NodeCrash { .. }
+            ) {
+                let path = self.auto_dump.read().clone();
+                if let Some(path) = path {
+                    self.auto_dumps.fetch_add(1, Ordering::Relaxed);
+                    if write_dump(&ring, &path).is_err() {
+                        self.dump_errors.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
         }
     }
+}
+
+fn write_dump(ring: &VecDeque<Event>, path: &Path) -> io::Result<()> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            fs::create_dir_all(parent)?;
+        }
+    }
+    let mut out = BufWriter::new(File::create(path)?);
+    for event in ring {
+        out.write_all(event.to_json_line().as_bytes())?;
+        out.write_all(b"\n")?;
+    }
+    out.flush()
 }
 
 #[cfg(test)]

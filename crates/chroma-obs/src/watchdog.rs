@@ -2,19 +2,21 @@
 //! rules whose state can be windowed by *live* entities.
 //!
 //! [`TraceAuditor`](crate::TraceAuditor) re-reads a finished JSONL
-//! trace; the [`Watchdog`] instead taps the [`EventBus`](crate::EventBus)
-//! in-line (see [`EventBus::install_watchdog`](crate::EventBus::install_watchdog))
+//! trace; the [`Watchdog`] instead taps the live [`EventBus`](crate::EventBus)
+//! (see [`EventBus::install_watchdog`](crate::EventBus::install_watchdog))
 //! and runs the same rule engine (the `rules` module, which catalogues
 //! the rules and both policies) under its **windowed** retention
 //! policy: R1–R4 and R9–R11 over bounded state, a check whose answer
 //! fell off a window *skipped*, never guessed — the watchdog trades
 //! completeness for bounded memory, the offline auditor stays exact.
 //!
-//! When a rule fires the bus emits a structured `watchdog_violation`
-//! event *immediately after the offending event* — zero intervening
-//! events — and the non-fatal callback registered with
-//! [`Watchdog::on_violation`] runs synchronously. The watchdog never
-//! panics and never stops the traced system.
+//! The bus stages events per thread and steps them through the
+//! watchdog in stamp order, a chunk at a time. When a rule fires the
+//! bus emits a structured `watchdog_violation` event — about a chunk
+//! after the offending event, and at the latest at the next read of the
+//! watchdog, since every read drains first — and the non-fatal callback
+//! registered with [`Watchdog::on_violation`] runs on the draining
+//! thread. The watchdog never panics and never stops the traced system.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,6 +24,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
+use crate::bus::Feed;
 use crate::event::{Event, EventKind, WatchdogRule};
 use crate::rules::{Rules, Violation, Windows};
 
@@ -34,12 +37,13 @@ type Callback = dyn Fn(&Event) + Send + Sync;
 
 /// The streaming watchdog. Install on a bus with
 /// [`EventBus::install_watchdog`](crate::EventBus::install_watchdog)
-/// (or the [`Watchdog::attach`] shorthand); it then inspects every
-/// emitted event in-line.
+/// (or the [`Watchdog::attach`] shorthand); it then steps every
+/// emitted event, in the bus's stamp order.
 pub struct Watchdog {
     state: Mutex<WatchdogState>,
     violations: AtomicU64,
     callback: RwLock<Option<Arc<Callback>>>,
+    pub(crate) feed: Feed,
 }
 
 impl Default for Watchdog {
@@ -63,6 +67,7 @@ impl Watchdog {
             }),
             violations: AtomicU64::new(0),
             callback: RwLock::new(None),
+            feed: Feed::default(),
         }
     }
 
@@ -80,26 +85,29 @@ impl Watchdog {
     /// [`TraceAuditor::audit_events`](crate::TraceAuditor::audit_events).
     #[must_use]
     pub fn replay(events: &[Event]) -> Vec<EventKind> {
-        let watchdog = Watchdog::new();
-        events.iter().flat_map(|e| watchdog.scan(e)).collect()
+        let mut found = Vec::new();
+        Watchdog::new().scan(events, &mut found);
+        found
     }
 
     /// Registers the non-fatal violation callback, replacing any
-    /// previous one. It runs synchronously on the emitting thread with
-    /// the stamped `watchdog_violation` event; it must not block.
+    /// previous one. It runs on the thread that drains the bus, with the
+    /// stamped `watchdog_violation` event; it must not block.
     pub fn on_violation(&self, callback: impl Fn(&Event) + Send + Sync + 'static) {
         *self.callback.write() = Some(Arc::new(callback));
     }
 
-    /// Total violations detected so far.
+    /// Total violations detected in every event emitted so far.
     #[must_use]
     pub fn violations(&self) -> u64 {
+        self.feed.drain();
         self.violations.load(Ordering::Relaxed)
     }
 
     /// Violations detected for one rule.
     #[must_use]
     pub fn rule_count(&self, rule: WatchdogRule) -> u64 {
+        self.feed.drain();
         self.state
             .lock()
             .rule_counts
@@ -117,26 +125,39 @@ impl Watchdog {
         }
     }
 
-    /// Feeds one event through the rule engine; returns the violation
-    /// kinds it triggered (usually empty).
-    pub(crate) fn scan(&self, event: &Event) -> Vec<EventKind> {
+    /// Feeds events, in order, through the rule engine; appends the
+    /// violation kinds they triggered to `out`.
+    pub(crate) fn scan<'a>(
+        &self,
+        events: impl IntoIterator<Item = &'a Event>,
+        out: &mut Vec<EventKind>,
+    ) {
         let mut found = Vec::new();
         let mut state = self.state.lock();
-        state.rules.step(event, &mut found);
+        for event in events {
+            state.rules.step(event, &mut found);
+        }
         if found.is_empty() {
-            return Vec::new();
+            return;
         }
         // (the windowed policy raises no exact-only finding)
-        let kinds: Vec<_> = found.iter().filter_map(violation_event).collect();
-        for kind in &kinds {
+        let first = out.len();
+        out.extend(found.iter().filter_map(violation_event));
+        for kind in &out[first..] {
             if let EventKind::WatchdogViolation { rule, .. } = kind {
                 *state.rule_counts.entry(*rule).or_insert(0) += 1;
             }
         }
         drop(state);
         self.violations
-            .fetch_add(kinds.len() as u64, Ordering::Relaxed);
-        kinds
+            .fetch_add((out.len() - first) as u64, Ordering::Relaxed);
+    }
+
+    /// The window footprint after a drain.
+    #[cfg(test)]
+    fn footprint(&self) -> (usize, usize, usize) {
+        self.feed.drain();
+        self.state.lock().rules.footprint()
     }
 }
 
@@ -208,9 +229,10 @@ mod tests {
     }
 
     /// The violation must appear in the sink within `budget` events of
-    /// the offending event (the bus emits it with zero intervening
-    /// events; the assertion is deliberately looser so the *contract*
-    /// tested is the bounded budget the tentpole promises).
+    /// the offending event (the watchdog read that follows it drains
+    /// the bus, which emits it with zero intervening events; the
+    /// assertion is deliberately looser so the *contract* tested is the
+    /// bounded budget).
     fn assert_violation_within(sink: &MemorySink, rule: WatchdogRule, budget: usize) {
         let events = sink.events();
         let offending = events
@@ -794,7 +816,7 @@ mod tests {
         begin(&bus, 1);
         grant(&bus, 1, 7, LockMode::Write);
         bus.emit(EventKind::ActionCommit { action: aid(1) });
-        let (live, retired, _) = wd.state.lock().rules.footprint();
+        let (live, retired, _) = wd.footprint();
         assert_eq!(live, 0, "live state evicted at commit");
         assert_eq!(retired, 1);
         // The retired ring is bounded.
@@ -809,7 +831,7 @@ mod tests {
             begin(&bus2, n);
             bus2.emit(EventKind::ActionCommit { action: aid(n) });
         }
-        let (_, retired, _) = wd2.state.lock().rules.footprint();
+        let (_, retired, _) = wd2.footprint();
         assert_eq!(retired, 2);
     }
 
@@ -823,13 +845,9 @@ mod tests {
             colour: col(0),
             stamp: 1,
         });
-        assert_eq!(wd.state.lock().rules.footprint().2, 1);
+        assert_eq!(wd.footprint().2, 1);
         bus.emit(EventKind::NodeCrash { node: n });
-        assert_eq!(
-            wd.state.lock().rules.footprint().2,
-            0,
-            "crash clears the node's chains"
-        );
+        assert_eq!(wd.footprint().2, 0, "crash clears the node's chains");
         assert_eq!(wd.violations(), 0);
     }
 

@@ -34,6 +34,8 @@ fn live_lines(stream: &[Event]) -> Vec<String> {
     for event in stream {
         bus.emit(event.kind);
     }
+    // the watchdog steps staged events when the bus drains
+    bus.flush();
     sink.events()
         .iter()
         .filter(|e| matches!(e.kind, EventKind::WatchdogViolation { .. }))
