@@ -434,12 +434,14 @@ impl Core {
                 recorder.record(batch.iter().map(|(_, event)| event));
             }
             batch.clear();
-            let Some(watchdog) = watchdog.as_ref().filter(|_| !found.is_empty()) else {
+            if found.is_empty() {
                 break;
-            };
+            }
             for kind in found.drain(..) {
                 let violation = self.emit(None, None, kind);
-                watchdog.deliver(&violation);
+                if let Some(watchdog) = &watchdog {
+                    watchdog.deliver(&violation);
+                }
             }
         }
     }
