@@ -7,16 +7,19 @@
 //! when its outermost action commits — through this trait:
 //!
 //! * [`LocalBackend`] installs batches into a single node's in-memory
-//!   [`StableStore`] (the paper's trial setup);
+//!   map (the paper's trial setup);
 //! * [`DiskBackend`] writes them through [`DiskStore`]'s intentions
 //!   log to a real directory;
 //! * `chroma-dist`'s `PartitionedStore` installs them into object
 //!   stores spread over simulated fail-silent nodes, using two-phase
 //!   commit with replication (the distributed version).
 
+use std::collections::HashMap;
+
 use chroma_base::ObjectId;
-use chroma_obs::Observable;
-use chroma_store::{DiskStore, StableStore, StoreBytes};
+use chroma_obs::{EventKind, ObsCell, Observable};
+use chroma_store::{DiskStore, StoreBytes};
+use parking_lot::RwLock;
 
 /// Errors a permanence backend can report.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -97,12 +100,19 @@ pub trait PermanenceBackend: Send + Sync + Observable {
     }
 }
 
-/// Single-node permanence: an in-memory [`StableStore`], which a
-/// simulated crash never touches. The default backend of
-/// [`Runtime`](crate::Runtime).
+/// Single-node permanence: an in-memory atomic map of installed
+/// states, which a simulated crash never touches. The default backend
+/// of [`Runtime`](crate::Runtime).
+///
+/// Simulated nodes keep their stable state in a [`DiskStore`] over an
+/// in-memory disk that can crash; this backend stays a plain map. On
+/// such a disk a preloaded runtime would hold every value twice (the
+/// disk's bytes next to its version chains), a cost nobody has measured
+/// against the in-memory workloads' memory bound.
 #[derive(Debug, Default)]
 pub struct LocalBackend {
-    store: StableStore,
+    pages: RwLock<HashMap<ObjectId, StoreBytes>>,
+    obs: ObsCell,
 }
 
 impl LocalBackend {
@@ -111,36 +121,35 @@ impl LocalBackend {
     pub fn new() -> Self {
         LocalBackend::default()
     }
-
-    /// Returns the underlying stable store (tests and tooling).
-    #[must_use]
-    pub fn store(&self) -> &StableStore {
-        &self.store
-    }
 }
 
 impl PermanenceBackend for LocalBackend {
     fn commit_batch(&self, updates: Vec<(ObjectId, StoreBytes)>) -> Result<(), BackendError> {
-        self.store.commit_batch(updates);
+        let objects = updates.len() as u64;
+        let mut pages = self.pages.write();
+        self.obs.get().emit(EventKind::WalAppend {
+            records: objects + 1,
+        });
+        pages.extend(updates);
+        self.obs.get().emit(EventKind::WalFlush { objects });
         Ok(())
     }
 
     fn read(&self, object: ObjectId) -> Option<StoreBytes> {
-        self.store.read(object)
-    }
-
-    fn contains(&self, object: ObjectId) -> bool {
-        self.store.contains(object)
+        self.pages.read().get(&object).cloned()
     }
 
     fn max_object(&self) -> Option<ObjectId> {
-        self.store.object_ids().into_iter().max()
+        self.pages.read().keys().copied().max()
     }
 }
 
 impl Observable for LocalBackend {
+    /// Installs an observability handle; each commit emits `WalAppend`
+    /// (one record per update plus the commit record), then `WalFlush`,
+    /// as the on-disk commit does.
     fn install_obs(&self, obs: chroma_obs::Obs) {
-        self.store.install_obs(obs);
+        self.obs.set(obs);
     }
 }
 
@@ -204,10 +213,6 @@ impl PermanenceBackend for DiskBackend {
         self.store.read(object).ok().flatten()
     }
 
-    fn contains(&self, object: ObjectId) -> bool {
-        self.store.contains(object)
-    }
-
     fn max_object(&self) -> Option<ObjectId> {
         self.store.object_ids().ok()?.into_iter().max()
     }
@@ -266,6 +271,29 @@ mod tests {
         assert_eq!(backend.read(o).as_deref(), Some(&[5u8][..]));
         backend.recover();
         assert_eq!(backend.read(o).as_deref(), Some(&[5u8][..]));
+    }
+
+    #[test]
+    fn local_backend_overwrites_and_logs_every_batch() {
+        let backend = LocalBackend::new();
+        let bus = std::sync::Arc::new(chroma_obs::EventBus::new());
+        backend.install_obs(chroma_obs::Obs::new(bus.clone()));
+        let (o1, o2) = (ObjectId::from_raw(1), ObjectId::from_raw(2));
+        backend
+            .commit_batch(vec![
+                (o1, StoreBytes::from(vec![1])),
+                (o2, StoreBytes::from(vec![2])),
+            ])
+            .unwrap();
+        backend
+            .commit_batch(vec![(o1, StoreBytes::from(vec![3]))])
+            .unwrap();
+        backend.commit_batch(Vec::new()).unwrap();
+        assert_eq!(backend.read(o1).as_deref(), Some(&[3u8][..]));
+        assert_eq!(backend.max_object(), Some(o2));
+        // an empty batch is still one append and one flush
+        assert_eq!(bus.counter("wal_append"), 3);
+        assert_eq!(bus.counter("wal_flush"), 3);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! active so the commit can be retried after recovery — permanence is
 //! never silently dropped.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use chroma_base::{NodeId, ObjectId};
 use chroma_core::{BackendError, PermanenceBackend};
@@ -173,8 +173,9 @@ impl PermanenceBackend for PartitionedStore {
             // Plan the per-node writes: each object goes to its *up*
             // replicas, version-stamped; down replicas catch up on
             // recovery via the pull protocol (peer registration happens
-            // here).
-            let mut per_node: HashMap<NodeId, Vec<Write>> = HashMap::new();
+            // here). Node order, so the plan reaches the wire in an
+            // order the seed fixes.
+            let mut per_node: BTreeMap<NodeId, Vec<Write>> = BTreeMap::new();
             for (object, state) in &updates {
                 let replicas = Self::replicas_of(&inner, *object);
                 for &replica in &replicas {
@@ -214,8 +215,7 @@ impl PermanenceBackend for PartitionedStore {
             // The coordinator comes from the planned (hence up) nodes,
             // rotated by attempt so an aborting coordinator is not
             // immediately re-elected.
-            let mut candidates: Vec<NodeId> = per_node.keys().copied().collect();
-            candidates.sort();
+            let candidates: Vec<NodeId> = per_node.keys().copied().collect();
             let coordinator = candidates[attempt % candidates.len()];
             let writes: Vec<(NodeId, Vec<Write>)> =
                 per_node.iter().map(|(&n, w)| (n, w.clone())).collect();

@@ -2,6 +2,7 @@
 
 use chroma_base::{NodeId, ObjectId};
 use chroma_obs::MsgKind;
+use chroma_store::codec::{CodecError, Stored};
 use chroma_store::StoreBytes;
 
 /// A correlation identifier pairing one logical network send with the
@@ -25,101 +26,115 @@ impl std::fmt::Display for TxnId {
     }
 }
 
-/// One write a transaction wants installed at a particular node.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Write {
-    /// The object to update.
-    pub object: ObjectId,
-    /// The new state.
-    pub state: StoreBytes,
+impl Stored for TxnId {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        u64::decode(input).map(TxnId)
+    }
 }
 
-/// Network message payloads.
-///
-/// The paper's model assumes the network may lose, duplicate or delay
-/// messages; every protocol here is built to tolerate exactly that
-/// (retransmission, deduplication, idempotent installation).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Message {
-    // ---- two-phase commit (presumed abort) ----
-    /// Coordinator → participant: please prepare these writes.
-    Prepare {
-        /// The transaction.
-        txn: TxnId,
-        /// Writes destined for the receiving participant.
-        writes: Vec<Write>,
-        /// The coordinator to report back to.
-        coordinator: NodeId,
-    },
-    /// Participant → coordinator: prepared and vote yes.
-    VoteYes {
-        /// The transaction.
-        txn: TxnId,
-    },
-    /// Participant → coordinator: vote no (transaction must abort).
-    VoteNo {
-        /// The transaction.
-        txn: TxnId,
-    },
-    /// Coordinator → participant: the decision.
-    Decision {
-        /// The transaction.
-        txn: TxnId,
-        /// `true` = commit, `false` = abort.
-        commit: bool,
-    },
-    /// Participant → coordinator: decision processed.
-    Ack {
-        /// The transaction.
-        txn: TxnId,
-    },
-    /// Recovering participant → coordinator: what was decided?
-    DecisionQuery {
-        /// The transaction.
-        txn: TxnId,
-    },
+chroma_store::stored! {
+    /// One write a transaction wants installed at a particular node.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Write {
+        /// The object to update.
+        pub object: ObjectId,
+        /// The new state.
+        pub state: StoreBytes,
+    }
+}
 
-    // ---- at-most-once RPC ----
-    /// Client → server: invoke.
-    RpcRequest {
-        /// Client-unique call id (for dedup and reply matching).
-        call: u64,
-        /// Operation payload (application defined).
-        body: StoreBytes,
-    },
-    /// Server → client: reply.
-    RpcReply {
-        /// Echoed call id.
-        call: u64,
-        /// Result payload.
-        body: StoreBytes,
-    },
+chroma_store::stored! {
+    /// Network message payloads.
+    ///
+    /// The paper's model assumes the network may lose, duplicate or delay
+    /// messages; every protocol here is built to tolerate exactly that
+    /// (retransmission, deduplication, idempotent installation).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Message {
+        // ---- two-phase commit (presumed abort) ----
+        /// Coordinator → participant: please prepare these writes.
+        Prepare {
+            /// The transaction.
+            txn: TxnId,
+            /// Writes destined for the receiving participant.
+            writes: Vec<Write>,
+            /// The coordinator to report back to.
+            coordinator: NodeId,
+        },
+        /// Participant → coordinator: prepared and vote yes.
+        VoteYes {
+            /// The transaction.
+            txn: TxnId,
+        },
+        /// Participant → coordinator: vote no (transaction must abort).
+        VoteNo {
+            /// The transaction.
+            txn: TxnId,
+        },
+        /// Coordinator → participant: the decision.
+        Decision {
+            /// The transaction.
+            txn: TxnId,
+            /// `true` = commit, `false` = abort.
+            commit: bool,
+        },
+        /// Participant → coordinator: decision processed.
+        Ack {
+            /// The transaction.
+            txn: TxnId,
+        },
+        /// Recovering participant → coordinator: what was decided?
+        DecisionQuery {
+            /// The transaction.
+            txn: TxnId,
+        },
 
-    // ---- replication (read-one / write-all-available) ----
-    /// Peer → recovering replica: current state of a replicated object.
-    ReplicaState {
-        /// The replicated object.
-        object: ObjectId,
-        /// Version counter.
-        version: u64,
-        /// The state at that version.
-        state: StoreBytes,
-        /// `true` if the sender itself considers its copy stale (it is
-        /// also recovering); such a response still counts towards the
-        /// all-peers-heard quorum but does not by itself prove
-        /// freshness.
-        holder_stale: bool,
-    },
-    /// Peer → recovering replica: I hold no copy of this object.
-    ReplicaNone {
-        /// The replicated object.
-        object: ObjectId,
-    },
-    /// Recovering replica → peer: send me your state for this object.
-    ReplicaPull {
-        /// The replicated object.
-        object: ObjectId,
-    },
+        // ---- at-most-once RPC ----
+        /// Client → server: invoke.
+        RpcRequest {
+            /// Client-unique call id (for dedup and reply matching).
+            call: u64,
+            /// Operation payload (application defined).
+            body: StoreBytes,
+        },
+        /// Server → client: reply.
+        RpcReply {
+            /// Echoed call id.
+            call: u64,
+            /// Result payload.
+            body: StoreBytes,
+        },
+
+        // ---- replication (read-one / write-all-available) ----
+        /// Peer → recovering replica: current state of a replicated object.
+        ReplicaState {
+            /// The replicated object.
+            object: ObjectId,
+            /// Version counter.
+            version: u64,
+            /// The state at that version.
+            state: StoreBytes,
+            /// `true` if the sender itself considers its copy stale (it is
+            /// also recovering); such a response still counts towards the
+            /// all-peers-heard quorum but does not by itself prove
+            /// freshness.
+            holder_stale: bool,
+        },
+        /// Peer → recovering replica: I hold no copy of this object.
+        ReplicaNone {
+            /// The replicated object.
+            object: ObjectId,
+        },
+        /// Recovering replica → peer: send me your state for this object.
+        ReplicaPull {
+            /// The replicated object.
+            object: ObjectId,
+        },
+    }
 }
 
 impl Message {

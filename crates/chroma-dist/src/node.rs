@@ -1,11 +1,12 @@
 //! A fail-silent node: stable + volatile halves, two-phase-commit state
 //! machines, at-most-once RPC server, replica state.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use chroma_base::{NodeId, ObjectId};
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
-use chroma_store::{codec, StableStore, StoreBytes};
+use chroma_store::{codec, DiskError, DiskStore, DiskStoreOptions, MemFs, StoreBytes};
 
 use crate::msg::{Effect, Message, TimerTag, TxnId, Write};
 
@@ -17,39 +18,41 @@ pub const MAX_PREPARE_ATTEMPTS: u32 = 5;
 /// durable commit record still answers queries afterwards).
 pub const MAX_DECISION_ATTEMPTS: u32 = 50;
 
-/// Durable records for the presumed-abort two-phase commit.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TpcRecord {
-    /// Coordinator decided commit (the commit point).
-    CoordCommit {
-        /// The transaction.
-        txn: TxnId,
-        /// The participants that must learn the decision.
-        participants: Vec<NodeId>,
-    },
-    /// Every participant acknowledged; the record can be forgotten.
-    CoordEnd {
-        /// The transaction.
-        txn: TxnId,
-    },
-    /// Participant prepared: it must find out the decision.
-    Prepared {
-        /// The transaction.
-        txn: TxnId,
-        /// Whom to ask.
-        coordinator: NodeId,
-        /// The writes to install on commit.
-        writes: Vec<Write>,
-    },
-    /// Participant processed the decision; obligation resolved.
-    ParticipantDone {
-        /// The transaction.
-        txn: TxnId,
-    },
+chroma_store::stored! {
+    /// Durable records for the presumed-abort two-phase commit.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum TpcRecord {
+        /// Coordinator decided commit (the commit point).
+        CoordCommit {
+            /// The transaction.
+            txn: TxnId,
+            /// The participants that must learn the decision.
+            participants: Vec<NodeId>,
+        },
+        /// Every participant acknowledged; the record can be forgotten.
+        CoordEnd {
+            /// The transaction.
+            txn: TxnId,
+        },
+        /// Participant prepared: it must find out the decision.
+        Prepared {
+            /// The transaction.
+            txn: TxnId,
+            /// Whom to ask.
+            coordinator: NodeId,
+            /// The writes to install on commit.
+            writes: Vec<Write>,
+        },
+        /// Participant processed the decision; obligation resolved.
+        ParticipantDone {
+            /// The transaction.
+            txn: TxnId,
+        },
+    }
 }
 
 /// Volatile coordinator state for an in-flight transaction.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct CoordState {
     participants: Vec<NodeId>,
     writes: HashMap<NodeId, Vec<Write>>,
@@ -99,30 +102,31 @@ struct RpcCall {
     attempts: u32,
 }
 
-/// A simulated fail-silent workstation.
+/// A fail-silent workstation, simulated or hosted by a process.
 ///
-/// Everything in the *stable* section survives [`Node::crash`];
-/// everything volatile is lost, and [`Node::recover`] rebuilds
-/// obligations from the 2PC log — re-sending decisions for
-/// committed-but-unacknowledged transactions and querying coordinators
-/// for prepared-but-undecided ones.
+/// Its stable half is one [`DiskStore`]. Handlers stage their writes
+/// and [`Node::barrier`] commits them as one batch. A crash loses
+/// everything volatile, the stage included; [`Node::recover`] reads the
+/// 2PC log back from the store and rebuilds obligations from it —
+/// re-sending decisions for committed-but-unacknowledged transactions
+/// and querying coordinators for prepared-but-undecided ones.
 #[derive(Debug)]
 pub struct Node {
     id: NodeId,
     /// `false` while crashed: the simulation drops deliveries.
     pub up: bool,
     // ---- stable ----
-    /// Installed object states; a batch installs atomically.
-    pub store: StableStore,
-    /// The 2PC log, in append order. Handlers append through
-    /// `Node::log`; [`Node::crash`] never clears it.
-    tpc_log: Vec<TpcRecord>,
-    // ---- durability barrier bookkeeping (process deployments) ----
-    /// `tpc_log` records [`Node::persist_durable`] already wrote.
-    persisted_records: usize,
-    /// Store objects written since the last barrier that wrote.
-    dirty: BTreeSet<ObjectId>,
+    store: DiskStore,
+    /// The in-memory disk under `store` of a [`Node::new`] node, which a
+    /// crash crashes; `None` for a node that adopted its host's store.
+    disk: Option<MemFs>,
     // ---- volatile ----
+    /// The 2PC log: the records in `store`, then the staged ones.
+    tpc_log: Vec<TpcRecord>,
+    /// Object states and 2PC records staged for the next barrier.
+    stage: BTreeMap<ObjectId, StoreBytes>,
+    /// The stage holds more than `CoordEnd`s: the next barrier writes.
+    stage_forced: bool,
     coord: HashMap<TxnId, CoordState>,
     /// Transactions this node will refuse to prepare (fault injection).
     pub veto: HashSet<TxnId>,
@@ -131,47 +135,55 @@ pub struct Node {
     next_call: u64,
     /// Replicated objects considered stale until a peer confirms.
     pub stale: HashSet<ObjectId>,
-    /// Peers per replicated object (for pull-on-recover).
-    pub replica_peers: HashMap<ObjectId, Vec<NodeId>>,
+    /// Peers per replicated object (for pull-on-recover), in object
+    /// order so recovery pulls in a seeded order.
+    pub replica_peers: BTreeMap<ObjectId, Vec<NodeId>>,
     /// Peers whose pull response is still outstanding, per object
     /// (volatile; populated on recovery).
-    pull_pending: HashMap<ObjectId, HashSet<NodeId>>,
+    pull_pending: BTreeMap<ObjectId, BTreeSet<NodeId>>,
     /// Observability handle (survives crashes: instrumentation is not
     /// part of the simulated machine).
     obs: ObsCell,
 }
 
 impl Node {
-    /// Creates an up, empty node.
+    /// Creates an up, empty node over a fresh in-memory disk
+    /// ([`MemFs`]) that [`Node::crash`] crashes.
     #[must_use]
     pub fn new(id: NodeId) -> Self {
+        let disk = MemFs::new();
+        let store = open_memory_store(&disk).expect("a fresh in-memory disk opens");
+        Node::with_store(id, store, Some(disk))
+    }
+
+    fn with_store(id: NodeId, store: DiskStore, disk: Option<MemFs>) -> Self {
         Node {
             id,
             up: true,
-            store: StableStore::new(),
+            store,
+            disk,
             tpc_log: Vec::new(),
-            persisted_records: 0,
-            dirty: BTreeSet::new(),
+            stage: BTreeMap::new(),
+            stage_forced: false,
             coord: HashMap::new(),
             veto: HashSet::new(),
             rpc_seen: HashMap::new(),
             rpc_calls: HashMap::new(),
             next_call: 1,
             stale: HashSet::new(),
-            replica_peers: HashMap::new(),
-            pull_pending: HashMap::new(),
+            replica_peers: BTreeMap::new(),
+            pull_pending: BTreeMap::new(),
             obs: ObsCell::new(),
         }
     }
 
     /// Starts building a node, mirroring `Runtime::builder()`: identity
-    /// and observability can come from a [`Transport`], and durable
-    /// state can be restored from a [`DiskStore`].
+    /// and observability can come from a [`Transport`], and the stable
+    /// half can be the host's own [`DiskStore`].
     ///
     /// [`Transport`]: crate::Transport
-    /// [`DiskStore`]: chroma_store::DiskStore
     #[must_use]
-    pub fn builder() -> NodeBuilder<'static> {
+    pub fn builder() -> NodeBuilder {
         NodeBuilder::default()
     }
 
@@ -230,9 +242,13 @@ impl Node {
         self.tpc_log.clone()
     }
 
-    /// Appends `record` to the 2PC log. A simulated crash never loses
-    /// it; a process host forces it with [`Node::persist_durable`].
+    /// Appends `record` to the 2PC log and stages it at its own
+    /// object id for the next [`Node::barrier`].
     fn log(&mut self, record: TpcRecord) {
+        let object = tpc_record_object(self.tpc_log.len());
+        let bytes = codec::to_bytes(&record).expect("2PC records encode");
+        self.stage_forced |= !matches!(record, TpcRecord::CoordEnd { .. });
+        self.stage.insert(object, StoreBytes::from(bytes));
         self.tpc_log.push(record);
         self.obs().emit(EventKind::WalAppend { records: 1 });
     }
@@ -299,19 +315,13 @@ impl Node {
             delay: RETRY_INTERVAL,
             tag: TimerTag::CoordinatorRetry(txn),
         });
-        self.coord.insert(
-            txn,
-            CoordState {
-                participants,
-                writes,
-                votes: HashSet::new(),
-                decided: None,
-                acked: HashSet::new(),
-                prepare_attempts: 0,
-                decision_attempts: 0,
-                begin_at_us: self.obs().now_us(),
-            },
-        );
+        let state = CoordState {
+            participants,
+            writes,
+            begin_at_us: self.obs().now_us(),
+            ..CoordState::default()
+        };
+        self.coord.insert(txn, state);
         effects
     }
 
@@ -501,7 +511,7 @@ impl Node {
                         updates.push((w.object, w.state));
                     }
                     if !updates.is_empty() {
-                        self.write_stable(updates);
+                        self.stage(updates);
                     }
                     for (object, version) in installed {
                         self.obs().emit(EventKind::ReplicaInstall {
@@ -575,11 +585,11 @@ impl Node {
         }
         let result = match codec::from_bytes::<RpcOp>(body) {
             Ok(RpcOp::Put(raw, state)) => {
-                self.write_stable(vec![(ObjectId::from_raw(raw), StoreBytes::from(state))]);
+                self.stage(vec![(ObjectId::from_raw(raw), StoreBytes::from(state))]);
                 RpcResult::Done
             }
             Ok(RpcOp::Get(raw)) => {
-                RpcResult::Value(self.store.read(ObjectId::from_raw(raw)).map(|b| b.to_vec()))
+                RpcResult::Value(self.read(ObjectId::from_raw(raw)).map(|b| b.to_vec()))
             }
             Ok(RpcOp::Ping) | Err(_) => RpcResult::Pong,
         };
@@ -634,7 +644,7 @@ impl Node {
     ) -> Vec<Effect> {
         let local = self.read_versioned(object).map(|(v, _)| v).unwrap_or(0);
         if version > local {
-            self.write_versioned(object, version, &state);
+            self.stage_versioned(object, version, &state);
         }
         // A non-stale holder's copy is authoritative: adopt-and-trust.
         if !holder_stale {
@@ -680,18 +690,24 @@ impl Node {
         });
     }
 
-    /// Reads a replicated object's `(version, state)` from the store.
+    /// Reads a replicated object's `(version, state)`.
     #[must_use]
     pub fn read_versioned(&self, object: ObjectId) -> Option<(u64, StoreBytes)> {
-        let bytes = self.store.read(object)?;
+        let bytes = self.read(object)?;
         let (version, state): (u64, Vec<u8>) = codec::from_bytes(&bytes).ok()?;
         Some((version, StoreBytes::from(state)))
     }
 
-    /// Writes a replicated object's `(version, state)` to the store.
+    /// Writes a replicated object's `(version, state)`; it is durable
+    /// when the call returns.
     pub fn write_versioned(&mut self, object: ObjectId, version: u64, state: &[u8]) {
+        self.stage_versioned(object, version, state);
+        self.barrier();
+    }
+
+    fn stage_versioned(&mut self, object: ObjectId, version: u64, state: &[u8]) {
         let bytes = codec::to_bytes(&(version, state.to_vec())).expect("versioned encodes");
-        self.write_stable(vec![(object, StoreBytes::from(bytes))]);
+        self.stage(vec![(object, StoreBytes::from(bytes))]);
         self.obs().emit(EventKind::ReplicaInstall {
             node: self.id,
             object,
@@ -699,12 +715,42 @@ impl Node {
         });
     }
 
-    /// Commits `updates` to the stable store and marks them for the
-    /// next [`Node::persist_durable`] — the one way a handler writes the
-    /// store.
-    fn write_stable(&mut self, updates: Vec<(ObjectId, StoreBytes)>) {
-        self.dirty.extend(updates.iter().map(|(object, _)| *object));
-        self.store.commit_batch(updates);
+    /// Stages `updates` for the next [`Node::barrier`] — the one way a
+    /// handler writes the store — and emits the WAL events of their
+    /// atomic install.
+    fn stage(&mut self, updates: Vec<(ObjectId, StoreBytes)>) {
+        let objects = updates.len() as u64;
+        let obs = self.obs();
+        obs.emit(EventKind::WalAppend {
+            records: objects + 1,
+        });
+        self.stage.extend(updates);
+        self.stage_forced = true;
+        obs.emit(EventKind::WalFlush { objects });
+    }
+
+    /// Returns `object`'s state: the staged write if there is one, else
+    /// the store's.
+    ///
+    /// # Panics
+    ///
+    /// If the store cannot be read: the node stops (fail-silent) rather
+    /// than take a lost object for an absent one.
+    #[must_use]
+    pub fn read(&self, object: ObjectId) -> Option<StoreBytes> {
+        if let Some(state) = self.stage.get(&object) {
+            return Some(state.clone());
+        }
+        self.store
+            .read(object)
+            .unwrap_or_else(|e| fail_silent("read its stable storage", &e))
+    }
+
+    /// The node's stable storage, without what is staged (tests and
+    /// tooling).
+    #[must_use]
+    pub fn store(&self) -> &DiskStore {
+        &self.store
     }
 
     // ------------------------------------------------------------------
@@ -848,9 +894,15 @@ impl Node {
         }
     }
 
-    /// Crashes the node: volatile state vanishes.
+    /// Crashes the node: volatile state vanishes, the stage with it,
+    /// and an in-memory disk loses whatever it never synced.
     pub fn crash(&mut self) {
         self.up = false;
+        if let Some(disk) = &self.disk {
+            disk.crash();
+        }
+        self.stage.clear();
+        self.stage_forced = false;
         self.coord.clear();
         self.rpc_seen.clear();
         self.rpc_calls.clear();
@@ -866,65 +918,66 @@ impl Node {
         self.stale.extend(replicated);
     }
 
-    /// Recovers the node: rebuilds protocol obligations from the
-    /// durable log and pulls replica state from peers. Returns the
-    /// effects to schedule.
+    /// Recovers the node: reopens an in-memory disk's store (the replay
+    /// a restarted process runs), reads the 2PC log back, rebuilds
+    /// protocol obligations from it and pulls replica state from peers.
+    /// Returns the effects to schedule.
+    ///
+    /// # Panics
+    ///
+    /// If the store cannot be reopened or its 2PC log is damaged
+    /// (fail-silent).
     pub fn recover(&mut self) -> Vec<Effect> {
         self.up = true;
+        if let Some(disk) = &self.disk {
+            self.store =
+                open_memory_store(disk).unwrap_or_else(|e| fail_silent("reopen its store", &e));
+        }
+        self.tpc_log =
+            read_tpc_log(&self.store).unwrap_or_else(|e| fail_silent("read its 2PC log", &e));
+        let (mut ended, mut done) = (HashSet::new(), HashSet::new());
+        for record in &self.tpc_log {
+            match record {
+                TpcRecord::CoordEnd { txn } => ended.insert(*txn),
+                TpcRecord::ParticipantDone { txn } => done.insert(*txn),
+                _ => false,
+            };
+        }
         let mut effects = Vec::new();
 
         // Coordinator obligations: committed but not ended → push the
         // decision again.
-        let records = &self.tpc_log;
-        let ended: HashSet<TxnId> = records
-            .iter()
-            .filter_map(|r| match r {
-                TpcRecord::CoordEnd { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
-        for record in records {
-            if let TpcRecord::CoordCommit { txn, participants } = record {
-                if !ended.contains(txn) {
-                    self.coord.insert(
-                        *txn,
-                        CoordState {
-                            participants: participants.clone(),
-                            writes: HashMap::new(),
-                            votes: HashSet::new(),
-                            decided: Some(true),
-                            acked: HashSet::new(),
-                            prepare_attempts: 0,
-                            decision_attempts: 0,
-                            begin_at_us: self.obs().now_us(),
-                        },
-                    );
-                    for &to in participants {
-                        effects.push(Effect::Send {
-                            to,
-                            msg: Message::Decision {
-                                txn: *txn,
-                                commit: true,
-                            },
-                        });
-                    }
-                    effects.push(Effect::SetTimer {
-                        delay: RETRY_INTERVAL,
-                        tag: TimerTag::DecisionRetry(*txn),
-                    });
-                }
+        let now = self.obs().now_us();
+        for record in &self.tpc_log {
+            let TpcRecord::CoordCommit { txn, participants } = record else {
+                continue;
+            };
+            if ended.contains(txn) {
+                continue;
             }
+            let state = CoordState {
+                participants: participants.clone(),
+                decided: Some(true),
+                begin_at_us: now,
+                ..CoordState::default()
+            };
+            self.coord.insert(*txn, state);
+            let decision = Message::Decision {
+                txn: *txn,
+                commit: true,
+            };
+            effects.extend(participants.iter().map(|&to| Effect::Send {
+                to,
+                msg: decision.clone(),
+            }));
+            effects.push(Effect::SetTimer {
+                delay: RETRY_INTERVAL,
+                tag: TimerTag::DecisionRetry(*txn),
+            });
         }
 
         // Participant obligations: prepared but not done → query.
-        let done: HashSet<TxnId> = records
-            .iter()
-            .filter_map(|r| match r {
-                TpcRecord::ParticipantDone { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
-        for record in records {
+        for record in &self.tpc_log {
             if let TpcRecord::Prepared {
                 txn, coordinator, ..
             } = record
@@ -967,124 +1020,51 @@ impl Node {
     }
 
     // ------------------------------------------------------------------
-    // Durability barrier (process deployments)
+    // Durability barrier
     // ------------------------------------------------------------------
 
-    /// The node's durability barrier: writes what changed in its
-    /// stable half since the last barrier that wrote — the objects its
-    /// handlers installed and the 2PC records they appended — into
-    /// `disk` as one atomic batch. A `chroma-node` process calls this
-    /// after every dispatch, before the resulting messages leave.
+    /// The durability barrier: commits what the handlers staged since
+    /// the last barrier that wrote — installed objects, and each new
+    /// 2PC record at [`TPC_LOG_BASE`] + its log index — as one atomic
+    /// batch. [`dispatch_with`](crate::dispatch_with) runs it after
+    /// every handler, before the resulting messages leave, in the
+    /// simulator and in `chroma-node` alike. A handler that staged
+    /// nothing costs no write, and neither does one that staged only
+    /// `CoordEnd`s: losing one only makes a recovered coordinator
+    /// re-send a decision, so it waits for the next barrier that
+    /// writes.
     ///
-    /// Each record lands at its own object id, [`TPC_LOG_BASE`] + its
-    /// log index, so the log on disk grows by the records written and
-    /// never by the log's length. A handler that changed nothing costs
-    /// no write and no fsync. Neither does one whose only new records
-    /// are `CoordEnd`s: losing an end record only makes a recovered
-    /// coordinator re-send a decision its participants acknowledge
-    /// again, so it waits for the next barrier that writes. Everything
-    /// else — `Prepared`, `CoordCommit`, a participant's install with
-    /// its `ParticipantDone` — is forced before its messages leave.
+    /// # Panics
     ///
-    /// # Errors
-    ///
-    /// [`DiskError`](chroma_store::DiskError) on filesystem failure;
-    /// nothing counts as written then, so the next barrier retries it.
-    pub fn persist_durable(
-        &mut self,
-        disk: &chroma_store::DiskStore,
-    ) -> Result<(), chroma_store::DiskError> {
-        let first = self.persisted_records;
-        let records = &self.tpc_log[first..];
-        let lazy_only = records
-            .iter()
-            .all(|r| matches!(r, TpcRecord::CoordEnd { .. }));
-        if self.dirty.is_empty() && lazy_only {
-            return Ok(());
+    /// If the store cannot commit: the node stops (fail-silent) rather
+    /// than send what the lost state would justify.
+    pub fn barrier(&mut self) {
+        if !self.stage_forced {
+            return;
         }
-        let mut updates: Vec<(ObjectId, StoreBytes)> =
-            Vec::with_capacity(self.dirty.len() + records.len());
-        for &object in &self.dirty {
-            if let Some(state) = self.store.read(object) {
-                updates.push((object, state));
-            }
+        let batch = std::mem::take(&mut self.stage).into_iter().collect();
+        self.stage_forced = false;
+        if let Err(e) = self.store.commit_batch(batch) {
+            fail_silent("make its state stable", &e);
         }
-        for (index, record) in (first..).zip(records) {
-            updates.push((
-                tpc_record_object(index),
-                StoreBytes::from(crate::wire::encode_records(std::slice::from_ref(record))),
-            ));
-        }
-        disk.commit_batch(updates)?;
-        self.persisted_records = self.tpc_log.len();
-        self.dirty.clear();
-        Ok(())
     }
 
-    /// Restores the stable half that [`persist_durable`] wrote into a
-    /// freshly built node: object states re-enter the in-memory stable
-    /// store, and the 2PC records re-enter the durable log in index
-    /// order. Later barriers then write only records appended after
-    /// these. Ignores objects outside the node's namespace (e.g. ones
-    /// a co-hosted `Runtime` allocated).
-    ///
-    /// [`persist_durable`]: Node::persist_durable
+    /// [`Node::barrier`] under its old name, for `bench/`; the next
+    /// benchmark change drops it. `disk` must be the store adopted
+    /// through [`NodeBuilder::backend`].
     ///
     /// # Errors
     ///
-    /// [`DiskError`](chroma_store::DiskError) on filesystem failure.
-    /// [`DiskError::CorruptLog`](chroma_store::DiskError::CorruptLog)
-    /// if the record ids are not dense from [`TPC_LOG_BASE`] (every
-    /// barrier writes a contiguous run atomically, so a hole is damage)
-    /// or an object there does not hold exactly one record.
-    pub fn restore_durable(
-        &mut self,
-        disk: &chroma_store::DiskStore,
-    ) -> Result<(), chroma_store::DiskError> {
-        let corrupt = chroma_store::DiskError::CorruptLog;
-        let mut updates = Vec::new();
-        let mut indices = Vec::new();
-        for object in disk.object_ids()? {
-            let raw = object.as_raw();
-            if raw >= TPC_LOG_BASE.as_raw() {
-                indices.push(raw - TPC_LOG_BASE.as_raw());
-            } else if raw >= MIRROR_FLOOR {
-                if let Some(state) = disk.read(object)? {
-                    updates.push((object, state));
-                }
-            }
-        }
-        indices.sort_unstable();
-        for (expected, index) in (0u64..).zip(indices) {
-            if index != expected {
-                return Err(corrupt(format!(
-                    "tpc log: record {expected} missing (next on disk is {index})"
-                )));
-            }
-            let blob = disk
-                .read(tpc_record_object(index as usize))?
-                .ok_or_else(|| corrupt(format!("tpc log: record {index} vanished")))?;
-            let records = crate::wire::decode_records(&blob)
-                .map_err(|e| corrupt(format!("tpc log record {index}: {e}")))?;
-            let Ok([record]) = <[TpcRecord; 1]>::try_from(records) else {
-                return Err(corrupt(format!(
-                    "tpc log record {index}: want exactly one record"
-                )));
-            };
-            self.tpc_log.push(record);
-        }
-        self.persisted_records = self.tpc_log.len();
-        if !updates.is_empty() {
-            self.store.commit_batch(updates);
-        }
+    /// None: a failed barrier panics.
+    pub fn persist_durable(&mut self, disk: &DiskStore) -> Result<(), DiskError> {
+        assert!(disk.same_store(&self.store), "not this node's store");
+        self.barrier();
         Ok(())
     }
 }
 
-/// The first of the object ids where [`Node::persist_durable`] keeps
-/// the 2PC log inside a shared [`DiskStore`](chroma_store::DiskStore):
-/// record `i` of the log lives at `TPC_LOG_BASE + i`, one encoded
-/// record per object — far above any real object id.
+/// Record `i` of a node's 2PC log lives in its store at
+/// `TPC_LOG_BASE + i` — far above any real object id.
 pub const TPC_LOG_BASE: ObjectId = ObjectId::from_raw(1 << 62);
 
 /// The object holding 2PC log record `index`.
@@ -1092,21 +1072,57 @@ fn tpc_record_object(index: usize) -> ObjectId {
     ObjectId::from_raw(TPC_LOG_BASE.as_raw() + index as u64)
 }
 
-/// Lowest object id [`Node::restore_durable`] treats as persisted node
-/// state; ids below belong to a co-hosted `Runtime`.
-const MIRROR_FLOOR: u64 = 1_000;
+/// Reads the 2PC log back from `store` — what a restart and a
+/// simulated recovery both run. A hole in the record ids is
+/// [`DiskError::CorruptLog`]: every barrier writes a contiguous run.
+fn read_tpc_log(store: &DiskStore) -> Result<Vec<TpcRecord>, DiskError> {
+    let corrupt = DiskError::CorruptLog;
+    let mut indices: Vec<u64> = store
+        .object_ids()?
+        .into_iter()
+        .filter(|&object| object >= TPC_LOG_BASE)
+        .map(|object| object.as_raw() - TPC_LOG_BASE.as_raw())
+        .collect();
+    indices.sort_unstable();
+    let mut log = Vec::with_capacity(indices.len());
+    for (expected, index) in (0u64..).zip(indices) {
+        if index != expected {
+            return Err(corrupt(format!(
+                "tpc log: record {expected} missing (next on disk is {index})"
+            )));
+        }
+        let blob = store
+            .read(tpc_record_object(index as usize))?
+            .ok_or_else(|| corrupt(format!("tpc log: record {index} vanished")))?;
+        let record = codec::from_bytes(&blob)
+            .map_err(|e| corrupt(format!("tpc log record {index}: {e}")))?;
+        log.push(record);
+    }
+    Ok(log)
+}
+
+/// Opens a [`Node::new`] node's store over its in-memory disk, with no
+/// checkpointer thread, so a simulated run stays a function of its seed.
+fn open_memory_store(disk: &MemFs) -> Result<DiskStore, DiskError> {
+    let opts = DiskStoreOptions {
+        auto_checkpoint: false,
+        ..DiskStoreOptions::default()
+    };
+    DiskStore::open_fs(Arc::new(disk.clone()), "node", opts)
+}
+
+/// A node that cannot trust its stable storage stops (fail-silent).
+fn fail_silent(what: &str, e: &DiskError) -> ! {
+    panic!("node stops (fail-silent): cannot {what}: {e}")
+}
 
 impl Observable for Node {
-    /// Installs an observability handle, forwarding it to the stable
-    /// store so its WAL events flow through too.
-    ///
-    /// The handle is rebound to this node's identity first, so every
-    /// event the node (or its store) emits carries a `node` field
-    /// and ticks this node's Lamport clock.
+    /// Installs an observability handle, rebound to this node's
+    /// identity so every event it emits carries a `node` field and
+    /// ticks its Lamport clock. The node emits its own WAL events as it
+    /// stages; its store stays unobserved.
     fn install_obs(&self, obs: Obs) {
-        let obs = obs.at_node(self.id);
-        self.store.install_obs(obs.clone());
-        self.obs.set(obs);
+        self.obs.set(obs.at_node(self.id));
     }
 }
 
@@ -1122,13 +1138,13 @@ impl Observable for Node {
 /// assert_eq!(node.id(), NodeId::from_raw(3));
 /// ```
 #[derive(Default)]
-pub struct NodeBuilder<'a> {
+pub struct NodeBuilder {
     id: Option<NodeId>,
     obs: Option<Obs>,
-    backend: Option<&'a chroma_store::DiskStore>,
+    backend: Option<DiskStore>,
 }
 
-impl<'a> NodeBuilder<'a> {
+impl NodeBuilder {
     /// Sets the node's identity.
     #[must_use]
     pub fn id(mut self, id: NodeId) -> Self {
@@ -1155,35 +1171,34 @@ impl<'a> NodeBuilder<'a> {
         self
     }
 
-    /// Restores the node's stable half from what
-    /// [`Node::persist_durable`] wrote into `disk`, at build time.
+    /// Makes (a clone of) `disk` the node's stable storage instead of
+    /// an in-memory disk of its own; the build reads its 2PC log back.
     #[must_use]
-    pub fn backend(self, disk: &chroma_store::DiskStore) -> NodeBuilder<'_> {
-        NodeBuilder {
-            id: self.id,
-            obs: self.obs,
-            backend: Some(disk),
-        }
+    pub fn backend(mut self, disk: &DiskStore) -> Self {
+        self.backend = Some(disk.clone());
+        self
     }
 
-    /// Builds the node: restore durable state first (quietly), then
-    /// install observability.
+    /// Builds the node: read its 2PC log back (quietly), then install
+    /// observability.
     ///
     /// # Errors
     ///
-    /// [`DiskError`](chroma_store::DiskError) if restoring from the
-    /// backend fails.
+    /// [`DiskError`] if the backend's 2PC log cannot be read back.
     ///
     /// # Panics
     ///
     /// Panics if no identity was provided via [`NodeBuilder::id`] or
     /// [`NodeBuilder::transport`].
-    pub fn build(self) -> Result<Node, chroma_store::DiskError> {
+    pub fn build(self) -> Result<Node, DiskError> {
         let id = self.id.expect("NodeBuilder requires an id or transport");
-        let mut node = Node::new(id);
-        if let Some(disk) = self.backend {
-            node.restore_durable(disk)?;
-        }
+        let node = match self.backend {
+            Some(disk) => Node {
+                tpc_log: read_tpc_log(&disk)?,
+                ..Node::with_store(id, disk, None)
+            },
+            None => Node::new(id),
+        };
         if let Some(obs) = self.obs {
             node.install_obs(obs);
         }

@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::msg::{CorrId, Effect, Message, TimerTag, TxnId, Write};
 use crate::node::Node;
-use crate::transport::{dispatch, Cluster, Transport, TransportEvent};
+use crate::transport::{dispatch_with, Cluster, Transport, TransportEvent};
 use crate::wire;
 
 /// Network behaviour knobs (the paper's §2 failure model: messages may
@@ -104,7 +104,7 @@ pub struct NetStats {
 /// );
 /// sim.run_to_quiescence();
 /// assert_eq!(sim.coordinator_outcome(a, txn), Some(true));
-/// assert_eq!(sim.node(b).store.read(o).as_deref(), Some(&[7u8][..]));
+/// assert_eq!(sim.node(b).read(o).as_deref(), Some(&[7u8][..]));
 /// ```
 #[derive(Debug)]
 pub struct Sim {
@@ -385,13 +385,14 @@ impl Sim {
     }
 
     /// Runs one transport event against `id`'s node through the shared
-    /// [`dispatch`] path. The node is lifted out of the map for the
-    /// duration so the [`SimTransport`] view can borrow the simulation
-    /// mutably.
+    /// [`dispatch_with`] path, with the node's durability barrier after
+    /// the handler, exactly as a `chroma-node` process runs it. The node
+    /// is lifted out of the map for the duration so the
+    /// [`SimTransport`] view can borrow the simulation mutably.
     fn dispatch_to(&mut self, id: NodeId, event: TransportEvent) {
         let mut node = self.nodes.remove(&id).expect("node present");
         let mut view = SimTransport { sim: self, id };
-        dispatch(&mut node, &mut view, event);
+        dispatch_with(&mut node, &mut view, event, Node::barrier);
         self.nodes.insert(id, node);
     }
 
@@ -663,15 +664,15 @@ mod tests {
         sim.run_to_quiescence();
         assert_eq!(sim.coordinator_outcome(a, txn), Some(true));
         assert_eq!(
-            sim.node(b).store.read(ObjectId::from_raw(1)).as_deref(),
+            sim.node(b).read(ObjectId::from_raw(1)).as_deref(),
             Some(&[10u8][..])
         );
         assert_eq!(
-            sim.node(c).store.read(ObjectId::from_raw(2)).as_deref(),
+            sim.node(c).read(ObjectId::from_raw(2)).as_deref(),
             Some(&[20u8][..])
         );
         assert_eq!(
-            sim.node(a).store.read(ObjectId::from_raw(3)).as_deref(),
+            sim.node(a).read(ObjectId::from_raw(3)).as_deref(),
             Some(&[30u8][..])
         );
     }
@@ -686,8 +687,8 @@ mod tests {
         let txn = sim.begin_transaction(a, vec![(a, vec![write(1, 1)]), (b, vec![write(2, 2)])]);
         sim.run_to_quiescence();
         assert_eq!(sim.coordinator_outcome(a, txn), None); // presumed abort
-        assert!(sim.node(a).store.read(ObjectId::from_raw(1)).is_none());
-        assert!(sim.node(b).store.read(ObjectId::from_raw(2)).is_none());
+        assert!(sim.node(a).read(ObjectId::from_raw(1)).is_none());
+        assert!(sim.node(b).read(ObjectId::from_raw(2)).is_none());
     }
 
     #[test]
@@ -703,10 +704,10 @@ mod tests {
         // never got through it aborted — either way both sides agree.
         match sim.coordinator_outcome(a, txn) {
             Some(true) => assert_eq!(
-                sim.node(b).store.read(ObjectId::from_raw(1)).as_deref(),
+                sim.node(b).read(ObjectId::from_raw(1)).as_deref(),
                 Some(&[9u8][..])
             ),
-            _ => assert!(sim.node(b).store.read(ObjectId::from_raw(1)).is_none()),
+            _ => assert!(sim.node(b).read(ObjectId::from_raw(1)).is_none()),
         }
         assert!(!sim.node(b).in_doubt(txn));
     }
@@ -724,10 +725,7 @@ mod tests {
         // At-most-once: despite duplicates, exactly one execution.
         assert_eq!(sim.node(server).rpc_executed(), 1);
         assert_eq!(
-            sim.node(server)
-                .store
-                .read(ObjectId::from_raw(7))
-                .as_deref(),
+            sim.node(server).read(ObjectId::from_raw(7)).as_deref(),
             Some(&[1u8, 2][..])
         );
     }

@@ -117,11 +117,11 @@ pub trait Transport {
 }
 
 /// Feeds one transport event to a node: merges the Lamport clock,
-/// emits the `MsgDeliver` trace event, runs the handler and applies the
-/// resulting effects. The single code path shared by the simulator's
-/// scheduler and the `chroma-node` process loop.
+/// emits the `MsgDeliver` trace event, runs the handler and the node's
+/// [`Node::barrier`], then applies the resulting effects — what the
+/// simulator's scheduler and the `chroma-node` process loop both run.
 pub fn dispatch<T: Transport + ?Sized>(node: &mut Node, transport: &mut T, event: TransportEvent) {
-    dispatch_with(node, transport, event, |_| {});
+    dispatch_with(node, transport, event, Node::barrier);
 }
 
 /// [`dispatch`] with a durability barrier: `barrier` runs after the

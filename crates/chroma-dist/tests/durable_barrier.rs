@@ -72,10 +72,11 @@ fn rebuild(id: NodeId, dir: &Path) -> Result<Node, DiskError> {
 }
 
 fn pages(node: &Node) -> BTreeMap<ObjectId, Vec<u8>> {
-    node.store
+    node.store()
         .object_ids()
+        .expect("ids")
         .into_iter()
-        .map(|o| (o, node.store.read(o).expect("listed").to_vec()))
+        .map(|o| (o, node.read(o).expect("listed").to_vec()))
         .collect()
 }
 

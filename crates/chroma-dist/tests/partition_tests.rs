@@ -25,15 +25,15 @@ fn tpc_blocked_by_partition_settles_after_heal() {
     // p2's vote never arrives: the coordinator aborts after retries;
     // both participants end consistent (nothing installed).
     assert_eq!(sim.coordinator_outcome(coord, txn), None);
-    assert!(sim.node(p1).store.read(ObjectId::from_raw(1)).is_none());
-    assert!(sim.node(p2).store.read(ObjectId::from_raw(2)).is_none());
+    assert!(sim.node(p1).read(ObjectId::from_raw(1)).is_none());
+    assert!(sim.node(p2).read(ObjectId::from_raw(2)).is_none());
     assert!(!sim.node(p1).in_doubt(txn));
     // Heal: a fresh transaction now commits everywhere.
     sim.heal_all();
     let txn2 = sim.begin_transaction(coord, vec![(p1, vec![w(1, 5)]), (p2, vec![w(2, 6)])]);
     sim.run_to_quiescence();
     assert_eq!(sim.coordinator_outcome(coord, txn2), Some(true));
-    assert!(sim.node(p2).store.read(ObjectId::from_raw(2)).is_some());
+    assert!(sim.node(p2).read(ObjectId::from_raw(2)).is_some());
 }
 
 #[test]
@@ -57,7 +57,7 @@ fn partition_after_prepare_leaves_participant_in_doubt_until_heal() {
     }
     assert!(!sim.node(p).in_doubt(txn), "in doubt after heal");
     // Whatever was decided, it is consistent with the install state.
-    let installed = sim.node(p).store.read(ObjectId::from_raw(1)).is_some();
+    let installed = sim.node(p).read(ObjectId::from_raw(1)).is_some();
     match sim.coordinator_outcome(coord, txn) {
         Some(true) => assert!(installed),
         _ => assert!(!installed),
@@ -114,8 +114,8 @@ fn asymmetric_partitions_do_not_break_atomicity() {
         sim.run_to_quiescence();
         sim.heal_all();
         sim.run_to_quiescence();
-        let i1 = sim.node(p1).store.read(ObjectId::from_raw(1)).is_some();
-        let i2 = sim.node(p2).store.read(ObjectId::from_raw(2)).is_some();
+        let i1 = sim.node(p1).read(ObjectId::from_raw(1)).is_some();
+        let i2 = sim.node(p2).read(ObjectId::from_raw(2)).is_some();
         // After healing and quiescence, any lingering in-doubt state
         // must have resolved consistently.
         let outcome = sim.coordinator_outcome(coord, txn);

@@ -25,7 +25,7 @@ fn duplicate_prepare_is_idempotent() {
     sim.run_to_quiescence();
     assert_eq!(sim.coordinator_outcome(coord, txn), Some(true));
     assert_eq!(
-        sim.node(p).store.read(ObjectId::from_raw(1)).as_deref(),
+        sim.node(p).read(ObjectId::from_raw(1)).as_deref(),
         Some(&[1u8][..])
     );
     assert!(!sim.node(p).in_doubt(txn));
@@ -46,8 +46,8 @@ fn veto_from_one_participant_aborts_all() {
     // p1 prepared, then learned abort: obligation resolved, nothing
     // installed anywhere.
     assert!(!sim.node(p1).in_doubt(txn));
-    assert!(sim.node(p1).store.read(ObjectId::from_raw(1)).is_none());
-    assert!(sim.node(p2).store.read(ObjectId::from_raw(2)).is_none());
+    assert!(sim.node(p1).read(ObjectId::from_raw(1)).is_none());
+    assert!(sim.node(p2).read(ObjectId::from_raw(2)).is_none());
     // resolved() reports obligation state, not commitment.
     assert!(sim.node(p1).resolved(txn));
 }

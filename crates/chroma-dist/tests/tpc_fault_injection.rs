@@ -17,11 +17,7 @@ fn w(object: u64, value: u8) -> Write {
 }
 
 fn installed(sim: &Sim, node: NodeId, object: u64, value: u8) -> bool {
-    sim.node(node)
-        .store
-        .read(ObjectId::from_raw(object))
-        .as_deref()
-        == Some(&[value][..])
+    sim.node(node).read(ObjectId::from_raw(object)).as_deref() == Some(&[value][..])
 }
 
 #[test]

@@ -9,7 +9,7 @@
 use chroma_base::{NodeId, ObjectId};
 use chroma_dist::wire::{self, WireError, WIRE_VERSION};
 use chroma_dist::{Message, RpcOp, RpcResult, TpcRecord, TxnId, Write};
-use chroma_store::codec::{from_bytes, to_bytes};
+use chroma_store::codec::{from_bytes, to_bytes, CodecError};
 use chroma_store::StoreBytes;
 use proptest::prelude::*;
 
@@ -115,8 +115,8 @@ proptest! {
             TpcRecord::CoordEnd { txn: TxnId(txn) },
             TpcRecord::ParticipantDone { txn: TxnId(txn ^ 1) },
         ];
-        let encoded = wire::encode_records(&records);
-        let decoded = wire::decode_records(&encoded).expect("round trip");
+        let encoded = to_bytes(&records).expect("encodes");
+        let decoded: Vec<TpcRecord> = from_bytes(&encoded).expect("round trip");
         prop_assert_eq!(decoded, records);
     }
 }
@@ -139,7 +139,10 @@ fn version_and_magic_are_checked() {
 
     let mut trailing = good;
     trailing.push(0);
-    assert!(matches!(wire::decode(&trailing), Err(WireError::Trailing)));
+    assert!(matches!(
+        wire::decode(&trailing),
+        Err(WireError::Body(CodecError::TrailingBytes(_)))
+    ));
 }
 
 /// The RPC service's bodies (`RpcRequest`/`RpcResponse` payloads) keep

@@ -22,16 +22,18 @@
 //!
 //! Three things make `kill -9` survivable:
 //!
-//! * every dispatch runs [`Node::persist_durable`] as its durability
-//!   barrier — what the handler changed (installed objects, new 2PC
-//!   records) reaches the [`DiskBackend`]'s intentions log as one batch
-//!   *before* any resulting message leaves. A handler that changed
+//! * the node's stable half *is* the [`DiskBackend`]'s store
+//!   (`Node::builder().backend(..)` adopts it), and every dispatch runs
+//!   [`Node::barrier`] — what the handler staged (installed objects, new
+//!   2PC records) reaches the store's intentions log as one batch
+//!   *before* any resulting message leaves. A handler that staged
 //!   nothing costs no write; a coordinator's `CoordEnd` rides along with
 //!   the next barrier that writes, since losing it only repeats a
-//!   decision the participants acknowledge again;
-//! * on restart the node rebuilds from what the barriers wrote
-//!   (`Node::builder().backend(..)`) and [`Node::recover`] re-derives
-//!   its protocol obligations;
+//!   decision the participants acknowledge again. A simulated node runs
+//!   the same barrier over an in-memory disk;
+//! * on restart `DiskStore::open` replays the log, the node reads its
+//!   2PC log back from the store and [`Node::recover`] re-derives its
+//!   protocol obligations — the same recovery a simulated crash runs;
 //! * the process appends to its per-node JSONL trace with its Lamport
 //!   clock restored from the trace's own tail, so a merged cluster
 //!   trace (`chroma-trace merge`) still audits clean across the crash.
@@ -57,7 +59,7 @@ use chroma_store::StoreBytes;
 /// Lowest object id the coordinator writes through 2PC; ids below
 /// belong to each process's co-hosted [`Runtime`], ids from
 /// [`chroma_dist::TPC_LOG_BASE`] (`1 << 62`) on to the node's 2PC log
-/// records, one per object.
+/// records, one per object, all in the one store.
 const APP_OBJECT_BASE: u64 = 1_000;
 
 /// How long a coordinator drives one transaction before giving up and
@@ -196,10 +198,10 @@ fn run(opts: &Opts) -> Result<(), String> {
     bus.add_sink(Arc::new(sink));
     let obs = Obs::new(Arc::clone(&bus));
 
-    // -- durability: one DiskStore shared by the node's durable state and the
-    // co-hosted Runtime (kept in disjoint object-id ranges). The store
-    // stays un-observed: its WAL events belong to single-process
-    // deployments, not this per-node protocol trace.
+    // -- durability: one DiskStore is the node's stable half and the
+    // co-hosted Runtime's backend (kept in disjoint object-id ranges).
+    // The store stays un-observed: its WAL events belong to
+    // single-process deployments, not this per-node protocol trace.
     let backend = Arc::new(
         DiskBackend::open(&opts.data)
             .map_err(|e| format!("cannot open data dir {}: {e}", opts.data.display()))?,
@@ -225,7 +227,7 @@ fn run(opts: &Opts) -> Result<(), String> {
         tcp.add_peer(peer, addr);
     }
 
-    // -- the protocol node, restored from its durable state
+    // -- the protocol node over that store, its 2PC log read back
     let mut node = Node::builder()
         .transport(&tcp)
         .backend(backend.store())
@@ -258,28 +260,15 @@ fn run(opts: &Opts) -> Result<(), String> {
         .atomic(|a| a.modify(boot, |count: &mut u64| *count += 1))
         .map_err(|e| format!("boot action failed: {e}"))?;
 
-    // the barrier writes only what the handler changed; if it cannot,
-    // the node must not send what that state would justify
-    let disk = Arc::clone(&backend);
-    let barrier = move |n: &mut Node| {
-        n.persist_durable(disk.store())
-            .expect("durability barrier: cannot persist stable state");
-    };
-
     match opts.role {
-        Role::Worker => run_worker(opts, &mut node, &mut tcp, barrier),
-        Role::Coordinator => run_coordinator(opts, &mut node, &mut tcp, barrier),
+        Role::Worker => run_worker(opts, &mut node, &mut tcp),
+        Role::Coordinator => run_coordinator(opts, &mut node, &mut tcp),
     }
 }
 
 /// Answer prepares/decisions forever; exit cleanly when stdin closes
 /// (the supervising process went away) — or never, if killed first.
-fn run_worker(
-    opts: &Opts,
-    node: &mut Node,
-    tcp: &mut TcpTransport,
-    mut barrier: impl FnMut(&mut Node),
-) -> Result<(), String> {
+fn run_worker(opts: &Opts, node: &mut Node, tcp: &mut TcpTransport) -> Result<(), String> {
     println!("worker {} ready on {}", opts.id, tcp.local_addr());
     std::io::stdout().flush().ok();
     std::thread::spawn(|| {
@@ -290,19 +279,14 @@ fn run_worker(
     loop {
         if let Some(event) = tcp.poll(Some(Duration::from_millis(50))) {
             surface_gap(&event);
-            dispatch_with(node, tcp, event, &mut barrier);
+            dispatch_with(node, tcp, event, Node::barrier);
         }
     }
 }
 
 /// Drive `--txns` transactions through 2PC, reporting each outcome on
 /// stdout, then linger to answer straggler decision queries.
-fn run_coordinator(
-    opts: &Opts,
-    node: &mut Node,
-    tcp: &mut TcpTransport,
-    mut barrier: impl FnMut(&mut Node),
-) -> Result<(), String> {
+fn run_coordinator(opts: &Opts, node: &mut Node, tcp: &mut TcpTransport) -> Result<(), String> {
     println!("coordinator {} ready on {}", opts.id, tcp.local_addr());
     std::io::stdout().flush().ok();
     let participants: Vec<NodeId> = opts.peers.iter().map(|&(peer, _)| peer).collect();
@@ -333,7 +317,7 @@ fn run_coordinator(
         while node.coordinator_active(txn) && Instant::now() < deadline {
             if let Some(event) = tcp.poll(Some(Duration::from_millis(50))) {
                 surface_gap(&event);
-                dispatch_with(node, tcp, event, &mut barrier);
+                dispatch_with(node, tcp, event, Node::barrier);
             }
         }
         let outcome = if node.coordinator_outcome(txn) == Some(true) {
@@ -350,7 +334,7 @@ fn run_coordinator(
     while Instant::now() < linger_until {
         if let Some(event) = tcp.poll(Some(Duration::from_millis(50))) {
             surface_gap(&event);
-            dispatch_with(node, tcp, event, &mut barrier);
+            dispatch_with(node, tcp, event, Node::barrier);
         }
     }
     println!("coordinator done: {committed}/{} committed", opts.txns);

@@ -1,6 +1,6 @@
 //! The acceptance test of the process deployment: a 3-process cluster
 //! (one coordinator, two workers over `TcpTransport`) survives
-//! `kill -9` of a worker mid-2PC, recovers from its durable mirror,
+//! `kill -9` of a worker mid-2PC, recovers from its durable store,
 //! keeps committing, and the merged per-process traces audit clean.
 //!
 //! `CHROMA_TORTURE_SEED` varies the write payloads, transaction count
@@ -259,7 +259,7 @@ fn kill9_mid_2pc_recovers_and_audits_clean() {
     let mut killed = false;
     let outcomes = drain_outcomes(&rx, txns, |line| {
         if !killed && line.starts_with(&begin_marker) {
-            // SIGKILL, not a polite shutdown: the durable mirror is all
+            // SIGKILL, not a polite shutdown: the durable store is all
             // the next incarnation gets
             w2.take()
                 .expect("worker 2 alive")
@@ -286,7 +286,7 @@ fn kill9_mid_2pc_recovers_and_audits_clean() {
     std::fs::remove_dir_all(&paths.dir).ok();
 }
 
-/// The same durable mirror that survives `kill -9` must also produce a
+/// The same durable store that survives `kill -9` must also produce a
 /// clean second boot: stable state round-trips, and the re-reported
 /// outcomes match what the coordinator printed the first time.
 #[test]
@@ -301,7 +301,7 @@ fn worker_store_round_trips_across_restart() {
     drop(w2); // SIGKILL via Reaped
 
     // boot a fresh incarnation with no cluster around it: it must come
-    // up from the mirror alone (recovery sends go nowhere) and its
+    // up from its store alone (recovery sends go nowhere) and its
     // trace must extend the old one, not restart it
     let before = std::fs::read_to_string(paths.trace(2)).unwrap().len();
     let w2b = paths.spawn_worker(2);

@@ -332,6 +332,36 @@ stored_tuple!(A a, B b);
 stored_tuple!(A a, B b, C c);
 stored_tuple!(A a, B b, C c, D d);
 
+/// Identifiers encode as their raw value.
+macro_rules! stored_id {
+    ($($ty:ty => $raw:ty),*) => {$(
+        impl Stored for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                self.as_raw().encode(out);
+            }
+
+            fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+                Ok(<$ty>::from_raw(<$raw>::decode(input)?))
+            }
+        }
+    )*};
+}
+
+stored_id!(chroma_base::ObjectId => u64, chroma_base::NodeId => u32);
+
+/// Encodes like `Vec<u8>`.
+impl Stored for crate::StoreBytes {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_len(self.len(), out);
+        out.extend_from_slice(self);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let len = decode_len(input)?;
+        Ok(crate::StoreBytes::copy_from_slice(take(input, len)?))
+    }
+}
+
 /// Declares a struct or enum and implements [`Stored`] for it.
 ///
 /// A struct (named fields) encodes its fields in declaration order. An

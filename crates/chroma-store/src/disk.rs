@@ -2,13 +2,15 @@
 //! to a real directory as a **segmented intentions log** under a tiny
 //! manifest.
 //!
-//! The in-memory [`StableStore`](crate::StableStore) *models* stable
-//! storage for simulated nodes, whose crashes never touch it;
-//! `DiskStore` *is* stable storage: updates go
+//! `DiskStore` is the one stable storage every node has: updates go
 //! through a write-ahead intentions log that is fsynced before the
 //! commit marker, and [`DiskStore::open`] replays the log — completing
-//! committed batches and discarding uncommitted ones — so a process
-//! crash at any point leaves an all-or-nothing outcome.
+//! committed batches and discarding uncommitted ones — so a crash at
+//! any point leaves an all-or-nothing outcome. It runs over an
+//! [`Fs`]: [`OsFs`](crate::OsFs) for a real directory, or
+//! [`MemFs`](crate::MemFs) for a simulated node, whose
+//! [`crash`](crate::MemFs::crash) drops whatever no fsync made
+//! durable before the same recovery runs.
 //!
 //! # Segments and the manifest
 //!
@@ -91,8 +93,7 @@
 //! ```
 
 use std::collections::{HashMap, HashSet};
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Read as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -105,6 +106,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::codec::{self, Stored};
 use crate::crc32::crc32;
+use crate::fs::{Fs, FsFile, OsFs};
 use crate::StoreBytes;
 
 /// Magic prefix identifying the checksummed log format.
@@ -354,7 +356,7 @@ struct WalState {
     /// Live segments in manifest order; the last is the active one.
     segments: Vec<SegmentInfo>,
     /// Append handle to the active segment.
-    active: File,
+    active: Box<dyn FsFile>,
 }
 
 /// Checkpointer wakeup state.
@@ -367,6 +369,7 @@ struct CkptState {
 /// Everything the store and its checkpointer thread share.
 #[derive(Debug)]
 struct Shared {
+    fs: Arc<dyn Fs>,
     dir: PathBuf,
     opts: DiskStoreOptions,
     /// Group-commit coordination: queue, outcomes, leader election.
@@ -398,7 +401,8 @@ struct Shared {
     pending_replay: Mutex<Option<ReplayStats>>,
 }
 
-/// A crash-safe object store on the local filesystem.
+/// A crash-safe object store over an [`Fs`]: the local filesystem or an
+/// in-memory disk.
 ///
 /// # Examples
 ///
@@ -420,11 +424,32 @@ struct Shared {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+///
+/// A `DiskStore` is a cheap shared handle: clones commit to and read
+/// from the same store, and the background checkpointer is joined when
+/// the last clone drops.
+#[derive(Clone, Debug)]
 pub struct DiskStore {
     shared: Arc<Shared>,
-    /// Background checkpointer, joined on drop.
-    checkpointer: Option<JoinHandle<()>>,
+    /// Held only so the last clone to drop joins the thread.
+    _checkpointer: Arc<Checkpointer>,
+}
+
+/// The background checkpointer thread, joined on drop.
+#[derive(Debug)]
+struct Checkpointer {
+    shared: Arc<Shared>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Drop for Checkpointer {
+    fn drop(&mut self) {
+        if let Some(handle) = self.thread.take() {
+            self.shared.ckpt.lock().shutdown = true;
+            self.shared.ckpt_signal.notify_all();
+            let _ = handle.join();
+        }
+    }
 }
 
 impl DiskStore {
@@ -446,12 +471,26 @@ impl DiskStore {
     /// I/O failures, or corruption within a live segment's committed
     /// prefix.
     pub fn open_with(dir: impl AsRef<Path>, opts: DiskStoreOptions) -> Result<Self, DiskError> {
+        Self::open_fs(Arc::new(OsFs), dir, opts)
+    }
+
+    /// [`open_with`](DiskStore::open_with) over the filesystem `fs`.
+    ///
+    /// # Errors
+    ///
+    /// As [`open`](DiskStore::open).
+    pub fn open_fs(
+        fs: Arc<dyn Fs>,
+        dir: impl AsRef<Path>,
+        opts: DiskStoreOptions,
+    ) -> Result<Self, DiskError> {
         let dir = dir.as_ref().to_path_buf();
-        let recovered = recover(&dir)?;
+        let recovered = recover(&*fs, &dir)?;
         // Sealed segments survived the crash unfolded: hand them to the
         // checkpointer as their seals would have.
         let sealed_live = recovered.segments.len() > 1;
         let shared = Arc::new(Shared {
+            fs,
             dir,
             opts,
             group: Mutex::new(GroupState {
@@ -480,7 +519,7 @@ impl DiskStore {
             recovered: recovered.stats,
             pending_replay: Mutex::new((recovered.stats.records > 0).then_some(recovered.stats)),
         });
-        let checkpointer = if opts.auto_checkpoint {
+        let thread = if opts.auto_checkpoint {
             let thread_shared = Arc::clone(&shared);
             Some(
                 std::thread::Builder::new()
@@ -492,9 +531,19 @@ impl DiskStore {
             None
         };
         Ok(DiskStore {
+            _checkpointer: Arc::new(Checkpointer {
+                shared: Arc::clone(&shared),
+                thread,
+            }),
             shared,
-            checkpointer,
         })
+    }
+
+    /// Returns `true` if `other` is a handle on this same store (a
+    /// clone), not merely a store over the same directory.
+    #[must_use]
+    pub fn same_store(&self, other: &DiskStore) -> bool {
+        Arc::ptr_eq(&self.shared, &other.shared)
     }
 
     /// Total fsyncs paid on the active segment since `open` — two per
@@ -548,7 +597,7 @@ impl DiskStore {
     /// I/O failures, or a corrupt manifest.
     pub fn live_segment_paths(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>, DiskError> {
         let dir = dir.as_ref();
-        let seqs = read_manifest(dir)?.unwrap_or_default();
+        let seqs = read_manifest(&OsFs, dir)?.unwrap_or_default();
         Ok(seqs
             .into_iter()
             .map(|seq| dir.join("segments").join(segment_file_name(seq)))
@@ -566,20 +615,11 @@ impl DiskStore {
         if let Some((_, state)) = self.shared.tail.lock().get(&object.as_raw()) {
             return Ok(Some(state.clone()));
         }
-        match fs::read(self.shared.object_path(object)) {
+        match self.shared.fs.read(&self.shared.object_path(object)) {
             Ok(bytes) => Ok(Some(StoreBytes::from(bytes))),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e.into()),
         }
-    }
-
-    /// Returns `true` if `object` has a committed state.
-    #[must_use]
-    pub fn contains(&self, object: ObjectId) -> bool {
-        if self.shared.tail.lock().contains_key(&object.as_raw()) {
-            return true;
-        }
-        self.shared.object_path(object).exists()
     }
 
     /// Returns the ids of all committed objects (checkpointed or still
@@ -590,9 +630,7 @@ impl DiskStore {
     /// I/O failures listing the objects directory.
     pub fn object_ids(&self) -> Result<Vec<ObjectId>, DiskError> {
         let mut ids: HashSet<u64> = self.shared.tail.lock().keys().copied().collect();
-        for entry in fs::read_dir(self.shared.dir.join("objects"))? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
+        for name in self.shared.fs.list(&self.shared.dir.join("objects"))? {
             if let Some(raw) = name
                 .strip_prefix('o')
                 .and_then(|rest| rest.strip_suffix(".bin"))
@@ -665,16 +703,6 @@ impl DiskStore {
             }
         }
         shared.checkpoint_inner(None)
-    }
-}
-
-impl Drop for DiskStore {
-    fn drop(&mut self) {
-        if let Some(handle) = self.checkpointer.take() {
-            self.shared.ckpt.lock().shutdown = true;
-            self.shared.ckpt_signal.notify_all();
-            let _ = handle.join();
-        }
     }
 }
 
@@ -821,7 +849,7 @@ impl Shared {
         for (i, batch) in group.iter().enumerate() {
             for (object, state) in &batch.updates {
                 batch_bytes[i] += append_record(
-                    &mut wal.active,
+                    &mut *wal.active,
                     &DiskRecord::Intent {
                         batch: batch.id,
                         object: object.as_raw(),
@@ -830,15 +858,15 @@ impl Shared {
                 )?;
             }
         }
-        self.log_fsync(&wal.active, &obs)?;
+        self.log_fsync(&mut *wal.active, &obs)?;
         if crash == Some(DiskCrashPoint::AfterIntents) {
             return Err(DiskError::Crashed(DiskCrashPoint::AfterIntents));
         }
         for (i, batch) in group.iter().enumerate() {
             batch_bytes[i] +=
-                append_record(&mut wal.active, &DiskRecord::Commit { batch: batch.id })?;
+                append_record(&mut *wal.active, &DiskRecord::Commit { batch: batch.id })?;
         }
-        self.log_fsync(&wal.active, &obs)?;
+        self.log_fsync(&mut *wal.active, &obs)?;
         let mut records = 0u64;
         let mut bytes = 0u64;
         for (i, batch) in group.iter().enumerate() {
@@ -940,9 +968,11 @@ impl Shared {
     ) -> Result<(), DiskError> {
         let next_seq = wal.segments.last().expect("live list never empty").seq + 1;
         let segments_dir = self.dir.join("segments");
-        let mut file = File::create(segments_dir.join(segment_file_name(next_seq)))?;
-        file.write_all(LOG_MAGIC)?;
-        file.sync_all()?;
+        let mut file = self
+            .fs
+            .create(&segments_dir.join(segment_file_name(next_seq)))?;
+        file.append(LOG_MAGIC)?;
+        file.sync()?;
         self.fsync_dir_counted(&segments_dir)?;
         if crash == Some(DiskCrashPoint::SealBeforeManifest) {
             return Err(DiskError::Crashed(DiskCrashPoint::SealBeforeManifest));
@@ -1025,7 +1055,7 @@ impl Shared {
             .collect();
         let objects_dir = self.dir.join("objects");
         for (object, state) in &covered {
-            install_object(&objects_dir, *object, state)?;
+            install_object(&*self.fs, &objects_dir, *object, state)?;
         }
         if !covered.is_empty() {
             self.fsync_dir_counted(&objects_dir)?;
@@ -1050,7 +1080,8 @@ impl Shared {
         }
         let segments_dir = self.dir.join("segments");
         for seg in &folds {
-            fs::remove_file(segments_dir.join(segment_file_name(seg.seq)))?;
+            self.fs
+                .remove_file(&segments_dir.join(segment_file_name(seg.seq)))?;
             obs.emit(EventKind::SegmentGc {
                 segment: seg.seq,
                 bytes: seg.bytes,
@@ -1068,30 +1099,30 @@ impl Shared {
 
     fn write_manifest_counted(&self, seqs: &[u64]) -> Result<(), DiskError> {
         let mut fsyncs = 0u64;
-        let result = write_manifest(&self.dir, seqs, &mut fsyncs);
+        let result = write_manifest(&*self.fs, &self.dir, seqs, &mut fsyncs);
         self.dir_fsyncs.fetch_add(fsyncs, Ordering::Relaxed);
         result
     }
 
     fn fsync_dir_counted(&self, dir: &Path) -> Result<(), DiskError> {
         let mut fsyncs = 0u64;
-        let result = fsync_dir(dir, &mut fsyncs);
+        let result = fsync_dir(&*self.fs, dir, &mut fsyncs);
         self.dir_fsyncs.fetch_add(fsyncs, Ordering::Relaxed);
         result
     }
 
     /// An intentions-log fsync: counted (for the amortised-cost
     /// metric) and timed.
-    fn log_fsync(&self, file: &File, obs: &Obs) -> Result<(), DiskError> {
+    fn log_fsync(&self, file: &mut dyn FsFile, obs: &Obs) -> Result<(), DiskError> {
         self.log_fsyncs.fetch_add(1, Ordering::Relaxed);
         fsync_timed(file, obs)
     }
 }
 
-/// `sync_all` with its latency recorded into `store.fsync_us`.
-fn fsync_timed(file: &File, obs: &Obs) -> Result<(), DiskError> {
+/// A file sync with its latency recorded into `store.fsync_us`.
+fn fsync_timed(file: &mut dyn FsFile, obs: &Obs) -> Result<(), DiskError> {
     let started = obs.enabled().then(Instant::now);
-    file.sync_all()?;
+    file.sync()?;
     if let Some(started) = started {
         obs.observe(
             "store.fsync_us",
@@ -1101,7 +1132,7 @@ fn fsync_timed(file: &File, obs: &Obs) -> Result<(), DiskError> {
     Ok(())
 }
 
-fn append_record(log: &mut File, record: &DiskRecord) -> Result<u64, DiskError> {
+fn append_record(log: &mut dyn FsFile, record: &DiskRecord) -> Result<u64, DiskError> {
     // encode behind a length placeholder, then patch the length in
     let mut frame = vec![0; 4];
     record.encode(&mut frame);
@@ -1109,9 +1140,16 @@ fn append_record(log: &mut File, record: &DiskRecord) -> Result<u64, DiskError> 
         .map_err(|_| DiskError::CorruptLog("record too large".into()))?;
     frame[..4].copy_from_slice(&len.to_le_bytes());
     let crc = crc32(&frame);
-    log.write_all(&frame)?;
-    log.write_all(&crc.to_le_bytes())?;
-    Ok(frame.len() as u64 + 4)
+    frame.extend_from_slice(&crc.to_le_bytes());
+    log.append(&frame)?;
+    Ok(frame.len() as u64)
+}
+
+fn remove_if_present(fs: &dyn Fs, path: &Path) -> io::Result<()> {
+    match fs.remove_file(path) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
+    }
 }
 
 fn segment_file_name(seq: u64) -> String {
@@ -1126,15 +1164,20 @@ fn parse_segment_name(name: &str) -> Option<u64> {
 
 /// Fsyncs a directory so renames/creations/removals inside it survive
 /// power loss, counting into `fsyncs`.
-fn fsync_dir(dir: &Path, fsyncs: &mut u64) -> Result<(), DiskError> {
-    File::open(dir)?.sync_all()?;
+fn fsync_dir(fs: &dyn Fs, dir: &Path, fsyncs: &mut u64) -> Result<(), DiskError> {
+    fs.sync_dir(dir)?;
     *fsyncs += 1;
     Ok(())
 }
 
 /// Atomically replaces the manifest: write `MANIFEST.tmp`, fsync it,
 /// rename over `MANIFEST`, fsync the directory.
-fn write_manifest(dir: &Path, seqs: &[u64], fsyncs: &mut u64) -> Result<(), DiskError> {
+fn write_manifest(
+    fs: &dyn Fs,
+    dir: &Path,
+    seqs: &[u64],
+    fsyncs: &mut u64,
+) -> Result<(), DiskError> {
     let mut text = String::with_capacity(16 + seqs.len() * 16);
     text.push_str(MANIFEST_MAGIC);
     text.push('\n');
@@ -1144,20 +1187,19 @@ fn write_manifest(dir: &Path, seqs: &[u64], fsyncs: &mut u64) -> Result<(), Disk
         text.push('\n');
     }
     let tmp = dir.join("MANIFEST.tmp");
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(text.as_bytes())?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, dir.join("MANIFEST"))?;
-    fsync_dir(dir, fsyncs)
+    let mut file = fs.create(&tmp)?;
+    file.append(text.as_bytes())?;
+    file.sync()?;
+    fs.rename(&tmp, &dir.join("MANIFEST"))?;
+    fsync_dir(fs, dir, fsyncs)
 }
 
 /// Parses the manifest's live segment list; `Ok(None)` when no
 /// manifest exists (a fresh store).
-fn read_manifest(dir: &Path) -> Result<Option<Vec<u64>>, DiskError> {
-    let raw = match fs::read_to_string(dir.join("MANIFEST")) {
-        Ok(raw) => raw,
+fn read_manifest(fs: &dyn Fs, dir: &Path) -> Result<Option<Vec<u64>>, DiskError> {
+    let raw = match fs.read(&dir.join("MANIFEST")) {
+        Ok(raw) => String::from_utf8(raw)
+            .map_err(|e| DiskError::Io(io::Error::new(io::ErrorKind::InvalidData, e)))?,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
@@ -1186,15 +1228,18 @@ fn read_manifest(dir: &Path) -> Result<Option<Vec<u64>>, DiskError> {
 
 /// Installs one object state: write-temp, fsync, rename. The caller
 /// batches the `objects/` directory fsync.
-fn install_object(objects_dir: &Path, object: u64, state: &[u8]) -> Result<(), DiskError> {
+fn install_object(
+    fs: &dyn Fs,
+    objects_dir: &Path,
+    object: u64,
+    state: &[u8],
+) -> Result<(), DiskError> {
     let final_path = objects_dir.join(format!("o{object}.bin"));
     let tmp_path = final_path.with_extension("tmp");
-    {
-        let mut tmp = File::create(&tmp_path)?;
-        tmp.write_all(state)?;
-        tmp.sync_all()?;
-    }
-    fs::rename(&tmp_path, &final_path)?;
+    let mut tmp = fs.create(&tmp_path)?;
+    tmp.append(state)?;
+    tmp.sync()?;
+    fs.rename(&tmp_path, &final_path)?;
     Ok(())
 }
 
@@ -1202,7 +1247,7 @@ fn install_object(objects_dir: &Path, object: u64, state: &[u8]) -> Result<(), D
 /// one frame in memory — recovery cost is bounded by the largest
 /// record, not the log length.
 struct FrameReader {
-    src: io::BufReader<File>,
+    src: Box<dyn io::Read>,
     /// The file's length.
     len: u64,
     /// Bytes left in the file; a frame promising more is a torn tail.
@@ -1216,14 +1261,12 @@ impl FrameReader {
     /// Opens `path` and consumes the format magic; a file that opens
     /// with anything else is corrupt. `Ok(None)` means the file does
     /// not exist.
-    fn open(path: &Path) -> Result<Option<FrameReader>, DiskError> {
-        let file = match File::open(path) {
-            Ok(file) => file,
+    fn open(fs: &dyn Fs, path: &Path) -> Result<Option<FrameReader>, DiskError> {
+        let (len, mut src) = match fs.open_read(path) {
+            Ok(opened) => opened,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let len = file.metadata()?.len();
-        let mut src = io::BufReader::new(file);
         // A file cut short inside the magic is a torn creation: it
         // must match as far as it goes, and then holds no records.
         let mut magic = [0u8; LOG_MAGIC.len()];
@@ -1283,16 +1326,18 @@ impl FrameReader {
 /// Replays one live segment in a single streaming pass. Intents wait
 /// per batch until their commit marker arrives and then move into
 /// `tail`; a batch whose marker never arrives is dropped. Returns the
-/// segment's bookkeeping and where its last complete frame ends.
+/// segment's bookkeeping, where its last complete frame ends, and the
+/// file's length.
 fn replay_file(
+    fs: &dyn Fs,
     dir: &Path,
     seq: u64,
     tail: &mut HashMap<u64, (u64, StoreBytes)>,
     stats: &mut ReplayStats,
     max_batch: &mut u64,
-) -> Result<(SegmentInfo, u64), DiskError> {
+) -> Result<(SegmentInfo, u64, u64), DiskError> {
     let path = dir.join("segments").join(segment_file_name(seq));
-    let Some(mut reader) = FrameReader::open(&path)? else {
+    let Some(mut reader) = FrameReader::open(fs, &path)? else {
         return Err(DiskError::CorruptLog(format!(
             "manifest lists segment {seq} but its file is missing"
         )));
@@ -1328,7 +1373,7 @@ fn replay_file(
     stats.batches += info.batches;
     let valid_end = reader.offset();
     info.bytes = valid_end.saturating_sub(LOG_MAGIC.len() as u64);
-    Ok((info, valid_end))
+    Ok((info, valid_end, reader.len))
 }
 
 /// What `recover` hands back to `open_with`.
@@ -1336,7 +1381,7 @@ struct Recovered {
     /// Every live segment in manifest order; the last is the active
     /// one.
     segments: Vec<SegmentInfo>,
-    active_file: File,
+    active_file: Box<dyn FsFile>,
     /// The live suffix's committed states, newest per object.
     tail: HashMap<u64, (u64, StoreBytes)>,
     max_batch: u64,
@@ -1350,10 +1395,10 @@ struct Recovered {
 /// committed to, then reopen the last live segment for appends. Its
 /// torn tail, if any, is the one thing recovery writes; only a
 /// brand-new store also creates its first segment and manifest.
-fn recover(dir: &Path) -> Result<Recovered, DiskError> {
-    let manifest = read_manifest(dir)?;
+fn recover(fs: &dyn Fs, dir: &Path) -> Result<Recovered, DiskError> {
+    let manifest = read_manifest(fs, dir)?;
     let stray_log = dir.join("log");
-    if manifest.is_none() && stray_log.exists() {
+    if manifest.is_none() && fs.open_read(&stray_log).is_ok() {
         return Err(DiskError::CorruptLog(format!(
             "{} holds a `log` file but no MANIFEST: the pre-segment single-log layout is not supported",
             dir.display()
@@ -1361,28 +1406,23 @@ fn recover(dir: &Path) -> Result<Recovered, DiskError> {
     }
     let objects_dir = dir.join("objects");
     let segments_dir = dir.join("segments");
-    fs::create_dir_all(&objects_dir)?;
-    fs::create_dir_all(&segments_dir)?;
+    fs.create_dir_all(&objects_dir)?;
+    fs.create_dir_all(&segments_dir)?;
 
     // Sweep leftovers from a crash mid-install or mid-manifest-write:
     // temp files are invisible to the protocol until renamed, so they
     // must never be read — or reported by `object_ids`.
-    for entry in fs::read_dir(&objects_dir)? {
-        let entry = entry?;
-        if entry.file_name().to_string_lossy().ends_with(".tmp") {
-            fs::remove_file(entry.path())?;
+    for name in fs.list(&objects_dir)? {
+        if name.ends_with(".tmp") {
+            fs.remove_file(&objects_dir.join(name))?;
         }
     }
-    if dir.join("MANIFEST.tmp").exists() {
-        fs::remove_file(dir.join("MANIFEST.tmp"))?;
-    }
+    remove_if_present(fs, &dir.join("MANIFEST.tmp"))?;
 
     // The manifest is authoritative. A `log` alongside it is a stale
     // leftover (e.g. resurrected bytes from the pre-segment format's
     // unsynced truncate): never replay it.
-    if stray_log.exists() {
-        fs::remove_file(&stray_log)?;
-    }
+    remove_if_present(fs, &stray_log)?;
     let live = manifest.unwrap_or_default();
 
     // Replay exactly the live suffix, oldest segment first.
@@ -1390,24 +1430,21 @@ fn recover(dir: &Path) -> Result<Recovered, DiskError> {
     let mut stats = ReplayStats::default();
     let mut max_batch = 0u64;
     let mut segments = Vec::with_capacity(live.len());
-    let mut active_end = 0u64;
+    let (mut active_end, mut active_len) = (0u64, 0u64);
     for &seq in &live {
-        let (info, valid_end) = replay_file(dir, seq, &mut tail, &mut stats, &mut max_batch)?;
+        let (info, valid_end, len) =
+            replay_file(fs, dir, seq, &mut tail, &mut stats, &mut max_batch)?;
         segments.push(info);
-        active_end = valid_end;
+        (active_end, active_len) = (valid_end, len);
     }
     stats.objects = tail.len() as u64;
 
     // Segment files the manifest does not own are dead by definition:
     // a seal that never reached the manifest, or a fold's GC that
     // never finished. Sweep, never replay.
-    for entry in fs::read_dir(&segments_dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let keep =
-            parse_segment_name(&name.to_string_lossy()).is_some_and(|seq| live.contains(&seq));
-        if !keep {
-            fs::remove_file(entry.path())?;
+    for name in fs.list(&segments_dir)? {
+        if !parse_segment_name(&name).is_some_and(|seq| live.contains(&seq)) {
+            fs.remove_file(&segments_dir.join(name))?;
         }
     }
 
@@ -1417,19 +1454,17 @@ fn recover(dir: &Path) -> Result<Recovered, DiskError> {
         // Appends continue in the last live segment. Batch ids continue
         // past every intent replay saw, so none is ever reused.
         Some(seq) => {
-            let mut file = OpenOptions::new()
-                .append(true)
-                .open(segments_dir.join(segment_file_name(seq)))?;
+            let mut file = fs.open_append(&segments_dir.join(segment_file_name(seq)))?;
             let magic = LOG_MAGIC.len() as u64;
-            if active_end < file.metadata()?.len() || active_end < magic {
+            if active_end < active_len || active_end < magic {
                 // A torn append: cut it off so the next frame follows
                 // the last complete one (and finish a magic torn at
                 // creation).
                 file.set_len(active_end)?;
                 if active_end < magic {
-                    file.write_all(&LOG_MAGIC[active_end as usize..])?;
+                    file.append(&LOG_MAGIC[active_end as usize..])?;
                 }
-                file.sync_all()?;
+                file.sync()?;
                 log_fsyncs += 1;
             }
             file
@@ -1437,11 +1472,11 @@ fn recover(dir: &Path) -> Result<Recovered, DiskError> {
         // A brand-new store: its first segment is in the manifest
         // before any record lands in it.
         None => {
-            let mut file = File::create(segments_dir.join(segment_file_name(1)))?;
-            file.write_all(LOG_MAGIC)?;
-            file.sync_all()?;
-            fsync_dir(&segments_dir, &mut dir_fsyncs)?;
-            write_manifest(dir, &[1], &mut dir_fsyncs)?;
+            let mut file = fs.create(&segments_dir.join(segment_file_name(1)))?;
+            file.append(LOG_MAGIC)?;
+            file.sync()?;
+            fsync_dir(fs, &segments_dir, &mut dir_fsyncs)?;
+            write_manifest(fs, dir, &[1], &mut dir_fsyncs)?;
             segments.push(SegmentInfo {
                 seq: 1,
                 batches: 0,
@@ -1465,6 +1500,8 @@ fn recover(dir: &Path) -> Result<Recovered, DiskError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::{self, File, OpenOptions};
+    use std::io::Write as _;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Barrier};
     use std::time::Duration;
@@ -1508,7 +1545,7 @@ mod tests {
         for record in records {
             append_record(&mut log, record).unwrap();
         }
-        write_manifest(dir, &[1], &mut 0).unwrap();
+        write_manifest(&OsFs, dir, &[1], &mut 0).unwrap();
         path
     }
 
@@ -1524,7 +1561,7 @@ mod tests {
         let store = DiskStore::open(&dir).unwrap();
         assert_eq!(store.read(o(1)).unwrap().as_deref(), Some(&b"one"[..]));
         assert_eq!(store.read(o(2)).unwrap().as_deref(), Some(&b"two"[..]));
-        assert!(store.contains(o(1)));
+        assert!(store.read(o(1)).unwrap().is_some());
         assert!(store.read(o(9)).unwrap().is_none());
         fs::remove_dir_all(&dir).ok();
     }
@@ -1822,7 +1859,7 @@ mod tests {
         assert!(!dir.join("objects").join("o5.tmp").exists());
         assert!(!dir.join("MANIFEST.tmp").exists());
         assert!(store.object_ids().unwrap().is_empty());
-        assert!(!store.contains(o(5)));
+        assert!(store.read(o(5)).unwrap().is_none());
         fs::remove_dir_all(&dir).ok();
     }
 

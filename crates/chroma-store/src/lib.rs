@@ -8,13 +8,14 @@
 //! reach stable storage atomically. Volatile working states live in the
 //! runtime itself; this crate provides the stable half:
 //!
-//! * [`StableStore`] — an in-memory atomic map for simulated nodes: a
-//!   simulated crash never touches it, and a batch of updates installs
-//!   under one write lock;
-//! * [`DiskStore`] — stable storage on a real directory: the
-//!   intentions-list protocol (log intents → log commit record →
-//!   install) over a segmented write-ahead log, recovered at open, with
-//!   controllable crash points ([`DiskCrashPoint`]) for fault injection;
+//! * [`DiskStore`] — the stable storage of every node, simulated or
+//!   not: the intentions-list protocol (log intents → log commit record
+//!   → install) over a segmented write-ahead log, recovered at open,
+//!   with controllable crash points ([`DiskCrashPoint`]) for fault
+//!   injection;
+//! * [`Fs`] — the filesystem under it: [`OsFs`] for a real directory,
+//!   [`MemFs`] for an in-memory disk whose [`crash`](MemFs::crash)
+//!   loses everything no fsync made durable;
 //! * [`VersionChains`] + [`StampClock`] — short per-object version
 //!   chains and the published per-colour commit frontier that let
 //!   declared read-only actions take consistent snapshots without
@@ -26,13 +27,17 @@
 //! # Examples
 //!
 //! ```
+//! use std::sync::Arc;
 //! use chroma_base::ObjectId;
-//! use chroma_store::{StableStore, StoreBytes};
+//! use chroma_store::{DiskStore, DiskStoreOptions, MemFs, StoreBytes};
 //!
-//! let store = StableStore::new();
+//! let disk = MemFs::new();
+//! let open = || DiskStore::open_fs(Arc::new(disk.clone()), "s", DiskStoreOptions::default());
 //! let o = ObjectId::from_raw(1);
-//! store.commit_batch(vec![(o, StoreBytes::from(vec![1, 2, 3]))]);
-//! assert_eq!(store.read(o).as_deref(), Some(&[1u8, 2, 3][..]));
+//! open()?.commit_batch(vec![(o, StoreBytes::from(vec![1, 2, 3]))])?;
+//! disk.crash(); // power loss, then the recovery a restarted process runs
+//! assert_eq!(open()?.read(o)?.as_deref(), Some(&[1u8, 2, 3][..]));
+//! # Ok::<(), chroma_store::DiskError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,11 +46,11 @@
 pub mod codec;
 mod crc32;
 mod disk;
-mod stable;
+mod fs;
 mod versions;
 
 pub use disk::{DiskCrashPoint, DiskError, DiskStore, DiskStoreOptions, ReplayStats};
-pub use stable::StableStore;
+pub use fs::{Fs, FsFile, MemFs, OsFs};
 pub use versions::{GcStats, SnapshotStamps, StampClock, VersionChains, VisibleVersion};
 
 /// The byte-buffer type object states are stored as (cheaply clonable).

@@ -52,8 +52,8 @@ fn main() {
         "  coordinator decision: {:?}",
         sim.coordinator_outcome(coordinator, txn)
     );
-    let i1 = sim.node(p1).store.read(ObjectId::from_raw(1)).is_some();
-    let i2 = sim.node(p2).store.read(ObjectId::from_raw(2)).is_some();
+    let i1 = sim.node(p1).read(ObjectId::from_raw(1)).is_some();
+    let i2 = sim.node(p2).read(ObjectId::from_raw(2)).is_some();
     println!("  installed at p1: {i1}, at p2: {i2}");
     println!(
         "  in doubt anywhere: {}",

@@ -827,8 +827,8 @@ fn a3_two_phase_commit_is_atomic_under_faults() {
             sim.run_to_quiescence();
             let case = format!("loss {loss}, seed {seed}");
             let installed = [
-                sim.node(p1).store.read(ObjectId::from_raw(1)).is_some(),
-                sim.node(p2).store.read(ObjectId::from_raw(2)).is_some(),
+                sim.node(p1).read(ObjectId::from_raw(1)).is_some(),
+                sim.node(p2).read(ObjectId::from_raw(2)).is_some(),
             ];
             let decision = sim.coordinator_outcome(coord, txn);
             assert_eq!(installed, [decision == Some(true); 2], "{case}");

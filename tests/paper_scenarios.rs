@@ -196,7 +196,7 @@ fn facade_reexports_are_complete() {
     // The chroma façade exposes every subsystem.
     let _universe = chroma::base::ColourUniverse::new();
     let _table = chroma::locks::LockTable::new(chroma::locks::ColouredPolicy);
-    let _store = chroma::store::StableStore::new();
+    let _store = chroma::store::MemFs::new();
     let rt: chroma::core::Runtime = chroma::core::Runtime::builder().build();
     let _board = chroma::apps::BulletinBoard::create(&rt).unwrap();
     let mut sim = chroma::dist::Sim::new(1);

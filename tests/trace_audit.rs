@@ -3,8 +3,8 @@
 //!
 //! The run covers nested local actions over a real on-disk log
 //! (`DiskBackend`), coloured top-level commits, a distributed two-phase
-//! commit under message loss with a crashing participant, and a
-//! replicated object whose member misses a write and catches up.
+//! commit under message loss with a crashing participant, and
+//! replicated objects whose member misses a write and catches up.
 //!
 //! The simulation seed is `CHROMA_TORTURE_SEED` (default 7). With
 //! `CHROMA_TRACE_OUT=<path>` set, the audited trace is also written to
@@ -119,6 +119,11 @@ fn demonstration_trace(seed: u64) -> Vec<Event> {
     // and read events all land in the trace.
     let members = vec![sim.add_node(), sim.add_node(), sim.add_node()];
     let replica = ReplicatedObject::create(&mut sim, ObjectId::from_raw(500), &members, b"r0");
+    // More objects on the same members: the member that recovers pulls
+    // each of them, in an order the seed alone must fix.
+    for object in 501..505 {
+        ReplicatedObject::create(&mut sim, ObjectId::from_raw(object), &members, b"s0");
+    }
     replica.write(&mut sim, b"r1").expect("replica write");
     sim.run_to_quiescence();
     replica.crash_member(&mut sim, members[1], 2 * RETRY_INTERVAL);
