@@ -623,10 +623,11 @@ event_kinds! {
         /// The member's version at rejoin.
         version: u64,
     }
-    /// A leader flushed a whole group of pending batches with one
-    /// intents-fsync and one marker-fsync (group commit). Every batch
-    /// in the group keeps its own commit marker; this event records
-    /// the shared durability point that covered them all.
+    /// A leader flushed a whole group of pending batches — every
+    /// intent, then one commit marker per batch — in one append behind
+    /// one fsync (group commit). Every batch in the group keeps its own
+    /// commit marker; this event records the shared durability point
+    /// that covered them all.
     DiskGroupCommit "disk_group_commit" {
         /// How many batches the group contained.
         batches: u64,

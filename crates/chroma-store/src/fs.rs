@@ -4,7 +4,10 @@
 //! model of Pillai et al., "All File Systems Are Not Created Equal"
 //! (OSDI 2014). [`MemFs::crash`] drops every byte and directory entry
 //! no sync made durable, so a missing fsync shows up as lost data at
-//! the next open. Directories are durable as soon as they exist.
+//! the next open. A directory made by [`Fs::create_dir_all`] is an
+//! entry of its parent like a file, durable only once that parent is
+//! synced; a root (`/`, or a one-component relative path, whose parent
+//! is the working directory) is durable as soon as it exists.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs::{self, File, OpenOptions};
@@ -113,8 +116,9 @@ impl Fs for OsFs {
 
 /// An in-memory disk that loses what was never synced when it
 /// [`crash`](MemFs::crash)es: each file keeps its written and its
-/// durable bytes, and a directory entry is durable once its directory
-/// is synced (the persistence model of Pillai et al., OSDI 2014).
+/// durable bytes, and a directory entry — a file or a subdirectory —
+/// is durable once its directory is synced (the persistence model of
+/// Pillai et al., OSDI 2014).
 #[derive(Clone, Debug, Default)]
 pub struct MemFs {
     state: Arc<Mutex<MemState>>,
@@ -130,7 +134,10 @@ struct MemState {
     entries: BTreeMap<PathBuf, u64>,
     /// Directory entries a crash keeps.
     durable_entries: BTreeMap<PathBuf, u64>,
+    /// Directories as running code sees them.
     dirs: BTreeSet<PathBuf>,
+    /// Directories whose entry a crash keeps (roots always).
+    durable_dirs: BTreeSet<PathBuf>,
 }
 
 #[derive(Default)]
@@ -150,11 +157,30 @@ impl MemFs {
 
     /// Power loss: every directory entry and file byte that no sync
     /// made durable is gone, and every open file handle fails from now
-    /// on.
+    /// on. A directory survives only if its entry and every ancestor's
+    /// are durable, and takes the entries inside it along when it goes.
     pub fn crash(&self) {
         let mut st = self.state.lock();
         st.epoch += 1;
-        st.entries = st.durable_entries.clone();
+        let kept: BTreeSet<PathBuf> = st
+            .durable_dirs
+            .iter()
+            .filter(|dir| {
+                dir.ancestors()
+                    .filter(|a| !a.as_os_str().is_empty())
+                    .all(|a| st.durable_dirs.contains(a))
+            })
+            .cloned()
+            .collect();
+        st.entries = st
+            .durable_entries
+            .iter()
+            .filter(|(path, _)| path.parent().is_some_and(|dir| kept.contains(dir)))
+            .map(|(path, &id)| (path.clone(), id))
+            .collect();
+        st.durable_entries = st.entries.clone();
+        st.dirs = kept.clone();
+        st.durable_dirs = kept;
         let live: BTreeSet<u64> = st.entries.values().copied().collect();
         st.inodes.retain(|id, _| live.contains(id));
         for inode in st.inodes.values_mut() {
@@ -239,6 +265,9 @@ impl Fs for MemFs {
         let mut st = self.state.lock();
         for ancestor in dir.ancestors().filter(|a| !a.as_os_str().is_empty()) {
             st.dirs.insert(ancestor.to_path_buf());
+            if ancestor.parent().is_none_or(|p| p.as_os_str().is_empty()) {
+                st.durable_dirs.insert(ancestor.to_path_buf());
+            }
         }
         Ok(())
     }
@@ -251,6 +280,8 @@ impl Fs for MemFs {
         let MemState {
             entries,
             durable_entries,
+            dirs,
+            durable_dirs,
             ..
         } = &mut *st;
         let in_dir = |path: &PathBuf| path.parent() == Some(dir);
@@ -261,6 +292,7 @@ impl Fs for MemFs {
                 .filter(|(p, _)| in_dir(p))
                 .map(|(p, &id)| (p.clone(), id)),
         );
+        durable_dirs.extend(dirs.iter().filter(|d| in_dir(d)).cloned());
         Ok(())
     }
 }
@@ -399,6 +431,25 @@ mod tests {
         file.append(b"lost").unwrap();
         disk.crash();
         assert_eq!(disk.read(p("d/f")).unwrap(), b"abcXY");
+    }
+
+    #[test]
+    fn created_directory_without_parent_sync_is_lost() {
+        let disk = MemFs::new();
+        disk.create_dir_all(p("d/sub")).unwrap();
+        let mut file = disk.create(p("d/sub/f")).unwrap();
+        file.append(b"data").unwrap();
+        file.sync().unwrap();
+        disk.sync_dir(p("d/sub")).unwrap();
+        disk.crash();
+        assert!(disk.list(p("d/sub")).is_err(), "d was never synced");
+        assert!(disk.read(p("d/sub/f")).is_err(), "its entries go with it");
+        assert!(disk.list(p("d")).unwrap().is_empty(), "a root stays");
+
+        disk.create_dir_all(p("d/sub")).unwrap();
+        disk.sync_dir(p("d")).unwrap();
+        disk.crash();
+        assert!(disk.list(p("d/sub")).unwrap().is_empty());
     }
 
     #[test]

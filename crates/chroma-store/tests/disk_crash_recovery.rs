@@ -183,7 +183,7 @@ proptest! {
             prop_assert!(matches!(err, DiskError::Crashed(p) if p == point));
         }
         let store = DiskStore::open(&dir).unwrap();
-        // The commit point is the marker fsync: every stage at or past
+        // The commit point is the group's one fsync: every stage at or past
         // `AfterCommitRecord` (including the seal and checkpoint
         // stages, which run after the flush) keeps the batch.
         let survives = !matches!(

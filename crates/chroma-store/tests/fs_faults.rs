@@ -1,0 +1,545 @@
+//! Real I/O faults under `DiskStore`. `FaultyFs` wraps `MemFs` and
+//! fails the nth `sync`, `sync_dir` or `rename`, returns ENOSPC on the
+//! nth `append`, or makes a torn durable append: the first k bytes of
+//! the nth `append` written and synced, then an error.
+//!
+//! Each poison path (a group flush, a seal, a checkpoint) must fail
+//! loudly: every batch of the failed group gets `Err`, later commits
+//! and `checkpoint_now` fail until reopen, and after power loss and a
+//! reopen every acknowledged batch is present and every failed batch is
+//! wholly present or wholly absent. The torn-append sweep cuts a
+//! three-batch group's one append at every byte and checks that exactly
+//! the batches whose commit marker lies wholly in the synced prefix
+//! survive. `CHROMA_TORTURE_SEED` (default 42) draws the batches.
+
+use std::collections::BTreeMap;
+use std::io;
+use std::path::Path;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread;
+use std::time::{Duration, Instant};
+
+use chroma_base::ObjectId;
+use chroma_store::{DiskError, DiskStore, DiskStoreOptions, Fs, FsFile, MemFs, StoreBytes};
+
+fn seed() -> u64 {
+    std::env::var("CHROMA_TORTURE_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(42)
+}
+
+/// splitmix64: one deterministic stream per seed.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Which operation fails, counted from 1 since the fault was armed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fault {
+    None,
+    Sync(u32),
+    SyncDir(u32),
+    /// The append writes nothing and fails with ENOSPC.
+    Enospc(u32),
+    Rename(u32),
+    /// The append writes and syncs its first k bytes, then fails.
+    TornAppend(u32, usize),
+}
+
+#[derive(Debug, Default)]
+struct Counts {
+    syncs: u32,
+    sync_dirs: u32,
+    appends: u32,
+    renames: u32,
+}
+
+#[derive(Debug)]
+struct Control {
+    fault: Fault,
+    counts: Counts,
+    /// Park the next file sync until [`FaultyFs::release`].
+    park_next_sync: bool,
+    parked: bool,
+    /// The whole of the last torn append.
+    torn: Vec<u8>,
+}
+
+/// A [`MemFs`] that fails one chosen operation.
+#[derive(Clone, Debug)]
+struct FaultyFs {
+    inner: MemFs,
+    ctl: Arc<(Mutex<Control>, Condvar)>,
+}
+
+impl FaultyFs {
+    fn new() -> Self {
+        FaultyFs {
+            inner: MemFs::new(),
+            ctl: Arc::new((
+                Mutex::new(Control {
+                    fault: Fault::None,
+                    counts: Counts::default(),
+                    park_next_sync: false,
+                    parked: false,
+                    torn: Vec::new(),
+                }),
+                Condvar::new(),
+            )),
+        }
+    }
+
+    fn control(&self) -> MutexGuard<'_, Control> {
+        self.ctl.0.lock().unwrap()
+    }
+
+    /// Arms `fault`, counting operations from now.
+    fn arm(&self, fault: Fault) {
+        let mut ctl = self.control();
+        ctl.fault = fault;
+        ctl.counts = Counts::default();
+    }
+
+    /// The next file sync parks (already counted) until released.
+    fn park_next_sync(&self) {
+        self.control().park_next_sync = true;
+    }
+
+    fn wait_parked(&self) {
+        let (lock, cv) = &*self.ctl;
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut ctl = lock.lock().unwrap();
+        while !ctl.parked {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(!left.is_zero(), "the leader's flush never reached a sync");
+            ctl = cv.wait_timeout(ctl, left).unwrap().0;
+        }
+    }
+
+    fn release(&self) {
+        self.control().parked = false;
+        self.ctl.1.notify_all();
+    }
+
+    fn wrap(&self, inner: Box<dyn FsFile>) -> Box<dyn FsFile> {
+        Box::new(FaultyFile {
+            inner,
+            ctl: Arc::clone(&self.ctl),
+        })
+    }
+}
+
+fn injected(what: &str) -> io::Error {
+    io::Error::other(format!("injected {what} failure"))
+}
+
+impl Fs for FaultyFs {
+    fn create(&self, path: &Path) -> io::Result<Box<dyn FsFile>> {
+        Ok(self.wrap(self.inner.create(path)?))
+    }
+
+    fn open_append(&self, path: &Path) -> io::Result<Box<dyn FsFile>> {
+        Ok(self.wrap(self.inner.open_append(path)?))
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.inner.read(path)
+    }
+
+    fn open_read(&self, path: &Path) -> io::Result<(u64, Box<dyn io::Read>)> {
+        self.inner.open_read(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        let mut ctl = self.control();
+        ctl.counts.renames += 1;
+        if ctl.fault == Fault::Rename(ctl.counts.renames) {
+            return Err(injected("rename"));
+        }
+        drop(ctl);
+        self.inner.rename(from, to)
+    }
+
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.inner.remove_file(path)
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        self.inner.list(dir)
+    }
+
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.inner.create_dir_all(dir)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        let mut ctl = self.control();
+        ctl.counts.sync_dirs += 1;
+        if ctl.fault == Fault::SyncDir(ctl.counts.sync_dirs) {
+            return Err(injected("directory fsync"));
+        }
+        drop(ctl);
+        self.inner.sync_dir(dir)
+    }
+}
+
+#[derive(Debug)]
+struct FaultyFile {
+    inner: Box<dyn FsFile>,
+    ctl: Arc<(Mutex<Control>, Condvar)>,
+}
+
+impl FsFile for FaultyFile {
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let mut ctl = self.ctl.0.lock().unwrap();
+        ctl.counts.appends += 1;
+        let n = ctl.counts.appends;
+        match ctl.fault {
+            Fault::Enospc(at) if at == n => {
+                return Err(io::Error::new(
+                    io::ErrorKind::StorageFull,
+                    "no space left on device",
+                ));
+            }
+            Fault::TornAppend(at, k) if at == n => {
+                ctl.torn = bytes.to_vec();
+                drop(ctl);
+                self.inner.append(&bytes[..k.min(bytes.len())])?;
+                self.inner.sync()?;
+                return Err(injected("torn append"));
+            }
+            _ => {}
+        }
+        drop(ctl);
+        self.inner.append(bytes)
+    }
+
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        self.inner.set_len(len)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        let (lock, cv) = &*self.ctl;
+        let mut ctl = lock.lock().unwrap();
+        ctl.counts.syncs += 1;
+        if ctl.fault == Fault::Sync(ctl.counts.syncs) {
+            return Err(injected("fsync"));
+        }
+        if ctl.park_next_sync {
+            ctl.park_next_sync = false;
+            ctl.parked = true;
+            cv.notify_all();
+            while ctl.parked {
+                ctl = cv.wait(ctl).unwrap();
+            }
+        }
+        drop(ctl);
+        self.inner.sync()
+    }
+}
+
+type Batch = BTreeMap<u64, Vec<u8>>;
+
+/// Draws batches over disjoint objects, each value unique, so a
+/// surviving write names its batch.
+struct Draw {
+    rng: u64,
+    next_object: u64,
+}
+
+impl Draw {
+    fn new(seed: u64) -> Self {
+        Draw {
+            rng: seed ^ 0x4641_554C,
+            next_object: 0,
+        }
+    }
+
+    /// Two or three objects with values of 8–40 bytes.
+    fn batch(&mut self) -> Batch {
+        let objects = 2 + splitmix(&mut self.rng) % 2;
+        (0..objects)
+            .map(|_| {
+                self.next_object += 1;
+                let mut value = self.next_object.to_le_bytes().to_vec();
+                value.resize(8 + (splitmix(&mut self.rng) % 33) as usize, 0x5A);
+                (self.next_object, value)
+            })
+            .collect()
+    }
+}
+
+fn updates(batch: &Batch) -> Vec<(ObjectId, StoreBytes)> {
+    batch
+        .iter()
+        .map(|(&o, v)| (ObjectId::from_raw(o), StoreBytes::from(v.clone())))
+        .collect()
+}
+
+/// The bytes `batch` appends to the log: per intent a frame of
+/// length prefix, variant index, batch, object, state length, state and
+/// CRC; then its commit frame (length, variant index, batch, CRC).
+fn log_bytes(batch: &Batch) -> u64 {
+    batch.values().map(|v| 36 + v.len() as u64).sum::<u64>() + 20
+}
+
+fn opts(segment_bytes: u64) -> DiskStoreOptions {
+    DiskStoreOptions {
+        segment_bytes,
+        auto_checkpoint: false,
+    }
+}
+
+/// How many of `batch`'s writes the store holds.
+fn landed(store: &DiskStore, batch: &Batch) -> usize {
+    batch
+        .iter()
+        .filter(|&(&o, v)| {
+            store.read(ObjectId::from_raw(o)).expect("read").as_deref() == Some(&v[..])
+        })
+        .count()
+}
+
+/// The store refuses work until reopened.
+fn assert_poisoned(store: &DiskStore, draw: &mut Draw, what: &str) {
+    assert!(
+        store.commit_batch(updates(&draw.batch())).is_err(),
+        "{what}: a commit after the failure was acknowledged"
+    );
+    assert!(
+        store.checkpoint_now().is_err(),
+        "{what}: a checkpoint after the failure succeeded"
+    );
+}
+
+/// Power loss and reopen over the bare disk: every acknowledged batch
+/// is present, every failed one wholly present or wholly absent.
+/// Returns how many failed batches are present; the reopened store
+/// still commits.
+fn crash_and_check(disk: &MemFs, acked: &[Batch], failed: &[Batch], what: &str) -> usize {
+    disk.crash();
+    let store = DiskStore::open_fs(Arc::new(disk.clone()), "store", opts(1 << 20))
+        .unwrap_or_else(|e| panic!("{what}: reopen failed: {e}"));
+    for batch in acked {
+        assert_eq!(
+            landed(&store, batch),
+            batch.len(),
+            "{what}: an acknowledged batch is not all there"
+        );
+    }
+    let mut present = 0;
+    for batch in failed {
+        let n = landed(&store, batch);
+        assert!(
+            n == 0 || n == batch.len(),
+            "{what}: {n} of {} writes of a failed batch survived",
+            batch.len()
+        );
+        present += usize::from(n > 0);
+    }
+    let after: Batch = [(u64::MAX, b"after".to_vec())].into();
+    store
+        .commit_batch(updates(&after))
+        .expect("commit after reopen");
+    assert_eq!(landed(&store, &after), 1);
+    present
+}
+
+/// Commits `x`, then parks `a`'s flush in its fsync until `group`'s
+/// three batches queue behind it, arms `fault` and lets the leader go:
+/// `group` is flushed as one group under the fault. Returns the store,
+/// the disk and each group batch's result.
+fn flush_group_under(
+    fault: Fault,
+    segment_bytes: u64,
+    x: &Batch,
+    a: &Batch,
+    group: &[Batch; 3],
+) -> (DiskStore, FaultyFs, Vec<Result<(), DiskError>>) {
+    let fs = FaultyFs::new();
+    let store =
+        DiskStore::open_fs(Arc::new(fs.clone()), "store", opts(segment_bytes)).expect("fresh open");
+    store.commit_batch(updates(x)).expect("commit x");
+    fs.park_next_sync();
+    let leader = {
+        let (store, a) = (store.clone(), updates(a));
+        thread::spawn(move || store.commit_batch(a))
+    };
+    fs.wait_parked();
+    let followers: Vec<_> = group
+        .iter()
+        .map(|batch| {
+            let (store, batch) = (store.clone(), updates(batch));
+            thread::spawn(move || store.commit_batch(batch))
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while store.group_queue_depth() < 3 {
+        assert!(Instant::now() < deadline, "the group never queued");
+        thread::sleep(Duration::from_micros(100));
+    }
+    fs.arm(fault);
+    fs.release();
+    leader.join().unwrap().expect("the parked leader's batch");
+    let results = followers.into_iter().map(|h| h.join().unwrap()).collect();
+    (store, fs, results)
+}
+
+struct Case {
+    seed: u64,
+    draw: Draw,
+    x: Batch,
+    a: Batch,
+    group: [Batch; 3],
+}
+
+impl Case {
+    fn new() -> Self {
+        let seed = seed();
+        let mut draw = Draw::new(seed);
+        let (x, a) = (draw.batch(), draw.batch());
+        let group = [draw.batch(), draw.batch(), draw.batch()];
+        Case {
+            seed,
+            draw,
+            x,
+            a,
+            group,
+        }
+    }
+
+    /// Runs the group flush under `fault`; every group batch must fail
+    /// and the store must stay down until reopen. Returns the disk and
+    /// how many group batches survive power loss.
+    fn run(&mut self, fault: Fault, segment_bytes: u64) -> (FaultyFs, usize) {
+        let what = format!("seed {} {fault:?}", self.seed);
+        let (store, fs, results) =
+            flush_group_under(fault, segment_bytes, &self.x, &self.a, &self.group);
+        for result in &results {
+            assert!(
+                result.is_err(),
+                "{what}: a batch of the failed group got Ok"
+            );
+        }
+        assert_poisoned(&store, &mut self.draw, &what);
+        drop(store);
+        let acked = [self.x.clone(), self.a.clone()];
+        let present = crash_and_check(&fs.inner, &acked, &self.group, &what);
+        (fs, present)
+    }
+}
+
+#[test]
+fn a_failed_group_flush_fails_every_batch_and_poisons() {
+    let mut case = Case::new();
+    for fault in [Fault::Enospc(1), Fault::Sync(1)] {
+        let (_, present) = case.run(fault, 1 << 20);
+        assert_eq!(present, 0, "{fault:?}: nothing of the group was synced");
+    }
+}
+
+#[test]
+fn a_failed_seal_after_a_group_poisons_and_keeps_the_group() {
+    // The segment fills with the group, not before: x and a fit.
+    let mut case = Case::new();
+    let threshold = log_bytes(&case.x) + log_bytes(&case.a) + 1;
+    // After the group's append and fsync (#1 each), the seal appends
+    // the new segment's magic, syncs it, syncs `segments/`, writes the
+    // manifest temp, renames it and syncs the store directory.
+    for fault in [
+        Fault::Enospc(2),
+        Fault::Sync(2),
+        Fault::SyncDir(1),
+        Fault::Sync(3),
+        Fault::Rename(1),
+        Fault::SyncDir(2),
+    ] {
+        let (_, present) = case.run(fault, threshold);
+        assert_eq!(
+            present, 3,
+            "{fault:?}: the group was durable before the seal"
+        );
+    }
+}
+
+#[test]
+fn a_failed_checkpoint_poisons_and_loses_nothing() {
+    let seed = seed();
+    let mut draw = Draw::new(seed);
+    // The fold installs each object (temp append, sync, rename), syncs
+    // `objects/`, then rewrites the manifest (append, sync, rename,
+    // directory sync); a checkpoint of an unsealed segment seals first.
+    let folds = [
+        Fault::Enospc(1),
+        Fault::Sync(1),
+        Fault::Rename(1),
+        Fault::TornAppend(1, 3),
+        Fault::SyncDir(1),
+        Fault::SyncDir(2),
+    ];
+    for (fault, segment_bytes) in folds
+        .into_iter()
+        .map(|f| (f, 1))
+        .chain([(Fault::Rename(1), 1 << 20), (Fault::SyncDir(1), 1 << 20)])
+    {
+        let what = format!("seed {seed} {fault:?}, segment_bytes {segment_bytes}");
+        let fs = FaultyFs::new();
+        let store = DiskStore::open_fs(Arc::new(fs.clone()), "store", opts(segment_bytes))
+            .expect("fresh open");
+        let acked = [draw.batch(), draw.batch()];
+        for batch in &acked {
+            store.commit_batch(updates(batch)).expect("commit");
+        }
+        fs.arm(fault);
+        assert!(
+            store.checkpoint_now().is_err(),
+            "{what}: the fault was missed"
+        );
+        assert_poisoned(&store, &mut draw, &what);
+        drop(store);
+        crash_and_check(&fs.inner, &acked, &[], &what);
+    }
+}
+
+/// How many commit frames end within the first `k` bytes of `buf`, a
+/// run of `[len][payload][crc]` frames whose payload opens with a `u32`
+/// variant index (1 is `Commit`).
+fn markers_within(buf: &[u8], k: usize) -> usize {
+    let (mut at, mut markers) = (0, 0);
+    while at + 4 <= buf.len() {
+        let len = u32::from_le_bytes(buf[at..at + 4].try_into().unwrap()) as usize;
+        let end = at + 4 + len + 4;
+        if end > k {
+            break;
+        }
+        markers += usize::from(buf[at + 4..at + 8] == 1u32.to_le_bytes());
+        at = end;
+    }
+    markers
+}
+
+#[test]
+fn a_torn_group_append_keeps_exactly_the_batches_whose_marker_landed() {
+    let mut case = Case::new();
+    // The whole append torn nowhere: every marker landed.
+    let (fs, present) = case.run(Fault::TornAppend(1, usize::MAX), 1 << 20);
+    assert_eq!(present, 3, "seed {}: a fully synced group", case.seed);
+    let append = std::mem::take(&mut fs.control().torn);
+    let total: u64 = case.group.iter().map(log_bytes).sum();
+    assert_eq!(append.len() as u64, total, "one append per group");
+    for k in 0..append.len() {
+        let (_, present) = case.run(Fault::TornAppend(1, k), 1 << 20);
+        assert_eq!(
+            present,
+            markers_within(&append, k),
+            "seed {} k {k}/{}: the surviving batches are not those whose marker landed",
+            case.seed,
+            append.len()
+        );
+    }
+}

@@ -142,3 +142,23 @@ fn acknowledged_batches_survive_power_loss_and_none_is_partial() {
         "seed {seed}: a vacuous schedule"
     );
 }
+
+#[test]
+fn a_fresh_store_at_a_nested_path_survives_power_loss() {
+    // `open` creates `nodes`, `nodes/n1` and `nodes/n1/store`; each is
+    // an entry of its parent, lost unless that parent was synced.
+    let disk = MemFs::new();
+    let opts = DiskStoreOptions {
+        segment_bytes: 512,
+        auto_checkpoint: false,
+    };
+    let open = || DiskStore::open_fs(Arc::new(disk.clone()), "nodes/n1/store", opts);
+    let batch: Batch = [(3, b"survives".to_vec())].into();
+    open()
+        .expect("fresh open")
+        .commit_batch(updates(&batch))
+        .expect("commit");
+    disk.crash();
+    let store = open().expect("reopen after power loss");
+    assert_eq!(contents(&store), batch);
+}
