@@ -92,8 +92,8 @@ pub trait PermanenceBackend: Send + Sync + Observable {
         0
     }
 
-    /// Committed batches not yet folded into installed object state by
-    /// a background checkpointer, for live gauges. `0` (the default)
+    /// Committed batches not yet folded into a checkpoint by a
+    /// background checkpointer, for live gauges. `0` (the default)
     /// for backends that install on the commit path.
     fn checkpoint_backlog(&self) -> u64 {
         0

@@ -80,7 +80,42 @@ fn pages(node: &Node) -> BTreeMap<ObjectId, Vec<u8>> {
         .collect()
 }
 
-/// Bytes in the store's live log segments.
+/// Rewrites the checkpoint image of the store at `dir` without the
+/// intent for `object`, re-framing the records it keeps: each frame is
+/// `[len: u32 LE][payload][crc: u32 LE]`, and an intent's payload is a
+/// `u32` variant index (0), the batch, the object and the state (`u64`
+/// little-endian each, the state length-prefixed). Returns whether an
+/// intent was dropped.
+fn drop_from_image(dir: &Path, object: ObjectId) -> bool {
+    let image = DiskStore::live_segment_paths(dir)
+        .expect("manifest")
+        .remove(0);
+    assert!(
+        image.to_string_lossy().contains("image-"),
+        "no checkpoint image: {}",
+        image.display()
+    );
+    let bytes = std::fs::read(&image).expect("image");
+    let (magic, mut rest) = bytes.split_at(8);
+    let mut kept = magic.to_vec();
+    let mut dropped = false;
+    while !rest.is_empty() {
+        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+        let (frame, tail) = rest.split_at(4 + len + 4);
+        let payload = &frame[4..4 + len];
+        let intent = payload[..4] == 0u32.to_le_bytes();
+        if intent && payload[12..20] == object.as_raw().to_le_bytes() {
+            dropped = true;
+        } else {
+            kept.extend_from_slice(frame);
+        }
+        rest = tail;
+    }
+    std::fs::write(&image, kept).expect("rewrite image");
+    dropped
+}
+
+/// Bytes in the files the store's manifest names.
 fn log_bytes(dir: &Path) -> u64 {
     DiskStore::live_segment_paths(dir)
         .expect("manifest")
@@ -336,7 +371,7 @@ fn barrier_writes_exactly_what_changed_and_restores_it() {
             _ => aborts += 1,
         }
         if rng.gen_bool(0.3) {
-            // fold the log into objects/, so later restores read both
+            // fold the log into an image, so later restores read both
             let member = &cluster.members[&participant];
             member.disk.checkpoint_now().expect("checkpoint");
             assert_restores(participant, &member.dir.0, &member.node, false);
@@ -355,10 +390,11 @@ fn barrier_writes_exactly_what_changed_and_restores_it() {
     member.disk.checkpoint_now().expect("checkpoint");
     drop(member.disk);
     let hole = rng.gen_range(0..records - 1) as u64;
-    let file = dir
-        .join("objects")
-        .join(format!("o{}.bin", TPC_LOG_BASE.as_raw() + hole));
-    std::fs::remove_file(&file).unwrap_or_else(|e| panic!("remove {}: {e}", file.display()));
+    let record = ObjectId::from_raw(TPC_LOG_BASE.as_raw() + hole);
+    assert!(
+        drop_from_image(&dir, record),
+        "record {hole} not in the image"
+    );
     match rebuild(P2, &dir) {
         Err(DiskError::CorruptLog(why)) => assert!(why.contains("missing"), "{why}"),
         other => panic!(

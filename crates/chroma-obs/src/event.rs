@@ -727,21 +727,22 @@ event_kinds! {
         bytes: u64,
     }
     /// The checkpointer started folding fully-committed sealed
-    /// segments into the object store.
+    /// segments into a checkpoint image.
     CheckpointBegin "checkpoint_begin" {
         /// Sealed segments in this fold.
         segments: u64,
         /// Committed batches the fold covers.
         batches: u64,
     }
-    /// The checkpointer committed a fold: the manifest no longer lists
-    /// the folded segments and the watermark advanced.
+    /// The checkpointer committed a fold: the manifest names the new
+    /// image, no longer lists the folded segments, and the watermark
+    /// advanced.
     CheckpointEnd "checkpoint_end" {
         /// Highest folded segment sequence (the new watermark).
         upto: u64,
         /// Committed batches folded behind the watermark.
         batches: u64,
-        /// Object states installed by the fold.
+        /// Object states the fold's image holds.
         objects: u64,
     }
     /// A folded segment's file was garbage-collected (always behind

@@ -18,53 +18,92 @@
 //! single active segment; when it passes
 //! [`DiskStoreOptions::segment_bytes`] it is *sealed*: a fresh segment
 //! file is created and fsynced, and the `MANIFEST` file — the
-//! authoritative, ordered list of live segments — is atomically
-//! rewritten (write temp, fsync, rename, fsync directory) to include
-//! it. A segment is in the manifest before any commit lands in it, and
-//! a batch's intents and marker never span segments (seals happen only
-//! between group flushes), so every segment carries a self-contained
-//! set of committed batches.
+//! authoritative list of the checkpoint image and the live segments,
+//! in order — is atomically rewritten (write temp, fsync, rename,
+//! fsync directory) to include it. A segment is in the manifest before
+//! any commit lands in it, and a batch's intents and marker never span
+//! segments (a seal runs between group appends, once no group appended
+//! before it is still in flight), so every segment carries a
+//! self-contained set of committed batches.
 //!
 //! # Checkpointing and GC
 //!
-//! Object installs are **off the commit path**. A committed batch's
-//! states are published to an in-memory tail map (reads consult it
-//! first); a background checkpointer thread folds fully-committed
-//! sealed segments into `objects/` — write-temp + rename per object,
-//! then one `objects/` directory fsync — and commits the fold by
-//! rewriting the manifest without them. Only then are the segment
-//! files deleted, so GC always trails the checkpoint watermark: a
-//! crash anywhere leaves either segments the manifest still owns
-//! (recovery replays them again) or orphan files the manifest never
-//! meant (swept on open, never replayed).
+//! A committed batch's states are published to an in-memory tail that
+//! keeps every object's newest committed state, so reads never touch
+//! disk. Checkpointing is off the commit path: a background
+//! checkpointer thread folds the sealed segments into one checkpoint
+//! **image** — a `CHLOG001` file in `segments/` holding every object's
+//! state in the tail as a single batch (its intents, then one marker),
+//! written in one append behind one fsync, then the `segments/`
+//! directory fsync — and commits the fold by rewriting the manifest to
+//! name the new image ahead of the live segments that remain. Only then
+//! are the old image and the folded segment files deleted, so GC always
+//! trails the checkpoint watermark: a crash anywhere leaves either files
+//! the manifest still names (recovery loads them again) or orphan files
+//! it no longer or never named (swept on open, never read).
+//!
+//! The image may hold states newer than the watermark: the tail is read
+//! after the fold picked its segments, while commits go on in the
+//! active segment. That is harmless. A state reaches the tail only
+//! after its group's fsync, so its batch is in the live suffix the new
+//! manifest keeps, and recovery re-applies the live suffix in log order
+//! on top of the image: every object ends at the newest state the
+//! suffix holds for it, or at the image's if the suffix never wrote it.
+//! A full image costs O(store) per fold.
 //!
 //! # Recovery
 //!
-//! Recovery replays **exactly the manifest's live suffix**, each
-//! segment once through a bounded-buffer reader, into the same
-//! in-memory tail the commit path keeps: read, CRC, decode — no object
-//! installs, no fsyncs. Every live segment stays live. The last one
-//! stays the active segment and appends continue in it (a torn tail is
-//! trimmed off first — the only write recovery makes), and the sealed
-//! ones fold in the background exactly as they would have before the
-//! crash. Replay work is bounded by what was committed since the last
-//! checkpoint, not by history. A failed fold poisons the store (later
-//! commits and checkpoints fail until reopen), because nothing else
-//! would ever fold the tail.
+//! Recovery loads the manifest's image, then replays **exactly the live
+//! suffix**, each file once through a bounded-buffer reader, into the
+//! same in-memory tail the commit path keeps: read, CRC, decode — no
+//! installs, no fsyncs. [`ReplayStats`] and the `DiskReplay` event
+//! count the live suffix only, never the image. Every live segment
+//! stays live. The last one stays the active segment and appends
+//! continue in it (a torn tail is trimmed off first — the only write
+//! recovery makes), and the sealed ones fold in the background exactly
+//! as they would have before the crash. Replay work is bounded by what
+//! was committed since the last checkpoint, not by history. A failed
+//! fold poisons the store (later commits and checkpoints fail until
+//! reopen), because nothing else would ever fold the tail.
 //!
 //! # Group commit
 //!
 //! Concurrent committers do not serialise through an fsync each.
-//! Arriving batches join a *pending group*; the first arrival becomes
-//! the leader and drains the whole queue. It encodes every batch's
-//! intents, then one commit marker *per batch* (so the commit point
-//! stays per-batch and recovery stays all-or-nothing for each), into
-//! one buffer, appends that buffer in **one** write and pays **one**
-//! fsync for the lot: the group's commit point. Followers park on a
-//! condvar until the leader posts their batch's outcome. Under
-//! contention the amortised fsync cost per batch approaches 1/N; a
-//! lone committer pays exactly one. Each flushed group emits a
-//! `DiskGroupCommit` event and feeds the `store.group_size` histogram.
+//! Arriving batches join a *pending group*; one of them becomes the
+//! leader and drains the whole queue. It encodes every batch's intents,
+//! then one commit marker *per batch* (so the commit point stays
+//! per-batch and recovery stays all-or-nothing for each), into one
+//! buffer and appends that buffer in **one** write under the WAL lock —
+//! holding that lock is the append role. It then gives the role up and
+//! pays **one** fsync for the lot with no lock held: the group's commit
+//! point. Meanwhile the next group's leader appends behind it and
+//! starts its own fsync, so up to two groups are in flight at once and
+//! a commit's fsync does not wait for another's to finish before it
+//! starts. Followers park on a condvar until their leader posts their
+//! batch's outcome. A lone committer pays exactly one fsync. Each
+//! group emits a `DiskAppend` per batch and one `DiskGroupCommit`, and
+//! feeds the `store.group_size` histogram.
+//!
+//! Overlapping groups keep the rules a serial flush had:
+//!
+//! - **Log order.** A group takes its place in the log (a sequence
+//!   number) when it appends. It *completes* — publishes to the tail,
+//!   emits its events, posts its outcomes — only after every earlier
+//!   group has, so readers and committers see groups in log order and
+//!   no acknowledged batch sits behind an unacknowledged one.
+//! - **Poison.** A failed append or fsync in group g poisons the store
+//!   at g at once: no new group is elected, g and every later group
+//!   already in flight fail, and no earlier group does (it completes
+//!   first, with its own outcome). A later group whose own fsync
+//!   succeeded still emits its `DiskAppend`s and `DiskGroupCommit` —
+//!   its batches are durable and a replay will count them (R9) — but
+//!   publishes nothing and fails with the poison.
+//! - **Seals.** A group that fills the active segment, or carries an
+//!   injected crash, keeps the append role through its fsync and its
+//!   completion. A seal, from such a group or from `checkpoint_now`,
+//!   runs holding the role once no group appended before it is in
+//!   flight, so every batch of a sealed segment is in the tail before
+//!   the checkpointer can fold it.
 //!
 //! One fsync keeps all-or-nothing without any group-level record.
 //! Replay installs a batch only when it reads that batch's marker, and
@@ -86,31 +125,34 @@
 //!
 //! # Log format
 //!
-//! Every segment opens with the 8-byte magic `CHLOG001`; each record
-//! is then framed `[len: u32 LE][payload][crc32: u32 LE]`, the
-//! checksum taken over length prefix and payload (CRC-32/IEEE, zlib
-//! convention). A complete record whose checksum mismatches is
-//! corruption within the committed prefix and fails `open`; an
-//! incomplete record at the tail is a torn append and is discarded.
-//! A segment that does not open with the magic is corruption too (a
-//! file shorter than the magic that is a prefix of it is a torn
-//! creation and holds no records). The pre-segment layout — a single
-//! `log` file and no `MANIFEST` — is refused with `CorruptLog`, never
-//! opened as empty.
+//! Every segment, and the checkpoint image, opens with the 8-byte magic
+//! `CHLOG001`; each record is then framed `[len: u32 LE][payload][crc32:
+//! u32 LE]`, the checksum taken over length prefix and payload
+//! (CRC-32/IEEE, zlib convention). A complete record whose checksum
+//! mismatches is corruption within the committed prefix and fails
+//! `open`; an incomplete record at the tail is a torn append and is
+//! discarded. A segment that does not open with the magic is
+//! corruption too (a file shorter than the magic that is a prefix of it
+//! is a torn creation and holds no records); an image the manifest
+//! names must hold its whole batch. Older layouts are refused with
+//! `CorruptLog`, never opened as empty: a single `log` file and no
+//! `MANIFEST` (from before segments), and any `objects/o*.bin` file
+//! (from before the checkpoint image, when a fold installed one file
+//! per object).
 //!
 //! Layout inside the store directory:
 //!
 //! ```text
 //! store/
-//! ├── MANIFEST              the ordered live-segment list (atomic
-//! │                         temp + rename + dir-fsync)
-//! ├── segments/
-//! │   └── seg-<seq>.log     CRC-framed intentions (magic CHLOG001)
-//! └── objects/
-//!     └── o<id>.bin         checkpointed state of each object
+//! ├── MANIFEST                the image, then the ordered live segments
+//! │                           (atomic temp + rename + dir-fsync)
+//! └── segments/
+//!     ├── image-<seq>.log     every object's state at the fold of the
+//!     │                       segments up to <seq> (magic CHLOG001)
+//!     └── seg-<seq>.log       CRC-framed intentions (magic CHLOG001)
 //! ```
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, Read as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,7 +162,7 @@ use std::time::Instant;
 
 use chroma_base::ObjectId;
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::codec::{self, Stored};
 use crate::crc32::crc32;
@@ -132,6 +174,10 @@ const LOG_MAGIC: &[u8; 8] = b"CHLOG001";
 
 /// First line of the `MANIFEST` file.
 const MANIFEST_MAGIC: &str = "CHMAN001";
+
+/// Groups in flight at once: one in its fsync while the next appends
+/// behind it and starts its own.
+const MAX_IN_FLIGHT: u64 = 2;
 
 /// Errors from the disk store.
 #[derive(Debug)]
@@ -204,13 +250,14 @@ pub enum DiskCrashPoint {
     /// After a seal completed (the manifest lists the new active
     /// segment).
     AfterSeal,
-    /// Mid-checkpoint: folded states are installed in `objects/`, but
-    /// the manifest still lists the folded segments — recovery
-    /// replays them into the tail again and the fold is redone.
+    /// Mid-checkpoint: the new image is written and synced, but the
+    /// manifest still names the old image and the folded segments —
+    /// recovery loads those again, sweeps the new image as an orphan,
+    /// and the fold is redone.
     CheckpointBeforeManifest,
-    /// After the manifest dropped the folded segments but before their
-    /// files were deleted: the files are orphans recovery must sweep
-    /// without replaying.
+    /// After the manifest named the new image and dropped the folded
+    /// segments but before the old image and their files were deleted:
+    /// the files are orphans recovery must sweep without reading.
     CheckpointBeforeGc,
 }
 
@@ -256,14 +303,15 @@ impl Default for DiskStoreOptions {
     }
 }
 
-/// What [`DiskStore::open`] replayed from the manifest's live suffix.
+/// What [`DiskStore::open`] replayed from the manifest's live suffix
+/// (the checkpoint image it loaded first is not counted).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplayStats {
-    /// Committed batches rebuilt into the in-memory tail.
+    /// Committed batches replayed into the in-memory tail.
     pub batches: u64,
     /// Log records decoded (committed or not).
     pub records: u64,
-    /// Distinct objects those batches left in the tail.
+    /// Distinct objects those batches wrote.
     pub objects: u64,
 }
 
@@ -321,6 +369,16 @@ enum GroupOutcome {
 }
 
 impl GroupOutcome {
+    /// The outcome a group's own failure `e` posts: a crash or an I/O
+    /// error poisons the store, a record the log refused does not.
+    fn failed(e: DiskError) -> Self {
+        match e {
+            DiskError::Crashed(point) => GroupOutcome::Poisoned(Poison::Crashed(point)),
+            DiskError::Io(e) => GroupOutcome::Poisoned(Poison::Io(e.to_string())),
+            DiskError::CorruptLog(msg) => GroupOutcome::Corrupt(msg),
+        }
+    }
+
     fn into_result(self) -> Result<(), DiskError> {
         match self {
             GroupOutcome::Done => Ok(()),
@@ -334,15 +392,42 @@ impl GroupOutcome {
 struct GroupState {
     /// Next batch id to hand out.
     next_batch: u64,
-    /// Batches enqueued and not yet flushed.
+    /// Batches enqueued and not yet taken by a leader.
     queue: Vec<PendingBatch>,
     /// Flush outcomes awaiting pickup, by batch id.
     results: HashMap<u64, GroupOutcome>,
-    /// A leader is currently draining the queue.
-    leader_active: bool,
+    /// Groups whose leader was elected and that have not completed.
+    in_flight: u64,
+    /// Sequence number of the last completed group: groups complete in
+    /// log order, so `completed + 1` is the next.
+    completed: u64,
     /// A crash or an I/O failure killed the store; every later commit
     /// and checkpoint fails with it until reopen.
     poisoned: Option<Poison>,
+    /// The first group sequence number the poison fails (`u64::MAX`
+    /// when only groups not yet elected fail).
+    fail_from: u64,
+}
+
+impl GroupState {
+    /// Poisons the store from group `seq` on; the first poison's cause
+    /// is the one reported.
+    fn poison(&mut self, seq: u64, poison: Poison) {
+        self.poisoned.get_or_insert(poison);
+        self.fail_from = self.fail_from.min(seq);
+    }
+
+    /// The poison that fails group `seq`, if an earlier (or its own)
+    /// failure does.
+    fn poison_at(&self, seq: u64) -> Option<&Poison> {
+        self.poisoned.as_ref().filter(|_| self.fail_from <= seq)
+    }
+
+    /// Whether batch `id` still waits in the queue (ids queue in
+    /// order, and a leader takes the whole queue).
+    fn queued(&self, id: u64) -> bool {
+        self.queue.first().is_some_and(|first| first.id <= id)
+    }
 }
 
 impl std::fmt::Debug for GroupState {
@@ -350,7 +435,8 @@ impl std::fmt::Debug for GroupState {
         f.debug_struct("GroupState")
             .field("next_batch", &self.next_batch)
             .field("queued", &self.queue.len())
-            .field("leader_active", &self.leader_active)
+            .field("in_flight", &self.in_flight)
+            .field("completed", &self.completed)
             .field("poisoned", &self.poisoned)
             .finish()
     }
@@ -368,17 +454,26 @@ struct SegmentInfo {
     max_batch: u64,
 }
 
-/// Segment + manifest state. The group-commit leader holds this across
-/// a flush; the checkpointer takes it briefly to rewrite the manifest.
+/// Segment + manifest state. Holding this lock is the append role: a
+/// group leader holds it to append (and, when its group fills the
+/// segment, until it has sealed); `checkpoint_now` holds it to seal;
+/// the checkpointer takes it briefly to rewrite the manifest.
 #[derive(Debug)]
 struct WalState {
     /// Live segments in manifest order; the last is the active one.
     segments: Vec<SegmentInfo>,
-    /// Append handle to the active segment.
-    active: Box<dyn FsFile>,
-    /// The frames of the group being flushed, cleared for each group
+    /// The checkpoint image the manifest names, by the sequence number
+    /// of the last segment folded into it.
+    image: Option<u64>,
+    /// Append handle to the active segment, shared with the group
+    /// leaders syncing it.
+    active: Arc<dyn FsFile>,
+    /// The frames of the group being appended, cleared for each group
     /// and kept for its capacity.
     group_buf: Vec<u8>,
+    /// Sequence number of the last group appended (its place in the
+    /// log).
+    groups: u64,
 }
 
 /// Checkpointer wakeup state.
@@ -394,14 +489,16 @@ struct Shared {
     fs: Arc<dyn Fs>,
     dir: PathBuf,
     opts: DiskStoreOptions,
-    /// Group-commit coordination: queue, outcomes, leader election.
+    /// Group-commit coordination: queue, outcomes, leader election,
+    /// completion order.
     group: Mutex<GroupState>,
-    /// Followers park here until the leader posts their outcome.
+    /// Committers park here until they may lead, their outcome is
+    /// posted, or it is their group's turn to complete.
     group_changed: Condvar,
     wal: Mutex<WalState>,
-    /// Committed-but-not-yet-checkpointed newest state per object,
-    /// tagged with the committing batch id.
-    tail: Mutex<HashMap<u64, (u64, StoreBytes)>>,
+    /// Every object's newest committed state: the image plus every
+    /// batch published since.
+    tail: Mutex<HashMap<u64, StoreBytes>>,
     /// Serialises checkpoints (background thread vs `checkpoint_now`).
     ckpt_run: Mutex<()>,
     ckpt: Mutex<CkptState>,
@@ -412,8 +509,8 @@ struct Shared {
     /// Fsyncs paid on the active segment (one per flushed group, one
     /// for a torn-tail trim at open).
     log_fsyncs: AtomicU64,
-    /// Directory fsyncs (manifest renames, segment creation, object
-    /// installs).
+    /// Directory fsyncs (manifest renames, segment and image
+    /// creation).
     dir_fsyncs: AtomicU64,
     obs: ObsCell,
     /// Replay stats from `open`, kept for inspection.
@@ -519,14 +616,18 @@ impl DiskStore {
                 next_batch: recovered.max_batch + 1,
                 queue: Vec::new(),
                 results: HashMap::new(),
-                leader_active: false,
+                in_flight: 0,
+                completed: 0,
                 poisoned: None,
+                fail_from: u64::MAX,
             }),
             group_changed: Condvar::new(),
             wal: Mutex::new(WalState {
                 segments: recovered.segments,
+                image: recovered.image,
                 active: recovered.active_file,
                 group_buf: Vec::new(),
+                groups: 0,
             }),
             tail: Mutex::new(recovered.tail),
             ckpt_run: Mutex::new(()),
@@ -572,7 +673,7 @@ impl DiskStore {
     /// Total fsyncs paid on the active segment since `open` — one per
     /// flushed group, so `log_fsync_count() / commits` is the
     /// amortised cost group commit exists to shrink, plus one if `open`
-    /// trimmed a torn tail. Seal, manifest and install fsyncs are not
+    /// trimmed a torn tail. Seal, manifest and image fsyncs are not
     /// counted (see [`dir_fsync_count`](DiskStore::dir_fsync_count)).
     #[must_use]
     pub fn log_fsync_count(&self) -> u64 {
@@ -580,17 +681,16 @@ impl DiskStore {
     }
 
     /// Directory fsyncs paid since `open`: after every manifest
-    /// rename, segment-file creation, and batch of object installs,
-    /// and for a brand-new store on the parent of each directory `open`
-    /// created — the metadata syncs that make renames and creations
-    /// durable across power loss. Reopening an existing store pays
-    /// none.
+    /// rename, segment-file creation and checkpoint image, and for a
+    /// brand-new store on the parent of each directory `open` created —
+    /// the metadata syncs that make renames and creations durable
+    /// across power loss. Reopening an existing store pays none.
     #[must_use]
     pub fn dir_fsync_count(&self) -> u64 {
         self.shared.dir_fsyncs.load(Ordering::Relaxed)
     }
 
-    /// Batches currently queued behind the group-commit leader — the
+    /// Batches queued and not yet taken by a group leader — the
     /// instantaneous depth of the follower queue, 0 when the log is
     /// idle.
     #[must_use]
@@ -598,8 +698,8 @@ impl DiskStore {
         self.shared.group.lock().queue.len() as u64
     }
 
-    /// Batches committed but not yet folded into `objects/` behind the
-    /// checkpoint watermark — the recovery replay debt a crash right
+    /// Batches committed but not yet folded into a checkpoint image
+    /// behind the watermark — the recovery replay debt a crash right
     /// now would pay.
     #[must_use]
     pub fn checkpoint_backlog(&self) -> u64 {
@@ -607,75 +707,66 @@ impl DiskStore {
     }
 
     /// What `open` replayed from the manifest's live suffix (zeros for
-    /// a fresh or fully-checkpointed store).
+    /// a fresh or fully-checkpointed store; the image is not counted).
     #[must_use]
     pub fn replay_stats(&self) -> ReplayStats {
         self.shared.recovered
     }
 
-    /// The manifest's live segment files for the store at `dir`,
-    /// oldest first — the last is the active segment. Works without an
-    /// open store (e.g. against a crashed directory); empty if no
-    /// manifest exists yet.
+    /// The files the manifest names for the store at `dir`: the
+    /// checkpoint image first, once a fold has written one, then the
+    /// live segments oldest first — the last is the active segment.
+    /// Works without an open store (e.g. against a crashed directory);
+    /// empty if no manifest exists yet.
     ///
     /// # Errors
     ///
     /// I/O failures, or a corrupt manifest.
     pub fn live_segment_paths(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>, DiskError> {
         let dir = dir.as_ref();
-        let seqs = read_manifest(&OsFs, dir)?.unwrap_or_default();
-        Ok(seqs
+        let manifest = read_manifest(&OsFs, dir)?.unwrap_or_default();
+        Ok(manifest
+            .image
+            .map(image_file_name)
             .into_iter()
-            .map(|seq| dir.join("segments").join(segment_file_name(seq)))
+            .chain(manifest.segments.into_iter().map(segment_file_name))
+            .map(|name| dir.join("segments").join(name))
             .collect())
     }
 
-    /// Reads the newest committed state of `object` — from the
-    /// in-memory tail if the batch is not yet checkpointed, else from
-    /// `objects/`.
+    /// Reads the newest committed state of `object` from the in-memory
+    /// tail, which holds every committed object.
     ///
     /// # Errors
     ///
-    /// I/O failures other than not-found.
+    /// None: the tail holds every committed object.
     pub fn read(&self, object: ObjectId) -> Result<Option<StoreBytes>, DiskError> {
-        if let Some((_, state)) = self.shared.tail.lock().get(&object.as_raw()) {
-            return Ok(Some(state.clone()));
-        }
-        match self.shared.fs.read(&self.shared.object_path(object)) {
-            Ok(bytes) => Ok(Some(StoreBytes::from(bytes))),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
+        Ok(self.shared.tail.lock().get(&object.as_raw()).cloned())
     }
 
-    /// Returns the ids of all committed objects (checkpointed or still
-    /// in the tail), unordered.
+    /// Returns the ids of all committed objects, unordered.
     ///
     /// # Errors
     ///
-    /// I/O failures listing the objects directory.
+    /// None, as for [`read`](DiskStore::read).
     pub fn object_ids(&self) -> Result<Vec<ObjectId>, DiskError> {
-        let mut ids: HashSet<u64> = self.shared.tail.lock().keys().copied().collect();
-        for name in self.shared.fs.list(&self.shared.dir.join("objects"))? {
-            if let Some(raw) = name
-                .strip_prefix('o')
-                .and_then(|rest| rest.strip_suffix(".bin"))
-                .and_then(|digits| digits.parse::<u64>().ok())
-            {
-                ids.insert(raw);
-            }
-        }
-        Ok(ids.into_iter().map(ObjectId::from_raw).collect())
+        Ok(self
+            .shared
+            .tail
+            .lock()
+            .keys()
+            .map(|&raw| ObjectId::from_raw(raw))
+            .collect())
     }
 
     /// Atomically commits a batch of updates: its intents and then its
     /// commit marker are appended in one write and fsynced once (the
     /// commit point), then the states are published to the in-memory
-    /// tail — installs into `objects/` happen later, on the
-    /// checkpointer. Concurrent callers share that write and fsync via
-    /// group commit (see the module docs); each batch keeps its own
-    /// commit marker, so atomicity is still per-batch. An empty batch
-    /// is vacuously durable and pays no fsync at all.
+    /// tail. Concurrent callers share that write and fsync via group
+    /// commit, and consecutive groups overlap their fsyncs (see the
+    /// module docs); each batch keeps its own commit marker, so
+    /// atomicity is still per-batch. An empty batch is vacuously
+    /// durable and pays no fsync at all.
     ///
     /// # Errors
     ///
@@ -707,10 +798,10 @@ impl DiskStore {
     }
 
     /// Seals the active segment (if it holds any batches) and folds
-    /// every sealed segment into `objects/` synchronously. Returns
-    /// whether anything was folded. Mostly for tests and benchmarks;
-    /// with [`DiskStoreOptions::auto_checkpoint`] the background
-    /// thread does this on its own.
+    /// every sealed segment into a new checkpoint image synchronously.
+    /// Returns whether anything was folded. Mostly for tests and
+    /// benchmarks; with [`DiskStoreOptions::auto_checkpoint`] the
+    /// background thread does this on its own.
     ///
     /// # Errors
     ///
@@ -718,11 +809,18 @@ impl DiskStore {
     /// until reopen), or the error that poisoned it.
     pub fn checkpoint_now(&self) -> Result<bool, DiskError> {
         let shared = &self.shared;
-        if let Some(poison) = &shared.group.lock().poisoned {
-            return Err(poison.error());
-        }
         let sealed = {
+            // The append role: no group appends while the seal runs.
             let mut wal = shared.wal.lock();
+            let mut group = shared.group.lock();
+            // Every group appended before the seal completes first.
+            while group.completed < wal.groups {
+                shared.group_changed.wait(&mut group);
+            }
+            if let Some(poison) = &group.poisoned {
+                return Err(poison.error());
+            }
+            drop(group);
             if wal.segments.last().is_some_and(|active| active.batches > 0) {
                 shared.seal_active(&mut wal, None, &shared.obs.get())
             } else {
@@ -777,12 +875,6 @@ fn checkpointer_loop(shared: &Shared) {
 }
 
 impl Shared {
-    fn object_path(&self, object: ObjectId) -> PathBuf {
-        self.dir
-            .join("objects")
-            .join(format!("o{}.bin", object.as_raw()))
-    }
-
     fn commit_batch_inner(
         &self,
         updates: Vec<(ObjectId, StoreBytes)>,
@@ -801,82 +893,130 @@ impl Shared {
         group.next_batch += 1;
         group.queue.push(PendingBatch { id, updates, crash });
 
-        if group.leader_active {
-            // Follower: a leader is flushing; it will drain our batch
-            // in its next group and post the outcome.
-            loop {
-                if let Some(outcome) = group.results.remove(&id) {
-                    return outcome.into_result();
-                }
-                self.group_changed.wait(&mut group);
+        loop {
+            if let Some(outcome) = group.results.remove(&id) {
+                // Follower: our group's leader posted the outcome.
+                return outcome.into_result();
             }
+            if group.queued(id) {
+                if let Some(poison) = &group.poisoned {
+                    // The "process" died while we queued: we die with it,
+                    // un-flushed.
+                    let err = poison.error();
+                    group.queue.retain(|batch| batch.id != id);
+                    return Err(err);
+                }
+                if group.in_flight < MAX_IN_FLIGHT {
+                    break;
+                }
+            }
+            self.group_changed.wait(&mut group);
         }
 
-        // Leader: drain groups until the queue stays empty.
-        group.leader_active = true;
-        while !group.queue.is_empty() {
-            let drained = std::mem::take(&mut group.queue);
-            drop(group);
-            // Any crash or I/O failure mid-flush poisons the store: after
-            // a failed log write or fsync nobody can vouch for what the
-            // log holds, so only a reopen (and its replay) may go on.
-            let flushed = match self.flush_group(&drained) {
-                Ok(()) => GroupOutcome::Done,
-                Err(DiskError::Crashed(point)) => GroupOutcome::Poisoned(Poison::Crashed(point)),
-                Err(DiskError::Io(e)) => GroupOutcome::Poisoned(Poison::Io(e.to_string())),
-                Err(DiskError::CorruptLog(msg)) => GroupOutcome::Corrupt(msg),
-            };
-            group = self.group.lock();
-            if let GroupOutcome::Poisoned(poison) = &flushed {
-                group.poisoned = Some(poison.clone());
-            }
-            for batch in &drained {
-                group.results.insert(batch.id, flushed.clone());
-            }
-            if let Some(poison) = group.poisoned.clone() {
-                // The "process" died mid-flush: batches that queued up
-                // behind us die with it, un-flushed.
-                let orphaned = std::mem::take(&mut group.queue);
-                for batch in orphaned {
-                    group
-                        .results
-                        .insert(batch.id, GroupOutcome::Poisoned(poison.clone()));
-                }
-            }
-            self.group_changed.notify_all();
-        }
-        group.leader_active = false;
-        let outcome = group
-            .results
-            .remove(&id)
-            .expect("leader's own batch outcome was posted");
+        // Leader: the whole queue is our group.
+        group.in_flight += 1;
+        let batches = std::mem::take(&mut group.queue);
         drop(group);
-        outcome.into_result()
+        self.flush_group(&batches, id)
     }
 
-    /// Flushes one drained group: all intents, then one commit marker
-    /// per batch, in one append and one fsync; publish to the tail,
-    /// seal the active segment if it is full. Injected crashes take
-    /// effect at the *earliest* stage requested by any batch in the
-    /// group.
-    #[allow(clippy::too_many_lines)]
-    fn flush_group(&self, group: &[PendingBatch]) -> Result<(), DiskError> {
+    /// Leads one drained group: appends it under the WAL lock, fsyncs
+    /// it, and completes it once every earlier group has (see the
+    /// module docs). Injected crashes take effect at the *earliest*
+    /// stage requested by any batch in the group. Returns the leader's
+    /// own outcome.
+    fn flush_group(&self, group: &[PendingBatch], leader: u64) -> Result<(), DiskError> {
         let obs = self.obs.get();
         let crash = group
             .iter()
             .filter_map(|b| b.crash)
             .min_by_key(|p| crash_stage(*p));
+
+        // 1. Append under the WAL lock: the group's place in the log.
+        let mut wal = self.wal.lock();
+        wal.groups += 1;
+        let seq = wal.groups;
+        let file = Arc::clone(&wal.active);
+        let appended = self.append_group(&mut wal, group, crash, &obs);
+        // A group that fills the active segment, or that dies on
+        // purpose, keeps the append role until it completes: nothing
+        // lands behind it before it has sealed or crashed.
+        let full = wal
+            .segments
+            .last()
+            .is_some_and(|active| active.bytes >= self.opts.segment_bytes);
+        let held = (crash.is_some() || full).then_some(wal);
+
+        // 2. The group's one fsync, with no lock held unless the group
+        // kept the role.
+        let synced = appended
+            .and_then(|bytes| self.log_fsync(&*file, &obs).map(|()| bytes))
+            .map_err(GroupOutcome::failed);
+
+        // 3. Complete in log order.
+        let mut state = self.group.lock();
+        if let Err(GroupOutcome::Poisoned(poison)) = &synced {
+            // Later groups fail from now on, not from our turn.
+            state.poison(seq, poison.clone());
+            self.group_changed.notify_all();
+        }
+        while state.completed + 1 != seq {
+            self.group_changed.wait(&mut state);
+        }
+        let outcome = match synced {
+            Err(outcome) => outcome,
+            Ok(batch_bytes) => {
+                // Durable, so announced even when an earlier group's
+                // failure fails it: a replay will count these batches.
+                emit_group(group, &batch_bytes, &obs);
+                match state.poison_at(seq).cloned() {
+                    Some(poison) => GroupOutcome::Poisoned(poison),
+                    None => {
+                        let mut finished = self.publish(group, crash);
+                        if let (Ok(()), Some(wal)) = (&finished, held) {
+                            // Seal without blocking committers that only
+                            // queue or pick up outcomes.
+                            drop(state);
+                            finished = self.seal_held(wal, crash, &obs);
+                            state = self.group.lock();
+                        }
+                        finished.map_or_else(GroupOutcome::failed, |()| GroupOutcome::Done)
+                    }
+                }
+            }
+        };
+        if let GroupOutcome::Poisoned(poison) = &outcome {
+            state.poison(seq, poison.clone());
+        }
+        for batch in group.iter().filter(|batch| batch.id != leader) {
+            state.results.insert(batch.id, outcome.clone());
+        }
+        state.completed = seq;
+        state.in_flight -= 1;
+        self.group_changed.notify_all();
+        drop(state);
+        outcome.into_result()
+    }
+
+    /// Encodes every batch's intents, then every batch's commit marker,
+    /// and appends them to the active segment in one write. Returns
+    /// each batch's log bytes.
+    fn append_group(
+        &self,
+        wal: &mut WalState,
+        group: &[PendingBatch],
+        crash: Option<DiskCrashPoint>,
+        obs: &Obs,
+    ) -> Result<Vec<u64>, DiskError> {
         if crash == Some(DiskCrashPoint::BeforeIntents) {
             return Err(DiskError::Crashed(DiskCrashPoint::BeforeIntents));
         }
-
-        let mut wal = self.wal.lock();
-        // 1. Encode every batch's intents, then every batch's commit
-        // marker; append them in one write and fsync once (the group's
-        // commit point, inside the active segment).
         let WalState {
-            active, group_buf, ..
-        } = &mut *wal;
+            segments,
+            active,
+            group_buf,
+            ..
+        } = wal;
         group_buf.clear();
         let mut batch_bytes = vec![0u64; group.len()];
         for (i, batch) in group.iter().enumerate() {
@@ -890,45 +1030,32 @@ impl Shared {
         }
         if crash == Some(DiskCrashPoint::AfterIntents) {
             active.append(&group_buf[..intents_end])?;
-            self.log_fsync(&mut **active, &obs)?;
+            self.log_fsync(&**active, obs)?;
             return Err(DiskError::Crashed(DiskCrashPoint::AfterIntents));
         }
         active.append(group_buf)?;
-        self.log_fsync(&mut **active, &obs)?;
-        let mut records = 0u64;
-        let mut bytes = 0u64;
-        for (i, batch) in group.iter().enumerate() {
-            let batch_records = batch.updates.len() as u64 + 1;
-            records += batch_records;
-            bytes += batch_bytes[i];
-            obs.emit(EventKind::DiskAppend {
-                records: batch_records,
-                bytes: batch_bytes[i],
-            });
-        }
-        obs.emit(EventKind::DiskGroupCommit {
-            batches: group.len() as u64,
-            records,
-            bytes,
-        });
-        obs.observe("store.group_size", group.len() as u64);
-        {
-            let info = wal.segments.last_mut().expect("live list never empty");
-            info.batches += group.len() as u64;
-            info.bytes += bytes;
-            info.max_batch = group.last().expect("group is non-empty").id;
-        }
+        let info = segments.last_mut().expect("live list never empty");
+        info.batches += group.len() as u64;
+        info.bytes += batch_bytes.iter().sum::<u64>();
+        info.max_batch = group.last().expect("group is non-empty").id;
+        Ok(batch_bytes)
+    }
+
+    /// A durable, unpoisoned group's step past its commit point, at its
+    /// turn: publish its states to the tail.
+    fn publish(
+        &self,
+        group: &[PendingBatch],
+        crash: Option<DiskCrashPoint>,
+    ) -> Result<(), DiskError> {
         if crash == Some(DiskCrashPoint::AfterCommitRecord) {
             return Err(DiskError::Crashed(DiskCrashPoint::AfterCommitRecord));
         }
-
-        // 3. Publish committed state to the in-memory tail; the
-        // checkpointer folds it into objects/ off the commit path.
         {
             let mut tail = self.tail.lock();
             for batch in group {
                 for (object, state) in &batch.updates {
-                    tail.insert(object.as_raw(), (batch.id, state.clone()));
+                    tail.insert(object.as_raw(), state.clone());
                 }
             }
         }
@@ -937,51 +1064,40 @@ impl Shared {
         if crash == Some(DiskCrashPoint::AfterInstall) {
             return Err(DiskError::Crashed(DiskCrashPoint::AfterInstall));
         }
+        Ok(())
+    }
 
-        // 4. Seal when the active segment is full (an injected seal or
-        // checkpoint crash forces one so the point is reachable).
-        let forced = matches!(
-            crash,
-            Some(
-                DiskCrashPoint::SealBeforeManifest
-                    | DiskCrashPoint::AfterSeal
-                    | DiskCrashPoint::CheckpointBeforeManifest
-                    | DiskCrashPoint::CheckpointBeforeGc
-            )
-        );
-        let full = wal
-            .segments
-            .last()
-            .is_some_and(|active| active.bytes >= self.opts.segment_bytes);
-        let mut sealed = false;
-        if forced || full {
-            let seal_crash = crash.filter(|p| {
-                matches!(
-                    p,
-                    DiskCrashPoint::SealBeforeManifest | DiskCrashPoint::AfterSeal
-                )
-            });
-            self.seal_active(&mut wal, seal_crash, &obs)?;
-            sealed = true;
-        }
-        drop(wal);
-        if sealed {
-            self.kick_checkpointer();
-        }
-        if let Some(point) = crash.filter(|p| {
+    /// Seals the active segment for a published group that kept the
+    /// append role: it filled the segment, or an injected seal or
+    /// checkpoint crash forces the seal so the point is reachable.
+    /// Every earlier group has completed and none appended behind it,
+    /// so the seal sees only published batches.
+    fn seal_held(
+        &self,
+        mut wal: MutexGuard<'_, WalState>,
+        crash: Option<DiskCrashPoint>,
+        obs: &Obs,
+    ) -> Result<(), DiskError> {
+        let seal_crash = crash.filter(|p| {
             matches!(
                 p,
-                DiskCrashPoint::CheckpointBeforeManifest | DiskCrashPoint::CheckpointBeforeGc
+                DiskCrashPoint::SealBeforeManifest | DiskCrashPoint::AfterSeal
             )
-        }) {
+        });
+        self.seal_active(&mut wal, seal_crash, obs)?;
+        drop(wal);
+        self.kick_checkpointer();
+        match crash {
             // Die inside the forced checkpoint; the batch itself is
             // already durable.
-            return match self.checkpoint_inner(Some(point)) {
-                Ok(_) => Err(DiskError::Crashed(point)),
-                Err(e) => Err(e),
-            };
+            Some(
+                point @ (DiskCrashPoint::CheckpointBeforeManifest
+                | DiskCrashPoint::CheckpointBeforeGc),
+            ) => self
+                .checkpoint_inner(Some(point))
+                .and(Err(DiskError::Crashed(point))),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Seals the active segment: create + fsync the next segment file,
@@ -996,7 +1112,7 @@ impl Shared {
     ) -> Result<(), DiskError> {
         let next_seq = wal.segments.last().expect("live list never empty").seq + 1;
         let segments_dir = self.dir.join("segments");
-        let mut file = self
+        let file = self
             .fs
             .create(&segments_dir.join(segment_file_name(next_seq)))?;
         file.append(LOG_MAGIC)?;
@@ -1011,7 +1127,7 @@ impl Shared {
             .map(|s| s.seq)
             .chain([next_seq])
             .collect();
-        self.write_manifest_counted(&seqs)?;
+        self.write_manifest_counted(wal.image, &seqs)?;
         let old = *wal.segments.last().expect("live list never empty");
         wal.segments.push(SegmentInfo {
             seq: next_seq,
@@ -1019,7 +1135,7 @@ impl Shared {
             bytes: 0,
             max_batch: 0,
         });
-        wal.active = file;
+        wal.active = Arc::from(file);
         obs.emit(EventKind::SegmentSeal {
             segment: old.seq,
             batches: old.batches,
@@ -1031,13 +1147,14 @@ impl Shared {
         Ok(())
     }
 
-    /// Folds every sealed segment into `objects/` and garbage-collects
-    /// it behind the checkpoint watermark. The manifest rewrite is the
-    /// fold's commit point: a crash before it replays the segments
+    /// Folds every sealed segment into a new checkpoint image and
+    /// garbage-collects the old image and the segments behind the
+    /// watermark. The manifest rewrite is the fold's commit point: a
+    /// crash before it loads the old image and replays the segments
     /// again, a crash after it leaves only orphan files (swept, not
-    /// replayed). An I/O failure poisons the store: this fold is the
-    /// only one there is, so a store that silently stopped folding
-    /// would grow its tail and replay debt without bound.
+    /// read). An I/O failure poisons the store: this fold is the only
+    /// one there is, so a store that silently stopped folding would
+    /// grow its replay debt without bound.
     fn checkpoint_inner(&self, crash: Option<DiskCrashPoint>) -> Result<bool, DiskError> {
         let _run = self.ckpt_run.lock();
         if self.group.lock().poisoned.is_some() {
@@ -1047,19 +1164,23 @@ impl Shared {
         self.poison_on_io(self.fold_sealed(crash))
     }
 
-    /// Passes `result` through; an I/O error in it poisons the store.
+    /// Passes `result` through; an I/O error in it poisons the store
+    /// for every group not yet elected.
     fn poison_on_io<T>(&self, result: Result<T, DiskError>) -> Result<T, DiskError> {
         if let Err(DiskError::Io(e)) = &result {
-            self.group.lock().poisoned = Some(Poison::Io(e.to_string()));
+            self.group
+                .lock()
+                .poison(u64::MAX, Poison::Io(e.to_string()));
+            self.group_changed.notify_all();
         }
         result
     }
 
     fn fold_sealed(&self, crash: Option<DiskCrashPoint>) -> Result<bool, DiskError> {
         let obs = self.obs.get();
-        let folds: Vec<SegmentInfo> = {
+        let (folds, old_image) = {
             let wal = self.wal.lock();
-            wal.segments[..wal.segments.len() - 1].to_vec()
+            (wal.segments[..wal.segments.len() - 1].to_vec(), wal.image)
         };
         if folds.is_empty() {
             // An injected checkpoint crash still dies here even with
@@ -1071,46 +1192,53 @@ impl Shared {
         }
         let batches: u64 = folds.iter().map(|s| s.batches).sum();
         let watermark = folds.iter().map(|s| s.max_batch).max().unwrap_or(0);
+        let upto = folds.last().expect("folds is non-empty").seq;
         obs.emit(EventKind::CheckpointBegin {
             segments: folds.len() as u64,
             batches,
         });
-        // Install the newest tail state of every object the folded
-        // batches cover. Newer-than-watermark states stay in the tail:
-        // their batches are still in the live suffix.
-        let covered: Vec<(u64, StoreBytes)> = self
+        // Every folded batch is in the tail (a seal waits for the groups
+        // before it to complete); states newer than the watermark ride
+        // along harmlessly (see the module docs).
+        let mut states: Vec<(u64, StoreBytes)> = self
             .tail
             .lock()
             .iter()
-            .filter(|&(_, &(batch, _))| batch <= watermark)
-            .map(|(object, (_, state))| (*object, state.clone()))
+            .map(|(&object, state)| (object, state.clone()))
             .collect();
-        let objects_dir = self.dir.join("objects");
-        for (object, state) in &covered {
-            install_object(&*self.fs, &objects_dir, *object, state)?;
+        states.sort_unstable_by_key(|&(object, _)| object);
+        let mut image = LOG_MAGIC.to_vec();
+        for (object, state) in &states {
+            push_intent(&mut image, watermark, *object, state)?;
         }
-        if !covered.is_empty() {
-            self.fsync_dir_counted(&objects_dir)?;
-        }
+        push_commit(&mut image, watermark)?;
+        let segments_dir = self.dir.join("segments");
+        let file = self.fs.create(&segments_dir.join(image_file_name(upto)))?;
+        file.append(&image)?;
+        file.sync()?;
+        self.fsync_dir_counted(&segments_dir)?;
         if crash == Some(DiskCrashPoint::CheckpointBeforeManifest) {
             return Err(DiskError::Crashed(DiskCrashPoint::CheckpointBeforeManifest));
         }
-        let upto = folds.last().expect("folds is non-empty").seq;
         {
             let mut wal = self.wal.lock();
             wal.segments.retain(|s| s.seq > upto);
+            wal.image = Some(upto);
             let seqs: Vec<u64> = wal.segments.iter().map(|s| s.seq).collect();
-            self.write_manifest_counted(&seqs)?;
+            self.write_manifest_counted(wal.image, &seqs)?;
         }
         obs.emit(EventKind::CheckpointEnd {
             upto,
             batches,
-            objects: covered.len() as u64,
+            objects: states.len() as u64,
         });
         if crash == Some(DiskCrashPoint::CheckpointBeforeGc) {
             return Err(DiskError::Crashed(DiskCrashPoint::CheckpointBeforeGc));
         }
-        let segments_dir = self.dir.join("segments");
+        if let Some(old) = old_image {
+            self.fs
+                .remove_file(&segments_dir.join(image_file_name(old)))?;
+        }
         for seg in &folds {
             self.fs
                 .remove_file(&segments_dir.join(segment_file_name(seg.seq)))?;
@@ -1119,7 +1247,6 @@ impl Shared {
                 bytes: seg.bytes,
             });
         }
-        self.tail.lock().retain(|_, (batch, _)| *batch > watermark);
         self.backlog.fetch_sub(batches, Ordering::Relaxed);
         Ok(true)
     }
@@ -1129,9 +1256,9 @@ impl Shared {
         self.ckpt_signal.notify_all();
     }
 
-    fn write_manifest_counted(&self, seqs: &[u64]) -> Result<(), DiskError> {
+    fn write_manifest_counted(&self, image: Option<u64>, seqs: &[u64]) -> Result<(), DiskError> {
         let mut fsyncs = 0u64;
-        let result = write_manifest(&*self.fs, &self.dir, seqs, &mut fsyncs);
+        let result = write_manifest(&*self.fs, &self.dir, image, seqs, &mut fsyncs);
         self.dir_fsyncs.fetch_add(fsyncs, Ordering::Relaxed);
         result
     }
@@ -1145,14 +1272,34 @@ impl Shared {
 
     /// An intentions-log fsync: counted (for the amortised-cost
     /// metric) and timed.
-    fn log_fsync(&self, file: &mut dyn FsFile, obs: &Obs) -> Result<(), DiskError> {
+    fn log_fsync(&self, file: &dyn FsFile, obs: &Obs) -> Result<(), DiskError> {
         self.log_fsyncs.fetch_add(1, Ordering::Relaxed);
         fsync_timed(file, obs)
     }
 }
 
+/// Emits a durable group's events: a `DiskAppend` per batch, then the
+/// `DiskGroupCommit` covering them.
+fn emit_group(group: &[PendingBatch], batch_bytes: &[u64], obs: &Obs) {
+    let mut records = 0u64;
+    for (batch, &bytes) in group.iter().zip(batch_bytes) {
+        let batch_records = batch.updates.len() as u64 + 1;
+        records += batch_records;
+        obs.emit(EventKind::DiskAppend {
+            records: batch_records,
+            bytes,
+        });
+    }
+    obs.emit(EventKind::DiskGroupCommit {
+        batches: group.len() as u64,
+        records,
+        bytes: batch_bytes.iter().sum(),
+    });
+    obs.observe("store.group_size", group.len() as u64);
+}
+
 /// A file sync with its latency recorded into `store.fsync_us`.
-fn fsync_timed(file: &mut dyn FsFile, obs: &Obs) -> Result<(), DiskError> {
+fn fsync_timed(file: &dyn FsFile, obs: &Obs) -> Result<(), DiskError> {
     let started = obs.enabled().then(Instant::now);
     file.sync()?;
     if let Some(started) = started {
@@ -1216,6 +1363,11 @@ fn parse_segment_name(name: &str) -> Option<u64> {
         .and_then(|digits| digits.parse::<u64>().ok())
 }
 
+/// The checkpoint image of the fold whose last segment was `seq`.
+fn image_file_name(seq: u64) -> String {
+    format!("image-{seq:08}.log")
+}
+
 /// Fsyncs a directory so renames/creations/removals inside it survive
 /// power loss, counting into `fsyncs`.
 fn fsync_dir(fs: &dyn Fs, dir: &Path, fsyncs: &mut u64) -> Result<(), DiskError> {
@@ -1224,33 +1376,43 @@ fn fsync_dir(fs: &dyn Fs, dir: &Path, fsyncs: &mut u64) -> Result<(), DiskError>
     Ok(())
 }
 
+/// What the `MANIFEST` names: the checkpoint image, then the live
+/// segments in order.
+#[derive(Debug, Default)]
+struct Manifest {
+    image: Option<u64>,
+    segments: Vec<u64>,
+}
+
 /// Atomically replaces the manifest: write `MANIFEST.tmp`, fsync it,
 /// rename over `MANIFEST`, fsync the directory.
 fn write_manifest(
     fs: &dyn Fs,
     dir: &Path,
+    image: Option<u64>,
     seqs: &[u64],
     fsyncs: &mut u64,
 ) -> Result<(), DiskError> {
-    let mut text = String::with_capacity(16 + seqs.len() * 16);
+    let mut text = String::with_capacity(32 + seqs.len() * 16);
     text.push_str(MANIFEST_MAGIC);
     text.push('\n');
-    for seq in seqs {
-        text.push_str("seg ");
-        text.push_str(&seq.to_string());
-        text.push('\n');
+    for (kind, seq) in image
+        .map(|seq| ("image", seq))
+        .into_iter()
+        .chain(seqs.iter().map(|&seq| ("seg", seq)))
+    {
+        text.push_str(&format!("{kind} {seq}\n"));
     }
     let tmp = dir.join("MANIFEST.tmp");
-    let mut file = fs.create(&tmp)?;
+    let file = fs.create(&tmp)?;
     file.append(text.as_bytes())?;
     file.sync()?;
     fs.rename(&tmp, &dir.join("MANIFEST"))?;
     fsync_dir(fs, dir, fsyncs)
 }
 
-/// Parses the manifest's live segment list; `Ok(None)` when no
-/// manifest exists (a fresh store).
-fn read_manifest(fs: &dyn Fs, dir: &Path) -> Result<Option<Vec<u64>>, DiskError> {
+/// Parses the manifest; `Ok(None)` when none exists (a fresh store).
+fn read_manifest(fs: &dyn Fs, dir: &Path) -> Result<Option<Manifest>, DiskError> {
     let raw = match fs.read(&dir.join("MANIFEST")) {
         Ok(raw) => String::from_utf8(raw)
             .map_err(|e| DiskError::Io(io::Error::new(io::ErrorKind::InvalidData, e)))?,
@@ -1261,40 +1423,30 @@ fn read_manifest(fs: &dyn Fs, dir: &Path) -> Result<Option<Vec<u64>>, DiskError>
     if lines.next() != Some(MANIFEST_MAGIC) {
         return Err(DiskError::CorruptLog("manifest missing magic".into()));
     }
-    let mut seqs: Vec<u64> = Vec::new();
+    let mut manifest = Manifest::default();
     for line in lines {
         if line.is_empty() {
             continue;
         }
-        let seq = line
-            .strip_prefix("seg ")
-            .and_then(|digits| digits.parse::<u64>().ok())
-            .ok_or_else(|| DiskError::CorruptLog(format!("bad manifest line {line:?}")))?;
-        if seqs.last().is_some_and(|&last| last >= seq) {
+        let bad = || DiskError::CorruptLog(format!("bad manifest line {line:?}"));
+        let (kind, digits) = line.split_once(' ').ok_or_else(bad)?;
+        let seq = digits.parse::<u64>().map_err(|_| bad())?;
+        // The image comes first, once, and every number rises.
+        let last = manifest.segments.last().or(manifest.image.as_ref());
+        if last.is_some_and(|&last| last >= seq) {
             return Err(DiskError::CorruptLog(
                 "manifest segments out of order".into(),
             ));
         }
-        seqs.push(seq);
+        match kind {
+            "image" if manifest.image.is_none() && manifest.segments.is_empty() => {
+                manifest.image = Some(seq);
+            }
+            "seg" => manifest.segments.push(seq),
+            _ => return Err(bad()),
+        }
     }
-    Ok(Some(seqs))
-}
-
-/// Installs one object state: write-temp, fsync, rename. The caller
-/// batches the `objects/` directory fsync.
-fn install_object(
-    fs: &dyn Fs,
-    objects_dir: &Path,
-    object: u64,
-    state: &[u8],
-) -> Result<(), DiskError> {
-    let final_path = objects_dir.join(format!("o{object}.bin"));
-    let tmp_path = final_path.with_extension("tmp");
-    let mut tmp = fs.create(&tmp_path)?;
-    tmp.append(state)?;
-    tmp.sync()?;
-    fs.rename(&tmp_path, &final_path)?;
-    Ok(())
+    Ok(Some(manifest))
 }
 
 /// Streams CRC-framed records out of a log file while holding at most
@@ -1377,23 +1529,23 @@ impl FrameReader {
     }
 }
 
-/// Replays one live segment in a single streaming pass. Intents wait
-/// per batch until their commit marker arrives and then move into
-/// `tail`; a batch whose marker never arrives is dropped. Returns the
-/// segment's bookkeeping, where its last complete frame ends, and the
-/// file's length.
+/// Replays one log file — a live segment or the checkpoint image — in
+/// a single streaming pass. Intents wait per batch until their commit
+/// marker arrives and then move into `tail`; a batch whose marker never
+/// arrives is dropped. Returns the file's bookkeeping (as segment
+/// `seq`), where its last complete frame ends, and its length.
 fn replay_file(
     fs: &dyn Fs,
-    dir: &Path,
+    path: &Path,
     seq: u64,
-    tail: &mut HashMap<u64, (u64, StoreBytes)>,
+    tail: &mut HashMap<u64, StoreBytes>,
     stats: &mut ReplayStats,
     max_batch: &mut u64,
 ) -> Result<(SegmentInfo, u64, u64), DiskError> {
-    let path = dir.join("segments").join(segment_file_name(seq));
-    let Some(mut reader) = FrameReader::open(fs, &path)? else {
+    let Some(mut reader) = FrameReader::open(fs, path)? else {
         return Err(DiskError::CorruptLog(format!(
-            "manifest lists segment {seq} but its file is missing"
+            "manifest names {} but the file is missing",
+            path.display()
         )));
     };
     let mut info = SegmentInfo {
@@ -1417,7 +1569,7 @@ fn replay_file(
             DiskRecord::Commit { batch } => {
                 *max_batch = (*max_batch).max(batch);
                 for (object, state) in intents.remove(&batch).unwrap_or_default() {
-                    tail.insert(object, (batch, StoreBytes::from(state)));
+                    tail.insert(object, StoreBytes::from(state));
                 }
                 info.batches += 1;
                 info.max_batch = info.max_batch.max(batch);
@@ -1435,27 +1587,42 @@ struct Recovered {
     /// Every live segment in manifest order; the last is the active
     /// one.
     segments: Vec<SegmentInfo>,
-    active_file: Box<dyn FsFile>,
-    /// The live suffix's committed states, newest per object.
-    tail: HashMap<u64, (u64, StoreBytes)>,
+    image: Option<u64>,
+    active_file: Arc<dyn FsFile>,
+    /// Every object's newest committed state: the image's, overwritten
+    /// by the live suffix's.
+    tail: HashMap<u64, StoreBytes>,
     max_batch: u64,
     stats: ReplayStats,
     log_fsyncs: u64,
     dir_fsyncs: u64,
 }
 
-/// Crash recovery: sweep temp orphans, replay exactly the manifest's
-/// live suffix into the tail, sweep segment files the manifest never
-/// committed to, then reopen the last live segment for appends. Its
-/// torn tail, if any, is the one thing recovery writes; only a
-/// brand-new store also creates its first segment and manifest and
-/// syncs the parent of every directory it created.
+/// Crash recovery: refuse older layouts, sweep the manifest temp, load
+/// the manifest's image and replay exactly its live suffix into the
+/// tail, sweep files in `segments/` the manifest does not name, then
+/// reopen the last live segment for appends. Its torn tail, if any, is
+/// the one thing recovery writes; only a brand-new store also creates
+/// its first segment and manifest and syncs the parent of every
+/// directory it created.
 fn recover(fs: &dyn Fs, dir: &Path) -> Result<Recovered, DiskError> {
     let manifest = read_manifest(fs, dir)?;
     let stray_log = dir.join("log");
     if manifest.is_none() && fs.open_read(&stray_log).is_ok() {
         return Err(DiskError::CorruptLog(format!(
             "{} holds a `log` file but no MANIFEST: the pre-segment single-log layout is not supported",
+            dir.display()
+        )));
+    }
+    // Folds once installed each object as `objects/o<id>.bin`; a store
+    // opened without them would silently lose every folded state.
+    let object_files = fs.list(&dir.join("objects")).unwrap_or_default();
+    if object_files
+        .iter()
+        .any(|name| name.starts_with('o') && name.ends_with(".bin"))
+    {
+        return Err(DiskError::CorruptLog(format!(
+            "{} holds objects/o*.bin files: the per-object checkpoint layout is not supported",
             dir.display()
         )));
     }
@@ -1470,46 +1637,67 @@ fn recover(fs: &dyn Fs, dir: &Path) -> Result<Recovered, DiskError> {
     } else {
         Vec::new()
     };
-    let objects_dir = dir.join("objects");
     let segments_dir = dir.join("segments");
-    fs.create_dir_all(&objects_dir)?;
     fs.create_dir_all(&segments_dir)?;
 
-    // Sweep leftovers from a crash mid-install or mid-manifest-write:
-    // temp files are invisible to the protocol until renamed, so they
-    // must never be read — or reported by `object_ids`.
-    for name in fs.list(&objects_dir)? {
-        if name.ends_with(".tmp") {
-            fs.remove_file(&objects_dir.join(name))?;
-        }
-    }
+    // A crash mid-manifest-write leaves a temp file the protocol never
+    // reads.
     remove_if_present(fs, &dir.join("MANIFEST.tmp"))?;
 
     // The manifest is authoritative. A `log` alongside it is a stale
     // leftover (e.g. resurrected bytes from the pre-segment format's
     // unsynced truncate): never replay it.
     remove_if_present(fs, &stray_log)?;
-    let live = manifest.unwrap_or_default();
+    let Manifest {
+        image,
+        segments: live,
+    } = manifest.unwrap_or_default();
 
-    // Replay exactly the live suffix, oldest segment first.
+    // The image first: every object's state at the last fold. It was
+    // synced before the manifest named it, so it must be whole.
     let mut tail = HashMap::new();
-    let mut stats = ReplayStats::default();
     let mut max_batch = 0u64;
+    if let Some(seq) = image {
+        let path = segments_dir.join(image_file_name(seq));
+        let (info, valid_end, len) = replay_file(
+            fs,
+            &path,
+            seq,
+            &mut tail,
+            &mut ReplayStats::default(),
+            &mut max_batch,
+        )?;
+        if info.batches != 1 || valid_end != len {
+            return Err(DiskError::CorruptLog(format!(
+                "checkpoint image {} is incomplete",
+                path.display()
+            )));
+        }
+    }
+
+    // Then exactly the live suffix, oldest segment first, on top of it.
+    let mut suffix = HashMap::new();
+    let mut stats = ReplayStats::default();
     let mut segments = Vec::with_capacity(live.len());
     let (mut active_end, mut active_len) = (0u64, 0u64);
     for &seq in &live {
+        let path = segments_dir.join(segment_file_name(seq));
         let (info, valid_end, len) =
-            replay_file(fs, dir, seq, &mut tail, &mut stats, &mut max_batch)?;
+            replay_file(fs, &path, seq, &mut suffix, &mut stats, &mut max_batch)?;
         segments.push(info);
         (active_end, active_len) = (valid_end, len);
     }
-    stats.objects = tail.len() as u64;
+    stats.objects = suffix.len() as u64;
+    tail.extend(suffix);
 
-    // Segment files the manifest does not own are dead by definition:
-    // a seal that never reached the manifest, or a fold's GC that
-    // never finished. Sweep, never replay.
+    // Files the manifest does not name are dead by definition: a seal
+    // or a fold that never reached the manifest, or a fold's GC that
+    // never finished. Sweep, never read.
+    let image_name = image.map(image_file_name);
     for name in fs.list(&segments_dir)? {
-        if !parse_segment_name(&name).is_some_and(|seq| live.contains(&seq)) {
+        let named = parse_segment_name(&name).is_some_and(|seq| live.contains(&seq))
+            || image_name.as_deref() == Some(name.as_str());
+        if !named {
             fs.remove_file(&segments_dir.join(name))?;
         }
     }
@@ -1520,7 +1708,7 @@ fn recover(fs: &dyn Fs, dir: &Path) -> Result<Recovered, DiskError> {
         // Appends continue in the last live segment. Batch ids continue
         // past every intent replay saw, so none is ever reused.
         Some(seq) => {
-            let mut file = fs.open_append(&segments_dir.join(segment_file_name(seq)))?;
+            let file = fs.open_append(&segments_dir.join(segment_file_name(seq)))?;
             let magic = LOG_MAGIC.len() as u64;
             if active_end < active_len || active_end < magic {
                 // A torn append: cut it off so the next frame follows
@@ -1539,11 +1727,12 @@ fn recover(fs: &dyn Fs, dir: &Path) -> Result<Recovered, DiskError> {
         // before any record lands in it, and every directory `open`
         // created is in its parent before any commit is acknowledged.
         None => {
-            let mut file = fs.create(&segments_dir.join(segment_file_name(1)))?;
+            let seq = image.map_or(1, |image| image + 1);
+            let file = fs.create(&segments_dir.join(segment_file_name(seq)))?;
             file.append(LOG_MAGIC)?;
             file.sync()?;
             fsync_dir(fs, &segments_dir, &mut dir_fsyncs)?;
-            write_manifest(fs, dir, &[1], &mut dir_fsyncs)?;
+            write_manifest(fs, dir, image, &[seq], &mut dir_fsyncs)?;
             for parent in created
                 .iter()
                 .rev()
@@ -1553,7 +1742,7 @@ fn recover(fs: &dyn Fs, dir: &Path) -> Result<Recovered, DiskError> {
                 fsync_dir(fs, parent, &mut dir_fsyncs)?;
             }
             segments.push(SegmentInfo {
-                seq: 1,
+                seq,
                 batches: 0,
                 bytes: 0,
                 max_batch: 0,
@@ -1563,7 +1752,8 @@ fn recover(fs: &dyn Fs, dir: &Path) -> Result<Recovered, DiskError> {
     };
     Ok(Recovered {
         segments,
-        active_file,
+        image,
+        active_file: Arc::from(active_file),
         tail,
         max_batch,
         stats,
@@ -1576,6 +1766,7 @@ fn recover(fs: &dyn Fs, dir: &Path) -> Result<Recovered, DiskError> {
 mod tests {
     use super::*;
     use crate::fs::MemFs;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::fs::{self, File, OpenOptions};
     use std::io::Write as _;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1622,7 +1813,7 @@ mod tests {
     }
 
     /// Appends `record`'s reference frame to `log`; returns its length.
-    fn append_record(log: &mut dyn FsFile, record: &DiskRecord) -> Result<u64, DiskError> {
+    fn append_record(log: &dyn FsFile, record: &DiskRecord) -> Result<u64, DiskError> {
         let frame = reference_frame(record);
         log.append(&frame)?;
         Ok(frame.len() as u64)
@@ -1642,14 +1833,14 @@ mod tests {
     }
 
     impl FsFile for CountingFile {
-        fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        fn append(&self, bytes: &[u8]) -> io::Result<()> {
             self.appends.fetch_add(1, Ordering::Relaxed);
             self.inner.append(bytes)
         }
-        fn set_len(&mut self, len: u64) -> io::Result<()> {
+        fn set_len(&self, len: u64) -> io::Result<()> {
             self.inner.set_len(len)
         }
-        fn sync(&mut self) -> io::Result<()> {
+        fn sync(&self) -> io::Result<()> {
             self.inner.sync()
         }
     }
@@ -1702,9 +1893,9 @@ mod tests {
         let mut log = File::create(&path).unwrap();
         log.write_all(LOG_MAGIC).unwrap();
         for record in records {
-            append_record(&mut log, record).unwrap();
+            append_record(&log, record).unwrap();
         }
-        write_manifest(&OsFs, dir, &[1], &mut 0).unwrap();
+        write_manifest(&OsFs, dir, None, &[1], &mut 0).unwrap();
         path
     }
 
@@ -1867,7 +2058,7 @@ mod tests {
         let mut log = File::create(dir.join("log")).unwrap();
         log.write_all(LOG_MAGIC).unwrap();
         append_record(
-            &mut log,
+            &log,
             &DiskRecord::Intent {
                 batch: 1,
                 object: 1,
@@ -1875,7 +2066,7 @@ mod tests {
             },
         )
         .unwrap();
-        append_record(&mut log, &DiskRecord::Commit { batch: 1 }).unwrap();
+        append_record(&log, &DiskRecord::Commit { batch: 1 }).unwrap();
         drop(log);
         match DiskStore::open(&dir) {
             Err(DiskError::CorruptLog(msg)) => assert!(msg.contains("pre-segment"), "{msg}"),
@@ -1883,6 +2074,82 @@ mod tests {
         }
         assert!(dir.join("log").exists(), "a refusal leaves the data alone");
         assert!(!dir.join("MANIFEST").exists());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn per_object_layout_is_refused_not_opened_empty() {
+        // Folds once installed each object as `objects/o<id>.bin` and
+        // dropped the folded segments: opened without them, the store
+        // would lose every folded state.
+        let dir = temp_dir();
+        write_log(&dir, &[]);
+        fs::create_dir_all(dir.join("objects")).unwrap();
+        // an empty objects/ holds nothing to lose and opens
+        drop(DiskStore::open(&dir).unwrap());
+        fs::write(dir.join("objects").join("o1.bin"), b"folded").unwrap();
+        let before = snapshot(&dir);
+        match DiskStore::open(&dir) {
+            Err(DiskError::CorruptLog(msg)) => assert!(msg.contains("per-object"), "{msg}"),
+            other => panic!("per-object layout not refused: {other:?}"),
+        }
+        assert_eq!(snapshot(&dir), before, "a refusal leaves the data alone");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_named_image_must_be_whole() {
+        // The manifest names an image only after its fsync, so a torn
+        // one is damage: replaying it as far as it goes would silently
+        // drop every object past the tear.
+        let dir = temp_dir();
+        {
+            let store = DiskStore::open_with(&dir, manual(1 << 20)).unwrap();
+            store
+                .commit_batch(vec![(o(1), bytes(b"a")), (o(2), bytes(b"b"))])
+                .unwrap();
+            store.checkpoint_now().unwrap();
+        }
+        let image = DiskStore::live_segment_paths(&dir).unwrap().remove(0);
+        let whole = fs::read(&image).unwrap();
+        for cut in [LOG_MAGIC.len(), whole.len() - 1] {
+            fs::write(&image, &whole[..cut]).unwrap();
+            match DiskStore::open(&dir) {
+                Err(DiskError::CorruptLog(msg)) => assert!(msg.contains("incomplete"), "{msg}"),
+                other => panic!("torn image at {cut} not refused: {other:?}"),
+            }
+        }
+        fs::remove_file(&image).unwrap();
+        match DiskStore::open(&dir) {
+            Err(DiskError::CorruptLog(msg)) => assert!(msg.contains("missing"), "{msg}"),
+            other => panic!("missing image not refused: {other:?}"),
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_names_the_image_once_and_first() {
+        let dir = temp_dir();
+        fs::create_dir_all(&dir).unwrap();
+        let parse = |text: &str| {
+            fs::write(dir.join("MANIFEST"), text).unwrap();
+            read_manifest(&OsFs, &dir).map(|m| m.map(|m| (m.image, m.segments)))
+        };
+        assert!(matches!(
+            parse("CHMAN001\nimage 3\nseg 4\nseg 5\n"),
+            Ok(Some((Some(3), ref segs))) if segs == &[4, 5]
+        ));
+        for bad in [
+            "CHMAN001\nseg 4\nimage 5\n",
+            "CHMAN001\nimage 3\nimage 4\nseg 5\n",
+            "CHMAN001\nimage 4\nseg 4\n",
+            "CHMAN001\nlog 1\n",
+        ] {
+            assert!(
+                matches!(parse(bad), Err(DiskError::CorruptLog(_))),
+                "{bad:?} accepted"
+            );
+        }
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2062,25 +2329,84 @@ mod tests {
     }
 
     #[test]
-    fn orphaned_tmp_files_are_swept_on_open() {
-        // Bugfix: a crash mid-install leaves o<id>.tmp behind; it must
-        // be removed on open and never surface through object_ids.
+    fn orphaned_files_are_swept_on_open() {
+        // A crash mid-manifest-write leaves MANIFEST.tmp behind, and a
+        // crash mid-fold an image the manifest never named: both are
+        // removed on open and never read.
         let dir = temp_dir();
-        fs::create_dir_all(dir.join("objects")).unwrap();
-        fs::write(dir.join("objects").join("o5.tmp"), b"torn install").unwrap();
+        write_log(&dir, &[]);
         fs::write(dir.join("MANIFEST.tmp"), b"torn manifest").unwrap();
+        let orphan = dir.join("segments").join(image_file_name(7));
+        fs::write(&orphan, b"torn image").unwrap();
         let store = DiskStore::open(&dir).unwrap();
-        assert!(!dir.join("objects").join("o5.tmp").exists());
         assert!(!dir.join("MANIFEST.tmp").exists());
+        assert!(!orphan.exists());
         assert!(store.object_ids().unwrap().is_empty());
-        assert!(store.read(o(5)).unwrap().is_none());
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The states the manifest's checkpoint image holds, and the batch
+    /// id it carries; `None` before the first fold. The image must be
+    /// one whole batch: its intents, then its marker, then nothing.
+    fn image_states(dir: &Path) -> Option<(u64, BTreeMap<u64, Vec<u8>>)> {
+        let image = DiskStore::live_segment_paths(dir).unwrap().remove(0);
+        let name = image.file_name().unwrap().to_str().unwrap();
+        if !name.starts_with("image-") {
+            return None;
+        }
+        let mut reader = FrameReader::open(&OsFs, &image).unwrap().unwrap();
+        let (mut states, mut batches, mut marker) = (BTreeMap::new(), BTreeSet::new(), None);
+        while let Some(record) = reader.next().unwrap() {
+            assert!(marker.is_none(), "a record after the image's marker");
+            match record {
+                DiskRecord::Intent {
+                    batch,
+                    object,
+                    state,
+                } => {
+                    assert!(
+                        states.insert(object, state).is_none(),
+                        "object {object} twice"
+                    );
+                    batches.insert(batch);
+                }
+                DiskRecord::Commit { batch } => marker = Some(batch),
+            }
+        }
+        assert_eq!(reader.offset(), reader.len, "torn image");
+        let marker = marker.expect("the image's marker");
+        assert!(
+            batches.iter().all(|&b| b == marker),
+            "one batch: {batches:?}"
+        );
+        Some((marker, states))
+    }
+
+    /// The names of the files in `dir/segments`, sorted.
+    fn segment_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir.join("segments"))
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The names of the files the manifest names, sorted.
+    fn live_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = DiskStore::live_segment_paths(dir)
+            .unwrap()
+            .iter()
+            .map(|path| path.file_name().unwrap().to_str().unwrap().to_owned())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
     fn seal_and_checkpoint_fold_and_gc() {
         // segment_bytes: 1 seals after every commit; checkpoint_now
-        // folds the sealed segments into objects/ and GCs their files.
+        // folds the sealed segments into one image and GCs their files.
         let dir = temp_dir();
         let store = DiskStore::open_with(&dir, manual(1)).unwrap();
         store.commit_batch(vec![(o(1), bytes(b"a"))]).unwrap();
@@ -2088,30 +2414,53 @@ mod tests {
         assert!(store.checkpoint_backlog() >= 2);
         let sealed_paths = DiskStore::live_segment_paths(&dir).unwrap();
         assert!(sealed_paths.len() >= 2, "commits should have sealed");
+        assert!(image_states(&dir).is_none(), "no fold yet");
 
         assert!(store.checkpoint_now().unwrap());
         assert_eq!(store.checkpoint_backlog(), 0);
-        // Folded into objects/, GC'd from segments/, manifest shrunk
-        // to the lone active segment.
-        assert!(dir.join("objects").join("o1.bin").exists());
-        assert!(dir.join("objects").join("o2.bin").exists());
-        let live = DiskStore::live_segment_paths(&dir).unwrap();
-        assert_eq!(live.len(), 1);
-        let on_disk = fs::read_dir(dir.join("segments")).unwrap().count();
-        assert_eq!(on_disk, 1, "folded segment files must be deleted");
-        // Reads still serve the right values from objects/.
+        // Folded into the image, GC'd from segments/: the manifest names
+        // the image and the lone active segment, and nothing else is
+        // left on disk.
+        let (_, states) = image_states(&dir).expect("an image");
+        assert_eq!(
+            states,
+            BTreeMap::from([(1, b"a".to_vec()), (2, b"b".to_vec())])
+        );
+        let live = live_files(&dir);
+        assert_eq!(live.len(), 2, "{live:?}");
+        assert_eq!(
+            segment_files(&dir),
+            live,
+            "folded segment files must be deleted"
+        );
+        assert!(!dir.join("objects").exists());
         assert_eq!(store.read(o(1)).unwrap().as_deref(), Some(&b"a"[..]));
         assert_eq!(store.read(o(2)).unwrap().as_deref(), Some(&b"b"[..]));
         // Nothing left to fold.
         assert!(!store.checkpoint_now().unwrap());
+
+        // A second fold replaces the image and GCs the first.
+        let first = DiskStore::live_segment_paths(&dir).unwrap()[0].clone();
+        store.commit_batch(vec![(o(3), bytes(b"c"))]).unwrap();
+        assert!(store.checkpoint_now().unwrap());
+        assert!(!first.exists(), "the old image must be deleted");
+        let (_, states) = image_states(&dir).expect("an image");
+        assert_eq!(states.len(), 3);
+        assert_eq!(segment_files(&dir), live_files(&dir));
+        drop(store);
+        // Reopened, every read is served from the image: the live
+        // suffix is empty.
+        let store = DiskStore::open_with(&dir, manual(1)).unwrap();
+        assert_eq!(store.replay_stats(), ReplayStats::default());
+        assert_eq!(store.read(o(3)).unwrap().as_deref(), Some(&b"c"[..]));
+        assert_eq!(store.object_ids().unwrap().len(), 3);
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn checkpoint_preserves_newest_value() {
-        // Overwrites across segments: the fold must install the newest
-        // committed state, and newer-than-watermark tail entries must
-        // survive the prune.
+        // Overwrites across segments: the image must hold the newest
+        // committed state, and a reopen must read it from there.
         let dir = temp_dir();
         let store = DiskStore::open_with(&dir, manual(1)).unwrap();
         store.commit_batch(vec![(o(1), bytes(b"v1"))]).unwrap();
@@ -2119,13 +2468,18 @@ mod tests {
         store.commit_batch(vec![(o(1), bytes(b"v3"))]).unwrap();
         store.checkpoint_now().unwrap();
         assert_eq!(store.read(o(1)).unwrap().as_deref(), Some(&b"v3"[..]));
-        assert_eq!(
-            fs::read(dir.join("objects").join("o1.bin")).unwrap(),
-            b"v3".to_vec()
-        );
+        let (batch, states) = image_states(&dir).expect("an image");
+        assert_eq!(states, BTreeMap::from([(1, b"v3".to_vec())]));
+        assert_eq!(batch, 3, "the image carries the watermark");
         drop(store);
         let store = DiskStore::open(&dir).unwrap();
+        assert_eq!(store.replay_stats().batches, 0);
         assert_eq!(store.read(o(1)).unwrap().as_deref(), Some(&b"v3"[..]));
+        // batch ids continue past the image's
+        store.commit_batch(vec![(o(1), bytes(b"v4"))]).unwrap();
+        drop(store);
+        let store = DiskStore::open(&dir).unwrap();
+        assert_eq!(store.read(o(1)).unwrap().as_deref(), Some(&b"v4"[..]));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2191,23 +2545,30 @@ mod tests {
                 Some(&b"crash"[..]),
                 "{point:?}"
             );
-            // Recovery leaves a coherent manifest: exactly the live
-            // segments exist on disk, nothing else, and every batch
-            // they hold is replay debt until a fold.
-            let live = DiskStore::live_segment_paths(&dir).unwrap();
+            // Recovery leaves a coherent manifest: exactly the files it
+            // names exist on disk, nothing else, and every batch the
+            // live segments hold is replay debt until a fold.
             assert_eq!(
                 store.checkpoint_backlog(),
                 store.replay_stats().batches,
                 "{point:?}"
             );
-            for path in &live {
-                assert!(path.exists(), "{point:?}: manifest lists {path:?}");
-            }
             assert_eq!(
-                fs::read_dir(dir.join("segments")).unwrap().count(),
-                live.len(),
-                "{point:?}: orphan segment files survived recovery"
+                segment_files(&dir),
+                live_files(&dir),
+                "{point:?}: orphan files survived recovery"
             );
+            // Only a fold whose manifest rewrite landed leaves an image,
+            // and then it holds both batches.
+            let image = image_states(&dir).map(|(_, states)| states);
+            if point == DiskCrashPoint::CheckpointBeforeGc {
+                let both = BTreeMap::from([(1, b"base".to_vec()), (2, b"crash".to_vec())]);
+                assert_eq!(image, Some(both), "{point:?}");
+                assert_eq!(store.replay_stats().batches, 0, "{point:?}");
+            } else {
+                assert_eq!(image, None, "{point:?}: an image the manifest never named");
+                assert_eq!(store.replay_stats().batches, 2, "{point:?}");
+            }
             store.commit_batch(vec![(o(3), bytes(b"after"))]).unwrap();
             fs::remove_dir_all(&dir).ok();
         }
@@ -2236,8 +2597,17 @@ mod tests {
             0,
             "checkpointer never caught up"
         );
+        let (_, states) = image_states(&dir).expect("an image");
+        assert_eq!(states.len(), 8);
+        drop(store);
+        let store = DiskStore::open_with(&dir, manual(1)).unwrap();
+        assert_eq!(
+            store.replay_stats().batches,
+            0,
+            "the image holds everything"
+        );
         for i in 0..8 {
-            assert!(dir.join("objects").join(format!("o{i}.bin")).exists());
+            assert_eq!(store.read(o(i)).unwrap().as_deref(), Some(&[i as u8][..]));
         }
         fs::remove_dir_all(&dir).ok();
     }
@@ -2344,9 +2714,12 @@ mod tests {
         assert_eq!(store.checkpoint_backlog(), 3);
         assert!(store.checkpoint_now().unwrap());
         assert_eq!(store.checkpoint_backlog(), 0);
-        for i in 0..3 {
-            assert!(dir.join("objects").join(format!("o{i}.bin")).exists());
-        }
+        let (_, states) = image_states(&dir).expect("an image");
+        assert_eq!(states.keys().copied().collect::<Vec<_>>(), [0, 1, 2]);
+        drop(store);
+        let store = DiskStore::open_with(&dir, manual(1)).unwrap();
+        assert_eq!(store.checkpoint_backlog(), 0);
+        assert_eq!(store.read(o(2)).unwrap().as_deref(), Some(&b"v"[..]));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2377,8 +2750,9 @@ mod tests {
             0,
             "sealed segments never folded"
         );
+        let (_, states) = image_states(&dir).expect("an image");
+        assert_eq!(states.len(), 4);
         for i in 0..4 {
-            assert!(dir.join("objects").join(format!("o{i}.bin")).exists());
             assert_eq!(store.read(o(i)).unwrap().as_deref(), Some(&[i as u8][..]));
         }
         fs::remove_dir_all(&dir).ok();
@@ -2387,16 +2761,16 @@ mod tests {
     #[test]
     fn checkpoint_io_failure_poisons_until_reopen() {
         // With recovery no longer folding, a checkpoint that failed
-        // quietly would let the tail and the replay debt grow unseen.
-        // A regular file where `objects/` belongs fails the fold with
-        // ENOTDIR, whatever the caller's privileges.
+        // quietly would let the replay debt grow unseen. A directory
+        // where the fold's image belongs fails its creation, whatever
+        // the caller's privileges.
         let dir = temp_dir();
         let store = DiskStore::open_with(&dir, manual(1 << 20)).unwrap();
         store.commit_batch(vec![(o(1), bytes(b"a"))]).unwrap();
         store.commit_batch(vec![(o(2), bytes(b"b"))]).unwrap();
-        let objects = dir.join("objects");
-        fs::remove_dir(&objects).unwrap();
-        fs::write(&objects, b"not a directory").unwrap();
+        // checkpoint_now seals segment 1, then folds it into image 1
+        let image = dir.join("segments").join(image_file_name(1));
+        fs::create_dir(&image).unwrap();
 
         assert!(matches!(store.checkpoint_now(), Err(DiskError::Io(_))));
         assert!(
@@ -2409,9 +2783,9 @@ mod tests {
         assert!(matches!(store.checkpoint_now(), Err(DiskError::Io(_))));
         drop(store);
 
-        fs::remove_file(&objects).unwrap();
-        fs::create_dir(&objects).unwrap();
+        fs::remove_dir(&image).unwrap();
         let store = DiskStore::open(&dir).unwrap();
+        assert_eq!(store.replay_stats().batches, 2, "no image was named");
         assert_eq!(store.read(o(1)).unwrap().as_deref(), Some(&b"a"[..]));
         assert_eq!(store.read(o(2)).unwrap().as_deref(), Some(&b"b"[..]));
         assert!(store.read(o(3)).unwrap().is_none());
@@ -2420,9 +2794,9 @@ mod tests {
     }
 
     #[test]
-    fn dir_fsyncs_cover_install_and_manifest() {
-        // Bugfix: installs and manifest renames must be followed by a
-        // directory fsync or the rename itself can vanish on power
+    fn dir_fsyncs_cover_image_and_manifest() {
+        // Bugfix: file creations and manifest renames must be followed
+        // by a directory fsync or the entry itself can vanish on power
         // loss. Count them across a seal + checkpoint cycle.
         let dir = temp_dir();
         let store = DiskStore::open_with(&dir, manual(1)).unwrap();
@@ -2431,8 +2805,8 @@ mod tests {
         store.checkpoint_now().unwrap();
         let paid = store.dir_fsync_count() - before;
         // At least: segments-dir fsync at seal, dir fsync for the seal
-        // manifest, objects-dir fsync for the install, dir fsync for
-        // the checkpoint manifest.
+        // manifest, segments-dir fsync for the image, dir fsync for the
+        // checkpoint manifest.
         assert!(paid >= 4, "only {paid} directory fsyncs paid");
         fs::remove_dir_all(&dir).ok();
     }
@@ -2506,7 +2880,7 @@ mod tests {
         let dir = temp_dir();
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("frame");
-        let written = append_record(&mut File::create(&path).unwrap(), &record).unwrap();
+        let written = append_record(&File::create(&path).unwrap(), &record).unwrap();
         let frame = fs::read(&path).unwrap();
         assert_eq!(
             frame,

@@ -18,14 +18,15 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 /// An open file the store appends to. Every method returns the
-/// underlying I/O error.
-pub trait FsFile: Send + std::fmt::Debug {
+/// underlying I/O error. Methods take `&self` so one handle can be
+/// synced by one thread while another appends through it.
+pub trait FsFile: Send + Sync + std::fmt::Debug {
     /// Appends `bytes` at the end of the file.
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()>;
+    fn append(&self, bytes: &[u8]) -> io::Result<()>;
     /// Cuts (or zero-extends) the file to `len` bytes.
-    fn set_len(&mut self, len: u64) -> io::Result<()>;
+    fn set_len(&self, len: u64) -> io::Result<()>;
     /// Makes the file's bytes durable (`fsync`).
-    fn sync(&mut self) -> io::Result<()>;
+    fn sync(&self) -> io::Result<()>;
 }
 
 /// The filesystem calls a [`DiskStore`](crate::DiskStore) makes. Every
@@ -55,15 +56,15 @@ pub trait Fs: Send + Sync + std::fmt::Debug {
 }
 
 impl FsFile for File {
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.write_all(bytes)
+    fn append(&self, bytes: &[u8]) -> io::Result<()> {
+        (&*self).write_all(bytes)
     }
 
-    fn set_len(&mut self, len: u64) -> io::Result<()> {
+    fn set_len(&self, len: u64) -> io::Result<()> {
         File::set_len(self, len)
     }
 
-    fn sync(&mut self) -> io::Result<()> {
+    fn sync(&self) -> io::Result<()> {
         self.sync_all()
     }
 }
@@ -319,11 +320,11 @@ impl MemFile {
 }
 
 impl FsFile for MemFile {
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+    fn append(&self, bytes: &[u8]) -> io::Result<()> {
         self.with(|inode| inode.written.extend_from_slice(bytes))
     }
 
-    fn set_len(&mut self, len: u64) -> io::Result<()> {
+    fn set_len(&self, len: u64) -> io::Result<()> {
         let len = usize::try_from(len).map_err(io::Error::other)?;
         self.with(|inode| {
             inode.written.resize(len, 0);
@@ -331,7 +332,7 @@ impl FsFile for MemFile {
         })
     }
 
-    fn sync(&mut self) -> io::Result<()> {
+    fn sync(&self) -> io::Result<()> {
         self.with(|inode| {
             inode.durable.truncate(inode.synced_upto);
             inode
@@ -355,7 +356,7 @@ mod tests {
     fn disk_with_synced_file(bytes: &[u8]) -> MemFs {
         let disk = MemFs::new();
         disk.create_dir_all(p("d")).unwrap();
-        let mut file = disk.create(p("d/f")).unwrap();
+        let file = disk.create(p("d/f")).unwrap();
         file.append(bytes).unwrap();
         file.sync().unwrap();
         disk.sync_dir(p("d")).unwrap();
@@ -365,7 +366,7 @@ mod tests {
     #[test]
     fn unsynced_write_is_lost_by_crash() {
         let disk = disk_with_synced_file(b"synced");
-        let mut file = disk.open_append(p("d/f")).unwrap();
+        let file = disk.open_append(p("d/f")).unwrap();
         file.append(b" unsynced").unwrap();
         assert_eq!(disk.read(p("d/f")).unwrap(), b"synced unsynced");
         disk.crash();
@@ -377,7 +378,7 @@ mod tests {
     fn created_file_without_directory_sync_is_lost() {
         let disk = MemFs::new();
         disk.create_dir_all(p("d")).unwrap();
-        let mut file = disk.create(p("d/f")).unwrap();
+        let file = disk.create(p("d/f")).unwrap();
         file.append(b"data").unwrap();
         file.sync().unwrap();
         disk.crash();
@@ -388,7 +389,7 @@ mod tests {
     #[test]
     fn rename_without_directory_sync_is_undone() {
         let disk = disk_with_synced_file(b"old");
-        let mut tmp = disk.create(p("d/f.tmp")).unwrap();
+        let tmp = disk.create(p("d/f.tmp")).unwrap();
         tmp.append(b"new").unwrap();
         tmp.sync().unwrap();
         disk.rename(p("d/f.tmp"), p("d/f")).unwrap();
@@ -424,7 +425,7 @@ mod tests {
     #[test]
     fn sync_after_truncate_makes_the_cut_durable() {
         let disk = disk_with_synced_file(b"abcdef");
-        let mut file = disk.open_append(p("d/f")).unwrap();
+        let file = disk.open_append(p("d/f")).unwrap();
         file.set_len(3).unwrap();
         file.append(b"XY").unwrap();
         file.sync().unwrap();
@@ -437,7 +438,7 @@ mod tests {
     fn created_directory_without_parent_sync_is_lost() {
         let disk = MemFs::new();
         disk.create_dir_all(p("d/sub")).unwrap();
-        let mut file = disk.create(p("d/sub/f")).unwrap();
+        let file = disk.create(p("d/sub/f")).unwrap();
         file.append(b"data").unwrap();
         file.sync().unwrap();
         disk.sync_dir(p("d/sub")).unwrap();

@@ -11,6 +11,12 @@
 //! three-batch group's one append at every byte and checks that exactly
 //! the batches whose commit marker lies wholly in the synced prefix
 //! survive. `CHROMA_TORTURE_SEED` (default 42) draws the batches.
+//!
+//! Two groups can be in flight at once, so the harness parks both
+//! in-flight fsyncs to queue the group under test behind them. The
+//! `pipeline_*` tests check the overlap itself: a second group appends
+//! and syncs while the first's fsync is parked, outcomes are posted in
+//! log order, and a failed first fsync fails the second group too.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -20,6 +26,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use chroma_base::ObjectId;
+use chroma_obs::{EventBus, MemorySink, Obs, Observable, TraceAuditor};
 use chroma_store::{DiskError, DiskStore, DiskStoreOptions, Fs, FsFile, MemFs, StoreBytes};
 
 fn seed() -> u64 {
@@ -59,13 +66,27 @@ struct Counts {
     renames: u32,
 }
 
+/// Where a parked file sync is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Park {
+    Parked,
+    /// Let go: run the sync, or fail it.
+    Released {
+        fail: bool,
+    },
+    /// The sync has returned.
+    Done,
+}
+
 #[derive(Debug)]
 struct Control {
     fault: Fault,
     counts: Counts,
-    /// Park the next file sync until [`FaultyFs::release`].
-    park_next_sync: bool,
-    parked: bool,
+    /// How many of the next file syncs park (each already counted)
+    /// until [`FaultyFs::release`].
+    park_next: usize,
+    /// Every parked sync, in the order it parked.
+    parked: Vec<Park>,
     /// The whole of the last torn append.
     torn: Vec<u8>,
 }
@@ -85,8 +106,8 @@ impl FaultyFs {
                 Mutex::new(Control {
                     fault: Fault::None,
                     counts: Counts::default(),
-                    park_next_sync: false,
-                    parked: false,
+                    park_next: 0,
+                    parked: Vec::new(),
                     torn: Vec::new(),
                 }),
                 Condvar::new(),
@@ -105,25 +126,39 @@ impl FaultyFs {
         ctl.counts = Counts::default();
     }
 
-    /// The next file sync parks (already counted) until released.
-    fn park_next_sync(&self) {
-        self.control().park_next_sync = true;
+    /// The next `n` file syncs park (each already counted) until
+    /// released.
+    fn park_next_syncs(&self, n: usize) {
+        self.control().park_next = n;
     }
 
-    fn wait_parked(&self) {
+    /// Waits until `pred` holds of the control state.
+    fn wait_for(&self, what: &str, pred: impl Fn(&Control) -> bool) {
         let (lock, cv) = &*self.ctl;
         let deadline = Instant::now() + Duration::from_secs(20);
         let mut ctl = lock.lock().unwrap();
-        while !ctl.parked {
+        while !pred(&ctl) {
             let left = deadline.saturating_duration_since(Instant::now());
-            assert!(!left.is_zero(), "the leader's flush never reached a sync");
+            assert!(!left.is_zero(), "{what}");
             ctl = cv.wait_timeout(ctl, left).unwrap().0;
         }
     }
 
-    fn release(&self) {
-        self.control().parked = false;
+    /// Waits until `n` syncs have parked.
+    fn wait_parked(&self, n: usize) {
+        self.wait_for("a group's flush never reached its sync", |ctl| {
+            ctl.parked.len() >= n
+        });
+    }
+
+    /// Lets the `i`th parked sync go — run, or fail it — and waits
+    /// until it has returned.
+    fn release(&self, i: usize, fail: bool) {
+        self.control().parked[i] = Park::Released { fail };
         self.ctl.1.notify_all();
+        self.wait_for("a released sync never returned", |ctl| {
+            ctl.parked[i] == Park::Done
+        });
     }
 
     fn wrap(&self, inner: Box<dyn FsFile>) -> Box<dyn FsFile> {
@@ -195,7 +230,7 @@ struct FaultyFile {
 }
 
 impl FsFile for FaultyFile {
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+    fn append(&self, bytes: &[u8]) -> io::Result<()> {
         let mut ctl = self.ctl.0.lock().unwrap();
         ctl.counts.appends += 1;
         let n = ctl.counts.appends;
@@ -219,27 +254,39 @@ impl FsFile for FaultyFile {
         self.inner.append(bytes)
     }
 
-    fn set_len(&mut self, len: u64) -> io::Result<()> {
+    fn set_len(&self, len: u64) -> io::Result<()> {
         self.inner.set_len(len)
     }
 
-    fn sync(&mut self) -> io::Result<()> {
+    fn sync(&self) -> io::Result<()> {
         let (lock, cv) = &*self.ctl;
         let mut ctl = lock.lock().unwrap();
         ctl.counts.syncs += 1;
         if ctl.fault == Fault::Sync(ctl.counts.syncs) {
             return Err(injected("fsync"));
         }
-        if ctl.park_next_sync {
-            ctl.park_next_sync = false;
-            ctl.parked = true;
-            cv.notify_all();
-            while ctl.parked {
-                ctl = cv.wait(ctl).unwrap();
-            }
+        if ctl.park_next == 0 {
+            drop(ctl);
+            return self.inner.sync();
         }
-        drop(ctl);
-        self.inner.sync()
+        ctl.park_next -= 1;
+        let slot = ctl.parked.len();
+        ctl.parked.push(Park::Parked);
+        cv.notify_all();
+        let fail = loop {
+            if let Park::Released { fail } = ctl.parked[slot] {
+                break fail;
+            }
+            ctl = cv.wait(ctl).unwrap();
+        };
+        let result = if fail {
+            Err(injected("fsync"))
+        } else {
+            self.inner.sync()
+        };
+        ctl.parked[slot] = Park::Done;
+        cv.notify_all();
+        result
     }
 }
 
@@ -350,33 +397,41 @@ fn crash_and_check(disk: &MemFs, acked: &[Batch], failed: &[Batch], what: &str) 
     present
 }
 
-/// Commits `x`, then parks `a`'s flush in its fsync until `group`'s
-/// three batches queue behind it, arms `fault` and lets the leader go:
-/// `group` is flushed as one group under the fault. Returns the store,
-/// the disk and each group batch's result.
+/// Opens a fresh store over `fs`.
+fn open(fs: &FaultyFs, segment_bytes: u64) -> DiskStore {
+    DiskStore::open_fs(Arc::new(fs.clone()), "store", opts(segment_bytes)).expect("fresh open")
+}
+
+/// Commits `batch` on its own thread.
+fn spawn_commit(store: &DiskStore, batch: &Batch) -> thread::JoinHandle<Result<(), DiskError>> {
+    let (store, batch) = (store.clone(), updates(batch));
+    thread::spawn(move || store.commit_batch(batch))
+}
+
+/// Commits `x`, then `a` and `b` as two groups whose fsyncs park: two
+/// groups in flight, so `group`'s three batches queue behind them.
+/// Arms `fault` and lets both parked syncs go, last first: `b`'s sync
+/// has returned before `a`'s runs, and `group` cannot append before
+/// `a` completes, so no parked sync runs after the faulted group's
+/// append. `group` is flushed as one group under the fault. Returns
+/// the store, the disk and each group batch's result.
 fn flush_group_under(
     fault: Fault,
     segment_bytes: u64,
-    x: &Batch,
-    a: &Batch,
+    [x, a, b]: &[Batch; 3],
     group: &[Batch; 3],
 ) -> (DiskStore, FaultyFs, Vec<Result<(), DiskError>>) {
     let fs = FaultyFs::new();
-    let store =
-        DiskStore::open_fs(Arc::new(fs.clone()), "store", opts(segment_bytes)).expect("fresh open");
+    let store = open(&fs, segment_bytes);
     store.commit_batch(updates(x)).expect("commit x");
-    fs.park_next_sync();
-    let leader = {
-        let (store, a) = (store.clone(), updates(a));
-        thread::spawn(move || store.commit_batch(a))
-    };
-    fs.wait_parked();
+    fs.park_next_syncs(2);
+    let first = spawn_commit(&store, a);
+    fs.wait_parked(1);
+    let second = spawn_commit(&store, b);
+    fs.wait_parked(2);
     let followers: Vec<_> = group
         .iter()
-        .map(|batch| {
-            let (store, batch) = (store.clone(), updates(batch));
-            thread::spawn(move || store.commit_batch(batch))
-        })
+        .map(|batch| spawn_commit(&store, batch))
         .collect();
     let deadline = Instant::now() + Duration::from_secs(20);
     while store.group_queue_depth() < 3 {
@@ -384,8 +439,10 @@ fn flush_group_under(
         thread::sleep(Duration::from_micros(100));
     }
     fs.arm(fault);
-    fs.release();
-    leader.join().unwrap().expect("the parked leader's batch");
+    fs.release(1, false);
+    fs.release(0, false);
+    first.join().unwrap().expect("a's group");
+    second.join().unwrap().expect("b's group");
     let results = followers.into_iter().map(|h| h.join().unwrap()).collect();
     (store, fs, results)
 }
@@ -393,8 +450,9 @@ fn flush_group_under(
 struct Case {
     seed: u64,
     draw: Draw,
-    x: Batch,
-    a: Batch,
+    /// Committed before the group: `x` alone, `a` and `b` as the two
+    /// groups in flight when it queues.
+    before: [Batch; 3],
     group: [Batch; 3],
 }
 
@@ -402,13 +460,12 @@ impl Case {
     fn new() -> Self {
         let seed = seed();
         let mut draw = Draw::new(seed);
-        let (x, a) = (draw.batch(), draw.batch());
+        let before = [draw.batch(), draw.batch(), draw.batch()];
         let group = [draw.batch(), draw.batch(), draw.batch()];
         Case {
             seed,
             draw,
-            x,
-            a,
+            before,
             group,
         }
     }
@@ -419,7 +476,7 @@ impl Case {
     fn run(&mut self, fault: Fault, segment_bytes: u64) -> (FaultyFs, usize) {
         let what = format!("seed {} {fault:?}", self.seed);
         let (store, fs, results) =
-            flush_group_under(fault, segment_bytes, &self.x, &self.a, &self.group);
+            flush_group_under(fault, segment_bytes, &self.before, &self.group);
         for result in &results {
             assert!(
                 result.is_err(),
@@ -428,8 +485,7 @@ impl Case {
         }
         assert_poisoned(&store, &mut self.draw, &what);
         drop(store);
-        let acked = [self.x.clone(), self.a.clone()];
-        let present = crash_and_check(&fs.inner, &acked, &self.group, &what);
+        let present = crash_and_check(&fs.inner, &self.before, &self.group, &what);
         (fs, present)
     }
 }
@@ -445,9 +501,9 @@ fn a_failed_group_flush_fails_every_batch_and_poisons() {
 
 #[test]
 fn a_failed_seal_after_a_group_poisons_and_keeps_the_group() {
-    // The segment fills with the group, not before: x and a fit.
+    // The segment fills with the group, not before: x, a and b fit.
     let mut case = Case::new();
-    let threshold = log_bytes(&case.x) + log_bytes(&case.a) + 1;
+    let threshold = case.before.iter().map(log_bytes).sum::<u64>() + 1;
     // After the group's append and fsync (#1 each), the seal appends
     // the new segment's magic, syncs it, syncs `segments/`, writes the
     // manifest temp, renames it and syncs the store directory.
@@ -471,15 +527,17 @@ fn a_failed_seal_after_a_group_poisons_and_keeps_the_group() {
 fn a_failed_checkpoint_poisons_and_loses_nothing() {
     let seed = seed();
     let mut draw = Draw::new(seed);
-    // The fold installs each object (temp append, sync, rename), syncs
-    // `objects/`, then rewrites the manifest (append, sync, rename,
-    // directory sync); a checkpoint of an unsealed segment seals first.
+    // The fold writes its image (append, sync), syncs `segments/`, then
+    // rewrites the manifest (append, sync, rename, directory sync); a
+    // checkpoint of an unsealed segment seals first.
     let folds = [
         Fault::Enospc(1),
         Fault::Sync(1),
-        Fault::Rename(1),
         Fault::TornAppend(1, 3),
         Fault::SyncDir(1),
+        Fault::Enospc(2),
+        Fault::Sync(2),
+        Fault::Rename(1),
         Fault::SyncDir(2),
     ];
     for (fault, segment_bytes) in folds
@@ -542,4 +600,123 @@ fn a_torn_group_append_keeps_exactly_the_batches_whose_marker_landed() {
             append.len()
         );
     }
+}
+
+/// A store over a fresh disk holding `x`, with the next two fsyncs
+/// parked and `a` and `b` committing as two groups, each in its sync:
+/// two groups in flight.
+fn two_groups_parked(
+    x: &Batch,
+    a: &Batch,
+    b: &Batch,
+) -> (
+    DiskStore,
+    FaultyFs,
+    [thread::JoinHandle<Result<(), DiskError>>; 2],
+) {
+    let fs = FaultyFs::new();
+    let store = open(&fs, 1 << 20);
+    store.commit_batch(updates(x)).expect("commit x");
+    fs.park_next_syncs(2);
+    let first = spawn_commit(&store, a);
+    fs.wait_parked(1);
+    // The first group's fsync is parked and holds no lock: the second
+    // group appends behind it and reaches its own sync.
+    let second = spawn_commit(&store, b);
+    fs.wait_parked(2);
+    (store, fs, [first, second])
+}
+
+#[test]
+fn pipeline_a_second_group_appends_and_syncs_while_the_first_is_parked() {
+    let mut draw = Draw::new(seed());
+    let [x, a, b] = [draw.batch(), draw.batch(), draw.batch()];
+    let (store, fs, [first, second]) = two_groups_parked(&x, &a, &b);
+    // Both groups' frames are in the log, in order, before either sync
+    // has returned.
+    let log = fs
+        .inner
+        .read(Path::new("store/segments/seg-00000001.log"))
+        .unwrap();
+    let frames: u64 = [&x, &a, &b].into_iter().map(log_bytes).sum();
+    assert_eq!(log.len() as u64, 8 + frames);
+    assert_eq!(store.group_queue_depth(), 0);
+    // and neither is published
+    assert_eq!(landed(&store, &a) + landed(&store, &b), 0);
+    fs.release(1, false);
+    fs.release(0, false);
+    first.join().unwrap().expect("a");
+    second.join().unwrap().expect("b");
+    assert_eq!(landed(&store, &a), a.len());
+    assert_eq!(landed(&store, &b), b.len());
+    assert_eq!(store.log_fsync_count(), 3, "one fsync per group");
+    drop(store);
+    crash_and_check(&fs.inner, &[x, a, b], &[], "pipeline");
+}
+
+#[test]
+fn pipeline_results_post_in_log_order() {
+    let mut draw = Draw::new(seed());
+    let [x, a, b] = [draw.batch(), draw.batch(), draw.batch()];
+    let (store, fs, [first, second]) = two_groups_parked(&x, &a, &b);
+    // The second group's fsync returns first: it is durable, but its
+    // outcome waits for the first group's.
+    fs.release(1, false);
+    let deadline = Instant::now() + Duration::from_millis(100);
+    while Instant::now() < deadline {
+        assert!(
+            !second.is_finished(),
+            "the second group's result was posted before the first's"
+        );
+        assert_eq!(landed(&store, &b), 0, "the second group published first");
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert!(!first.is_finished());
+    fs.release(0, false);
+    first.join().unwrap().expect("a");
+    second.join().unwrap().expect("b");
+    assert_eq!(landed(&store, &b), b.len());
+}
+
+#[test]
+fn pipeline_a_failed_first_sync_fails_the_second_group_and_poisons() {
+    let seed = seed();
+    let mut draw = Draw::new(seed);
+    let [x, a, b] = [draw.batch(), draw.batch(), draw.batch()];
+    let fs = FaultyFs::new();
+    let store = open(&fs, 1 << 20);
+    let bus = Arc::new(EventBus::new());
+    let sink = Arc::new(MemorySink::new(1_000));
+    bus.add_sink(sink.clone());
+    store.install_obs(Obs::new(bus.clone()));
+    store.commit_batch(updates(&x)).expect("commit x");
+    fs.park_next_syncs(2);
+    let first = spawn_commit(&store, &a);
+    fs.wait_parked(1);
+    let second = spawn_commit(&store, &b);
+    fs.wait_parked(2);
+    // The second group's own fsync succeeds; then the first's fails.
+    fs.release(1, false);
+    fs.release(0, true);
+    let what = format!("seed {seed}");
+    for (name, handle) in [("first", first), ("second", second)] {
+        match handle.join().unwrap() {
+            Err(DiskError::Io(e)) => assert!(
+                e.to_string().contains("injected fsync"),
+                "{what}: the {name} group failed with {e}, not the first group's fsync"
+            ),
+            other => panic!("{what}: the {name} group got {other:?}"),
+        }
+    }
+    assert_poisoned(&store, &mut draw, &what);
+    // The second group's batch is durable, so it was announced (R9):
+    // x's group and b's, one append each.
+    assert_eq!(bus.counter("disk_append"), 2, "{what}");
+    assert_eq!(bus.counter("disk_group_commit"), 2, "{what}");
+    let report = TraceAuditor::audit_events(&sink.events());
+    assert!(report.is_clean(), "{what}: {report}");
+    drop(store);
+    // Each failed batch all-or-nothing after power loss (the second
+    // group's fsync may carry the first group's bytes along).
+    crash_and_check(&fs.inner, &[x], &[a, b], &what);
 }
