@@ -31,7 +31,8 @@
 //! A committed batch's states are published to an in-memory tail that
 //! keeps every object's newest committed state, so reads never touch
 //! disk. Checkpointing is off the commit path: a background
-//! checkpointer thread folds the sealed segments into one checkpoint
+//! checkpointer thread folds the sealed segments, once they hold at
+//! least as many record bytes as the current image, into one checkpoint
 //! **image** — a `CHLOG001` file in `segments/` holding every object's
 //! state in the tail as a single batch (its intents, then one marker),
 //! written in one append behind one fsync, then the `segments/`
@@ -49,7 +50,15 @@
 //! manifest keeps, and recovery re-applies the live suffix in log order
 //! on top of the image: every object ends at the newest state the
 //! suffix holds for it, or at the image's if the suffix never wrote it.
-//! A full image costs O(store) per fold.
+//!
+//! An image costs O(store) to write, so the checkpointer does not
+//! write one at every seal: it waits until the sealed segments have
+//! outgrown the last image. A new image is at most the old one plus
+//! what was committed since, so the folds write O(1) bytes per
+//! committed byte however large the store grows, and the live suffix a
+//! recovery replays stays within about the image's size plus the
+//! active segment. [`DiskStore::checkpoint_now`] and the checkpointer's
+//! drain at shutdown fold whatever is sealed.
 //!
 //! # Recovery
 //!
@@ -62,7 +71,8 @@
 //! continue in it (a torn tail is trimmed off first — the only write
 //! recovery makes), and the sealed ones fold in the background exactly
 //! as they would have before the crash. Replay work is bounded by what
-//! was committed since the last checkpoint, not by history. A failed
+//! was committed since the last checkpoint (about the image's size at
+//! most, see above), not by history. A failed
 //! fold poisons the store (later commits and checkpoints fail until
 //! reopen), because nothing else would ever fold the tail.
 //!
@@ -94,7 +104,11 @@
 //! - **Poison.** A failed append or fsync in group g poisons the store
 //!   at g at once: no new group is elected, g and every later group
 //!   already in flight fail, and no earlier group does (it completes
-//!   first, with its own outcome). A later group whose own fsync
+//!   first, with its own outcome). A failed append poisons before g
+//!   gives up the append role, and a leader that takes the role behind
+//!   a poison appends nothing: a partial frame stays the end of the
+//!   log, where replay trims it, instead of running into whole frames
+//!   that would read as corruption. A later group whose own fsync
 //!   succeeded still emits its `DiskAppend`s and `DiskGroupCommit` —
 //!   its batches are durable and a replay will count them (R9) — but
 //!   publishes nothing and fails with the poison.
@@ -178,6 +192,22 @@ const MANIFEST_MAGIC: &str = "CHMAN001";
 /// Groups in flight at once: one in its fsync while the next appends
 /// behind it and starts its own.
 const MAX_IN_FLIGHT: u64 = 2;
+
+/// When a checkpoint writes a new image.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fold {
+    /// Whenever any segment is sealed: `checkpoint_now`, the
+    /// checkpointer's drain at shutdown, an injected checkpoint crash.
+    Always,
+    /// Once the sealed segments hold at least as many record bytes as
+    /// the current image: the checkpointer after a seal. A new image is
+    /// at most the old one plus what was committed since, so each fold
+    /// writes at most twice the bytes it folds plus the active segment:
+    /// O(1) written bytes per committed byte however large the store
+    /// grows, where folding at every seal would rewrite the whole store
+    /// per segment.
+    Outgrown,
+}
 
 /// Errors from the disk store.
 #[derive(Debug)]
@@ -465,6 +495,8 @@ struct WalState {
     /// The checkpoint image the manifest names, by the sequence number
     /// of the last segment folded into it.
     image: Option<u64>,
+    /// Record bytes in that image (past the magic; 0 without one).
+    image_bytes: u64,
     /// Append handle to the active segment, shared with the group
     /// leaders syncing it.
     active: Arc<dyn FsFile>,
@@ -625,6 +657,7 @@ impl DiskStore {
             wal: Mutex::new(WalState {
                 segments: recovered.segments,
                 image: recovered.image,
+                image_bytes: recovered.image_bytes,
                 active: recovered.active_file,
                 group_buf: Vec::new(),
                 groups: 0,
@@ -801,7 +834,8 @@ impl DiskStore {
     /// every sealed segment into a new checkpoint image synchronously.
     /// Returns whether anything was folded. Mostly for tests and
     /// benchmarks; with [`DiskStoreOptions::auto_checkpoint`] the
-    /// background thread does this on its own.
+    /// background thread does this on its own, once the sealed segments
+    /// have outgrown the image.
     ///
     /// # Errors
     ///
@@ -828,7 +862,7 @@ impl DiskStore {
             }
         };
         shared.poison_on_io(sealed)?;
-        shared.checkpoint_inner(None)
+        shared.checkpoint_inner(None, Fold::Always)
     }
 }
 
@@ -850,8 +884,9 @@ impl Observable for DiskStore {
     }
 }
 
-/// The background checkpointer: waits for seals, folds sealed
-/// segments, drains once more on shutdown so restarts replay little.
+/// The background checkpointer: waits for seals, folds the sealed
+/// segments once they outgrow the image, drains once more on shutdown
+/// so restarts replay little.
 fn checkpointer_loop(shared: &Shared) {
     loop {
         {
@@ -864,14 +899,14 @@ fn checkpointer_loop(shared: &Shared) {
             }
             st.kicks = 0;
         }
-        if shared.checkpoint_inner(None).is_err() {
+        if shared.checkpoint_inner(None, Fold::Outgrown).is_err() {
             // The failure poisoned the store (see `checkpoint_inner`):
             // commits now fail loudly until a reopen replays the
             // segments, so there is nothing left to fold.
             return;
         }
     }
-    let _ = shared.checkpoint_inner(None);
+    let _ = shared.checkpoint_inner(None, Fold::Always);
 }
 
 impl Shared {
@@ -937,7 +972,21 @@ impl Shared {
         wal.groups += 1;
         let seq = wal.groups;
         let file = Arc::clone(&wal.active);
-        let appended = self.append_group(&mut wal, group, crash, &obs);
+        // An earlier group's failure may have left a partial frame at
+        // the end of the log: append nothing behind it.
+        let poisoned = self.group.lock().poisoned.clone();
+        let appended = match poisoned {
+            Some(poison) => Err(GroupOutcome::Poisoned(poison)),
+            None => self
+                .append_group(&mut wal, group, crash, &obs)
+                .map_err(GroupOutcome::failed),
+        };
+        if let Err(GroupOutcome::Poisoned(poison)) = &appended {
+            // Poisoned before the append role is given up, so the next
+            // leader sees it before it could append.
+            self.group.lock().poison(seq, poison.clone());
+            self.group_changed.notify_all();
+        }
         // A group that fills the active segment, or that dies on
         // purpose, keeps the append role until it completes: nothing
         // lands behind it before it has sealed or crashed.
@@ -949,9 +998,11 @@ impl Shared {
 
         // 2. The group's one fsync, with no lock held unless the group
         // kept the role.
-        let synced = appended
-            .and_then(|bytes| self.log_fsync(&*file, &obs).map(|()| bytes))
-            .map_err(GroupOutcome::failed);
+        let synced = appended.and_then(|bytes| {
+            self.log_fsync(&*file, &obs)
+                .map(|()| bytes)
+                .map_err(GroupOutcome::failed)
+        });
 
         // 3. Complete in log order.
         let mut state = self.group.lock();
@@ -1037,7 +1088,11 @@ impl Shared {
         let info = segments.last_mut().expect("live list never empty");
         info.batches += group.len() as u64;
         info.bytes += batch_bytes.iter().sum::<u64>();
-        info.max_batch = group.last().expect("group is non-empty").id;
+        // Two leaders race for the append role, so a group with lower
+        // ids can land after one with higher ids.
+        info.max_batch = info
+            .max_batch
+            .max(group.last().expect("group is non-empty").id);
         Ok(batch_bytes)
     }
 
@@ -1094,7 +1149,7 @@ impl Shared {
                 point @ (DiskCrashPoint::CheckpointBeforeManifest
                 | DiskCrashPoint::CheckpointBeforeGc),
             ) => self
-                .checkpoint_inner(Some(point))
+                .checkpoint_inner(Some(point), Fold::Always)
                 .and(Err(DiskError::Crashed(point))),
             _ => Ok(()),
         }
@@ -1155,13 +1210,17 @@ impl Shared {
     /// read). An I/O failure poisons the store: this fold is the only
     /// one there is, so a store that silently stopped folding would
     /// grow its replay debt without bound.
-    fn checkpoint_inner(&self, crash: Option<DiskCrashPoint>) -> Result<bool, DiskError> {
+    fn checkpoint_inner(
+        &self,
+        crash: Option<DiskCrashPoint>,
+        fold: Fold,
+    ) -> Result<bool, DiskError> {
         let _run = self.ckpt_run.lock();
         if self.group.lock().poisoned.is_some() {
             // A dead store does no more disk work.
             return Ok(false);
         }
-        self.poison_on_io(self.fold_sealed(crash))
+        self.poison_on_io(self.fold_sealed(crash, fold))
     }
 
     /// Passes `result` through; an I/O error in it poisons the store
@@ -1176,11 +1235,17 @@ impl Shared {
         result
     }
 
-    fn fold_sealed(&self, crash: Option<DiskCrashPoint>) -> Result<bool, DiskError> {
+    fn fold_sealed(&self, crash: Option<DiskCrashPoint>, fold: Fold) -> Result<bool, DiskError> {
         let obs = self.obs.get();
         let (folds, old_image) = {
             let wal = self.wal.lock();
-            (wal.segments[..wal.segments.len() - 1].to_vec(), wal.image)
+            let folds = wal.segments[..wal.segments.len() - 1].to_vec();
+            let sealed: u64 = folds.iter().map(|s| s.bytes).sum();
+            if fold == Fold::Outgrown && sealed < wal.image_bytes {
+                // Not yet worth rewriting the whole image.
+                return Ok(false);
+            }
+            (folds, wal.image)
         };
         if folds.is_empty() {
             // An injected checkpoint crash still dies here even with
@@ -1224,6 +1289,7 @@ impl Shared {
             let mut wal = self.wal.lock();
             wal.segments.retain(|s| s.seq > upto);
             wal.image = Some(upto);
+            wal.image_bytes = (image.len() - LOG_MAGIC.len()) as u64;
             let seqs: Vec<u64> = wal.segments.iter().map(|s| s.seq).collect();
             self.write_manifest_counted(wal.image, &seqs)?;
         }
@@ -1588,6 +1654,8 @@ struct Recovered {
     /// one.
     segments: Vec<SegmentInfo>,
     image: Option<u64>,
+    /// Record bytes in the image (0 without one).
+    image_bytes: u64,
     active_file: Arc<dyn FsFile>,
     /// Every object's newest committed state: the image's, overwritten
     /// by the live suffix's.
@@ -1616,7 +1684,11 @@ fn recover(fs: &dyn Fs, dir: &Path) -> Result<Recovered, DiskError> {
     }
     // Folds once installed each object as `objects/o<id>.bin`; a store
     // opened without them would silently lose every folded state.
-    let object_files = fs.list(&dir.join("objects")).unwrap_or_default();
+    let object_files = match fs.list(&dir.join("objects")) {
+        Ok(names) => names,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(DiskError::Io(e)),
+    };
     if object_files
         .iter()
         .any(|name| name.starts_with('o') && name.ends_with(".bin"))
@@ -1657,6 +1729,7 @@ fn recover(fs: &dyn Fs, dir: &Path) -> Result<Recovered, DiskError> {
     // synced before the manifest named it, so it must be whole.
     let mut tail = HashMap::new();
     let mut max_batch = 0u64;
+    let mut image_bytes = 0u64;
     if let Some(seq) = image {
         let path = segments_dir.join(image_file_name(seq));
         let (info, valid_end, len) = replay_file(
@@ -1673,6 +1746,7 @@ fn recover(fs: &dyn Fs, dir: &Path) -> Result<Recovered, DiskError> {
                 path.display()
             )));
         }
+        image_bytes = info.bytes;
     }
 
     // Then exactly the live suffix, oldest segment first, on top of it.
@@ -1753,6 +1827,7 @@ fn recover(fs: &dyn Fs, dir: &Path) -> Result<Recovered, DiskError> {
     Ok(Recovered {
         segments,
         image,
+        image_bytes,
         active_file: Arc::from(active_file),
         tail,
         max_batch,
@@ -1819,11 +1894,13 @@ mod tests {
         Ok(frame.len() as u64)
     }
 
-    /// A [`MemFs`] that counts the appends made through its files.
+    /// A [`MemFs`] that counts the appends made through its files and
+    /// cannot list the directory `unlistable`, if one is set.
     #[derive(Debug, Default)]
     struct CountingFs {
         inner: MemFs,
         appends: Arc<AtomicU64>,
+        unlistable: Option<PathBuf>,
     }
 
     #[derive(Debug)]
@@ -1874,6 +1951,9 @@ mod tests {
             self.inner.remove_file(path)
         }
         fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+            if self.unlistable.as_deref() == Some(dir) {
+                return Err(io::ErrorKind::PermissionDenied.into());
+            }
             self.inner.list(dir)
         }
         fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
@@ -2095,6 +2175,18 @@ mod tests {
         }
         assert_eq!(snapshot(&dir), before, "a refusal leaves the data alone");
         fs::remove_dir_all(&dir).ok();
+
+        // An objects/ that cannot be listed may hold such files too: an
+        // error, never an empty store.
+        let fs = CountingFs {
+            unlistable: Some(PathBuf::from("store/objects")),
+            ..CountingFs::default()
+        };
+        fs.inner.create_dir_all(Path::new("store/objects")).unwrap();
+        match DiskStore::open_fs(Arc::new(fs), "store", manual(1 << 20)) {
+            Err(DiskError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::PermissionDenied),
+            other => panic!("an unlistable objects/ was opened: {other:?}"),
+        }
     }
 
     #[test]
@@ -2576,6 +2668,9 @@ mod tests {
 
     #[test]
     fn background_checkpointer_folds_automatically() {
+        // Every batch seals (segment_bytes 1). The checkpointer folds
+        // the first seal into an image at once, then waits until the
+        // sealed segments hold at least the image's record bytes.
         let dir = temp_dir();
         let store = DiskStore::open_with(
             &dir,
@@ -2585,20 +2680,40 @@ mod tests {
             },
         )
         .unwrap();
-        for i in 0..8 {
-            store.commit_batch(vec![(o(i), bytes(&[i as u8]))]).unwrap();
-        }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while store.checkpoint_backlog() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(
-            store.checkpoint_backlog(),
-            0,
-            "checkpointer never caught up"
-        );
+        let wait_backlog = |n: u64| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while store.checkpoint_backlog() != n && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            assert_eq!(
+                store.checkpoint_backlog(),
+                n,
+                "checkpointer never caught up"
+            );
+        };
+        let first: Vec<_> = (0..8).map(|i| (o(i), bytes(&[i as u8; 16]))).collect();
+        store.commit_batch(first).unwrap();
+        wait_backlog(0);
         let (_, states) = image_states(&dir).expect("an image");
         assert_eq!(states.len(), 8);
+
+        // One small batch is far smaller than the image: no fold.
+        store.commit_batch(vec![(o(8), bytes(&[8]))]).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(
+            store.checkpoint_backlog(),
+            1,
+            "folded before outgrowing the image"
+        );
+        assert_eq!(image_states(&dir).expect("an image").1.len(), 8);
+
+        // A batch that takes the sealed segments past the image: fold.
+        store.commit_batch(vec![(o(9), bytes(&[9; 512]))]).unwrap();
+        wait_backlog(0);
+        assert_eq!(image_states(&dir).expect("an image").1.len(), 10);
+
+        // Below the image again, then the shutdown drain folds it.
+        store.commit_batch(vec![(o(10), bytes(&[10]))]).unwrap();
         drop(store);
         let store = DiskStore::open_with(&dir, manual(1)).unwrap();
         assert_eq!(
@@ -2606,9 +2721,10 @@ mod tests {
             0,
             "the image holds everything"
         );
-        for i in 0..8 {
-            assert_eq!(store.read(o(i)).unwrap().as_deref(), Some(&[i as u8][..]));
-        }
+        assert_eq!(image_states(&dir).expect("an image").1.len(), 11);
+        assert_eq!(store.read(o(3)).unwrap().as_deref(), Some(&[3u8; 16][..]));
+        assert_eq!(store.read(o(9)).unwrap().as_deref(), Some(&[9u8; 512][..]));
+        assert_eq!(store.read(o(10)).unwrap().as_deref(), Some(&[10u8][..]));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -66,15 +66,16 @@ struct Counts {
     renames: u32,
 }
 
-/// Where a parked file sync is.
+/// Where a parked file sync or append is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Park {
     Parked,
-    /// Let go: run the sync, or fail it.
+    /// Let go: run the sync, or fail it (a released append runs under
+    /// the armed fault).
     Released {
         fail: bool,
     },
-    /// The sync has returned.
+    /// The operation has returned.
     Done,
 }
 
@@ -85,7 +86,10 @@ struct Control {
     /// How many of the next file syncs park (each already counted)
     /// until [`FaultyFs::release`].
     park_next: usize,
-    /// Every parked sync, in the order it parked.
+    /// How many of the next appends park (each already counted) until
+    /// [`FaultyFs::release`].
+    park_appends: usize,
+    /// Every parked sync or append, in the order it parked.
     parked: Vec<Park>,
     /// The whole of the last torn append.
     torn: Vec<u8>,
@@ -107,6 +111,7 @@ impl FaultyFs {
                     fault: Fault::None,
                     counts: Counts::default(),
                     park_next: 0,
+                    park_appends: 0,
                     parked: Vec::new(),
                     torn: Vec::new(),
                 }),
@@ -132,6 +137,12 @@ impl FaultyFs {
         self.control().park_next = n;
     }
 
+    /// The next `n` appends park (each already counted) until
+    /// released.
+    fn park_next_appends(&self, n: usize) {
+        self.control().park_appends = n;
+    }
+
     /// Waits until `pred` holds of the control state.
     fn wait_for(&self, what: &str, pred: impl Fn(&Control) -> bool) {
         let (lock, cv) = &*self.ctl;
@@ -144,15 +155,15 @@ impl FaultyFs {
         }
     }
 
-    /// Waits until `n` syncs have parked.
+    /// Waits until `n` syncs or appends have parked.
     fn wait_parked(&self, n: usize) {
         self.wait_for("a group's flush never reached its sync", |ctl| {
             ctl.parked.len() >= n
         });
     }
 
-    /// Lets the `i`th parked sync go — run, or fail it — and waits
-    /// until it has returned.
+    /// Lets the `i`th parked operation go — run, or fail a sync — and
+    /// waits until it has returned.
     fn release(&self, i: usize, fail: bool) {
         self.control().parked[i] = Park::Released { fail };
         self.ctl.1.notify_all();
@@ -166,6 +177,23 @@ impl FaultyFs {
             inner,
             ctl: Arc::clone(&self.ctl),
         })
+    }
+}
+
+/// Parks the calling operation in a new slot until it is released;
+/// returns the slot and whether to fail.
+fn park<'a>(
+    cv: &Condvar,
+    mut ctl: MutexGuard<'a, Control>,
+) -> (MutexGuard<'a, Control>, usize, bool) {
+    let slot = ctl.parked.len();
+    ctl.parked.push(Park::Parked);
+    cv.notify_all();
+    loop {
+        if let Park::Released { fail } = ctl.parked[slot] {
+            return (ctl, slot, fail);
+        }
+        ctl = cv.wait(ctl).unwrap();
     }
 }
 
@@ -229,11 +257,9 @@ struct FaultyFile {
     ctl: Arc<(Mutex<Control>, Condvar)>,
 }
 
-impl FsFile for FaultyFile {
-    fn append(&self, bytes: &[u8]) -> io::Result<()> {
-        let mut ctl = self.ctl.0.lock().unwrap();
-        ctl.counts.appends += 1;
-        let n = ctl.counts.appends;
+impl FaultyFile {
+    /// The `n`th append since the fault was armed, under that fault.
+    fn append_nth(&self, mut ctl: MutexGuard<'_, Control>, n: u32, bytes: &[u8]) -> io::Result<()> {
         match ctl.fault {
             Fault::Enospc(at) if at == n => {
                 return Err(io::Error::new(
@@ -253,6 +279,24 @@ impl FsFile for FaultyFile {
         drop(ctl);
         self.inner.append(bytes)
     }
+}
+
+impl FsFile for FaultyFile {
+    fn append(&self, bytes: &[u8]) -> io::Result<()> {
+        let (lock, cv) = &*self.ctl;
+        let mut ctl = lock.lock().unwrap();
+        ctl.counts.appends += 1;
+        let n = ctl.counts.appends;
+        if ctl.park_appends == 0 {
+            return self.append_nth(ctl, n, bytes);
+        }
+        ctl.park_appends -= 1;
+        let (ctl, slot, _) = park(cv, ctl);
+        let result = self.append_nth(ctl, n, bytes);
+        lock.lock().unwrap().parked[slot] = Park::Done;
+        cv.notify_all();
+        result
+    }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
         self.inner.set_len(len)
@@ -270,15 +314,7 @@ impl FsFile for FaultyFile {
             return self.inner.sync();
         }
         ctl.park_next -= 1;
-        let slot = ctl.parked.len();
-        ctl.parked.push(Park::Parked);
-        cv.notify_all();
-        let fail = loop {
-            if let Park::Released { fail } = ctl.parked[slot] {
-                break fail;
-            }
-            ctl = cv.wait(ctl).unwrap();
-        };
+        let (mut ctl, slot, fail) = park(cv, ctl);
         let result = if fail {
             Err(injected("fsync"))
         } else {
@@ -719,4 +755,59 @@ fn pipeline_a_failed_first_sync_fails_the_second_group_and_poisons() {
     // Each failed batch all-or-nothing after power loss (the second
     // group's fsync may carry the first group's bytes along).
     crash_and_check(&fs.inner, &[x], &[a, b], &what);
+}
+
+#[test]
+fn pipeline_a_failed_append_stops_the_leader_waiting_behind_it() {
+    // The first group's append is parked holding the append role, and a
+    // second leader is elected and waits for the role. When the append
+    // fails, the second leader must append nothing: behind a torn frame
+    // its whole frames would read as a corrupt one, and the store would
+    // never reopen.
+    let seed = seed();
+    let mut draw = Draw::new(seed);
+    let [x, a, b] = [draw.batch(), draw.batch(), draw.batch()];
+    let k = 10; // past the first frame's length prefix, inside its payload
+    for (fault, written) in [(Fault::TornAppend(1, k), k), (Fault::Enospc(1), 0)] {
+        let what = format!("seed {seed} {fault:?}");
+        let fs = FaultyFs::new();
+        let store = open(&fs, 1 << 20);
+        store.commit_batch(updates(&x)).expect("commit x");
+        fs.arm(fault);
+        fs.park_next_appends(1);
+        let first = spawn_commit(&store, &a);
+        fs.wait_parked(1);
+        let second = spawn_commit(&store, &b);
+        // b queues and, with one group in flight, leads its own.
+        thread::sleep(Duration::from_millis(50));
+        assert_eq!(
+            store.group_queue_depth(),
+            0,
+            "{what}: b's leader was not elected"
+        );
+        fs.release(0, false);
+        for (name, handle) in [("first", first), ("second", second)] {
+            assert!(
+                handle.join().unwrap().is_err(),
+                "{what}: the {name} group got Ok"
+            );
+        }
+        assert_poisoned(&store, &mut draw, &what);
+        drop(store);
+        let log = fs
+            .inner
+            .read(Path::new("store/segments/seg-00000001.log"))
+            .unwrap();
+        assert_eq!(
+            log.len() as u64,
+            8 + log_bytes(&x) + written as u64,
+            "{what}: a group appended behind the failed append"
+        );
+        crash_and_check(
+            &fs.inner,
+            std::slice::from_ref(&x),
+            &[a.clone(), b.clone()],
+            &what,
+        );
+    }
 }
