@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use chroma_base::{NodeId, ObjectId};
 use chroma_dist::{Effect, Message, Node, RpcOp, TimerTag, TpcRecord, TxnId, Write, TPC_LOG_BASE};
-use chroma_store::{DiskError, DiskStore, DiskStoreOptions, StoreBytes};
+use chroma_store::{DiskError, DiskStore, DiskStoreOptions, OsFs, StoreBytes};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -87,7 +87,7 @@ fn pages(node: &Node) -> BTreeMap<ObjectId, Vec<u8>> {
 /// little-endian each, the state length-prefixed). Returns whether an
 /// intent was dropped.
 fn drop_from_image(dir: &Path, object: ObjectId) -> bool {
-    let image = DiskStore::live_segment_paths(dir)
+    let image = DiskStore::live_segment_paths(&OsFs, dir)
         .expect("manifest")
         .remove(0);
     assert!(
@@ -117,7 +117,7 @@ fn drop_from_image(dir: &Path, object: ObjectId) -> bool {
 
 /// Bytes in the files the store's manifest names.
 fn log_bytes(dir: &Path) -> u64 {
-    DiskStore::live_segment_paths(dir)
+    DiskStore::live_segment_paths(&OsFs, dir)
         .expect("manifest")
         .iter()
         .map(|p| std::fs::metadata(p).expect("segment").len())

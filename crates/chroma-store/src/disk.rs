@@ -112,12 +112,11 @@
 //!   succeeded still emits its `DiskAppend`s and `DiskGroupCommit` —
 //!   its batches are durable and a replay will count them (R9) — but
 //!   publishes nothing and fails with the poison.
-//! - **Seals.** A group that fills the active segment, or carries an
-//!   injected crash, keeps the append role through its fsync and its
-//!   completion. A seal, from such a group or from `checkpoint_now`,
-//!   runs holding the role once no group appended before it is in
-//!   flight, so every batch of a sealed segment is in the tail before
-//!   the checkpointer can fold it.
+//! - **Seals.** A group that fills the active segment keeps the append
+//!   role through its fsync and its completion. A seal, from such a
+//!   group or from `checkpoint_now`, runs holding the role once no
+//!   group appended before it is in flight, so every batch of a sealed
+//!   segment is in the tail before the checkpointer can fold it.
 //!
 //! One fsync keeps all-or-nothing without any group-level record.
 //! Replay installs a batch only when it reads that batch's marker, and
@@ -196,8 +195,8 @@ const MAX_IN_FLIGHT: u64 = 2;
 /// When a checkpoint writes a new image.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Fold {
-    /// Whenever any segment is sealed: `checkpoint_now`, the
-    /// checkpointer's drain at shutdown, an injected checkpoint crash.
+    /// Whenever any segment is sealed: `checkpoint_now` and the
+    /// checkpointer's drain at shutdown.
     Always,
     /// Once the sealed segments hold at least as many record bytes as
     /// the current image: the checkpointer after a seal. A new image is
@@ -220,10 +219,6 @@ pub enum DiskError {
     /// and truncated; this is corruption *within* the committed
     /// prefix).
     CorruptLog(String),
-    /// A fault-injection commit stopped at the requested crash point
-    /// ([`DiskStore::commit_batch_with_crash`]); the directory is left
-    /// exactly as a process crash there would leave it.
-    Crashed(DiskCrashPoint),
 }
 
 impl std::fmt::Display for DiskError {
@@ -231,7 +226,6 @@ impl std::fmt::Display for DiskError {
         match self {
             DiskError::Io(e) => write!(f, "disk store I/O failure: {e}"),
             DiskError::CorruptLog(what) => write!(f, "corrupt intentions log: {what}"),
-            DiskError::Crashed(point) => write!(f, "simulated crash at {point:?}"),
         }
     }
 }
@@ -240,69 +234,8 @@ impl std::error::Error for DiskError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DiskError::Io(e) => Some(e),
-            DiskError::CorruptLog(_) | DiskError::Crashed(_) => None,
+            DiskError::CorruptLog(_) => None,
         }
-    }
-}
-
-/// Where [`DiskStore::commit_batch_with_crash`] abandons the commit.
-/// The store is left on disk exactly as a process crash at that point
-/// would leave it; re-`open`ing runs recovery.
-///
-/// Because committers share group flushes, an injected crash fails the
-/// *whole* group (every batch sharing the flush gets
-/// [`DiskError::Crashed`]) and poisons the store: subsequent commits
-/// fail too, as they would against a dead process.
-///
-/// The seal and checkpoint points force the corresponding maintenance
-/// step right after the batch commits, then die inside it — the batch
-/// itself is durable at all of them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DiskCrashPoint {
-    /// Before any intent reaches the log: the batch simply never
-    /// happened.
-    BeforeIntents,
-    /// The intents are durable and the commit marker is not: only the
-    /// intents prefix of the group's write is appended and fsynced.
-    /// Recovery must discard the batch.
-    AfterIntents,
-    /// After the group's one fsync (the commit point) but before the
-    /// committed states are published to the in-memory tail: recovery
-    /// must complete the batch.
-    AfterCommitRecord,
-    /// After the committed states are published to the tail (the end
-    /// of the commit path): recovery rebuilds the tail from the log.
-    AfterInstall,
-    /// Mid-seal: the next segment file exists and is synced, but the
-    /// manifest still ends at the old active segment — the new file is
-    /// an orphan recovery must sweep, never replay.
-    SealBeforeManifest,
-    /// After a seal completed (the manifest lists the new active
-    /// segment).
-    AfterSeal,
-    /// Mid-checkpoint: the new image is written and synced, but the
-    /// manifest still names the old image and the folded segments —
-    /// recovery loads those again, sweeps the new image as an orphan,
-    /// and the fold is redone.
-    CheckpointBeforeManifest,
-    /// After the manifest named the new image and dropped the folded
-    /// segments but before the old image and their files were deleted:
-    /// the files are orphans recovery must sweep without reading.
-    CheckpointBeforeGc,
-}
-
-/// Commit-protocol stage order, for picking the earliest injected
-/// crash in a group.
-fn crash_stage(point: DiskCrashPoint) -> u8 {
-    match point {
-        DiskCrashPoint::BeforeIntents => 0,
-        DiskCrashPoint::AfterIntents => 1,
-        DiskCrashPoint::AfterCommitRecord => 2,
-        DiskCrashPoint::AfterInstall => 3,
-        DiskCrashPoint::SealBeforeManifest => 4,
-        DiskCrashPoint::AfterSeal => 5,
-        DiskCrashPoint::CheckpointBeforeManifest => 6,
-        DiskCrashPoint::CheckpointBeforeGc => 7,
     }
 }
 
@@ -364,26 +297,17 @@ crate::stored! {
 struct PendingBatch {
     id: u64,
     updates: Vec<(ObjectId, StoreBytes)>,
-    crash: Option<DiskCrashPoint>,
 }
 
-/// Why a store refuses all further work until it is reopened.
+/// Why a store refuses all further work until it is reopened: an I/O
+/// failure in a group flush or a checkpoint. What reached disk past it
+/// is unknown, so only a replay can vouch for the store again.
 #[derive(Clone, Debug)]
-enum Poison {
-    /// An injected crash killed the "process".
-    Crashed(DiskCrashPoint),
-    /// A real I/O failure in a group flush or a checkpoint: what
-    /// reached disk past it is unknown, so only a replay can vouch for
-    /// the store again.
-    Io(String),
-}
+struct Poison(String);
 
 impl Poison {
     fn error(&self) -> DiskError {
-        match self {
-            Poison::Crashed(point) => DiskError::Crashed(*point),
-            Poison::Io(msg) => DiskError::Io(io::Error::other(msg.clone())),
-        }
+        DiskError::Io(io::Error::other(self.0.clone()))
     }
 }
 
@@ -399,12 +323,11 @@ enum GroupOutcome {
 }
 
 impl GroupOutcome {
-    /// The outcome a group's own failure `e` posts: a crash or an I/O
-    /// error poisons the store, a record the log refused does not.
+    /// The outcome a group's own failure `e` posts: an I/O error
+    /// poisons the store, a record the log refused does not.
     fn failed(e: DiskError) -> Self {
         match e {
-            DiskError::Crashed(point) => GroupOutcome::Poisoned(Poison::Crashed(point)),
-            DiskError::Io(e) => GroupOutcome::Poisoned(Poison::Io(e.to_string())),
+            DiskError::Io(e) => GroupOutcome::Poisoned(Poison(e.to_string())),
             DiskError::CorruptLog(msg) => GroupOutcome::Corrupt(msg),
         }
     }
@@ -431,8 +354,8 @@ struct GroupState {
     /// Sequence number of the last completed group: groups complete in
     /// log order, so `completed + 1` is the next.
     completed: u64,
-    /// A crash or an I/O failure killed the store; every later commit
-    /// and checkpoint fails with it until reopen.
+    /// An I/O failure killed the store; every later commit and
+    /// checkpoint fails with it until reopen.
     poisoned: Option<Poison>,
     /// The first group sequence number the poison fails (`u64::MAX`
     /// when only groups not yet elected fail).
@@ -746,7 +669,7 @@ impl DiskStore {
         self.shared.recovered
     }
 
-    /// The files the manifest names for the store at `dir`: the
+    /// The files the manifest names for the store at `dir` on `fs`: the
     /// checkpoint image first, once a fold has written one, then the
     /// live segments oldest first — the last is the active segment.
     /// Works without an open store (e.g. against a crashed directory);
@@ -755,9 +678,12 @@ impl DiskStore {
     /// # Errors
     ///
     /// I/O failures, or a corrupt manifest.
-    pub fn live_segment_paths(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>, DiskError> {
+    pub fn live_segment_paths(
+        fs: &dyn Fs,
+        dir: impl AsRef<Path>,
+    ) -> Result<Vec<PathBuf>, DiskError> {
         let dir = dir.as_ref();
-        let manifest = read_manifest(&OsFs, dir)?.unwrap_or_default();
+        let manifest = read_manifest(fs, dir)?.unwrap_or_default();
         Ok(manifest
             .image
             .map(image_file_name)
@@ -806,28 +732,7 @@ impl DiskStore {
     /// I/O failures, after which the batch is wholly present or wholly
     /// absent once recovery has run.
     pub fn commit_batch(&self, updates: Vec<(ObjectId, StoreBytes)>) -> Result<(), DiskError> {
-        self.shared.commit_batch_inner(updates, None)
-    }
-
-    /// [`commit_batch`](DiskStore::commit_batch), abandoned at `crash`
-    /// for fault-injection tests. Returns [`DiskError::Crashed`] with
-    /// the directory left exactly as a process crash there would leave
-    /// it; the store is poisoned (later commits fail like calls into a
-    /// dead process) and any batch sharing the group flush crashes
-    /// with it. Re-[`open`](DiskStore::open)ing the directory runs
-    /// recovery. Seal and checkpoint points force the corresponding
-    /// maintenance step after the commit and die inside it.
-    ///
-    /// # Errors
-    ///
-    /// Always [`DiskError::Crashed`] unless a real I/O failure strikes
-    /// first.
-    pub fn commit_batch_with_crash(
-        &self,
-        updates: Vec<(ObjectId, StoreBytes)>,
-        crash: DiskCrashPoint,
-    ) -> Result<(), DiskError> {
-        self.shared.commit_batch_inner(updates, Some(crash))
+        self.shared.commit_batch_inner(updates)
     }
 
     /// Seals the active segment (if it holds any batches) and folds
@@ -856,13 +761,13 @@ impl DiskStore {
             }
             drop(group);
             if wal.segments.last().is_some_and(|active| active.batches > 0) {
-                shared.seal_active(&mut wal, None, &shared.obs.get())
+                shared.seal_active(&mut wal, &shared.obs.get())
             } else {
                 Ok(())
             }
         };
         shared.poison_on_io(sealed)?;
-        shared.checkpoint_inner(None, Fold::Always)
+        shared.checkpoint_inner(Fold::Always)
     }
 }
 
@@ -899,34 +804,30 @@ fn checkpointer_loop(shared: &Shared) {
             }
             st.kicks = 0;
         }
-        if shared.checkpoint_inner(None, Fold::Outgrown).is_err() {
+        if shared.checkpoint_inner(Fold::Outgrown).is_err() {
             // The failure poisoned the store (see `checkpoint_inner`):
             // commits now fail loudly until a reopen replays the
             // segments, so there is nothing left to fold.
             return;
         }
     }
-    let _ = shared.checkpoint_inner(None, Fold::Always);
+    let _ = shared.checkpoint_inner(Fold::Always);
 }
 
 impl Shared {
-    fn commit_batch_inner(
-        &self,
-        updates: Vec<(ObjectId, StoreBytes)>,
-        crash: Option<DiskCrashPoint>,
-    ) -> Result<(), DiskError> {
+    fn commit_batch_inner(&self, updates: Vec<(ObjectId, StoreBytes)>) -> Result<(), DiskError> {
         let mut group = self.group.lock();
         if let Some(poison) = &group.poisoned {
             return Err(poison.error());
         }
-        if updates.is_empty() && crash.is_none() {
+        if updates.is_empty() {
             // Vacuously durable: nothing needs logging, so the batch
             // must not pay (or make a whole group pay) any fsyncs.
             return Ok(());
         }
         let id = group.next_batch;
         group.next_batch += 1;
-        group.queue.push(PendingBatch { id, updates, crash });
+        group.queue.push(PendingBatch { id, updates });
 
         loop {
             if let Some(outcome) = group.results.remove(&id) {
@@ -957,15 +858,9 @@ impl Shared {
 
     /// Leads one drained group: appends it under the WAL lock, fsyncs
     /// it, and completes it once every earlier group has (see the
-    /// module docs). Injected crashes take effect at the *earliest*
-    /// stage requested by any batch in the group. Returns the leader's
-    /// own outcome.
+    /// module docs). Returns the leader's own outcome.
     fn flush_group(&self, group: &[PendingBatch], leader: u64) -> Result<(), DiskError> {
         let obs = self.obs.get();
-        let crash = group
-            .iter()
-            .filter_map(|b| b.crash)
-            .min_by_key(|p| crash_stage(*p));
 
         // 1. Append under the WAL lock: the group's place in the log.
         let mut wal = self.wal.lock();
@@ -977,9 +872,7 @@ impl Shared {
         let poisoned = self.group.lock().poisoned.clone();
         let appended = match poisoned {
             Some(poison) => Err(GroupOutcome::Poisoned(poison)),
-            None => self
-                .append_group(&mut wal, group, crash, &obs)
-                .map_err(GroupOutcome::failed),
+            None => Self::append_group(&mut wal, group).map_err(GroupOutcome::failed),
         };
         if let Err(GroupOutcome::Poisoned(poison)) = &appended {
             // Poisoned before the append role is given up, so the next
@@ -987,14 +880,14 @@ impl Shared {
             self.group.lock().poison(seq, poison.clone());
             self.group_changed.notify_all();
         }
-        // A group that fills the active segment, or that dies on
-        // purpose, keeps the append role until it completes: nothing
-        // lands behind it before it has sealed or crashed.
+        // A group that fills the active segment keeps the append role
+        // until it completes: nothing lands behind it before it has
+        // sealed.
         let full = wal
             .segments
             .last()
             .is_some_and(|active| active.bytes >= self.opts.segment_bytes);
-        let held = (crash.is_some() || full).then_some(wal);
+        let held = full.then_some(wal);
 
         // 2. The group's one fsync, with no lock held unless the group
         // kept the role.
@@ -1023,12 +916,13 @@ impl Shared {
                 match state.poison_at(seq).cloned() {
                     Some(poison) => GroupOutcome::Poisoned(poison),
                     None => {
-                        let mut finished = self.publish(group, crash);
-                        if let (Ok(()), Some(wal)) = (&finished, held) {
+                        self.publish(group);
+                        let mut finished = Ok(());
+                        if let Some(wal) = held {
                             // Seal without blocking committers that only
                             // queue or pick up outcomes.
                             drop(state);
-                            finished = self.seal_held(wal, crash, &obs);
+                            finished = self.seal_held(wal, &obs);
                             state = self.group.lock();
                         }
                         finished.map_or_else(GroupOutcome::failed, |()| GroupOutcome::Done)
@@ -1052,16 +946,7 @@ impl Shared {
     /// Encodes every batch's intents, then every batch's commit marker,
     /// and appends them to the active segment in one write. Returns
     /// each batch's log bytes.
-    fn append_group(
-        &self,
-        wal: &mut WalState,
-        group: &[PendingBatch],
-        crash: Option<DiskCrashPoint>,
-        obs: &Obs,
-    ) -> Result<Vec<u64>, DiskError> {
-        if crash == Some(DiskCrashPoint::BeforeIntents) {
-            return Err(DiskError::Crashed(DiskCrashPoint::BeforeIntents));
-        }
+    fn append_group(wal: &mut WalState, group: &[PendingBatch]) -> Result<Vec<u64>, DiskError> {
         let WalState {
             segments,
             active,
@@ -1075,14 +960,8 @@ impl Shared {
                 batch_bytes[i] += push_intent(group_buf, batch.id, object.as_raw(), state)?;
             }
         }
-        let intents_end = group_buf.len();
         for (i, batch) in group.iter().enumerate() {
             batch_bytes[i] += push_commit(group_buf, batch.id)?;
-        }
-        if crash == Some(DiskCrashPoint::AfterIntents) {
-            active.append(&group_buf[..intents_end])?;
-            self.log_fsync(&**active, obs)?;
-            return Err(DiskError::Crashed(DiskCrashPoint::AfterIntents));
         }
         active.append(group_buf)?;
         let info = segments.last_mut().expect("live list never empty");
@@ -1098,73 +977,33 @@ impl Shared {
 
     /// A durable, unpoisoned group's step past its commit point, at its
     /// turn: publish its states to the tail.
-    fn publish(
-        &self,
-        group: &[PendingBatch],
-        crash: Option<DiskCrashPoint>,
-    ) -> Result<(), DiskError> {
-        if crash == Some(DiskCrashPoint::AfterCommitRecord) {
-            return Err(DiskError::Crashed(DiskCrashPoint::AfterCommitRecord));
-        }
-        {
-            let mut tail = self.tail.lock();
-            for batch in group {
-                for (object, state) in &batch.updates {
-                    tail.insert(object.as_raw(), state.clone());
-                }
+    fn publish(&self, group: &[PendingBatch]) {
+        let mut tail = self.tail.lock();
+        for batch in group {
+            for (object, state) in &batch.updates {
+                tail.insert(object.as_raw(), state.clone());
             }
         }
         self.backlog
             .fetch_add(group.len() as u64, Ordering::Relaxed);
-        if crash == Some(DiskCrashPoint::AfterInstall) {
-            return Err(DiskError::Crashed(DiskCrashPoint::AfterInstall));
-        }
-        Ok(())
     }
 
-    /// Seals the active segment for a published group that kept the
-    /// append role: it filled the segment, or an injected seal or
-    /// checkpoint crash forces the seal so the point is reachable.
-    /// Every earlier group has completed and none appended behind it,
-    /// so the seal sees only published batches.
-    fn seal_held(
-        &self,
-        mut wal: MutexGuard<'_, WalState>,
-        crash: Option<DiskCrashPoint>,
-        obs: &Obs,
-    ) -> Result<(), DiskError> {
-        let seal_crash = crash.filter(|p| {
-            matches!(
-                p,
-                DiskCrashPoint::SealBeforeManifest | DiskCrashPoint::AfterSeal
-            )
-        });
-        self.seal_active(&mut wal, seal_crash, obs)?;
+    /// Seals the active segment for a published group that filled it
+    /// and kept the append role, then wakes the checkpointer. Every
+    /// earlier group has completed and none appended behind it, so the
+    /// seal sees only published batches.
+    fn seal_held(&self, mut wal: MutexGuard<'_, WalState>, obs: &Obs) -> Result<(), DiskError> {
+        self.seal_active(&mut wal, obs)?;
         drop(wal);
         self.kick_checkpointer();
-        match crash {
-            // Die inside the forced checkpoint; the batch itself is
-            // already durable.
-            Some(
-                point @ (DiskCrashPoint::CheckpointBeforeManifest
-                | DiskCrashPoint::CheckpointBeforeGc),
-            ) => self
-                .checkpoint_inner(Some(point), Fold::Always)
-                .and(Err(DiskError::Crashed(point))),
-            _ => Ok(()),
-        }
+        Ok(())
     }
 
     /// Seals the active segment: create + fsync the next segment file,
     /// fsync the segments directory, then commit it into the manifest.
     /// The new segment is in the manifest *before* any record lands in
     /// it.
-    fn seal_active(
-        &self,
-        wal: &mut WalState,
-        crash: Option<DiskCrashPoint>,
-        obs: &Obs,
-    ) -> Result<(), DiskError> {
+    fn seal_active(&self, wal: &mut WalState, obs: &Obs) -> Result<(), DiskError> {
         let next_seq = wal.segments.last().expect("live list never empty").seq + 1;
         let segments_dir = self.dir.join("segments");
         let file = self
@@ -1173,9 +1012,6 @@ impl Shared {
         file.append(LOG_MAGIC)?;
         file.sync()?;
         self.fsync_dir_counted(&segments_dir)?;
-        if crash == Some(DiskCrashPoint::SealBeforeManifest) {
-            return Err(DiskError::Crashed(DiskCrashPoint::SealBeforeManifest));
-        }
         let seqs: Vec<u64> = wal
             .segments
             .iter()
@@ -1196,9 +1032,6 @@ impl Shared {
             batches: old.batches,
             bytes: old.bytes,
         });
-        if crash == Some(DiskCrashPoint::AfterSeal) {
-            return Err(DiskError::Crashed(DiskCrashPoint::AfterSeal));
-        }
         Ok(())
     }
 
@@ -1210,32 +1043,26 @@ impl Shared {
     /// read). An I/O failure poisons the store: this fold is the only
     /// one there is, so a store that silently stopped folding would
     /// grow its replay debt without bound.
-    fn checkpoint_inner(
-        &self,
-        crash: Option<DiskCrashPoint>,
-        fold: Fold,
-    ) -> Result<bool, DiskError> {
+    fn checkpoint_inner(&self, fold: Fold) -> Result<bool, DiskError> {
         let _run = self.ckpt_run.lock();
         if self.group.lock().poisoned.is_some() {
             // A dead store does no more disk work.
             return Ok(false);
         }
-        self.poison_on_io(self.fold_sealed(crash, fold))
+        self.poison_on_io(self.fold_sealed(fold))
     }
 
     /// Passes `result` through; an I/O error in it poisons the store
     /// for every group not yet elected.
     fn poison_on_io<T>(&self, result: Result<T, DiskError>) -> Result<T, DiskError> {
         if let Err(DiskError::Io(e)) = &result {
-            self.group
-                .lock()
-                .poison(u64::MAX, Poison::Io(e.to_string()));
+            self.group.lock().poison(u64::MAX, Poison(e.to_string()));
             self.group_changed.notify_all();
         }
         result
     }
 
-    fn fold_sealed(&self, crash: Option<DiskCrashPoint>, fold: Fold) -> Result<bool, DiskError> {
+    fn fold_sealed(&self, fold: Fold) -> Result<bool, DiskError> {
         let obs = self.obs.get();
         let (folds, old_image) = {
             let wal = self.wal.lock();
@@ -1248,12 +1075,7 @@ impl Shared {
             (folds, wal.image)
         };
         if folds.is_empty() {
-            // An injected checkpoint crash still dies here even with
-            // nothing to fold.
-            return match crash {
-                Some(point) => Err(DiskError::Crashed(point)),
-                None => Ok(false),
-            };
+            return Ok(false);
         }
         let batches: u64 = folds.iter().map(|s| s.batches).sum();
         let watermark = folds.iter().map(|s| s.max_batch).max().unwrap_or(0);
@@ -1282,9 +1104,6 @@ impl Shared {
         file.append(&image)?;
         file.sync()?;
         self.fsync_dir_counted(&segments_dir)?;
-        if crash == Some(DiskCrashPoint::CheckpointBeforeManifest) {
-            return Err(DiskError::Crashed(DiskCrashPoint::CheckpointBeforeManifest));
-        }
         {
             let mut wal = self.wal.lock();
             wal.segments.retain(|s| s.seq > upto);
@@ -1298,9 +1117,6 @@ impl Shared {
             batches,
             objects: states.len() as u64,
         });
-        if crash == Some(DiskCrashPoint::CheckpointBeforeGc) {
-            return Err(DiskError::Crashed(DiskCrashPoint::CheckpointBeforeGc));
-        }
         if let Some(old) = old_image {
             self.fs
                 .remove_file(&segments_dir.join(image_file_name(old)))?;
@@ -2202,7 +2018,9 @@ mod tests {
                 .unwrap();
             store.checkpoint_now().unwrap();
         }
-        let image = DiskStore::live_segment_paths(&dir).unwrap().remove(0);
+        let image = DiskStore::live_segment_paths(&OsFs, &dir)
+            .unwrap()
+            .remove(0);
         let whole = fs::read(&image).unwrap();
         for cut in [LOG_MAGIC.len(), whole.len() - 1] {
             fs::write(&image, &whole[..cut]).unwrap();
@@ -2396,31 +2214,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_crash_poisons_the_store() {
-        let dir = temp_dir();
-        let store = DiskStore::open(&dir).unwrap();
-        let err = store
-            .commit_batch_with_crash(vec![(o(1), bytes(b"x"))], DiskCrashPoint::AfterIntents)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            DiskError::Crashed(DiskCrashPoint::AfterIntents)
-        ));
-        // The "process" is dead: later commits fail the same way.
-        let err = store.commit_batch(vec![(o(2), bytes(b"y"))]).unwrap_err();
-        assert!(matches!(
-            err,
-            DiskError::Crashed(DiskCrashPoint::AfterIntents)
-        ));
-        drop(store);
-        // Reopening (restart) recovers and revives commits.
-        let store = DiskStore::open(&dir).unwrap();
-        assert!(store.read(o(1)).unwrap().is_none());
-        store.commit_batch(vec![(o(2), bytes(b"y"))]).unwrap();
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn orphaned_files_are_swept_on_open() {
         // A crash mid-manifest-write leaves MANIFEST.tmp behind, and a
         // crash mid-fold an image the manifest never named: both are
@@ -2441,7 +2234,7 @@ mod tests {
     /// id it carries; `None` before the first fold. The image must be
     /// one whole batch: its intents, then its marker, then nothing.
     fn image_states(dir: &Path) -> Option<(u64, BTreeMap<u64, Vec<u8>>)> {
-        let image = DiskStore::live_segment_paths(dir).unwrap().remove(0);
+        let image = DiskStore::live_segment_paths(&OsFs, dir).unwrap().remove(0);
         let name = image.file_name().unwrap().to_str().unwrap();
         if !name.starts_with("image-") {
             return None;
@@ -2486,7 +2279,7 @@ mod tests {
 
     /// The names of the files the manifest names, sorted.
     fn live_files(dir: &Path) -> Vec<String> {
-        let mut names: Vec<String> = DiskStore::live_segment_paths(dir)
+        let mut names: Vec<String> = DiskStore::live_segment_paths(&OsFs, dir)
             .unwrap()
             .iter()
             .map(|path| path.file_name().unwrap().to_str().unwrap().to_owned())
@@ -2504,7 +2297,7 @@ mod tests {
         store.commit_batch(vec![(o(1), bytes(b"a"))]).unwrap();
         store.commit_batch(vec![(o(2), bytes(b"b"))]).unwrap();
         assert!(store.checkpoint_backlog() >= 2);
-        let sealed_paths = DiskStore::live_segment_paths(&dir).unwrap();
+        let sealed_paths = DiskStore::live_segment_paths(&OsFs, &dir).unwrap();
         assert!(sealed_paths.len() >= 2, "commits should have sealed");
         assert!(image_states(&dir).is_none(), "no fold yet");
 
@@ -2532,7 +2325,7 @@ mod tests {
         assert!(!store.checkpoint_now().unwrap());
 
         // A second fold replaces the image and GCs the first.
-        let first = DiskStore::live_segment_paths(&dir).unwrap()[0].clone();
+        let first = DiskStore::live_segment_paths(&OsFs, &dir).unwrap()[0].clone();
         store.commit_batch(vec![(o(3), bytes(b"c"))]).unwrap();
         assert!(store.checkpoint_now().unwrap());
         assert!(!first.exists(), "the old image must be deleted");
@@ -2586,7 +2379,7 @@ mod tests {
         let dir = temp_dir();
         let store = DiskStore::open_with(&dir, manual(1)).unwrap();
         store.commit_batch(vec![(o(1), bytes(b"stale"))]).unwrap();
-        let stale_seg = DiskStore::live_segment_paths(&dir).unwrap()[0].clone();
+        let stale_seg = DiskStore::live_segment_paths(&OsFs, &dir).unwrap()[0].clone();
         let stale_bytes = fs::read(&stale_seg).unwrap();
         store.checkpoint_now().unwrap();
         assert!(!stale_seg.exists(), "checkpoint should have GC'd it");
@@ -2599,71 +2392,6 @@ mod tests {
         assert_eq!(store.read(o(1)).unwrap().as_deref(), Some(&b"fresh"[..]));
         assert!(!stale_seg.exists(), "unlisted segment must be swept");
         fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn crash_points_on_seal_and_checkpoint_recover() {
-        for point in [
-            DiskCrashPoint::SealBeforeManifest,
-            DiskCrashPoint::AfterSeal,
-            DiskCrashPoint::CheckpointBeforeManifest,
-            DiskCrashPoint::CheckpointBeforeGc,
-        ] {
-            let dir = temp_dir();
-            let store = DiskStore::open_with(&dir, manual(1 << 20)).unwrap();
-            store.commit_batch(vec![(o(1), bytes(b"base"))]).unwrap();
-            let err = store
-                .commit_batch_with_crash(vec![(o(2), bytes(b"crash"))], point)
-                .unwrap_err();
-            assert!(
-                matches!(err, DiskError::Crashed(p) if p == point),
-                "{point:?}: {err:?}"
-            );
-            assert!(store.checkpoint_now().is_err(), "{point:?}: poisoned");
-            drop(store);
-            // No background checkpointer: the files checked below must
-            // be what recovery left, not a fold racing it.
-            let store = DiskStore::open_with(&dir, manual(1 << 20)).unwrap();
-            // All four points sit past the commit point: both batches
-            // must survive the crash, whatever the maintenance step
-            // was doing.
-            assert_eq!(
-                store.read(o(1)).unwrap().as_deref(),
-                Some(&b"base"[..]),
-                "{point:?}"
-            );
-            assert_eq!(
-                store.read(o(2)).unwrap().as_deref(),
-                Some(&b"crash"[..]),
-                "{point:?}"
-            );
-            // Recovery leaves a coherent manifest: exactly the files it
-            // names exist on disk, nothing else, and every batch the
-            // live segments hold is replay debt until a fold.
-            assert_eq!(
-                store.checkpoint_backlog(),
-                store.replay_stats().batches,
-                "{point:?}"
-            );
-            assert_eq!(
-                segment_files(&dir),
-                live_files(&dir),
-                "{point:?}: orphan files survived recovery"
-            );
-            // Only a fold whose manifest rewrite landed leaves an image,
-            // and then it holds both batches.
-            let image = image_states(&dir).map(|(_, states)| states);
-            if point == DiskCrashPoint::CheckpointBeforeGc {
-                let both = BTreeMap::from([(1, b"base".to_vec()), (2, b"crash".to_vec())]);
-                assert_eq!(image, Some(both), "{point:?}");
-                assert_eq!(store.replay_stats().batches, 0, "{point:?}");
-            } else {
-                assert_eq!(image, None, "{point:?}: an image the manifest never named");
-                assert_eq!(store.replay_stats().batches, 2, "{point:?}");
-            }
-            store.commit_batch(vec![(o(3), bytes(b"after"))]).unwrap();
-            fs::remove_dir_all(&dir).ok();
-        }
     }
 
     #[test]
@@ -2745,7 +2473,7 @@ mod tests {
         store.commit_batch(vec![(o(101), bytes(b"new"))]).unwrap();
         assert_eq!(store.checkpoint_backlog(), 3);
         drop(store);
-        let live = DiskStore::live_segment_paths(&dir).unwrap();
+        let live = DiskStore::live_segment_paths(&OsFs, &dir).unwrap();
 
         let store = DiskStore::open_with(&dir, manual(1)).unwrap();
         assert_eq!(
@@ -2756,7 +2484,7 @@ mod tests {
                 objects: 2, // o100 twice, o101 once
             }
         );
-        assert_eq!(DiskStore::live_segment_paths(&dir).unwrap(), live);
+        assert_eq!(DiskStore::live_segment_paths(&OsFs, &dir).unwrap(), live);
         assert_eq!(store.read(o(100)).unwrap().as_deref(), Some(&b"newer"[..]));
         for i in 0..6 {
             assert_eq!(store.read(o(i)).unwrap().as_deref(), Some(&b"old"[..]));
@@ -2801,7 +2529,7 @@ mod tests {
             let store = DiskStore::open_with(&dir, manual(1 << 20)).unwrap();
             store.commit_batch(vec![(o(3), bytes(b"c"))]).unwrap();
         }
-        let live = DiskStore::live_segment_paths(&dir).unwrap();
+        let live = DiskStore::live_segment_paths(&OsFs, &dir).unwrap();
         assert_eq!(live.len(), 3);
         let before = snapshot(&dir);
 
@@ -2809,7 +2537,7 @@ mod tests {
         assert_eq!(store.replay_stats().batches, 3);
         assert_eq!(store.log_fsync_count(), 0);
         assert_eq!(store.dir_fsync_count(), 0);
-        assert_eq!(DiskStore::live_segment_paths(&dir).unwrap(), live);
+        assert_eq!(DiskStore::live_segment_paths(&OsFs, &dir).unwrap(), live);
         assert_eq!(snapshot(&dir), before, "recovery changed a file");
         fs::remove_dir_all(&dir).ok();
     }
@@ -2953,9 +2681,9 @@ mod tests {
             store.commit_batch(vec![(o(1), bytes(b"v"))]).unwrap();
             store.checkpoint_now().unwrap();
         }
-        let live_before = DiskStore::live_segment_paths(&dir).unwrap();
+        let live_before = DiskStore::live_segment_paths(&OsFs, &dir).unwrap();
         drop(DiskStore::open(&dir).unwrap());
-        let live_after = DiskStore::live_segment_paths(&dir).unwrap();
+        let live_after = DiskStore::live_segment_paths(&OsFs, &dir).unwrap();
         assert_eq!(live_before, live_after, "idle reopen churned the manifest");
         fs::remove_dir_all(&dir).ok();
     }

@@ -10,9 +10,7 @@
 //!
 //! * [`DiskStore`] — the stable storage of every node, simulated or
 //!   not: the intentions-list protocol (log intents → log commit record
-//!   → install) over a segmented write-ahead log, recovered at open,
-//!   with controllable crash points ([`DiskCrashPoint`]) for fault
-//!   injection;
+//!   → install) over a segmented write-ahead log, recovered at open;
 //! * [`Fs`] — the filesystem under it: [`OsFs`] for a real directory,
 //!   [`MemFs`] for an in-memory disk whose [`crash`](MemFs::crash)
 //!   loses everything no fsync made durable;
@@ -49,7 +47,7 @@ mod disk;
 mod fs;
 mod versions;
 
-pub use disk::{DiskCrashPoint, DiskError, DiskStore, DiskStoreOptions, ReplayStats};
+pub use disk::{DiskError, DiskStore, DiskStoreOptions, ReplayStats};
 pub use fs::{Fs, FsFile, MemFs, OsFs};
 pub use versions::{GcStats, SnapshotStamps, StampClock, VersionChains, VisibleVersion};
 

@@ -1,8 +1,9 @@
-//! Fault-injection tests for the on-disk store: kill the WAL at random
-//! crash points and tear it at random byte offsets (power loss
-//! mid-flush), then prove recovery restores a state the trace auditor
-//! accepts — committed batches durable, uncommitted ones rolled back,
-//! never a mix.
+//! Fault-injection tests for the on-disk store: tear the log of a
+//! committed batch at random byte offsets (power loss mid-flush) and
+//! flip its bits, then prove recovery restores a state the trace
+//! auditor accepts — committed batches durable, uncommitted ones rolled
+//! back, never a mix. (`memfs_crash` cuts the power at every filesystem
+//! step instead.)
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,7 +11,7 @@ use std::sync::Arc;
 
 use chroma_base::ObjectId;
 use chroma_obs::{EventBus, MemorySink, Obs, Observable, TraceAuditor};
-use chroma_store::{DiskCrashPoint, DiskError, DiskStore, StoreBytes};
+use chroma_store::{DiskError, DiskStore, DiskStoreOptions, OsFs, StoreBytes};
 use proptest::prelude::*;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -35,7 +36,7 @@ fn o(n: u64) -> ObjectId {
 /// The active (newest) live segment of a closed store directory — the
 /// file a torn-power-loss test mutilates.
 fn active_segment(dir: &std::path::Path) -> PathBuf {
-    DiskStore::live_segment_paths(dir)
+    DiskStore::live_segment_paths(&OsFs, dir)
         .unwrap()
         .last()
         .cloned()
@@ -44,6 +45,21 @@ fn active_segment(dir: &std::path::Path) -> PathBuf {
 
 fn bytes(v: &[u8]) -> StoreBytes {
     StoreBytes::from(v.to_vec())
+}
+
+/// A store at `dir` holding the baseline folded into its checkpoint
+/// image and then one committed batch overwriting objects
+/// `1..=batch_size`, closed: its active segment holds exactly that
+/// batch, and with no checkpointer nothing folds it at the drop.
+fn crash_past_the_commit_point(dir: &std::path::Path, batch_size: u64) {
+    let opts = DiskStoreOptions {
+        auto_checkpoint: false,
+        ..DiskStoreOptions::default()
+    };
+    let store = DiskStore::open_with(dir, opts).unwrap();
+    seed_baseline(&store);
+    store.checkpoint_now().unwrap();
+    store.commit_batch(overwrite_batch(batch_size)).unwrap();
 }
 
 /// Commits `[i, 0]` to objects `1..=BASELINE_OBJECTS` — the durable
@@ -102,7 +118,7 @@ fn torture_seed() -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Crash after the commit point, then tear the log at a random byte
+    /// Crash past the commit point, then tear the log at a random byte
     /// offset before reopening. Recovery must be all-or-nothing: the
     /// batch survives exactly when the tear spared the commit marker
     /// (the final record), and the baseline survives regardless.
@@ -112,23 +128,7 @@ proptest! {
         cut_permille in 0u64..=1000,
     ) {
         let dir = temp_dir();
-        {
-            let store = DiskStore::open(&dir).unwrap();
-            seed_baseline(&store);
-            // Fold the baseline into objects/ so the active segment
-            // holds exactly the batch the tear targets.
-            store.checkpoint_now().unwrap();
-            let err = store
-                .commit_batch_with_crash(
-                    overwrite_batch(batch_size),
-                    DiskCrashPoint::AfterCommitRecord,
-                )
-                .unwrap_err();
-            prop_assert!(matches!(
-                err,
-                DiskError::Crashed(DiskCrashPoint::AfterCommitRecord)
-            ));
-        }
+        crash_past_the_commit_point(&dir, batch_size);
         let log_path = active_segment(&dir);
         let log = std::fs::read(&log_path).unwrap();
         prop_assert!(!log.is_empty(), "crash left no log to tear");
@@ -154,47 +154,6 @@ proptest! {
         prop_assert_eq!(store.replay_stats().batches, u64::from(survives) + 1);
         std::fs::remove_dir_all(&dir).ok();
     }
-
-    /// Kill the commit at each injection point; recovery lands on the
-    /// correct side of the commit point every time.
-    #[test]
-    fn every_crash_point_recovers_cleanly(
-        crash_idx in 0usize..8,
-        batch_size in 1u64..=BASELINE_OBJECTS,
-    ) {
-        let points = [
-            DiskCrashPoint::BeforeIntents,
-            DiskCrashPoint::AfterIntents,
-            DiskCrashPoint::AfterCommitRecord,
-            DiskCrashPoint::AfterInstall,
-            DiskCrashPoint::SealBeforeManifest,
-            DiskCrashPoint::AfterSeal,
-            DiskCrashPoint::CheckpointBeforeManifest,
-            DiskCrashPoint::CheckpointBeforeGc,
-        ];
-        let point = points[crash_idx];
-        let dir = temp_dir();
-        {
-            let store = DiskStore::open(&dir).unwrap();
-            seed_baseline(&store);
-            let err = store
-                .commit_batch_with_crash(overwrite_batch(batch_size), point)
-                .unwrap_err();
-            prop_assert!(matches!(err, DiskError::Crashed(p) if p == point));
-        }
-        let store = DiskStore::open(&dir).unwrap();
-        // The commit point is the group's one fsync: every stage at or past
-        // `AfterCommitRecord` (including the seal and checkpoint
-        // stages, which run after the flush) keeps the batch.
-        let survives = !matches!(
-            point,
-            DiskCrashPoint::BeforeIntents | DiskCrashPoint::AfterIntents
-        );
-        assert_all_or_nothing(&store, batch_size, survives);
-        // Batch ids continue past the recovered log; commits still work.
-        store.commit_batch(vec![(o(9), bytes(&[9, 9]))]).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }
 
 /// The log's byte ranges where a flip may legally degrade to silent
@@ -216,12 +175,12 @@ fn unprotected_ranges(log: &[u8]) -> Vec<std::ops::Range<usize>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Flip one bit anywhere in a log holding a committed-but-not-yet
-    /// installed batch. A flip in the magic or in CRC-protected bytes
-    /// must fail `open` with `CorruptLog`; a flip in the framing (length
-    /// prefixes) may instead truncate silently, but recovery must then
-    /// be all-or-nothing with the batch rolled back and the baseline
-    /// intact.
+    /// Flip one bit anywhere in a log holding a committed batch the
+    /// checkpoint image does not. A flip in the magic or in
+    /// CRC-protected bytes must fail `open` with `CorruptLog`; a flip in
+    /// the framing (length prefixes) may instead truncate silently, but
+    /// recovery must then be all-or-nothing with the batch rolled back
+    /// and the baseline intact.
     #[test]
     fn flipped_log_bytes_are_detected_or_rolled_back(
         batch_size in 1u64..=BASELINE_OBJECTS,
@@ -229,19 +188,9 @@ proptest! {
         flip_bit in 0u32..8,
     ) {
         let dir = temp_dir();
-        {
-            let store = DiskStore::open(&dir).unwrap();
-            seed_baseline(&store);
-            // Fold the baseline away so the flip always lands in the
-            // segment holding the committed-but-uncheckpointed batch.
-            store.checkpoint_now().unwrap();
-            store
-                .commit_batch_with_crash(
-                    overwrite_batch(batch_size),
-                    DiskCrashPoint::AfterCommitRecord,
-                )
-                .unwrap_err();
-        }
+        // The baseline is folded away, so the flip always lands in the
+        // segment holding the committed-but-uncheckpointed batch.
+        crash_past_the_commit_point(&dir, batch_size);
         let log_path = active_segment(&dir);
         let mut log = std::fs::read(&log_path).unwrap();
         let pos = usize::try_from(flip_pos_seed % log.len() as u64).unwrap();
@@ -277,17 +226,7 @@ fn seed_matrix_truncation_torture() {
     for round in 0..16u64 {
         let batch_size = splitmix(&mut state) % BASELINE_OBJECTS + 1;
         let dir = temp_dir();
-        {
-            let store = DiskStore::open(&dir).unwrap();
-            seed_baseline(&store);
-            store.checkpoint_now().unwrap();
-            store
-                .commit_batch_with_crash(
-                    overwrite_batch(batch_size),
-                    DiskCrashPoint::AfterCommitRecord,
-                )
-                .unwrap_err();
-        }
+        crash_past_the_commit_point(&dir, batch_size);
         let log_path = active_segment(&dir);
         let log = std::fs::read(&log_path).unwrap();
         let cut = usize::try_from(splitmix(&mut state) % (log.len() as u64 + 1)).unwrap();
@@ -320,113 +259,6 @@ fn seed_matrix_truncation_torture() {
 
         // The whole traced recovery + commit is clean under audit.
         assert_eq!(sink.dropped(), 0);
-        let report = TraceAuditor::audit_events(&sink.events());
-        assert!(report.is_clean(), "round {round} audit failed:\n{report}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-/// Seeded multi-threaded group-commit torture: committer threads race
-/// into shared group flushes while one of them injects a crash at each
-/// `DiskCrashPoint`. Reopening must recover every batch all-or-nothing
-/// (a committer that got `Ok` keeps its whole batch; a crashed one
-/// keeps all of it or none), and the combined trace — group flushes,
-/// crash, deferred replay, post-recovery commit — must audit clean
-/// under R1–R11.
-#[test]
-fn seed_matrix_group_commit_crash_torture() {
-    use std::sync::Barrier;
-
-    const COMMITTERS: u64 = 6;
-    let points = [
-        DiskCrashPoint::BeforeIntents,
-        DiskCrashPoint::AfterIntents,
-        DiskCrashPoint::AfterCommitRecord,
-        DiskCrashPoint::AfterInstall,
-    ];
-    let mut state = torture_seed().wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x6C0A;
-    for (round, &point) in points.iter().enumerate() {
-        let dir = temp_dir();
-        let bus = Arc::new(EventBus::new());
-        let sink = Arc::new(MemorySink::new(100_000));
-        bus.add_sink(sink.clone());
-
-        let store = Arc::new(DiskStore::open(&dir).unwrap());
-        store.install_obs(Obs::new(bus.clone()));
-        let crasher = splitmix(&mut state) % COMMITTERS;
-        let marker = (splitmix(&mut state) % 0xFF) as u8 + 1;
-        let barrier = Arc::new(Barrier::new(COMMITTERS as usize));
-        let handles: Vec<_> = (0..COMMITTERS)
-            .map(|i| {
-                let store = Arc::clone(&store);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    // Two objects per batch, so a torn batch is visible.
-                    let updates = vec![
-                        (o(100 + 2 * i), bytes(&[i as u8, marker])),
-                        (o(101 + 2 * i), bytes(&[i as u8, marker])),
-                    ];
-                    barrier.wait();
-                    if i == crasher {
-                        store.commit_batch_with_crash(updates, point)
-                    } else {
-                        store.commit_batch(updates)
-                    }
-                })
-            })
-            .collect();
-        let committed: Vec<bool> = handles
-            .into_iter()
-            .map(|h| match h.join().unwrap() {
-                Ok(()) => true,
-                Err(DiskError::Crashed(_)) => false,
-                Err(e) => panic!("round {round}: unexpected commit error: {e}"),
-            })
-            .collect();
-        assert!(
-            !committed[crasher as usize],
-            "round {round}: the crashing committer cannot succeed"
-        );
-        drop(store);
-
-        // Restart: recovery replays into the same trace (the deferred
-        // DiskReplay must balance the group-fsynced, unchecked markers
-        // for R9).
-        let store = DiskStore::open(&dir).unwrap();
-        store.install_obs(Obs::new(bus.clone()));
-        for i in 0..COMMITTERS {
-            let first = store.read(o(100 + 2 * i)).unwrap();
-            let second = store.read(o(101 + 2 * i)).unwrap();
-            let expect = [i as u8, marker];
-            if committed[i as usize] {
-                assert_eq!(
-                    first.as_deref(),
-                    Some(&expect[..]),
-                    "round {round}: acknowledged batch {i} lost"
-                );
-            }
-            match (first, second) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.as_ref(), &expect[..], "round {round}: batch {i} torn");
-                    assert_eq!(b.as_ref(), &expect[..], "round {round}: batch {i} torn");
-                }
-                (None, None) => {}
-                _ => panic!("round {round}: batch {i} recovered half-installed"),
-            }
-        }
-        // The store is live again and keeps emitting the group-commit
-        // vocabulary.
-        store.commit_batch(vec![(o(999), bytes(&[9, 9]))]).unwrap();
-        assert!(
-            bus.counter("disk_group_commit") >= 1,
-            "round {round}: no group flush was traced"
-        );
-        assert!(
-            bus.snapshot().histogram("store.group_size").is_some(),
-            "round {round}: group sizes not observed"
-        );
-
-        assert_eq!(sink.dropped(), 0, "round {round}");
         let report = TraceAuditor::audit_events(&sink.events());
         assert!(report.is_clean(), "round {round} audit failed:\n{report}");
         std::fs::remove_dir_all(&dir).ok();

@@ -1,16 +1,17 @@
 //! Real I/O faults under `DiskStore`. `FaultyFs` wraps `MemFs` and
-//! fails the nth `sync`, `sync_dir` or `rename`, returns ENOSPC on the
-//! nth `append`, or makes a torn durable append: the first k bytes of
-//! the nth `append` written and synced, then an error.
+//! fails the nth `sync`, `sync_dir`, `rename` or `remove_file`, returns
+//! ENOSPC on the nth `append`, or makes a torn durable append: the first
+//! k bytes of the nth `append` written and synced, then an error.
 //!
-//! Each poison path (a group flush, a seal, a checkpoint) must fail
-//! loudly: every batch of the failed group gets `Err`, later commits
-//! and `checkpoint_now` fail until reopen, and after power loss and a
-//! reopen every acknowledged batch is present and every failed batch is
-//! wholly present or wholly absent. The torn-append sweep cuts a
-//! three-batch group's one append at every byte and checks that exactly
-//! the batches whose commit marker lies wholly in the synced prefix
-//! survive. `CHROMA_TORTURE_SEED` (default 42) draws the batches.
+//! Each poison path (a group flush, a seal, a checkpoint and its GC)
+//! must fail loudly: every batch of the failed group gets `Err`, later
+//! commits and `checkpoint_now` fail until reopen, and after power loss
+//! and a reopen every acknowledged batch is present and every failed
+//! batch is wholly present or wholly absent. The torn-append sweep cuts
+//! a three-batch group's one append at every byte and checks that
+//! exactly the batches whose commit marker lies wholly in the synced
+//! prefix survive. `CHROMA_TORTURE_SEED` (default 42) draws the
+//! batches.
 //!
 //! Two groups can be in flight at once, so the harness parks both
 //! in-flight fsyncs to queue the group under test behind them. The
@@ -54,6 +55,7 @@ enum Fault {
     /// The append writes nothing and fails with ENOSPC.
     Enospc(u32),
     Rename(u32),
+    Remove(u32),
     /// The append writes and syncs its first k bytes, then fails.
     TornAppend(u32, usize),
 }
@@ -64,6 +66,7 @@ struct Counts {
     sync_dirs: u32,
     appends: u32,
     renames: u32,
+    removes: u32,
 }
 
 /// Where a parked file sync or append is.
@@ -229,6 +232,12 @@ impl Fs for FaultyFs {
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
+        let mut ctl = self.control();
+        ctl.counts.removes += 1;
+        if ctl.fault == Fault::Remove(ctl.counts.removes) {
+            return Err(injected("remove"));
+        }
+        drop(ctl);
         self.inner.remove_file(path)
     }
 
@@ -597,6 +606,83 @@ fn a_failed_checkpoint_poisons_and_loses_nothing() {
         assert_poisoned(&store, &mut draw, &what);
         drop(store);
         crash_and_check(&fs.inner, &acked, &[], &what);
+    }
+}
+
+/// The files in the store's `segments/` and the files its manifest
+/// names, each sorted.
+fn segment_files(disk: &MemFs) -> (Vec<String>, Vec<String>) {
+    let mut on_disk = disk.list(Path::new("store/segments")).unwrap();
+    on_disk.sort();
+    let mut named: Vec<String> = DiskStore::live_segment_paths(disk, "store")
+        .unwrap()
+        .iter()
+        .map(|path| path.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    named.sort();
+    (on_disk, named)
+}
+
+#[test]
+fn a_failed_gc_remove_poisons_and_reopen_sweeps_what_it_left() {
+    let seed = seed();
+    let mut draw = Draw::new(seed);
+    // Every commit seals (segment_bytes 1). The second fold's GC removes
+    // the first fold's image, then the two segments it folded: fail
+    // each remove in turn. The manifest already names the new image.
+    for n in 1..=3 {
+        let what = format!("seed {seed} {:?}", Fault::Remove(n));
+        let fs = FaultyFs::new();
+        let store = open(&fs, 1);
+        let mut acked = vec![draw.batch()];
+        store.commit_batch(updates(&acked[0])).expect("commit");
+        assert!(store.checkpoint_now().expect("the first image"));
+        for _ in 0..2 {
+            let batch = draw.batch();
+            store.commit_batch(updates(&batch)).expect("commit");
+            acked.push(batch);
+        }
+        fs.arm(Fault::Remove(n));
+        assert!(
+            store.checkpoint_now().is_err(),
+            "{what}: the fault was missed"
+        );
+        assert_poisoned(&store, &mut draw, &what);
+        drop(store);
+
+        // No directory sync followed the GC: after power loss every
+        // file it was to remove is back, unnamed.
+        fs.inner.crash();
+        let (on_disk, named) = segment_files(&fs.inner);
+        assert_eq!(on_disk.len(), named.len() + 3, "{what}: {on_disk:?}");
+        let reopen = || {
+            DiskStore::open_fs(Arc::new(fs.inner.clone()), "store", opts(1))
+                .unwrap_or_else(|e| panic!("{what}: reopen failed: {e}"))
+        };
+        let store = reopen();
+        let (on_disk, named) = segment_files(&fs.inner);
+        assert_eq!(on_disk, named, "{what}: the reopen kept orphans");
+        for batch in &acked {
+            assert_eq!(landed(&store, batch), batch.len(), "{what}: a batch lost");
+        }
+        // The fold can be redone.
+        let batch = draw.batch();
+        store
+            .commit_batch(updates(&batch))
+            .expect("commit after reopen");
+        acked.push(batch);
+        assert!(store.checkpoint_now().expect("refold"), "{what}");
+        drop(store);
+        let store = reopen();
+        for batch in &acked {
+            assert_eq!(
+                landed(&store, batch),
+                batch.len(),
+                "{what}: after the refold"
+            );
+        }
+        let (on_disk, named) = segment_files(&fs.inner);
+        assert_eq!(on_disk, named, "{what}: after the refold");
     }
 }
 
