@@ -10,8 +10,8 @@
 //! be all there or not there at all.
 //!
 //! - `every_power_cut_of_a_seeded_history_recovers` cuts a seeded
-//!   history (a brand-new store, commits that seal segments, two folds,
-//!   a reopen) at every operation in turn, tears every log or image
+//!   history (a brand-new store, commits that seal segments, three
+//!   folds, a reopen) at every operation in turn, tears every log or image
 //!   append at every frame boundary and once inside a frame, and cuts
 //!   each recovery at each of its own operations before a clean reopen.
 //! - `acknowledged_batches_survive_power_loss_and_none_is_partial` runs
@@ -302,14 +302,17 @@ enum Step {
 }
 
 /// A brand-new store, commits that fill 512-byte segments so groups
-/// seal, two folds (the second GCs the first's image), a reopen, and a
-/// few commits after it.
+/// seal, three folds (each GCs the last one's image), a reopen, and a
+/// few commits after it. A fold leaves the active segment empty and one
+/// batch (at most 448 bytes) cannot fill it, so the second fold seals
+/// that batch's segment itself.
 fn history(seed: u64) -> Vec<Step> {
     let mut rng = seed ^ 0x4849_5354;
     let mut serial = 0u64;
     let mut steps = vec![Step::Open];
     for (commits, then) in [
         (10, Step::Checkpoint),
+        (1, Step::Checkpoint),
         (10, Step::Checkpoint),
         (6, Step::Open),
     ] {
@@ -327,6 +330,8 @@ fn history(seed: u64) -> Vec<Step> {
 /// What a history left behind when the power went.
 struct Run {
     fs: CutFs,
+    /// How many operations preceded each step that ran.
+    step_starts: Vec<usize>,
     bus: Arc<EventBus>,
     sink: Arc<MemorySink>,
     /// Every acknowledged batch, applied in order.
@@ -342,7 +347,9 @@ fn run_history(steps: &[Step], cut: Option<PowerCut>) -> Run {
     let (bus, sink) = traced();
     let mut store: Option<DiskStore> = None;
     let (mut acked, mut interrupted) = (Batch::new(), None);
+    let mut step_starts = Vec::new();
     for (i, step) in steps.iter().enumerate() {
+        step_starts.push(fs.ops().len());
         let outcome = match step {
             Step::Open => {
                 drop(store.take());
@@ -373,6 +380,7 @@ fn run_history(steps: &[Step], cut: Option<PowerCut>) -> Run {
     }
     Run {
         fs,
+        step_starts,
         bus,
         sink,
         acked,
@@ -390,6 +398,7 @@ fn recover_and_check(run: Run, reopen_at: usize, what: &str) -> bool {
         sink,
         acked,
         interrupted,
+        ..
     } = run;
     fs.arm(Some(PowerCut::at(reopen_at)));
     let (store, reopen_cut) = match open(&fs) {
@@ -493,7 +502,8 @@ fn find_run(ops: &[Op], run: &[&str]) -> usize {
 
 /// The history covers, by name, every step a commit, a seal and a fold
 /// take, so cutting every operation cuts between each pair of them.
-fn assert_named_steps(ops: &[Op]) {
+fn assert_named_steps(steps: &[Step], full: &Run) {
+    let ops = &full.fs.ops();
     const LOG: &str = "store/segments/seg-";
     let seg = |op: &str| format!("{op} {LOG}");
     let manifest = [
@@ -558,7 +568,14 @@ fn assert_named_steps(ops: &[Op]) {
     assert!(
         ops.iter()
             .any(|op| op.what.starts_with("remove store/segments/image-")),
-        "the second fold GCs the first image"
+        "a later fold GCs the first image"
+    );
+    // A checkpoint that seals the active segment itself before folding.
+    assert!(
+        steps.iter().zip(&full.step_starts).any(|(step, &at)| {
+            matches!(step, Step::Checkpoint) && ops[at].what.starts_with(&seg("create"))
+        }),
+        "no checkpoint sealed its own segment"
     );
 }
 
@@ -605,7 +622,7 @@ fn every_power_cut_of_a_seeded_history_recovers() {
         }
     }
     assert!(runs > 2 * ops.len(), "seed {seed}: {runs} runs");
-    assert_named_steps(&ops);
+    assert_named_steps(&steps, &full);
 }
 
 #[test]
