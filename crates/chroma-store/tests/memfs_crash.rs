@@ -85,7 +85,7 @@ struct CutFs {
 
 #[derive(Debug, Default)]
 struct Cut {
-    at: Option<PowerCut>,
+    armed: Option<PowerCut>,
     /// The mutating operations since the last `arm`, the cut one
     /// included.
     ops: Vec<Op>,
@@ -93,11 +93,11 @@ struct Cut {
 }
 
 impl CutFs {
-    /// Cuts the power at `at` (never for `None`), counting operations
+    /// Cuts the power at `armed` (never for `None`), counting operations
     /// from now, and revives a dead disk.
-    fn arm(&self, at: Option<PowerCut>) {
+    fn arm(&self, armed: Option<PowerCut>) {
         *self.cut.lock().unwrap() = Cut {
-            at,
+            armed,
             ops: Vec::new(),
             dead: false,
         };
@@ -129,11 +129,11 @@ impl CutFs {
                 bytes: append.map_or_else(Vec::new, |(bytes, _)| bytes.to_vec()),
                 thread: thread::current().id(),
             });
-            let Some(at) = cut.at.filter(|at| at.at == cut.ops.len()) else {
+            let Some(power_cut) = cut.armed.filter(|armed| armed.at == cut.ops.len()) else {
                 return Ok(cut);
             };
             cut.dead = true;
-            if let (Some(torn), Some((bytes, file))) = (at.torn, append) {
+            if let (Some(torn), Some((bytes, file))) = (power_cut.torn, append) {
                 file.append(&bytes[..torn])?;
                 file.sync()?;
             }
