@@ -8,11 +8,13 @@
 //! instructions.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, LazyLock};
 
 use parking_lot::Mutex;
 
 use crate::error::ColourError;
+use crate::sync::{AppendList, CachePadded};
 
 /// Maximum number of colours that may be live simultaneously in one
 /// [`ColourUniverse`].
@@ -247,11 +249,25 @@ impl Iterator for ColourSetIter {
 
 impl ExactSizeIterator for ColourSetIter {}
 
-#[derive(Default)]
+/// The shared state of a [`ColourUniverse`].
 struct UniverseState {
-    /// `Some(name)` for live slots, `None` for free slots.
-    slots: Vec<Option<String>>,
+    /// Bit *i* set: slot *i* is live. `fresh` and `release` claim and
+    /// clear bits here, with no lock.
+    live: CachePadded<AtomicU64>,
+    /// Per slot: the serial of the named interning that claimed it, or
+    /// 0 for an anonymous (or free) slot.
+    keys: [AtomicU64; MAX_LIVE_COLOURS],
+    /// Every named interning ever made, as `(serial, name)`; a slot's
+    /// name is the entry its key points at.
+    names: AppendList<(u64, String)>,
+    /// Serialises named interning (so racing `colour("x")` calls agree)
+    /// and holds the last serial handed out.
+    interning: Mutex<u64>,
 }
+
+/// The names of anonymous colours, by slot.
+static ANON_NAMES: LazyLock<[String; MAX_LIVE_COLOURS]> =
+    LazyLock::new(|| std::array::from_fn(|i| format!("#anon-{i}")));
 
 /// The registry of colours for one runtime.
 ///
@@ -261,6 +277,10 @@ struct UniverseState {
 /// [`ColourUniverse::fresh`] and may be recycled with
 /// [`ColourUniverse::release`] once no live action uses them, keeping
 /// long-running systems inside the 64-live-colour budget.
+///
+/// Liveness is one atomic 64-bit mask: `fresh` and `release` claim and
+/// clear its bits without a lock, and name lookups take none either.
+/// Only interning a *named* colour locks.
 ///
 /// The universe is cheap to clone; clones share the same registry.
 ///
@@ -275,9 +295,22 @@ struct UniverseState {
 /// assert_ne!(red, anon);
 /// u.release(anon);
 /// ```
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct ColourUniverse {
-    state: Arc<Mutex<UniverseState>>,
+    state: Arc<UniverseState>,
+}
+
+impl Default for ColourUniverse {
+    fn default() -> Self {
+        ColourUniverse {
+            state: Arc::new(UniverseState {
+                live: CachePadded(AtomicU64::new(0)),
+                keys: std::array::from_fn(|_| AtomicU64::new(0)),
+                names: AppendList::default(),
+                interning: Mutex::new(0),
+            }),
+        }
+    }
 }
 
 impl ColourUniverse {
@@ -306,15 +339,22 @@ impl ColourUniverse {
     /// Returns [`ColourError::Exhausted`] if the universe already holds
     /// [`MAX_LIVE_COLOURS`] live colours.
     pub fn try_colour(&self, name: &str) -> Result<Colour, ColourError> {
-        let mut state = self.state.lock();
-        if let Some(index) = state
-            .slots
+        let state = &*self.state;
+        let mut serial = state.interning.lock();
+        let live = state.live.load(Ordering::Acquire);
+        if let Some(colour) = ColourSet(live)
             .iter()
-            .position(|slot| slot.as_deref() == Some(name))
+            .find(|&c| state.named(c).is_some_and(|(_, n)| n == name))
         {
-            return Ok(Colour(index as u8));
+            return Ok(colour);
         }
-        Self::allocate(&mut state, name.to_owned())
+        let colour = self.claim()?;
+        *serial += 1;
+        // The name is in the list before the key points at it (the
+        // key's Release pairs with the Acquire load in `named`).
+        state.names.push((*serial, name.to_owned()));
+        state.keys[colour.index()].store(*serial, Ordering::Release);
+        Ok(colour)
     }
 
     /// Allocates a fresh anonymous colour.
@@ -324,9 +364,7 @@ impl ColourUniverse {
     /// Returns [`ColourError::Exhausted`] if the universe already holds
     /// [`MAX_LIVE_COLOURS`] live colours.
     pub fn fresh(&self) -> Result<Colour, ColourError> {
-        let mut state = self.state.lock();
-        let name = format!("#anon-{}", state.slots.len());
-        Self::allocate(&mut state, name)
+        self.claim()
     }
 
     /// Releases a colour back to the universe so its slot can be reused.
@@ -335,55 +373,91 @@ impl ColourUniverse {
     /// chroma runtime does this automatically for compiler-allocated
     /// colours.
     pub fn release(&self, colour: Colour) {
-        let mut state = self.state.lock();
-        if let Some(slot) = state.slots.get_mut(colour.index()) {
-            *slot = None;
+        let key = &self.state.keys[colour.index()];
+        // An anonymous slot's key is already 0: leave its line clean.
+        if key.load(Ordering::Relaxed) != 0 {
+            key.store(0, Ordering::Relaxed);
         }
+        // Release pairs with `claim`'s Acquire: the next claimer of the
+        // slot sees its key cleared.
+        self.state
+            .live
+            .fetch_and(!(1u64 << colour.index()), Ordering::Release);
     }
 
     /// Returns the name under which `colour` was interned.
     ///
-    /// Released slots report `"<released>"`.
+    /// Anonymous colours are named `#anon-<slot>`; released slots
+    /// report `"<released>"`.
     #[must_use]
     pub fn name(&self, colour: Colour) -> String {
         self.with_name(colour, str::to_owned)
     }
 
     /// Calls `f` with the name [`ColourUniverse::name`] returns, without
-    /// copying it. The universe stays locked while `f` runs.
+    /// copying it or taking a lock.
     pub fn with_name<R>(&self, colour: Colour, f: impl FnOnce(&str) -> R) -> R {
-        let state = self.state.lock();
+        let state = &*self.state;
+        if state.live.load(Ordering::Acquire) & (1u64 << colour.index()) == 0 {
+            return f("<released>");
+        }
         f(state
-            .slots
-            .get(colour.index())
-            .and_then(Option::as_deref)
-            .unwrap_or("<released>"))
+            .named(colour)
+            .map_or(ANON_NAMES[colour.index()].as_str(), |(_, name)| name))
+    }
+
+    /// Identifies the name `colour` carries now: two reads of one slot
+    /// that return the same key saw the same name. Anonymous colours
+    /// key 0. Lets callers cache something per name without a lock.
+    #[must_use]
+    pub fn name_key(&self, colour: Colour) -> u64 {
+        self.state.keys[colour.index()].load(Ordering::Acquire)
     }
 
     /// Returns the number of live colours.
     #[must_use]
     pub fn live_count(&self) -> usize {
-        self.state.lock().slots.iter().flatten().count()
+        self.state.live.load(Ordering::Relaxed).count_ones() as usize
     }
 
-    fn allocate(state: &mut UniverseState, name: String) -> Result<Colour, ColourError> {
-        if let Some(index) = state.slots.iter().position(Option::is_none) {
-            state.slots[index] = Some(name);
-            return Ok(Colour(index as u8));
+    /// Claims the lowest free slot.
+    fn claim(&self) -> Result<Colour, ColourError> {
+        let live = &self.state.live;
+        let mut seen = live.load(Ordering::Relaxed);
+        loop {
+            let free = !seen;
+            if free == 0 {
+                return Err(ColourError::Exhausted);
+            }
+            let bit = free.trailing_zeros();
+            match live.compare_exchange_weak(
+                seen,
+                seen | (1u64 << bit),
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Ok(Colour(bit as u8)),
+                Err(now) => seen = now,
+            }
         }
-        if state.slots.len() >= MAX_LIVE_COLOURS {
-            return Err(ColourError::Exhausted);
+    }
+}
+
+impl UniverseState {
+    /// The `(serial, name)` entry of a named slot; `None` if anonymous.
+    fn named(&self, colour: Colour) -> Option<&(u64, String)> {
+        let key = self.keys[colour.index()].load(Ordering::Acquire);
+        if key == 0 {
+            return None;
         }
-        state.slots.push(Some(name));
-        Ok(Colour((state.slots.len() - 1) as u8))
+        self.names.iter().find(|(serial, _)| *serial == key)
     }
 }
 
 impl fmt::Debug for ColourUniverse {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = self.state.lock();
         f.debug_struct("ColourUniverse")
-            .field("live", &state.slots.iter().flatten().count())
+            .field("live", &self.live_count())
             .finish()
     }
 }

@@ -34,8 +34,10 @@ mod colour;
 mod error;
 mod id;
 mod mode;
+mod sync;
 
 pub use colour::{Colour, ColourSet, ColourSetIter, ColourUniverse, MAX_LIVE_COLOURS};
 pub use error::{ColourError, LockDenied, LockError};
 pub use id::{ActionId, NodeId, ObjectId};
 pub use mode::LockMode;
+pub use sync::{shard_index, AppendList, CachePadded, IdHashMap, IdHasher};

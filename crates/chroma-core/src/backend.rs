@@ -126,12 +126,13 @@ impl LocalBackend {
 impl PermanenceBackend for LocalBackend {
     fn commit_batch(&self, updates: Vec<(ObjectId, StoreBytes)>) -> Result<(), BackendError> {
         let objects = updates.len() as u64;
-        let mut pages = self.pages.write();
-        self.obs.get().emit(EventKind::WalAppend {
+        // Emit outside the page lock: an emit may drain the bus.
+        let obs = self.obs.get();
+        obs.emit(EventKind::WalAppend {
             records: objects + 1,
         });
-        pages.extend(updates);
-        self.obs.get().emit(EventKind::WalFlush { objects });
+        self.pages.write().extend(updates);
+        obs.emit(EventKind::WalFlush { objects });
         Ok(())
     }
 

@@ -32,6 +32,7 @@ mod backend;
 mod error;
 mod runtime;
 mod scope;
+mod shard;
 mod snapshot;
 mod tree;
 mod undo;

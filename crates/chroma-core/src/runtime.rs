@@ -6,7 +6,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chroma_base::{
-    ActionId, Colour, ColourSet, ColourUniverse, LockError, LockMode, NodeId, ObjectId,
+    ActionId, AppendList, Colour, ColourSet, ColourUniverse, LockError, LockMode, NodeId, ObjectId,
+    MAX_LIVE_COLOURS,
 };
 use chroma_locks::{ColouredPolicy, LockTable, DEFAULT_LOCK_SHARDS};
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
@@ -19,6 +20,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::backend::{LocalBackend, PermanenceBackend};
 use crate::error::ActionError;
 use crate::scope::ActionScope;
+use crate::shard::Sharded;
 use crate::snapshot::SnapshotScope;
 use crate::tree::{ActionState, ActionTree};
 use crate::undo::UndoLog;
@@ -70,10 +72,10 @@ struct Inner {
     default_colour: Colour,
     tree: ActionTree,
     locks: LockTable<ColouredPolicy>,
-    /// Working states actions read and write: volatile storage, which
-    /// [`Runtime::crash_and_recover`] wipes. Objects missing here are
-    /// loaded lazily from `stable`.
-    volatile: RwLock<HashMap<ObjectId, StoreBytes>>,
+    /// Working states actions read and write, sharded by object:
+    /// volatile storage, which [`Runtime::crash_and_recover`] wipes.
+    /// Objects missing here are loaded lazily from `stable`.
+    volatile: Sharded<RwLock<HashMap<ObjectId, StoreBytes>>>,
     stable: Arc<dyn PermanenceBackend>,
     undo: UndoLog,
     next_action: AtomicU64,
@@ -94,9 +96,34 @@ struct Inner {
     snapshots: Mutex<HashMap<ActionId, Arc<SnapshotStamps>>>,
     /// Stamped outermost flushes since boot; drives automatic GC.
     gc_tick: AtomicU64,
-    /// The per-colour flush histogram `core.commit_us.<name>`, by
-    /// colour name, built at a name's first traced flush.
-    commit_metrics: Mutex<HashMap<String, String>>,
+    /// Per colour slot, the flush histogram names
+    /// `core.commit_us.<name>` built so far, keyed by the universe's
+    /// [`name_key`](ColourUniverse::name_key): a traced flush finds its
+    /// name with no lock and no allocation.
+    flush_metrics: Box<[AppendList<(u64, String)>]>,
+}
+
+impl Inner {
+    /// The working-state shard holding `object`.
+    fn working(&self, object: ObjectId) -> &RwLock<HashMap<ObjectId, StoreBytes>> {
+        self.volatile.of(object.as_raw())
+    }
+
+    /// The name of `colour`'s flush histogram, `core.commit_us.<name>`.
+    fn flush_metric(&self, colour: Colour) -> &str {
+        let key = self.universe.name_key(colour);
+        &self.flush_metrics[colour.index()]
+            .find_or_push(
+                |(k, _)| *k == key,
+                || {
+                    let name = self
+                        .universe
+                        .with_name(colour, |name| format!("core.commit_us.{name}"));
+                    (key, name)
+                },
+            )
+            .1
+    }
 }
 
 /// The multi-coloured action runtime: persistent objects, coloured
@@ -256,7 +283,7 @@ impl RuntimeBuilder {
                     ColouredPolicy,
                     self.lock_shards.unwrap_or(DEFAULT_LOCK_SHARDS),
                 ),
-                volatile: RwLock::new(HashMap::new()),
+                volatile: Sharded::default(),
                 stable: backend,
                 undo: UndoLog::new(),
                 next_action: AtomicU64::new(1),
@@ -268,7 +295,9 @@ impl RuntimeBuilder {
                 stamps: StampClock::new(),
                 snapshots: Mutex::new(HashMap::new()),
                 gc_tick: AtomicU64::new(0),
-                commit_metrics: Mutex::new(HashMap::new()),
+                flush_metrics: (0..MAX_LIVE_COLOURS)
+                    .map(|_| AppendList::default())
+                    .collect(),
             }),
         };
         if let Some(obs) = self.obs {
@@ -381,7 +410,8 @@ impl Runtime {
     /// Returns `true` if the object exists in volatile or stable storage.
     #[must_use]
     pub fn object_exists(&self, object: ObjectId) -> bool {
-        self.inner.volatile.read().contains_key(&object) || self.inner.stable.contains(object)
+        self.inner.working(object).read().contains_key(&object)
+            || self.inner.stable.contains(object)
     }
 
     // ------------------------------------------------------------------
@@ -448,8 +478,7 @@ impl Runtime {
         let colours = self
             .inner
             .tree
-            .colours(action)
-            .filter(|_| self.inner.tree.is_active(action))
+            .active_colours(action)
             .ok_or(ActionError::NotActive(action))?;
         let default_colour = colours.iter().next().expect("non-empty colour set");
         Ok(ActionScope::new(self, action, colours, default_colour))
@@ -473,9 +502,10 @@ impl Runtime {
         let inner = &self.inner;
         let obs = inner.obs.get();
         let started = obs.enabled().then(Instant::now);
-        if !inner.tree.is_active(action) {
-            return Err(ActionError::NotActive(action));
-        }
+        let colours = inner
+            .tree
+            .active_colours(action)
+            .ok_or(ActionError::NotActive(action))?;
         if !inner.tree.active_children(action).is_empty() {
             return Err(ActionError::ChildrenActive(action));
         }
@@ -484,10 +514,6 @@ impl Runtime {
                 return Err(ActionError::ParentNotActive(parent));
             }
         }
-        let colours = inner
-            .tree
-            .colours(action)
-            .ok_or(ActionError::NotActive(action))?;
         let mut stamped = false;
         for colour in colours {
             match inner.tree.closest_ancestor_with_colour(action, colour) {
@@ -502,15 +528,13 @@ impl Runtime {
                     // aggregate `core.commit_us`.
                     let flush_started = obs.enabled().then(Instant::now);
                     let records = inner.undo.take_colour(action, colour);
-                    let updates: Vec<(ObjectId, StoreBytes)> = {
-                        let volatile = inner.volatile.read();
-                        records
-                            .iter()
-                            .filter_map(|(object, _)| {
-                                volatile.get(object).map(|state| (*object, state.clone()))
-                            })
-                            .collect()
-                    };
+                    let updates: Vec<(ObjectId, StoreBytes)> = records
+                        .iter()
+                        .filter_map(|(object, _)| {
+                            let working = inner.working(*object).read();
+                            working.get(object).map(|state| (*object, state.clone()))
+                        })
+                        .collect();
                     if !updates.is_empty() {
                         // Seed each updated object's version chain with
                         // its before-image *before* the stable install:
@@ -555,13 +579,7 @@ impl Runtime {
                     if let Some(flush_started) = flush_started {
                         let us =
                             u64::try_from(flush_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                        inner.universe.with_name(colour, |name| {
-                            let mut metrics = inner.commit_metrics.lock();
-                            if !metrics.contains_key(name) {
-                                metrics.insert(name.to_owned(), format!("core.commit_us.{name}"));
-                            }
-                            obs.observe(&metrics[name], us);
-                        });
+                        obs.observe(inner.flush_metric(colour), us);
                     }
                 }
             }
@@ -605,10 +623,10 @@ impl Runtime {
         for (object, _colour, image) in inner.undo.take_all(action) {
             match image {
                 Some(state) => {
-                    inner.volatile.write().insert(object, state);
+                    inner.working(object).write().insert(object, state);
                 }
                 None => {
-                    inner.volatile.write().remove(&object);
+                    inner.working(object).write().remove(&object);
                 }
             }
         }
@@ -810,7 +828,9 @@ impl Runtime {
             }
         }
         inner.undo.clear();
-        inner.volatile.write().clear();
+        for shard in inner.volatile.iter() {
+            shard.write().clear();
+        }
         // Version chains are volatile too; recovery rebuilds bases
         // lazily from stable storage. The stamp clock itself survives
         // (stamps are never reused, the published frontier only
@@ -1121,7 +1141,7 @@ impl Runtime {
             object,
             colour,
         });
-        self.inner.volatile.write().insert(object, state);
+        self.inner.working(object).write().insert(object, state);
     }
 
     fn acquire(
@@ -1133,12 +1153,9 @@ impl Runtime {
         try_only: bool,
     ) -> Result<(), ActionError> {
         let inner = &self.inner;
-        if !inner.tree.is_active(action) {
-            return Err(ActionError::NotActive(action));
-        }
         let colours = inner
             .tree
-            .colours(action)
+            .active_colours(action)
             .ok_or(ActionError::NotActive(action))?;
         if !colours.contains(colour) {
             return Err(ActionError::ColourNotHeld { action, colour });
@@ -1168,11 +1185,12 @@ impl Runtime {
     }
 
     pub(crate) fn current_state(&self, object: ObjectId) -> Option<StoreBytes> {
-        if let Some(state) = self.inner.volatile.read().get(&object) {
+        let working = self.inner.working(object);
+        if let Some(state) = working.read().get(&object) {
             return Some(state.clone());
         }
         let state = self.inner.stable.read(object)?;
-        self.inner.volatile.write().insert(object, state.clone());
+        working.write().insert(object, state.clone());
         Some(state)
     }
 
@@ -1225,6 +1243,20 @@ impl Runtime {
     #[must_use]
     pub fn lock_waiting_count(&self) -> usize {
         self.inner.locks.waiting_count()
+    }
+
+    /// Every active (begun, not yet terminated) action, unordered;
+    /// snapshot actions are not included.
+    #[must_use]
+    pub fn active_actions(&self) -> Vec<ActionId> {
+        self.inner.tree.active_actions()
+    }
+
+    /// The number of before-images the undo log holds for `action`
+    /// (0 once it has terminated).
+    #[must_use]
+    pub fn undo_record_count(&self, action: ActionId) -> usize {
+        self.inner.undo.record_count(action)
     }
 
     /// Actions begun but not yet terminated (includes open snapshot

@@ -1,10 +1,23 @@
 //! The live action tree.
+//!
+//! The tree is sharded by [`ActionId`]: each shard is its own `RwLock`
+//! around a map hashed with [`IdHasher`](chroma_base::IdHasher) (action
+//! ids are the runtime's own), so actions in different shards never
+//! take a lock in common, and a rehash copies one shard instead of the
+//! whole tree. No operation holds two shard locks at once except
+//! [`ActionTree::prune_terminated`], which takes every shard in index
+//! order.
+//!
+//! [`ActionTree::insert`] registers the node *before* linking it into
+//! its parent's `children`, so any child id a reader finds already has
+//! a node. Parent links never change after insertion, so an ancestor
+//! walk takes one shard read per step and sees a consistent chain.
 
-use std::collections::HashMap;
-
-use chroma_base::{ActionId, Colour, ColourSet};
+use chroma_base::{ActionId, Colour, ColourSet, IdHashMap};
 use chroma_locks::Ancestry;
 use parking_lot::RwLock;
+
+use crate::shard::{self, Sharded};
 
 /// Lifecycle state of an action.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -25,6 +38,8 @@ struct Node {
     children: Vec<ActionId>,
 }
 
+type Shard = RwLock<IdHashMap<ActionId, Node>>;
+
 /// Bookkeeping for every action a runtime has started: parents, colour
 /// sets, lifecycle states.
 ///
@@ -32,7 +47,7 @@ struct Node {
 /// an ancestor of the requester" directly from the live tree.
 #[derive(Debug, Default)]
 pub struct ActionTree {
-    nodes: RwLock<HashMap<ActionId, Node>>,
+    nodes: Sharded<Shard>,
 }
 
 impl ActionTree {
@@ -42,19 +57,23 @@ impl ActionTree {
         ActionTree::default()
     }
 
-    /// Registers a new active action.
+    fn shard(&self, id: ActionId) -> &Shard {
+        self.nodes.of(id.as_raw())
+    }
+
+    /// Reads one field of `id`'s node, if registered.
+    fn read<R>(&self, id: ActionId, f: impl FnOnce(&Node) -> R) -> Option<R> {
+        self.shard(id).read().get(&id).map(f)
+    }
+
+    /// Registers a new active action, then links it into its parent's
+    /// children.
     ///
     /// # Panics
     ///
     /// Panics if `id` is already registered (runtime ids are unique).
     pub fn insert(&self, id: ActionId, parent: Option<ActionId>, colours: ColourSet) {
-        let mut nodes = self.nodes.write();
-        if let Some(parent) = parent {
-            if let Some(parent_node) = nodes.get_mut(&parent) {
-                parent_node.children.push(id);
-            }
-        }
-        let previous = nodes.insert(
+        let previous = self.shard(id).write().insert(
             id,
             Node {
                 parent,
@@ -64,12 +83,17 @@ impl ActionTree {
             },
         );
         assert!(previous.is_none(), "duplicate action id {id}");
+        if let Some(parent) = parent {
+            if let Some(parent_node) = self.shard(parent).write().get_mut(&parent) {
+                parent_node.children.push(id);
+            }
+        }
     }
 
     /// Returns the state of `id`, if registered.
     #[must_use]
     pub fn state(&self, id: ActionId) -> Option<ActionState> {
-        self.nodes.read().get(&id).map(|n| n.state)
+        self.read(id, |n| n.state)
     }
 
     /// Returns `true` if `id` is registered and active.
@@ -80,7 +104,7 @@ impl ActionTree {
 
     /// Sets the state of `id`. No-op for unknown ids.
     pub fn set_state(&self, id: ActionId, state: ActionState) {
-        if let Some(node) = self.nodes.write().get_mut(&id) {
+        if let Some(node) = self.shard(id).write().get_mut(&id) {
             node.state = state;
         }
     }
@@ -88,43 +112,37 @@ impl ActionTree {
     /// Returns the colour set of `id`, if registered.
     #[must_use]
     pub fn colours(&self, id: ActionId) -> Option<ColourSet> {
-        self.nodes.read().get(&id).map(|n| n.colours)
+        self.read(id, |n| n.colours)
+    }
+
+    /// Returns the colour set of `id` if it is registered and active
+    /// (one shard read for both questions).
+    #[must_use]
+    pub fn active_colours(&self, id: ActionId) -> Option<ColourSet> {
+        self.read(id, |n| {
+            (n.state == ActionState::Active).then_some(n.colours)
+        })
+        .flatten()
     }
 
     /// Returns the parent of `id` (`None` for top-level or unknown).
     #[must_use]
     pub fn parent(&self, id: ActionId) -> Option<ActionId> {
-        self.nodes.read().get(&id).and_then(|n| n.parent)
+        self.read(id, |n| n.parent).flatten()
     }
 
     /// Returns the children of `id` in creation order.
     #[must_use]
     pub fn children(&self, id: ActionId) -> Vec<ActionId> {
-        self.nodes
-            .read()
-            .get(&id)
-            .map(|n| n.children.clone())
-            .unwrap_or_default()
+        self.read(id, |n| n.children.clone()).unwrap_or_default()
     }
 
     /// Returns the *active* children of `id`.
     #[must_use]
     pub fn active_children(&self, id: ActionId) -> Vec<ActionId> {
-        let nodes = self.nodes.read();
-        nodes
-            .get(&id)
-            .map(|n| {
-                n.children
-                    .iter()
-                    .copied()
-                    .filter(|c| {
-                        nodes
-                            .get(c)
-                            .is_some_and(|cn| cn.state == ActionState::Active)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+        let mut children = self.children(id);
+        children.retain(|&c| self.is_active(c));
+        children
     }
 
     /// Walks up from the *parent* of `id` and returns the closest
@@ -136,14 +154,13 @@ impl ActionTree {
     /// that colour and its colour-`a` effects become permanent.
     #[must_use]
     pub fn closest_ancestor_with_colour(&self, id: ActionId, colour: Colour) -> Option<ActionId> {
-        let nodes = self.nodes.read();
-        let mut cursor = nodes.get(&id)?.parent;
+        let mut cursor = self.parent(id);
         while let Some(ancestor) = cursor {
-            let node = nodes.get(&ancestor)?;
-            if node.colours.contains(colour) {
+            let (colours, parent) = self.read(ancestor, |n| (n.colours, n.parent))?;
+            if colours.contains(colour) {
                 return Some(ancestor);
             }
-            cursor = node.parent;
+            cursor = parent;
         }
         None
     }
@@ -152,10 +169,15 @@ impl ActionTree {
     #[must_use]
     pub fn active_actions(&self) -> Vec<ActionId> {
         self.nodes
-            .read()
             .iter()
-            .filter(|(_, n)| n.state == ActionState::Active)
-            .map(|(&id, _)| id)
+            .flat_map(|shard| {
+                shard
+                    .read()
+                    .iter()
+                    .filter(|(_, n)| n.state == ActionState::Active)
+                    .map(|(&id, _)| id)
+                    .collect::<Vec<_>>()
+            })
             .collect()
     }
 
@@ -163,11 +185,12 @@ impl ActionTree {
     /// bounding memory in long-running systems. Returns how many nodes
     /// were removed.
     pub fn prune_terminated(&self) -> usize {
-        let mut nodes = self.nodes.write();
+        let mut shards: Vec<_> = self.nodes.iter().map(RwLock::write).collect();
         let mut removed = 0;
         loop {
-            let removable: Vec<ActionId> = nodes
+            let removable: Vec<ActionId> = shards
                 .iter()
+                .flat_map(|nodes| nodes.iter())
                 .filter(|(_, n)| n.state != ActionState::Active && n.children.is_empty())
                 .map(|(&id, _)| id)
                 .collect();
@@ -175,11 +198,12 @@ impl ActionTree {
                 break;
             }
             for id in removable {
-                let parent = nodes.get(&id).and_then(|n| n.parent);
-                nodes.remove(&id);
+                let node = shards[shard::index(id.as_raw())].remove(&id);
                 removed += 1;
-                if let Some(parent) = parent {
-                    if let Some(parent_node) = nodes.get_mut(&parent) {
+                if let Some(parent) = node.and_then(|n| n.parent) {
+                    if let Some(parent_node) =
+                        shards[shard::index(parent.as_raw())].get_mut(&parent)
+                    {
                         parent_node.children.retain(|&c| c != id);
                     }
                 }
@@ -191,13 +215,13 @@ impl ActionTree {
     /// Returns the number of registered actions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nodes.read().len()
+        self.nodes.iter().map(|shard| shard.read().len()).sum()
     }
 
     /// Returns `true` if no actions are registered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.read().is_empty()
+        self.nodes.iter().all(|shard| shard.read().is_empty())
     }
 }
 
@@ -206,10 +230,9 @@ impl Ancestry for ActionTree {
         if candidate == of {
             return true;
         }
-        let nodes = self.nodes.read();
         let mut cursor = of;
-        while let Some(node) = nodes.get(&cursor) {
-            match node.parent {
+        while let Some(parent) = self.read(cursor, |n| n.parent) {
+            match parent {
                 Some(parent) if parent == candidate => return true,
                 Some(parent) => cursor = parent,
                 None => return false,

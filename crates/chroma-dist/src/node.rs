@@ -190,7 +190,7 @@ impl Node {
     /// The node's current observability handle (already bound to its
     /// identity).
     fn obs(&self) -> Obs {
-        self.obs.get()
+        self.obs.get().clone()
     }
 
     /// Returns the node's identifier.

@@ -180,7 +180,7 @@ impl Sim {
     /// into the same simulated-time trace.
     #[must_use]
     pub fn obs(&self) -> Obs {
-        self.obs.get()
+        self.obs.get().clone()
     }
 
     /// Starts recording an event trace (delivered messages, drops,

@@ -496,7 +496,7 @@ impl Transport for TcpTransport {
     }
 
     fn obs(&self) -> Obs {
-        self.obs.get()
+        self.obs.get().clone()
     }
 
     fn now_us(&self) -> u64 {

@@ -35,8 +35,10 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use chroma_base::{ActionId, Colour, LockError, LockMode, ObjectId};
-use chroma_obs::{EventKind, Obs, Observable};
+use chroma_base::{
+    shard_index, ActionId, CachePadded, Colour, IdHashMap, LockError, LockMode, ObjectId,
+};
+use chroma_obs::{EventKind, Obs, ObsCell, Observable};
 use parking_lot::{Condvar, Mutex};
 
 use crate::deadlock::WaitForGraph;
@@ -51,9 +53,6 @@ pub const DEFAULT_LOCK_SHARDS: usize = 16;
 /// shard bitmask).
 pub const MAX_LOCK_SHARDS: usize = 64;
 
-/// Multiplier for Fibonacci hashing of ids onto shards/stripes.
-const HASH_MULT: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// How an acquisition request concluded.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AcquireOutcome {
@@ -66,6 +65,9 @@ pub enum AcquireOutcome {
     /// strengthened in place (for example read → write conversion).
     Upgraded,
 }
+
+/// One stripe of the per-action index: action → shard bitmask.
+type Stripe = Mutex<IdHashMap<ActionId, u64>>;
 
 #[derive(Default)]
 struct ShardState {
@@ -81,9 +83,6 @@ struct ShardState {
     /// waits again would leak forever and poison a later reuse of the
     /// same `ActionId`.
     waiting: HashSet<ActionId>,
-    /// The shard's copy of the observability handle (kept inside the
-    /// state so the hot path pays no extra synchronisation to read it).
-    obs: Obs,
 }
 
 struct Shard {
@@ -165,7 +164,7 @@ impl Interrupt {
 /// ```
 pub struct LockTable<P> {
     policy: P,
-    shards: Box<[Shard]>,
+    shards: Box<[CachePadded<Shard>]>,
     /// `shards.len() == 1 << shard_bits`.
     shard_bits: u32,
     /// Waits-for graph for deadlock detection; only locked on the
@@ -174,7 +173,7 @@ pub struct LockTable<P> {
     graph: Mutex<WaitForGraph>,
     /// Striped `action → shard bitmask` index: which shards an action
     /// may hold locks in (a superset; see module docs).
-    action_index: Box<[Mutex<HashMap<ActionId, u64>>]>,
+    action_index: Box<[CachePadded<Stripe>]>,
     /// Outstanding planted interrupts across all shards, so the common
     /// no-interrupt case of [`clear_interrupt`](LockTable::clear_interrupt)
     /// and [`retire_action`](LockTable::retire_action) is one atomic load.
@@ -190,6 +189,8 @@ pub struct LockTable<P> {
     /// [`LockTable::try_acquire`] — snapshot reads must bypass the
     /// lock table entirely.
     lockless: Mutex<HashSet<ActionId>>,
+    /// The one observability handle, read without a lock.
+    obs: ObsCell,
 }
 
 /// Aggregate waiting statistics of a [`LockTable`], from
@@ -231,15 +232,16 @@ impl<P> LockTable<P> {
         let shards = shards.clamp(1, MAX_LOCK_SHARDS).next_power_of_two();
         LockTable {
             policy,
-            shards: (0..shards).map(Shard::new).collect(),
+            shards: (0..shards).map(|i| CachePadded(Shard::new(i))).collect(),
             shard_bits: shards.trailing_zeros(),
             graph: Mutex::new(WaitForGraph::new()),
-            action_index: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            action_index: (0..shards).map(|_| CachePadded::default()).collect(),
             interrupts_outstanding: AtomicU64::new(0),
             waiters_registered: AtomicU64::new(0),
             waits_started: AtomicU64::new(0),
             wait_micros: AtomicU64::new(0),
             lockless: Mutex::new(HashSet::new()),
+            obs: ObsCell::new(),
         }
     }
 
@@ -254,17 +256,11 @@ impl<P> LockTable<P> {
     /// deterministically.
     #[must_use]
     pub fn shard_of(&self, object: ObjectId) -> usize {
-        if self.shard_bits == 0 {
-            return 0;
-        }
-        (object.as_raw().wrapping_mul(HASH_MULT) >> (64 - self.shard_bits)) as usize
+        shard_index(object.as_raw(), self.shard_bits)
     }
 
     fn stripe_of(&self, action: ActionId) -> usize {
-        if self.shard_bits == 0 {
-            return 0;
-        }
-        (action.as_raw().wrapping_mul(HASH_MULT) >> (64 - self.shard_bits)) as usize
+        shard_index(action.as_raw(), self.shard_bits)
     }
 
     /// Marks `shard` as possibly holding locks of `action` (called
@@ -399,11 +395,14 @@ impl<P> Observable for LockTable<P> {
     /// `LockRequest`/`LockGrant`/`LockConflict`/`LockInherit`/
     /// `LockRelease` events and feeds the `locks.wait_us`,
     /// `locks.wait_us.shard<k>` and `locks.shard_contention`
-    /// histograms.
+    /// histograms. The table keeps one handle, which every shard reads
+    /// without a lock. `LockRequest` goes out before the shard is
+    /// locked and grants, inherits and releases after it is released,
+    /// so a drain those emits start never runs inside the shard's
+    /// critical section; only a waiter's one `LockConflict` is emitted
+    /// under the shard lock.
     fn install_obs(&self, obs: Obs) {
-        for shard in self.shards.iter() {
-            shard.state.lock().obs = obs.clone();
-        }
+        self.obs.set(obs);
     }
 }
 
@@ -427,8 +426,7 @@ impl<P: LockPolicy> LockTable<P> {
         // Superset invariant: the mask bit is set before the entry can
         // exist (a spurious bit on a denied request is harmless).
         self.note_holding(action, shard_idx);
-        let mut state = self.shards[shard_idx].state.lock();
-        let obs = state.obs.clone();
+        let obs = self.obs.get();
         if obs.enabled() {
             obs.emit(EventKind::LockRequest {
                 action,
@@ -437,6 +435,7 @@ impl<P: LockPolicy> LockTable<P> {
                 mode,
             });
         }
+        let mut state = self.shards[shard_idx].state.lock();
         let result = match self.check_and_apply(&mut state, ancestry, action, object, colour, mode)
         {
             Ok(outcome) => Ok(outcome),
@@ -489,8 +488,7 @@ impl<P: LockPolicy> LockTable<P> {
         let shard_idx = self.shard_of(object);
         let shard = &self.shards[shard_idx];
         self.note_holding(action, shard_idx);
-        let mut state = shard.state.lock();
-        let obs = state.obs.clone();
+        let obs = self.obs.get();
         if obs.enabled() {
             obs.emit(EventKind::LockRequest {
                 action,
@@ -499,6 +497,7 @@ impl<P: LockPolicy> LockTable<P> {
                 mode,
             });
         }
+        let mut state = shard.state.lock();
         let mut registered: Vec<ActionId> = Vec::new();
         // Victims this waiter already flagged, so re-observing the same
         // (still unwinding) cycle after a wake-up does not replant.
@@ -688,13 +687,9 @@ impl<P: LockPolicy> LockTable<P> {
     pub fn release_colour(&self, action: ActionId, colour: Colour) -> Vec<ObjectId> {
         let mask = self.mask_of(action);
         let mut touched = Vec::new();
-        let mut obs = Obs::none();
         for idx in Self::mask_shards(mask) {
             let shard = &self.shards[idx];
             let mut state = shard.state.lock();
-            if !obs.enabled() {
-                obs = state.obs.clone();
-            }
             let before = touched.len();
             state.objects.retain(|&object, holders| {
                 let held = holders.len();
@@ -708,6 +703,7 @@ impl<P: LockPolicy> LockTable<P> {
                 shard.changed.notify_all();
             }
         }
+        let obs = self.obs.get();
         if obs.enabled() {
             for &object in &touched {
                 obs.emit(EventKind::LockRelease {
@@ -733,13 +729,9 @@ impl<P: LockPolicy> LockTable<P> {
         // its mask bits before the entries move (superset invariant).
         self.or_mask(to, mask);
         let mut touched = Vec::new();
-        let mut obs = Obs::none();
         for idx in Self::mask_shards(mask) {
             let shard = &self.shards[idx];
             let mut state = shard.state.lock();
-            if !obs.enabled() {
-                obs = state.obs.clone();
-            }
             let before = touched.len();
             for (&object, holders) in state.objects.iter_mut() {
                 let Some(pos) = holders
@@ -765,6 +757,7 @@ impl<P: LockPolicy> LockTable<P> {
                 shard.changed.notify_all();
             }
         }
+        let obs = self.obs.get();
         if obs.enabled() {
             for &object in &touched {
                 obs.emit(EventKind::LockInherit {
@@ -785,13 +778,9 @@ impl<P: LockPolicy> LockTable<P> {
         let mask = self.take_mask(action);
         let mut touched = Vec::new();
         let mut dropped: Vec<(ObjectId, Colour)> = Vec::new();
-        let mut obs = Obs::none();
         for idx in Self::mask_shards(mask) {
             let shard = &self.shards[idx];
             let mut state = shard.state.lock();
-            if !obs.enabled() {
-                obs = state.obs.clone();
-            }
             state.objects.retain(|&object, holders| {
                 let before = holders.len();
                 holders.retain(|e| {
@@ -811,6 +800,7 @@ impl<P: LockPolicy> LockTable<P> {
         }
         self.graph.lock().remove_action(action);
         self.clear_interrupt(action);
+        let obs = self.obs.get();
         if obs.enabled() {
             for &(object, colour) in &dropped {
                 obs.emit(EventKind::LockRelease {

@@ -14,10 +14,10 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::Write as IoWrite;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-use chroma_base::NodeId;
+use chroma_base::{AppendList, NodeId};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::event::{Event, EventKind, KIND_COUNT, KIND_NAMES};
@@ -508,62 +508,6 @@ impl Feed {
     }
 }
 
-/// An append-only list that readers walk without a lock: each link is
-/// written once, and writers race only to fill the tail.
-struct AppendList<T> {
-    head: OnceLock<Box<Link<T>>>,
-}
-
-struct Link<T> {
-    value: T,
-    next: OnceLock<Box<Link<T>>>,
-}
-
-impl<T> Default for AppendList<T> {
-    fn default() -> Self {
-        AppendList {
-            head: OnceLock::new(),
-        }
-    }
-}
-
-impl<T> AppendList<T> {
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        std::iter::successors(self.head.get(), |link| link.next.get()).map(|link| &link.value)
-    }
-
-    fn push(&self, value: T) {
-        self.find_or_push(|_| false, || value);
-    }
-
-    /// The first element matching `same`, else `make()` appended.
-    fn find_or_push(&self, same: impl Fn(&T) -> bool, make: impl FnOnce() -> T) -> &T {
-        let mut tail = &self.head;
-        let mut make = Some(make);
-        let mut link = None;
-        loop {
-            if let Some(present) = tail.get() {
-                if same(&present.value) {
-                    return &present.value;
-                }
-                tail = &present.next;
-                continue;
-            }
-            let new = link.take().unwrap_or_else(|| {
-                Box::new(Link {
-                    value: make.take().expect("made at most once")(),
-                    next: OnceLock::new(),
-                })
-            });
-            match tail.set(new) {
-                Ok(()) => return &tail.get().expect("just set").value,
-                // Another writer filled the tail first: check it.
-                Err(back) => link = Some(back),
-            }
-        }
-    }
-}
-
 impl Default for EventBus {
     fn default() -> Self {
         EventBus::new()
@@ -740,10 +684,21 @@ pub trait Observable {
 /// An [`Obs`] slot settable through `&self`, for subsystems that are
 /// built before tracing is installed and are only reachable behind
 /// shared references afterwards.
-#[derive(Debug, Default)]
+///
+/// Reads borrow the installed handle: no lock, no `Arc` clone, no write
+/// to a line other readers share. Every handle ever set stays in the
+/// cell until it drops (the newest is the one read), which suits the
+/// handful of installs a subsystem sees.
+#[derive(Default)]
 pub struct ObsCell {
-    inner: std::sync::RwLock<Obs>,
+    installs: AppendList<Obs>,
 }
+
+/// What an empty [`ObsCell`] reads.
+static INERT: Obs = Obs {
+    bus: None,
+    node: None,
+};
 
 impl ObsCell {
     /// An empty cell (inert handle).
@@ -754,19 +709,19 @@ impl ObsCell {
 
     /// Replaces the stored handle.
     pub fn set(&self, obs: Obs) {
-        *self
-            .inner
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = obs;
+        self.installs.push(obs);
     }
 
-    /// Clones the stored handle (cheap: one `Option<Arc>`).
+    /// The stored handle, borrowed.
     #[must_use]
-    pub fn get(&self) -> Obs {
-        self.inner
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+    pub fn get(&self) -> &Obs {
+        self.installs.iter().last().unwrap_or(&INERT)
+    }
+}
+
+impl fmt::Debug for ObsCell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ObsCell").field(self.get()).finish()
     }
 }
 
@@ -1156,5 +1111,7 @@ mod tests {
         assert!(cell.get().enabled());
         cell.get().emit(begin(9));
         assert_eq!(bus.counter("action_begin"), 1);
+        cell.set(Obs::none());
+        assert!(!cell.get().enabled());
     }
 }

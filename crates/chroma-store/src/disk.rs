@@ -761,7 +761,7 @@ impl DiskStore {
             }
             drop(group);
             if wal.segments.last().is_some_and(|active| active.batches > 0) {
-                shared.seal_active(&mut wal, &shared.obs.get())
+                shared.seal_active(&mut wal, shared.obs.get())
             } else {
                 Ok(())
             }
@@ -892,7 +892,7 @@ impl Shared {
         // 2. The group's one fsync, with no lock held unless the group
         // kept the role.
         let synced = appended.and_then(|bytes| {
-            self.log_fsync(&*file, &obs)
+            self.log_fsync(&*file, obs)
                 .map(|()| bytes)
                 .map_err(GroupOutcome::failed)
         });
@@ -912,7 +912,7 @@ impl Shared {
             Ok(batch_bytes) => {
                 // Durable, so announced even when an earlier group's
                 // failure fails it: a replay will count these batches.
-                emit_group(group, &batch_bytes, &obs);
+                emit_group(group, &batch_bytes, obs);
                 match state.poison_at(seq).cloned() {
                     Some(poison) => GroupOutcome::Poisoned(poison),
                     None => {
@@ -922,7 +922,7 @@ impl Shared {
                             // Seal without blocking committers that only
                             // queue or pick up outcomes.
                             drop(state);
-                            finished = self.seal_held(wal, &obs);
+                            finished = self.seal_held(wal, obs);
                             state = self.group.lock();
                         }
                         finished.map_or_else(GroupOutcome::failed, |()| GroupOutcome::Done)

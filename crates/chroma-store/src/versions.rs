@@ -44,7 +44,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use chroma_base::{Colour, ObjectId, MAX_LIVE_COLOURS};
+use chroma_base::{shard_index, CachePadded, Colour, ObjectId, MAX_LIVE_COLOURS};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::StoreBytes;
@@ -52,10 +52,6 @@ use crate::StoreBytes;
 /// Version-chain shard count (power of two; chains are sharded like the
 /// lock table so snapshot reads don't serialize on one map lock).
 const SHARDS: usize = 16;
-
-/// Fibonacci multiplier used to scatter sequential object ids across
-/// shards (same constant the sharded lock table uses).
-const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A snapshot's captured per-colour commit frontier.
 ///
@@ -128,7 +124,7 @@ pub struct StampClock {
     /// gate across allocate→append→publish so same-colour stamps enter
     /// chains in order and the published frontier never runs ahead of
     /// the chains (see module docs).
-    gates: [Mutex<()>; MAX_LIVE_COLOURS],
+    gates: [CachePadded<Mutex<()>>; MAX_LIVE_COLOURS],
 }
 
 impl Default for StampClock {
@@ -144,7 +140,7 @@ impl StampClock {
         StampClock {
             next: AtomicU64::new(0),
             published: std::array::from_fn(|_| AtomicU64::new(0)),
-            gates: std::array::from_fn(|_| Mutex::new(())),
+            gates: std::array::from_fn(|_| CachePadded::default()),
         }
     }
 
@@ -198,6 +194,9 @@ struct Version {
     state: Option<StoreBytes>,
 }
 
+/// One shard of the chains: object → its versions, oldest first.
+type ChainShard = Mutex<HashMap<ObjectId, Vec<Version>>>;
+
 /// What a snapshot read found in the chains.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum VisibleVersion {
@@ -231,7 +230,7 @@ pub struct GcStats {
 /// The per-object version chains (sharded; all volatile).
 #[derive(Debug)]
 pub struct VersionChains {
-    shards: Vec<Mutex<HashMap<ObjectId, Vec<Version>>>>,
+    shards: Vec<CachePadded<ChainShard>>,
 }
 
 impl Default for VersionChains {
@@ -245,13 +244,12 @@ impl VersionChains {
     #[must_use]
     pub fn new() -> Self {
         VersionChains {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| CachePadded::default()).collect(),
         }
     }
 
-    fn shard(&self, object: ObjectId) -> &Mutex<HashMap<ObjectId, Vec<Version>>> {
-        let idx = (object.as_raw().wrapping_mul(FIB) >> 60) as usize & (SHARDS - 1);
-        &self.shards[idx]
+    fn shard(&self, object: ObjectId) -> &ChainShard {
+        &self.shards[shard_index(object.as_raw(), SHARDS.trailing_zeros())]
     }
 
     /// Seeds `object`'s chain with a base version (stamp 0) holding
