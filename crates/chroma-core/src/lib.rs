@@ -42,7 +42,7 @@ pub use error::ActionError;
 pub use runtime::{Runtime, RuntimeBuilder, RuntimeConfig, RuntimeStats};
 pub use scope::{ActionScope, Fence};
 pub use snapshot::SnapshotScope;
-pub use tree::{ActionState, ActionTree};
+pub use tree::{ActionState, Ancestors};
 pub use undo::{BeforeImage, UndoLog};
 
 // Re-export the vocabulary types so most users need only this crate.

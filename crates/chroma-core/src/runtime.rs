@@ -9,7 +9,7 @@ use chroma_base::{
     ActionId, AppendList, Colour, ColourSet, ColourUniverse, LockError, LockMode, NodeId, ObjectId,
     MAX_LIVE_COLOURS,
 };
-use chroma_locks::{ColouredPolicy, LockTable, DEFAULT_LOCK_SHARDS};
+use chroma_locks::{ColouredPolicy, LockTable};
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
 use chroma_store::codec::{self, Stored};
 use chroma_store::{
@@ -22,7 +22,7 @@ use crate::error::ActionError;
 use crate::scope::ActionScope;
 use crate::shard::Sharded;
 use crate::snapshot::SnapshotScope;
-use crate::tree::{ActionState, ActionTree};
+use crate::tree::{ActionState, ActionTree, Ancestors};
 use crate::undo::UndoLog;
 
 /// Stamped outermost flushes between automatic version-chain GC
@@ -189,8 +189,7 @@ impl Default for Runtime {
 /// Fluent constructor for [`Runtime`], from [`Runtime::builder`].
 ///
 /// Every knob is optional; `build()` fills in the defaults (default
-/// config, a fresh [`LocalBackend`], no tracing,
-/// [`DEFAULT_LOCK_SHARDS`] lock shards, no node binding).
+/// config, a fresh [`LocalBackend`], no tracing, no node binding).
 ///
 /// # Examples
 ///
@@ -205,9 +204,8 @@ impl Default for Runtime {
 ///     .config(RuntimeConfig::default())
 ///     .obs(bus.clone())
 ///     .at_node(NodeId::from_raw(7))
-///     .lock_shards(8)
 ///     .build();
-/// assert_eq!(rt.lock_shard_count(), 8);
+/// assert_eq!(rt.stats().begun, 0);
 /// ```
 #[derive(Default)]
 pub struct RuntimeBuilder {
@@ -215,7 +213,6 @@ pub struct RuntimeBuilder {
     backend: Option<Arc<dyn PermanenceBackend>>,
     obs: Option<Obs>,
     node: Option<NodeId>,
-    lock_shards: Option<usize>,
 }
 
 impl RuntimeBuilder {
@@ -254,15 +251,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sets the lock-table shard count (clamped to a power of two in
-    /// `1..=64`; defaults to [`DEFAULT_LOCK_SHARDS`]). More shards let
-    /// more disjoint-object acquisitions proceed in parallel.
-    #[must_use]
-    pub fn lock_shards(mut self, shards: usize) -> Self {
-        self.lock_shards = Some(shards);
-        self
-    }
-
     /// Builds the runtime.
     #[must_use]
     pub fn build(self) -> Runtime {
@@ -278,11 +266,8 @@ impl RuntimeBuilder {
             inner: Arc::new(Inner {
                 universe,
                 default_colour,
-                tree: ActionTree::new(),
-                locks: LockTable::with_shards(
-                    ColouredPolicy,
-                    self.lock_shards.unwrap_or(DEFAULT_LOCK_SHARDS),
-                ),
+                tree: ActionTree::default(),
+                locks: LockTable::new(ColouredPolicy),
                 volatile: Sharded::default(),
                 stable: backend,
                 undo: UndoLog::new(),
@@ -424,7 +409,7 @@ impl Runtime {
     ///
     /// [`ActionError::NoColours`] if `colours` is empty.
     pub fn begin_top(&self, colours: ColourSet) -> Result<ActionId, ActionError> {
-        self.begin(None, colours)
+        self.begin(None, colours).map(|(id, _)| id)
     }
 
     /// Begins an action nested inside `parent`, possessing `colours`.
@@ -442,27 +427,38 @@ impl Runtime {
         parent: ActionId,
         colours: ColourSet,
     ) -> Result<ActionId, ActionError> {
-        self.begin(Some(parent), colours)
+        self.begin(Some(parent), colours).map(|(id, _)| id)
     }
 
-    fn begin(&self, parent: Option<ActionId>, colours: ColourSet) -> Result<ActionId, ActionError> {
+    /// Begins an action and returns it with its ancestors.
+    fn begin(
+        &self,
+        parent: Option<ActionId>,
+        colours: ColourSet,
+    ) -> Result<(ActionId, Ancestors), ActionError> {
         if colours.is_empty() {
             return Err(ActionError::NoColours);
         }
-        if let Some(parent) = parent {
-            if !self.inner.tree.is_active(parent) {
-                return Err(ActionError::ParentNotActive(parent));
-            }
-        }
+        let ancestors = match parent {
+            Some(parent) => self
+                .inner
+                .tree
+                .child_ancestors(parent)
+                .ok_or(ActionError::ParentNotActive(parent))?,
+            None => Ancestors::default(),
+        };
         let id = ActionId::from_raw(self.inner.next_action.fetch_add(1, Ordering::Relaxed));
-        self.inner.tree.insert(id, parent, colours);
+        if !self.inner.tree.insert(id, ancestors.clone(), colours) {
+            // The parent began to terminate after its chain was read.
+            return Err(ActionError::ParentNotActive(ancestors.ids()[0]));
+        }
         self.inner.stats.begun.fetch_add(1, Ordering::Relaxed);
         self.inner.obs.get().emit(EventKind::ActionBegin {
             action: id,
             parent,
             colours: colour_bits(colours),
         });
-        Ok(id)
+        Ok((id, ancestors))
     }
 
     /// Returns a scope for operating within an active action.
@@ -475,13 +471,19 @@ impl Runtime {
     ///
     /// [`ActionError::NotActive`] if the action is not active.
     pub fn scope(&self, action: ActionId) -> Result<ActionScope<'_>, ActionError> {
-        let colours = self
+        let (colours, ancestors) = self
             .inner
             .tree
-            .active_colours(action)
+            .active_node(action)
             .ok_or(ActionError::NotActive(action))?;
         let default_colour = colours.iter().next().expect("non-empty colour set");
-        Ok(ActionScope::new(self, action, colours, default_colour))
+        Ok(ActionScope::new(
+            self,
+            action,
+            ancestors,
+            colours,
+            default_colour,
+        ))
     }
 
     /// Commits an action.
@@ -490,33 +492,36 @@ impl Runtime {
     /// possesses the colour, locks and before-images pass to it;
     /// otherwise the action is outermost for the colour, the colour's
     /// updates are flushed atomically to stable storage and its locks
-    /// released.
+    /// released. The action's bookkeeping goes with it: afterwards
+    /// [`Runtime::action_state`] knows nothing of it.
     ///
     /// # Errors
     ///
     /// [`ActionError::NotActive`] if the action is not active;
-    /// [`ActionError::ChildrenActive`] if a child is still active;
-    /// [`ActionError::ParentNotActive`] if the inheritance target
-    /// vanished (runtime misuse).
+    /// [`ActionError::ChildrenActive`] if a child is still live;
+    /// [`ActionError::ParentNotActive`] if the parent is aborting (the
+    /// action is then aborted too); [`ActionError::Backend`] if a flush
+    /// failed (the action stays active, with its locks, so commit can be
+    /// retried).
     pub fn commit(&self, action: ActionId) -> Result<(), ActionError> {
         let inner = &self.inner;
         let obs = inner.obs.get();
         let started = obs.enabled().then(Instant::now);
-        let colours = inner
-            .tree
-            .active_colours(action)
-            .ok_or(ActionError::NotActive(action))?;
-        if !inner.tree.active_children(action).is_empty() {
-            return Err(ActionError::ChildrenActive(action));
-        }
-        if let Some(parent) = inner.tree.parent(action) {
-            if !inner.tree.is_active(parent) {
+        let (colours, ancestors) = inner.tree.begin_commit(action)?;
+        if let Some(&parent) = ancestors.ids().first() {
+            if inner.tree.state(parent) != Some(ActionState::Active) {
+                // Nothing can pass to an aborting parent: the action's
+                // effects are undone with it.
+                inner
+                    .tree
+                    .transition(action, ActionState::Committed, ActionState::Aborted);
+                self.finish_abort(action);
                 return Err(ActionError::ParentNotActive(parent));
             }
         }
         let mut stamped = false;
         for colour in colours {
-            match inner.tree.closest_ancestor_with_colour(action, colour) {
+            match ancestors.closest_with(colour) {
                 Some(ancestor) => {
                     inner.locks.inherit_colour(action, colour, ancestor);
                     inner.undo.transfer_colour(action, colour, ancestor);
@@ -554,6 +559,11 @@ impl Runtime {
                             for (object, image) in records {
                                 inner.undo.record_before(action, object, colour, image);
                             }
+                            inner.tree.transition(
+                                action,
+                                ActionState::Committed,
+                                ActionState::Active,
+                            );
                             return Err(ActionError::Backend(e));
                         }
                         // Publish the new states as versions under the
@@ -584,12 +594,14 @@ impl Runtime {
                 }
             }
         }
-        inner.tree.set_state(action, ActionState::Committed);
         // Drop the lock table's per-action bookkeeping (shard index,
         // any pending interrupt) now that the action is terminated.
         inner.locks.retire_action(action);
         inner.stats.committed.fetch_add(1, Ordering::Relaxed);
         obs.emit(EventKind::ActionCommit { action });
+        // Unlink only now: until then the parent's commit is refused,
+        // so it is recorded after this one.
+        inner.tree.remove(action);
         if let Some(started) = started {
             obs.observe(
                 "core.commit_us",
@@ -604,20 +616,36 @@ impl Runtime {
         Ok(())
     }
 
-    /// Aborts an action: active children are aborted first (deepest
-    /// first), every before-image is restored, every lock discarded.
+    /// Aborts an action: live children are aborted first (deepest
+    /// first), every before-image is restored, every lock discarded, and
+    /// the action's bookkeeping dropped.
     ///
     /// Aborting a non-active (or unknown) action is a no-op, so abort is
     /// always safe to call in cleanup paths.
     pub fn abort(&self, action: ActionId) {
+        if self
+            .inner
+            .tree
+            .transition(action, ActionState::Active, ActionState::Aborted)
+        {
+            self.finish_abort(action);
+        }
+    }
+
+    /// Undoes `action`, already marked aborting, and removes it.
+    fn finish_abort(&self, action: ActionId) {
         let inner = &self.inner;
-        if !inner.tree.is_active(action) {
-            return;
+        // Abort live children first. A child whose commit is under way
+        // is waited out: its effects pass to this action, and it
+        // unlinks, before they are undone here.
+        loop {
+            let children = inner.tree.children(action);
+            if children.is_empty() {
+                break;
+            }
+            children.into_iter().for_each(|child| self.abort(child));
+            std::thread::yield_now();
         }
-        for child in inner.tree.active_children(action) {
-            self.abort(child);
-        }
-        inner.tree.set_state(action, ActionState::Aborted);
         // Restore before-images while still holding the locks, so no
         // other action observes a half-restored state (strictness).
         for (object, _colour, image) in inner.undo.take_all(action) {
@@ -635,25 +663,14 @@ impl Runtime {
         inner.locks.cancel_waiter(action);
         inner.stats.aborted.fetch_add(1, Ordering::Relaxed);
         inner.obs.get().emit(EventKind::ActionAbort { action });
+        inner.tree.remove(action);
     }
 
-    /// Returns the lifecycle state of an action, if known.
+    /// Returns the lifecycle state of a live action; `None` once it has
+    /// terminated (or if it never existed).
     #[must_use]
-    pub fn action_state(&self, action: ActionId) -> Option<crate::tree::ActionState> {
+    pub fn action_state(&self, action: ActionId) -> Option<ActionState> {
         self.inner.tree.state(action)
-    }
-
-    /// Returns the colour set of an action, if known.
-    #[must_use]
-    pub fn action_colours(&self, action: ActionId) -> Option<ColourSet> {
-        self.inner.tree.colours(action)
-    }
-
-    /// Returns the parent of an action (`None` for top-level or
-    /// unknown actions).
-    #[must_use]
-    pub fn action_parent(&self, action: ActionId) -> Option<ActionId> {
-        self.inner.tree.parent(action)
     }
 
     // ------------------------------------------------------------------
@@ -729,8 +746,8 @@ impl Runtime {
         default_colour: Colour,
         body: impl FnOnce(&mut ActionScope<'_>) -> Result<R, ActionError>,
     ) -> Result<R, ActionError> {
-        let id = self.begin_top(colours)?;
-        self.run_body(id, colours, default_colour, body)
+        let (id, ancestors) = self.begin(None, colours)?;
+        self.run_body(id, ancestors, colours, default_colour, body)
     }
 
     /// Runs a nested action under `parent`; commit on `Ok`, abort on
@@ -746,18 +763,19 @@ impl Runtime {
         default_colour: Colour,
         body: impl FnOnce(&mut ActionScope<'_>) -> Result<R, ActionError>,
     ) -> Result<R, ActionError> {
-        let id = self.begin_nested(parent, colours)?;
-        self.run_body(id, colours, default_colour, body)
+        let (id, ancestors) = self.begin(Some(parent), colours)?;
+        self.run_body(id, ancestors, colours, default_colour, body)
     }
 
     fn run_body<R>(
         &self,
         id: ActionId,
+        ancestors: Ancestors,
         colours: ColourSet,
         default_colour: Colour,
         body: impl FnOnce(&mut ActionScope<'_>) -> Result<R, ActionError>,
     ) -> Result<R, ActionError> {
-        let mut scope = ActionScope::new(self, id, colours, default_colour);
+        let mut scope = ActionScope::new(self, id, ancestors, colours, default_colour);
         match body(&mut scope) {
             Ok(value) => match self.commit(id) {
                 Ok(()) => Ok(value),
@@ -798,33 +816,19 @@ impl Runtime {
         let node = obs.node().unwrap_or(NodeId::from_raw(0));
         obs.emit(EventKind::NodeCrash { node });
         // Kill active actions; their threads' next operation fails.
-        // Deepest-first, so every child's abort is recorded before its
-        // parent's — the trace auditor's causal rule (R8) requires each
-        // span to close inside its parent even on the crash path.
-        let mut killed: Vec<ActionId> = Vec::new();
+        // Deepest first (then by id), so every child's abort is recorded
+        // before its parent's — the trace auditor's causal rule (R8)
+        // requires each span to close inside its parent even on the
+        // crash path. A killed action leaves the tree, so another pass
+        // finds only actions begun during this one.
         loop {
-            let active = inner.tree.active_actions();
-            let mut remaining: Vec<ActionId> =
-                active.into_iter().filter(|a| !killed.contains(a)).collect();
-            if remaining.is_empty() {
+            let mut active = inner.tree.active();
+            if active.is_empty() {
                 break;
             }
-            remaining.sort_by_key(|&a| {
-                let mut depth = 0u32;
-                let mut cursor = a;
-                while let Some(parent) = inner.tree.parent(cursor) {
-                    depth += 1;
-                    cursor = parent;
-                }
-                std::cmp::Reverse(depth)
-            });
-            for action in remaining {
-                inner.tree.set_state(action, ActionState::Aborted);
-                inner.locks.discard_action(action);
-                inner.locks.cancel_waiter(action);
-                inner.stats.aborted.fetch_add(1, Ordering::Relaxed);
-                obs.emit(EventKind::ActionAbort { action });
-                killed.push(action);
+            active.sort_unstable_by_key(|&(id, depth)| (std::cmp::Reverse(depth), id));
+            for (action, _) in active {
+                self.abort(action);
             }
         }
         inner.undo.clear();
@@ -847,13 +851,6 @@ impl Runtime {
         }
         inner.stable.recover();
         obs.emit(EventKind::NodeRecover { node });
-    }
-
-    /// Drops bookkeeping for terminated actions with no live
-    /// descendants, bounding memory in long-running systems. Returns
-    /// how many were pruned.
-    pub fn prune_terminated(&self) -> usize {
-        self.inner.tree.prune_terminated()
     }
 
     // ------------------------------------------------------------------
@@ -1052,45 +1049,45 @@ impl Runtime {
 
     pub(crate) fn op_lock(
         &self,
-        action: ActionId,
+        scope: &ActionScope<'_>,
         colour: Colour,
         object: ObjectId,
         mode: LockMode,
     ) -> Result<(), ActionError> {
-        self.acquire(action, colour, object, mode, false)
+        self.acquire(scope, colour, object, mode, false)
     }
 
     pub(crate) fn op_try_lock(
         &self,
-        action: ActionId,
+        scope: &ActionScope<'_>,
         colour: Colour,
         object: ObjectId,
         mode: LockMode,
     ) -> Result<(), ActionError> {
-        self.acquire(action, colour, object, mode, true)
+        self.acquire(scope, colour, object, mode, true)
     }
 
     pub(crate) fn op_read_raw(
         &self,
-        action: ActionId,
+        scope: &ActionScope<'_>,
         colour: Colour,
         object: ObjectId,
     ) -> Result<StoreBytes, ActionError> {
-        self.acquire(action, colour, object, LockMode::Read, false)?;
+        self.acquire(scope, colour, object, LockMode::Read, false)?;
         self.current_state(object)
             .ok_or(ActionError::NoSuchObject(object))
     }
 
     pub(crate) fn op_write_raw(
         &self,
-        action: ActionId,
+        scope: &ActionScope<'_>,
         colour: Colour,
         object: ObjectId,
         state: StoreBytes,
     ) -> Result<(), ActionError> {
-        self.acquire(action, colour, object, LockMode::Write, false)?;
+        self.acquire(scope, colour, object, LockMode::Write, false)?;
         let prior = self.current_state(object);
-        self.install(action, colour, object, prior, state);
+        self.install(scope.id(), colour, object, prior, state);
         Ok(())
     }
 
@@ -1099,29 +1096,29 @@ impl Runtime {
     /// read-locking and deadlocking on the upgrade.
     pub(crate) fn op_modify_raw<R>(
         &self,
-        action: ActionId,
+        scope: &ActionScope<'_>,
         colour: Colour,
         object: ObjectId,
         transform: impl FnOnce(&StoreBytes) -> Result<(StoreBytes, R), ActionError>,
     ) -> Result<R, ActionError> {
-        self.acquire(action, colour, object, LockMode::Write, false)?;
+        self.acquire(scope, colour, object, LockMode::Write, false)?;
         let prior = self
             .current_state(object)
             .ok_or(ActionError::NoSuchObject(object))?;
         let (state, result) = transform(&prior)?;
-        self.install(action, colour, object, Some(prior), state);
+        self.install(scope.id(), colour, object, Some(prior), state);
         Ok(result)
     }
 
     pub(crate) fn op_create_raw(
         &self,
-        action: ActionId,
+        scope: &ActionScope<'_>,
         colour: Colour,
         state: StoreBytes,
     ) -> Result<ObjectId, ActionError> {
         let object = ObjectId::from_raw(self.inner.next_object.fetch_add(1, Ordering::Relaxed));
-        self.acquire(action, colour, object, LockMode::Write, false)?;
-        self.install(action, colour, object, None, state);
+        self.acquire(scope, colour, object, LockMode::Write, false)?;
+        self.install(scope.id(), colour, object, None, state);
         Ok(object)
     }
 
@@ -1144,29 +1141,31 @@ impl Runtime {
         self.inner.working(object).write().insert(object, state);
     }
 
+    /// Takes a lock for `scope`'s action, handing the lock table the
+    /// ancestor chain the scope carries.
     fn acquire(
         &self,
-        action: ActionId,
+        scope: &ActionScope<'_>,
         colour: Colour,
         object: ObjectId,
         mode: LockMode,
         try_only: bool,
     ) -> Result<(), ActionError> {
         let inner = &self.inner;
-        let colours = inner
-            .tree
-            .active_colours(action)
-            .ok_or(ActionError::NotActive(action))?;
-        if !colours.contains(colour) {
+        let action = scope.id();
+        if inner.tree.state(action) != Some(ActionState::Active) {
+            return Err(ActionError::NotActive(action));
+        }
+        if !scope.colours().contains(colour) {
             return Err(ActionError::ColourNotHeld { action, colour });
         }
         let result = if try_only {
             inner
                 .locks
-                .try_acquire(&inner.tree, action, object, colour, mode)
+                .try_acquire(scope.ancestors(), action, object, colour, mode)
         } else {
             inner.locks.acquire(
-                &inner.tree,
+                scope.ancestors(),
                 action,
                 object,
                 colour,
@@ -1224,13 +1223,6 @@ impl Runtime {
         self.inner.locks.wait_stats()
     }
 
-    /// The number of shards the lock table was built with (see
-    /// [`RuntimeBuilder::lock_shards`]).
-    #[must_use]
-    pub fn lock_shard_count(&self) -> usize {
-        self.inner.locks.shard_count()
-    }
-
     /// Per-shard lock-wait statistics, indexed by shard — a skewed
     /// distribution reveals a hot object concentrating contention.
     #[must_use]
@@ -1249,7 +1241,12 @@ impl Runtime {
     /// snapshot actions are not included.
     #[must_use]
     pub fn active_actions(&self) -> Vec<ActionId> {
-        self.inner.tree.active_actions()
+        self.inner
+            .tree
+            .active()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect()
     }
 
     /// The number of before-images the undo log holds for `action`

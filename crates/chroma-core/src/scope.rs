@@ -6,6 +6,7 @@ use chroma_store::StoreBytes;
 
 use crate::error::ActionError;
 use crate::runtime::Runtime;
+use crate::tree::Ancestors;
 
 /// The fence a structure step keeps on the objects it touches: locks in
 /// a wrapper's colour that pass to the wrapper at the step's commit and
@@ -70,6 +71,7 @@ impl Fence {
 pub struct ActionScope<'rt> {
     runtime: &'rt Runtime,
     id: ActionId,
+    ancestors: Ancestors,
     colours: ColourSet,
     default_colour: Colour,
     fence: Option<Fence>,
@@ -79,12 +81,14 @@ impl<'rt> ActionScope<'rt> {
     pub(crate) fn new(
         runtime: &'rt Runtime,
         id: ActionId,
+        ancestors: Ancestors,
         colours: ColourSet,
         default_colour: Colour,
     ) -> Self {
         ActionScope {
             runtime,
             id,
+            ancestors,
             colours,
             default_colour,
             fence: None,
@@ -95,6 +99,13 @@ impl<'rt> ActionScope<'rt> {
     #[must_use]
     pub fn id(&self) -> ActionId {
         self.id
+    }
+
+    /// Returns the action's ancestors, closest first, each with its
+    /// colour set.
+    #[must_use]
+    pub fn ancestors(&self) -> &Ancestors {
+        &self.ancestors
     }
 
     /// Returns the action's colour set.
@@ -160,7 +171,7 @@ impl<'rt> ActionScope<'rt> {
     /// Lock failures or [`ActionError::NoSuchObject`].
     pub fn read_raw_in(&self, colour: Colour, object: ObjectId) -> Result<StoreBytes, ActionError> {
         self.fence_access(object, LockMode::Read)?;
-        self.runtime.op_read_raw(self.id, colour, object)
+        self.runtime.op_read_raw(self, colour, object)
     }
 
     // ------------------------------------------------------------------
@@ -202,7 +213,7 @@ impl<'rt> ActionScope<'rt> {
         state: StoreBytes,
     ) -> Result<(), ActionError> {
         self.fence_access(object, LockMode::ExclusiveRead)?;
-        self.runtime.op_write_raw(self.id, colour, object, state)
+        self.runtime.op_write_raw(self, colour, object, state)
     }
 
     /// Reads, transforms and writes back an object in the default
@@ -239,7 +250,7 @@ impl<'rt> ActionScope<'rt> {
     {
         self.fence_access(object, LockMode::ExclusiveRead)?;
         self.runtime
-            .op_modify_raw(self.id, colour, object, |bytes: &StoreBytes| {
+            .op_modify_raw(self, colour, object, |bytes: &StoreBytes| {
                 let mut value: T = codec::from_bytes(bytes)?;
                 let result = f(&mut value);
                 Ok((StoreBytes::from(codec::to_bytes(&value)?), result))
@@ -269,7 +280,7 @@ impl<'rt> ActionScope<'rt> {
     /// Lock failures.
     pub fn create_in<T: Stored>(&self, colour: Colour, value: &T) -> Result<ObjectId, ActionError> {
         let bytes = StoreBytes::from(codec::to_bytes(value)?);
-        let object = self.runtime.op_create_raw(self.id, colour, bytes)?;
+        let object = self.runtime.op_create_raw(self, colour, bytes)?;
         self.fence_access(object, LockMode::ExclusiveRead)?;
         Ok(object)
     }
@@ -291,7 +302,7 @@ impl<'rt> ActionScope<'rt> {
         object: ObjectId,
         mode: LockMode,
     ) -> Result<(), ActionError> {
-        self.runtime.op_lock(self.id, colour, object, mode)
+        self.runtime.op_lock(self, colour, object, mode)
     }
 
     /// Attempts a lock without waiting. Never fenced.
@@ -305,7 +316,7 @@ impl<'rt> ActionScope<'rt> {
         object: ObjectId,
         mode: LockMode,
     ) -> Result<(), ActionError> {
-        self.runtime.op_try_lock(self.id, colour, object, mode)
+        self.runtime.op_try_lock(self, colour, object, mode)
     }
 
     /// Hands `object` over to the structure's next step: exclusive-read

@@ -2,7 +2,7 @@
 //! nested-action baseline, per-colour inheritance and permanence
 //! (paper §5.1–§5.2, fig. 10), and crash recovery.
 
-use chroma_core::{ActionError, ActionState, Colour, ColourSet, LockMode, Runtime, RuntimeConfig};
+use chroma_core::{ActionError, Colour, ColourSet, LockMode, Runtime, RuntimeConfig};
 use std::time::Duration;
 
 fn rt_fast() -> Runtime {
@@ -193,7 +193,8 @@ fn abort_cascades_through_active_children() {
         .unwrap();
     rt.scope(child).unwrap().write(o, &9i64).unwrap();
     rt.abort(top);
-    assert_eq!(rt.action_state(child), Some(ActionState::Aborted));
+    assert_eq!(rt.action_state(child), None);
+    assert_eq!(rt.action_state(top), None);
     assert_eq!(rt.read_committed::<i64>(o).unwrap(), 0);
     assert_eq!(rt.lock_entry_count(), 0);
 }
@@ -351,7 +352,7 @@ fn crash_loses_uncommitted_work() {
         .unwrap();
     rt.scope(a).unwrap().write(o, &99i64).unwrap();
     rt.crash_and_recover();
-    assert_eq!(rt.action_state(a), Some(ActionState::Aborted));
+    assert_eq!(rt.action_state(a), None);
     assert_eq!(rt.read_committed::<i64>(o).unwrap(), 1);
     assert_eq!(rt.read_current::<i64>(o).unwrap(), 1);
     assert_eq!(rt.lock_entry_count(), 0);
@@ -531,7 +532,7 @@ fn operations_on_terminated_actions_fail() {
     assert!(matches!(rt.commit(a), Err(ActionError::NotActive(_))));
     // Abort of a terminated action is a harmless no-op.
     rt.abort(a);
-    assert_eq!(rt.action_state(a), Some(ActionState::Committed));
+    assert_eq!(rt.action_state(a), None);
     let _ = o;
 }
 

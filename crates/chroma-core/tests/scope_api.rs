@@ -173,25 +173,15 @@ fn scope_accessors_are_consistent() {
     rt.atomic(|a| {
         assert_eq!(a.colours(), ColourSet::single(rt.default_colour()));
         assert_eq!(a.default_colour(), rt.default_colour());
-        assert!(rt.action_colours(a.id()).is_some());
-        assert_eq!(rt.action_parent(a.id()), None);
-        Ok(())
+        assert_eq!(rt.action_state(a.id()), Some(ActionState::Active));
+        assert!(a.ancestors().ids().is_empty());
+        let top = a.id();
+        a.nested(|b| {
+            assert_eq!(b.ancestors().ids(), [top]);
+            Ok(())
+        })
     })
     .unwrap();
-}
-
-#[test]
-fn prune_terminated_clears_finished_actions() {
-    let rt = Runtime::builder().build();
-    let o = rt.create_object(&0i64).unwrap();
-    for i in 0..10i64 {
-        rt.atomic(|a| a.write(o, &i)).unwrap();
-    }
-    let pruned = rt.prune_terminated();
-    assert_eq!(pruned, 10);
-    // Later actions still work.
-    rt.atomic(|a| a.write(o, &99i64)).unwrap();
-    assert_eq!(rt.read_committed::<i64>(o).unwrap(), 99);
 }
 
 #[test]
@@ -244,12 +234,12 @@ fn action_states_progress_correctly() {
         .unwrap();
     assert_eq!(rt.action_state(a), Some(ActionState::Active));
     rt.commit(a).unwrap();
-    assert_eq!(rt.action_state(a), Some(ActionState::Committed));
+    assert_eq!(rt.action_state(a), None);
     let b = rt
         .begin_top(ColourSet::single(rt.default_colour()))
         .unwrap();
     rt.abort(b);
-    assert_eq!(rt.action_state(b), Some(ActionState::Aborted));
+    assert_eq!(rt.action_state(b), None);
     assert_eq!(rt.action_state(chroma_core::ActionId::from_raw(999)), None);
 }
 

@@ -9,16 +9,15 @@
 //! outermost for it, committing under a parent that then aborts).
 //! Every committed action moves units between two counters, so the
 //! total never changes. At the end the test checks that the total is
-//! conserved, that no poisoned write survived, that every action id
-//! still has the state it ended in, that no action is active and that
+//! conserved, that no poisoned write survived, that no action id has a
+//! state left (a terminated action's bookkeeping dies with it) and that
 //! the undo log holds nothing for any of them.
 //!
 //! `CHROMA_TORTURE_SEED` (default 42) draws each thread's schedule.
 
-use std::collections::HashMap;
 use std::thread;
 
-use chroma_core::{ActionError, ActionId, ActionState, ColourSet, ObjectId, Runtime};
+use chroma_core::{ActionError, ActionId, ColourSet, ObjectId, Runtime};
 
 const THREADS: u64 = 4;
 const OPS: usize = 1_000;
@@ -49,9 +48,9 @@ fn add(rt: &Runtime, action: ActionId, object: ObjectId, delta: i64) -> Result<(
     rt.scope(action)?.modify(object, |v: &mut i64| *v += delta)
 }
 
-/// One thread's run: the final state of every action it began.
+/// One thread's run: every action it began.
 struct Outcome {
-    states: HashMap<ActionId, ActionState>,
+    ids: Vec<ActionId>,
 }
 
 impl Outcome {
@@ -61,18 +60,8 @@ impl Outcome {
             None => rt.begin_top(colours),
         }
         .expect("begin");
-        self.states.insert(id, ActionState::Active);
+        self.ids.push(id);
         id
-    }
-
-    fn commit(&mut self, rt: &Runtime, id: ActionId) {
-        rt.commit(id).expect("commit");
-        self.states.insert(id, ActionState::Committed);
-    }
-
-    fn abort(&mut self, rt: &Runtime, id: ActionId) {
-        rt.abort(id);
-        self.states.insert(id, ActionState::Aborted);
     }
 }
 
@@ -82,9 +71,7 @@ impl Outcome {
 fn run(rt: &Runtime, counters: &[ObjectId], t: u64) -> Outcome {
     let default = ColourSet::single(rt.default_colour());
     let mut rng = seed() ^ (t << 48);
-    let mut out = Outcome {
-        states: HashMap::new(),
-    };
+    let mut out = Outcome { ids: Vec::new() };
     for _ in 0..OPS {
         // Half the time both counters are shared, else one is this
         // thread's own.
@@ -108,13 +95,13 @@ fn run(rt: &Runtime, counters: &[ObjectId], t: u64) -> Outcome {
                 let top = out.begin(rt, None, default);
                 let first = out.begin(rt, Some(top), default);
                 add(rt, first, low, -units).unwrap();
-                out.commit(rt, first);
+                rt.commit(first).expect("commit");
                 let second = out.begin(rt, Some(top), default);
                 add(rt, second, high, units).unwrap();
-                out.commit(rt, second);
+                rt.commit(second).expect("commit");
                 assert_eq!(rt.undo_record_count(first), 0);
                 assert_eq!(rt.undo_record_count(top), 2);
-                out.commit(rt, top);
+                rt.commit(top).expect("commit");
             }
             // A child commits a poisoned write into its parent, the
             // parent poisons another, then the parent aborts.
@@ -122,9 +109,9 @@ fn run(rt: &Runtime, counters: &[ObjectId], t: u64) -> Outcome {
                 let top = out.begin(rt, None, default);
                 let child = out.begin(rt, Some(top), default);
                 add(rt, child, low, POISON).unwrap();
-                out.commit(rt, child);
+                rt.commit(child).expect("commit");
                 add(rt, top, high, POISON).unwrap();
-                out.abort(rt, top);
+                rt.abort(top);
             }
             // A poisoned child aborts; its parent then commits a
             // balanced transfer over the same counters.
@@ -134,10 +121,10 @@ fn run(rt: &Runtime, counters: &[ObjectId], t: u64) -> Outcome {
                 add(rt, child, low, POISON).unwrap();
                 add(rt, child, high, -POISON).unwrap();
                 add(rt, child, high, POISON).unwrap();
-                out.abort(rt, child);
+                rt.abort(child);
                 add(rt, top, low, units).unwrap();
                 add(rt, top, high, -units).unwrap();
-                out.commit(rt, top);
+                rt.commit(top).expect("commit");
             }
             // An independent action: a child in a fresh colour is
             // outermost for it, so its transfer is permanent even
@@ -148,8 +135,8 @@ fn run(rt: &Runtime, counters: &[ObjectId], t: u64) -> Outcome {
                 let child = out.begin(rt, Some(top), ColourSet::single(colour));
                 add(rt, child, low, units).unwrap();
                 add(rt, child, high, -units).unwrap();
-                out.commit(rt, child);
-                out.abort(rt, top);
+                rt.commit(child).expect("commit");
+                rt.abort(top);
                 rt.universe().release(colour);
             }
         }
@@ -188,8 +175,8 @@ fn sharded_bookkeeping_survives_racing_nested_commits_and_aborts() {
 
     let mut seen = 0;
     for outcome in &outcomes {
-        for (&id, &state) in &outcome.states {
-            assert_eq!(rt.action_state(id), Some(state), "{id}");
+        for &id in &outcome.ids {
+            assert_eq!(rt.action_state(id), None, "{id}");
             assert_eq!(rt.undo_record_count(id), 0, "{id} kept undo records");
             seen += 1;
         }

@@ -1,44 +1,33 @@
-//! The ancestry oracle the lock rules consult.
+//! The requester's ancestor chain, the one fact the lock rules need:
+//! asked once per request; a waiter's chain travels in its wait entry.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use chroma_base::ActionId;
 use parking_lot::RwLock;
 
-/// Oracle answering ancestry queries over the action tree.
+/// Source of a requester's ancestor chain.
 ///
-/// Both rule-sets of §5.2 grant exclusive locks only when every existing
-/// holder is an *ancestor* of the requester. Like Moss, chroma treats an
-/// action as an ancestor of itself, which is what permits lock conversion
-/// (upgrading a held read lock to a write lock) and re-acquisition.
+/// Like Moss, chroma treats an action as an ancestor of itself, which is
+/// what permits lock conversion (upgrading a held read lock to a write
+/// lock) and re-acquisition; the chain itself holds only the *proper*
+/// ancestors.
 ///
-/// The core runtime implements this trait over its live action tree; the
-/// standalone [`FlatAncestry`] implementation is useful for tests and for
-/// non-nested workloads.
+/// The core runtime hands the table the chain each action carries from
+/// its begin; the standalone [`FlatAncestry`] implementation is useful
+/// for tests and for non-nested workloads.
 pub trait Ancestry {
-    /// Returns `true` if `candidate` is `of` itself or a (transitive)
-    /// parent of `of` in the action tree.
-    fn is_ancestor_or_self(&self, candidate: ActionId, of: ActionId) -> bool;
+    /// The proper ancestors of `action`, closest (its parent) first.
+    fn chain(&self, action: ActionId) -> Cow<'_, [ActionId]>;
 }
 
-impl<T: Ancestry + ?Sized> Ancestry for &T {
-    fn is_ancestor_or_self(&self, candidate: ActionId, of: ActionId) -> bool {
-        (**self).is_ancestor_or_self(candidate, of)
-    }
-}
-
-impl<T: Ancestry + ?Sized> Ancestry for Arc<T> {
-    fn is_ancestor_or_self(&self, candidate: ActionId, of: ActionId) -> bool {
-        (**self).is_ancestor_or_self(candidate, of)
-    }
-}
-
-/// An explicit parent map usable as an [`Ancestry`] oracle.
+/// An explicit parent map usable as an [`Ancestry`].
 ///
 /// Actions without a registered parent are top-level; with no
-/// registrations at all, every action is top-level and the only ancestor
-/// of an action is itself (hence "flat").
+/// registrations at all, every action is top-level and its chain is
+/// empty (hence "flat").
 ///
 /// # Examples
 ///
@@ -49,9 +38,8 @@ impl<T: Ancestry + ?Sized> Ancestry for Arc<T> {
 /// let (parent, child) = (ActionId::from_raw(1), ActionId::from_raw(2));
 /// let tree = FlatAncestry::new();
 /// tree.set_parent(child, parent);
-/// assert!(tree.is_ancestor_or_self(parent, child));
-/// assert!(tree.is_ancestor_or_self(child, child));
-/// assert!(!tree.is_ancestor_or_self(child, parent));
+/// assert_eq!(*tree.chain(child), [parent]);
+/// assert!(tree.chain(parent).is_empty());
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FlatAncestry {
@@ -77,69 +65,64 @@ impl FlatAncestry {
 }
 
 impl Ancestry for FlatAncestry {
-    fn is_ancestor_or_self(&self, candidate: ActionId, of: ActionId) -> bool {
-        if candidate == of {
-            return true;
-        }
+    fn chain(&self, action: ActionId) -> Cow<'_, [ActionId]> {
         let parents = self.parents.read();
-        let mut cursor = of;
+        let mut chain = Vec::new();
+        let mut cursor = action;
         while let Some(&parent) = parents.get(&cursor) {
-            if parent == candidate {
-                return true;
-            }
+            chain.push(parent);
             cursor = parent;
         }
-        false
+        Cow::Owned(chain)
     }
+}
+
+/// Whether `candidate` is `requester` itself or one of the ancestors in
+/// the requester's `chain`.
+pub(crate) fn is_ancestor_or_self(
+    candidate: ActionId,
+    requester: ActionId,
+    chain: &[ActionId],
+) -> bool {
+    candidate == requester || chain.contains(&candidate)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn self_is_ancestor() {
-        let tree = FlatAncestry::new();
-        let a = ActionId::from_raw(1);
-        assert!(tree.is_ancestor_or_self(a, a));
+    fn a(n: u64) -> ActionId {
+        ActionId::from_raw(n)
     }
 
     #[test]
-    fn transitive_ancestry() {
+    fn top_level_chain_is_empty() {
+        assert!(FlatAncestry::new().chain(a(1)).is_empty());
+    }
+
+    #[test]
+    fn chain_runs_closest_first() {
         let tree = FlatAncestry::new();
-        let (a, b, c) = (
-            ActionId::from_raw(1),
-            ActionId::from_raw(2),
-            ActionId::from_raw(3),
-        );
-        tree.set_parent(b, a);
-        tree.set_parent(c, b);
-        assert!(tree.is_ancestor_or_self(a, c));
-        assert!(tree.is_ancestor_or_self(b, c));
-        assert!(!tree.is_ancestor_or_self(c, a));
-        assert!(!tree.is_ancestor_or_self(c, b));
+        tree.set_parent(a(2), a(1));
+        tree.set_parent(a(3), a(2));
+        assert_eq!(*tree.chain(a(3)), [a(2), a(1)]);
+        assert_eq!(*tree.chain(a(2)), [a(1)]);
     }
 
     #[test]
     fn siblings_are_unrelated() {
         let tree = FlatAncestry::new();
-        let (p, x, y) = (
-            ActionId::from_raw(1),
-            ActionId::from_raw(2),
-            ActionId::from_raw(3),
-        );
-        tree.set_parent(x, p);
-        tree.set_parent(y, p);
-        assert!(!tree.is_ancestor_or_self(x, y));
-        assert!(!tree.is_ancestor_or_self(y, x));
+        tree.set_parent(a(2), a(1));
+        tree.set_parent(a(3), a(1));
+        assert!(!tree.chain(a(3)).contains(&a(2)));
+        assert!(!tree.chain(a(2)).contains(&a(3)));
     }
 
     #[test]
     fn clear_parent_detaches() {
         let tree = FlatAncestry::new();
-        let (p, c) = (ActionId::from_raw(1), ActionId::from_raw(2));
-        tree.set_parent(c, p);
-        tree.clear_parent(c);
-        assert!(!tree.is_ancestor_or_self(p, c));
+        tree.set_parent(a(2), a(1));
+        tree.clear_parent(a(2));
+        assert!(tree.chain(a(2)).is_empty());
     }
 }

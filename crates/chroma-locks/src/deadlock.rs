@@ -16,6 +16,10 @@
 //!   action's fence blocking a step of another, whose fence blocks the
 //!   first's next step.
 //!
+//! A waiter's chain of ancestors rides in its wait entry, so the search
+//! answers "is this action an ancestor of that waiter" from the graph
+//! alone.
+//!
 //! Detection is run whenever a new edge is added; the victim is the
 //! youngest (highest-numbered) waiter on the cycle, on the usual grounds
 //! that it has done the least work. An ancestor that waits only through
@@ -25,8 +29,6 @@
 use std::collections::{HashMap, HashSet};
 
 use chroma_base::ActionId;
-
-use crate::policy::DynAncestry;
 
 /// Outcome of a cycle search: the cycle found and the victim chosen.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,21 +45,29 @@ pub struct DeadlockReport {
 ///
 /// ```
 /// use chroma_base::ActionId;
-/// use chroma_locks::{FlatAncestry, WaitForGraph};
+/// use chroma_locks::WaitForGraph;
 ///
-/// let tree = FlatAncestry::new();
 /// let mut g = WaitForGraph::new();
 /// let (a, b) = (ActionId::from_raw(1), ActionId::from_raw(2));
-/// g.add_wait(a, b, &tree);
-/// let report = g.add_wait(b, a, &tree).expect("cycle");
+/// g.add_wait(a, b, &[]);
+/// let report = g.add_wait(b, a, &[]).expect("cycle");
 /// assert_eq!(report.victim, b); // youngest waiter
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct WaitForGraph {
-    /// For each waiter, the actions it waits for, with a count per target
-    /// so that duplicate registrations (several blocking holders) are
-    /// tracked correctly.
-    edges: HashMap<ActionId, HashMap<ActionId, usize>>,
+    /// Every waiter's wait entry.
+    edges: HashMap<ActionId, Waits>,
+}
+
+/// One waiter's entry in the graph.
+#[derive(Clone, Debug)]
+struct Waits {
+    /// The waiter's proper ancestors, closest first.
+    chain: Vec<ActionId>,
+    /// The actions it waits for, with a count per target so that
+    /// duplicate registrations (several blocking holders) are tracked
+    /// correctly.
+    targets: HashMap<ActionId, usize>,
 }
 
 impl WaitForGraph {
@@ -67,9 +77,10 @@ impl WaitForGraph {
         WaitForGraph::default()
     }
 
-    /// Records that `waiter` now waits for `target`, and checks for a
-    /// cycle through the new edge, treating every ancestor (per
-    /// `ancestry`) of a waiting action as waiting for it too.
+    /// Records that `waiter`, whose proper ancestors are `chain`
+    /// (closest first), now waits for `target`, and checks for a cycle
+    /// through the new edge, treating every ancestor of a waiting action
+    /// as waiting for it too.
     ///
     /// Returns a report if the edge closes a cycle. The caller is
     /// responsible for acting on the report and for eventually removing
@@ -78,29 +89,28 @@ impl WaitForGraph {
         &mut self,
         waiter: ActionId,
         target: ActionId,
-        ancestry: &dyn DynAncestry,
+        chain: &[ActionId],
     ) -> Option<DeadlockReport> {
-        *self
-            .edges
-            .entry(waiter)
-            .or_default()
-            .entry(target)
-            .or_insert(0) += 1;
-        self.find_cycle_through(waiter, ancestry)
+        let waits = self.edges.entry(waiter).or_insert_with(|| Waits {
+            chain: chain.to_vec(),
+            targets: HashMap::new(),
+        });
+        *waits.targets.entry(target).or_insert(0) += 1;
+        self.find_cycle_through(waiter)
     }
 
     /// Removes one `waiter -> target` edge previously added with
     /// [`add_wait`](WaitForGraph::add_wait).
     pub fn remove_wait(&mut self, waiter: ActionId, target: ActionId) {
         let mut drop_waiter = false;
-        if let Some(targets) = self.edges.get_mut(&waiter) {
-            if let Some(count) = targets.get_mut(&target) {
+        if let Some(waits) = self.edges.get_mut(&waiter) {
+            if let Some(count) = waits.targets.get_mut(&target) {
                 *count -= 1;
                 if *count == 0 {
-                    targets.remove(&target);
+                    waits.targets.remove(&target);
                 }
             }
-            drop_waiter = targets.is_empty();
+            drop_waiter = waits.targets.is_empty();
         }
         if drop_waiter {
             self.edges.remove(&waiter);
@@ -110,10 +120,10 @@ impl WaitForGraph {
     /// Removes every edge from or to `action` (it terminated).
     pub fn remove_action(&mut self, action: ActionId) {
         self.edges.remove(&action);
-        for targets in self.edges.values_mut() {
-            targets.remove(&action);
+        for waits in self.edges.values_mut() {
+            waits.targets.remove(&action);
         }
-        self.edges.retain(|_, targets| !targets.is_empty());
+        self.edges.retain(|_, waits| !waits.targets.is_empty());
     }
 
     /// Returns `true` if `action` currently waits for anything.
@@ -126,15 +136,11 @@ impl WaitForGraph {
     ///
     /// The victim is the youngest waiter on the cycle; returns `None` if
     /// there is no cycle.
-    fn find_cycle_through(
-        &self,
-        start: ActionId,
-        ancestry: &dyn DynAncestry,
-    ) -> Option<DeadlockReport> {
+    fn find_cycle_through(&self, start: ActionId) -> Option<DeadlockReport> {
         // Iterative DFS tracking the path, since cycles are tiny but the
         // graph can momentarily be large under heavy contention.
         let mut path: Vec<ActionId> = vec![start];
-        let mut iters = vec![self.successors(start, ancestry).into_iter()];
+        let mut iters = vec![self.successors(start).into_iter()];
         let mut on_path: HashSet<ActionId> = HashSet::from([start]);
         let mut visited: HashSet<ActionId> = HashSet::from([start]);
 
@@ -163,7 +169,7 @@ impl WaitForGraph {
                         });
                     }
                     if visited.insert(next) {
-                        let successors = self.successors(next, ancestry);
+                        let successors = self.successors(next);
                         if !successors.is_empty() {
                             path.push(next);
                             on_path.insert(next);
@@ -182,19 +188,19 @@ impl WaitForGraph {
         None
     }
 
-    /// What `action` waits for: its own edges' targets, then every other
-    /// waiting action it is an ancestor of.
-    fn successors(&self, action: ActionId, ancestry: &dyn DynAncestry) -> Vec<ActionId> {
+    /// What `action` waits for: its own edges' targets, then every
+    /// waiting action whose chain it is on.
+    fn successors(&self, action: ActionId) -> Vec<ActionId> {
         let mut next: Vec<ActionId> = self
             .edges
             .get(&action)
-            .map(|targets| targets.keys().copied().collect())
+            .map(|waits| waits.targets.keys().copied().collect())
             .unwrap_or_default();
         next.extend(
             self.edges
-                .keys()
-                .copied()
-                .filter(|&waiter| waiter != action && ancestry.is_ancestor_or_self(action, waiter)),
+                .iter()
+                .filter(|(_, waits)| waits.chain.contains(&action))
+                .map(|(&waiter, _)| waiter),
         );
         next
     }
@@ -203,7 +209,6 @@ impl WaitForGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlatAncestry;
 
     fn a(n: u64) -> ActionId {
         ActionId::from_raw(n)
@@ -211,18 +216,16 @@ mod tests {
 
     #[test]
     fn no_cycle_no_report() {
-        let flat = FlatAncestry::new();
         let mut g = WaitForGraph::new();
-        assert!(g.add_wait(a(1), a(2), &flat).is_none());
-        assert!(g.add_wait(a(2), a(3), &flat).is_none());
+        assert!(g.add_wait(a(1), a(2), &[]).is_none());
+        assert!(g.add_wait(a(2), a(3), &[]).is_none());
     }
 
     #[test]
     fn two_cycle_detected_with_youngest_victim() {
-        let flat = FlatAncestry::new();
         let mut g = WaitForGraph::new();
-        g.add_wait(a(1), a(2), &flat);
-        let report = g.add_wait(a(2), a(1), &flat).expect("cycle");
+        g.add_wait(a(1), a(2), &[]);
+        let report = g.add_wait(a(2), a(1), &[]).expect("cycle");
         assert_eq!(report.victim, a(2));
         assert_eq!(report.cycle.len(), 2);
         assert_eq!(report.cycle[0], a(2));
@@ -230,11 +233,10 @@ mod tests {
 
     #[test]
     fn three_cycle_detected() {
-        let flat = FlatAncestry::new();
         let mut g = WaitForGraph::new();
-        g.add_wait(a(3), a(1), &flat);
-        g.add_wait(a(1), a(2), &flat);
-        let report = g.add_wait(a(2), a(3), &flat).expect("cycle");
+        g.add_wait(a(3), a(1), &[]);
+        g.add_wait(a(1), a(2), &[]);
+        let report = g.add_wait(a(2), a(3), &[]).expect("cycle");
         assert_eq!(report.victim, a(3));
         assert_eq!(report.cycle.len(), 3);
     }
@@ -244,20 +246,17 @@ mod tests {
         // Parent 9 runs nested child 1 on its thread; the child waits on
         // a lock the parent holds. The victim must be 1 even though 9 is
         // younger: 9 waits only through its child.
-        let tree = FlatAncestry::new();
-        tree.set_parent(a(1), a(9));
         let mut g = WaitForGraph::new();
-        let report = g.add_wait(a(1), a(9), &tree).expect("cycle");
+        let report = g.add_wait(a(1), a(9), &[a(9)]).expect("cycle");
         assert_eq!(report.victim, a(1));
         assert_eq!(report.cycle, vec![a(1), a(9)]);
     }
 
     #[test]
     fn duplicate_edges_need_matching_removals() {
-        let flat = FlatAncestry::new();
         let mut g = WaitForGraph::new();
-        g.add_wait(a(1), a(2), &flat);
-        g.add_wait(a(1), a(2), &flat);
+        g.add_wait(a(1), a(2), &[]);
+        g.add_wait(a(1), a(2), &[]);
         g.remove_wait(a(1), a(2));
         assert!(g.is_waiting(a(1)));
         g.remove_wait(a(1), a(2));
@@ -266,22 +265,20 @@ mod tests {
 
     #[test]
     fn remove_action_clears_incident_edges() {
-        let flat = FlatAncestry::new();
         let mut g = WaitForGraph::new();
-        g.add_wait(a(1), a(2), &flat);
-        g.add_wait(a(3), a(1), &flat);
+        g.add_wait(a(1), a(2), &[]);
+        g.add_wait(a(3), a(1), &[]);
         g.remove_action(a(1));
         assert!(!g.is_waiting(a(1)));
         assert!(!g.is_waiting(a(3)));
         // No stale cycle possible.
-        assert!(g.add_wait(a(2), a(3), &flat).is_none());
+        assert!(g.add_wait(a(2), a(3), &[]).is_none());
     }
 
     #[test]
     fn self_wait_is_a_cycle() {
-        let flat = FlatAncestry::new();
         let mut g = WaitForGraph::new();
-        let report = g.add_wait(a(5), a(5), &flat).expect("self cycle");
+        let report = g.add_wait(a(5), a(5), &[]).expect("self cycle");
         assert_eq!(report.victim, a(5));
         assert_eq!(report.cycle, vec![a(5)]);
     }
@@ -290,18 +287,14 @@ mod tests {
     fn cycle_through_suspended_parents_needs_nesting() {
         // Wrappers 1 and 2 fence an object each; their steps 3 and 4
         // each wait on the other wrapper's fence.
-        let flat = FlatAncestry::new();
         let mut unnested = WaitForGraph::new();
-        unnested.add_wait(a(3), a(2), &flat);
-        assert!(unnested.add_wait(a(4), a(1), &flat).is_none());
+        unnested.add_wait(a(3), a(2), &[]);
+        assert!(unnested.add_wait(a(4), a(1), &[]).is_none());
 
-        let tree = FlatAncestry::new();
-        tree.set_parent(a(3), a(1));
-        tree.set_parent(a(4), a(2));
         let mut g = WaitForGraph::new();
-        assert!(g.add_wait(a(3), a(2), &tree).is_none());
+        assert!(g.add_wait(a(3), a(2), &[a(1)]).is_none());
         let report = g
-            .add_wait(a(4), a(1), &tree)
+            .add_wait(a(4), a(1), &[a(2)])
             .expect("cycle through both wrappers");
         assert_eq!(report.victim, a(4));
         assert_eq!(report.cycle.len(), 4);
@@ -309,11 +302,10 @@ mod tests {
 
     #[test]
     fn diamond_without_cycle_is_clean() {
-        let flat = FlatAncestry::new();
         let mut g = WaitForGraph::new();
-        g.add_wait(a(1), a(2), &flat);
-        g.add_wait(a(1), a(3), &flat);
-        g.add_wait(a(2), a(4), &flat);
-        assert!(g.add_wait(a(3), a(4), &flat).is_none());
+        g.add_wait(a(1), a(2), &[]);
+        g.add_wait(a(1), a(3), &[]);
+        g.add_wait(a(2), a(4), &[]);
+        assert!(g.add_wait(a(3), a(4), &[]).is_none());
     }
 }

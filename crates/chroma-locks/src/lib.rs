@@ -19,9 +19,12 @@
 //!
 //! The [`LockTable`] provides blocking and non-blocking acquisition,
 //! per-colour inheritance and release (driving the commit semantics of
-//! the core runtime), and deadlock detection over a wait-for graph that
-//! can also record *external* waits (for example, a parent blocked on a
-//! synchronously invoked independent action).
+//! the core runtime), and deadlock detection over a wait-for graph in
+//! which a suspended ancestor counts as waiting for its waiting
+//! descendants (for example, a parent blocked on a synchronously
+//! invoked independent action). Each request brings the requester's
+//! ancestor chain ([`Ancestry`]); the table never asks about any other
+//! action's ancestry.
 //!
 //! # Examples
 //!
@@ -56,4 +59,4 @@ pub use ancestry::{Ancestry, FlatAncestry};
 pub use deadlock::{DeadlockReport, WaitForGraph};
 pub use entry::{LockEntry, LockSnapshot};
 pub use policy::{ClassicPolicy, ColouredPolicy, LockPolicy};
-pub use table::{AcquireOutcome, LockTable, WaitStats, DEFAULT_LOCK_SHARDS, MAX_LOCK_SHARDS};
+pub use table::{AcquireOutcome, LockTable, WaitStats};

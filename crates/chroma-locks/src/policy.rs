@@ -2,13 +2,13 @@
 
 use chroma_base::{ActionId, Colour, LockDenied, LockMode};
 
-use crate::ancestry::Ancestry;
+use crate::ancestry::is_ancestor_or_self;
 use crate::entry::LockEntry;
 
 /// A lock granting rule-set.
 ///
-/// Implementations decide, given the current holders of an object and an
-/// ancestry oracle, whether a request may be granted *now*. They do not
+/// Implementations decide, given the current holders of an object and the
+/// requester's ancestor chain, whether a request may be granted *now*. They do not
 /// concern themselves with waiting, inheritance or recovery — that is the
 /// [`LockTable`](crate::LockTable)'s job and is common to both rule-sets.
 ///
@@ -17,8 +17,9 @@ use crate::entry::LockEntry;
 /// instantiated with either and so experiment code can wrap policies to
 /// count decisions.
 pub trait LockPolicy {
-    /// Decides whether `requester` may acquire a lock in `mode`/`colour`
-    /// given the object's current `holders`.
+    /// Decides whether `requester`, whose proper ancestors are `chain`
+    /// (closest first), may acquire a lock in `mode`/`colour` given the
+    /// object's current `holders`.
     ///
     /// Entries belonging to the requester itself are included in
     /// `holders`; policies treat the requester as its own ancestor
@@ -29,25 +30,12 @@ pub trait LockPolicy {
     /// Returns the [`LockDenied`] reason when the request must wait.
     fn permits(
         &self,
-        ancestry: &dyn DynAncestry,
+        chain: &[ActionId],
         holders: &[LockEntry],
         requester: ActionId,
         colour: Colour,
         mode: LockMode,
     ) -> Result<(), LockDenied>;
-}
-
-/// Object-safe adapter over [`Ancestry`], letting policies take a trait
-/// object while tables stay generic.
-pub trait DynAncestry {
-    /// See [`Ancestry::is_ancestor_or_self`].
-    fn is_ancestor_or_self(&self, candidate: ActionId, of: ActionId) -> bool;
-}
-
-impl<T: Ancestry + ?Sized> DynAncestry for T {
-    fn is_ancestor_or_self(&self, candidate: ActionId, of: ActionId) -> bool {
-        Ancestry::is_ancestor_or_self(self, candidate, of)
-    }
 }
 
 /// The conventional nested atomic action rules (Moss 1981), as restated
@@ -66,7 +54,7 @@ pub struct ClassicPolicy;
 impl LockPolicy for ClassicPolicy {
     fn permits(
         &self,
-        ancestry: &dyn DynAncestry,
+        chain: &[ActionId],
         holders: &[LockEntry],
         requester: ActionId,
         _colour: Colour,
@@ -79,7 +67,7 @@ impl LockPolicy for ClassicPolicy {
                 // Exclusive requests conflict with every holder.
                 LockMode::Write | LockMode::ExclusiveRead => true,
             };
-            if blocking && !ancestry.is_ancestor_or_self(holder.action, requester) {
+            if blocking && !is_ancestor_or_self(holder.action, requester, chain) {
                 return Err(LockDenied::ConflictingHolder {
                     holder: holder.action,
                     mode: holder.mode,
@@ -116,7 +104,7 @@ pub struct ColouredPolicy;
 impl LockPolicy for ColouredPolicy {
     fn permits(
         &self,
-        ancestry: &dyn DynAncestry,
+        chain: &[ActionId],
         holders: &[LockEntry],
         requester: ActionId,
         colour: Colour,
@@ -127,7 +115,7 @@ impl LockPolicy for ColouredPolicy {
                 LockMode::Read => holder.mode.is_exclusive(),
                 LockMode::Write | LockMode::ExclusiveRead => true,
             };
-            if blocking && !ancestry.is_ancestor_or_self(holder.action, requester) {
+            if blocking && !is_ancestor_or_self(holder.action, requester, chain) {
                 return Err(LockDenied::ConflictingHolder {
                     holder: holder.action,
                     mode: holder.mode,
@@ -148,7 +136,6 @@ impl LockPolicy for ColouredPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlatAncestry;
 
     fn red() -> Colour {
         Colour::from_index(0)
@@ -164,73 +151,67 @@ mod tests {
 
     #[test]
     fn classic_read_shares_with_readers() {
-        let tree = FlatAncestry::new();
         let holders = [LockEntry::new(a(1), red(), LockMode::Read)];
         assert!(ClassicPolicy
-            .permits(&tree, &holders, a(2), red(), LockMode::Read)
+            .permits(&[], &holders, a(2), red(), LockMode::Read)
             .is_ok());
     }
 
     #[test]
     fn classic_read_blocked_by_stranger_writer() {
-        let tree = FlatAncestry::new();
         let holders = [LockEntry::new(a(1), red(), LockMode::Write)];
         assert!(ClassicPolicy
-            .permits(&tree, &holders, a(2), red(), LockMode::Read)
+            .permits(&[], &holders, a(2), red(), LockMode::Read)
             .is_err());
     }
 
     #[test]
     fn classic_read_allowed_under_ancestor_writer() {
-        let tree = FlatAncestry::new();
-        tree.set_parent(a(2), a(1));
+        let chain = [a(1)];
         let holders = [LockEntry::new(a(1), red(), LockMode::Write)];
         assert!(ClassicPolicy
-            .permits(&tree, &holders, a(2), red(), LockMode::Read)
+            .permits(&chain, &holders, a(2), red(), LockMode::Read)
             .is_ok());
     }
 
     #[test]
     fn classic_write_requires_all_holders_ancestors() {
-        let tree = FlatAncestry::new();
-        tree.set_parent(a(3), a(1));
+        let chain = [a(1)];
         // Reader a(2) is a stranger: write denied even though reads are "weak".
         let holders = [
             LockEntry::new(a(1), red(), LockMode::Read),
             LockEntry::new(a(2), red(), LockMode::Read),
         ];
         assert!(ClassicPolicy
-            .permits(&tree, &holders, a(3), red(), LockMode::Write)
+            .permits(&chain, &holders, a(3), red(), LockMode::Write)
             .is_err());
         // Only the ancestor reader: granted.
         let holders = [LockEntry::new(a(1), red(), LockMode::Read)];
         assert!(ClassicPolicy
-            .permits(&tree, &holders, a(3), red(), LockMode::Write)
+            .permits(&chain, &holders, a(3), red(), LockMode::Write)
             .is_ok());
     }
 
     #[test]
     fn classic_xread_behaves_like_write_for_granting() {
-        let tree = FlatAncestry::new();
         let holders = [LockEntry::new(a(1), red(), LockMode::Read)];
         assert!(ClassicPolicy
-            .permits(&tree, &holders, a(2), red(), LockMode::ExclusiveRead)
+            .permits(&[], &holders, a(2), red(), LockMode::ExclusiveRead)
             .is_err());
     }
 
     #[test]
     fn coloured_write_requires_matching_write_colour() {
-        let tree = FlatAncestry::new();
-        tree.set_parent(a(2), a(1));
+        let chain = [a(1)];
         // Ancestor holds a RED write; BLUE write must be denied...
         let holders = [LockEntry::new(a(1), red(), LockMode::Write)];
         let denied = ColouredPolicy
-            .permits(&tree, &holders, a(2), blue(), LockMode::Write)
+            .permits(&chain, &holders, a(2), blue(), LockMode::Write)
             .unwrap_err();
         assert!(matches!(denied, LockDenied::WrongWriteColour { .. }));
         // ...while a RED write is granted.
         assert!(ColouredPolicy
-            .permits(&tree, &holders, a(2), red(), LockMode::Write)
+            .permits(&chain, &holders, a(2), red(), LockMode::Write)
             .is_ok());
     }
 
@@ -238,11 +219,10 @@ mod tests {
     fn coloured_write_over_ancestor_xread_of_other_colour_is_granted() {
         // Fig. 11/12 mechanism: the control action retains an
         // exclusive-read in red; a nested blue action may still write.
-        let tree = FlatAncestry::new();
-        tree.set_parent(a(2), a(1));
+        let chain = [a(1)];
         let holders = [LockEntry::new(a(1), red(), LockMode::ExclusiveRead)];
         assert!(ColouredPolicy
-            .permits(&tree, &holders, a(2), blue(), LockMode::Write)
+            .permits(&chain, &holders, a(2), blue(), LockMode::Write)
             .is_ok());
     }
 
@@ -251,31 +231,28 @@ mod tests {
         // Fig. 12 mechanism: A write-locks P in blue then
         // exclusive-read-locks P in red; self counts as ancestor and no
         // colour constraint applies to exclusive-read.
-        let tree = FlatAncestry::new();
         let holders = [LockEntry::new(a(1), blue(), LockMode::Write)];
         assert!(ColouredPolicy
-            .permits(&tree, &holders, a(1), red(), LockMode::ExclusiveRead)
+            .permits(&[], &holders, a(1), red(), LockMode::ExclusiveRead)
             .is_ok());
     }
 
     #[test]
     fn coloured_read_has_no_colour_constraint() {
-        let tree = FlatAncestry::new();
-        tree.set_parent(a(2), a(1));
+        let chain = [a(1)];
         let holders = [LockEntry::new(a(1), red(), LockMode::Write)];
         assert!(ColouredPolicy
-            .permits(&tree, &holders, a(2), blue(), LockMode::Read)
+            .permits(&chain, &holders, a(2), blue(), LockMode::Read)
             .is_ok());
     }
 
     #[test]
     fn coloured_stranger_writer_blocks_everything() {
-        let tree = FlatAncestry::new();
         let holders = [LockEntry::new(a(1), red(), LockMode::Write)];
         for mode in [LockMode::Read, LockMode::Write, LockMode::ExclusiveRead] {
             assert!(
                 ColouredPolicy
-                    .permits(&tree, &holders, a(2), red(), mode)
+                    .permits(&[], &holders, a(2), red(), mode)
                     .is_err(),
                 "{mode} should be denied"
             );
@@ -284,17 +261,16 @@ mod tests {
 
     #[test]
     fn single_colour_policies_agree_on_basic_matrix() {
-        let tree = FlatAncestry::new();
-        tree.set_parent(a(2), a(1));
+        let chain = [a(1)];
         for holder_mode in [LockMode::Read, LockMode::Write, LockMode::ExclusiveRead] {
             for req_mode in [LockMode::Read, LockMode::Write, LockMode::ExclusiveRead] {
                 for (holder, requester) in [(a(1), a(2)), (a(9), a(2))] {
                     let holders = [LockEntry::new(holder, red(), holder_mode)];
                     let classic = ClassicPolicy
-                        .permits(&tree, &holders, requester, red(), req_mode)
+                        .permits(&chain, &holders, requester, red(), req_mode)
                         .is_ok();
                     let coloured = ColouredPolicy
-                        .permits(&tree, &holders, requester, red(), req_mode)
+                        .permits(&chain, &holders, requester, red(), req_mode)
                         .is_ok();
                     assert_eq!(
                         classic, coloured,

@@ -2,11 +2,11 @@
 //!
 //! # Sharding
 //!
-//! The table is partitioned into a power-of-two number of **shards**
-//! keyed by [`ObjectId`] hash. Each shard owns its slice of the granted
-//! lock entries behind its own mutex and condvar, so acquisitions on
-//! disjoint objects never contend on a shared lock — the grant fast
-//! path touches exactly one shard.
+//! The table is partitioned into 16 **shards** keyed by [`ObjectId`]
+//! hash. Each shard owns its slice of the granted lock entries behind
+//! its own mutex and condvar, so acquisitions on disjoint objects never
+//! contend on a shared lock — the grant fast path touches exactly one
+//! shard.
 //!
 //! Cross-object state is kept out of the fast path:
 //!
@@ -41,17 +41,14 @@ use chroma_base::{
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
 use parking_lot::{Condvar, Mutex};
 
+use crate::ancestry::{is_ancestor_or_self, Ancestry};
 use crate::deadlock::WaitForGraph;
 use crate::entry::{LockEntry, LockSnapshot};
-use crate::policy::{DynAncestry, LockPolicy};
+use crate::policy::LockPolicy;
 
-/// Default shard count of a [`LockTable`]; see
-/// [`LockTable::with_shards`] to choose another.
-pub const DEFAULT_LOCK_SHARDS: usize = 16;
-
-/// Upper bound on the shard count (the per-action index is a 64-bit
-/// shard bitmask).
-pub const MAX_LOCK_SHARDS: usize = 64;
+/// Shards per table (a power of two, at most 64: the per-action index
+/// is a 64-bit shard bitmask).
+const SHARDS: usize = 16;
 
 /// How an acquisition request concluded.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -165,8 +162,6 @@ impl Interrupt {
 pub struct LockTable<P> {
     policy: P,
     shards: Box<[CachePadded<Shard>]>,
-    /// `shards.len() == 1 << shard_bits`.
-    shard_bits: u32,
     /// Waits-for graph for deadlock detection; only locked on the
     /// conflict path. Lock order: a shard lock may be held while taking
     /// this, never the reverse.
@@ -217,25 +212,14 @@ impl WaitStats {
 }
 
 impl<P> LockTable<P> {
-    /// Creates an empty table using `policy` for grant decisions, with
-    /// [`DEFAULT_LOCK_SHARDS`] shards.
+    /// Creates an empty table using `policy` for grant decisions.
     #[must_use]
     pub fn new(policy: P) -> Self {
-        LockTable::with_shards(policy, DEFAULT_LOCK_SHARDS)
-    }
-
-    /// Creates an empty table with (roughly) `shards` shards: the count
-    /// is clamped to `1..=`[`MAX_LOCK_SHARDS`] and rounded up to a
-    /// power of two.
-    #[must_use]
-    pub fn with_shards(policy: P, shards: usize) -> Self {
-        let shards = shards.clamp(1, MAX_LOCK_SHARDS).next_power_of_two();
         LockTable {
             policy,
-            shards: (0..shards).map(|i| CachePadded(Shard::new(i))).collect(),
-            shard_bits: shards.trailing_zeros(),
+            shards: (0..SHARDS).map(|i| CachePadded(Shard::new(i))).collect(),
             graph: Mutex::new(WaitForGraph::new()),
-            action_index: (0..shards).map(|_| CachePadded::default()).collect(),
+            action_index: (0..SHARDS).map(|_| CachePadded::default()).collect(),
             interrupts_outstanding: AtomicU64::new(0),
             waiters_registered: AtomicU64::new(0),
             waits_started: AtomicU64::new(0),
@@ -245,10 +229,10 @@ impl<P> LockTable<P> {
         }
     }
 
-    /// The number of shards the table was built with (a power of two).
+    /// The number of shards (a power of two).
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        SHARDS
     }
 
     /// The shard index an object's locks live in. Exposed so tests and
@@ -256,11 +240,11 @@ impl<P> LockTable<P> {
     /// deterministically.
     #[must_use]
     pub fn shard_of(&self, object: ObjectId) -> usize {
-        shard_index(object.as_raw(), self.shard_bits)
+        shard_index(object.as_raw(), SHARDS.trailing_zeros())
     }
 
     fn stripe_of(&self, action: ActionId) -> usize {
-        shard_index(action.as_raw(), self.shard_bits)
+        shard_index(action.as_raw(), SHARDS.trailing_zeros())
     }
 
     /// Marks `shard` as possibly holding locks of `action` (called
@@ -407,7 +391,8 @@ impl<P> Observable for LockTable<P> {
 }
 
 impl<P: LockPolicy> LockTable<P> {
-    /// Attempts to acquire a lock without waiting.
+    /// Attempts to acquire a lock without waiting. `ancestry` supplies
+    /// the requester's ancestor chain, asked once.
     ///
     /// # Errors
     ///
@@ -415,13 +400,14 @@ impl<P: LockPolicy> LockTable<P> {
     /// request cannot be granted immediately.
     pub fn try_acquire(
         &self,
-        ancestry: &dyn DynAncestry,
+        ancestry: &dyn Ancestry,
         action: ActionId,
         object: ObjectId,
         colour: Colour,
         mode: LockMode,
     ) -> Result<AcquireOutcome, LockError> {
         self.assert_not_lockless(action, object);
+        let chain = ancestry.chain(action);
         let shard_idx = self.shard_of(object);
         // Superset invariant: the mask bit is set before the entry can
         // exist (a spurious bit on a denied request is harmless).
@@ -436,8 +422,7 @@ impl<P: LockPolicy> LockTable<P> {
             });
         }
         let mut state = self.shards[shard_idx].state.lock();
-        let result = match self.check_and_apply(&mut state, ancestry, action, object, colour, mode)
-        {
+        let result = match self.check_and_apply(&mut state, &chain, action, object, colour, mode) {
             Ok(outcome) => Ok(outcome),
             Err(reason) => Err(LockError::Denied { object, reason }),
         };
@@ -461,7 +446,9 @@ impl<P: LockPolicy> LockTable<P> {
         result
     }
 
-    /// Acquires a lock, waiting if necessary.
+    /// Acquires a lock, waiting if necessary. `ancestry` supplies the
+    /// requester's ancestor chain, asked once; a parked request keeps it
+    /// in its wait entry for the deadlock search.
     ///
     /// `timeout` bounds the total wait; `None` waits indefinitely (the
     /// deadlock detector still guarantees progress among waiters it can
@@ -476,7 +463,7 @@ impl<P: LockPolicy> LockTable<P> {
     ///   [`LockTable::cancel_waiter`] while waiting.
     pub fn acquire(
         &self,
-        ancestry: &dyn DynAncestry,
+        ancestry: &dyn Ancestry,
         action: ActionId,
         object: ObjectId,
         colour: Colour,
@@ -485,6 +472,7 @@ impl<P: LockPolicy> LockTable<P> {
     ) -> Result<AcquireOutcome, LockError> {
         self.assert_not_lockless(action, object);
         let deadline = timeout.map(|t| Instant::now() + t);
+        let chain = ancestry.chain(action);
         let shard_idx = self.shard_of(object);
         let shard = &self.shards[shard_idx];
         self.note_holding(action, shard_idx);
@@ -508,7 +496,7 @@ impl<P: LockPolicy> LockTable<P> {
             if let Some(interrupt) = self.consume_interrupt(&mut state, action) {
                 break Err(interrupt.into_error(action, object));
             }
-            match self.check_and_apply(&mut state, ancestry, action, object, colour, mode) {
+            match self.check_and_apply(&mut state, &chain, action, object, colour, mode) {
                 Ok(outcome) => break Ok(outcome),
                 Err(_reason) => {
                     // Join the shard's wait set only once a conflict is
@@ -531,8 +519,8 @@ impl<P: LockPolicy> LockTable<P> {
                     }
                     // Refresh the wait-for edges to the current
                     // blockers; detection runs in the shared graph
-                    // (shard → graph → ancestry lock order).
-                    let blockers = Self::blockers(&state, ancestry, action, object, colour, mode);
+                    // (shard → graph lock order).
+                    let blockers = Self::blockers(&state, &chain, action, object, colour, mode);
                     let mut victim_is_self = false;
                     let mut remote_victims: Vec<ActionId> = Vec::new();
                     {
@@ -543,7 +531,7 @@ impl<P: LockPolicy> LockTable<P> {
                         registered.clear();
                         for blocker in blockers {
                             registered.push(blocker);
-                            if let Some(report) = graph.add_wait(action, blocker, ancestry) {
+                            if let Some(report) = graph.add_wait(action, blocker, &chain) {
                                 if report.victim == action {
                                     victim_is_self = true;
                                 } else if victimised.insert(report.victim) {
@@ -599,7 +587,7 @@ impl<P: LockPolicy> LockTable<P> {
                             break Err(interrupt.into_error(action, object));
                         }
                         if let Ok(outcome) =
-                            self.check_and_apply(&mut state, ancestry, action, object, colour, mode)
+                            self.check_and_apply(&mut state, &chain, action, object, colour, mode)
                         {
                             break Ok(outcome);
                         }
@@ -891,7 +879,7 @@ impl<P: LockPolicy> LockTable<P> {
     fn check_and_apply(
         &self,
         state: &mut ShardState,
-        ancestry: &dyn DynAncestry,
+        chain: &[ActionId],
         action: ActionId,
         object: ObjectId,
         colour: Colour,
@@ -906,8 +894,7 @@ impl<P: LockPolicy> LockTable<P> {
                 return Ok(AcquireOutcome::AlreadyHeld);
             }
         }
-        self.policy
-            .permits(ancestry, holders, action, colour, mode)?;
+        self.policy.permits(chain, holders, action, colour, mode)?;
         match holders
             .iter_mut()
             .find(|e| e.action == action && e.colour == colour)
@@ -930,7 +917,7 @@ impl<P: LockPolicy> LockTable<P> {
     /// coloured write holder for write requests.
     fn blockers(
         state: &ShardState,
-        ancestry: &dyn DynAncestry,
+        chain: &[ActionId],
         action: ActionId,
         object: ObjectId,
         colour: Colour,
@@ -944,7 +931,7 @@ impl<P: LockPolicy> LockTable<P> {
             if holder.action == action {
                 continue;
             }
-            let ancestor = ancestry.is_ancestor_or_self(holder.action, action);
+            let ancestor = is_ancestor_or_self(holder.action, action, chain);
             let conflicting = match mode {
                 LockMode::Read => holder.mode.is_exclusive() && !ancestor,
                 LockMode::ExclusiveRead => !ancestor,
@@ -1315,28 +1302,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_is_clamped_to_a_power_of_two() {
-        assert_eq!(LockTable::with_shards(ColouredPolicy, 0).shard_count(), 1);
-        assert_eq!(LockTable::with_shards(ColouredPolicy, 3).shard_count(), 4);
-        assert_eq!(LockTable::with_shards(ColouredPolicy, 16).shard_count(), 16);
-        assert_eq!(
-            LockTable::with_shards(ColouredPolicy, 1000).shard_count(),
-            MAX_LOCK_SHARDS
-        );
-    }
-
-    #[test]
     fn shard_of_is_stable_and_in_range() {
-        let table = LockTable::with_shards(ColouredPolicy, 8);
+        let table = LockTable::new(ColouredPolicy);
         for raw in 0..1000 {
             let s = table.shard_of(o(raw));
-            assert!(s < 8);
+            assert!(s < table.shard_count());
             assert_eq!(s, table.shard_of(o(raw)));
-        }
-        // A single-shard table maps everything to shard 0.
-        let single = LockTable::with_shards(ColouredPolicy, 1);
-        for raw in 0..100 {
-            assert_eq!(single.shard_of(o(raw)), 0);
         }
     }
 

@@ -8,7 +8,7 @@
 //! schedules.
 
 use chroma_base::{ActionId, Colour, LockMode, ObjectId};
-use chroma_locks::{ClassicPolicy, ColouredPolicy, FlatAncestry, LockPolicy, LockTable};
+use chroma_locks::{Ancestry, ClassicPolicy, ColouredPolicy, FlatAncestry, LockPolicy, LockTable};
 use proptest::prelude::*;
 
 const ACTIONS: u64 = 6;
@@ -206,11 +206,9 @@ proptest! {
                     for y in &holders {
                         if x.mode.is_exclusive() || y.mode.is_exclusive() {
                             prop_assert!(
-                                chroma_locks::Ancestry::is_ancestor_or_self(
-                                    &ancestry, x.action, y.action
-                                ) || chroma_locks::Ancestry::is_ancestor_or_self(
-                                    &ancestry, y.action, x.action
-                                ),
+                                x.action == y.action
+                                    || ancestry.chain(y.action).contains(&x.action)
+                                    || ancestry.chain(x.action).contains(&y.action),
                                 "unrelated exclusive holders on {obj}: {holders:?}"
                             );
                         }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use chroma_base::{ActionId, Colour, LockError, LockMode, ObjectId};
-use chroma_locks::{ColouredPolicy, FlatAncestry, LockTable, DEFAULT_LOCK_SHARDS};
+use chroma_locks::{ColouredPolicy, FlatAncestry, LockTable};
 use chroma_obs::{EventBus, Obs, Observable};
 
 fn a(n: u64) -> ActionId {
@@ -131,7 +131,7 @@ fn disjoint_object_burst_records_zero_waits() {
 fn inherit_and_release_span_all_shards() {
     let table = LockTable::new(ColouredPolicy);
     let ctx = FlatAncestry::new();
-    let count = 4 * DEFAULT_LOCK_SHARDS as u64;
+    let count = 4 * table.shard_count() as u64;
     let mut shards_touched = std::collections::HashSet::new();
     for raw in 0..count {
         table

@@ -182,27 +182,19 @@ pub fn independent_at_level<R>(
     if level == 0 {
         return scope.nested(body);
     }
-    let rt = scope.runtime();
     // Find the ancestor `level` steps up and a colour of theirs not
-    // possessed by any intermediate ancestor.
-    let mut cursor = scope.id();
-    let mut blocked = ColourSet::EMPTY; // colours of intermediates (and self)
-    for _ in 0..level {
-        blocked = blocked.union(
-            rt.action_colours(cursor)
-                .ok_or(ActionError::NotActive(cursor))?,
-        );
-        match rt.action_parent(cursor) {
-            Some(parent) => cursor = parent,
-            None => {
-                // Ran out of ancestors: fully independent.
-                return independent_sync(scope, body);
-            }
-        }
-    }
-    let target_colours = rt
-        .action_colours(cursor)
-        .ok_or(ActionError::NotActive(cursor))?;
+    // possessed by any intermediate ancestor (nor by this action).
+    let Some((_, target_colours)) = scope.ancestors().iter().nth(level - 1) else {
+        // Ran out of ancestors: fully independent.
+        return independent_sync(scope, body);
+    };
+    let blocked = scope
+        .ancestors()
+        .iter()
+        .take(level - 1)
+        .fold(scope.colours(), |blocked, (_, colours)| {
+            blocked.union(colours)
+        });
     let usable = target_colours.minus(blocked);
     let colour = usable.iter().next().ok_or_else(|| {
         ActionError::failed(
@@ -210,7 +202,7 @@ pub fn independent_at_level<R>(
              give it a private colour",
         )
     })?;
-    rt.run_nested(scope.id(), ColourSet::single(colour), colour, body)
+    scope.nested_in(ColourSet::single(colour), colour, body)
 }
 
 /// A compensation hook: registers `compensation` to run as an

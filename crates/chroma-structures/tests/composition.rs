@@ -143,7 +143,7 @@ fn colour_budget_sustained_over_many_structures() {
     }
     assert_eq!(rt.read_committed::<i64>(o).unwrap(), 500);
     assert!(rt.universe().live_count() < 10);
-    rt.prune_terminated();
+    assert!(rt.active_actions().is_empty());
 }
 
 #[test]

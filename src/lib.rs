@@ -32,7 +32,7 @@
 //! use chroma::{EscrowCounter, KeyedDirectory};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let rt = Runtime::builder().lock_shards(8).build();
+//! let rt = Runtime::builder().build();
 //! let account = rt.create_object(&100i64)?;
 //!
 //! // A conventional top-level atomic action: all-or-nothing.

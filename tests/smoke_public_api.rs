@@ -157,17 +157,15 @@ fn snapshot_reads_through_the_facade_are_lock_free_and_audited() {
 
 #[test]
 fn builder_observability_and_sharded_locks_through_the_facade() {
-    // The builder is the one front door: config, backend, observability
-    // and lock sharding in a single fluent chain.
+    // The builder is the one front door: config, backend and
+    // observability in a single fluent chain.
     let bus = Arc::new(EventBus::new());
     let rt = Arc::new(
         Runtime::builder()
             .config(RuntimeConfig::default())
-            .lock_shards(8)
             .obs(bus.clone())
             .build(),
     );
-    assert_eq!(rt.lock_shard_count(), 8);
 
     // Four threads over disjoint objects: the sharded lock table must
     // not manufacture waits between them.
