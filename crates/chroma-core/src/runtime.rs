@@ -499,26 +499,13 @@ impl Runtime {
     ///
     /// [`ActionError::NotActive`] if the action is not active;
     /// [`ActionError::ChildrenActive`] if a child is still live;
-    /// [`ActionError::ParentNotActive`] if the parent is aborting (the
-    /// action is then aborted too); [`ActionError::Backend`] if a flush
-    /// failed (the action stays active, with its locks, so commit can be
-    /// retried).
+    /// [`ActionError::Backend`] if a flush failed (the action stays
+    /// active, with its locks, so commit can be retried).
     pub fn commit(&self, action: ActionId) -> Result<(), ActionError> {
         let inner = &self.inner;
         let obs = inner.obs.get();
         let started = obs.enabled().then(Instant::now);
         let (colours, ancestors) = inner.tree.begin_commit(action)?;
-        if let Some(&parent) = ancestors.ids().first() {
-            if inner.tree.state(parent) != Some(ActionState::Active) {
-                // Nothing can pass to an aborting parent: the action's
-                // effects are undone with it.
-                inner
-                    .tree
-                    .transition(action, ActionState::Committed, ActionState::Aborted);
-                self.finish_abort(action);
-                return Err(ActionError::ParentNotActive(parent));
-            }
-        }
         let mut stamped = false;
         for colour in colours {
             match ancestors.closest_with(colour) {

@@ -15,6 +15,9 @@
 //! against `commit(p)` or `abort(p)` on another thread: the child is
 //! either refused, or it was linked first, in which case the commit is
 //! refused (`ChildrenActive`) or the abort takes the child with it.
+//! `child_commit_races_parent_abort` races a child's commit against its
+//! parent's abort: either way the abort undoes the child's write and
+//! leaves no state, undo record or lock behind.
 //!
 //! `CHROMA_TORTURE_SEED` (default 42) draws the schedules.
 
@@ -235,4 +238,60 @@ fn nested_begin_races_parent_termination() {
     assert_eq!(rt.universe().live_count(), 1);
     // The OS picks the interleaving, so neither outcome is required.
     eprintln!("begin race: {linked_first} of {ROUNDS} children linked first");
+}
+
+#[test]
+fn child_commit_races_parent_abort() {
+    let rt = Runtime::builder().build();
+    let colours = ColourSet::single(rt.default_colour());
+    let mut rng = seed() ^ 1;
+    let spins: Vec<(u64, u64)> = (0..ROUNDS)
+        .map(|_| (splitmix(&mut rng) % 2_000, splitmix(&mut rng) % 2_000))
+        .collect();
+    let child_slot: Mutex<Option<ActionId>> = Mutex::new(None);
+    let (start, done) = (Barrier::new(2), Barrier::new(2));
+    let mut violations: Vec<String> = Vec::new();
+    thread::scope(|s| {
+        s.spawn(|| {
+            for &(_, spin) in &spins {
+                start.wait();
+                let child = child_slot.lock().unwrap().expect("child published");
+                jitter(spin);
+                // Commits into the parent, or finds itself aborted with it.
+                let _ = rt.commit(child);
+                done.wait();
+            }
+        });
+        for &(spin, _) in &spins {
+            // A fresh object per round, so a leaked lock cannot block the
+            // next round.
+            let object = rt.create_object(&0i64).unwrap();
+            let parent = rt.begin_top(colours).unwrap();
+            let child = rt.begin_nested(parent, colours).unwrap();
+            rt.scope(child).unwrap().write(object, &1i64).unwrap();
+            *child_slot.lock().unwrap() = Some(child);
+            start.wait();
+            jitter(spin);
+            rt.abort(parent);
+            done.wait();
+            // Whether the child committed into the parent first or was
+            // aborted with it, the parent's abort undoes its write and
+            // leaves nothing behind.
+            let value: i64 = rt.read_current(object).unwrap();
+            let undo = rt.undo_record_count(parent) + rt.undo_record_count(child);
+            let (locks, live) = (rt.lock_entry_count(), rt.active_actions());
+            if value != 0 || undo != 0 || locks != 0 || !live.is_empty() {
+                violations.push(format!(
+                    "{child} under {parent}: value {value}, {undo} undo records, \
+                     {locks} lock entries, live {live:?}"
+                ));
+            }
+        }
+    });
+    assert!(
+        violations.is_empty(),
+        "{} violations, first: {:?}",
+        violations.len(),
+        violations.first()
+    );
 }
