@@ -610,18 +610,13 @@ impl Runtime {
     /// Aborting a non-active (or unknown) action is a no-op, so abort is
     /// always safe to call in cleanup paths.
     pub fn abort(&self, action: ActionId) {
-        if self
-            .inner
+        let inner = &self.inner;
+        if !inner
             .tree
             .transition(action, ActionState::Active, ActionState::Aborted)
         {
-            self.finish_abort(action);
+            return;
         }
-    }
-
-    /// Undoes `action`, already marked aborting, and removes it.
-    fn finish_abort(&self, action: ActionId) {
-        let inner = &self.inner;
         // Abort live children first. A child whose commit is under way
         // is waited out: its effects pass to this action, and it
         // unlinks, before they are undone here.
