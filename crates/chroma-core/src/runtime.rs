@@ -92,8 +92,15 @@ struct Inner {
     /// open. Capture happens *inside* this lock (both here and in
     /// [`Runtime::version_gc`]) so GC can never miss a
     /// concurrently-opening snapshot with an older capture than its
-    /// own.
+    /// own. Reads never take it: a scope carries its stamps and its
+    /// crash epoch.
     snapshots: Mutex<HashMap<ActionId, Arc<SnapshotStamps>>>,
+    /// Crashes so far. A scope records it at open, inside the
+    /// `snapshots` lock, and [`Runtime::crash_and_recover`] bumps it
+    /// inside that lock as it drains the registry, so a scope is either
+    /// drained or opened after the crash; one whose epoch is stale
+    /// reads `NotActive`.
+    crash_epoch: AtomicU64,
     /// Stamped outermost flushes since boot; drives automatic GC.
     gc_tick: AtomicU64,
     /// Per colour slot, the flush histogram names
@@ -279,6 +286,7 @@ impl RuntimeBuilder {
                 versions: VersionChains::new(),
                 stamps: StampClock::new(),
                 snapshots: Mutex::new(HashMap::new()),
+                crash_epoch: AtomicU64::new(0),
                 gc_tick: AtomicU64::new(0),
                 flush_metrics: (0..MAX_LIVE_COLOURS)
                     .map(|_| AppendList::default())
@@ -817,20 +825,26 @@ impl Runtime {
         for shard in inner.volatile.iter() {
             shard.write().clear();
         }
+        // Open snapshots die with the node: later reads through a
+        // stale scope fail `NotActive`. The epoch moves before the
+        // chains go, so a read that found a chain gone (and fell back
+        // to stable storage, newer than its stamps) sees the new epoch
+        // when it re-checks.
+        let mut dead: Vec<ActionId> = {
+            let mut registry = inner.snapshots.lock();
+            inner.crash_epoch.fetch_add(1, Ordering::SeqCst);
+            registry.drain().map(|(id, _)| id).collect()
+        };
+        dead.sort_unstable();
+        for id in dead {
+            inner.stats.aborted.fetch_add(1, Ordering::Relaxed);
+            obs.emit(EventKind::ActionAbort { action: id });
+        }
         // Version chains are volatile too; recovery rebuilds bases
         // lazily from stable storage. The stamp clock itself survives
         // (stamps are never reused, the published frontier only
         // advances), so post-recovery snapshots stay sound.
         inner.versions.crash();
-        // Open snapshots die with the node: later reads through a
-        // stale scope fail `NotActive`.
-        let mut dead: Vec<ActionId> = inner.snapshots.lock().drain().map(|(id, _)| id).collect();
-        dead.sort_unstable();
-        for id in dead {
-            inner.locks.unmark_lockless(id);
-            inner.stats.aborted.fetch_add(1, Ordering::Relaxed);
-            obs.emit(EventKind::ActionAbort { action: id });
-        }
         inner.stable.recover();
         obs.emit(EventKind::NodeRecover { node });
     }
@@ -845,6 +859,12 @@ impl Runtime {
     /// are served from version chains and never touch the lock table,
     /// so a read-only action can neither block a writer nor deadlock.
     ///
+    /// Opening takes the snapshot-registry lock once, to capture the
+    /// frontier and the crash epoch together; reads take no
+    /// runtime-wide lock, and ending takes the registry lock once more.
+    /// With no event bus installed, the open records nothing for the
+    /// trace.
+    ///
     /// The scope counts as committed when ended (explicitly or on
     /// drop); a [`Runtime::crash_and_recover`] kills it like any other
     /// active action, after which its reads fail
@@ -854,41 +874,43 @@ impl Runtime {
         let id = ActionId::from_raw(inner.next_action.fetch_add(1, Ordering::Relaxed));
         // Capture inside the registry lock so a concurrent GC (which
         // also captures inside it) can never hold a *newer* frontier
-        // than a snapshot it did not see registered.
-        let stamps = {
+        // than a snapshot it did not see registered, and a concurrent
+        // crash either drains this entry or bumped the epoch first.
+        let (stamps, epoch) = {
             let mut registry = inner.snapshots.lock();
             let stamps = Arc::new(inner.stamps.capture());
             registry.insert(id, Arc::clone(&stamps));
-            stamps
+            (stamps, inner.crash_epoch.load(Ordering::SeqCst))
         };
-        inner.locks.mark_lockless(id);
         inner.stats.begun.fetch_add(1, Ordering::Relaxed);
         let obs = inner.obs.get();
-        obs.emit(EventKind::ActionBegin {
-            action: id,
-            parent: None,
-            colours: 0,
-        });
-        let captured = stamps.nonzero();
-        if captured.is_empty() {
-            // Nothing published yet: record the open with the base
-            // stamp so the trace still marks this action as a snapshot
-            // reader (auditor rule R10b).
-            obs.emit(EventKind::SnapshotOpen {
+        if obs.enabled() {
+            obs.emit(EventKind::ActionBegin {
                 action: id,
-                colour: Colour::from_index(0),
-                stamp: 0,
+                parent: None,
+                colours: 0,
             });
-        } else {
-            for (colour, stamp) in captured {
+            let captured = stamps.nonzero();
+            if captured.is_empty() {
+                // Nothing published yet: record the open with the base
+                // stamp so the trace still marks this action as a
+                // snapshot reader (auditor rule R10b).
                 obs.emit(EventKind::SnapshotOpen {
                     action: id,
-                    colour,
-                    stamp,
+                    colour: Colour::from_index(0),
+                    stamp: 0,
                 });
+            } else {
+                for (colour, stamp) in captured {
+                    obs.emit(EventKind::SnapshotOpen {
+                        action: id,
+                        colour,
+                        stamp,
+                    });
+                }
             }
         }
-        SnapshotScope::new(self, id, stamps)
+        SnapshotScope::new(self, id, epoch, stamps)
     }
 
     /// Ends a read-only snapshot action (idempotent; called by
@@ -897,36 +919,44 @@ impl Runtime {
     pub(crate) fn end_read_only(&self, action: ActionId) {
         let inner = &self.inner;
         if inner.snapshots.lock().remove(&action).is_some() {
-            inner.locks.unmark_lockless(action);
             inner.stats.committed.fetch_add(1, Ordering::Relaxed);
             inner.obs.get().emit(EventKind::ActionCommit { action });
         }
     }
 
     /// Serves one snapshot read: the newest version of `object` visible
-    /// at the snapshot's captured stamps, falling back to stable
-    /// storage for objects with no version chain.
+    /// at `stamps`, falling back to stable storage for objects with no
+    /// version chain. `epoch` is the crash epoch the scope opened in; a
+    /// crash since then fails the read `NotActive`, checked before the
+    /// read and again after it, so a read that a crash overtook (its
+    /// chain wiped, stable storage newer than its stamps) returns no
+    /// state. Takes only the object's chain shard lock.
     pub(crate) fn op_snapshot_read(
         &self,
         action: ActionId,
+        epoch: u64,
+        stamps: &SnapshotStamps,
         object: ObjectId,
     ) -> Result<StoreBytes, ActionError> {
         let inner = &self.inner;
-        let stamps = inner
-            .snapshots
-            .lock()
-            .get(&action)
-            .cloned()
-            .ok_or(ActionError::NotActive(action))?;
+        let live = || {
+            if inner.crash_epoch.load(Ordering::SeqCst) == epoch {
+                Ok(())
+            } else {
+                Err(ActionError::NotActive(action))
+            }
+        };
+        live()?;
         let obs = inner.obs.get();
         let mut rechecked = false;
         loop {
-            match inner.versions.read_visible(object, &stamps) {
+            match inner.versions.read_visible(object, stamps) {
                 VisibleVersion::Version {
                     colour,
                     stamp,
                     state,
                 } => {
+                    live()?;
                     if obs.enabled() {
                         obs.emit(EventKind::SnapshotRead {
                             action,
@@ -955,6 +985,7 @@ impl Runtime {
                         rechecked = true;
                         continue;
                     }
+                    live()?;
                     let Some(state) = stable else {
                         return Err(ActionError::NoSuchObject(object));
                     };

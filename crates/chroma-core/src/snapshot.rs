@@ -21,10 +21,16 @@ use crate::runtime::Runtime;
 /// lock table: a read-only action cannot block a writer, be blocked by
 /// one, or participate in a deadlock. The trade for that freedom is
 /// staleness — the scope sees the world as of its open, not "now".
+/// The scope holds its captured stamps and the crash epoch it opened
+/// in, so a read takes no runtime-wide lock, only the lock of the
+/// object's version-chain shard. Nothing in the scope can take a lock,
+/// and [`Runtime::scope`] refuses its id, which is never in the action
+/// tree.
 ///
 /// The scope counts as a committed action when it ends (explicitly via
 /// [`end`](SnapshotScope::end) or on drop). A node crash kills open
-/// scopes like any other active action; their reads then fail
+/// scopes like any other active action: the crash moves the epoch on,
+/// and reads through a scope opened before it fail
 /// [`ActionError::NotActive`].
 ///
 /// # Examples
@@ -49,14 +55,22 @@ use crate::runtime::Runtime;
 pub struct SnapshotScope<'rt> {
     runtime: &'rt Runtime,
     id: ActionId,
+    /// The runtime's crash epoch at open.
+    epoch: u64,
     stamps: Arc<SnapshotStamps>,
 }
 
 impl<'rt> SnapshotScope<'rt> {
-    pub(crate) fn new(runtime: &'rt Runtime, id: ActionId, stamps: Arc<SnapshotStamps>) -> Self {
+    pub(crate) fn new(
+        runtime: &'rt Runtime,
+        id: ActionId,
+        epoch: u64,
+        stamps: Arc<SnapshotStamps>,
+    ) -> Self {
         SnapshotScope {
             runtime,
             id,
+            epoch,
             stamps,
         }
     }
@@ -82,8 +96,7 @@ impl<'rt> SnapshotScope<'rt> {
     /// [`ActionError::NoSuchObject`] if the object did not exist at the
     /// snapshot, or decode failures.
     pub fn read<T: Stored>(&self, object: ObjectId) -> Result<T, ActionError> {
-        let bytes = self.runtime.op_snapshot_read(self.id, object)?;
-        Ok(codec::from_bytes(&bytes)?)
+        Ok(codec::from_bytes(&self.read_raw(object)?)?)
     }
 
     /// Reads an object's raw state at the snapshot.
@@ -94,7 +107,8 @@ impl<'rt> SnapshotScope<'rt> {
     /// [`ActionError::NoSuchObject`] if the object did not exist at the
     /// snapshot.
     pub fn read_raw(&self, object: ObjectId) -> Result<StoreBytes, ActionError> {
-        self.runtime.op_snapshot_read(self.id, object)
+        self.runtime
+            .op_snapshot_read(self.id, self.epoch, &self.stamps, object)
     }
 
     /// Ends the snapshot explicitly (dropping the scope is equivalent).

@@ -12,11 +12,11 @@
 #[path = "../../chroma-obs/tests/agreement/mod.rs"]
 mod agreement;
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use chroma_base::{ActionId, Colour, ObjectId};
-use chroma_core::Runtime;
+use chroma_core::{ActionError, Runtime};
 use chroma_obs::{Event, EventBus, EventKind, MemorySink, Obs, Observable, Violation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -202,6 +202,138 @@ fn crash_kills_open_snapshots() {
 
     assert_eq!(sink.dropped(), 0);
     let report = agreement::audit(&sink.events());
+    assert!(report.is_clean(), "{report}");
+}
+
+/// A scope opened before a crash never reads across it, even where the
+/// chains it needs are gone and stable storage holds a newer state; a
+/// scope opened after the crash reads normally.
+#[test]
+fn scope_opened_before_a_crash_fails_and_one_opened_after_reads() {
+    let rt = Runtime::builder().build();
+    let o = rt.create_object(&1u64).unwrap();
+    let before = rt.begin_read_only();
+    rt.atomic(|a| a.write(o, &2u64)).unwrap();
+    assert_eq!(before.read::<u64>(o).unwrap(), 1);
+
+    rt.crash_and_recover();
+    // The chain is gone and stable storage holds 2, newer than the
+    // scope's stamps: the read must fail, not serve it.
+    assert!(matches!(
+        before.read::<u64>(o),
+        Err(ActionError::NotActive(id)) if id == before.id()
+    ));
+    let after = rt.begin_read_only();
+    assert_eq!(after.read::<u64>(o).unwrap(), 2);
+    rt.atomic(|a| a.write(o, &3u64)).unwrap();
+    assert_eq!(after.read::<u64>(o).unwrap(), 2);
+    assert!(matches!(
+        before.read::<u64>(o),
+        Err(ActionError::NotActive(_))
+    ));
+    drop(before);
+    assert_eq!(rt.live_snapshot_count(), 1);
+    after.end();
+    assert_eq!(rt.live_snapshot_count(), 0);
+}
+
+/// One thread opens, reads and ends scopes while another commits and
+/// crashes. Every commit writes its own stamp into every object, so the
+/// state visible at a scope's stamp `s` is `s` (0 before the first
+/// commit): each read returns exactly that or fails `NotActive`, and
+/// once it has failed it keeps failing. When both threads are done no
+/// scope is left registered (a dead entry would pin GC for good).
+#[test]
+fn crash_epoch_races_open_scopes() {
+    const OBJECTS: u64 = 8;
+    const CRASHES: u64 = 3000;
+    let seed = torture_seed();
+    let rt = Runtime::builder().build();
+    let colour = rt.default_colour();
+    let objects: Arc<Vec<ObjectId>> = Arc::new(
+        (0..OBJECTS)
+            .map(|_| rt.create_object(&0u64).expect("create"))
+            .collect(),
+    );
+    let done = Arc::new(AtomicBool::new(false));
+
+    let reader = {
+        let rt = rt.clone();
+        let objects = Arc::clone(&objects);
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            let (mut served, mut killed) = (0u64, 0u64);
+            while !done.load(Ordering::SeqCst) {
+                let scope = rt.begin_read_only();
+                let visible = scope.stamp_for(colour);
+                let mut dead = false;
+                for &object in objects.iter() {
+                    match scope.read::<u64>(object) {
+                        Ok(value) => {
+                            assert!(!dead, "seed {seed}: read served after NotActive");
+                            assert_eq!(value, visible, "seed {seed}: {object:?} off its stamp");
+                            served += 1;
+                        }
+                        Err(ActionError::NotActive(id)) => {
+                            assert_eq!(id, scope.id());
+                            dead = true;
+                            killed += 1;
+                        }
+                        Err(other) => panic!("seed {seed}: unexpected {other:?}"),
+                    }
+                }
+                scope.end();
+            }
+            (served, killed)
+        })
+    };
+
+    for crash in 0..CRASHES {
+        for _ in 0..=splitmix(seed, crash) % 3 {
+            let stamp = rt.current_stamp() + 1;
+            rt.atomic(|a| {
+                for &object in objects.iter() {
+                    a.write(object, &stamp)?;
+                }
+                Ok(())
+            })
+            .expect("commit");
+        }
+        rt.crash_and_recover();
+    }
+    done.store(true, Ordering::SeqCst);
+    let (served, killed) = reader.join().expect("reader thread");
+    assert!(served > 0, "seed {seed}: no read was served");
+    eprintln!("seed {seed}: {served} reads served, {killed} failed NotActive");
+    assert_eq!(rt.live_snapshot_count(), 0, "seed {seed}: dead scope left");
+}
+
+/// What replaces a runtime check that snapshot ids never lock: the id
+/// of a snapshot is never in the action tree, so no scope can be made
+/// for it, and a traced snapshot run passes R10(b).
+#[test]
+fn snapshot_id_cannot_reach_the_lock_table() {
+    let rt = Runtime::builder().build();
+    let bus = Arc::new(EventBus::new());
+    let sink = Arc::new(MemorySink::new(100_000));
+    bus.add_sink(sink.clone());
+    rt.install_obs(Obs::new(bus));
+
+    let o = rt.create_object(&1u64).unwrap();
+    let snap = rt.begin_read_only();
+    assert!(matches!(
+        rt.scope(snap.id()),
+        Err(ActionError::NotActive(id)) if id == snap.id()
+    ));
+    rt.atomic(|a| a.modify(o, |v: &mut u64| *v += 1)).unwrap();
+    assert_eq!(snap.read::<u64>(o).unwrap(), 1);
+    snap.end();
+
+    let events = sink.events();
+    assert!(events
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::SnapshotOpen { .. })));
+    let report = agreement::audit(&events);
     assert!(report.is_clean(), "{report}");
 }
 

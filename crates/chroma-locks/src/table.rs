@@ -179,11 +179,6 @@ pub struct LockTable<P> {
     waiters_registered: AtomicU64,
     waits_started: AtomicU64,
     wait_micros: AtomicU64,
-    /// Actions declared read-only (snapshot readers). Debug builds
-    /// panic if one of these ever reaches [`LockTable::acquire`] or
-    /// [`LockTable::try_acquire`] — snapshot reads must bypass the
-    /// lock table entirely.
-    lockless: Mutex<HashSet<ActionId>>,
     /// The one observability handle, read without a lock.
     obs: ObsCell,
 }
@@ -224,7 +219,6 @@ impl<P> LockTable<P> {
             waiters_registered: AtomicU64::new(0),
             waits_started: AtomicU64::new(0),
             wait_micros: AtomicU64::new(0),
-            lockless: Mutex::new(HashSet::new()),
             obs: ObsCell::new(),
         }
     }
@@ -281,39 +275,6 @@ impl<P> LockTable<P> {
     fn mask_shards(mask: u64) -> impl Iterator<Item = usize> {
         (0..64usize).filter(move |i| mask & (1u64 << i) != 0)
     }
-
-    /// Declares `action` a read-only snapshot action. In debug builds
-    /// any lock acquisition it subsequently attempts panics: snapshot
-    /// reads are served from version chains and must never touch the
-    /// lock table (that bypass is what makes them wait-free).
-    pub fn mark_lockless(&self, action: ActionId) {
-        self.lockless.lock().insert(action);
-    }
-
-    /// Removes the read-only marking of `action` (its snapshot scope
-    /// ended, or died with a crash).
-    pub fn unmark_lockless(&self, action: ActionId) {
-        self.lockless.lock().remove(&action);
-    }
-
-    /// Whether `action` is currently marked as a read-only snapshot
-    /// action.
-    #[must_use]
-    pub fn is_lockless(&self, action: ActionId) -> bool {
-        self.lockless.lock().contains(&action)
-    }
-
-    #[cfg(debug_assertions)]
-    fn assert_not_lockless(&self, action: ActionId, object: ObjectId) {
-        assert!(
-            !self.is_lockless(action),
-            "read-only snapshot action {action:?} attempted to lock {object:?}; \
-             snapshot reads must bypass the lock table"
-        );
-    }
-
-    #[cfg(not(debug_assertions))]
-    fn assert_not_lockless(&self, _action: ActionId, _object: ObjectId) {}
 
     /// Number of planted-but-unconsumed interrupts (deadlock victims and
     /// cancellations still awaiting delivery). Exposed for metrics and
@@ -406,7 +367,6 @@ impl<P: LockPolicy> LockTable<P> {
         colour: Colour,
         mode: LockMode,
     ) -> Result<AcquireOutcome, LockError> {
-        self.assert_not_lockless(action, object);
         let chain = ancestry.chain(action);
         let shard_idx = self.shard_of(object);
         // Superset invariant: the mask bit is set before the entry can
@@ -470,7 +430,6 @@ impl<P: LockPolicy> LockTable<P> {
         mode: LockMode,
         timeout: Option<Duration>,
     ) -> Result<AcquireOutcome, LockError> {
-        self.assert_not_lockless(action, object);
         let deadline = timeout.map(|t| Instant::now() + t);
         let chain = ancestry.chain(action);
         let shard_idx = self.shard_of(object);

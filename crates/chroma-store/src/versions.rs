@@ -39,7 +39,10 @@
 //! [`VersionChains::collect`] keeps, per chain, the suffix starting at
 //! the oldest version any *live* snapshot (or a fresh capture of the
 //! current frontier) can select, so a version is reclaimed only once no
-//! live snapshot can reach it.
+//! live snapshot can reach it. A chain of one version never shrinks, so
+//! each shard indexes the chains holding two or more versions and a
+//! sweep visits only those: its cost follows the versions written since
+//! the last sweep, not the number of objects ever written.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -194,8 +197,52 @@ struct Version {
     state: Option<StoreBytes>,
 }
 
-/// One shard of the chains: object → its versions, oldest first.
-type ChainShard = Mutex<HashMap<ObjectId, Vec<Version>>>;
+/// One shard of the chains.
+#[derive(Debug, Default)]
+struct ChainShard {
+    /// Object → its versions, oldest first. Never empty: a chain starts
+    /// with one version and a sweep always keeps the newest.
+    chains: HashMap<ObjectId, Vec<Version>>,
+    /// The objects whose chain holds two or more versions, each once:
+    /// the only chains a sweep can shorten.
+    multi: Vec<ObjectId>,
+    /// Versions held across `chains`.
+    versions: u64,
+}
+
+impl ChainShard {
+    /// Appends `version` to `object`'s chain, indexing the chain when
+    /// it reaches two versions.
+    fn push(&mut self, object: ObjectId, version: Version) {
+        let chain = self.chains.entry(object).or_default();
+        debug_assert!(
+            chain.last().is_none_or(|v| v.stamp < version.stamp),
+            "version stamps must be appended in increasing order"
+        );
+        chain.push(version);
+        self.versions += 1;
+        if chain.len() == 2 {
+            self.multi.push(object);
+        }
+    }
+}
+
+/// How many of `chain`'s oldest versions no vector of `live` can select
+/// (see [`VersionChains::collect`]). At most `chain.len() - 1`: the
+/// newest version always stays.
+fn reclaimable(chain: &[Version], live: &[SnapshotStamps]) -> usize {
+    if live.is_empty() {
+        return 0;
+    }
+    live.iter()
+        .map(|stamps| {
+            chain
+                .iter()
+                .rposition(|v| stamps.sees(v.colour, v.stamp))
+                .unwrap_or(0)
+        })
+        .fold(chain.len().saturating_sub(1), usize::min)
+}
 
 /// What a snapshot read found in the chains.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -230,7 +277,7 @@ pub struct GcStats {
 /// The per-object version chains (sharded; all volatile).
 #[derive(Debug)]
 pub struct VersionChains {
-    shards: Vec<CachePadded<ChainShard>>,
+    shards: Vec<CachePadded<Mutex<ChainShard>>>,
 }
 
 impl Default for VersionChains {
@@ -248,7 +295,7 @@ impl VersionChains {
         }
     }
 
-    fn shard(&self, object: ObjectId) -> &ChainShard {
+    fn shard(&self, object: ObjectId) -> &Mutex<ChainShard> {
         &self.shards[shard_index(object.as_raw(), SHARDS.trailing_zeros())]
     }
 
@@ -260,13 +307,16 @@ impl VersionChains {
     /// to stable and observe a state newer than its stamps.
     pub fn seed_base(&self, object: ObjectId, before: Option<StoreBytes>) {
         let mut shard = self.shard(object).lock();
-        shard.entry(object).or_insert_with(|| {
-            vec![Version {
-                colour: Colour::from_index(0),
-                stamp: 0,
-                state: before,
-            }]
-        });
+        if !shard.chains.contains_key(&object) {
+            shard.push(
+                object,
+                Version {
+                    colour: Colour::from_index(0),
+                    stamp: 0,
+                    state: before,
+                },
+            );
+        }
     }
 
     /// Appends the committed `state` of `object` as a `(colour, stamp)`
@@ -274,23 +324,20 @@ impl VersionChains {
     /// write lock serializes same-object commits; the publication gate
     /// orders same-colour stamps).
     pub fn append(&self, object: ObjectId, colour: Colour, stamp: u64, state: StoreBytes) {
-        let mut shard = self.shard(object).lock();
-        let chain = shard.entry(object).or_default();
-        debug_assert!(
-            chain.last().is_none_or(|v| v.stamp < stamp),
-            "version stamps must be appended in increasing order"
+        self.shard(object).lock().push(
+            object,
+            Version {
+                colour,
+                stamp,
+                state: Some(state),
+            },
         );
-        chain.push(Version {
-            colour,
-            stamp,
-            state: Some(state),
-        });
     }
 
     /// True if `object` has a chain.
     #[must_use]
     pub fn has_chain(&self, object: ObjectId) -> bool {
-        self.shard(object).lock().contains_key(&object)
+        self.shard(object).lock().chains.contains_key(&object)
     }
 
     /// The newest version of `object` visible to `stamps` (see module
@@ -298,7 +345,7 @@ impl VersionChains {
     #[must_use]
     pub fn read_visible(&self, object: ObjectId, stamps: &SnapshotStamps) -> VisibleVersion {
         let shard = self.shard(object).lock();
-        let Some(chain) = shard.get(&object) else {
+        let Some(chain) = shard.chains.get(&object) else {
             return VisibleVersion::NoChain;
         };
         match chain.iter().rev().find(|v| stamps.sees(v.colour, v.stamp)) {
@@ -320,27 +367,27 @@ impl VersionChains {
     /// each chain always survives for future readers). Per chain the
     /// kept range is the suffix from the oldest version any vector
     /// selects; a vector that selects nothing pins the whole chain
-    /// (only possible mid-commit, before the publish).
+    /// (only possible mid-commit, before the publish). The sweep visits
+    /// only the indexed chains of two or more versions and unindexes
+    /// each one it leaves at one.
     pub fn collect(&self, live: &[SnapshotStamps]) -> GcStats {
         let mut stats = GcStats::default();
         for shard in &self.shards {
             let mut shard = shard.lock();
-            for chain in shard.values_mut() {
-                let mut keep_from = chain.len().saturating_sub(1);
-                for stamps in live {
-                    let selected = chain
-                        .iter()
-                        .rposition(|v| stamps.sees(v.colour, v.stamp))
-                        .unwrap_or(0);
-                    keep_from = keep_from.min(selected);
-                }
-                if live.is_empty() {
-                    keep_from = 0;
-                }
-                stats.reclaimed += keep_from as u64;
-                chain.drain(..keep_from);
-                stats.retained += chain.len() as u64;
-            }
+            let ChainShard {
+                chains,
+                multi,
+                versions,
+            } = &mut *shard;
+            multi.retain(|object| {
+                let chain = chains.get_mut(object).expect("an indexed chain exists");
+                let reclaimed = reclaimable(chain, live);
+                chain.drain(..reclaimed);
+                *versions -= reclaimed as u64;
+                stats.reclaimed += reclaimed as u64;
+                chain.len() > 1
+            });
+            stats.retained += *versions;
         }
         stats
     }
@@ -348,16 +395,17 @@ impl VersionChains {
     /// Chain length of one object (introspection/tests).
     #[must_use]
     pub fn chain_len(&self, object: ObjectId) -> usize {
-        self.shard(object).lock().get(&object).map_or(0, Vec::len)
+        self.shard(object)
+            .lock()
+            .chains
+            .get(&object)
+            .map_or(0, Vec::len)
     }
 
     /// Total versions held across all chains.
     #[must_use]
     pub fn total_versions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().values().map(|c| c.len() as u64).sum::<u64>())
-            .sum()
+        self.shards.iter().map(|s| s.lock().versions).sum()
     }
 
     /// Drops every chain (node crash: chains are volatile; stable
@@ -365,14 +413,82 @@ impl VersionChains {
     /// post-crash snapshots should see).
     pub fn crash(&self) {
         for shard in &self.shards {
-            shard.lock().clear();
+            *shard.lock() = ChainShard::default();
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
+
+    impl VersionChains {
+        /// The sweep as it was before the multi-version index: every
+        /// chain of every shard, `retained` summed from the chains
+        /// themselves. The oracle [`VersionChains::collect`] is held to.
+        fn collect_full_scan(&self, live: &[SnapshotStamps]) -> GcStats {
+            let mut stats = GcStats::default();
+            for shard in &self.shards {
+                let mut shard = shard.lock();
+                for chain in shard.chains.values_mut() {
+                    let mut keep_from = chain.len().saturating_sub(1);
+                    for stamps in live {
+                        let selected = chain
+                            .iter()
+                            .rposition(|v| stamps.sees(v.colour, v.stamp))
+                            .unwrap_or(0);
+                        keep_from = keep_from.min(selected);
+                    }
+                    if live.is_empty() {
+                        keep_from = 0;
+                    }
+                    stats.reclaimed += keep_from as u64;
+                    chain.drain(..keep_from);
+                    stats.retained += chain.len() as u64;
+                }
+                // Keep this instance's own bookkeeping whole for the
+                // steps that follow; the oracle never reads it.
+                let ChainShard {
+                    chains,
+                    multi,
+                    versions,
+                } = &mut *shard;
+                multi.retain(|object| chains[object].len() > 1);
+                *versions = chains.values().map(|c| c.len() as u64).sum();
+            }
+            stats
+        }
+
+        /// Panics unless every shard indexes exactly its chains of two
+        /// or more versions, each once, and counts its versions right.
+        fn assert_index_exact(&self) {
+            for shard in &self.shards {
+                let shard = shard.lock();
+                let mut indexed = shard.multi.clone();
+                indexed.sort_unstable();
+                let mut expected: Vec<ObjectId> = shard
+                    .chains
+                    .iter()
+                    .filter(|(_, chain)| chain.len() > 1)
+                    .map(|(&object, _)| object)
+                    .collect();
+                expected.sort_unstable();
+                assert_eq!(indexed, expected, "index != multi-version chains");
+                let held: u64 = shard.chains.values().map(|c| c.len() as u64).sum();
+                assert_eq!(shard.versions, held, "version count drifted");
+            }
+        }
+    }
+
+    fn torture_seed() -> u64 {
+        std::env::var("CHROMA_TORTURE_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(42)
+    }
 
     fn o(n: u64) -> ObjectId {
         ObjectId::from_raw(n)
@@ -545,5 +661,127 @@ mod tests {
             chains.read_visible(o(1), &SnapshotStamps::zero()),
             VisibleVersion::NoChain
         );
+    }
+
+    /// A random stamp vector over `colours` colours, each stamp in
+    /// `low..=high` (an unseeded chain whose first stamp is above it
+    /// has nothing the vector selects).
+    fn random_stamps(rng: &mut StdRng, colours: usize, low: u64, high: u64) -> SnapshotStamps {
+        let pairs: Vec<(Colour, u64)> = (0..colours)
+            .map(|i| (c(i), rng.gen_range(low..=high)))
+            .collect();
+        SnapshotStamps::from_pairs(&pairs)
+    }
+
+    /// Every colour at `clock`: what a fresh capture reads once every
+    /// stamp so far is published.
+    fn frontier(clock: u64) -> SnapshotStamps {
+        SnapshotStamps::from_pairs(&[(c(0), clock), (c(1), clock), (c(2), clock)])
+    }
+
+    /// The indexed sweep against the full-scan oracle over a seeded
+    /// history (`CHROMA_TORTURE_SEED`): bases (tombstones included),
+    /// appends with and without a base, sweeps against random live
+    /// vectors (none at all, the zero vector, vectors selecting nothing
+    /// of a chain) and crashes, interleaved. After every step both sides must report
+    /// the same `GcStats` and serve every object the same version.
+    #[test]
+    fn indexed_collect_matches_full_scan_oracle() {
+        const COLOURS: usize = 3;
+        let seed = torture_seed();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let indexed = VersionChains::new();
+        let oracle = VersionChains::new();
+        let objects: Vec<ObjectId> = (1..=48).map(o).collect();
+        let mut clock = 0u64;
+        let mut sweeps = 0u64;
+        for step in 0..6_000 {
+            let object = objects[rng.gen_range(0..objects.len())];
+            match rng.gen_range(0u32..100) {
+                0..=19 => {
+                    let before = rng.gen_bool(0.8).then(|| b(rng.gen_range(0u8..=u8::MAX)));
+                    indexed.seed_base(object, before.clone());
+                    oracle.seed_base(object, before);
+                }
+                20..=74 => {
+                    clock += 1;
+                    let colour = c(rng.gen_range(0..COLOURS));
+                    let state = b(rng.gen_range(0u8..=u8::MAX));
+                    indexed.append(object, colour, clock, state.clone());
+                    oracle.append(object, colour, clock, state);
+                }
+                75..=98 => {
+                    // Open snapshots, mostly recent ones; the runtime's
+                    // fresh capture of the frontier, nearly always; now
+                    // and then the zero vector.
+                    let mut live: Vec<SnapshotStamps> = (0..rng.gen_range(0..=2usize))
+                        .map(|_| random_stamps(&mut rng, COLOURS, clock.saturating_sub(16), clock))
+                        .collect();
+                    if rng.gen_bool(0.85) {
+                        live.push(frontier(clock));
+                    }
+                    if rng.gen_bool(0.1) {
+                        live.push(SnapshotStamps::zero());
+                    }
+                    let got = indexed.collect(&live);
+                    let want = oracle.collect_full_scan(&live);
+                    assert_eq!(got, want, "seed {seed} step {step}: GcStats differ");
+                    sweeps += 1;
+                }
+                _ => {
+                    indexed.crash();
+                    oracle.crash();
+                }
+            }
+            indexed.assert_index_exact();
+            let probes = [
+                SnapshotStamps::zero(),
+                random_stamps(&mut rng, COLOURS, 0, clock),
+                frontier(clock),
+            ];
+            for &object in &objects {
+                assert_eq!(
+                    indexed.chain_len(object),
+                    oracle.chain_len(object),
+                    "seed {seed} step {step}: chain of {object:?} differs"
+                );
+                for stamps in &probes {
+                    assert_eq!(
+                        indexed.read_visible(object, stamps),
+                        oracle.read_visible(object, stamps),
+                        "seed {seed} step {step}: {object:?} reads differently"
+                    );
+                }
+            }
+            assert_eq!(indexed.total_versions(), oracle.total_versions());
+        }
+        assert!(sweeps > 1_000, "seed {seed}: only {sweeps} sweeps");
+    }
+
+    #[test]
+    fn index_holds_only_multi_version_chains_and_shrinks_after_a_sweep() {
+        let chains = VersionChains::new();
+        for n in 1..=100 {
+            chains.seed_base(o(n), Some(b(0)));
+        }
+        chains.append(o(1), c(0), 1, b(1));
+        chains.append(o(2), c(0), 2, b(2));
+        let indexed = |chains: &VersionChains| -> usize {
+            chains.shards.iter().map(|s| s.lock().multi.len()).sum()
+        };
+        assert_eq!(indexed(&chains), 2);
+        let stats = chains.collect(&[SnapshotStamps::from_pairs(&[(c(0), 2)])]);
+        assert_eq!(
+            stats,
+            GcStats {
+                reclaimed: 2,
+                retained: 100
+            }
+        );
+        assert_eq!(indexed(&chains), 0);
+        // A chain back at one version is indexed again when it grows.
+        chains.append(o(1), c(0), 3, b(3));
+        assert_eq!(indexed(&chains), 1);
+        chains.assert_index_exact();
     }
 }
