@@ -40,4 +40,6 @@ pub use colour::{Colour, ColourSet, ColourSetIter, ColourUniverse, MAX_LIVE_COLO
 pub use error::{ColourError, LockDenied, LockError};
 pub use id::{ActionId, NodeId, ObjectId};
 pub use mode::LockMode;
-pub use sync::{shard_index, AppendList, CachePadded, IdHashMap, IdHasher};
+pub use sync::{
+    shard_index, shard_of, AppendList, CachePadded, IdHashMap, IdHasher, Sharded, SHARDS,
+};

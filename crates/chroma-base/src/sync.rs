@@ -1,6 +1,7 @@
 //! Small helpers the sharded chroma structures share: the id → shard
-//! hash, a map hasher for ids the program allocates, cache-line padding
-//! for shards, and an append-only list readers walk without a lock.
+//! hash and the [`Sharded`] container it indexes, a map hasher for ids
+//! the program allocates, cache-line padding for shards, and an
+//! append-only list readers walk without a lock.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -82,6 +83,57 @@ impl<T> Deref for CachePadded<T> {
 
     fn deref(&self) -> &T {
         &self.0
+    }
+}
+
+/// Shards per [`Sharded`] value (a power of two).
+pub const SHARDS: usize = 16;
+
+/// The [`Sharded`] shard of the id `raw`.
+#[must_use]
+pub const fn shard_of(raw: u64) -> usize {
+    shard_index(raw, SHARDS.trailing_zeros())
+}
+
+/// [`SHARDS`] values of `T` (each typically a lock around a map), one
+/// per id hash ([`shard_of`]), each on cache lines of its own.
+pub struct Sharded<T> {
+    shards: Box<[CachePadded<T>]>,
+}
+
+impl<T> Sharded<T> {
+    /// Shard `i` made by `make(i)`.
+    pub fn new(make: impl FnMut(usize) -> T) -> Self {
+        Sharded {
+            shards: (0..SHARDS).map(make).map(CachePadded).collect(),
+        }
+    }
+
+    /// The shard of the raw id `raw`.
+    pub fn of(&self, raw: u64) -> &T {
+        self.at(shard_of(raw))
+    }
+
+    /// The shard at `index`.
+    pub fn at(&self, index: usize) -> &T {
+        &self.shards[index].0
+    }
+
+    /// Every shard, in index order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.shards.iter().map(|shard| &shard.0)
+    }
+}
+
+impl<T: Default> Default for Sharded<T> {
+    fn default() -> Self {
+        Sharded::new(|_| T::default())
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Sharded<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 

@@ -32,7 +32,6 @@ mod backend;
 mod error;
 mod runtime;
 mod scope;
-mod shard;
 mod snapshot;
 mod tree;
 mod undo;

@@ -7,20 +7,17 @@ use std::time::{Duration, Instant};
 
 use chroma_base::{
     ActionId, AppendList, Colour, ColourSet, ColourUniverse, LockError, LockMode, NodeId, ObjectId,
-    MAX_LIVE_COLOURS,
+    Sharded, MAX_LIVE_COLOURS,
 };
 use chroma_locks::{ColouredPolicy, LockTable};
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
 use chroma_store::codec::{self, Stored};
-use chroma_store::{
-    GcStats, SnapshotStamps, StampClock, StoreBytes, VersionChains, VisibleVersion,
-};
+use chroma_store::{GcStats, StampClock, StoreBytes, VersionChains, VisibleVersion};
 use parking_lot::{Mutex, RwLock};
 
 use crate::backend::{LocalBackend, PermanenceBackend};
 use crate::error::ActionError;
 use crate::scope::ActionScope;
-use crate::shard::Sharded;
 use crate::snapshot::SnapshotScope;
 use crate::tree::{ActionState, ActionTree, Ancestors};
 use crate::undo::UndoLog;
@@ -85,16 +82,15 @@ struct Inner {
     obs: ObsCell,
     /// Per-object version chains feeding read-only snapshot actions.
     versions: VersionChains,
-    /// Allocates and publishes the per-colour commit stamps snapshots
-    /// capture.
+    /// Allocates and publishes the commit stamps snapshots capture.
     stamps: StampClock,
-    /// Live read-only snapshots: id → the stamp vector captured at
-    /// open. Capture happens *inside* this lock (both here and in
+    /// Live read-only snapshots: id → the stamp captured at open.
+    /// Capture happens *inside* this lock (both here and in
     /// [`Runtime::version_gc`]) so GC can never miss a
     /// concurrently-opening snapshot with an older capture than its
-    /// own. Reads never take it: a scope carries its stamps and its
+    /// own. Reads never take it: a scope carries its stamp and its
     /// crash epoch.
-    snapshots: Mutex<HashMap<ActionId, Arc<SnapshotStamps>>>,
+    snapshots: Mutex<HashMap<ActionId, u64>>,
     /// Crashes so far. A scope records it at open, inside the
     /// `snapshots` lock, and [`Runtime::crash_and_recover`] bumps it
     /// inside that lock as it drains the registry, so a scope is either
@@ -562,22 +558,19 @@ impl Runtime {
                             return Err(ActionError::Backend(e));
                         }
                         // Publish the new states as versions under the
-                        // colour's stamp gate: same-colour stamps enter
-                        // chains in order, so a snapshot capturing
-                        // frontier `s` is guaranteed every version
-                        // `<= s` is already appended.
-                        let gate = inner.stamps.publish_guard(colour);
-                        let stamp = inner.stamps.allocate();
-                        for (object, state) in &updates {
-                            inner.versions.append(*object, colour, stamp, state.clone());
-                            obs.emit(EventKind::VersionPublish {
-                                object: *object,
-                                colour,
-                                stamp,
-                            });
-                        }
-                        inner.stamps.publish(colour, stamp);
-                        drop(gate);
+                        // stamp gate: stamps enter chains in order, so a
+                        // snapshot capturing frontier `s` is guaranteed
+                        // every version `<= s` is already appended.
+                        inner.stamps.flush(|stamp| {
+                            for (object, state) in &updates {
+                                inner.versions.append(*object, colour, stamp, state.clone());
+                                obs.emit(EventKind::VersionPublish {
+                                    object: *object,
+                                    colour,
+                                    stamp,
+                                });
+                            }
+                        });
                         stamped = true;
                     }
                     inner.locks.release_colour(action, colour);
@@ -828,7 +821,7 @@ impl Runtime {
         // Open snapshots die with the node: later reads through a
         // stale scope fail `NotActive`. The epoch moves before the
         // chains go, so a read that found a chain gone (and fell back
-        // to stable storage, newer than its stamps) sees the new epoch
+        // to stable storage, newer than its stamp) sees the new epoch
         // when it re-checks.
         let mut dead: Vec<ActionId> = {
             let mut registry = inner.snapshots.lock();
@@ -854,7 +847,7 @@ impl Runtime {
     // ------------------------------------------------------------------
 
     /// Opens a declared read-only action: captures the published
-    /// per-colour commit frontier and returns a [`SnapshotScope`] whose
+    /// commit frontier and returns a [`SnapshotScope`] whose
     /// reads all observe that one consistent snapshot. Snapshot reads
     /// are served from version chains and never touch the lock table,
     /// so a read-only action can neither block a writer nor deadlock.
@@ -876,11 +869,11 @@ impl Runtime {
         // also captures inside it) can never hold a *newer* frontier
         // than a snapshot it did not see registered, and a concurrent
         // crash either drains this entry or bumped the epoch first.
-        let (stamps, epoch) = {
+        let (stamp, epoch) = {
             let mut registry = inner.snapshots.lock();
-            let stamps = Arc::new(inner.stamps.capture());
-            registry.insert(id, Arc::clone(&stamps));
-            (stamps, inner.crash_epoch.load(Ordering::SeqCst))
+            let stamp = inner.stamps.capture();
+            registry.insert(id, stamp);
+            (stamp, inner.crash_epoch.load(Ordering::SeqCst))
         };
         inner.stats.begun.fetch_add(1, Ordering::Relaxed);
         let obs = inner.obs.get();
@@ -890,27 +883,9 @@ impl Runtime {
                 parent: None,
                 colours: 0,
             });
-            let captured = stamps.nonzero();
-            if captured.is_empty() {
-                // Nothing published yet: record the open with the base
-                // stamp so the trace still marks this action as a
-                // snapshot reader (auditor rule R10b).
-                obs.emit(EventKind::SnapshotOpen {
-                    action: id,
-                    colour: Colour::from_index(0),
-                    stamp: 0,
-                });
-            } else {
-                for (colour, stamp) in captured {
-                    obs.emit(EventKind::SnapshotOpen {
-                        action: id,
-                        colour,
-                        stamp,
-                    });
-                }
-            }
+            obs.emit(EventKind::SnapshotOpen { action: id, stamp });
         }
-        SnapshotScope::new(self, id, epoch, stamps)
+        SnapshotScope::new(self, id, epoch, stamp)
     }
 
     /// Ends a read-only snapshot action (idempotent; called by
@@ -924,18 +899,19 @@ impl Runtime {
         }
     }
 
-    /// Serves one snapshot read: the newest version of `object` visible
-    /// at `stamps`, falling back to stable storage for objects with no
-    /// version chain. `epoch` is the crash epoch the scope opened in; a
-    /// crash since then fails the read `NotActive`, checked before the
-    /// read and again after it, so a read that a crash overtook (its
-    /// chain wiped, stable storage newer than its stamps) returns no
-    /// state. Takes only the object's chain shard lock.
+    /// Serves one snapshot read: the newest version of `object` stamped
+    /// at or below `snapshot`, falling back to stable storage for
+    /// objects with no version chain. `epoch` is the crash epoch the
+    /// scope opened in; a crash since then fails the read `NotActive`,
+    /// checked before the read and again after it, so a read that a
+    /// crash overtook (its chain wiped, stable storage newer than its
+    /// stamp) returns no state. Takes only the object's chain shard
+    /// lock.
     pub(crate) fn op_snapshot_read(
         &self,
         action: ActionId,
         epoch: u64,
-        stamps: &SnapshotStamps,
+        snapshot: u64,
         object: ObjectId,
     ) -> Result<StoreBytes, ActionError> {
         let inner = &self.inner;
@@ -950,7 +926,7 @@ impl Runtime {
         let obs = inner.obs.get();
         let mut rechecked = false;
         loop {
-            match inner.versions.read_visible(object, stamps) {
+            match inner.versions.read_visible(object, snapshot) {
                 VisibleVersion::Version {
                     colour,
                     stamp,
@@ -966,7 +942,7 @@ impl Runtime {
                         });
                         obs.observe(
                             "core.snapshot_lag",
-                            inner.stamps.current().saturating_sub(stamp),
+                            inner.stamps.capture().saturating_sub(stamp),
                         );
                     }
                     // A `None` state is a tombstone base: the object
@@ -1013,14 +989,16 @@ impl Runtime {
         // Capture inside the registry lock (see `begin_read_only`): any
         // snapshot not yet registered will capture *after* us, hence a
         // frontier at least as new as ours, and our fresh capture pins
-        // everything it can need.
-        let live: Vec<SnapshotStamps> = {
+        // everything it can need. Visibility is monotone in the stamp,
+        // so the oldest live stamp pins all the others need too.
+        let oldest = {
             let registry = inner.snapshots.lock();
-            let mut live: Vec<SnapshotStamps> = registry.values().map(|s| (**s).clone()).collect();
-            live.push(inner.stamps.capture());
-            live
+            registry
+                .values()
+                .copied()
+                .fold(inner.stamps.capture(), u64::min)
         };
-        let stats = inner.versions.collect(&live);
+        let stats = inner.versions.collect(oldest);
         let obs = inner.obs.get();
         if obs.enabled() {
             obs.emit(EventKind::VersionGc {
@@ -1049,11 +1027,11 @@ impl Runtime {
         self.inner.versions.total_versions()
     }
 
-    /// The newest commit stamp allocated so far (0 before any stamped
-    /// flush).
+    /// The published commit frontier: the newest stamp a snapshot
+    /// opened now would capture (0 before any stamped flush).
     #[must_use]
     pub fn current_stamp(&self) -> u64 {
-        self.inner.stamps.current()
+        self.inner.stamps.capture()
     }
 
     // ------------------------------------------------------------------
@@ -1216,12 +1194,6 @@ impl Runtime {
         self.inner.locks.locks_of(action)
     }
 
-    /// Returns the holders of `object` (for tests/metrics).
-    #[must_use]
-    pub fn holders_of(&self, object: ObjectId) -> Vec<chroma_locks::LockEntry> {
-        self.inner.locks.holders(object)
-    }
-
     /// Returns the total number of granted lock entries.
     #[must_use]
     pub fn lock_entry_count(&self) -> usize {
@@ -1241,13 +1213,6 @@ impl Runtime {
     #[must_use]
     pub fn lock_shard_wait_stats(&self) -> Vec<chroma_locks::WaitStats> {
         self.inner.locks.shard_wait_stats()
-    }
-
-    /// Actions currently parked waiting for a lock (instantaneous
-    /// wait-queue depth across shards).
-    #[must_use]
-    pub fn lock_waiting_count(&self) -> usize {
-        self.inner.locks.waiting_count()
     }
 
     /// Every active (begun, not yet terminated) action, unordered;

@@ -1,10 +1,8 @@
 //! Read-only snapshot scopes: lock-free consistent reads.
 
-use std::sync::Arc;
-
-use chroma_base::{ActionId, Colour, ObjectId};
+use chroma_base::{ActionId, ObjectId};
 use chroma_store::codec::{self, Stored};
-use chroma_store::{SnapshotStamps, StoreBytes};
+use chroma_store::StoreBytes;
 
 use crate::error::ActionError;
 use crate::runtime::Runtime;
@@ -12,16 +10,17 @@ use crate::runtime::Runtime;
 /// A declared read-only action over one consistent snapshot.
 ///
 /// Obtained from [`Runtime::begin_read_only`]. At open, the scope
-/// captures the per-colour *published commit frontier*; every read then
-/// serves the newest committed version at or below that frontier —
-/// commits that publish later are invisible, so a scan of many objects
-/// observes one consistent cut no matter how long it runs.
+/// captures the *published commit frontier*, one stamp; every read then
+/// serves the newest committed version at or below that stamp, whatever
+/// its colour — commits that publish later are invisible, so a scan of
+/// many objects observes one consistent cut no matter how long it runs:
+/// a prefix of the one serial order of stamped flushes.
 ///
 /// Snapshot reads are served from version chains and never touch the
 /// lock table: a read-only action cannot block a writer, be blocked by
 /// one, or participate in a deadlock. The trade for that freedom is
 /// staleness — the scope sees the world as of its open, not "now".
-/// The scope holds its captured stamps and the crash epoch it opened
+/// The scope holds its captured stamp and the crash epoch it opened
 /// in, so a read takes no runtime-wide lock, only the lock of the
 /// object's version-chain shard. Nothing in the scope can take a lock,
 /// and [`Runtime::scope`] refuses its id, which is never in the action
@@ -57,21 +56,17 @@ pub struct SnapshotScope<'rt> {
     id: ActionId,
     /// The runtime's crash epoch at open.
     epoch: u64,
-    stamps: Arc<SnapshotStamps>,
+    /// The commit frontier captured at open.
+    stamp: u64,
 }
 
 impl<'rt> SnapshotScope<'rt> {
-    pub(crate) fn new(
-        runtime: &'rt Runtime,
-        id: ActionId,
-        epoch: u64,
-        stamps: Arc<SnapshotStamps>,
-    ) -> Self {
+    pub(crate) fn new(runtime: &'rt Runtime, id: ActionId, epoch: u64, stamp: u64) -> Self {
         SnapshotScope {
             runtime,
             id,
             epoch,
-            stamps,
+            stamp,
         }
     }
 
@@ -81,11 +76,12 @@ impl<'rt> SnapshotScope<'rt> {
         self.id
     }
 
-    /// The commit stamp this snapshot captured for `colour` (0 if the
-    /// colour had published nothing at open).
+    /// The commit stamp this snapshot captured (0 if nothing had
+    /// published at open): it sees exactly the flushes stamped at or
+    /// below it.
     #[must_use]
-    pub fn stamp_for(&self, colour: Colour) -> u64 {
-        self.stamps.stamp_for(colour)
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Reads an object at the snapshot, decoding its state.
@@ -108,7 +104,7 @@ impl<'rt> SnapshotScope<'rt> {
     /// snapshot.
     pub fn read_raw(&self, object: ObjectId) -> Result<StoreBytes, ActionError> {
         self.runtime
-            .op_snapshot_read(self.id, self.epoch, &self.stamps, object)
+            .op_snapshot_read(self.id, self.epoch, self.stamp, object)
     }
 
     /// Ends the snapshot explicitly (dropping the scope is equivalent).

@@ -15,12 +15,11 @@ use std::borrow::Cow;
 use std::iter;
 use std::sync::Arc;
 
-use chroma_base::{ActionId, Colour, ColourSet, IdHashMap};
+use chroma_base::{ActionId, Colour, ColourSet, IdHashMap, Sharded};
 use chroma_locks::Ancestry;
 use parking_lot::RwLock;
 
 use crate::error::ActionError;
-use crate::shard::Sharded;
 
 /// Lifecycle state of a live action, from
 /// [`Runtime::action_state`](crate::Runtime::action_state).

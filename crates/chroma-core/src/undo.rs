@@ -19,11 +19,9 @@
 
 use std::collections::HashMap;
 
-use chroma_base::{ActionId, Colour, IdHashMap, ObjectId};
+use chroma_base::{shard_of, ActionId, Colour, IdHashMap, ObjectId, Sharded};
 use chroma_store::StoreBytes;
 use parking_lot::Mutex;
-
-use crate::shard::{self, Sharded};
 
 /// A saved prior state: `None` means the object did not exist before the
 /// first write (it was created inside the action), so undo removes it.
@@ -134,7 +132,7 @@ impl UndoLog {
     ///
     /// Holds both actions' shard locks, taken in index order.
     pub fn transfer_colour(&self, child: ActionId, colour: Colour, parent: ActionId) {
-        let (from, to) = (shard::index(child.as_raw()), shard::index(parent.as_raw()));
+        let (from, to) = (shard_of(child.as_raw()), shard_of(parent.as_raw()));
         if from == to {
             let mut records = self.records.at(from).lock();
             let moved = take_colour_from(&mut records, child, colour);
@@ -242,13 +240,13 @@ mod tests {
     #[test]
     fn transfer_across_shards_moves_every_record() {
         let parent = a(1);
-        let home = shard::index(parent.as_raw());
+        let home = shard_of(parent.as_raw());
         // A child in another shard, either side of the parent's index,
         // and one in the same shard.
         let find = |wanted: fn(usize, usize) -> bool| {
             (2..1000)
                 .map(a)
-                .find(|c| wanted(shard::index(c.as_raw()), home))
+                .find(|c| wanted(shard_of(c.as_raw()), home))
         };
         let (above, below) = (find(|i, h| i > h), find(|i, h| i < h));
         assert!(above.is_some() || below.is_some());

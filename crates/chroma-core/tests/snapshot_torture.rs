@@ -15,11 +15,11 @@ mod agreement;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use chroma_base::{ActionId, Colour, ObjectId};
+use chroma_base::{ActionId, Colour, ColourSet, ObjectId};
 use chroma_core::{ActionError, Runtime};
 use chroma_obs::{Event, EventBus, EventKind, MemorySink, Obs, Observable, Violation};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use zipf::Zipf;
 
 fn torture_seed() -> u64 {
@@ -249,7 +249,6 @@ fn crash_epoch_races_open_scopes() {
     const CRASHES: u64 = 3000;
     let seed = torture_seed();
     let rt = Runtime::builder().build();
-    let colour = rt.default_colour();
     let objects: Arc<Vec<ObjectId>> = Arc::new(
         (0..OBJECTS)
             .map(|_| rt.create_object(&0u64).expect("create"))
@@ -265,7 +264,7 @@ fn crash_epoch_races_open_scopes() {
             let (mut served, mut killed) = (0u64, 0u64);
             while !done.load(Ordering::SeqCst) {
                 let scope = rt.begin_read_only();
-                let visible = scope.stamp_for(colour);
+                let visible = scope.stamp();
                 let mut dead = false;
                 for &object in objects.iter() {
                     match scope.read::<u64>(object) {
@@ -306,6 +305,85 @@ fn crash_epoch_races_open_scopes() {
     assert!(served > 0, "seed {seed}: no read was served");
     eprintln!("seed {seed}: {served} reads served, {killed} failed NotActive");
     assert_eq!(rt.live_snapshot_count(), 0, "seed {seed}: dead scope left");
+}
+
+/// One writer commits, again and again, one action outermost for two
+/// colours that writes `k` to `R` in the lower-indexed colour and to `B`
+/// in the other, so `R`'s flush is stamped just before `B`'s. A reader
+/// opens scopes and reads `B`, then `R`, then both again. A snapshot is
+/// a prefix of the one stamp order, so a scope that sees `B = k` sees
+/// `R`'s earlier flush too: `R >= B`, and each re-read equals the
+/// first. Returns how many scopes read.
+fn cut_across_colours(rt: &Runtime, seed: u64) -> u64 {
+    const COMMITS: u64 = 2_000;
+    let (red, blue) = (rt.universe().colour("red"), rt.universe().colour("blue"));
+    let (low, high) = if red < blue { (red, blue) } else { (blue, red) };
+    let r = rt.create_object(&0u64).expect("create R");
+    let b = rt.create_object(&0u64).expect("create B");
+    let done = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let rt = rt.clone();
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut scopes = 0u64;
+            while !done.load(Ordering::SeqCst) {
+                let scope = rt.begin_read_only();
+                let first_b: u64 = scope.read(b).expect("read B");
+                // Let a flush or two land between the reads.
+                for _ in 0..rng.gen_range(0..64u32) {
+                    std::hint::spin_loop();
+                }
+                let first_r: u64 = scope.read(r).expect("read R");
+                assert!(
+                    first_r >= first_b,
+                    "seed {seed}: scope at stamp {} saw B = {first_b} but R = {first_r}",
+                    scope.stamp()
+                );
+                assert_eq!(scope.read::<u64>(b).expect("re-read B"), first_b);
+                assert_eq!(scope.read::<u64>(r).expect("re-read R"), first_r);
+                scope.end();
+                scopes += 1;
+            }
+            scopes
+        })
+    };
+    for k in 1..=COMMITS {
+        let action = rt
+            .begin_top(ColourSet::from_iter([low, high]))
+            .expect("begin");
+        let scope = rt.scope(action).expect("scope");
+        scope.write_in(low, r, &k).expect("write R");
+        scope.write_in(high, b, &k).expect("write B");
+        rt.commit(action).expect("commit");
+    }
+    done.store(true, Ordering::SeqCst);
+    reader.join().expect("reader thread")
+}
+
+/// A snapshot cuts across colours at one stamp (see
+/// [`cut_across_colours`]), untraced and traced; the traced run audits
+/// clean, R10 included.
+#[test]
+fn snapshots_cut_across_colours() {
+    let seed = torture_seed();
+    let scopes = cut_across_colours(&Runtime::builder().build(), seed);
+    assert!(scopes > 0, "seed {seed}: no scope read");
+    eprintln!("seed {seed}: {scopes} scopes read across 2000 commits");
+
+    let rt = Runtime::builder().build();
+    let bus = Arc::new(EventBus::new());
+    let sink = Arc::new(MemorySink::new(2_000_000));
+    bus.add_sink(sink.clone());
+    rt.install_obs(Obs::new(bus));
+    cut_across_colours(&rt, seed);
+    assert_eq!(sink.dropped(), 0, "trace truncated; grow the sink");
+    let events = sink.events();
+    assert!(events
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::SnapshotRead { stamp, .. } if stamp > 0)));
+    let report = agreement::audit(&events);
+    assert!(report.is_clean(), "seed {seed}: {report}");
 }
 
 /// What replaces a runtime check that snapshot ids never lock: the id
@@ -397,7 +475,6 @@ fn auditor_flags_stale_snapshot_read() {
         }),
         ev(EventKind::SnapshotOpen {
             action: snap,
-            colour: c,
             stamp: 2,
         }),
         ev(EventKind::SnapshotRead {
@@ -439,7 +516,6 @@ fn auditor_flags_snapshot_read_beyond_its_stamp() {
         }),
         ev(EventKind::SnapshotOpen {
             action: snap,
-            colour: c,
             stamp: 1,
         }),
         ev(EventKind::VersionPublish {
@@ -466,6 +542,105 @@ fn auditor_flags_snapshot_read_beyond_its_stamp() {
     ));
 }
 
+/// R10a across colours, future side: a snapshot at stamp 1 must not
+/// serve a version stamped 2, even of a colour it had read nothing of.
+#[test]
+fn auditor_flags_read_of_another_colour_beyond_its_stamp() {
+    let snap = ActionId::from_raw(1);
+    let o = ObjectId::from_raw(9);
+    let (red, blue) = (Colour::from_index(1), Colour::from_index(2));
+    let trace = vec![
+        ev(EventKind::VersionPublish {
+            object: o,
+            colour: red,
+            stamp: 1,
+        }),
+        ev(EventKind::ActionBegin {
+            action: snap,
+            parent: None,
+            colours: 0,
+        }),
+        ev(EventKind::SnapshotOpen {
+            action: snap,
+            stamp: 1,
+        }),
+        ev(EventKind::VersionPublish {
+            object: o,
+            colour: blue,
+            stamp: 2,
+        }),
+        ev(EventKind::SnapshotRead {
+            action: snap,
+            object: o,
+            colour: blue,
+            stamp: 2, // beyond the snapshot's one stamp
+        }),
+        ev(EventKind::ActionCommit { action: snap }),
+    ];
+    let report = agreement::audit(&trace);
+    assert!(
+        matches!(
+            report.violations.as_slice(),
+            [Violation::SnapshotReadNotNewest {
+                served: 2,
+                expected: 1,
+                ..
+            }]
+        ),
+        "{report}"
+    );
+}
+
+/// R10a across colours, stale side: a snapshot at stamp 2 sees the
+/// stamp-2 version whatever its colour, so serving the older version of
+/// the other colour misses it.
+#[test]
+fn auditor_flags_read_missing_a_newer_version_of_another_colour() {
+    let snap = ActionId::from_raw(1);
+    let o = ObjectId::from_raw(9);
+    let (red, blue) = (Colour::from_index(1), Colour::from_index(2));
+    let trace = vec![
+        ev(EventKind::VersionPublish {
+            object: o,
+            colour: red,
+            stamp: 1,
+        }),
+        ev(EventKind::VersionPublish {
+            object: o,
+            colour: blue,
+            stamp: 2,
+        }),
+        ev(EventKind::ActionBegin {
+            action: snap,
+            parent: None,
+            colours: 0,
+        }),
+        ev(EventKind::SnapshotOpen {
+            action: snap,
+            stamp: 2,
+        }),
+        ev(EventKind::SnapshotRead {
+            action: snap,
+            object: o,
+            colour: red,
+            stamp: 1, // stale: the blue stamp-2 version is visible
+        }),
+        ev(EventKind::ActionCommit { action: snap }),
+    ];
+    let report = agreement::audit(&trace);
+    assert!(
+        matches!(
+            report.violations.as_slice(),
+            [Violation::SnapshotReadNotNewest {
+                served: 1,
+                expected: 2,
+                ..
+            }]
+        ),
+        "{report}"
+    );
+}
+
 /// R10b: a snapshot action appearing in lock traffic must be flagged —
 /// the whole point of declared read-only actions is never touching the
 /// lock table.
@@ -482,7 +657,6 @@ fn auditor_flags_snapshot_reader_in_lock_traffic() {
         }),
         ev(EventKind::SnapshotOpen {
             action: snap,
-            colour: c,
             stamp: 0,
         }),
         ev(EventKind::LockRequest {

@@ -38,6 +38,6 @@ pub use node::{
     RETRY_INTERVAL, TPC_LOG_BASE,
 };
 pub use replica::ReplicatedObject;
-pub use sim::{NetConfig, NetStats, Sim, SimTransport, TraceEntry};
+pub use sim::{NetConfig, NetStats, Sim, SimTransport};
 pub use tcp::{MaskingStats, TcpConfig, TcpTransport};
-pub use transport::{dispatch, dispatch_with, Cluster, Transport, TransportEvent};
+pub use transport::{dispatch, dispatch_with, Transport, TransportEvent};

@@ -19,7 +19,6 @@ use chroma_store::StoreBytes;
 use crate::msg::{TxnId, Write};
 use crate::node::RETRY_INTERVAL;
 use crate::sim::Sim;
-use crate::transport::Cluster;
 
 /// A replicated object: one logical object stored at several nodes.
 ///
@@ -48,15 +47,7 @@ impl ReplicatedObject {
     /// Creates a replicated object with an initial state at every
     /// member (version 0), and registers the peer sets used for
     /// pull-on-recover.
-    ///
-    /// Generic over [`Cluster`], so the same replication layer runs on
-    /// the simulator or any other host of a node group.
-    pub fn create<C: Cluster>(
-        cluster: &mut C,
-        object: ObjectId,
-        members: &[NodeId],
-        initial: &[u8],
-    ) -> Self {
+    pub fn create(cluster: &mut Sim, object: ObjectId, members: &[NodeId], initial: &[u8]) -> Self {
         for &member in members {
             let peers: Vec<NodeId> = members.iter().copied().filter(|&m| m != member).collect();
             let node = cluster.node_mut(member);
@@ -88,7 +79,7 @@ impl ReplicatedObject {
     /// The new version is one above the highest version among up
     /// replicas; run the simulation to quiescence for the write to
     /// settle.
-    pub fn write<C: Cluster>(&self, cluster: &mut C, state: &[u8]) -> Option<TxnId> {
+    pub fn write(&self, cluster: &mut Sim, state: &[u8]) -> Option<TxnId> {
         let up: Vec<NodeId> = self
             .members
             .iter()
@@ -133,7 +124,7 @@ impl ReplicatedObject {
     /// preferring the freshest available copy. Returns `None` if no
     /// such replica exists (the object is unavailable).
     #[must_use]
-    pub fn read<C: Cluster>(&self, cluster: &C) -> Option<(u64, StoreBytes)> {
+    pub fn read(&self, cluster: &Sim) -> Option<(u64, StoreBytes)> {
         let (member, version, state) = self
             .members
             .iter()
@@ -164,7 +155,7 @@ impl ReplicatedObject {
     /// Returns each up member's `(node, version)` — for convergence
     /// assertions in tests.
     #[must_use]
-    pub fn versions<C: Cluster>(&self, cluster: &C) -> Vec<(NodeId, u64)> {
+    pub fn versions(&self, cluster: &Sim) -> Vec<(NodeId, u64)> {
         self.members
             .iter()
             .copied()

@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::msg::{CorrId, Effect, Message, TimerTag, TxnId, Write};
 use crate::node::Node;
-use crate::transport::{dispatch_with, Cluster, Transport, TransportEvent};
+use crate::transport::{dispatch_with, Transport, TransportEvent};
 use crate::wire;
 
 /// Network behaviour knobs (the paper's §2 failure model: messages may
@@ -124,25 +124,8 @@ pub struct Sim {
     /// Severed links (unordered pairs): messages between these nodes are
     /// dropped until the partition heals.
     partitions: HashSet<(NodeId, NodeId)>,
-    /// Event trace (bounded), populated when enabled.
-    trace: Option<Vec<TraceEntry>>,
     /// Observability handle; stamped with simulated time each step.
     obs: ObsCell,
-}
-
-/// One traced simulation event (see [`Sim::enable_trace`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Simulated time of the event (µs).
-    pub at: u64,
-    /// Human-readable description.
-    pub what: String,
-}
-
-impl std::fmt::Display for TraceEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{:>10}µs] {}", self.at, self.what)
-    }
 }
 
 impl Sim {
@@ -162,7 +145,6 @@ impl Sim {
             net: NetConfig::default(),
             stats: NetStats::default(),
             partitions: HashSet::new(),
-            trace: None,
             obs: ObsCell::new(),
         }
     }
@@ -181,29 +163,6 @@ impl Sim {
     #[must_use]
     pub fn obs(&self) -> Obs {
         self.obs.get().clone()
-    }
-
-    /// Starts recording an event trace (delivered messages, drops,
-    /// timers, crashes, recoveries). Bounded to the most recent 10 000
-    /// entries; intended for debugging protocol schedules.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Returns the recorded trace (empty if tracing is off).
-    #[must_use]
-    pub fn trace(&self) -> &[TraceEntry] {
-        self.trace.as_deref().unwrap_or(&[])
-    }
-
-    fn record(&mut self, what: String) {
-        let at = self.now;
-        if let Some(trace) = &mut self.trace {
-            if trace.len() >= 10_000 {
-                trace.remove(0);
-            }
-            trace.push(TraceEntry { at, what });
-        }
     }
 
     /// Severs the link between `a` and `b` (both directions): messages
@@ -414,13 +373,6 @@ impl Sim {
                 send_lc,
             } => {
                 let msg = wire::decode(&payload).expect("sim frames use the shared wire codec");
-                if self.trace.is_some() {
-                    let up = self.nodes.get(&to).is_some_and(|n| n.up);
-                    self.record(format!(
-                        "{from} -> {to}: {msg:?}{}",
-                        if up { "" } else { " (DROPPED: target down)" }
-                    ));
-                }
                 let kind = msg.kind();
                 let obs = self.obs();
                 let Some(node) = self.nodes.get(&to) else {
@@ -452,7 +404,6 @@ impl Sim {
                 self.dispatch_to(id, TransportEvent::Timer { tag });
             }
             Event::Crash { node: id } => {
-                self.record(format!("{id} CRASH"));
                 if let Some(node) = self.nodes.get_mut(&id) {
                     let was_up = node.up;
                     node.crash();
@@ -462,7 +413,6 @@ impl Sim {
                 }
             }
             Event::Recover { node: id } => {
-                self.record(format!("{id} RECOVER"));
                 let effects = match self.nodes.get_mut(&id) {
                     Some(node) if !node.up => {
                         let effects = node.recover();
@@ -596,28 +546,6 @@ impl Transport for SimTransport<'_> {
 
     fn poll(&mut self, _timeout: Option<Duration>) -> Option<TransportEvent> {
         None
-    }
-}
-
-impl Cluster for Sim {
-    fn node(&self, id: NodeId) -> &Node {
-        Sim::node(self, id)
-    }
-
-    fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        Sim::node_mut(self, id)
-    }
-
-    fn obs(&self) -> Obs {
-        Sim::obs(self)
-    }
-
-    fn begin_transaction(
-        &mut self,
-        coordinator: NodeId,
-        writes: Vec<(NodeId, Vec<Write>)>,
-    ) -> TxnId {
-        Sim::begin_transaction(self, coordinator, writes)
     }
 }
 

@@ -21,7 +21,7 @@ use std::time::Duration;
 use chroma_base::NodeId;
 use chroma_obs::{EventKind, Obs};
 
-use crate::msg::{CorrId, Effect, Message, TimerTag, TxnId, Write};
+use crate::msg::{CorrId, Effect, Message, TimerTag};
 use crate::node::Node;
 
 /// An inbound occurrence at one endpoint.
@@ -170,28 +170,4 @@ pub fn dispatch_with<T, F>(
         // how loudly to surface it (the transport already counted it).
         TransportEvent::Gap { .. } => {}
     }
-}
-
-/// A host holding a whole cluster of nodes — what the replication layer
-/// is written against instead of `Sim` internals.
-///
-/// [`Sim`](crate::Sim) is the canonical implementation; a test harness
-/// over real processes can implement it with proxies.
-pub trait Cluster {
-    /// Returns a reference to a member node.
-    fn node(&self, id: NodeId) -> &Node;
-
-    /// Returns a mutable reference to a member node.
-    fn node_mut(&mut self, id: NodeId) -> &mut Node;
-
-    /// The cluster-wide observability handle.
-    fn obs(&self) -> Obs;
-
-    /// Starts a distributed transaction coordinated by `coordinator`;
-    /// `writes` lists `(participant, writes)` pairs.
-    fn begin_transaction(
-        &mut self,
-        coordinator: NodeId,
-        writes: Vec<(NodeId, Vec<Write>)>,
-    ) -> TxnId;
 }

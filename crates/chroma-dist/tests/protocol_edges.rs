@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use chroma_base::{NodeId, ObjectId};
 use chroma_dist::{Message, Node, RpcOp, RpcResult, Sim, TxnId, Write, RETRY_INTERVAL};
-use chroma_obs::{EventBus, EventKind, MemorySink, Obs};
+use chroma_obs::{EventBus, EventKind, MemorySink, MsgKind, Obs, Observable};
 use chroma_store::StoreBytes;
 
 fn w(object: u64, value: u8) -> Write {
@@ -247,30 +247,34 @@ fn retry_interval_timers_do_not_livelock_idle_nodes() {
 #[test]
 fn trace_records_protocol_events() {
     let mut sim = Sim::new(52);
-    sim.enable_trace();
+    let bus = Arc::new(EventBus::new());
+    let sink = Arc::new(MemorySink::new(10_000));
+    bus.add_sink(sink.clone());
+    sim.install_obs(Obs::new(bus.clone()));
     let coord = sim.add_node();
     let p = sim.add_node();
     sim.schedule_crash(p, 100_000);
     sim.schedule_recover(p, 400_000);
     sim.begin_transaction(coord, vec![(p, vec![w(1, 1)])]);
     sim.run_to_quiescence();
-    let trace = sim.trace();
-    assert!(!trace.is_empty());
-    let text: Vec<String> = trace.iter().map(ToString::to_string).collect();
-    let joined = text.join("\n");
-    assert!(joined.contains("Prepare"), "no prepare in trace:\n{joined}");
-    assert!(joined.contains("CRASH"));
-    assert!(joined.contains("RECOVER"));
-    // Timestamps are monotone.
-    assert!(trace.windows(2).all(|w| w[0].at <= w[1].at));
-}
-
-#[test]
-fn trace_is_empty_when_disabled() {
-    let mut sim = Sim::new(53);
-    let coord = sim.add_node();
-    let p = sim.add_node();
-    sim.begin_transaction(coord, vec![(p, vec![w(1, 1)])]);
-    sim.run_to_quiescence();
-    assert!(sim.trace().is_empty());
+    bus.flush();
+    let events = sink.events();
+    assert!(
+        events.iter().any(|e| matches!(
+            e.kind,
+            EventKind::MsgSend {
+                kind: MsgKind::Prepare,
+                ..
+            }
+        )),
+        "no prepare sent: {events:?}"
+    );
+    assert!(events
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::NodeCrash { node } if node == p)));
+    assert!(events
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::NodeRecover { node } if node == p)));
+    // Stamped with simulated time, which never runs backwards.
+    assert!(events.windows(2).all(|w| w[0].at_us <= w[1].at_us));
 }

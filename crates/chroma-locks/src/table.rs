@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use chroma_base::{
-    shard_index, ActionId, CachePadded, Colour, IdHashMap, LockError, LockMode, ObjectId,
+    shard_of, ActionId, Colour, IdHashMap, LockError, LockMode, ObjectId, Sharded, SHARDS,
 };
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
 use parking_lot::{Condvar, Mutex};
@@ -46,9 +46,8 @@ use crate::deadlock::WaitForGraph;
 use crate::entry::{LockEntry, LockSnapshot};
 use crate::policy::LockPolicy;
 
-/// Shards per table (a power of two, at most 64: the per-action index
-/// is a 64-bit shard bitmask).
-const SHARDS: usize = 16;
+// The per-action index is a 64-bit shard bitmask.
+const _: () = assert!(SHARDS <= 64);
 
 /// How an acquisition request concluded.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -161,14 +160,14 @@ impl Interrupt {
 /// ```
 pub struct LockTable<P> {
     policy: P,
-    shards: Box<[CachePadded<Shard>]>,
+    shards: Sharded<Shard>,
     /// Waits-for graph for deadlock detection; only locked on the
     /// conflict path. Lock order: a shard lock may be held while taking
     /// this, never the reverse.
     graph: Mutex<WaitForGraph>,
     /// Striped `action → shard bitmask` index: which shards an action
     /// may hold locks in (a superset; see module docs).
-    action_index: Box<[CachePadded<Stripe>]>,
+    action_index: Sharded<Stripe>,
     /// Outstanding planted interrupts across all shards, so the common
     /// no-interrupt case of [`clear_interrupt`](LockTable::clear_interrupt)
     /// and [`retire_action`](LockTable::retire_action) is one atomic load.
@@ -212,9 +211,9 @@ impl<P> LockTable<P> {
     pub fn new(policy: P) -> Self {
         LockTable {
             policy,
-            shards: (0..SHARDS).map(|i| CachePadded(Shard::new(i))).collect(),
+            shards: Sharded::new(Shard::new),
             graph: Mutex::new(WaitForGraph::new()),
-            action_index: (0..SHARDS).map(|_| CachePadded::default()).collect(),
+            action_index: Sharded::default(),
             interrupts_outstanding: AtomicU64::new(0),
             waiters_registered: AtomicU64::new(0),
             waits_started: AtomicU64::new(0),
@@ -234,29 +233,29 @@ impl<P> LockTable<P> {
     /// deterministically.
     #[must_use]
     pub fn shard_of(&self, object: ObjectId) -> usize {
-        shard_index(object.as_raw(), SHARDS.trailing_zeros())
+        shard_of(object.as_raw())
     }
 
-    fn stripe_of(&self, action: ActionId) -> usize {
-        shard_index(action.as_raw(), SHARDS.trailing_zeros())
+    fn stripe(&self, action: ActionId) -> &Stripe {
+        self.action_index.of(action.as_raw())
     }
 
     /// Marks `shard` as possibly holding locks of `action` (called
     /// *before* any entry becomes visible, keeping the mask a superset).
     fn note_holding(&self, action: ActionId, shard: usize) {
-        let mut stripe = self.action_index[self.stripe_of(action)].lock();
+        let mut stripe = self.stripe(action).lock();
         *stripe.entry(action).or_insert(0) |= 1u64 << shard;
     }
 
     fn or_mask(&self, action: ActionId, bits: u64) {
         if bits != 0 {
-            let mut stripe = self.action_index[self.stripe_of(action)].lock();
+            let mut stripe = self.stripe(action).lock();
             *stripe.entry(action).or_insert(0) |= bits;
         }
     }
 
     fn mask_of(&self, action: ActionId) -> u64 {
-        self.action_index[self.stripe_of(action)]
+        self.stripe(action)
             .lock()
             .get(&action)
             .copied()
@@ -264,10 +263,7 @@ impl<P> LockTable<P> {
     }
 
     fn take_mask(&self, action: ActionId) -> u64 {
-        self.action_index[self.stripe_of(action)]
-            .lock()
-            .remove(&action)
-            .unwrap_or(0)
+        self.stripe(action).lock().remove(&action).unwrap_or(0)
     }
 
     /// Iterates the shard indices set in `mask`, in ascending order —
@@ -381,7 +377,7 @@ impl<P: LockPolicy> LockTable<P> {
                 mode,
             });
         }
-        let mut state = self.shards[shard_idx].state.lock();
+        let mut state = self.shards.at(shard_idx).state.lock();
         let result = match self.check_and_apply(&mut state, &chain, action, object, colour, mode) {
             Ok(outcome) => Ok(outcome),
             Err(reason) => Err(LockError::Denied { object, reason }),
@@ -433,7 +429,7 @@ impl<P: LockPolicy> LockTable<P> {
         let deadline = timeout.map(|t| Instant::now() + t);
         let chain = ancestry.chain(action);
         let shard_idx = self.shard_of(object);
-        let shard = &self.shards[shard_idx];
+        let shard = self.shards.at(shard_idx);
         self.note_holding(action, shard_idx);
         let obs = self.obs.get();
         if obs.enabled() {
@@ -635,7 +631,7 @@ impl<P: LockPolicy> LockTable<P> {
         let mask = self.mask_of(action);
         let mut touched = Vec::new();
         for idx in Self::mask_shards(mask) {
-            let shard = &self.shards[idx];
+            let shard = self.shards.at(idx);
             let mut state = shard.state.lock();
             let before = touched.len();
             state.objects.retain(|&object, holders| {
@@ -677,7 +673,7 @@ impl<P: LockPolicy> LockTable<P> {
         self.or_mask(to, mask);
         let mut touched = Vec::new();
         for idx in Self::mask_shards(mask) {
-            let shard = &self.shards[idx];
+            let shard = self.shards.at(idx);
             let mut state = shard.state.lock();
             let before = touched.len();
             for (&object, holders) in state.objects.iter_mut() {
@@ -726,7 +722,7 @@ impl<P: LockPolicy> LockTable<P> {
         let mut touched = Vec::new();
         let mut dropped: Vec<(ObjectId, Colour)> = Vec::new();
         for idx in Self::mask_shards(mask) {
-            let shard = &self.shards[idx];
+            let shard = self.shards.at(idx);
             let mut state = shard.state.lock();
             state.objects.retain(|&object, holders| {
                 let before = holders.len();
@@ -763,7 +759,8 @@ impl<P: LockPolicy> LockTable<P> {
     /// Returns the current holders of `object`.
     #[must_use]
     pub fn holders(&self, object: ObjectId) -> Vec<LockEntry> {
-        self.shards[self.shard_of(object)]
+        self.shards
+            .at(self.shard_of(object))
             .state
             .lock()
             .objects
@@ -779,7 +776,7 @@ impl<P: LockPolicy> LockTable<P> {
         let mask = self.mask_of(action);
         let mut snapshots: Vec<LockSnapshot> = Vec::new();
         for idx in Self::mask_shards(mask) {
-            let state = self.shards[idx].state.lock();
+            let state = self.shards.at(idx).state.lock();
             snapshots.extend(state.objects.iter().flat_map(|(&object, holders)| {
                 holders
                     .iter()
@@ -802,7 +799,7 @@ impl<P: LockPolicy> LockTable<P> {
         let mask = self.mask_of(action);
         let mut locks: Vec<(ObjectId, LockMode)> = Vec::new();
         for idx in Self::mask_shards(mask) {
-            let state = self.shards[idx].state.lock();
+            let state = self.shards.at(idx).state.lock();
             locks.extend(state.objects.iter().flat_map(|(&object, holders)| {
                 holders
                     .iter()
@@ -918,7 +915,7 @@ impl<P: std::fmt::Debug> std::fmt::Debug for LockTable<P> {
         }
         f.debug_struct("LockTable")
             .field("policy", &self.policy)
-            .field("shards", &self.shards.len())
+            .field("shards", &SHARDS)
             .field("objects", &objects)
             .field("entries", &entries)
             .finish()
@@ -1187,7 +1184,7 @@ mod tests {
         // reacquires the mutex, but the lock is free — the grant must
         // not be dropped for a Timeout error.
         {
-            let shard = &table.shards[table.shard_of(o(1))];
+            let shard = table.shards.at(table.shard_of(o(1)));
             let mut state = shard.state.lock();
             std::thread::sleep(Duration::from_millis(80));
             state.objects.remove(&o(1));

@@ -855,7 +855,6 @@ mod tests {
             ev(EventKind::ActionCommit { action: writer }),
             ev(EventKind::SnapshotOpen {
                 action: reader,
-                colour: c,
                 stamp: 1,
             }),
             ev(EventKind::SnapshotRead {
@@ -916,7 +915,6 @@ mod tests {
             }),
             ev(EventKind::SnapshotOpen {
                 action: reader,
-                colour: c,
                 stamp: 2,
             }),
             // stale: stamp 2 is visible but the read served stamp 1
@@ -951,7 +949,6 @@ mod tests {
             }),
             ev(EventKind::SnapshotOpen {
                 action: reader,
-                colour: c,
                 stamp: 1,
             }),
             ev(EventKind::VersionPublish {
@@ -1006,7 +1003,6 @@ mod tests {
             let trace = vec![
                 ev(EventKind::SnapshotOpen {
                     action: reader,
-                    colour: c,
                     stamp: 0,
                 }),
                 ev(kind),
@@ -1068,7 +1064,6 @@ mod tests {
             }),
             ev(EventKind::SnapshotOpen {
                 action: reader,
-                colour: c,
                 stamp: 3,
             }),
             // post-crash the read falls back to stable: stamp 0 is

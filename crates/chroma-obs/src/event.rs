@@ -636,17 +636,14 @@ event_kinds! {
         /// Total bytes written, including length framing.
         bytes: u64,
     }
-    /// A declared read-only action captured one colour's published
-    /// commit frontier at open. Emitted once per colour with a
-    /// non-zero frontier (or once with colour 0 / stamp 0 when nothing
+    /// A declared read-only action captured the published commit
+    /// frontier at open. Emitted once per open (stamp 0 when nothing
     /// has committed yet), before any read by the action.
     SnapshotOpen "snapshot_open" {
         /// The read-only action.
         action: ActionId,
-        /// The colour whose frontier was captured.
-        colour: Colour,
-        /// The captured stamp: the snapshot sees this colour's
-        /// versions with stamps `<=` it.
+        /// The captured stamp: the snapshot sees the versions of every
+        /// colour with stamps `<=` it.
         stamp: u64,
     }
     /// A snapshot read was served from a version chain (or from stable
@@ -662,7 +659,8 @@ event_kinds! {
         stamp: u64,
     }
     /// An outermost-coloured commit appended a new version to an
-    /// object's chain, just before publishing the colour's frontier.
+    /// object's chain, just before publishing its stamp as the
+    /// frontier.
     VersionPublish "version_publish" {
         /// The object whose chain grew.
         object: ObjectId,
@@ -1211,7 +1209,6 @@ mod tests {
             },
             EventKind::SnapshotOpen {
                 action: a1,
-                colour: c(0),
                 stamp: 5,
             },
             EventKind::SnapshotRead {

@@ -223,7 +223,6 @@ mod tests {
                 2,
                 EventKind::SnapshotOpen {
                     action: a,
-                    colour: Colour::from_index(0),
                     stamp: 3,
                 },
             ),

@@ -50,10 +50,11 @@
 //!   still audit; a replay seen before that is where the trace
 //!   attached, and its batches become the starting count.
 //! * **R10 — snapshot-read correctness.** A declared read-only action
-//!   (`SnapshotOpen`) must (a) serve every `SnapshotRead` from the
-//!   *newest* published version (`VersionPublish`) whose stamp is
-//!   `<=` the snapshot's captured stamp for that version's colour —
-//!   stamp 0 meaning the base/stable state — and (b) never appear in
+//!   (`SnapshotOpen`, one captured stamp) must (a) serve every
+//!   `SnapshotRead` from the *newest* published version
+//!   (`VersionPublish`) whose stamp is `<=` the snapshot's stamp,
+//!   whatever the version's colour — stamp 0 meaning the base/stable
+//!   state — and (b) never appear in
 //!   lock traffic (request, grant, or conflict: a waiting snapshot
 //!   reader would be a waits-for edge). Version chains are volatile,
 //!   so a `NodeCrash` resets the node's published history: post-crash
@@ -664,11 +665,9 @@ struct ActionState {
     phase: Phase,
     /// Strongest mode currently held per (object, colour index).
     held: HashMap<(u64, usize), LockMode>,
-    /// Declared read-only (saw a `snapshot_open`): must never appear
-    /// in lock traffic.
-    snapshot: bool,
-    /// A snapshot action's captured frontier (colour index → stamp).
-    caps: HashMap<usize, u64>,
+    /// The stamp a declared read-only action captured (saw a
+    /// `snapshot_open`): it must never appear in lock traffic.
+    snapshot: Option<u64>,
 }
 
 impl ActionState {
@@ -679,8 +678,7 @@ impl ActionState {
             colours,
             phase: Phase::Growing,
             held: HashMap::new(),
-            snapshot: false,
-            caps: HashMap::new(),
+            snapshot: None,
         }
     }
 
@@ -734,8 +732,8 @@ impl TxnState {
 
 #[derive(Debug, Default)]
 struct PubChain {
-    /// (colour index, stamp), in publication order.
-    entries: VecDeque<(usize, u64)>,
+    /// Published stamps, in publication order.
+    entries: VecDeque<u64>,
     /// Older publications were dropped; an "expected = base" answer is
     /// no longer trustworthy.
     truncated: bool,
@@ -889,7 +887,11 @@ impl Rules {
             // is a waits-for edge.
             EventKind::LockRequest { action, object, .. }
             | EventKind::LockConflict { action, object, .. } => {
-                if self.actions.get(&action).is_some_and(|a| a.snapshot) {
+                if self
+                    .actions
+                    .get(&action)
+                    .is_some_and(|a| a.snapshot.is_some())
+                {
                     out.push(Violation::SnapshotReaderLocks { action, object });
                 }
             }
@@ -914,7 +916,7 @@ impl Rules {
                     }
                     return;
                 };
-                if a.snapshot {
+                if a.snapshot.is_some() {
                     out.push(Violation::SnapshotReaderLocks { action, object });
                 }
                 if a.phase != Phase::Growing {
@@ -1168,17 +1170,11 @@ impl Rules {
             }
             // An open without a begin (the begin predates the attach)
             // still declares the action read-only.
-            EventKind::SnapshotOpen {
-                action,
-                colour,
-                stamp,
-            } => {
-                let a = self
-                    .actions
+            EventKind::SnapshotOpen { action, stamp } => {
+                self.actions
                     .entry(action)
-                    .or_insert_with(ActionState::unbegun);
-                a.snapshot = true;
-                a.caps.insert(colour.index(), stamp);
+                    .or_insert_with(ActionState::unbegun)
+                    .snapshot = Some(stamp);
             }
             EventKind::SnapshotRead {
                 action,
@@ -1186,27 +1182,26 @@ impl Rules {
                 stamp,
                 ..
             } => {
-                let caps = match self.actions.get(&action) {
-                    Some(a) if a.snapshot => Some(&a.caps),
-                    _ if exact => {
+                let snapshot = match self.actions.get(&action).and_then(|a| a.snapshot) {
+                    Some(snapshot) => snapshot,
+                    None if exact => {
                         out.push(Violation::UnknownAction {
                             action,
                             context: "snapshot_read",
                         });
-                        None
+                        0
                     }
-                    _ => return,
+                    None => return,
                 };
-                let cap = |ci: &usize| caps.and_then(|c| c.get(ci)).copied().unwrap_or(0);
                 // Newest published version of the object visible at
-                // the captured frontier; publications are appended in
+                // the captured stamp; publications are appended in
                 // stamp order, so the last visible one is the newest.
                 // `None` = the answer fell off a window: skip.
                 let key = (event.node.map_or(0, NodeId::as_raw), object.as_raw());
                 let expected = match self.published.get(&key) {
                     Some(chain) => {
-                        match chain.entries.iter().rev().find(|(ci, s)| cap(ci) >= *s) {
-                            Some(&(_, s)) => Some(s),
+                        match chain.entries.iter().rev().find(|&&s| s <= snapshot) {
+                            Some(&s) => Some(s),
                             // Every retained publication is newer than
                             // the snapshot; with older ones dropped the
                             // true answer is unknowable.
@@ -1228,11 +1223,7 @@ impl Rules {
                     });
                 }
             }
-            EventKind::VersionPublish {
-                object,
-                colour,
-                stamp,
-            } => {
+            EventKind::VersionPublish { object, stamp, .. } => {
                 let key = (event.node.map_or(0, NodeId::as_raw), object.as_raw());
                 let mut versions = usize::MAX;
                 if let Retention::Windowed(windows, w) = &mut self.retention {
@@ -1252,7 +1243,7 @@ impl Rules {
                     }
                 }
                 let chain = self.published.entry(key).or_default();
-                chain.entries.push_back((colour.index(), stamp));
+                chain.entries.push_back(stamp);
                 while chain.entries.len() > versions {
                     chain.entries.pop_front();
                     chain.truncated = true;

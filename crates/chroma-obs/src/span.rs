@@ -64,8 +64,8 @@ pub enum SpanKind {
         /// The object being caught up.
         object: ObjectId,
     },
-    /// A read-only action's snapshot scope: from its first frontier
-    /// capture (`snapshot_open`) to the action's termination, with the
+    /// A read-only action's snapshot scope: from its frontier capture
+    /// (`snapshot_open`) to the action's termination, with the
     /// snapshot reads attributed inside.
     Snapshot {
         /// The reading action.
@@ -286,8 +286,8 @@ impl SpanForest {
                     }
                 }
                 EventKind::SnapshotOpen { action, .. } => {
-                    // first frontier capture opens the snapshot scope
-                    // as a child of the action span
+                    // the frontier capture opens the snapshot scope as
+                    // a child of the action span
                     if let Some(&aidx) = action_spans.get(&action) {
                         let sidx = match snapshot_spans.get(&action) {
                             Some(&idx) => idx,
@@ -831,12 +831,11 @@ mod tests {
                     colours: 0,
                 },
             ),
-            // two frontier captures, one scope
+            // a repeated open still makes one scope
             ev(
                 5,
                 EventKind::SnapshotOpen {
                     action: a,
-                    colour: c,
                     stamp: 3,
                 },
             ),
@@ -844,7 +843,6 @@ mod tests {
                 6,
                 EventKind::SnapshotOpen {
                     action: a,
-                    colour: Colour::from_index(1),
                     stamp: 1,
                 },
             ),

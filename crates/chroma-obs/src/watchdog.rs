@@ -667,7 +667,6 @@ mod tests {
         begin(&bus, 5);
         bus.emit(EventKind::SnapshotOpen {
             action: aid(5),
-            colour: col(0),
             stamp: 2,
         });
         // Stamp 2 is visible; serving stamp 1 is not the newest.
@@ -687,7 +686,6 @@ mod tests {
         begin(&bus, 5);
         bus.emit(EventKind::SnapshotOpen {
             action: aid(5),
-            colour: col(0),
             stamp: 0,
         });
         bus.emit(EventKind::LockRequest {
@@ -760,7 +758,6 @@ mod tests {
         begin(&bus, 9);
         bus.emit(EventKind::SnapshotOpen {
             action: aid(9),
-            colour: col(0),
             stamp: 1,
         });
         bus.emit(EventKind::SnapshotRead {
@@ -796,7 +793,6 @@ mod tests {
         begin(&bus, 1);
         bus.emit(EventKind::SnapshotOpen {
             action: aid(1),
-            colour: col(0),
             stamp: 2,
         });
         // Stamps 1..=2 fell off the window; the read of stamp 2 cannot

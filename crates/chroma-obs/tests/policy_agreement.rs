@@ -49,8 +49,8 @@ struct Act {
     parent: Option<ActionId>,
     colours: u64,
     held: Vec<(ObjectId, usize, LockMode)>,
-    /// A snapshot action's captured stamp per colour.
-    caps: Option<[u64; 2]>,
+    /// A snapshot action's captured stamp.
+    snapshot: Option<u64>,
 }
 
 /// One hold per (object, colour), in its strongest mode.
@@ -73,7 +73,7 @@ struct Model {
     next_action: u64,
     live: Vec<Act>,
     next_txn: u64,
-    stamps: [u64; 2],
+    stamp: u64,
     versions: HashMap<ObjectId, Vec<(usize, u64)>>,
     active: u64,
     sealed: Vec<(u64, u64)>,
@@ -86,7 +86,7 @@ impl Model {
         self.out.push(ev(kind));
     }
 
-    fn begin(&mut self, parent: Option<ActionId>, colours: u64, caps: Option<[u64; 2]>) {
+    fn begin(&mut self, parent: Option<ActionId>, colours: u64, snapshot: Option<u64>) {
         self.next_action += 1;
         let id = a(self.next_action);
         self.out.push(begin(id, parent, colours));
@@ -95,7 +95,7 @@ impl Model {
             parent,
             colours,
             held: Vec::new(),
-            caps,
+            snapshot,
         });
     }
 
@@ -152,7 +152,7 @@ impl Model {
 
     fn step(&mut self, rng: &mut Rng) {
         let lockers: Vec<usize> = (0..self.live.len())
-            .filter(|&i| self.live[i].caps.is_none())
+            .filter(|&i| self.live[i].snapshot.is_none())
             .collect();
         match rng.below(12) {
             0 => self.begin(None, 1 + rng.below(3) as u64, None),
@@ -248,32 +248,26 @@ impl Model {
                 let object = o(rng.below(4) as u64);
                 let chain = self.versions.entry(object).or_default();
                 if chain.len() < 30 {
-                    self.stamps[colour] += 1;
-                    chain.push((colour, self.stamps[colour]));
+                    self.stamp += 1;
+                    chain.push((colour, self.stamp));
                     self.emit(EventKind::VersionPublish {
                         object,
                         colour: c(colour),
-                        stamp: self.stamps[colour],
+                        stamp: self.stamp,
                     });
                 }
             }
             10 => {
-                let caps = self.stamps;
-                self.begin(None, 0, Some(caps));
+                let stamp = self.stamp;
+                self.begin(None, 0, Some(stamp));
                 let action = a(self.next_action);
-                for (colour, &stamp) in caps.iter().enumerate() {
-                    self.emit(EventKind::SnapshotOpen {
-                        action,
-                        colour: c(colour),
-                        stamp,
-                    });
-                }
+                self.emit(EventKind::SnapshotOpen { action, stamp });
             }
             _ => {
                 let readers: Vec<_> = self
                     .live
                     .iter()
-                    .filter_map(|x| Some((x.id, x.caps?)))
+                    .filter_map(|x| Some((x.id, x.snapshot?)))
                     .collect();
                 if readers.is_empty() {
                     // chains are volatile: a crash forgets them
@@ -285,14 +279,12 @@ impl Model {
                     }
                     return;
                 }
-                let (action, caps) = readers[rng.below(readers.len())];
+                let (action, snapshot) = readers[rng.below(readers.len())];
                 let object = o(rng.below(4) as u64);
-                let visible = self.versions.get(&object).and_then(|chain| {
-                    chain
-                        .iter()
-                        .rev()
-                        .find(|(colour, stamp)| caps[*colour] >= *stamp)
-                });
+                let visible = self
+                    .versions
+                    .get(&object)
+                    .and_then(|chain| chain.iter().rev().find(|&&(_, stamp)| stamp <= snapshot));
                 self.emit(EventKind::SnapshotRead {
                     action,
                     object,
@@ -643,7 +635,6 @@ fn evicted_state_is_skipped_never_guessed() {
         begin(a(1), None, 0),
         ev(EventKind::SnapshotOpen {
             action: a(1),
-            colour: c(0),
             stamp: 5,
         }),
         ev(EventKind::SnapshotRead {

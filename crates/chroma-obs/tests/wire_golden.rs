@@ -109,7 +109,6 @@ fn publish(object: u64, stamp: u64) -> Event {
 fn open(action: u64, stamp: u64) -> Event {
     ev(EventKind::SnapshotOpen {
         action: a(action),
-        colour: c(0),
         stamp,
     })
 }
@@ -734,12 +733,11 @@ fn golden_kinds() -> Vec<(&'static str, Event)> {
             ),
         ),
         (
-            r#"{"at_us":31,"ev":"snapshot_open","action":11,"colour":0,"stamp":5}"#,
+            r#"{"at_us":31,"ev":"snapshot_open","action":11,"stamp":5}"#,
             at(
                 31,
                 EventKind::SnapshotOpen {
                     action: a(11),
-                    colour: c(0),
                     stamp: 5,
                 },
             ),

@@ -15,7 +15,7 @@
 //!   [`MemFs`] for an in-memory disk whose [`crash`](MemFs::crash)
 //!   loses everything no fsync made durable;
 //! * [`VersionChains`] + [`StampClock`] — short per-object version
-//!   chains and the published per-colour commit frontier that let
+//!   chains and the one published commit frontier that let
 //!   declared read-only actions take consistent snapshots without
 //!   touching the lock table;
 //! * [`codec`] — the [`Stored`](codec::Stored) trait and
@@ -49,7 +49,7 @@ mod versions;
 
 pub use disk::{DiskError, DiskStore, DiskStoreOptions, ReplayStats};
 pub use fs::{Fs, FsFile, MemFs, OsFs};
-pub use versions::{GcStats, SnapshotStamps, StampClock, VersionChains, VisibleVersion};
+pub use versions::{GcStats, StampClock, VersionChains, VisibleVersion};
 
 /// The byte-buffer type object states are stored as (cheaply clonable).
 pub type StoreBytes = bytes::Bytes;
