@@ -307,55 +307,79 @@ fn crash_epoch_races_open_scopes() {
     assert_eq!(rt.live_snapshot_count(), 0, "seed {seed}: dead scope left");
 }
 
-/// One writer commits, again and again, one action outermost for two
-/// colours that writes `k` to `R` in the lower-indexed colour and to `B`
-/// in the other, so `R`'s flush is stamped just before `B`'s. A reader
-/// opens scopes and reads `B`, then `R`, then both again. A snapshot is
-/// a prefix of the one stamp order, so a scope that sees `B = k` sees
-/// `R`'s earlier flush too: `R >= B`, and each re-read equals the
-/// first. Returns how many scopes read.
+/// Each of two writers commits, again and again, one action outermost
+/// for two colours that writes `k` to its `R` in the lower-indexed
+/// colour and to its `B` in the other, so `R`'s flush is stamped just
+/// before `B`'s; the two writers' flushes race for the stamp gate. A
+/// reader opens scopes and reads each `B`, then its `R`, then all of
+/// them again. A snapshot is a prefix of the one stamp order, so a scope
+/// that sees `B = k` sees `R`'s earlier flush too: `R >= B`, and each
+/// re-read equals the first. Returns how many scopes read.
 fn cut_across_colours(rt: &Runtime, seed: u64) -> u64 {
-    const COMMITS: u64 = 2_000;
+    const WRITERS: usize = 2;
+    const COMMITS: u64 = 1_000;
     let (red, blue) = (rt.universe().colour("red"), rt.universe().colour("blue"));
     let (low, high) = if red < blue { (red, blue) } else { (blue, red) };
-    let r = rt.create_object(&0u64).expect("create R");
-    let b = rt.create_object(&0u64).expect("create B");
+    let pairs: Vec<(ObjectId, ObjectId)> = (0..WRITERS)
+        .map(|_| {
+            let r = rt.create_object(&0u64).expect("create R");
+            (r, rt.create_object(&0u64).expect("create B"))
+        })
+        .collect();
     let done = Arc::new(AtomicBool::new(false));
     let reader = {
         let rt = rt.clone();
+        let pairs = pairs.clone();
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut scopes = 0u64;
             while !done.load(Ordering::SeqCst) {
                 let scope = rt.begin_read_only();
-                let first_b: u64 = scope.read(b).expect("read B");
-                // Let a flush or two land between the reads.
-                for _ in 0..rng.gen_range(0..64u32) {
-                    std::hint::spin_loop();
+                let mut first = Vec::with_capacity(pairs.len());
+                for &(r, b) in &pairs {
+                    let first_b: u64 = scope.read(b).expect("read B");
+                    // Let a flush or two land between the reads.
+                    for _ in 0..rng.gen_range(0..64u32) {
+                        std::hint::spin_loop();
+                    }
+                    let first_r: u64 = scope.read(r).expect("read R");
+                    assert!(
+                        first_r >= first_b,
+                        "seed {seed}: scope at stamp {} saw B = {first_b} but R = {first_r}",
+                        scope.stamp()
+                    );
+                    first.push((first_r, first_b));
                 }
-                let first_r: u64 = scope.read(r).expect("read R");
-                assert!(
-                    first_r >= first_b,
-                    "seed {seed}: scope at stamp {} saw B = {first_b} but R = {first_r}",
-                    scope.stamp()
-                );
-                assert_eq!(scope.read::<u64>(b).expect("re-read B"), first_b);
-                assert_eq!(scope.read::<u64>(r).expect("re-read R"), first_r);
+                for (&(r, b), &(first_r, first_b)) in pairs.iter().zip(&first) {
+                    assert_eq!(scope.read::<u64>(b).expect("re-read B"), first_b);
+                    assert_eq!(scope.read::<u64>(r).expect("re-read R"), first_r);
+                }
                 scope.end();
                 scopes += 1;
             }
             scopes
         })
     };
-    for k in 1..=COMMITS {
-        let action = rt
-            .begin_top(ColourSet::from_iter([low, high]))
-            .expect("begin");
-        let scope = rt.scope(action).expect("scope");
-        scope.write_in(low, r, &k).expect("write R");
-        scope.write_in(high, b, &k).expect("write B");
-        rt.commit(action).expect("commit");
+    let writers: Vec<_> = pairs
+        .into_iter()
+        .map(|(r, b)| {
+            let rt = rt.clone();
+            std::thread::spawn(move || {
+                for k in 1..=COMMITS {
+                    let action = rt
+                        .begin_top(ColourSet::from_iter([low, high]))
+                        .expect("begin");
+                    let scope = rt.scope(action).expect("scope");
+                    scope.write_in(low, r, &k).expect("write R");
+                    scope.write_in(high, b, &k).expect("write B");
+                    rt.commit(action).expect("commit");
+                }
+            })
+        })
+        .collect();
+    for writer in writers {
+        writer.join().expect("writer thread");
     }
     done.store(true, Ordering::SeqCst);
     reader.join().expect("reader thread")
@@ -369,7 +393,7 @@ fn snapshots_cut_across_colours() {
     let seed = torture_seed();
     let scopes = cut_across_colours(&Runtime::builder().build(), seed);
     assert!(scopes > 0, "seed {seed}: no scope read");
-    eprintln!("seed {seed}: {scopes} scopes read across 2000 commits");
+    eprintln!("seed {seed}: {scopes} scopes read across 2 x 1000 commits");
 
     let rt = Runtime::builder().build();
     let bus = Arc::new(EventBus::new());

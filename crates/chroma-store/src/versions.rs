@@ -253,8 +253,8 @@ impl VersionChains {
     /// the current frontier* (so the newest selectable version of each
     /// chain always survives for future readers). Per chain the kept
     /// range is the suffix from the newest version stamped `<= oldest`;
-    /// a chain with no such version is kept whole (only possible
-    /// mid-flush, before the publish, for a chain with no base). The
+    /// a chain with no such version (never seeded with a base, every
+    /// version newer than `oldest`) is kept whole. The
     /// sweep visits only the indexed chains of two or more versions and
     /// unindexes each one it leaves at one.
     pub fn collect(&self, oldest: u64) -> GcStats {
