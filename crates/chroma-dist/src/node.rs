@@ -1,7 +1,7 @@
 //! A fail-silent node: stable + volatile halves, two-phase-commit state
 //! machines, at-most-once RPC server, replica state.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use chroma_base::{NodeId, ObjectId};
@@ -19,17 +19,20 @@ pub const MAX_PREPARE_ATTEMPTS: u32 = 5;
 pub const MAX_DECISION_ATTEMPTS: u32 = 50;
 
 chroma_store::stored! {
-    /// Durable records for the presumed-abort two-phase commit.
+    /// Durable records for the presumed-abort two-phase commit: a node
+    /// keeps one per transaction and role, at [`TPC_LOG_BASE`].
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum TpcRecord {
-        /// Coordinator decided commit (the commit point).
+        /// Coordinator decided commit (the commit point). Only commit
+        /// records are written at the coordinator's key: none there
+        /// means abort.
         CoordCommit {
             /// The transaction.
             txn: TxnId,
             /// The participants that must learn the decision.
             participants: Vec<NodeId>,
         },
-        /// Every participant acknowledged; the record can be forgotten.
+        /// Every participant acknowledged; replaces `CoordCommit`.
         CoordEnd {
             /// The transaction.
             txn: TxnId,
@@ -44,6 +47,7 @@ chroma_store::stored! {
             writes: Vec<Write>,
         },
         /// Participant processed the decision; obligation resolved.
+        /// Replaces `Prepared` in the batch that installs its writes.
         ParticipantDone {
             /// The transaction.
             txn: TxnId,
@@ -51,14 +55,29 @@ chroma_store::stored! {
     }
 }
 
+impl TpcRecord {
+    /// The object this record lives at: its transaction's coordinator
+    /// or participant key.
+    fn key(&self) -> ObjectId {
+        match self {
+            TpcRecord::CoordCommit { txn, .. } | TpcRecord::CoordEnd { txn } => {
+                coordinator_key(*txn)
+            }
+            TpcRecord::Prepared { txn, .. } | TpcRecord::ParticipantDone { txn } => {
+                participant_key(*txn)
+            }
+        }
+    }
+}
+
 /// Volatile coordinator state for an in-flight transaction.
 #[derive(Clone, Debug, Default)]
 struct CoordState {
     participants: Vec<NodeId>,
-    writes: HashMap<NodeId, Vec<Write>>,
-    votes: HashSet<NodeId>,
+    writes: BTreeMap<NodeId, Vec<Write>>,
+    votes: BTreeSet<NodeId>,
     decided: Option<bool>,
-    acked: HashSet<NodeId>,
+    acked: BTreeSet<NodeId>,
     prepare_attempts: u32,
     decision_attempts: u32,
     /// Simulated time the transaction began (for the decide latency
@@ -105,11 +124,14 @@ struct RpcCall {
 /// A fail-silent workstation, simulated or hosted by a process.
 ///
 /// Its stable half is one [`DiskStore`]. Handlers stage their writes
-/// and [`Node::barrier`] commits them as one batch. A crash loses
-/// everything volatile, the stage included; [`Node::recover`] reads the
-/// 2PC log back from the store and rebuilds obligations from it —
-/// re-sending decisions for committed-but-unacknowledged transactions
-/// and querying coordinators for prepared-but-undecided ones.
+/// and [`Node::barrier`] commits them as one batch. The 2PC state is a
+/// table with one record per transaction and role (see
+/// [`TPC_LOG_BASE`]), each replaced as its transaction resolves. A
+/// crash loses everything volatile, the stage included;
+/// [`Node::recover`] reads the table back from the store and rebuilds
+/// obligations from it — re-sending decisions for
+/// committed-but-unacknowledged transactions and querying coordinators
+/// for prepared-but-undecided ones.
 #[derive(Debug)]
 pub struct Node {
     id: NodeId,
@@ -121,20 +143,21 @@ pub struct Node {
     /// crash crashes; `None` for a node that adopted its host's store.
     disk: Option<MemFs>,
     // ---- volatile ----
-    /// The 2PC log: the records in `store`, then the staged ones.
-    tpc_log: Vec<TpcRecord>,
+    /// The 2PC table by key: the records in `store`, replaced by the
+    /// staged ones.
+    tpc: BTreeMap<ObjectId, TpcRecord>,
     /// Object states and 2PC records staged for the next barrier.
     stage: BTreeMap<ObjectId, StoreBytes>,
     /// The stage holds more than `CoordEnd`s: the next barrier writes.
     stage_forced: bool,
-    coord: HashMap<TxnId, CoordState>,
+    coord: BTreeMap<TxnId, CoordState>,
     /// Transactions this node will refuse to prepare (fault injection).
-    pub veto: HashSet<TxnId>,
-    rpc_seen: HashMap<(NodeId, u64), StoreBytes>,
-    rpc_calls: HashMap<u64, RpcCall>,
+    pub veto: BTreeSet<TxnId>,
+    rpc_seen: BTreeMap<(NodeId, u64), StoreBytes>,
+    rpc_calls: BTreeMap<u64, RpcCall>,
     next_call: u64,
     /// Replicated objects considered stale until a peer confirms.
-    pub stale: HashSet<ObjectId>,
+    pub stale: BTreeSet<ObjectId>,
     /// Peers per replicated object (for pull-on-recover), in object
     /// order so recovery pulls in a seeded order.
     pub replica_peers: BTreeMap<ObjectId, Vec<NodeId>>,
@@ -162,15 +185,15 @@ impl Node {
             up: true,
             store,
             disk,
-            tpc_log: Vec::new(),
+            tpc: BTreeMap::new(),
             stage: BTreeMap::new(),
             stage_forced: false,
-            coord: HashMap::new(),
-            veto: HashSet::new(),
-            rpc_seen: HashMap::new(),
-            rpc_calls: HashMap::new(),
+            coord: BTreeMap::new(),
+            veto: BTreeSet::new(),
+            rpc_seen: BTreeMap::new(),
+            rpc_calls: BTreeMap::new(),
             next_call: 1,
-            stale: HashSet::new(),
+            stale: BTreeSet::new(),
             replica_peers: BTreeMap::new(),
             pull_pending: BTreeMap::new(),
             obs: ObsCell::new(),
@@ -209,7 +232,7 @@ impl Node {
                 return Some(decided);
             }
         }
-        // Fall back to the durable log (post-crash).
+        // Fall back to the durable table (post-crash).
         self.coord_committed(txn).then_some(true)
     }
 
@@ -222,63 +245,52 @@ impl Node {
         self.coord.contains_key(&txn)
     }
 
-    /// Returns `true` once this node, as a participant, prepared `txn`
-    /// and then processed its decision — commit or abort alike.
+    /// Returns `true` once this node, as a participant, processed the
+    /// decision for `txn` — commit or abort alike, prepared or not.
     #[must_use]
     pub fn resolved(&self, txn: TxnId) -> bool {
-        matches!(self.participant_log(txn), (Some(_), true))
+        matches!(
+            self.participant_record(txn),
+            Some(TpcRecord::ParticipantDone { .. })
+        )
     }
 
     /// Returns `true` if the participant has a prepared-but-unresolved
     /// obligation for `txn`.
     #[must_use]
     pub fn in_doubt(&self, txn: TxnId) -> bool {
-        matches!(self.participant_log(txn), (Some(_), false))
+        matches!(
+            self.participant_record(txn),
+            Some(TpcRecord::Prepared { .. })
+        )
     }
 
-    /// A snapshot of the node's durable 2PC log, in append order.
+    /// A snapshot of the node's 2PC table, in key order.
     #[must_use]
     pub fn tpc_records(&self) -> Vec<TpcRecord> {
-        self.tpc_log.clone()
+        self.tpc.values().cloned().collect()
     }
 
-    /// Appends `record` to the 2PC log and stages it at its own
-    /// object id for the next [`Node::barrier`].
+    /// Puts `record` in the 2PC table, replacing the record at its key,
+    /// and stages it there for the next [`Node::barrier`].
     fn log(&mut self, record: TpcRecord) {
-        let object = tpc_record_object(self.tpc_log.len());
+        let key = record.key();
         let bytes = codec::to_bytes(&record).expect("2PC records encode");
         self.stage_forced |= !matches!(record, TpcRecord::CoordEnd { .. });
-        self.stage.insert(object, StoreBytes::from(bytes));
-        self.tpc_log.push(record);
+        self.stage.insert(key, StoreBytes::from(bytes));
+        self.tpc.insert(key, record);
         self.obs().emit(EventKind::WalAppend { records: 1 });
     }
 
-    /// This node's participant records of `txn`: the coordinator and
-    /// writes of its `Prepared` record, if it prepared, and whether it
-    /// logged `ParticipantDone`.
-    fn participant_log(&self, txn: TxnId) -> (Option<(NodeId, &[Write])>, bool) {
-        let mut prepared = None;
-        let mut done = false;
-        for record in &self.tpc_log {
-            match record {
-                TpcRecord::Prepared {
-                    txn: t,
-                    coordinator,
-                    writes,
-                } if *t == txn => prepared = Some((*coordinator, writes.as_slice())),
-                TpcRecord::ParticipantDone { txn: t } if *t == txn => done = true,
-                _ => {}
-            }
-        }
-        (prepared, done)
+    /// This node's participant record of `txn`, if it has one.
+    fn participant_record(&self, txn: TxnId) -> Option<&TpcRecord> {
+        self.tpc.get(&participant_key(txn))
     }
 
     /// Returns `true` if this node, as coordinator, logged the commit
-    /// of `txn`.
+    /// of `txn` (ended or not).
     fn coord_committed(&self, txn: TxnId) -> bool {
-        self.tpc_log
-            .iter()
-            .any(|r| matches!(r, TpcRecord::CoordCommit { txn: t, .. } if *t == txn))
+        self.tpc.contains_key(&coordinator_key(txn))
     }
 
     // ------------------------------------------------------------------
@@ -293,13 +305,13 @@ impl Node {
     pub fn begin_transaction(
         &mut self,
         txn: TxnId,
-        writes: HashMap<NodeId, Vec<Write>>,
+        writes: impl IntoIterator<Item = (NodeId, Vec<Write>)>,
     ) -> Vec<Effect> {
-        // Fan out in node order, not map order: every later send to the
-        // participants (decisions, retries) follows this list, so a
-        // seeded run sends the same messages in the same order.
-        let mut participants: Vec<NodeId> = writes.keys().copied().collect();
-        participants.sort_unstable();
+        // Fan out in node order: every later send to the participants
+        // (decisions, retries) follows this list, so a seeded run sends
+        // the same messages in the same order.
+        let writes: BTreeMap<NodeId, Vec<Write>> = writes.into_iter().collect();
+        let participants: Vec<NodeId> = writes.keys().copied().collect();
         let mut effects: Vec<Effect> = participants
             .iter()
             .map(|&to| Effect::Send {
@@ -400,7 +412,7 @@ impl Node {
     fn on_decision_query(&mut self, from: NodeId, txn: TxnId) -> Vec<Effect> {
         // A live, undecided coordinator stays silent (the participant
         // will ask again); otherwise answer from volatile state or the
-        // durable log — no record means presumed abort.
+        // durable table — no record means presumed abort.
         if let Some(state) = self.coord.get(&txn) {
             match state.decided {
                 None => return Vec::new(),
@@ -428,20 +440,20 @@ impl Node {
     fn on_prepare(&mut self, txn: TxnId, writes: Vec<Write>, coordinator: NodeId) -> Vec<Effect> {
         // Deduplicate: already done → ignore; already prepared →
         // re-vote.
-        let (prepared, done) = self.participant_log(txn);
-        if done {
-            return Vec::new();
-        }
-        if prepared.is_some() {
-            self.obs().emit(EventKind::TpcVote {
-                node: self.id,
-                txn: txn.0,
-                yes: true,
-            });
-            return vec![Effect::Send {
-                to: coordinator,
-                msg: Message::VoteYes { txn },
-            }];
+        match self.participant_record(txn) {
+            Some(TpcRecord::ParticipantDone { .. }) => return Vec::new(),
+            Some(_) => {
+                self.obs().emit(EventKind::TpcVote {
+                    node: self.id,
+                    txn: txn.0,
+                    yes: true,
+                });
+                return vec![Effect::Send {
+                    to: coordinator,
+                    msg: Message::VoteYes { txn },
+                }];
+            }
+            None => {}
         }
         if self.veto.contains(&txn) {
             self.obs().emit(EventKind::TpcVote {
@@ -481,53 +493,50 @@ impl Node {
     }
 
     fn on_decision(&mut self, from: NodeId, txn: TxnId, commit: bool) -> Vec<Effect> {
-        let (prepared, done) = self.participant_log(txn);
-        let prepared_writes = prepared.map(|(_, writes)| writes.to_vec());
-        if !done {
-            self.obs().emit(EventKind::TpcResolve {
-                node: self.id,
-                txn: txn.0,
-                commit,
-            });
-            if commit {
-                if let Some(writes) = prepared_writes {
-                    let mut updates: Vec<(ObjectId, StoreBytes)> = Vec::new();
-                    let mut installed: Vec<(ObjectId, u64)> = Vec::new();
-                    for w in writes {
-                        if self.replica_peers.contains_key(&w.object) {
-                            if let Ok((version, _)) = codec::from_bytes::<(u64, Vec<u8>)>(&w.state)
-                            {
-                                let local = self.read_versioned(w.object).map_or(0, |(v, _)| v);
-                                if version < local {
-                                    // A decision that resolved only after
-                                    // this replica caught up past it:
-                                    // installing would roll the copy back
-                                    // (replica divergence).
-                                    continue;
-                                }
-                                installed.push((w.object, version));
-                            }
-                        }
-                        updates.push((w.object, w.state));
-                    }
-                    if !updates.is_empty() {
-                        self.stage(updates);
-                    }
-                    for (object, version) in installed {
-                        self.obs().emit(EventKind::ReplicaInstall {
-                            node: self.id,
-                            object,
-                            version,
-                        });
-                    }
-                }
-            }
-            self.log(TpcRecord::ParticipantDone { txn });
-        }
-        vec![Effect::Send {
+        let ack = vec![Effect::Send {
             to: from,
             msg: Message::Ack { txn },
-        }]
+        }];
+        let writes = match self.participant_record(txn) {
+            Some(TpcRecord::ParticipantDone { .. }) => return ack,
+            Some(TpcRecord::Prepared { writes, .. }) if commit => writes.clone(),
+            _ => Vec::new(),
+        };
+        self.obs().emit(EventKind::TpcResolve {
+            node: self.id,
+            txn: txn.0,
+            commit,
+        });
+        let mut updates: Vec<(ObjectId, StoreBytes)> = Vec::new();
+        let mut installed: Vec<(ObjectId, u64)> = Vec::new();
+        for w in writes {
+            if self.replica_peers.contains_key(&w.object) {
+                if let Ok((version, _)) = codec::from_bytes::<(u64, Vec<u8>)>(&w.state) {
+                    let local = self.read_versioned(w.object).map_or(0, |(v, _)| v);
+                    if version < local {
+                        // A decision that resolved only after this
+                        // replica caught up past it: installing would
+                        // roll the copy back (replica divergence).
+                        continue;
+                    }
+                    installed.push((w.object, version));
+                }
+            }
+            updates.push((w.object, w.state));
+        }
+        if !updates.is_empty() {
+            self.stage(updates);
+        }
+        for (object, version) in installed {
+            self.obs().emit(EventKind::ReplicaInstall {
+                node: self.id,
+                object,
+                version,
+            });
+        }
+        // replaces `Prepared` in the batch that installs its writes
+        self.log(TpcRecord::ParticipantDone { txn });
+        ack
     }
 
     // ------------------------------------------------------------------
@@ -855,12 +864,13 @@ impl Node {
             }
             TimerTag::QueryDecision(txn) => {
                 // Still in doubt: ask the coordinator the record names.
-                let (Some((coordinator, _)), false) = self.participant_log(txn) else {
+                let Some(TpcRecord::Prepared { coordinator, .. }) = self.participant_record(txn)
+                else {
                     return Vec::new();
                 };
                 vec![
                     Effect::Send {
-                        to: coordinator,
+                        to: *coordinator,
                         msg: Message::DecisionQuery { txn },
                     },
                     Effect::SetTimer {
@@ -919,13 +929,13 @@ impl Node {
     }
 
     /// Recovers the node: reopens an in-memory disk's store (the replay
-    /// a restarted process runs), reads the 2PC log back, rebuilds
+    /// a restarted process runs), reads the 2PC table back, rebuilds
     /// protocol obligations from it and pulls replica state from peers.
     /// Returns the effects to schedule.
     ///
     /// # Panics
     ///
-    /// If the store cannot be reopened or its 2PC log is damaged
+    /// If the store cannot be reopened or its 2PC table is damaged
     /// (fail-silent).
     pub fn recover(&mut self) -> Vec<Effect> {
         self.up = true;
@@ -933,56 +943,41 @@ impl Node {
             self.store =
                 open_memory_store(disk).unwrap_or_else(|e| fail_silent("reopen its store", &e));
         }
-        self.tpc_log =
-            read_tpc_log(&self.store).unwrap_or_else(|e| fail_silent("read its 2PC log", &e));
-        let (mut ended, mut done) = (HashSet::new(), HashSet::new());
-        for record in &self.tpc_log {
-            match record {
-                TpcRecord::CoordEnd { txn } => ended.insert(*txn),
-                TpcRecord::ParticipantDone { txn } => done.insert(*txn),
-                _ => false,
-            };
-        }
+        self.tpc =
+            read_tpc_log(&self.store).unwrap_or_else(|e| fail_silent("read its 2PC table", &e));
         let mut effects = Vec::new();
 
-        // Coordinator obligations: committed but not ended → push the
-        // decision again.
+        // One pass over the table: ended and done records owe nothing.
         let now = self.obs().now_us();
-        for record in &self.tpc_log {
-            let TpcRecord::CoordCommit { txn, participants } = record else {
-                continue;
-            };
-            if ended.contains(txn) {
-                continue;
-            }
-            let state = CoordState {
-                participants: participants.clone(),
-                decided: Some(true),
-                begin_at_us: now,
-                ..CoordState::default()
-            };
-            self.coord.insert(*txn, state);
-            let decision = Message::Decision {
-                txn: *txn,
-                commit: true,
-            };
-            effects.extend(participants.iter().map(|&to| Effect::Send {
-                to,
-                msg: decision.clone(),
-            }));
-            effects.push(Effect::SetTimer {
-                delay: RETRY_INTERVAL,
-                tag: TimerTag::DecisionRetry(*txn),
-            });
-        }
-
-        // Participant obligations: prepared but not done → query.
-        for record in &self.tpc_log {
-            if let TpcRecord::Prepared {
-                txn, coordinator, ..
-            } = record
-            {
-                if !done.contains(txn) {
+        for record in self.tpc.values() {
+            match record {
+                // Coordinator obligation: committed but not ended → push
+                // the decision again.
+                TpcRecord::CoordCommit { txn, participants } => {
+                    let state = CoordState {
+                        participants: participants.clone(),
+                        decided: Some(true),
+                        begin_at_us: now,
+                        ..CoordState::default()
+                    };
+                    self.coord.insert(*txn, state);
+                    let decision = Message::Decision {
+                        txn: *txn,
+                        commit: true,
+                    };
+                    effects.extend(participants.iter().map(|&to| Effect::Send {
+                        to,
+                        msg: decision.clone(),
+                    }));
+                    effects.push(Effect::SetTimer {
+                        delay: RETRY_INTERVAL,
+                        tag: TimerTag::DecisionRetry(*txn),
+                    });
+                }
+                // Participant obligation: prepared but not done → query.
+                TpcRecord::Prepared {
+                    txn, coordinator, ..
+                } => {
                     effects.push(Effect::Send {
                         to: *coordinator,
                         msg: Message::DecisionQuery { txn: *txn },
@@ -992,6 +987,7 @@ impl Node {
                         tag: TimerTag::QueryDecision(*txn),
                     });
                 }
+                TpcRecord::CoordEnd { .. } | TpcRecord::ParticipantDone { .. } => {}
             }
         }
 
@@ -1024,8 +1020,8 @@ impl Node {
     // ------------------------------------------------------------------
 
     /// The durability barrier: commits what the handlers staged since
-    /// the last barrier that wrote — installed objects, and each new
-    /// 2PC record at [`TPC_LOG_BASE`] + its log index — as one atomic
+    /// the last barrier that wrote — installed objects, and each changed
+    /// 2PC record at its key from [`TPC_LOG_BASE`] — as one atomic
     /// batch. [`dispatch_with`](crate::dispatch_with) runs it after
     /// every handler, before the resulting messages leave, in the
     /// simulator and in `chroma-node` alike. A handler that staged
@@ -1063,42 +1059,49 @@ impl Node {
     }
 }
 
-/// Record `i` of a node's 2PC log lives in its store at
-/// `TPC_LOG_BASE + i` — far above any real object id.
+/// A node's 2PC table lives in its store from `TPC_LOG_BASE` on — far
+/// above any real object id — one record per transaction and role:
+/// transaction `t`'s coordinator record at `TPC_LOG_BASE + 2·t`, its
+/// participant record at the next id. A record is replaced as its
+/// transaction resolves (`CoordEnd` over `CoordCommit`,
+/// `ParticipantDone` over `Prepared`), so a participant keeps no write
+/// set past the decision.
 pub const TPC_LOG_BASE: ObjectId = ObjectId::from_raw(1 << 62);
 
-/// The object holding 2PC log record `index`.
-fn tpc_record_object(index: usize) -> ObjectId {
-    ObjectId::from_raw(TPC_LOG_BASE.as_raw() + index as u64)
+/// Where `txn`'s coordinator record lives.
+fn coordinator_key(txn: TxnId) -> ObjectId {
+    ObjectId::from_raw(TPC_LOG_BASE.as_raw() + 2 * txn.0)
 }
 
-/// Reads the 2PC log back from `store` — what a restart and a
-/// simulated recovery both run. A hole in the record ids is
-/// [`DiskError::CorruptLog`]: every barrier writes a contiguous run.
-fn read_tpc_log(store: &DiskStore) -> Result<Vec<TpcRecord>, DiskError> {
+/// Where `txn`'s participant record lives.
+fn participant_key(txn: TxnId) -> ObjectId {
+    ObjectId::from_raw(coordinator_key(txn).as_raw() + 1)
+}
+
+/// Reads the 2PC table back from `store` — what a restart and a
+/// simulated recovery both run. Every object from [`TPC_LOG_BASE`] on
+/// must hold a record whose key it is; anything else is
+/// [`DiskError::CorruptLog`].
+fn read_tpc_log(store: &DiskStore) -> Result<BTreeMap<ObjectId, TpcRecord>, DiskError> {
     let corrupt = DiskError::CorruptLog;
-    let mut indices: Vec<u64> = store
-        .object_ids()?
-        .into_iter()
-        .filter(|&object| object >= TPC_LOG_BASE)
-        .map(|object| object.as_raw() - TPC_LOG_BASE.as_raw())
-        .collect();
-    indices.sort_unstable();
-    let mut log = Vec::with_capacity(indices.len());
-    for (expected, index) in (0u64..).zip(indices) {
-        if index != expected {
-            return Err(corrupt(format!(
-                "tpc log: record {expected} missing (next on disk is {index})"
-            )));
+    let mut table = BTreeMap::new();
+    for object in store.object_ids()? {
+        if object < TPC_LOG_BASE {
+            continue;
         }
         let blob = store
-            .read(tpc_record_object(index as usize))?
-            .ok_or_else(|| corrupt(format!("tpc log: record {index} vanished")))?;
-        let record = codec::from_bytes(&blob)
-            .map_err(|e| corrupt(format!("tpc log record {index}: {e}")))?;
-        log.push(record);
+            .read(object)?
+            .ok_or_else(|| corrupt(format!("tpc record at {object} vanished")))?;
+        let record: TpcRecord = codec::from_bytes(&blob)
+            .map_err(|e| corrupt(format!("tpc record at {object}: {e}")))?;
+        if record.key() != object {
+            return Err(corrupt(format!(
+                "tpc record {record:?} misplaced at {object}"
+            )));
+        }
+        table.insert(object, record);
     }
-    Ok(log)
+    Ok(table)
 }
 
 /// Opens a [`Node::new`] node's store over its in-memory disk, with no
@@ -1172,19 +1175,19 @@ impl NodeBuilder {
     }
 
     /// Makes (a clone of) `disk` the node's stable storage instead of
-    /// an in-memory disk of its own; the build reads its 2PC log back.
+    /// an in-memory disk of its own; the build reads its 2PC table back.
     #[must_use]
     pub fn backend(mut self, disk: &DiskStore) -> Self {
         self.backend = Some(disk.clone());
         self
     }
 
-    /// Builds the node: read its 2PC log back (quietly), then install
+    /// Builds the node: read its 2PC table back (quietly), then install
     /// observability.
     ///
     /// # Errors
     ///
-    /// [`DiskError`] if the backend's 2PC log cannot be read back.
+    /// [`DiskError`] if the backend's 2PC table cannot be read back.
     ///
     /// # Panics
     ///
@@ -1194,7 +1197,7 @@ impl NodeBuilder {
         let id = self.id.expect("NodeBuilder requires an id or transport");
         let node = match self.backend {
             Some(disk) => Node {
-                tpc_log: read_tpc_log(&disk)?,
+                tpc: read_tpc_log(&disk)?,
                 ..Node::with_store(id, disk, None)
             },
             None => Node::new(id),

@@ -1,7 +1,6 @@
 //! The deterministic discrete-event simulation.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use chroma_base::NodeId;
@@ -110,10 +109,11 @@ pub struct NetStats {
 pub struct Sim {
     now: u64,
     seq: u64,
-    queue: BinaryHeap<Reverse<(u64, u64)>>,
-    events: HashMap<(u64, u64), Event>,
+    /// Pending events by (time, sequence number): ties at one instant
+    /// run in the order they were scheduled.
+    queue: BTreeMap<(u64, u64), Event>,
     rng: StdRng,
-    nodes: HashMap<NodeId, Node>,
+    nodes: BTreeMap<NodeId, Node>,
     next_node: u32,
     next_txn: u64,
     /// Correlation ids, one per logical send (duplicates share it).
@@ -123,7 +123,7 @@ pub struct Sim {
     stats: NetStats,
     /// Severed links (unordered pairs): messages between these nodes are
     /// dropped until the partition heals.
-    partitions: HashSet<(NodeId, NodeId)>,
+    partitions: BTreeSet<(NodeId, NodeId)>,
     /// Observability handle; stamped with simulated time each step.
     obs: ObsCell,
 }
@@ -135,16 +135,15 @@ impl Sim {
         Sim {
             now: 0,
             seq: 0,
-            queue: BinaryHeap::new(),
-            events: HashMap::new(),
+            queue: BTreeMap::new(),
             rng: StdRng::seed_from_u64(seed),
-            nodes: HashMap::new(),
+            nodes: BTreeMap::new(),
             next_node: 0,
             next_txn: 1,
             next_corr: 1,
             net: NetConfig::default(),
             stats: NetStats::default(),
-            partitions: HashSet::new(),
+            partitions: BTreeSet::new(),
             obs: ObsCell::new(),
         }
     }
@@ -248,12 +247,10 @@ impl Sim {
         self.nodes.get_mut(&id).expect("unknown node")
     }
 
-    /// Returns the ids of all nodes.
+    /// Returns the ids of all nodes, in order.
     #[must_use]
     pub fn node_ids(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.nodes.keys().copied().collect();
-        ids.sort();
-        ids
+        self.nodes.keys().copied().collect()
     }
 
     // ------------------------------------------------------------------
@@ -261,10 +258,8 @@ impl Sim {
     // ------------------------------------------------------------------
 
     fn push(&mut self, at: u64, event: Event) {
-        let key = (at, self.seq);
+        self.queue.insert((at, self.seq), event);
         self.seq += 1;
-        self.queue.push(Reverse(key));
-        self.events.insert(key, event);
     }
 
     /// Schedules a crash of `node` after `delay` µs.
@@ -358,11 +353,10 @@ impl Sim {
     /// Processes the next event; returns `false` when the queue is
     /// empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(key)) = self.queue.pop() else {
+        let Some(((at, _), event)) = self.queue.pop_first() else {
             return false;
         };
-        let event = self.events.remove(&key).expect("event present");
-        self.now = key.0;
+        self.now = at;
         self.sync_time();
         match event {
             Event::Deliver {
@@ -466,12 +460,11 @@ impl Sim {
     ) -> TxnId {
         let txn = TxnId(self.next_txn);
         self.next_txn += 1;
-        let map: HashMap<NodeId, Vec<Write>> = writes.into_iter().collect();
         let effects = self
             .nodes
             .get_mut(&coordinator)
             .expect("unknown coordinator")
-            .begin_transaction(txn, map);
+            .begin_transaction(txn, writes);
         self.apply_effects(coordinator, effects);
         txn
     }

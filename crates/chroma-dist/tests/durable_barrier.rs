@@ -1,5 +1,5 @@
-//! The delta durability barrier: `Node::persist_durable` writes only
-//! what a handler changed, and only forced 2PC records wait for it.
+//! The delta durability barrier: `Node::barrier` writes only what a
+//! handler changed, and only forced 2PC records wait for it.
 //!
 //! A coordinator and two participants are driven by hand through
 //! `handle_message` / `handle_timer`, each over its own `DiskStore`,
@@ -8,7 +8,8 @@
 //! vetoes, prepare timeouts, reordered and duplicated prepares and
 //! decisions, RPC `Put`s and replica installs. After every barrier a
 //! node rebuilt from a reopened store must equal the live one, up to
-//! `CoordEnd` records still waiting for a barrier that writes.
+//! `CoordEnd` records still waiting for a barrier that writes (the
+//! store still holds the `CoordCommit` each replaces).
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -16,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use chroma_base::{NodeId, ObjectId};
 use chroma_dist::{Effect, Message, Node, RpcOp, TimerTag, TpcRecord, TxnId, Write, TPC_LOG_BASE};
-use chroma_store::{DiskError, DiskStore, DiskStoreOptions, OsFs, StoreBytes};
+use chroma_store::{codec, DiskError, DiskStore, DiskStoreOptions, OsFs, StoreBytes};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,48 +72,24 @@ fn rebuild(id: NodeId, dir: &Path) -> Result<Node, DiskError> {
     Node::builder().id(id).backend(&reopened).build()
 }
 
+/// The node's objects as it reads them, except its 2PC records, which
+/// come from its store: a staged `CoordEnd` shadows the `CoordCommit`
+/// a restore still reads at the same key.
 fn pages(node: &Node) -> BTreeMap<ObjectId, Vec<u8>> {
-    node.store()
+    let store = node.store();
+    store
         .object_ids()
         .expect("ids")
         .into_iter()
-        .map(|o| (o, node.read(o).expect("listed").to_vec()))
+        .map(|o| {
+            let page = if o < TPC_LOG_BASE {
+                node.read(o)
+            } else {
+                store.read(o).expect("read")
+            };
+            (o, page.expect("listed").to_vec())
+        })
         .collect()
-}
-
-/// Rewrites the checkpoint image of the store at `dir` without the
-/// intent for `object`, re-framing the records it keeps: each frame is
-/// `[len: u32 LE][payload][crc: u32 LE]`, and an intent's payload is a
-/// `u32` variant index (0), the batch, the object and the state (`u64`
-/// little-endian each, the state length-prefixed). Returns whether an
-/// intent was dropped.
-fn drop_from_image(dir: &Path, object: ObjectId) -> bool {
-    let image = DiskStore::live_segment_paths(&OsFs, dir)
-        .expect("manifest")
-        .remove(0);
-    assert!(
-        image.to_string_lossy().contains("image-"),
-        "no checkpoint image: {}",
-        image.display()
-    );
-    let bytes = std::fs::read(&image).expect("image");
-    let (magic, mut rest) = bytes.split_at(8);
-    let mut kept = magic.to_vec();
-    let mut dropped = false;
-    while !rest.is_empty() {
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        let (frame, tail) = rest.split_at(4 + len + 4);
-        let payload = &frame[4..4 + len];
-        let intent = payload[..4] == 0u32.to_le_bytes();
-        if intent && payload[12..20] == object.as_raw().to_le_bytes() {
-            dropped = true;
-        } else {
-            kept.extend_from_slice(frame);
-        }
-        rest = tail;
-    }
-    std::fs::write(&image, kept).expect("rewrite image");
-    dropped
 }
 
 /// Bytes in the files the store's manifest names.
@@ -128,29 +105,34 @@ fn is_end(record: &TpcRecord) -> bool {
     matches!(record, TpcRecord::CoordEnd { .. })
 }
 
-/// What the reopened store rebuilds must be the live node minus a
-/// trailing run of unflushed `CoordEnd`s; `forced` says that run must
-/// be empty. Returns how many records are still unflushed.
+/// What the reopened store rebuilds must be the live node's table,
+/// except where the live table holds a `CoordEnd` still waiting for a
+/// barrier that writes and the disk the same transaction's
+/// `CoordCommit`; `forced` says there must be no such record. Returns
+/// how many there are.
 fn assert_restores(id: NodeId, dir: &Path, live: &Node, forced: bool) -> usize {
     let restored = rebuild(id, dir).expect("restore");
     assert_eq!(pages(&restored), pages(live), "{id}: store pages differ");
-    let (live_log, disk_log) = (live.tpc_records(), restored.tpc_records());
-    assert!(
-        live_log.starts_with(&disk_log),
-        "{id}: disk log {disk_log:?} is not a prefix of {live_log:?}"
+    let (live_table, disk_table) = (live.tpc_records(), restored.tpc_records());
+    assert_eq!(
+        live_table.len(),
+        disk_table.len(),
+        "{id}: disk table {disk_table:?} against live {live_table:?}"
     );
-    let unflushed = &live_log[disk_log.len()..];
-    assert!(
-        unflushed.iter().all(is_end),
-        "{id}: forced records not on disk: {unflushed:?}"
-    );
-    if forced {
-        assert!(
-            unflushed.is_empty(),
-            "{id}: a writing barrier left {unflushed:?}"
-        );
+    let mut unflushed = 0;
+    for (live, disk) in live_table.iter().zip(&disk_table) {
+        match (live, disk) {
+            _ if live == disk => {}
+            (TpcRecord::CoordEnd { txn }, TpcRecord::CoordCommit { txn: t, .. }) if txn == t => {
+                unflushed += 1;
+            }
+            _ => panic!("{id}: live {live:?} but disk {disk:?}"),
+        }
     }
-    unflushed.len()
+    if forced {
+        assert_eq!(unflushed, 0, "{id}: a writing barrier left end records");
+    }
+    unflushed
 }
 
 struct Member {
@@ -174,13 +156,15 @@ impl Member {
     /// Runs one handler and the barrier, then checks the barrier wrote
     /// exactly when the handler changed something it must force.
     fn step(&mut self, handler: impl FnOnce(&mut Node) -> Vec<Effect>) -> Vec<Effect> {
-        let (pages_before, records_before) = (pages(&self.node), self.node.tpc_records().len());
+        let (pages_before, records_before) = (pages(&self.node), self.node.tpc_records());
         let (fsyncs, bytes) = (self.disk.log_fsync_count(), log_bytes(&self.dir.0));
         let effects = handler(&mut self.node);
-        self.node.persist_durable(&self.disk).expect("barrier");
+        self.node.barrier();
         let records = self.node.tpc_records();
-        let forced =
-            pages(&self.node) != pages_before || !records[records_before..].iter().all(is_end);
+        let forced = pages(&self.node) != pages_before
+            || records
+                .iter()
+                .any(|r| !is_end(r) && !records_before.contains(r));
         let id = self.node.id();
         if forced {
             assert!(
@@ -382,23 +366,25 @@ fn barrier_writes_exactly_what_changed_and_restores_it() {
         "seed {seed}: {commits} commits, {aborts} aborts"
     );
 
-    // every barrier writes a contiguous run, so a hole is damage
+    // every record lives at its transaction's key for its role, so one
+    // anywhere else is damage: copy a drawn record to the participant
+    // key of a transaction the run never began
     let member = cluster.members.remove(&P2).unwrap();
-    let records = member.node.tpc_records().len();
-    assert!(records >= 2, "P2 logged {records} records");
-    let dir = member.dir.0.clone();
-    member.disk.checkpoint_now().expect("checkpoint");
-    drop(member.disk);
-    let hole = rng.gen_range(0..records - 1) as u64;
-    let record = ObjectId::from_raw(TPC_LOG_BASE.as_raw() + hole);
-    assert!(
-        drop_from_image(&dir, record),
-        "record {hole} not in the image"
-    );
-    match rebuild(P2, &dir) {
-        Err(DiskError::CorruptLog(why)) => assert!(why.contains("missing"), "{why}"),
+    let records = member.node.tpc_records();
+    assert!(!records.is_empty(), "P2 logged no records");
+    let record = &records[rng.gen_range(0..records.len())];
+    let elsewhere = ObjectId::from_raw(TPC_LOG_BASE.as_raw() + 2 * 99 + 1);
+    let bytes = StoreBytes::from(codec::to_bytes(record).expect("encode"));
+    member
+        .disk
+        .commit_batch(vec![(elsewhere, bytes)])
+        .expect("commit");
+    let Member { node, disk, dir } = member;
+    drop((node, disk));
+    match rebuild(P2, &dir.0) {
+        Err(DiskError::CorruptLog(why)) => assert!(why.contains("misplaced"), "{why}"),
         other => panic!(
-            "a missing record must not restore: {:?}",
+            "a misplaced record must not restore: {:?}",
             other.map(|n| n.tpc_records())
         ),
     }
@@ -412,7 +398,7 @@ fn unflushed_end_record_costs_one_redundant_decision() {
     let coord = cluster.members.remove(&COORD).unwrap();
     let live = coord.node.tpc_records();
     assert!(
-        matches!(live.last(), Some(TpcRecord::CoordEnd { txn: TxnId(1) })),
+        matches!(live[..], [TpcRecord::CoordEnd { txn: TxnId(1) }]),
         "{live:?}"
     );
     assert_eq!(assert_restores(COORD, &coord.dir.0, &coord.node, false), 1);
@@ -427,7 +413,11 @@ fn unflushed_end_record_costs_one_redundant_decision() {
         .backend(&disk)
         .build()
         .expect("restore");
-    assert_eq!(node.tpc_records(), live[..live.len() - 1]);
+    let restored = node.tpc_records();
+    assert!(
+        matches!(restored[..], [TpcRecord::CoordCommit { txn: TxnId(1), .. }]),
+        "{restored:?}"
+    );
     let effects = node.recover();
     let mut resent: Vec<NodeId> = effects
         .iter()
@@ -470,7 +460,7 @@ fn unflushed_end_record_costs_one_redundant_decision() {
     cluster.run();
 
     // the next transaction's forced barrier carries the stale end
-    // record along, and the record ids stay dense
+    // record along, over the commit record it replaces
     cluster.begin(TxnId(2));
     cluster.run();
     assert_eq!(
@@ -483,7 +473,6 @@ fn unflushed_end_record_costs_one_redundant_decision() {
         matches!(
             restored.tpc_records()[..],
             [
-                TpcRecord::CoordCommit { txn: TxnId(1), .. },
                 TpcRecord::CoordEnd { txn: TxnId(1) },
                 TpcRecord::CoordCommit { txn: TxnId(2), .. },
             ]
@@ -500,8 +489,5 @@ fn unflushed_end_record_costs_one_redundant_decision() {
         .map(|o| o.as_raw() - TPC_LOG_BASE.as_raw())
         .collect();
     ids.sort_unstable();
-    assert_eq!(
-        ids,
-        (0..restored.tpc_records().len() as u64).collect::<Vec<_>>()
-    );
+    assert_eq!(ids, [2, 4]);
 }

@@ -1,11 +1,15 @@
 //! Two-phase-commit atomicity under crash and message-failure
 //! schedules (experiment A3): all participants reach the same outcome,
-//! no participant stays in doubt forever, and committed writes survive.
+//! no participant stays in doubt forever, and committed writes survive;
+//! resolved transactions leave one small record per role behind.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use chroma_base::{NodeId, ObjectId};
-use chroma_dist::{RpcOp, Sim, Write, RETRY_INTERVAL};
+use chroma_dist::{
+    RpcOp, Sim, TpcRecord, TxnId, Write, MAX_DECISION_ATTEMPTS, RETRY_INTERVAL, TPC_LOG_BASE,
+};
 use chroma_obs::{EventBus, MemorySink, Obs, Observable, TraceAuditor};
 use chroma_store::StoreBytes;
 
@@ -85,6 +89,28 @@ fn coordinator_crash_after_commit_point_pushes_decision_on_recovery() {
     assert!(installed(&sim, p2, 2, 2));
     assert!(!sim.node(p1).in_doubt(txn));
     assert!(!sim.node(p2).in_doubt(txn));
+}
+
+#[test]
+fn participant_down_past_every_decision_push_asks_on_recovery() {
+    let mut sim = Sim::new(25);
+    let coord = sim.add_node();
+    let p1 = sim.add_node();
+    let p2 = sim.add_node();
+    let txn = sim.begin_transaction(coord, vec![(p1, vec![w(1, 1)]), (p2, vec![w(2, 2)])]);
+    // p2 crashes right after it prepared (its vote is already on the
+    // wire) and stays down until the coordinator has stopped pushing
+    // the decision: only its own query on recovery can resolve it.
+    while !sim.node(p2).in_doubt(txn) {
+        assert!(sim.step(), "p2 never prepared");
+    }
+    sim.schedule_crash(p2, 0);
+    let pushes = u64::from(MAX_DECISION_ATTEMPTS) + 10;
+    sim.schedule_recover(p2, pushes * RETRY_INTERVAL);
+    sim.run_to_quiescence();
+    assert_eq!(sim.coordinator_outcome(coord, txn), Some(true));
+    assert!(!sim.node(p2).in_doubt(txn), "p2 still in doubt");
+    assert!(installed(&sim, p1, 1, 1) && installed(&sim, p2, 2, 2));
 }
 
 #[test]
@@ -205,4 +231,113 @@ fn rpc_is_at_most_once_across_heavy_faults() {
             );
         }
     }
+}
+
+fn seed() -> u64 {
+    std::env::var("CHROMA_TORTURE_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(42)
+}
+
+/// A record's transaction and role (`true`: participant).
+fn slot(record: &TpcRecord) -> (TxnId, bool) {
+    match record {
+        TpcRecord::CoordCommit { txn, .. } | TpcRecord::CoordEnd { txn } => (*txn, false),
+        TpcRecord::Prepared { txn, .. } | TpcRecord::ParticipantDone { txn } => (*txn, true),
+    }
+}
+
+/// How many 2PC records `node`'s store holds, and their bytes.
+fn stored_records(sim: &Sim, node: NodeId) -> (usize, usize) {
+    let store = sim.node(node).store();
+    let objects: Vec<ObjectId> = store
+        .object_ids()
+        .expect("ids")
+        .into_iter()
+        .filter(|&o| o >= TPC_LOG_BASE)
+        .collect();
+    let bytes = objects
+        .iter()
+        .map(|&o| store.read(o).expect("read").expect("listed").len())
+        .sum();
+    (objects.len(), bytes)
+}
+
+#[test]
+fn resolved_transactions_leave_one_small_record_per_role() {
+    const TXNS: u64 = 200;
+    let seed = seed();
+    let mut sim = Sim::new(seed);
+    sim.net.loss = 0.1;
+    sim.net.duplication = 0.1;
+    let coord = sim.add_node();
+    let p1 = sim.add_node();
+    let p2 = sim.add_node();
+    let mut committed = BTreeSet::new();
+    for i in 0..TXNS {
+        let writes = [p1, p2].map(|p| {
+            let state = StoreBytes::from(vec![i as u8; 1024]);
+            (
+                p,
+                vec![Write {
+                    object: ObjectId::from_raw(i % 16),
+                    state,
+                }],
+            )
+        });
+        let txn = sim.begin_transaction(coord, writes.to_vec());
+        if i == TXNS / 2 {
+            // p1 crashes with this transaction in flight
+            sim.run(8);
+            sim.schedule_crash(p1, 0);
+            sim.schedule_recover(p1, 20 * RETRY_INTERVAL);
+        }
+        sim.run_to_quiescence();
+        if sim.coordinator_outcome(coord, txn) == Some(true) {
+            committed.insert(txn);
+        }
+    }
+    assert!(!committed.is_empty(), "seed {seed}: nothing committed");
+
+    for node in [coord, p1, p2] {
+        let records = sim.node(node).tpc_records();
+        let slots: BTreeSet<(TxnId, bool)> = records.iter().map(slot).collect();
+        assert_eq!(
+            slots.len(),
+            records.len(),
+            "seed {seed}: {node} holds two records for one transaction and role"
+        );
+        assert!(
+            !records
+                .iter()
+                .any(|r| matches!(r, TpcRecord::Prepared { .. })),
+            "seed {seed}: {node} kept a Prepared record past its decision"
+        );
+        let (stored, bytes) = stored_records(&sim, node);
+        assert_eq!(
+            stored,
+            records.len(),
+            "seed {seed}: {node}'s store and table differ"
+        );
+        if node != coord {
+            for txn in &committed {
+                assert!(sim.node(node).resolved(*txn), "seed {seed}: {node} {txn}");
+            }
+            assert!(
+                bytes < 32 * TXNS as usize,
+                "seed {seed}: {node} keeps {bytes} B of 2PC records for {TXNS} transactions"
+            );
+        }
+    }
+    let coordinated: BTreeSet<TxnId> = sim
+        .node(coord)
+        .tpc_records()
+        .iter()
+        .map(|r| slot(r).0)
+        .collect();
+    assert_eq!(
+        coordinated, committed,
+        "seed {seed}: the coordinator's records are not its commits"
+    );
 }

@@ -24,23 +24,23 @@
 //!
 //! * the node's stable half *is* the [`DiskBackend`]'s store
 //!   (`Node::builder().backend(..)` adopts it), and every dispatch runs
-//!   [`Node::barrier`] — what the handler staged (installed objects, new
-//!   2PC records) reaches the store's intentions log as one batch
+//!   [`Node::barrier`] — what the handler staged (installed objects,
+//!   changed 2PC records) reaches the store's intentions log as one batch
 //!   *before* any resulting message leaves. A handler that staged
 //!   nothing costs no write; a coordinator's `CoordEnd` rides along with
 //!   the next barrier that writes, since losing it only repeats a
 //!   decision the participants acknowledge again. A simulated node runs
 //!   the same barrier over an in-memory disk;
 //! * on restart `DiskStore::open` replays the log, the node reads its
-//!   2PC log back from the store and [`Node::recover`] re-derives its
-//!   protocol obligations — the same recovery a simulated crash runs;
+//!   2PC table (one record per transaction and role) back from the
+//!   store and [`Node::recover`] re-derives its protocol obligations —
+//!   the same recovery a simulated crash runs;
 //! * the process appends to its per-node JSONL trace with its Lamport
 //!   clock restored from the trace's own tail, so a merged cluster
 //!   trace (`chroma-trace merge`) still audits clean across the crash.
 
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
 use std::io::Write as IoWrite;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -58,8 +58,8 @@ use chroma_store::StoreBytes;
 
 /// Lowest object id the coordinator writes through 2PC; ids below
 /// belong to each process's co-hosted [`Runtime`], ids from
-/// [`chroma_dist::TPC_LOG_BASE`] (`1 << 62`) on to the node's 2PC log
-/// records, one per object, all in the one store.
+/// [`chroma_dist::TPC_LOG_BASE`] (`1 << 62`) on to the node's 2PC
+/// records, one per transaction and role, all in the one store.
 const APP_OBJECT_BASE: u64 = 1_000;
 
 /// How long a coordinator drives one transaction before giving up and
@@ -227,7 +227,7 @@ fn run(opts: &Opts) -> Result<(), String> {
         tcp.add_peer(peer, addr);
     }
 
-    // -- the protocol node over that store, its 2PC log read back
+    // -- the protocol node over that store, its 2PC table read back
     let mut node = Node::builder()
         .transport(&tcp)
         .backend(backend.store())
@@ -297,18 +297,15 @@ fn run_coordinator(opts: &Opts, node: &mut Node, tcp: &mut TcpTransport) -> Resu
     for i in 1..=opts.txns {
         let txn = TxnId(i);
         let object = txn_object(i);
-        let writes: HashMap<NodeId, Vec<Write>> = participants
-            .iter()
-            .map(|&p| {
-                (
-                    p,
-                    vec![Write {
-                        object,
-                        state: StoreBytes::from(txn_value(opts.seed, i)),
-                    }],
-                )
-            })
-            .collect();
+        let writes = participants.iter().map(|&p| {
+            (
+                p,
+                vec![Write {
+                    object,
+                    state: StoreBytes::from(txn_value(opts.seed, i)),
+                }],
+            )
+        });
         println!("begin txn {i} obj {}", object.as_raw());
         std::io::stdout().flush().ok();
         let effects = node.begin_transaction(txn, writes);
