@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use chroma_base::ObjectId;
-use chroma_obs::{EventKind, ObsCell, Observable};
+use chroma_obs::Observable;
 use chroma_store::{DiskStore, StoreBytes};
 use parking_lot::RwLock;
 
@@ -48,9 +48,9 @@ impl std::error::Error for BackendError {}
 /// Implementations must make `commit_batch` atomic (all updates or
 /// none survive any crash) and `recover` idempotent.
 ///
-/// Backends are [`Observable`]: installing a handle lets them emit WAL
-/// and disk events. Backends without instrumentation implement it as a
-/// no-op.
+/// Backends are [`Observable`]: installing a handle lets a backend
+/// that writes a log report it (the disk store's `disk_*` and segment
+/// events). Backends without instrumentation implement it as a no-op.
 pub trait PermanenceBackend: Send + Sync + Observable {
     /// Atomically installs a batch of committed object states.
     ///
@@ -102,7 +102,8 @@ pub trait PermanenceBackend: Send + Sync + Observable {
 
 /// Single-node permanence: an in-memory atomic map of installed
 /// states, which a simulated crash never touches. The default backend
-/// of [`Runtime`](crate::Runtime).
+/// of [`Runtime`](crate::Runtime). It writes no log, so it reports
+/// nothing: its [`Observable`] impl is a no-op.
 ///
 /// Simulated nodes keep their stable state in a [`DiskStore`] over an
 /// in-memory disk that can crash; this backend stays a plain map. On
@@ -112,7 +113,6 @@ pub trait PermanenceBackend: Send + Sync + Observable {
 #[derive(Debug, Default)]
 pub struct LocalBackend {
     pages: RwLock<HashMap<ObjectId, StoreBytes>>,
-    obs: ObsCell,
 }
 
 impl LocalBackend {
@@ -125,14 +125,7 @@ impl LocalBackend {
 
 impl PermanenceBackend for LocalBackend {
     fn commit_batch(&self, updates: Vec<(ObjectId, StoreBytes)>) -> Result<(), BackendError> {
-        let objects = updates.len() as u64;
-        // Emit outside the page lock: an emit may drain the bus.
-        let obs = self.obs.get();
-        obs.emit(EventKind::WalAppend {
-            records: objects + 1,
-        });
         self.pages.write().extend(updates);
-        obs.emit(EventKind::WalFlush { objects });
         Ok(())
     }
 
@@ -146,12 +139,7 @@ impl PermanenceBackend for LocalBackend {
 }
 
 impl Observable for LocalBackend {
-    /// Installs an observability handle; each commit emits `WalAppend`
-    /// (one record per update plus the commit record), then `WalFlush`,
-    /// as the on-disk commit does.
-    fn install_obs(&self, obs: chroma_obs::Obs) {
-        self.obs.set(obs);
-    }
+    fn install_obs(&self, _obs: chroma_obs::Obs) {}
 }
 
 /// Disk-backed permanence: outermost-coloured commits go to a real
@@ -275,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn local_backend_overwrites_and_logs_every_batch() {
+    fn local_backend_overwrites_and_emits_nothing() {
         let backend = LocalBackend::new();
         let bus = std::sync::Arc::new(chroma_obs::EventBus::new());
         backend.install_obs(chroma_obs::Obs::new(bus.clone()));
@@ -292,9 +280,10 @@ mod tests {
         backend.commit_batch(Vec::new()).unwrap();
         assert_eq!(backend.read(o1).as_deref(), Some(&[3u8][..]));
         assert_eq!(backend.max_object(), Some(o2));
-        // an empty batch is still one append and one flush
-        assert_eq!(bus.counter("wal_append"), 3);
-        assert_eq!(bus.counter("wal_flush"), 3);
+        // an in-memory map writes no log, so it reports no storage
+        // event (nor any other)
+        let emitted: u64 = bus.snapshot().counters.iter().map(|&(_, n)| n).sum();
+        assert_eq!(emitted, 0);
     }
 
     #[test]

@@ -1295,8 +1295,9 @@ impl Runtime {
 
 impl Observable for Runtime {
     /// Installs observability across the runtime, its lock table and
-    /// its permanence backend: they start emitting lifecycle, lock and
-    /// WAL events, and commit latency feeds the `core.commit_us`
+    /// its permanence backend: they start emitting lifecycle and lock
+    /// events (and a disk backend its log's), and commit latency feeds
+    /// the `core.commit_us`
     /// histogram. Node binding travels inside `obs` (see
     /// [`Obs::at_node`] or [`RuntimeBuilder::at_node`]).
     fn install_obs(&self, obs: Obs) {

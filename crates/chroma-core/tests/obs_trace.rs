@@ -2,13 +2,55 @@
 //! real runtime emits an event stream the offline auditor certifies
 //! clean, and the bus counters reflect the work actually done.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use chroma_base::{ColourSet, NodeId};
-use chroma_core::Runtime;
+use chroma_core::{DiskBackend, Runtime};
 use chroma_obs::{
     EventBus, EventKind, MemorySink, Obs, Observable, Outcome, SpanForest, SpanKind, TraceAuditor,
 };
+
+static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "chroma-obs-trace-{tag}-{}-{}",
+        std::process::id(),
+        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Commits one outermost action that bumps three fresh objects and
+/// returns the store events it emitted (the disk store's batch append
+/// and group fsync; segment and checkpoint traffic is the background
+/// checkpointer's).
+fn storage_events_of_one_commit(rt: &Runtime, sink: &MemorySink) -> Vec<EventKind> {
+    let objects: Vec<_> = (0..3i64).map(|v| rt.create_object(&v).unwrap()).collect();
+    let before = sink.events().len();
+    rt.atomic(|a| {
+        for &object in &objects {
+            a.modify(object, |v: &mut i64| *v += 1)?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    sink.events()[before..]
+        .iter()
+        .map(|e| e.kind)
+        .filter(|k| {
+            matches!(
+                k,
+                EventKind::DiskAppend { .. }
+                    | EventKind::DiskGroupCommit { .. }
+                    | EventKind::DiskReplay { .. }
+            )
+        })
+        .collect()
+}
 
 #[test]
 fn nested_workload_trace_audits_clean() {
@@ -38,30 +80,9 @@ fn nested_workload_trace_audits_clean() {
     }
     rt.abort(id);
 
-    // One outermost commit of n objects reaches the local backend as one
-    // batch: exactly `wal_append { records: n + 1 }` (n intents plus the
-    // commit record), then `wal_flush { objects: n }`.
-    let objects: Vec<_> = (0..3i64).map(|v| rt.create_object(&v).unwrap()).collect();
-    let before = sink.events().len();
-    rt.atomic(|a| {
-        for &object in &objects {
-            a.modify(object, |v: &mut i64| *v += 1)?;
-        }
-        Ok(())
-    })
-    .unwrap();
-    let wal: Vec<EventKind> = sink.events()[before..]
-        .iter()
-        .map(|e| e.kind)
-        .filter(|k| matches!(k, EventKind::WalAppend { .. } | EventKind::WalFlush { .. }))
-        .collect();
-    assert_eq!(
-        wal,
-        [
-            EventKind::WalAppend { records: 4 },
-            EventKind::WalFlush { objects: 3 },
-        ]
-    );
+    // The local backend is an in-memory map: it writes no log, so an
+    // outermost commit reports no storage event.
+    assert_eq!(storage_events_of_one_commit(&rt, &sink), []);
 
     assert_eq!(sink.dropped(), 0);
     let report = TraceAuditor::audit_events(&sink.events());
@@ -72,12 +93,9 @@ fn nested_workload_trace_audits_clean() {
     assert!(snap.counter("action_begin") >= 11);
     assert_eq!(snap.counter("action_abort"), 1);
     // ...every nested commit passed its locks up to the enclosing
-    // action, every write left a before-image, and the outermost
-    // commits reached the write-ahead log.
+    // action and every write left a before-image.
     assert!(snap.counter("lock_inherit") >= 5);
     assert!(snap.counter("undo_record") >= 11);
-    assert!(snap.counter("wal_append") >= 5);
-    assert!(snap.counter("wal_flush") >= 5);
     let commits = snap.histogram("core.commit_us").expect("commit latency");
     assert!(commits.count >= 5, "{commits}");
 }
@@ -87,8 +105,12 @@ fn critical_path_phases_sum_to_measured_commit_latency() {
     // Acceptance check for the profiler: for every committed top-level
     // action, the per-phase attribution must account for the span's
     // entire measured duration (the gap partition is exact, so the
-    // "within 5%" budget is met with zero slack).
-    let rt = Runtime::builder().build();
+    // "within 5%" budget is met with zero slack). The disk backend
+    // reports its fsyncs, so the fsync phase has events to charge.
+    let dir = scratch("critical-path");
+    let rt = Runtime::builder()
+        .backend(Arc::new(DiskBackend::open(&dir).unwrap()))
+        .build();
     let bus = Arc::new(EventBus::new());
     let sink = Arc::new(MemorySink::new(100_000));
     bus.add_sink(sink.clone());
@@ -141,9 +163,43 @@ fn critical_path_phases_sum_to_measured_commit_latency() {
         .sum();
     let events_have_flush = events
         .iter()
-        .any(|e| matches!(e.kind, EventKind::WalFlush { .. }));
-    assert!(events_have_flush, "workload never flushed the WAL");
+        .any(|e| matches!(e.kind, EventKind::DiskGroupCommit { .. }));
+    assert!(events_have_flush, "workload never fsynced the log");
     let _ = fsync; // flush gaps may round to zero µs; presence checked above
+    drop(rt);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn disk_commit_reports_its_append_then_its_group_fsync() {
+    // One outermost commit of n objects reaches the disk store as one
+    // batch: `disk_append { records: n + 1 }` (n intents plus the
+    // commit record), then the group fsync that covers it.
+    let dir = scratch("pin");
+    let rt = Runtime::builder()
+        .backend(Arc::new(DiskBackend::open(&dir).unwrap()))
+        .build();
+    let bus = Arc::new(EventBus::new());
+    let sink = Arc::new(MemorySink::new(100_000));
+    bus.add_sink(sink.clone());
+    rt.install_obs(Obs::new(bus));
+    let events = storage_events_of_one_commit(&rt, &sink);
+    assert!(
+        matches!(
+            events.as_slice(),
+            [
+                EventKind::DiskAppend { records: 4, .. },
+                EventKind::DiskGroupCommit {
+                    batches: 1,
+                    records: 4,
+                    ..
+                },
+            ]
+        ),
+        "{events:?}"
+    );
+    drop(rt);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

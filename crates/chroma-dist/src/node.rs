@@ -47,7 +47,8 @@ chroma_store::stored! {
             writes: Vec<Write>,
         },
         /// Participant processed the decision; obligation resolved.
-        /// Replaces `Prepared` in the batch that installs its writes.
+        /// Replaces `Prepared` in the batch that installs its writes
+        /// (unforced when there are none).
         ParticipantDone {
             /// The transaction.
             txn: TxnId,
@@ -148,7 +149,7 @@ pub struct Node {
     tpc: BTreeMap<ObjectId, TpcRecord>,
     /// Object states and 2PC records staged for the next barrier.
     stage: BTreeMap<ObjectId, StoreBytes>,
-    /// The stage holds more than `CoordEnd`s: the next barrier writes.
+    /// The stage holds more than end records: the next barrier writes.
     stage_forced: bool,
     coord: BTreeMap<TxnId, CoordState>,
     /// Transactions this node will refuse to prepare (fault injection).
@@ -272,14 +273,18 @@ impl Node {
     }
 
     /// Puts `record` in the 2PC table, replacing the record at its key,
-    /// and stages it there for the next [`Node::barrier`].
+    /// and stages it there for the next [`Node::barrier`]. Only the
+    /// commit points (`CoordCommit`, `Prepared`) force that barrier to
+    /// write; end records ride with the next one that writes.
     fn log(&mut self, record: TpcRecord) {
         let key = record.key();
         let bytes = codec::to_bytes(&record).expect("2PC records encode");
-        self.stage_forced |= !matches!(record, TpcRecord::CoordEnd { .. });
+        self.stage_forced |= matches!(
+            record,
+            TpcRecord::CoordCommit { .. } | TpcRecord::Prepared { .. }
+        );
         self.stage.insert(key, StoreBytes::from(bytes));
         self.tpc.insert(key, record);
-        self.obs().emit(EventKind::WalAppend { records: 1 });
     }
 
     /// This node's participant record of `txn`, if it has one.
@@ -471,10 +476,6 @@ impl Node {
             coordinator,
             writes,
         });
-        self.obs().emit(EventKind::TpcPrepare {
-            node: self.id,
-            txn: txn.0,
-        });
         self.obs().emit(EventKind::TpcVote {
             node: self.id,
             txn: txn.0,
@@ -534,7 +535,9 @@ impl Node {
                 version,
             });
         }
-        // replaces `Prepared` in the batch that installs its writes
+        // replaces `Prepared` in the batch that installs the writes; an
+        // abort's installs nothing and rides with the next barrier that
+        // writes
         self.log(TpcRecord::ParticipantDone { txn });
         ack
     }
@@ -724,18 +727,11 @@ impl Node {
         });
     }
 
-    /// Stages `updates` for the next [`Node::barrier`] — the one way a
-    /// handler writes the store — and emits the WAL events of their
-    /// atomic install.
+    /// Stages `updates` for the next [`Node::barrier`], which they
+    /// force to write: the one way a handler writes the store.
     fn stage(&mut self, updates: Vec<(ObjectId, StoreBytes)>) {
-        let objects = updates.len() as u64;
-        let obs = self.obs();
-        obs.emit(EventKind::WalAppend {
-            records: objects + 1,
-        });
         self.stage.extend(updates);
         self.stage_forced = true;
-        obs.emit(EventKind::WalFlush { objects });
     }
 
     /// Returns `object`'s state: the staged write if there is one, else
@@ -1024,11 +1020,14 @@ impl Node {
     /// 2PC record at its key from [`TPC_LOG_BASE`] — as one atomic
     /// batch. [`dispatch_with`](crate::dispatch_with) runs it after
     /// every handler, before the resulting messages leave, in the
-    /// simulator and in `chroma-node` alike. A handler that staged
-    /// nothing costs no write, and neither does one that staged only
-    /// `CoordEnd`s: losing one only makes a recovered coordinator
-    /// re-send a decision, so it waits for the next barrier that
-    /// writes.
+    /// simulator and in `chroma-node` alike. It writes only when the
+    /// stage holds an object write, a `CoordCommit` or a `Prepared`:
+    /// the commit points. End records (`CoordEnd`, `ParticipantDone`)
+    /// wait for the next barrier that writes. Losing one costs one
+    /// message after a restart, never a wrong outcome: a recovered
+    /// coordinator re-sends its decision, and a recovered participant
+    /// still holding `Prepared` sends one `DecisionQuery` (presumed
+    /// abort answers an abort).
     ///
     /// # Panics
     ///
@@ -1122,8 +1121,9 @@ fn fail_silent(what: &str, e: &DiskError) -> ! {
 impl Observable for Node {
     /// Installs an observability handle, rebound to this node's
     /// identity so every event it emits carries a `node` field and
-    /// ticks its Lamport clock. The node emits its own WAL events as it
-    /// stages; its store stays unobserved.
+    /// ticks its Lamport clock. The node reports its protocol steps;
+    /// its store stays unobserved (the rules keep one log state per
+    /// trace, so several stores in one trace would mix their counts).
     fn install_obs(&self, obs: Obs) {
         self.obs.set(obs.at_node(self.id));
     }

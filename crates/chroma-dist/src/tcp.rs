@@ -25,7 +25,7 @@
 //! simulator's partitions, and the hook deterministic masking tests use
 //! to force retransmission and gaps.
 
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io::{self, Read, Write as IoWrite};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -201,9 +201,9 @@ pub struct TcpTransport {
     pending: VecDeque<TransportEvent>,
     /// Cumulative acks owed, flushed from [`Transport::poll`].
     pending_acks: HashMap<NodeId, u64>,
-    timers: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-    timer_tags: HashMap<u64, TimerTag>,
-    timer_seq: u64,
+    /// Armed timers by (deadline µs, arrival order among equal
+    /// deadlines).
+    timers: BTreeMap<(u64, u64), TimerTag>,
     corr_counter: u64,
     stats: MaskingStats,
     shutdown: Arc<AtomicBool>,
@@ -262,9 +262,7 @@ impl TcpTransport {
             _tx: tx,
             pending: VecDeque::new(),
             pending_acks: HashMap::new(),
-            timers: BinaryHeap::new(),
-            timer_tags: HashMap::new(),
-            timer_seq: 0,
+            timers: BTreeMap::new(),
             corr_counter: 1,
             stats: MaskingStats::default(),
             shutdown,
@@ -542,11 +540,13 @@ impl Transport for TcpTransport {
     }
 
     fn set_timer(&mut self, delay_us: u64, tag: TimerTag) {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
         let at = self.now_us().saturating_add(delay_us);
-        self.timers.push(std::cmp::Reverse((at, seq)));
-        self.timer_tags.insert(seq, tag);
+        let seq = self
+            .timers
+            .range((at, 0)..=(at, u64::MAX))
+            .next_back()
+            .map_or(0, |(&(_, seq), _)| seq + 1);
+        self.timers.insert((at, seq), tag);
     }
 
     fn connect(&mut self, peer: NodeId) {
@@ -580,21 +580,19 @@ impl Transport for TcpTransport {
                 return Some(event);
             }
             let now = self.now_us();
-            while let Some(&std::cmp::Reverse((at, seq))) = self.timers.peek() {
-                if at > now {
+            while let Some(entry) = self.timers.first_entry() {
+                if entry.key().0 > now {
                     break;
                 }
-                self.timers.pop();
-                if let Some(tag) = self.timer_tags.remove(&seq) {
-                    self.pending.push_back(TransportEvent::Timer { tag });
-                }
+                let tag = entry.remove();
+                self.pending.push_back(TransportEvent::Timer { tag });
             }
             if !self.pending.is_empty() {
                 continue;
             }
             self.flush_all();
             let mut wait = Duration::from_millis(10);
-            if let Some(&std::cmp::Reverse((at, _))) = self.timers.peek() {
+            if let Some((&(at, _), _)) = self.timers.first_key_value() {
                 wait = wait.min(Duration::from_micros(at.saturating_sub(now)));
             }
             if let Some(deadline) = deadline {

@@ -8,8 +8,9 @@
 //! vetoes, prepare timeouts, reordered and duplicated prepares and
 //! decisions, RPC `Put`s and replica installs. After every barrier a
 //! node rebuilt from a reopened store must equal the live one, up to
-//! `CoordEnd` records still waiting for a barrier that writes (the
-//! store still holds the `CoordCommit` each replaces).
+//! end records still waiting for a barrier that writes: a `CoordEnd`
+//! over the `CoordCommit` it replaces, a `ParticipantDone` over the
+//! `Prepared` it replaces or over nothing.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -102,33 +103,47 @@ fn log_bytes(dir: &Path) -> u64 {
 }
 
 fn is_end(record: &TpcRecord) -> bool {
-    matches!(record, TpcRecord::CoordEnd { .. })
+    matches!(
+        record,
+        TpcRecord::CoordEnd { .. } | TpcRecord::ParticipantDone { .. }
+    )
+}
+
+/// A record's transaction and role (`true` = participant).
+fn slot(record: &TpcRecord) -> (TxnId, bool) {
+    match record {
+        TpcRecord::CoordCommit { txn, .. } | TpcRecord::CoordEnd { txn } => (*txn, false),
+        TpcRecord::Prepared { txn, .. } | TpcRecord::ParticipantDone { txn } => (*txn, true),
+    }
 }
 
 /// What the reopened store rebuilds must be the live node's table,
-/// except where the live table holds a `CoordEnd` still waiting for a
-/// barrier that writes and the disk the same transaction's
-/// `CoordCommit`; `forced` says there must be no such record. Returns
-/// how many there are.
+/// except where the live table holds an end record still waiting for a
+/// barrier that writes: a `CoordEnd` over the disk's `CoordCommit`, a
+/// `ParticipantDone` over the disk's `Prepared` or over no record.
+/// `forced` says there must be no such record. Returns how many there
+/// are.
 fn assert_restores(id: NodeId, dir: &Path, live: &Node, forced: bool) -> usize {
     let restored = rebuild(id, dir).expect("restore");
     assert_eq!(pages(&restored), pages(live), "{id}: store pages differ");
     let (live_table, disk_table) = (live.tpc_records(), restored.tpc_records());
-    assert_eq!(
-        live_table.len(),
-        disk_table.len(),
-        "{id}: disk table {disk_table:?} against live {live_table:?}"
-    );
+    let mut disk: BTreeMap<(TxnId, bool), &TpcRecord> =
+        disk_table.iter().map(|r| (slot(r), r)).collect();
     let mut unflushed = 0;
-    for (live, disk) in live_table.iter().zip(&disk_table) {
-        match (live, disk) {
-            _ if live == disk => {}
-            (TpcRecord::CoordEnd { txn }, TpcRecord::CoordCommit { txn: t, .. }) if txn == t => {
+    for live in &live_table {
+        match (live, disk.remove(&slot(live))) {
+            (_, Some(disk)) if live == disk => {}
+            (TpcRecord::CoordEnd { .. }, Some(TpcRecord::CoordCommit { .. }))
+            | (TpcRecord::ParticipantDone { .. }, Some(TpcRecord::Prepared { .. }) | None) => {
                 unflushed += 1;
             }
-            _ => panic!("{id}: live {live:?} but disk {disk:?}"),
+            (_, disk) => panic!("{id}: live {live:?} but disk {disk:?}"),
         }
     }
+    assert!(
+        disk.is_empty(),
+        "{id}: disk table {disk_table:?} against live {live_table:?}"
+    );
     if forced {
         assert_eq!(unflushed, 0, "{id}: a writing barrier left end records");
     }
@@ -490,4 +505,57 @@ fn unflushed_end_record_costs_one_redundant_decision() {
         .collect();
     ids.sort_unstable();
     assert_eq!(ids, [2, 4]);
+}
+
+#[test]
+fn vetoing_participants_abort_forces_nothing_and_is_cheap_to_lose() {
+    let mut cluster = Cluster::new(seed());
+    let txn = TxnId(1);
+    cluster.member(P2).node.veto.insert(txn);
+    let fsyncs = cluster.members[&P2].disk.log_fsync_count();
+    cluster.begin(txn);
+    cluster.run();
+    assert_eq!(cluster.node(COORD).coordinator_outcome(txn), None);
+    let p2 = cluster.members.remove(&P2).unwrap();
+    assert!(p2.node.resolved(txn), "P2 never learned the abort");
+    assert_eq!(
+        p2.disk.log_fsync_count(),
+        fsyncs,
+        "a vetoing participant's abort forced a barrier"
+    );
+    assert_eq!(assert_restores(P2, &p2.dir.0, &p2.node, false), 1);
+
+    // P2 crashes before any later barrier: the end record is lost, so a
+    // duplicated late `Prepare` finds no record and prepares afresh
+    let Member { node, disk, dir } = p2;
+    drop((node, disk));
+    let disk = open(&dir.0);
+    let mut node = Node::builder()
+        .id(P2)
+        .backend(&disk)
+        .build()
+        .expect("restore");
+    assert_eq!(node.tpc_records(), []);
+    assert!(node.recover().is_empty(), "nothing to recover");
+    cluster.members.insert(P2, Member { node, disk, dir });
+    let object = ObjectId::from_raw(1_000 + txn.0);
+    let late = Message::Prepare {
+        txn,
+        writes: vec![Write {
+            object,
+            state: StoreBytes::from(b"late".to_vec()),
+        }],
+        coordinator: COORD,
+    };
+    let effects = cluster.member(P2).step(|n| n.handle_message(COORD, late));
+    cluster.schedule(P2, effects);
+    assert!(cluster.node(P2).in_doubt(txn));
+
+    // the coordinator holds no record, so its answer to P2's query is
+    // the presumed abort: P2 resolves and installs nothing
+    cluster.run();
+    let p2 = cluster.node(P2);
+    assert!(p2.resolved(txn) && !p2.in_doubt(txn));
+    assert_eq!(p2.read(object), None);
+    assert_eq!(p2.store().read(object).expect("read"), None);
 }

@@ -53,54 +53,84 @@ fn veto_from_one_participant_aborts_all() {
 }
 
 #[test]
-fn participant_log_and_store_events_are_pinned() {
-    // Drive one participant by hand and pin its WAL events: a prepare
-    // forces one 2PC record; a commit decision installs the writes as
-    // one store batch (n intents + commit record, then the flush), then
-    // forces `ParticipantDone`. Every event carries the node's id.
+fn one_committed_transaction_emits_exactly_its_protocol_events() {
+    // One coordinator, two participants, a clean network: four message
+    // pairs each way, sent and delivered once, plus the two yes votes,
+    // the decision and the two resolutions. Nothing else: the nodes'
+    // stores report no events of their own.
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(1_000));
-    bus.add_sink(sink.clone());
-    let (coord, p) = (NodeId::from_raw(1), NodeId::from_raw(2));
+    let mut sim = Sim::new(44);
+    let coord = sim.add_node();
+    let p1 = sim.add_node();
+    let p2 = sim.add_node();
+    sim.install_obs(Obs::new(bus.clone()));
+    let txn = sim.begin_transaction(coord, vec![(p1, vec![w(1, 1)]), (p2, vec![w(2, 2)])]);
+    sim.run_to_quiescence();
+    assert_eq!(sim.coordinator_outcome(coord, txn), Some(true));
+    let counts: Vec<(&str, u64)> = bus
+        .snapshot()
+        .counters
+        .into_iter()
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            ("tpc_vote", 2),
+            ("tpc_decide", 1),
+            ("tpc_resolve", 2),
+            ("msg_send", 8),
+            ("msg_deliver", 8),
+        ]
+    );
+    assert_eq!(counts.iter().map(|&(_, n)| n).sum::<u64>(), 21);
+}
+
+#[test]
+fn participant_barriers_force_only_the_commit_points() {
+    // Prepare and commit each cost the participant one log fsync: the
+    // `Prepared` record, then the installed writes with the
+    // `ParticipantDone` that replaces it. An abort installs nothing, so
+    // its end record waits for the next barrier that writes.
+    let coord = NodeId::from_raw(1);
     let mut node = Node::builder()
-        .id(p)
-        .obs(Obs::new(bus))
+        .id(NodeId::from_raw(2))
         .build()
         .expect("no backend to restore from");
-    let wal_events = |from: usize| -> Vec<(Option<NodeId>, EventKind)> {
-        sink.events()[from..]
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    EventKind::WalAppend { .. } | EventKind::WalFlush { .. }
-                )
-            })
-            .map(|e| (e.node, e.kind))
-            .collect()
+    let mut cost = |msg: Message| {
+        let before = node.store().log_fsync_count();
+        node.handle_message(coord, msg);
+        node.barrier();
+        node.store().log_fsync_count() - before
     };
-    let txn = TxnId(5);
-    node.handle_message(
-        coord,
-        Message::Prepare {
-            txn,
-            writes: vec![w(1, 1), w(2, 2)],
-            coordinator: coord,
-        },
-    );
+    let prepare = |txn| Message::Prepare {
+        txn,
+        writes: vec![w(1, 1), w(2, 2)],
+        coordinator: coord,
+    };
+    let (commit, abort) = (TxnId(5), TxnId(6));
+    assert_eq!(cost(prepare(commit)), 1, "prepare");
     assert_eq!(
-        wal_events(0),
-        [(Some(p), EventKind::WalAppend { records: 1 })]
+        cost(Message::Decision {
+            txn: commit,
+            commit: true
+        }),
+        1,
+        "commit"
     );
-    let mark = sink.events().len();
-    node.handle_message(coord, Message::Decision { txn, commit: true });
+    assert_eq!(cost(prepare(abort)), 1, "prepare");
     assert_eq!(
-        wal_events(mark),
-        [
-            (Some(p), EventKind::WalAppend { records: 3 }),
-            (Some(p), EventKind::WalFlush { objects: 2 }),
-            (Some(p), EventKind::WalAppend { records: 1 }),
-        ]
+        cost(Message::Decision {
+            txn: abort,
+            commit: false
+        }),
+        0,
+        "abort"
+    );
+    assert!(node.resolved(abort) && !node.in_doubt(abort));
+    assert_eq!(
+        node.read(ObjectId::from_raw(1)).as_deref(),
+        Some(&[1u8][..])
     );
 }
 

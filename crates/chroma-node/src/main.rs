@@ -200,7 +200,7 @@ fn run(opts: &Opts) -> Result<(), String> {
 
     // -- durability: one DiskStore is the node's stable half and the
     // co-hosted Runtime's backend (kept in disjoint object-id ranges).
-    // The store stays un-observed: its WAL events belong to
+    // The store stays un-observed: its log events belong to
     // single-process deployments, not this per-node protocol trace.
     let backend = Arc::new(
         DiskBackend::open(&opts.data)
@@ -276,12 +276,8 @@ fn run_worker(opts: &Opts, node: &mut Node, tcp: &mut TcpTransport) -> Result<()
         std::io::Read::read_to_end(&mut std::io::stdin(), &mut sink).ok();
         std::process::exit(0);
     });
-    loop {
-        if let Some(event) = tcp.poll(Some(Duration::from_millis(50))) {
-            surface_gap(&event);
-            dispatch_with(node, tcp, event, Node::barrier);
-        }
-    }
+    serve(node, tcp, |_| true);
+    Ok(())
 }
 
 /// Drive `--txns` transactions through 2PC, reporting each outcome on
@@ -311,12 +307,9 @@ fn run_coordinator(opts: &Opts, node: &mut Node, tcp: &mut TcpTransport) -> Resu
         let effects = node.begin_transaction(txn, writes);
         tcp.apply_effects(effects);
         let deadline = Instant::now() + TXN_DEADLINE;
-        while node.coordinator_active(txn) && Instant::now() < deadline {
-            if let Some(event) = tcp.poll(Some(Duration::from_millis(50))) {
-                surface_gap(&event);
-                dispatch_with(node, tcp, event, Node::barrier);
-            }
-        }
+        serve(node, tcp, |node| {
+            node.coordinator_active(txn) && Instant::now() < deadline
+        });
         let outcome = if node.coordinator_outcome(txn) == Some(true) {
             committed += 1;
             "commit"
@@ -328,26 +321,29 @@ fn run_coordinator(opts: &Opts, node: &mut Node, tcp: &mut TcpTransport) -> Resu
     }
     // stragglers: a participant restarted late may still be querying
     let linger_until = Instant::now() + Duration::from_millis(opts.linger_ms);
-    while Instant::now() < linger_until {
-        if let Some(event) = tcp.poll(Some(Duration::from_millis(50))) {
-            surface_gap(&event);
-            dispatch_with(node, tcp, event, Node::barrier);
-        }
-    }
+    serve(node, tcp, |_| Instant::now() < linger_until);
     println!("coordinator done: {committed}/{} committed", opts.txns);
     std::io::stdout().flush().ok();
     Ok(())
 }
 
-/// The masking layer surfaces sequence holes instead of hiding them;
-/// a host must at least say so out loud.
-fn surface_gap(event: &TransportEvent) {
-    if let TransportEvent::Gap {
-        from,
-        expected,
-        got,
-    } = event
-    {
-        eprintln!("chroma-node: gap from {from}: frames {expected}..{got} lost for good");
+/// Serves the transport's events while `go` holds: each one runs its
+/// handler and the durability barrier before the resulting messages
+/// leave. The masking layer surfaces sequence holes instead of hiding
+/// them; a host must at least say so out loud.
+fn serve(node: &mut Node, tcp: &mut TcpTransport, mut go: impl FnMut(&Node) -> bool) {
+    while go(node) {
+        let Some(event) = tcp.poll(Some(Duration::from_millis(50))) else {
+            continue;
+        };
+        if let TransportEvent::Gap {
+            from,
+            expected,
+            got,
+        } = &event
+        {
+            eprintln!("chroma-node: gap from {from}: frames {expected}..{got} lost for good");
+        }
+        dispatch_with(node, tcp, event, Node::barrier);
     }
 }

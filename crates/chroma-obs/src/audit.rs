@@ -452,8 +452,12 @@ mod tests {
                 records: 6,
                 bytes: 128,
             }),
-            ev(EventKind::DiskCheckpoint { objects: 2 }),
-            // second batch crashed before install: replay picks it up
+            ev(EventKind::CheckpointEnd {
+                upto: 1,
+                batches: 1,
+                objects: 2,
+            }),
+            // the second batch was never folded: replay picks it up
             ev(EventKind::DiskReplay {
                 batches: 1,
                 objects: 2,
@@ -521,14 +525,13 @@ mod tests {
 
     #[test]
     fn r9_stays_unarmed_on_pre_group_commit_traces() {
-        // legacy traces have appends/checkpoints/replays but no group
-        // fsync events; R9 must not fire on them
+        // traces with appends and replays but no group fsync events
+        // (the trace attached mid-flight); R9 must not fire on them
         let trace = vec![
             ev(EventKind::DiskAppend {
                 records: 3,
                 bytes: 64,
             }),
-            ev(EventKind::DiskCheckpoint { objects: 1 }),
             ev(EventKind::DiskReplay {
                 batches: 7,
                 objects: 9,

@@ -458,23 +458,6 @@ event_kinds! {
         /// The colour of the write.
         colour: Colour,
     }
-    /// Records were appended to a durable log.
-    WalAppend "wal_append" {
-        /// How many records were appended.
-        records: u64,
-    }
-    /// An intentions-list batch was installed durably.
-    WalFlush "wal_flush" {
-        /// How many objects the batch installed.
-        objects: u64,
-    }
-    /// A participant force-logged the prepared state of a transaction.
-    TpcPrepare "tpc_prepare" {
-        /// The participant.
-        node: NodeId,
-        /// The transaction.
-        txn: u64,
-    }
     /// A participant voted.
     TpcVote "tpc_vote" {
         /// The voting participant.
@@ -557,12 +540,6 @@ event_kinds! {
         records: u64,
         /// Total bytes written, including length framing.
         bytes: u64,
-    }
-    /// A committed batch was installed into per-object files and the
-    /// intentions log was truncated.
-    DiskCheckpoint "disk_checkpoint" {
-        /// How many objects the batch installed.
-        objects: u64,
     }
     /// Opening the store replayed committed batches from the
     /// intentions log (crash recovery). They stay live in their
@@ -765,8 +742,7 @@ impl EventKind {
     #[must_use]
     pub const fn intrinsic_node(&self) -> Option<NodeId> {
         match self {
-            EventKind::TpcPrepare { node, .. }
-            | EventKind::TpcVote { node, .. }
+            EventKind::TpcVote { node, .. }
             | EventKind::TpcDecide { node, .. }
             | EventKind::TpcResolve { node, .. }
             | EventKind::NodeCrash { node }
@@ -1127,9 +1103,6 @@ mod tests {
                 object: o,
                 colour: c(0),
             },
-            EventKind::WalAppend { records: 3 },
-            EventKind::WalFlush { objects: 2 },
-            EventKind::TpcPrepare { node: n2, txn: 9 },
             EventKind::TpcVote {
                 node: n2,
                 txn: 9,
@@ -1172,7 +1145,6 @@ mod tests {
                 records: 4,
                 bytes: 128,
             },
-            EventKind::DiskCheckpoint { objects: 3 },
             EventKind::DiskReplay {
                 batches: 2,
                 objects: 5,
@@ -1320,7 +1292,7 @@ mod tests {
     fn pre_causality_lines_still_parse() {
         // Traces written before node/lc/corr existed must load with
         // the neutral defaults.
-        let line = "{\"at_us\":5,\"ev\":\"wal_append\",\"records\":3}";
+        let line = "{\"at_us\":5,\"ev\":\"disk_append\",\"records\":3,\"bytes\":64}";
         let event = Event::from_json_line(line).unwrap();
         assert_eq!(event.node, None);
         assert_eq!(event.lc, 0);
@@ -1334,9 +1306,10 @@ mod tests {
         // parser recovers the context from the payload.
         let event = Event::at(
             1,
-            EventKind::TpcPrepare {
+            EventKind::TpcVote {
                 node: NodeId::from_raw(4),
                 txn: 9,
+                yes: true,
             },
         );
         let line = event.to_json_line();
@@ -1355,7 +1328,7 @@ mod tests {
             err.message.contains("unknown lock mode `a\\b\"c`"),
             "escapes should decode before field validation: {err}"
         );
-        let bad = "{\"at_us\":1,\"ev\":\"wal_append\",\"records\":1,\"x\":\"a\\nb\"}";
+        let bad = "{\"at_us\":1,\"ev\":\"disk_append\",\"records\":1,\"bytes\":8,\"x\":\"a\\nb\"}";
         let err = Event::from_json_line(bad).unwrap_err();
         assert!(err.message.contains("unsupported escape"), "{err}");
     }
@@ -1390,11 +1363,11 @@ mod tests {
             "{\"at_us\":1,\"ev\":\"action_commit\",\"action\":true}", // wrong type
             "{\"at_us\":1,\"ev\":\"action_commit\",\"action\":1}garbage",
             "{\"at_us\":1,\"ev\":\"action_commit\",\"action\":1",
-            "{\"at_us\":1,\"at_us\":2,\"ev\":\"wal_append\",\"records\":1}",
+            "{\"at_us\":1,\"at_us\":2,\"ev\":\"disk_append\",\"records\":1,\"bytes\":8}",
             "{\"at_us\":1,\"ev\":\"lock_release\",\"action\":1,\"object\":1,\"colour\":9999}",
             "{\"at_us\":1,\"ev\":\"lock_grant\",\"action\":1,\"object\":1,\"colour\":0,\"mode\":\"steal\"}",
             "{\"at_us\":1,\"ev\":\"msg_send\",\"from\":1,\"to\":2,\"kind\":\"pigeon\"}",
-            "{\"at_us\":1,\"ev\":\"tpc_prepare\",\"node\":99999999999,\"txn\":1}",
+            "{\"at_us\":1,\"ev\":\"tpc_vote\",\"node\":99999999999,\"txn\":1,\"yes\":true}",
             "{\"at_us\":1,\"ev\":\"disk_append\",\"records\":1}", // missing bytes
             "{\"at_us\":1,\"ev\":\"replica_read\",\"node\":1,\"object\":1,\"version\":1}", // missing stale
             "{\"at_us\":1,\"ev\":\"replica_install\",\"node\":1,\"object\":1,\"version\":true}", // wrong type

@@ -7,7 +7,7 @@
 //! trusted:
 //!
 //! * [`Event`] is a typed record of one step of the action lifecycle —
-//!   begins/commits/aborts, lock traffic, undo logging, WAL activity,
+//!   begins/commits/aborts, lock traffic, undo logging, the disk log,
 //!   two-phase commit, crashes and network behaviour;
 //! * [`EventBus`] collects events from every subsystem, counts them,
 //!   feeds latency [`Histogram`]s and fans out to pluggable sinks

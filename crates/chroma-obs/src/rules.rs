@@ -1101,11 +1101,6 @@ impl Rules {
                 // active segment.
                 self.log.active_batches += batches;
             }
-            // (`marked_unchecked` is only ever raised by a group
-            // fsync, so retiring from it needs no arming check.)
-            EventKind::DiskCheckpoint { .. } => {
-                self.log.marked_unchecked = self.log.marked_unchecked.saturating_sub(1);
-            }
             // R11: segment lifecycle. Seals move the active batches
             // into the sealed-live set; a checkpoint retires every
             // sealed segment up to its watermark; GC must stay at or
@@ -1255,14 +1250,11 @@ impl Rules {
             EventKind::NodeCrash { node } => {
                 self.published.retain(|&(n, _), _| n != node.as_raw());
             }
-            // WAL activity, the fan-out announcement, recovery
-            // markers, GC sweeps, in-flight network perturbations and
-            // the online watchdog's own output carry no audited
-            // obligations of their own
-            EventKind::WalAppend { .. }
-            | EventKind::WalFlush { .. }
-            | EventKind::ReplicaWrite { .. }
-            | EventKind::TpcPrepare { .. }
+            // The fan-out announcement, recovery markers, GC sweeps,
+            // in-flight network perturbations and the online
+            // watchdog's own output carry no audited obligations of
+            // their own
+            EventKind::ReplicaWrite { .. }
             | EventKind::NodeRecover { .. }
             | EventKind::MsgDrop { .. }
             | EventKind::MsgDup { .. }

@@ -176,7 +176,7 @@ impl SpanForest {
         let mut catchups: HashMap<(u32, u64), usize> = HashMap::new();
         let mut snapshot_spans: HashMap<ActionId, usize> = HashMap::new();
         // begin-order stack of actions still open, for attributing
-        // node-less store/WAL events to the innermost enclosing action
+        // node-less store events to the innermost enclosing action
         let mut open_actions: Vec<ActionId> = Vec::new();
         let mut sends: HashMap<u64, usize> = HashMap::new();
         let mut paired: HashMap<u64, bool> = HashMap::new();
@@ -326,10 +326,7 @@ impl SpanForest {
                         attribute(&mut forest, aidx, i, at);
                     }
                 }
-                EventKind::WalAppend { .. }
-                | EventKind::WalFlush { .. }
-                | EventKind::DiskAppend { .. }
-                | EventKind::DiskCheckpoint { .. }
+                EventKind::DiskAppend { .. }
                 | EventKind::DiskReplay { .. }
                 | EventKind::DiskGroupCommit { .. }
                 | EventKind::SegmentSeal { .. } => {
@@ -349,8 +346,7 @@ impl SpanForest {
                         attribute(&mut forest, aidx, i, at);
                     }
                 }
-                EventKind::TpcPrepare { txn, .. }
-                | EventKind::TpcVote { txn, .. }
+                EventKind::TpcVote { txn, .. }
                 | EventKind::TpcDecide { txn, .. }
                 | EventKind::TpcResolve { txn, .. } => {
                     let idx = match txn_spans.get(&txn) {
@@ -528,7 +524,7 @@ impl SpanForest {
 pub enum Phase {
     /// Waiting for (or being refused) a lock.
     LockWait = 0,
-    /// Durable store work: WAL appends/flushes, disk checkpoints.
+    /// Durable store work: log appends, group fsyncs, replays, seals.
     Fsync = 1,
     /// Message transit.
     Network = 2,
@@ -549,10 +545,7 @@ impl Phase {
 fn classify(kind: &EventKind) -> Phase {
     match kind {
         EventKind::LockGrant { .. } | EventKind::LockConflict { .. } => Phase::LockWait,
-        EventKind::WalAppend { .. }
-        | EventKind::WalFlush { .. }
-        | EventKind::DiskAppend { .. }
-        | EventKind::DiskCheckpoint { .. }
+        EventKind::DiskAppend { .. }
         | EventKind::DiskReplay { .. }
         | EventKind::DiskGroupCommit { .. }
         | EventKind::SegmentSeal { .. } => Phase::Fsync,
@@ -560,8 +553,7 @@ fn classify(kind: &EventKind) -> Phase {
         | EventKind::MsgDeliver { .. }
         | EventKind::MsgDrop { .. }
         | EventKind::MsgDup { .. } => Phase::Network,
-        EventKind::TpcPrepare { .. }
-        | EventKind::TpcVote { .. }
+        EventKind::TpcVote { .. }
         | EventKind::TpcDecide { .. }
         | EventKind::TpcResolve { .. }
         | EventKind::ReplicaWrite { .. }
@@ -765,7 +757,14 @@ mod tests {
                 },
             ),
             // 50 µs of fsync (90 - 40)
-            ev(90, EventKind::WalFlush { objects: 1 }),
+            ev(
+                90,
+                EventKind::DiskGroupCommit {
+                    batches: 1,
+                    records: 2,
+                    bytes: 64,
+                },
+            ),
             ev(100, EventKind::ActionCommit { action: a }),
         ];
         let forest = SpanForest::build(&events);
@@ -883,8 +882,16 @@ mod tests {
     fn txn_spans_split_at_the_decision() {
         let n1 = NodeId::from_raw(1);
         let n2 = NodeId::from_raw(2);
+        let n3 = NodeId::from_raw(3);
         let events = vec![
-            ev(10, EventKind::TpcPrepare { node: n2, txn: 4 }),
+            ev(
+                10,
+                EventKind::TpcVote {
+                    node: n3,
+                    txn: 4,
+                    yes: true,
+                },
+            ),
             ev(
                 20,
                 EventKind::TpcVote {
@@ -899,7 +906,7 @@ mod tests {
                     node: n1,
                     txn: 4,
                     commit: true,
-                    participants: 1,
+                    participants: 2,
                 },
             ),
             ev(

@@ -749,7 +749,11 @@ mod tests {
             records: 2,
             bytes: 64,
         });
-        bus.emit(EventKind::DiskCheckpoint { objects: 1 });
+        bus.emit(EventKind::CheckpointEnd {
+            upto: 1,
+            batches: 1,
+            objects: 1,
+        });
         bus.emit(EventKind::VersionPublish {
             object: oid(7),
             colour: col(0),

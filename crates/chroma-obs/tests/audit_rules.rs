@@ -331,8 +331,15 @@ fn unknown_action_reference_fires() {
 
 #[test]
 fn corrupted_jsonl_is_rejected_with_line_number() {
-    let good = Event::at(12, EventKind::WalAppend { records: 1 }).to_json_line();
-    let text = format!("{good}\n{{\"at_us\":5,\"ev\":\"wal_append\"\n{good}\n");
+    let good = Event::at(
+        12,
+        EventKind::DiskAppend {
+            records: 1,
+            bytes: 8,
+        },
+    )
+    .to_json_line();
+    let text = format!("{good}\n{{\"at_us\":5,\"ev\":\"disk_append\"\n{good}\n");
     let err = TraceAuditor::audit_jsonl(&text).expect_err("truncated line must reject");
     assert!(err.to_string().contains("line 2"), "{err}");
 }

@@ -543,18 +543,6 @@ fn golden_kinds() -> Vec<(&'static str, Event)> {
             ),
         ),
         (
-            r#"{"at_us":10,"ev":"wal_append","records":3}"#,
-            at(10, EventKind::WalAppend { records: 3 }),
-        ),
-        (
-            r#"{"at_us":11,"ev":"wal_flush","objects":2}"#,
-            at(11, EventKind::WalFlush { objects: 2 }),
-        ),
-        (
-            r#"{"at_us":12,"ev":"tpc_prepare","node":2,"txn":9}"#,
-            at(12, EventKind::TpcPrepare { node: n(2), txn: 9 }),
-        ),
-        (
             r#"{"at_us":13,"ev":"tpc_vote","node":2,"txn":9,"yes":true}"#,
             at(
                 13,
@@ -651,10 +639,6 @@ fn golden_kinds() -> Vec<(&'static str, Event)> {
                     bytes: 128,
                 },
             ),
-        ),
-        (
-            r#"{"at_us":23,"ev":"disk_checkpoint","objects":3}"#,
-            at(23, EventKind::DiskCheckpoint { objects: 3 }),
         ),
         (
             r#"{"at_us":24,"ev":"disk_replay","batches":2,"objects":5}"#,
@@ -848,17 +832,31 @@ fn golden_kinds() -> Vec<(&'static str, Event)> {
         // the envelope: a handle-bound node with `lc`, and a bound node
         // that an intrinsic one overrides (never written twice)
         (
-            r#"{"at_us":0,"ev":"wal_append","records":1,"lc":9,"node":3}"#,
+            r#"{"at_us":0,"ev":"disk_append","records":1,"bytes":8,"lc":9,"node":3}"#,
             Event {
                 node: Some(n(3)),
-                ..stamped(9, None, EventKind::WalAppend { records: 1 })
+                ..stamped(
+                    9,
+                    None,
+                    EventKind::DiskAppend {
+                        records: 1,
+                        bytes: 8,
+                    },
+                )
             },
         ),
         (
-            r#"{"at_us":42,"ev":"tpc_prepare","node":2,"txn":9,"lc":4}"#,
+            r#"{"at_us":42,"ev":"tpc_vote","node":2,"txn":9,"yes":true,"lc":4}"#,
             Event {
                 lc: 4,
-                ..at(42, EventKind::TpcPrepare { node: n(2), txn: 9 })
+                ..at(
+                    42,
+                    EventKind::TpcVote {
+                        node: n(2),
+                        txn: 9,
+                        yes: true,
+                    },
+                )
             },
         ),
     ]
@@ -876,7 +874,7 @@ fn every_kind_keeps_its_wire_line() {
     covered.dedup();
     assert_eq!(
         covered,
-        (0..40).collect::<Vec<_>>(),
+        (0..36).collect::<Vec<_>>(),
         "one golden line per kind"
     );
 }
@@ -888,20 +886,20 @@ fn every_kind_keeps_its_wire_line() {
 const REJECTED: &[(&str, &str)] = &[
     // u64
     (
-        r#"{"at_us":1,"ev":"wal_append"}"#,
+        r#"{"at_us":1,"ev":"disk_append","bytes":8}"#,
         "missing field `records`",
     ),
     (
-        r#"{"at_us":1,"ev":"wal_append","records":"3"}"#,
+        r#"{"at_us":1,"ev":"disk_append","records":"3","bytes":8}"#,
         r#"field `records` should be a number, got Str("3")"#,
     ),
     (
-        r#"{"at_us":1,"ev":"wal_append","records":18446744073709551616}"#,
+        r#"{"at_us":1,"ev":"disk_append","records":18446744073709551616,"bytes":8}"#,
         "number `18446744073709551616` out of range",
     ),
     (
-        r#"{"at_us":1,"ev":"wal_append","records":-1}"#,
-        "expected a value at byte 39",
+        r#"{"at_us":1,"ev":"disk_append","records":-1,"bytes":8}"#,
+        "expected a value at byte 40",
     ),
     // bool
     (
@@ -1007,11 +1005,11 @@ const REJECTED: &[(&str, &str)] = &[
     ),
     // the envelope
     (
-        r#"{"ev":"wal_append","records":1}"#,
+        r#"{"ev":"disk_append","records":1,"bytes":8}"#,
         "missing field `at_us`",
     ),
     (
-        r#"{"at_us":true,"ev":"wal_append","records":1}"#,
+        r#"{"at_us":true,"ev":"disk_append","records":1,"bytes":8}"#,
         "field `at_us` should be a number, got Bool(true)",
     ),
     (r#"{"at_us":1,"records":1}"#, "missing field `ev`"),
@@ -1024,54 +1022,73 @@ const REJECTED: &[(&str, &str)] = &[
         "unknown event tag `no_such_event`",
     ),
     (
-        r#"{"at_us":1,"ev":"Wal_Append","records":1}"#,
-        "unknown event tag `Wal_Append`",
+        r#"{"at_us":1,"ev":"Disk_Append","records":1,"bytes":8}"#,
+        "unknown event tag `Disk_Append`",
+    ),
+    // the kinds that reported no real log (an in-memory map's
+    // "WAL", a checkpoint nothing produces, a prepare that restated
+    // the yes vote) are gone: their old lines fail loudly
+    (
+        r#"{"at_us":10,"ev":"wal_append","records":3}"#,
+        "unknown event tag `wal_append`",
     ),
     (
-        r#"{"at_us":1,"ev":"wal_append","records":1,"lc":"9"}"#,
+        r#"{"at_us":11,"ev":"wal_flush","objects":2}"#,
+        "unknown event tag `wal_flush`",
+    ),
+    (
+        r#"{"at_us":12,"ev":"tpc_prepare","node":2,"txn":9}"#,
+        "unknown event tag `tpc_prepare`",
+    ),
+    (
+        r#"{"at_us":23,"ev":"disk_checkpoint","objects":3}"#,
+        "unknown event tag `disk_checkpoint`",
+    ),
+    (
+        r#"{"at_us":1,"ev":"disk_append","records":1,"bytes":8,"lc":"9"}"#,
         r#"field `lc` should be a number, got Str("9")"#,
     ),
     (
-        r#"{"at_us":1,"ev":"wal_append","records":1,"corr":false}"#,
+        r#"{"at_us":1,"ev":"disk_append","records":1,"bytes":8,"corr":false}"#,
         "field `corr` should be a number, got Bool(false)",
     ),
     (
-        r#"{"at_us":1,"ev":"wal_append","records":1,"node":"3"}"#,
+        r#"{"at_us":1,"ev":"disk_append","records":1,"bytes":8,"node":"3"}"#,
         r#"field `node` should be a number, got Str("3")"#,
     ),
     (
-        r#"{"at_us":1,"ev":"wal_append","records":1,"node":4294967296}"#,
+        r#"{"at_us":1,"ev":"disk_append","records":1,"bytes":8,"node":4294967296}"#,
         "node id 4294967296 out of range",
     ),
     // the object syntax
     ("", "empty line"),
     ("not json", "expected `{` at byte 0"),
     (
-        r#"{"at_us":1,"at_us":2,"ev":"wal_append","records":1}"#,
+        r#"{"at_us":1,"at_us":2,"ev":"disk_append","records":1,"bytes":8}"#,
         "duplicate field `at_us`",
     ),
     (
-        r#"{"at_us":1,"ev":"wal_append","records":1,"records":1}"#,
+        r#"{"at_us":1,"ev":"disk_append","records":1,"bytes":8,"records":1}"#,
         "duplicate field `records`",
     ),
     (
-        r#"{"at_us":1,"ev":"wal_append","records":1}garbage"#,
-        "trailing garbage at byte 41",
+        r#"{"at_us":1,"ev":"disk_append","records":1,"bytes":8}garbage"#,
+        "trailing garbage at byte 52",
     ),
     (
-        r#"{"at_us":1,"ev":"wal_append","records":1"#,
-        "expected `,` or `}` at byte 40",
+        r#"{"at_us":1,"ev":"disk_append","records":1,"bytes":8"#,
+        "expected `,` or `}` at byte 51",
     ),
     (
-        r#"{"at_us":1,"ev":"wal_append","records":1.5}"#,
-        "expected `,` or `}` at byte 40",
+        r#"{"at_us":1,"ev":"disk_append","records":1,"bytes":8.5}"#,
+        "expected `,` or `}` at byte 51",
     ),
     (
-        r#"{"at_us":1,"ev":"wal_append","records":{"n":1}}"#,
-        "expected a value at byte 39",
+        r#"{"at_us":1,"ev":"disk_append","records":1,"bytes":{"n":1}}"#,
+        "expected a value at byte 50",
     ),
     (
-        r#"{"at_us":1,"ev":"wal_append","records":1,"x":"a\nb"}"#,
+        r#"{"at_us":1,"ev":"disk_append","records":1,"bytes":8,"x":"a\nb"}"#,
         r#"unsupported escape sequence (only \\ and \" are allowed)"#,
     ),
 ];

@@ -76,7 +76,7 @@ fn facade_covers_the_stack_end_to_end() {
         assert_eq!(disk_rt.read_committed::<i64>(saved).unwrap(), 42);
     }
     std::fs::remove_dir_all(&dir).ok();
-    // The disk commits flowed through the WAL vocabulary.
+    // The disk commits reported their log appends and fsyncs.
     assert!(bus.counter("disk_append") >= 1);
     assert!(bus.snapshot().histogram("store.fsync_us").is_some());
 
