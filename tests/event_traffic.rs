@@ -23,17 +23,22 @@ enum Structure {
 
 /// Moves one unit from `from` to `to` as one structure of two steps,
 /// the lower object first.
-fn run_move(rt: &Runtime, structure: Structure, from: ObjectId, to: ObjectId) {
+fn run_move(
+    rt: &Runtime,
+    structure: Structure,
+    from: ObjectId,
+    to: ObjectId,
+) -> Result<(), ActionError> {
     let take = |v: &mut i64| *v -= 1;
     let give = |v: &mut i64| *v += 1;
-    let moved: Result<(), ActionError> = match structure {
-        Structure::Serializing => (|| {
+    match structure {
+        Structure::Serializing => {
             let action = SerializingAction::begin(rt)?;
             action.step(|s| s.modify(from, take))?;
             action.step(|s| s.modify(to, give))?;
             action.end()
-        })(),
-        Structure::Glued => (|| {
+        }
+        Structure::Glued => {
             let chain = GluedChain::begin(rt, 1)?;
             chain.step(|s| {
                 s.modify(from, take)?;
@@ -41,13 +46,12 @@ fn run_move(rt: &Runtime, structure: Structure, from: ObjectId, to: ObjectId) {
             })?;
             chain.step(|s| s.modify(to, give))?;
             chain.end()
-        })(),
+        }
         Structure::Independent => rt.atomic(|a| {
             independent_sync(a, |b| b.modify(from, take))?;
             independent_sync(a, |b| b.modify(to, give))
         }),
-    };
-    moved.unwrap_or_else(|e| panic!("{structure:?} move failed: {e}"));
+    }
 }
 
 /// The kinds one move of `structure` emits, with their counts (zero
@@ -59,7 +63,7 @@ fn census(structure: Structure) -> BTreeMap<&'static str, u64> {
     let from = rt.create_object(&0i64).unwrap();
     let to = rt.create_object(&0i64).unwrap();
     let before = bus.snapshot().counters;
-    run_move(&rt, structure, from, to);
+    run_move(&rt, structure, from, to).unwrap_or_else(|e| panic!("{structure:?}: {e}"));
     let after = bus.snapshot().counters;
     assert_eq!(watchdog.violations(), 0, "{structure:?}");
     assert_eq!(rt.read_committed::<i64>(from).unwrap(), -1);
