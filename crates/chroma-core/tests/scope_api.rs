@@ -46,7 +46,7 @@ fn modify_requests_one_lock() {
     let o = rt.create_object(&0i64).unwrap();
     rt.atomic(|a| a.modify(o, |v: &mut i64| *v += 1)).unwrap();
     let snap = bus.snapshot();
-    assert_eq!(snap.counter("lock_request"), 1);
+    assert_eq!(snap.counter("lock_grant"), 1);
     assert_eq!(snap.counter("undo_record"), 1);
     assert_eq!(rt.read_committed::<i64>(o).unwrap(), 1);
 }

@@ -667,38 +667,52 @@ fn auditor_flags_read_missing_a_newer_version_of_another_colour() {
 
 /// R10b: a snapshot action appearing in lock traffic must be flagged —
 /// the whole point of declared read-only actions is never touching the
-/// lock table.
+/// lock table. A request shows only as its decision, so both a refusal
+/// (`lock_conflict`) and a grant (`lock_grant`) carry the finding; the
+/// stream is complete, so the windowed policy must agree.
 #[test]
 fn auditor_flags_snapshot_reader_in_lock_traffic() {
     let snap = ActionId::from_raw(1);
     let o = ObjectId::from_raw(9);
     let c = Colour::from_index(0);
-    let trace = vec![
-        ev(EventKind::ActionBegin {
-            action: snap,
-            parent: None,
-            colours: 0,
-        }),
-        ev(EventKind::SnapshotOpen {
-            action: snap,
-            stamp: 0,
-        }),
-        ev(EventKind::LockRequest {
+    let mode = chroma_base::LockMode::Read;
+    for lock in [
+        EventKind::LockConflict {
             action: snap,
             object: o,
             colour: c,
-            mode: chroma_base::LockMode::Read,
-        }),
-        ev(EventKind::ActionCommit { action: snap }),
-    ];
-    let report = agreement::audit(&trace);
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::SnapshotReaderLocks { .. })),
-        "{report}"
-    );
+            mode,
+        },
+        EventKind::LockGrant {
+            action: snap,
+            object: o,
+            colour: c,
+            mode,
+        },
+    ] {
+        let trace = vec![
+            ev(EventKind::ActionBegin {
+                action: snap,
+                parent: None,
+                colours: 0,
+            }),
+            ev(EventKind::SnapshotOpen {
+                action: snap,
+                stamp: 0,
+            }),
+            ev(lock),
+            ev(EventKind::ActionCommit { action: snap }),
+        ];
+        assert!(agreement::complete(&trace), "{lock:?}");
+        let report = agreement::audit(&trace);
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| matches!(v, Violation::SnapshotReaderLocks { .. })),
+            "{lock:?}: {report}"
+        );
+    }
 }
 
 // --- seeded Zipfian key sampling ---------------------------------

@@ -28,6 +28,7 @@ use parking_lot::Mutex;
 
 use crate::msg::Write;
 use crate::node::RETRY_INTERVAL;
+use crate::replica::read_freshest;
 use crate::sim::{NetConfig, Sim};
 
 /// How many coordinators a commit tries before reporting
@@ -178,14 +179,16 @@ impl PermanenceBackend for PartitionedStore {
             let mut per_node: BTreeMap<NodeId, Vec<Write>> = BTreeMap::new();
             for (object, state) in &updates {
                 let replicas = Self::replicas_of(&inner, *object);
+                // placement is fixed, so a registration never changes
                 for &replica in &replicas {
-                    let peers: Vec<NodeId> =
-                        replicas.iter().copied().filter(|&r| r != replica).collect();
                     inner
                         .sim
                         .node_mut(replica)
                         .replica_peers
-                        .insert(*object, peers);
+                        .entry(*object)
+                        .or_insert_with(|| {
+                            replicas.iter().copied().filter(|&r| r != replica).collect()
+                        });
                 }
                 let up: Vec<NodeId> = replicas
                     .iter()
@@ -232,27 +235,8 @@ impl PermanenceBackend for PartitionedStore {
 
     fn read(&self, object: ObjectId) -> Option<StoreBytes> {
         let inner = self.inner.lock();
-        let (replica, version, state) = Self::replicas_of(&inner, object)
-            .into_iter()
-            .filter(|&replica| {
-                let node = inner.sim.node(replica);
-                node.up && !node.stale.contains(&object)
-            })
-            .filter_map(|replica| {
-                inner
-                    .sim
-                    .node(replica)
-                    .read_versioned(object)
-                    .map(|(v, s)| (replica, v, s))
-            })
-            .max_by_key(|&(_, version, _)| version)?;
-        inner.sim.obs().emit(EventKind::ReplicaRead {
-            node: replica,
-            object,
-            version,
-            stale: inner.sim.node(replica).stale.contains(&object),
-        });
-        Some(state)
+        let replicas = Self::replicas_of(&inner, object);
+        read_freshest(&inner.sim, object, &replicas).map(|(_, state)| state)
     }
 
     fn recover(&self) {

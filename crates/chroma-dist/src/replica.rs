@@ -125,31 +125,7 @@ impl ReplicatedObject {
     /// such replica exists (the object is unavailable).
     #[must_use]
     pub fn read(&self, cluster: &Sim) -> Option<(u64, StoreBytes)> {
-        let (member, version, state) = self
-            .members
-            .iter()
-            .copied()
-            .filter(|&m| {
-                let node = cluster.node(m);
-                node.up && !node.stale.contains(&self.object)
-            })
-            .filter_map(|m| {
-                cluster
-                    .node(m)
-                    .read_versioned(self.object)
-                    .map(|(v, s)| (m, v, s))
-            })
-            .max_by_key(|&(_, version, _)| version)?;
-        cluster.obs().emit(EventKind::ReplicaRead {
-            node: member,
-            object: self.object,
-            version,
-            // the filter above excludes stale copies; report the
-            // serving copy's actual flag so a filtering bug is visible
-            // in the trace rather than masked
-            stale: cluster.node(member).stale.contains(&self.object),
-        });
-        Some((version, state))
+        read_freshest(cluster, self.object, &self.members)
     }
 
     /// Returns each up member's `(node, version)` — for convergence
@@ -175,6 +151,40 @@ impl ReplicatedObject {
         sim.schedule_crash(member, 0);
         sim.schedule_recover(member, downtime.max(RETRY_INTERVAL));
     }
+}
+
+/// Read-one over `members`, `object`'s replica homes: the freshest copy
+/// among the up, non-stale ones, reported as a `ReplicaRead`. `None` if
+/// no such copy exists (the object is unavailable).
+pub(crate) fn read_freshest(
+    cluster: &Sim,
+    object: ObjectId,
+    members: &[NodeId],
+) -> Option<(u64, StoreBytes)> {
+    let (member, version, state) = members
+        .iter()
+        .copied()
+        .filter(|&m| {
+            let node = cluster.node(m);
+            node.up && !node.stale.contains(&object)
+        })
+        .filter_map(|m| {
+            cluster
+                .node(m)
+                .read_versioned(object)
+                .map(|(v, s)| (m, v, s))
+        })
+        .max_by_key(|&(_, version, _)| version)?;
+    cluster.obs().emit(EventKind::ReplicaRead {
+        node: member,
+        object,
+        version,
+        // the filter above excludes stale copies; report the serving
+        // copy's actual flag so a filtering bug is visible in the trace
+        // rather than masked
+        stale: cluster.node(member).stale.contains(&object),
+    });
+    Some((version, state))
 }
 
 #[cfg(test)]

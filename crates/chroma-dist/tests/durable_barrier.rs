@@ -93,6 +93,26 @@ fn pages(node: &Node) -> BTreeMap<ObjectId, Vec<u8>> {
         .collect()
 }
 
+/// Every object a handler in these tests writes: a transaction's at
+/// `1_000 + txn`, an RPC `Put`'s at `5_000 + i` (both number at most
+/// 16) and the replica at `7_000`.
+fn handler_objects() -> impl Iterator<Item = ObjectId> {
+    (1_001..=1_016)
+        .chain(5_001..=5_016)
+        .chain([7_000])
+        .map(ObjectId::from_raw)
+}
+
+/// The handlers' objects as the node reads them, stage included: what
+/// the next barrier must write, read before it runs. Unlike [`pages`],
+/// no 2PC record appears, so a barrier cannot count its own write of
+/// one as a change.
+fn staged_pages(node: &Node) -> BTreeMap<ObjectId, Vec<u8>> {
+    handler_objects()
+        .filter_map(|o| Some((o, node.read(o)?.to_vec())))
+        .collect()
+}
+
 /// Bytes in the files the store's manifest names.
 fn log_bytes(dir: &Path) -> u64 {
     DiskStore::live_segment_paths(&OsFs, dir)
@@ -169,18 +189,29 @@ impl Member {
     }
 
     /// Runs one handler and the barrier, then checks the barrier wrote
-    /// exactly when the handler changed something it must force.
+    /// exactly when the handler changed something it must force: an
+    /// object, or a record other than an end record. What changed is
+    /// read before the barrier runs.
     fn step(&mut self, handler: impl FnOnce(&mut Node) -> Vec<Effect>) -> Vec<Effect> {
-        let (pages_before, records_before) = (pages(&self.node), self.node.tpc_records());
+        let (pages_before, records_before) = (staged_pages(&self.node), self.node.tpc_records());
         let (fsyncs, bytes) = (self.disk.log_fsync_count(), log_bytes(&self.dir.0));
         let effects = handler(&mut self.node);
-        self.node.barrier();
-        let records = self.node.tpc_records();
-        let forced = pages(&self.node) != pages_before
-            || records
+        let forced = staged_pages(&self.node) != pages_before
+            || self
+                .node
+                .tpc_records()
                 .iter()
                 .any(|r| !is_end(r) && !records_before.contains(r));
+        self.node.barrier();
         let id = self.node.id();
+        let unlisted: Vec<ObjectId> = pages(&self.node)
+            .into_keys()
+            .filter(|&o| o < TPC_LOG_BASE && !handler_objects().any(|h| h == o))
+            .collect();
+        assert!(
+            unlisted.is_empty(),
+            "{id}: handler_objects misses {unlisted:?}"
+        );
         if forced {
             assert!(
                 self.disk.log_fsync_count() > fsyncs,

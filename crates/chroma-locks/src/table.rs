@@ -176,8 +176,6 @@ pub struct LockTable<P> {
     /// [`cancel_waiter`](LockTable::cancel_waiter) can skip the shard
     /// walk when nothing waits.
     waiters_registered: AtomicU64,
-    waits_started: AtomicU64,
-    wait_micros: AtomicU64,
     /// The one observability handle, read without a lock.
     obs: ObsCell,
 }
@@ -216,8 +214,6 @@ impl<P> LockTable<P> {
             action_index: Sharded::default(),
             interrupts_outstanding: AtomicU64::new(0),
             waiters_registered: AtomicU64::new(0),
-            waits_started: AtomicU64::new(0),
-            wait_micros: AtomicU64::new(0),
             obs: ObsCell::new(),
         }
     }
@@ -282,12 +278,14 @@ impl<P> LockTable<P> {
 
     /// Returns aggregate waiting statistics (how often and how long
     /// blocking acquisitions parked) — the raw data behind the lock
-    /// availability experiments.
+    /// availability experiments. The sum of
+    /// [`shard_wait_stats`](LockTable::shard_wait_stats).
     #[must_use]
     pub fn wait_stats(&self) -> WaitStats {
+        let shards = self.shard_wait_stats();
         WaitStats {
-            waits: self.waits_started.load(Ordering::Relaxed),
-            total_wait_micros: self.wait_micros.load(Ordering::Relaxed),
+            waits: shards.iter().map(|s| s.waits).sum(),
+            total_wait_micros: shards.iter().map(|s| s.total_wait_micros).sum(),
         }
     }
 
@@ -333,12 +331,13 @@ impl<P> LockTable<P> {
 
 impl<P> Observable for LockTable<P> {
     /// Installs an observability handle; subsequent lock traffic emits
-    /// `LockRequest`/`LockGrant`/`LockConflict`/`LockInherit`/
-    /// `LockRelease` events and feeds the `locks.wait_us`,
-    /// `locks.wait_us.shard<k>` and `locks.shard_contention`
-    /// histograms. The table keeps one handle, which every shard reads
-    /// without a lock. `LockRequest` goes out before the shard is
-    /// locked and grants, inherits and releases after it is released,
+    /// `LockGrant`/`LockConflict`/`LockInherit`/`LockRelease` events
+    /// and feeds the `locks.wait_us`, `locks.wait_us.shard<k>` and
+    /// `locks.shard_contention` histograms. The table keeps one
+    /// handle, which every shard reads without a lock. A request emits
+    /// only its decision: one `LockGrant`, or one `LockConflict` at its
+    /// first failed check (then a `LockGrant` if a waiter wins). Grants,
+    /// inherits and releases go out after the shard lock is released,
     /// so a drain those emits start never runs inside the shard's
     /// critical section; only a waiter's one `LockConflict` is emitted
     /// under the shard lock.
@@ -369,14 +368,6 @@ impl<P: LockPolicy> LockTable<P> {
         // exist (a spurious bit on a denied request is harmless).
         self.note_holding(action, shard_idx);
         let obs = self.obs.get();
-        if obs.enabled() {
-            obs.emit(EventKind::LockRequest {
-                action,
-                object,
-                colour,
-                mode,
-            });
-        }
         let mut state = self.shards.at(shard_idx).state.lock();
         let result = match self.check_and_apply(&mut state, &chain, action, object, colour, mode) {
             Ok(outcome) => Ok(outcome),
@@ -432,14 +423,6 @@ impl<P: LockPolicy> LockTable<P> {
         let shard = self.shards.at(shard_idx);
         self.note_holding(action, shard_idx);
         let obs = self.obs.get();
-        if obs.enabled() {
-            obs.emit(EventKind::LockRequest {
-                action,
-                object,
-                colour,
-                mode,
-            });
-        }
         let mut state = shard.state.lock();
         let mut registered: Vec<ActionId> = Vec::new();
         // Victims this waiter already flagged, so re-observing the same
@@ -512,7 +495,6 @@ impl<P: LockPolicy> LockTable<P> {
                     }
                     if parked_since.is_none() {
                         parked_since = Some(Instant::now());
-                        self.waits_started.fetch_add(1, Ordering::Relaxed);
                         shard.waits_started.fetch_add(1, Ordering::Relaxed);
                     }
                     let timed_out = match deadline {
@@ -563,7 +545,6 @@ impl<P: LockPolicy> LockTable<P> {
         drop(state);
         if let Some(since) = parked_since {
             let waited = u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX);
-            self.wait_micros.fetch_add(waited, Ordering::Relaxed);
             shard.wait_micros.fetch_add(waited, Ordering::Relaxed);
             if obs.enabled() {
                 obs.observe("locks.wait_us", waited);
@@ -599,7 +580,7 @@ impl<P: LockPolicy> LockTable<P> {
 
     /// Discards a pending interrupt for `action`, if any (the action
     /// finished its work without needing another lock).
-    pub fn clear_interrupt(&self, action: ActionId) {
+    pub(crate) fn clear_interrupt(&self, action: ActionId) {
         if self.interrupts_outstanding.load(Ordering::Relaxed) == 0 {
             return;
         }
@@ -790,25 +771,6 @@ impl<P: LockPolicy> LockTable<P> {
         }
         snapshots.sort_by_key(|s| (s.object, s.colour));
         snapshots
-    }
-
-    /// Returns the objects `action` holds in `colour`, with the held
-    /// mode. Drives per-colour commit in the runtime.
-    #[must_use]
-    pub fn locks_of_colour(&self, action: ActionId, colour: Colour) -> Vec<(ObjectId, LockMode)> {
-        let mask = self.mask_of(action);
-        let mut locks: Vec<(ObjectId, LockMode)> = Vec::new();
-        for idx in Self::mask_shards(mask) {
-            let state = self.shards.at(idx).state.lock();
-            locks.extend(state.objects.iter().flat_map(|(&object, holders)| {
-                holders
-                    .iter()
-                    .filter(|e| e.action == action && e.colour == colour)
-                    .map(move |e| (object, e.mode))
-            }));
-        }
-        locks.sort_by_key(|&(object, _)| object);
-        locks
     }
 
     /// Returns the total number of granted lock entries (for tests and
@@ -1235,8 +1197,8 @@ mod tests {
             .unwrap();
         let locks = table.locks_of(a(1));
         assert_eq!(locks.len(), 2);
-        assert_eq!(table.locks_of_colour(a(1), red()).len(), 1);
-        assert_eq!(table.locks_of_colour(a(1), blue()).len(), 1);
+        assert_eq!(locks.iter().filter(|l| l.colour == red()).count(), 1);
+        assert_eq!(locks.iter().filter(|l| l.colour == blue()).count(), 1);
         assert_eq!(table.entry_count(), 2);
     }
 

@@ -83,3 +83,54 @@ fn timeout_also_counts_as_a_wait() {
     assert_eq!(stats.waits, 1);
     assert!(stats.total_wait_micros >= 15_000);
 }
+
+#[test]
+fn totals_are_the_sum_over_shards() {
+    let table = Arc::new(LockTable::new(ColouredPolicy));
+    let ctx = FlatAncestry::new();
+    // two held objects in different shards, one waiter on each
+    let first = o(1);
+    let second = (2..)
+        .map(o)
+        .find(|&x| table.shard_of(x) != table.shard_of(first))
+        .unwrap();
+    for object in [first, second] {
+        table
+            .try_acquire(&ctx, a(1), object, red(), LockMode::Write)
+            .unwrap();
+    }
+    let waiters: Vec<_> = [(a(2), first), (a(3), second)]
+        .into_iter()
+        .map(|(action, object)| {
+            let (table, ctx) = (Arc::clone(&table), ctx.clone());
+            std::thread::spawn(move || {
+                table.acquire(
+                    &ctx,
+                    action,
+                    object,
+                    red(),
+                    LockMode::Write,
+                    Some(Duration::from_secs(5)),
+                )
+            })
+        })
+        .collect();
+    while table.waiting_count() < 2 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    table.release_colour(a(1), red());
+    for waiter in waiters {
+        waiter.join().unwrap().unwrap();
+    }
+    let shards = table.shard_wait_stats();
+    let total = table.wait_stats();
+    assert_eq!(total.waits, 2);
+    assert_eq!(total.waits, shards.iter().map(|s| s.waits).sum::<u64>());
+    assert_eq!(
+        total.total_wait_micros,
+        shards.iter().map(|s| s.total_wait_micros).sum::<u64>()
+    );
+    for object in [first, second] {
+        assert_eq!(shards[table.shard_of(object)].waits, 1, "{object}");
+    }
+}

@@ -984,12 +984,6 @@ mod tests {
         let o = ObjectId::from_raw(5);
         let c = Colour::from_index(0);
         for kind in [
-            EventKind::LockRequest {
-                action: reader,
-                object: o,
-                colour: c,
-                mode: LockMode::Read,
-            },
             EventKind::LockGrant {
                 action: reader,
                 object: o,
@@ -1031,7 +1025,7 @@ mod tests {
                 parent: None,
                 colours: 0b1,
             }),
-            ev(EventKind::LockRequest {
+            ev(EventKind::LockConflict {
                 action: writer,
                 object: o,
                 colour: c,

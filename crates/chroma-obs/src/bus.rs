@@ -207,16 +207,6 @@ impl EventBus {
         self.core.emit(None, None, kind)
     }
 
-    /// Counts, stamps and fans out one event with causal context.
-    ///
-    /// The event's node is the kind's intrinsic node when the payload
-    /// names one, else `node`; when a node is known its Lamport clock
-    /// ticks and stamps the event (`lc > 0`). `corr` flows through
-    /// untouched.
-    pub fn emit_traced(&self, node: Option<NodeId>, corr: Option<u64>, kind: EventKind) -> Event {
-        self.core.emit(node, corr, kind)
-    }
-
     /// Merges an observed remote clock into `node`'s clock (sets it to
     /// at least `observed_lc`). Called by transports *before* emitting
     /// the delivery event, so the delivery's clock strictly exceeds
@@ -357,6 +347,12 @@ impl Core {
             .1
     }
 
+    /// Counts, stamps and fans out one event with causal context.
+    ///
+    /// The event's node is the kind's intrinsic node when the payload
+    /// names one, else `node`; when a node is known its Lamport clock
+    /// ticks and stamps the event (`lc > 0`). `corr` flows through
+    /// untouched.
     fn emit(&self, node: Option<NodeId>, corr: Option<u64>, kind: EventKind) -> Event {
         self.debug_check_parent(&kind);
         let node = kind.intrinsic_node().or(node);
@@ -585,7 +581,7 @@ impl Obs {
     /// Emits an event (no-op without a bus).
     pub fn emit(&self, kind: EventKind) {
         if let Some(bus) = &self.bus {
-            bus.emit_traced(self.node, None, kind);
+            bus.core.emit(self.node, None, kind);
         }
     }
 
@@ -596,7 +592,7 @@ impl Obs {
     pub fn emit_corr(&self, corr: u64, kind: EventKind) -> Option<Event> {
         self.bus
             .as_ref()
-            .map(|bus| bus.emit_traced(self.node, Some(corr), kind))
+            .map(|bus| bus.core.emit(self.node, Some(corr), kind))
     }
 
     /// Merges an observed remote clock into `node`'s clock (no-op

@@ -395,17 +395,6 @@ event_kinds! {
         /// The aborting action.
         action: ActionId,
     }
-    /// An action asked the lock table for a lock.
-    LockRequest "lock_request" {
-        /// The requesting action.
-        action: ActionId,
-        /// The object to lock.
-        object: ObjectId,
-        /// The colour the lock is requested in.
-        colour: Colour,
-        /// The requested mode.
-        mode: LockMode,
-    }
     /// A lock request succeeded (fresh grant, re-grant or upgrade).
     LockGrant "lock_grant" {
         /// The holding action.
@@ -1069,12 +1058,6 @@ mod tests {
             },
             EventKind::ActionCommit { action: a2 },
             EventKind::ActionAbort { action: a1 },
-            EventKind::LockRequest {
-                action: a1,
-                object: o,
-                colour: c(0),
-                mode: LockMode::Read,
-            },
             EventKind::LockGrant {
                 action: a1,
                 object: o,

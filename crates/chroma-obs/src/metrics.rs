@@ -117,11 +117,6 @@ impl Histogram {
         self.max_us = self.max_us.max(us);
     }
 
-    /// Records a [`Duration`] sample.
-    pub fn observe_duration(&mut self, d: Duration) {
-        self.observe(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
-    }
-
     /// Folds another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {

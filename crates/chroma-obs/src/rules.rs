@@ -55,8 +55,8 @@
 //!   (`VersionPublish`) whose stamp is `<=` the snapshot's stamp,
 //!   whatever the version's colour — stamp 0 meaning the base/stable
 //!   state — and (b) never appear in
-//!   lock traffic (request, grant, or conflict: a waiting snapshot
-//!   reader would be a waits-for edge). Version chains are volatile,
+//!   lock traffic (a grant, or a conflict: a waiting snapshot reader
+//!   would be a waits-for edge). Version chains are volatile,
 //!   so a `NodeCrash` resets the node's published history: post-crash
 //!   snapshots correctly see the stable state as stamp 0.
 //! * **R11 — segment lifecycle.** The segmented intentions log's
@@ -304,7 +304,7 @@ pub enum Violation {
         expected: u64,
     },
     /// R10: a snapshot (read-only) action appeared in lock traffic —
-    /// it requested, was granted, or waited for a lock, so it could
+    /// it was granted, refused or waited for a lock, so it could
     /// appear in a waits-for edge.
     SnapshotReaderLocks {
         /// The offending snapshot action.
@@ -883,10 +883,10 @@ impl Rules {
                 }
             }
             // R10: a read-only action must never enter the lock table,
-            // not even to request or wait — a waiting snapshot reader
-            // is a waits-for edge.
-            EventKind::LockRequest { action, object, .. }
-            | EventKind::LockConflict { action, object, .. } => {
+            // not even to be refused or wait — a waiting snapshot
+            // reader is a waits-for edge. (The grant arm below flags a
+            // granted one.)
+            EventKind::LockConflict { action, object, .. } => {
                 if self
                     .actions
                     .get(&action)
@@ -952,7 +952,10 @@ impl Rules {
                 colour,
             } => {
                 let key = (object.as_raw(), colour.index());
-                let mut moved = None;
+                // from an action the window does not hold, the moved
+                // mode is unknown: take the strongest, so R3 skips the
+                // heir's writes rather than judge them against a guess
+                let mut moved = Some(LockMode::Write);
                 if let Some(a) = acting(&mut self.actions, exact, from, None, out) {
                     a.shrink();
                     moved = a.held.remove(&key);

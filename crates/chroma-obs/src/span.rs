@@ -10,10 +10,11 @@
 //! committed top-level action's wall time is partitioned exactly
 //! (gap by gap, attributed to the event that terminates the gap) into
 //! lock wait, fsync, network, 2PC and compute phases, aggregated per
-//! colour. The partition is exact by construction, so the phase sum
+//! colour. A lock wait runs from a request's `lock_conflict` to its
+//! `lock_grant`; an uncontended grant ends a compute gap. The partition is exact by construction, so the phase sum
 //! of a colour always equals the measured end-to-end commit latency.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use chroma_base::{ActionId, NodeId, ObjectId};
@@ -43,9 +44,11 @@ pub enum SpanKind {
         /// How it ended.
         outcome: Outcome,
     },
-    /// The window between a lock request and its grant.
+    /// The window between a refused lock request (its
+    /// `lock_conflict`) and its grant, or the action's end if it never
+    /// won.
     LockWait {
-        /// The requesting action.
+        /// The waiting action.
         action: ActionId,
         /// The contended object.
         object: ObjectId,
@@ -252,22 +255,27 @@ impl SpanForest {
                     }
                     open_actions.retain(|a| *a != action);
                 }
-                EventKind::LockRequest { action, object, .. } => {
+                EventKind::LockConflict { action, object, .. } => {
+                    // a refusal opens a wait; an uncontended acquire
+                    // (a lone grant) never has one
                     if let Some(&aidx) = action_spans.get(&action) {
                         attribute(&mut forest, aidx, i, at);
-                        let widx = push_span(
-                            &mut forest,
-                            Span {
-                                kind: SpanKind::LockWait { action, object },
-                                node: event.node,
-                                begin_us: at,
-                                end_us: at,
-                                parent: Some(aidx),
-                                children: Vec::new(),
-                                events: Vec::new(),
-                            },
-                        );
-                        lock_waits.insert((action, object.as_raw()), widx);
+                        lock_waits
+                            .entry((action, object.as_raw()))
+                            .or_insert_with(|| {
+                                push_span(
+                                    &mut forest,
+                                    Span {
+                                        kind: SpanKind::LockWait { action, object },
+                                        node: event.node,
+                                        begin_us: at,
+                                        end_us: at,
+                                        parent: Some(aidx),
+                                        children: Vec::new(),
+                                        events: Vec::new(),
+                                    },
+                                )
+                            });
                     }
                 }
                 EventKind::LockGrant { action, object, .. } => {
@@ -278,9 +286,7 @@ impl SpanForest {
                         attribute(&mut forest, aidx, i, at);
                     }
                 }
-                EventKind::LockConflict { action, .. }
-                | EventKind::LockRelease { action, .. }
-                | EventKind::UndoRecord { action, .. } => {
+                EventKind::LockRelease { action, .. } | EventKind::UndoRecord { action, .. } => {
                     if let Some(&aidx) = action_spans.get(&action) {
                         attribute(&mut forest, aidx, i, at);
                     }
@@ -468,20 +474,37 @@ impl SpanForest {
                 } => {
                     let span = &self.spans[root];
                     // every attributed event in the subtree, as
-                    // (timestamp, phase) partition points
-                    let mut points: Vec<(u64, Phase)> = Vec::new();
+                    // (timestamp, event index) partition points, in
+                    // trace order within a timestamp
+                    let mut points: Vec<(u64, usize)> = Vec::new();
                     let mut stack = vec![root];
                     while let Some(idx) = stack.pop() {
                         for &i in &self.spans[idx].events {
                             let at = events[i].at_us.clamp(span.begin_us, span.end_us);
-                            points.push((at, classify(&events[i].kind)));
+                            points.push((at, i));
                         }
                         stack.extend(self.spans[idx].children.iter().copied());
                     }
-                    points.sort_unstable_by_key(|(at, _)| *at);
+                    points.sort_unstable();
                     let mut phases = [0u64; Phase::COUNT];
+                    // refused requests whose grant is still to come:
+                    // only the gap a grant closes after its conflict
+                    // is a lock wait
+                    let mut waiting: HashSet<(ActionId, ObjectId)> = HashSet::new();
                     let mut prev = span.begin_us;
-                    for (at, phase) in points {
+                    for (at, i) in points {
+                        let phase = match events[i].kind {
+                            EventKind::LockConflict { action, object, .. } => {
+                                waiting.insert((action, object));
+                                Phase::Compute
+                            }
+                            EventKind::LockGrant { action, object, .. }
+                                if waiting.remove(&(action, object)) =>
+                            {
+                                Phase::LockWait
+                            }
+                            ref kind => classify(kind),
+                        };
                         phases[phase as usize] += at - prev;
                         prev = at;
                     }
@@ -522,7 +545,8 @@ impl SpanForest {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(usize)]
 pub enum Phase {
-    /// Waiting for (or being refused) a lock.
+    /// Waiting for a lock: from a request's `lock_conflict` to its
+    /// grant.
     LockWait = 0,
     /// Durable store work: log appends, group fsyncs, replays, seals.
     Fsync = 1,
@@ -542,9 +566,12 @@ impl Phase {
         ["lock_wait", "fsync", "network", "2pc", "compute"];
 }
 
+/// The phase of the gap an event ends, for every kind but a grant
+/// that closes a conflict (lock wait, decided in
+/// [`SpanForest::critical_path`]). Every other lock event, the
+/// conflict included, ends compute.
 fn classify(kind: &EventKind) -> Phase {
     match kind {
-        EventKind::LockGrant { .. } | EventKind::LockConflict { .. } => Phase::LockWait,
         EventKind::DiskAppend { .. }
         | EventKind::DiskReplay { .. }
         | EventKind::DiskGroupCommit { .. }
@@ -670,7 +697,7 @@ mod tests {
             ),
             ev(
                 20,
-                EventKind::LockRequest {
+                EventKind::LockConflict {
                     action: b,
                     object: o,
                     colour: c,
@@ -731,7 +758,7 @@ mod tests {
             ),
             ev(
                 5,
-                EventKind::LockRequest {
+                EventKind::LockConflict {
                     action: a,
                     object: o,
                     colour: c,
@@ -779,6 +806,94 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("lock_wait"), "{text}");
         assert!(text.contains("c2"), "{text}");
+    }
+
+    #[test]
+    fn only_a_conflict_opens_a_lock_wait() {
+        let a = ActionId::from_raw(1);
+        let free = ObjectId::from_raw(5);
+        let held = ObjectId::from_raw(6);
+        let refused = ObjectId::from_raw(7);
+        let c = Colour::from_index(0);
+        let mode = LockMode::Write;
+        let grant = |object| EventKind::LockGrant {
+            action: a,
+            object,
+            colour: c,
+            mode,
+        };
+        let conflict = |object| EventKind::LockConflict {
+            action: a,
+            object,
+            colour: c,
+            mode,
+        };
+        let events = vec![
+            ev(
+                0,
+                EventKind::ActionBegin {
+                    action: a,
+                    parent: None,
+                    colours: 0b1,
+                },
+            ),
+            // uncontended: the 10 µs before the grant are compute
+            ev(10, grant(free)),
+            // contended: 5 µs of compute to the first failed check,
+            // then 30 µs of lock wait to the grant
+            ev(15, conflict(held)),
+            ev(45, grant(held)),
+            // refused and never granted (a try-acquire): no wait is
+            // charged, though its span runs to the action's end
+            ev(50, conflict(refused)),
+            ev(60, EventKind::ActionCommit { action: a }),
+        ];
+        let forest = SpanForest::build(&events);
+        let root = &forest.spans[forest.roots[0]];
+        let waits: Vec<_> = root
+            .children
+            .iter()
+            .map(|&w| &forest.spans[w])
+            .map(|w| (w.kind, w.begin_us, w.end_us))
+            .collect();
+        assert_eq!(
+            waits,
+            vec![
+                (
+                    SpanKind::LockWait {
+                        action: a,
+                        object: held
+                    },
+                    15,
+                    45
+                ),
+                (
+                    SpanKind::LockWait {
+                        action: a,
+                        object: refused
+                    },
+                    50,
+                    60
+                ),
+            ],
+            "no wait span for the uncontended grant"
+        );
+        let row = forest.critical_path(&events).colours[&0].clone();
+        assert_eq!(row.phases[Phase::LockWait as usize], 30, "conflict → grant");
+        assert_eq!(row.phases[Phase::Compute as usize], 30);
+        assert_eq!(row.phases.iter().sum::<u64>(), row.total_us);
+
+        // an uncontended acquire alone: no wait span, 0 µs of lock wait
+        let events = [
+            events[0],
+            events[1],
+            ev(20, EventKind::ActionCommit { action: a }),
+        ];
+        let forest = SpanForest::build(&events);
+        assert!(forest.spans[forest.roots[0]].children.is_empty());
+        let row = forest.critical_path(&events).colours[&0].clone();
+        assert_eq!(row.phases[Phase::LockWait as usize], 0);
+        assert_eq!(row.phases[Phase::Compute as usize], 20);
     }
 
     #[test]

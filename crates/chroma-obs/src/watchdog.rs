@@ -688,7 +688,7 @@ mod tests {
             action: aid(5),
             stamp: 0,
         });
-        bus.emit(EventKind::LockRequest {
+        bus.emit(EventKind::LockConflict {
             action: aid(5),
             object: oid(7),
             colour: col(0),

@@ -74,8 +74,7 @@ pub fn complete(events: &[Event]) -> bool {
                 [None, None]
             }
             EventKind::SnapshotRead { action, .. } if !opened.contains(action) => return false,
-            EventKind::LockRequest { action, .. }
-            | EventKind::LockConflict { action, .. }
+            EventKind::LockConflict { action, .. }
             | EventKind::LockGrant { action, .. }
             | EventKind::LockRelease { action, .. }
             | EventKind::UndoRecord { action, .. }

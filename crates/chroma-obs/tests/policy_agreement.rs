@@ -178,12 +178,6 @@ impl Model {
                 let action = act.id;
                 hold(&mut act.held, object, colour, mode);
                 let colour = c(colour);
-                self.emit(EventKind::LockRequest {
-                    action,
-                    object,
-                    colour,
-                    mode,
-                });
                 self.emit(EventKind::LockGrant {
                     action,
                     object,
@@ -416,10 +410,25 @@ fn mutate(events: &mut Vec<Event>, rng: &mut Rng) {
                     EventKind::DiskGroupCommit { batches, .. }
                     | EventKind::DiskReplay { batches, .. } => *batches += 1,
                     EventKind::SegmentGc { segment, .. } => *segment += 7,
-                    EventKind::SnapshotRead { stamp, .. } => *stamp += 1,
+                    EventKind::SnapshotRead { stamp, .. } if rng.below(2) == 0 => *stamp += 1,
+                    // the reader, its snapshot open, is refused a lock
+                    EventKind::SnapshotRead {
+                        action,
+                        object,
+                        colour,
+                        ..
+                    } => {
+                        let (action, object, colour) = (*action, *object, *colour);
+                        event.kind = EventKind::LockConflict {
+                            action,
+                            object,
+                            colour,
+                            mode: LockMode::Read,
+                        };
+                    }
                     EventKind::SnapshotOpen { action, .. } => {
                         let (action, object) = (*action, o(0));
-                        event.kind = EventKind::LockRequest {
+                        event.kind = EventKind::LockConflict {
                             action,
                             object,
                             colour: c(0),
@@ -511,6 +520,20 @@ fn never_begun_action_exact_flags_windowed_skips() {
         .iter()
         .any(|v| matches!(v, Violation::UnknownAction { .. })));
     assert!(exact
+        .iter()
+        .any(|v| matches!(v, Violation::WriteWithoutWriteLock { .. })));
+
+    // its write lock, inherited by a traced heir, lets the heir write:
+    // the window never saw the grant, so the moved mode is unknown and
+    // the heir's write is skipped, not judged against a read lock
+    let (exact, windowed) = verdicts(&[
+        begin(a(8), None, 0b1),
+        grant(a(9), o(1), LockMode::Write),
+        inherit(a(9), a(8), o(1)),
+        undo(a(8), o(1)),
+    ]);
+    assert!(windowed.is_empty(), "{windowed:?}");
+    assert!(!exact
         .iter()
         .any(|v| matches!(v, Violation::WriteWithoutWriteLock { .. })));
 }

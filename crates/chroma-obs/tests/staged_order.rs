@@ -33,7 +33,6 @@ fn action_of(event: &Event) -> Option<ActionId> {
         EventKind::ActionBegin { action, .. }
         | EventKind::ActionCommit { action }
         | EventKind::ActionAbort { action }
-        | EventKind::LockRequest { action, .. }
         | EventKind::LockGrant { action, .. }
         | EventKind::LockConflict { action, .. }
         | EventKind::LockRelease { action, .. }
