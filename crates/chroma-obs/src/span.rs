@@ -11,8 +11,9 @@
 //! (gap by gap, attributed to the event that terminates the gap) into
 //! lock wait, fsync, network, 2PC and compute phases, aggregated per
 //! colour. A lock wait runs from a request's `lock_conflict` to its
-//! `lock_grant`; an uncontended grant ends a compute gap. The partition is exact by construction, so the phase sum
-//! of a colour always equals the measured end-to-end commit latency.
+//! `lock_grant`; an uncontended grant ends a compute gap. The
+//! partition is exact by construction, so the phase sum of a colour
+//! always equals the measured end-to-end commit latency.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
