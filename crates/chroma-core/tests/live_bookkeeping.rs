@@ -21,6 +21,7 @@
 //!
 //! `CHROMA_TORTURE_SEED` (default 42) draws the schedules.
 
+use std::collections::HashSet;
 use std::sync::{Barrier, Mutex};
 use std::thread;
 
@@ -79,6 +80,7 @@ fn step(
 fn run_structures(rt: &Runtime, objects: &[ObjectId], t: u64) -> Vec<ActionId> {
     let mut rng = seed() ^ (t << 48);
     let mut ids = Vec::new();
+    let mut mine = HashSet::new();
     let mut steps = 0;
     while steps < STEPS / THREADS as usize {
         let kind = splitmix(&mut rng) % 3;
@@ -90,6 +92,7 @@ fn run_structures(rt: &Runtime, objects: &[ObjectId], t: u64) -> Vec<ActionId> {
         };
         let host = rt.begin_top(host_colours).expect("begin host");
         ids.push(host);
+        mine.insert(host);
         let fence = match kind {
             0 => Some(Fence::EveryAccess(control)),
             1 => Some(Fence::HandOver(control)),
@@ -110,12 +113,22 @@ fn run_structures(rt: &Runtime, objects: &[ObjectId], t: u64) -> Vec<ActionId> {
             });
             assert_eq!(committed, !fail);
             ids.push(id);
+            mine.insert(id);
             steps += 1;
             // Only the structure's live members have a state, and each
-            // thread has at most a host and a step live.
+            // thread has at most a host and a step live: between steps,
+            // exactly its host. Counted per thread, because only this
+            // thread begins and ends its own actions: the scan reads the
+            // tree's shards one after another, so a global count could
+            // see the other thread's finished host and its next one.
             assert_eq!(rt.action_state(id), None, "finished step {id}");
             assert_eq!(rt.action_state(host), Some(ActionState::Active));
-            assert!(rt.active_actions().len() <= 2 * THREADS as usize);
+            let live: Vec<ActionId> = rt
+                .active_actions()
+                .into_iter()
+                .filter(|a| mine.contains(a))
+                .collect();
+            assert_eq!(live, [host], "thread {t}'s live actions");
         }
         if splitmix(&mut rng).is_multiple_of(4) {
             rt.abort(host);
@@ -146,6 +159,8 @@ fn bookkeeping_holds_only_live_actions() {
             .flat_map(|h| h.join().unwrap())
             .collect()
     });
+    // Every action begun is one of the threads' own, so each thread's
+    // bound of two live actions bounds the total by `2 * THREADS`.
     assert_eq!(rt.stats().begun, ids.len() as u64);
     for id in ids {
         assert_eq!(rt.action_state(id), None, "{id}");

@@ -64,8 +64,12 @@
 //!
 //! Recovery loads the manifest's image, then replays **exactly the live
 //! suffix**, each file once through a bounded-buffer reader, into the
-//! same in-memory tail the commit path keeps: read, CRC, decode — no
-//! installs, no fsyncs. [`ReplayStats`] and the `DiskReplay` event
+//! same in-memory tail the commit path keeps — no installs, no fsyncs.
+//! Per frame it costs a block read amortised over 64 KiB, a
+//! slicing-by-16 CRC, a decode that borrows the frame where it was
+//! read, and one allocation that copies the intent's state into its
+//! [`StoreBytes`]; pending intents wait in one list until their marker
+//! moves them into the tail. [`ReplayStats`] and the `DiskReplay` event
 //! count the live suffix only, never the image. Every live segment
 //! stays live. The last one stays the active segment and appends
 //! continue in it (a torn tail is trimmed off first — the only write
@@ -177,7 +181,7 @@ use chroma_base::ObjectId;
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::codec::{self, Stored};
+use crate::codec::{CodecError, Stored};
 use crate::crc32::crc32;
 use crate::fs::{Fs, FsFile, OsFs};
 use crate::StoreBytes;
@@ -278,18 +282,57 @@ pub struct ReplayStats {
     pub objects: u64,
 }
 
-crate::stored! {
-    /// One framed record in the on-disk intentions log.
-    #[derive(Debug)]
-    enum DiskRecord {
-        Intent {
-            batch: u64,
-            object: u64,
-            state: Vec<u8>,
-        },
-        Commit {
-            batch: u64,
-        },
+/// One framed record of the on-disk intentions log, borrowed from the
+/// frame it was read out of. The payload is the codec layout of a
+/// `stored!` enum: a `u32` variant index (0 intent, 1 commit marker),
+/// then the variant's fields, the state as a `u64` length and its
+/// bytes. [`push_intent`] and [`push_commit`] write it.
+#[derive(Debug, PartialEq, Eq)]
+enum Record<'a> {
+    Intent {
+        batch: u64,
+        object: u64,
+        state: &'a [u8],
+    },
+    Commit {
+        batch: u64,
+    },
+}
+
+impl<'a> Record<'a> {
+    /// Decodes one frame's payload without copying the state out of
+    /// it; the whole payload must be used.
+    fn decode(mut payload: &'a [u8]) -> Result<Self, CodecError> {
+        let input = &mut payload;
+        let record = match u32::decode(input)? {
+            0 => {
+                let batch = u64::decode(input)?;
+                let object = u64::decode(input)?;
+                let len = u64::decode(input)?;
+                let (state, rest) = usize::try_from(len)
+                    .ok()
+                    .and_then(|len| input.split_at_checked(len))
+                    .ok_or(CodecError::UnexpectedEnd)?;
+                *input = rest;
+                Record::Intent {
+                    batch,
+                    object,
+                    state,
+                }
+            }
+            1 => Record::Commit {
+                batch: u64::decode(input)?,
+            },
+            index => {
+                return Err(CodecError::InvalidValue(format!(
+                    "variant index {index} of DiskRecord"
+                )))
+            }
+        };
+        match input.len() {
+            0 => Ok(record),
+            trailing => Err(CodecError::TrailingBytes(trailing)),
+        }
     }
 }
 
@@ -452,7 +495,8 @@ struct Shared {
     group_changed: Condvar,
     wal: Mutex<WalState>,
     /// Every object's newest committed state: the image plus every
-    /// batch published since.
+    /// batch published since. Hashed with the default SipHash: object
+    /// ids reach a node in its peers' messages.
     tail: Mutex<HashMap<u64, StoreBytes>>,
     /// Serialises checkpoints (background thread vs `checkpoint_now`).
     ckpt_run: Mutex<()>,
@@ -1208,8 +1252,7 @@ fn push_frame(buf: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) -> Result<u
     Ok((buf.len() - start) as u64)
 }
 
-/// Frames a [`DiskRecord::Intent`] straight from the borrowed state:
-/// the same bytes as encoding the record.
+/// Frames a [`Record::Intent`] straight from the borrowed state.
 fn push_intent(buf: &mut Vec<u8>, batch: u64, object: u64, state: &[u8]) -> Result<u64, DiskError> {
     push_frame(buf, |out| {
         0u32.encode(out); // variant index of `Intent`
@@ -1220,7 +1263,7 @@ fn push_intent(buf: &mut Vec<u8>, batch: u64, object: u64, state: &[u8]) -> Resu
     })
 }
 
-/// Frames a [`DiskRecord::Commit`] marker.
+/// Frames a [`Record::Commit`] marker.
 fn push_commit(buf: &mut Vec<u8>, batch: u64) -> Result<u64, DiskError> {
     push_frame(buf, |out| {
         1u32.encode(out); // variant index of `Commit`
@@ -1331,18 +1374,25 @@ fn read_manifest(fs: &dyn Fs, dir: &Path) -> Result<Option<Manifest>, DiskError>
     Ok(Some(manifest))
 }
 
-/// Streams CRC-framed records out of a log file while holding at most
-/// one frame in memory — recovery cost is bounded by the largest
-/// record, not the log length.
+/// Bytes the frame reader asks its file for at a time.
+const READ_AHEAD: usize = 64 * 1024;
+
+/// Streams CRC-framed records out of a log file through one bounded
+/// buffer: records are parsed where they were read, and the buffer
+/// grows past [`READ_AHEAD`] only to hold a larger frame, so recovery
+/// memory is bounded by the largest record, not the log length.
 struct FrameReader {
     src: Box<dyn io::Read>,
     /// The file's length.
     len: u64,
-    /// Bytes left in the file; a frame promising more is a torn tail.
-    remaining: u64,
-    /// Reusable frame buffer: `[len: u32 LE][payload]`, the
-    /// checksummed span.
-    frame: Vec<u8>,
+    /// Where the next frame starts in the file: the end of the last
+    /// complete frame read so far (or of the magic).
+    offset: u64,
+    /// Read-ahead; `buf[start..end]` holds the file's bytes from
+    /// `offset` on.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl FrameReader {
@@ -1350,72 +1400,110 @@ impl FrameReader {
     /// with anything else is corrupt. `Ok(None)` means the file does
     /// not exist.
     fn open(fs: &dyn Fs, path: &Path) -> Result<Option<FrameReader>, DiskError> {
-        let (len, mut src) = match fs.open_read(path) {
+        let (len, src) = match fs.open_read(path) {
             Ok(opened) => opened,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
+        let mut reader = FrameReader {
+            src,
+            len,
+            offset: 0,
+            buf: vec![0; usize::try_from(len).map_or(READ_AHEAD, |len| len.min(READ_AHEAD))],
+            start: 0,
+            end: 0,
+        };
         // A file cut short inside the magic is a torn creation: it
         // must match as far as it goes, and then holds no records.
-        let mut magic = [0u8; LOG_MAGIC.len()];
-        let header = usize::try_from(len).map_or(magic.len(), |n| n.min(magic.len()));
-        src.read_exact(&mut magic[..header])?;
-        if magic[..header] != LOG_MAGIC[..header] {
+        let header = usize::try_from(len).map_or(LOG_MAGIC.len(), |n| n.min(LOG_MAGIC.len()));
+        reader.fill(header)?;
+        if reader.buf[..header] != LOG_MAGIC[..header] {
             return Err(DiskError::CorruptLog(format!(
                 "{} does not open with the CHLOG001 magic",
                 path.display()
             )));
         }
-        Ok(Some(FrameReader {
-            src,
-            len,
-            remaining: len - header as u64,
-            frame: Vec::new(),
-        }))
+        reader.consume(header);
+        Ok(Some(reader))
     }
 
     /// Where the last complete frame read so far ends (the end of the
     /// magic before any): everything past it is unread or torn.
     fn offset(&self) -> u64 {
-        self.len - self.remaining
+        self.offset
     }
 
-    /// The next record; `Ok(None)` at a clean EOF or a torn tail.
-    fn next(&mut self) -> Result<Option<DiskRecord>, DiskError> {
-        let mut len_bytes = [0u8; 4];
-        if self.remaining < 4 {
+    /// Makes the buffer hold at least `n` bytes from `offset` on; the
+    /// file must have them.
+    fn fill(&mut self, n: usize) -> io::Result<()> {
+        if self.end - self.start >= n {
+            return Ok(());
+        }
+        // Slide the partial frame to the front, and grow only for a
+        // frame larger than the buffer.
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.buf.len() < n {
+            self.buf.resize(n, 0);
+        }
+        while self.end < n {
+            match self.src.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(read) => self.end += read,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Steps past `n` buffered bytes; returns where they start in the
+    /// buffer.
+    fn consume(&mut self, n: usize) -> usize {
+        let at = self.start;
+        self.start += n;
+        self.offset += n as u64;
+        at
+    }
+
+    /// The next record, borrowed from the buffer; `Ok(None)` at a
+    /// clean EOF or a torn tail. The frame's CRC is checked before its
+    /// payload is decoded.
+    fn next(&mut self) -> Result<Option<Record<'_>>, DiskError> {
+        let left = self.len - self.offset;
+        if left < 4 {
             return Ok(None); // torn tail (or clean EOF)
         }
-        self.src.read_exact(&mut len_bytes)?;
-        let len = u64::from(u32::from_le_bytes(len_bytes));
-        if self.remaining < 4 + len + 4 {
+        self.fill(4)?;
+        let len_bytes = &self.buf[self.start..self.start + 4];
+        let len = u32::from_le_bytes(len_bytes.try_into().expect("4-byte length"));
+        if left < 4 + u64::from(len) + 4 {
             return Ok(None); // torn record: discard from here
         }
-        self.remaining -= 4 + len + 4;
-        self.frame.clear();
-        self.frame.extend_from_slice(&len_bytes);
-        self.frame.resize(4 + len as usize, 0);
-        self.src.read_exact(&mut self.frame[4..])?;
-        let mut crc_bytes = [0u8; 4];
-        self.src.read_exact(&mut crc_bytes)?;
-        let stored = u32::from_le_bytes(crc_bytes);
-        let computed = crc32(&self.frame);
+        let frame = 4 + len as usize + 4;
+        self.fill(frame)?;
+        let at = self.consume(frame);
+        let (checked, crc) = self.buf[at..at + frame].split_at(frame - 4);
+        let stored = u32::from_le_bytes(crc.try_into().expect("4-byte CRC"));
+        let computed = crc32(checked);
         if stored != computed {
             return Err(DiskError::CorruptLog(format!(
                 "record checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
             )));
         }
-        codec::from_bytes::<DiskRecord>(&self.frame[4..])
+        Record::decode(&checked[4..])
             .map(Some)
             .map_err(|e| DiskError::CorruptLog(e.to_string()))
     }
 }
 
 /// Replays one log file — a live segment or the checkpoint image — in
-/// a single streaming pass. Intents wait per batch until their commit
-/// marker arrives and then move into `tail`; a batch whose marker never
-/// arrives is dropped. Returns the file's bookkeeping (as segment
-/// `seq`), where its last complete frame ends, and its length.
+/// a single streaming pass. Intents wait in one list, in log order,
+/// until their batch's commit marker arrives and moves them into
+/// `tail`; a batch whose marker never arrives is dropped. Returns the
+/// file's bookkeeping (as segment `seq`), where its last complete frame
+/// ends, and its length.
 fn replay_file(
     fs: &dyn Fs,
     path: &Path,
@@ -1436,22 +1524,23 @@ fn replay_file(
         bytes: 0,
         max_batch: 0,
     };
-    let mut intents: HashMap<u64, Vec<(u64, Vec<u8>)>> = HashMap::new();
+    // (batch, object, state) of every intent not yet committed
+    let mut pending: Vec<(u64, u64, StoreBytes)> = Vec::new();
     while let Some(record) = reader.next()? {
         stats.records += 1;
         match record {
-            DiskRecord::Intent {
+            Record::Intent {
                 batch,
                 object,
                 state,
             } => {
                 *max_batch = (*max_batch).max(batch);
-                intents.entry(batch).or_default().push((object, state));
+                pending.push((batch, object, StoreBytes::copy_from_slice(state)));
             }
-            DiskRecord::Commit { batch } => {
+            Record::Commit { batch } => {
                 *max_batch = (*max_batch).max(batch);
-                for (object, state) in intents.remove(&batch).unwrap_or_default() {
-                    tail.insert(object, StoreBytes::from(state));
+                for (_, object, state) in pending.extract_if(.., |intent| intent.0 == batch) {
+                    tail.insert(object, state);
                 }
                 info.batches += 1;
                 info.max_batch = info.max_batch.max(batch);
@@ -1578,7 +1667,11 @@ fn recover(fs: &dyn Fs, dir: &Path) -> Result<Recovered, DiskError> {
         (active_end, active_len) = (valid_end, len);
     }
     stats.objects = suffix.len() as u64;
-    tail.extend(suffix);
+    if tail.is_empty() {
+        tail = suffix;
+    } else {
+        tail.extend(suffix);
+    }
 
     // Files the manifest does not name are dead by definition: a seal
     // or a fold that never reached the manifest, or a fold's GC that
@@ -1656,6 +1749,7 @@ fn recover(fs: &dyn Fs, dir: &Path) -> Result<Recovered, DiskError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec;
     use crate::fs::MemFs;
     use std::collections::{BTreeMap, BTreeSet};
     use std::fs::{self, File, OpenOptions};
@@ -1665,6 +1759,22 @@ mod tests {
     use std::time::Duration;
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+
+    crate::stored! {
+        /// A log record as the codec encodes it: the reference for the
+        /// hand-written framing and decoding of [`Record`].
+        #[derive(Debug)]
+        enum DiskRecord {
+            Intent {
+                batch: u64,
+                object: u64,
+                state: Vec<u8>,
+            },
+            Commit {
+                batch: u64,
+            },
+        }
+    }
 
     fn temp_dir() -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -2063,33 +2173,87 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// The payload-and-CRC byte ranges of every frame in a log file's
+    /// bytes (everything but the magic and the length prefixes).
+    fn checksummed_spans(log: &[u8]) -> Vec<std::ops::Range<usize>> {
+        let mut spans = Vec::new();
+        let mut at = LOG_MAGIC.len();
+        while at < log.len() {
+            let len = u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+            spans.push(at + 4..at + 8 + len);
+            at += 8 + len;
+        }
+        assert_eq!(at, log.len(), "whole frames");
+        spans
+    }
+
     #[test]
     fn flipped_byte_in_committed_record_is_detected() {
-        let dir = temp_dir();
-        let log_path = write_log(
-            &dir,
-            &[
-                DiskRecord::Intent {
-                    batch: 1,
-                    object: 1,
-                    state: b"protected".to_vec(),
-                },
-                DiskRecord::Commit { batch: 1 },
-            ],
-        );
-        let mut raw = fs::read(&log_path).unwrap();
-        // Flip one payload byte inside the first record (past magic +
-        // length prefix).
-        let target = LOG_MAGIC.len() + 4 + 2;
-        raw[target] ^= 0x40;
-        fs::write(&log_path, &raw).unwrap();
-        match DiskStore::open(&dir) {
-            Err(DiskError::CorruptLog(msg)) => {
-                assert!(msg.contains("checksum"), "{msg}");
+        // A committed two-batch log in the active segment, in a sealed
+        // segment, and folded into a checkpoint image: flipping any
+        // single payload or CRC byte of any frame fails `open`.
+        let two_batches = [
+            DiskRecord::Intent {
+                batch: 1,
+                object: 1,
+                state: b"protected".to_vec(),
+            },
+            DiskRecord::Intent {
+                batch: 1,
+                object: 2,
+                state: b"twice".to_vec(),
+            },
+            DiskRecord::Commit { batch: 1 },
+            DiskRecord::Intent {
+                batch: 2,
+                object: 1,
+                state: b"again".to_vec(),
+            },
+            DiskRecord::Commit { batch: 2 },
+        ];
+        for place in ["active segment", "sealed segment", "checkpoint image"] {
+            let dir = temp_dir();
+            let target = match place {
+                "active segment" => write_log(&dir, &two_batches),
+                "sealed segment" => {
+                    let sealed = write_log(&dir, &two_batches);
+                    let active = dir.join("segments").join(segment_file_name(2));
+                    fs::write(active, LOG_MAGIC).unwrap();
+                    write_manifest(&OsFs, &dir, None, &[1, 2], &mut 0).unwrap();
+                    sealed
+                }
+                _ => {
+                    write_log(&dir, &two_batches);
+                    let store = DiskStore::open_with(&dir, manual(u64::MAX)).unwrap();
+                    assert!(store.checkpoint_now().unwrap());
+                    drop(store);
+                    DiskStore::live_segment_paths(&OsFs, &dir)
+                        .unwrap()
+                        .remove(0)
+                }
+            };
+            let clean = fs::read(&target).unwrap();
+            let spans = checksummed_spans(&clean);
+            assert!(spans.len() >= 3, "{place}: {spans:?}");
+            for pos in spans.into_iter().flatten() {
+                let mut raw = clean.clone();
+                raw[pos] ^= 0x40;
+                fs::write(&target, &raw).unwrap();
+                match DiskStore::open_with(&dir, manual(u64::MAX)) {
+                    Err(DiskError::CorruptLog(msg)) => {
+                        assert!(msg.contains("checksum"), "{place}, byte {pos}: {msg}");
+                    }
+                    other => panic!("{place}: flip at byte {pos} not detected: {other:?}"),
+                }
             }
-            other => panic!("corruption not detected: {other:?}"),
+            // Unflipped, the same file opens to both batches.
+            fs::write(&target, &clean).unwrap();
+            let store = DiskStore::open_with(&dir, manual(u64::MAX)).unwrap();
+            assert_eq!(store.read(o(1)).unwrap().as_deref(), Some(&b"again"[..]));
+            assert_eq!(store.read(o(2)).unwrap().as_deref(), Some(&b"twice"[..]));
+            drop(store);
+            fs::remove_dir_all(&dir).ok();
         }
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2213,6 +2377,110 @@ mod tests {
         );
     }
 
+    /// One intent frame and one commit-marker frame, byte for byte
+    /// (length, payload, CRC; the CRC computed by zlib): what every
+    /// earlier build of this format wrote, so a data directory it left
+    /// must open unchanged.
+    const GOLDEN_INTENT: &str =
+        "1e00000000000000030000000000000009000000000000000200000000000000aabb83075346";
+    const GOLDEN_COMMIT: &str = "0c00000001000000030000000000000011d3b35e";
+
+    #[test]
+    fn golden_frames_pin_the_log_format() {
+        let (intent, commit) = (unhex(GOLDEN_INTENT), unhex(GOLDEN_COMMIT));
+        let mut frame = Vec::new();
+        assert_eq!(
+            push_intent(&mut frame, 3, 9, &[0xAA, 0xBB]).unwrap(),
+            intent.len() as u64
+        );
+        assert_eq!(frame, intent);
+        frame.clear();
+        assert_eq!(push_commit(&mut frame, 3).unwrap(), commit.len() as u64);
+        assert_eq!(frame, commit);
+        assert_eq!(
+            Record::decode(&intent[4..intent.len() - 4]),
+            Ok(Record::Intent {
+                batch: 3,
+                object: 9,
+                state: &[0xAA, 0xBB],
+            })
+        );
+        assert_eq!(
+            Record::decode(&commit[4..commit.len() - 4]),
+            Ok(Record::Commit { batch: 3 })
+        );
+
+        // A segment assembled from the two frames opens to their state.
+        let dir = temp_dir();
+        let path = write_log(&dir, &[]);
+        fs::write(&path, [&LOG_MAGIC[..], &intent, &commit].concat()).unwrap();
+        let store = DiskStore::open(&dir).unwrap();
+        assert_eq!(
+            store.read(o(9)).unwrap().as_deref(),
+            Some(&[0xAA, 0xBB][..])
+        );
+        assert_eq!(
+            store.replay_stats(),
+            ReplayStats {
+                batches: 1,
+                records: 2,
+                objects: 1,
+            }
+        );
+        assert_eq!(store.object_ids().unwrap(), vec![o(9)]);
+        drop(store);
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            [&LOG_MAGIC[..], &intent, &commit].concat(),
+            "a clean open writes nothing"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn record_decode_agrees_with_the_codec() {
+        // Borrowed decoding accepts exactly what the codec's owned
+        // decoding of the same layout accepts, with the same fields.
+        let intent = unhex("00000000030000000000000009000000000000000200000000000000aabb");
+        let commit = unhex("010000000300000000000000");
+        let mut payloads = vec![
+            intent.clone(),
+            commit.clone(),
+            [&intent[..], &[0]].concat(),        // trailing byte
+            [&commit[..], &[0; 8]].concat(),     // trailing word
+            intent[..intent.len() - 1].to_vec(), // state cut short
+            commit[..11].to_vec(),
+            unhex("02000000"), // no such variant
+            unhex("000000000100000000000000020000000000000000ffffffffffffffff"), // huge state length
+            Vec::new(),
+        ];
+        for len in 0..intent.len() {
+            payloads.push(intent[..len].to_vec());
+        }
+        for payload in payloads {
+            let owned = codec::from_bytes::<DiskRecord>(&payload);
+            match (Record::decode(&payload), owned) {
+                (
+                    Ok(Record::Intent {
+                        batch,
+                        object,
+                        state,
+                    }),
+                    Ok(DiskRecord::Intent {
+                        batch: b,
+                        object: ob,
+                        state: st,
+                    }),
+                ) => assert!(batch == b && object == ob && state == st.as_slice()),
+                (Ok(Record::Commit { batch }), Ok(DiskRecord::Commit { batch: b })) => {
+                    assert_eq!(batch, b);
+                }
+                (Err(borrowed), Err(owned)) => assert_eq!(borrowed, owned, "{payload:?}"),
+                (borrowed, owned) => panic!("{payload:?}: {borrowed:?} vs {owned:?}"),
+            }
+        }
+    }
+
     #[test]
     fn orphaned_files_are_swept_on_open() {
         // A crash mid-manifest-write leaves MANIFEST.tmp behind, and a
@@ -2244,18 +2512,18 @@ mod tests {
         while let Some(record) = reader.next().unwrap() {
             assert!(marker.is_none(), "a record after the image's marker");
             match record {
-                DiskRecord::Intent {
+                Record::Intent {
                     batch,
                     object,
                     state,
                 } => {
                     assert!(
-                        states.insert(object, state).is_none(),
+                        states.insert(object, state.to_vec()).is_none(),
                         "object {object} twice"
                     );
                     batches.insert(batch);
                 }
-                DiskRecord::Commit { batch } => marker = Some(batch),
+                Record::Commit { batch } => marker = Some(batch),
             }
         }
         assert_eq!(reader.offset(), reader.len, "torn image");

@@ -42,6 +42,7 @@ pub trait Fs: Send + Sync + std::fmt::Debug {
     /// Reads the whole file `path`.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
     /// Opens `path` for one sequential pass: its length and a reader.
+    /// The reader need not buffer: the store reads in large blocks.
     fn open_read(&self, path: &Path) -> io::Result<(u64, Box<dyn Read>)>;
     /// Renames `from` to `to`, replacing any file at `to`.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
@@ -89,7 +90,8 @@ impl Fs for OsFs {
     fn open_read(&self, path: &Path) -> io::Result<(u64, Box<dyn Read>)> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
-        Ok((len, Box::new(io::BufReader::new(file))))
+        // unbuffered: the caller reads in large blocks of its own
+        Ok((len, Box::new(file)))
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
