@@ -1386,7 +1386,8 @@ struct FrameReader {
     /// The file's length.
     len: u64,
     /// Where the next frame starts in the file: the end of the last
-    /// complete frame read so far (or of the magic).
+    /// complete frame read so far (or of the magic). Everything past
+    /// it is unread or torn.
     offset: u64,
     /// Read-ahead; `buf[start..end]` holds the file's bytes from
     /// `offset` on.
@@ -1425,12 +1426,6 @@ impl FrameReader {
         }
         reader.consume(header);
         Ok(Some(reader))
-    }
-
-    /// Where the last complete frame read so far ends (the end of the
-    /// magic before any): everything past it is unread or torn.
-    fn offset(&self) -> u64 {
-        self.offset
     }
 
     /// Makes the buffer hold at least `n` bytes from `offset` on; the
@@ -1548,7 +1543,7 @@ fn replay_file(
         }
     }
     stats.batches += info.batches;
-    let valid_end = reader.offset();
+    let valid_end = reader.offset;
     info.bytes = valid_end.saturating_sub(LOG_MAGIC.len() as u64);
     Ok((info, valid_end, reader.len))
 }
@@ -1667,6 +1662,8 @@ fn recover(fs: &dyn Fs, dir: &Path) -> Result<Recovered, DiskError> {
         (active_end, active_len) = (valid_end, len);
     }
     stats.objects = suffix.len() as u64;
+    // Without an image the suffix is the whole tail: move it rather
+    // than hash every entry again.
     if tail.is_empty() {
         tail = suffix;
     } else {
@@ -2526,7 +2523,7 @@ mod tests {
                 Record::Commit { batch } => marker = Some(batch),
             }
         }
-        assert_eq!(reader.offset(), reader.len, "torn image");
+        assert_eq!(reader.offset, reader.len, "torn image");
         let marker = marker.expect("the image's marker");
         assert!(
             batches.iter().all(|&b| b == marker),
