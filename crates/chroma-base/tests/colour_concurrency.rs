@@ -13,16 +13,10 @@ use std::sync::Barrier;
 use std::thread;
 
 use chroma_base::{Colour, ColourError, ColourUniverse, MAX_LIVE_COLOURS};
+use proptest::torture_seed;
 
 const THREADS: u64 = 4;
 const ROUNDS: usize = 20_000;
-
-fn seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 /// splitmix64: one deterministic stream per seed.
 fn splitmix(state: &mut u64) -> u64 {
@@ -47,7 +41,7 @@ fn fresh_and_release_never_hand_out_a_live_colour_twice() {
         for t in 0..THREADS {
             let (universe, owned) = (&universe, &owned);
             s.spawn(move || {
-                let mut rng = seed() ^ (t << 32);
+                let mut rng = torture_seed().unwrap_or(42) ^ (t << 32);
                 let mut held: Vec<Colour> = Vec::new();
                 for _ in 0..ROUNDS {
                     // Hold up to 20 at once, so four threads reach the
@@ -110,7 +104,7 @@ fn exhaustion_comes_at_exactly_64_live_colours() {
     assert_eq!(universe.try_colour("late"), Err(ColourError::Exhausted));
 
     // A released slot names `<released>` and is the next one claimed.
-    let mut rng = seed();
+    let mut rng = torture_seed().unwrap_or(42);
     let freed = Colour::from_index((splitmix(&mut rng) % MAX_LIVE_COLOURS as u64) as usize);
     universe.release(freed);
     assert_eq!(universe.name(freed), "<released>");
@@ -121,7 +115,7 @@ fn exhaustion_comes_at_exactly_64_live_colours() {
 
 #[test]
 fn racing_interns_of_one_name_return_one_colour() {
-    let mut rng = seed();
+    let mut rng = torture_seed().unwrap_or(42);
     for round in 0..200 {
         let universe = ColourUniverse::new();
         // Some anonymous churn first, so the named slot varies.

@@ -560,16 +560,22 @@ impl Runtime {
                         // Publish the new states as versions under the
                         // stamp gate: stamps enter chains in order, so a
                         // snapshot capturing frontier `s` is guaranteed
-                        // every version `<= s` is already appended.
-                        inner.stamps.flush(|stamp| {
-                            for (object, state) in &updates {
-                                inner.versions.append(*object, colour, stamp, state.clone());
-                                obs.emit(EventKind::VersionPublish {
-                                    object: *object,
-                                    colour,
-                                    stamp,
-                                });
-                            }
+                        // every version `<= s` is already appended. The
+                        // events are stamped under the gate (R10 needs
+                        // them before the publish), but a drain they
+                        // bring due runs after it, so no committer waits
+                        // on the monitors.
+                        obs.deferring_drains(|| {
+                            inner.stamps.flush(|stamp| {
+                                for (object, state) in &updates {
+                                    inner.versions.append(*object, colour, stamp, state.clone());
+                                    obs.emit(EventKind::VersionPublish {
+                                        object: *object,
+                                        colour,
+                                        stamp,
+                                    });
+                                }
+                            });
                         });
                         stamped = true;
                     }
@@ -1252,7 +1258,8 @@ impl Runtime {
     /// Publishes one live gauge snapshot: sets the gauge registry on
     /// the installed bus (no-op without one) and emits a
     /// `metrics_snapshot` event so JSONL traces carry the series for
-    /// `chroma-trace watch`.
+    /// `chroma-trace watch`. The event's fields are 32 bits wide and
+    /// saturate at `u32::MAX`; the named gauges keep the full reading.
     ///
     /// Gauge catalogue: `locks.entries` (granted lock entries),
     /// `locks.waiting` (parked acquirers), `store.group_queue`
@@ -1280,15 +1287,16 @@ impl Runtime {
         obs.set_gauge("store.ckpt_backlog", ckpt_backlog);
         obs.set_gauge("core.snapshots", snapshots);
         obs.set_gauge("core.live_actions", live_actions);
+        let wire = |gauge: u64| u32::try_from(gauge).unwrap_or(u32::MAX);
         obs.emit(EventKind::MetricsSnapshot {
-            lock_entries,
-            lock_waiters,
-            group_queue,
-            versions,
-            gc_backlog,
-            ckpt_backlog,
-            snapshots,
-            live_actions,
+            lock_entries: wire(lock_entries),
+            lock_waiters: wire(lock_waiters),
+            group_queue: wire(group_queue),
+            versions: wire(versions),
+            gc_backlog: wire(gc_backlog),
+            ckpt_backlog: wire(ckpt_backlog),
+            snapshots: wire(snapshots),
+            live_actions: wire(live_actions),
         });
     }
 }

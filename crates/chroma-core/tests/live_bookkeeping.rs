@@ -28,17 +28,11 @@ use std::thread;
 use chroma_core::{
     ActionError, ActionId, ActionScope, ActionState, Colour, ColourSet, Fence, ObjectId, Runtime,
 };
+use proptest::torture_seed;
 
 const THREADS: u64 = 2;
 const STEPS: usize = 20_000;
 const ROUNDS: usize = 2_000;
-
-fn seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 /// splitmix64: one deterministic stream per seed.
 fn splitmix(state: &mut u64) -> u64 {
@@ -78,7 +72,7 @@ fn step(
 /// One thread's share of the steps, over its own objects. Returns every
 /// action id it began.
 fn run_structures(rt: &Runtime, objects: &[ObjectId], t: u64) -> Vec<ActionId> {
-    let mut rng = seed() ^ (t << 48);
+    let mut rng = torture_seed().unwrap_or(42) ^ (t << 48);
     let mut ids = Vec::new();
     let mut mine = HashSet::new();
     let mut steps = 0;
@@ -183,7 +177,7 @@ fn jitter(n: u64) {
 fn nested_begin_races_parent_termination() {
     let rt = Runtime::builder().build();
     let colours = ColourSet::single(rt.default_colour());
-    let mut rng = seed();
+    let mut rng = torture_seed().unwrap_or(42);
     // Per round: commit (else abort) the parent, and each side's spin.
     let schedule: Vec<(bool, u64, u64)> = (0..ROUNDS)
         .map(|_| {
@@ -259,7 +253,7 @@ fn nested_begin_races_parent_termination() {
 fn child_commit_races_parent_abort() {
     let rt = Runtime::builder().build();
     let colours = ColourSet::single(rt.default_colour());
-    let mut rng = seed() ^ 1;
+    let mut rng = torture_seed().unwrap_or(42) ^ 1;
     let spins: Vec<(u64, u64)> = (0..ROUNDS)
         .map(|_| (splitmix(&mut rng) % 2_000, splitmix(&mut rng) % 2_000))
         .collect();

@@ -18,6 +18,7 @@
 use std::thread;
 
 use chroma_core::{ActionError, ActionId, ColourSet, ObjectId, Runtime};
+use proptest::torture_seed;
 
 const THREADS: u64 = 4;
 const OPS: usize = 1_000;
@@ -26,13 +27,6 @@ const OWN: usize = 3;
 const START: i64 = 1_000;
 /// What an aborted write adds: any survivor shows in the total.
 const POISON: i64 = 1 << 40;
-
-fn seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 /// splitmix64: one deterministic stream per seed.
 fn splitmix(state: &mut u64) -> u64 {
@@ -70,7 +64,7 @@ impl Outcome {
 /// in a cycle.
 fn run(rt: &Runtime, counters: &[ObjectId], t: u64) -> Outcome {
     let default = ColourSet::single(rt.default_colour());
-    let mut rng = seed() ^ (t << 48);
+    let mut rng = torture_seed().unwrap_or(42) ^ (t << 48);
     let mut out = Outcome { ids: Vec::new() };
     for _ in 0..OPS {
         // Half the time both counters are shared, else one is this

@@ -14,13 +14,7 @@
 use chroma_base::ColourSet;
 use chroma_core::{ActionError, Runtime, SnapshotScope};
 use proptest::prelude::*;
-
-fn torture_seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
+use proptest::torture_seed;
 
 /// SplitMix64 step, for deriving per-key initial values from the seed.
 fn splitmix(seed: u64, index: u64) -> u64 {
@@ -71,7 +65,7 @@ proptest! {
     fn snapshot_reads_equal_serial_execution_at_their_stamp(
         steps in prop::collection::vec(step_strategy(), 1..80)
     ) {
-        let seed = torture_seed();
+        let seed = torture_seed().unwrap_or(42);
         let rt = Runtime::builder().build();
         let objects: Vec<_> = (0..KEYS)
             .map(|i| rt.create_object(&splitmix(seed, i as u64)).unwrap())

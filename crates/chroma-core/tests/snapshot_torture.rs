@@ -18,16 +18,10 @@ use std::sync::{Arc, Barrier};
 use chroma_base::{ActionId, Colour, ColourSet, ObjectId};
 use chroma_core::{ActionError, Runtime};
 use chroma_obs::{Event, EventBus, EventKind, MemorySink, Obs, Observable, Violation};
+use proptest::torture_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use zipf::Zipf;
-
-fn torture_seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 /// SplitMix64 step — derives independent sub-seeds from the run seed.
 fn splitmix(seed: u64, index: u64) -> u64 {
@@ -55,7 +49,7 @@ const ROUNDS: u64 = 3;
 ///   the same reader thread.
 #[test]
 fn zipfian_writers_vs_snapshot_scans_survive_crashes_and_audit_clean() {
-    let seed = torture_seed();
+    let seed = torture_seed().unwrap_or(42);
     let rt = Runtime::builder().build();
     let bus = Arc::new(EventBus::new());
     let sink = Arc::new(MemorySink::new(2_000_000));
@@ -247,7 +241,7 @@ fn scope_opened_before_a_crash_fails_and_one_opened_after_reads() {
 fn crash_epoch_races_open_scopes() {
     const OBJECTS: u64 = 8;
     const CRASHES: u64 = 3000;
-    let seed = torture_seed();
+    let seed = torture_seed().unwrap_or(42);
     let rt = Runtime::builder().build();
     let objects: Arc<Vec<ObjectId>> = Arc::new(
         (0..OBJECTS)
@@ -390,7 +384,7 @@ fn cut_across_colours(rt: &Runtime, seed: u64) -> u64 {
 /// clean, R10 included.
 #[test]
 fn snapshots_cut_across_colours() {
-    let seed = torture_seed();
+    let seed = torture_seed().unwrap_or(42);
     let scopes = cut_across_colours(&Runtime::builder().build(), seed);
     assert!(scopes > 0, "seed {seed}: no scope read");
     eprintln!("seed {seed}: {scopes} scopes read across 2 x 1000 commits");

@@ -12,9 +12,8 @@ use chroma_store::StoreBytes;
 /// stamps it on the `MsgSend` event plus every `MsgDeliver` / `MsgDup`
 /// / `MsgDrop` that send gives rise to, so an offline analyzer can
 /// reconstruct RPC pairs even when the network duplicates or loses
-/// messages. Zero is never allocated; it is free for "no correlation"
-/// sentinels in tests.
-pub type CorrId = u64;
+/// messages. Ids count from 1, so none is ever zero.
+pub type CorrId = std::num::NonZeroU64;
 
 /// A transaction identifier, unique per simulation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]

@@ -140,7 +140,7 @@ impl Sim {
             nodes: BTreeMap::new(),
             next_node: 0,
             next_txn: 1,
-            next_corr: 1,
+            next_corr: CorrId::MIN,
             net: NetConfig::default(),
             stats: NetStats::default(),
             partitions: BTreeSet::new(),
@@ -289,7 +289,7 @@ impl Sim {
         self.stats.sent += 1;
         let kind = msg.kind();
         let corr = self.next_corr;
-        self.next_corr += 1;
+        self.next_corr = corr.saturating_add(1);
         // the send's Lamport clock travels with the message, so the
         // receive side can merge past it (untraced runs carry 0)
         let send_lc = self

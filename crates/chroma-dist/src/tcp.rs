@@ -38,7 +38,7 @@ use chroma_obs::{EventKind, Obs, ObsCell, Observable};
 use parking_lot::Mutex;
 
 use crate::masking::{Accept, Backoff, DedupWindow, SendWindow};
-use crate::msg::{Message, TimerTag};
+use crate::msg::{CorrId, Message, TimerTag};
 use crate::transport::{Transport, TransportEvent};
 use crate::wire;
 
@@ -121,7 +121,7 @@ struct InEvent {
 enum InFrame {
     Data {
         seq: u64,
-        corr: u64,
+        corr: CorrId,
         send_lc: u64,
         payload: Vec<u8>,
     },
@@ -204,7 +204,7 @@ pub struct TcpTransport {
     /// Armed timers by (deadline µs, arrival order among equal
     /// deadlines).
     timers: BTreeMap<(u64, u64), TimerTag>,
-    corr_counter: u64,
+    corr_counter: CorrId,
     stats: MaskingStats,
     shutdown: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
@@ -263,7 +263,7 @@ impl TcpTransport {
             pending: VecDeque::new(),
             pending_acks: HashMap::new(),
             timers: BTreeMap::new(),
-            corr_counter: 1,
+            corr_counter: CorrId::MIN,
             stats: MaskingStats::default(),
             shutdown,
             acceptor: Some(acceptor),
@@ -303,12 +303,12 @@ impl TcpTransport {
         self.out.get(&peer).map_or(0, |o| o.window.trimmed())
     }
 
-    fn next_corr(&mut self) -> u64 {
+    fn next_corr(&mut self) -> CorrId {
         let counter = self.corr_counter;
-        self.corr_counter += 1;
+        self.corr_counter = counter.saturating_add(1);
         // namespace by sender so per-process counters never collide in
         // a merged trace (+1 keeps node 0 out of the zero namespace)
-        ((u64::from(self.local.as_raw()) + 1) << 40) | counter
+        counter | ((u64::from(self.local.as_raw()) + 1) << 40)
     }
 
     /// Flushes every peer with queued data or owed acks: dials (with
@@ -522,7 +522,7 @@ impl Transport for TcpTransport {
             return;
         }
         let mut tail = Vec::with_capacity(20 + payload.len());
-        tail.extend_from_slice(&corr.to_le_bytes());
+        tail.extend_from_slice(&corr.get().to_le_bytes());
         tail.extend_from_slice(&send_lc.to_le_bytes());
         tail.extend_from_slice(
             &u32::try_from(payload.len())
@@ -761,7 +761,8 @@ fn parse_frame(body: &[u8]) -> Option<InFrame> {
                 return None;
             }
             let seq = u64::from_le_bytes(body[1..9].try_into().ok()?);
-            let corr = u64::from_le_bytes(body[9..17].try_into().ok()?);
+            // senders count ids from 1: a zero id is a corrupt frame
+            let corr = CorrId::new(u64::from_le_bytes(body[9..17].try_into().ok()?))?;
             let send_lc = u64::from_le_bytes(body[17..25].try_into().ok()?);
             let len = u32::from_le_bytes(body[25..29].try_into().ok()?) as usize;
             if body.len() != DATA_HEADER + len {
@@ -824,13 +825,16 @@ mod tests {
                 send_lc,
                 payload: p,
             }) => {
-                assert_eq!((seq, corr, send_lc), (5, 77, 9));
+                assert_eq!((seq, corr.get(), send_lc), (5, 77, 9));
                 assert!(wire::decode(&p).is_ok());
             }
             _ => panic!("expected data frame"),
         }
         assert!(parse_frame(&body[..body.len() - 1]).is_none());
         assert!(parse_frame(&[99]).is_none());
+        // correlation ids count from 1: a zero id is a corrupt frame
+        body[9..17].copy_from_slice(&0u64.to_le_bytes());
+        assert!(parse_frame(&body).is_none());
     }
 
     #[test]

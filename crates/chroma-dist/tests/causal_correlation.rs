@@ -10,23 +10,21 @@
 //! auditor treat it as a failure.
 
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 use chroma_base::ObjectId;
 use chroma_dist::{ReplicatedObject, Sim, Write};
 use chroma_obs::{EventBus, EventKind, MemorySink, Obs, Observable, SpanForest, TraceAuditor};
 use chroma_store::StoreBytes;
-
-fn torture_seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
+use proptest::torture_seed;
 
 #[test]
 fn every_applied_receive_pairs_with_exactly_one_send() {
-    let seed = torture_seed().wrapping_mul(7919).wrapping_add(23);
+    let seed = torture_seed()
+        .unwrap_or(0)
+        .wrapping_mul(7919)
+        .wrapping_add(23);
     let mut sim = Sim::new(seed);
     sim.net.loss = 0.15;
     sim.net.duplication = 0.25;
@@ -68,7 +66,7 @@ fn every_applied_receive_pairs_with_exactly_one_send() {
 
     // Pair receives with sends by correlation id, by hand — the claim
     // the SpanForest and auditor make, re-derived independently.
-    let mut sends: HashMap<u64, (u64, usize)> = HashMap::new(); // corr -> (send lc, count)
+    let mut sends: HashMap<NonZeroU64, (u64, usize)> = HashMap::new(); // corr -> (send lc, count)
     let mut receives = 0u64;
     for event in &events {
         match event.kind {
@@ -130,7 +128,7 @@ fn orphan_receive_is_an_audit_failure() {
         },
     );
     deliver.lc = 4;
-    deliver.corr = Some(77);
+    deliver.corr = NonZeroU64::new(77);
     let report = TraceAuditor::audit_events(&[deliver]);
     assert!(report
         .violations

@@ -19,15 +19,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use chroma_base::{NodeId, ObjectId};
 use chroma_dist::{Effect, Message, Node, RpcOp, TimerTag, TpcRecord, TxnId, Write, TPC_LOG_BASE};
 use chroma_store::{codec, DiskError, DiskStore, DiskStoreOptions, OsFs, StoreBytes};
+use proptest::torture_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 const COORD: NodeId = NodeId::from_raw(1);
 const P2: NodeId = NodeId::from_raw(2);
@@ -356,7 +350,7 @@ impl Cluster {
 
 #[test]
 fn barrier_writes_exactly_what_changed_and_restores_it() {
-    let seed = seed();
+    let seed = torture_seed().unwrap_or(42);
     let mut cluster = Cluster::new(seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
     let (mut commits, mut aborts, mut version) = (0, 0, 0u64);
@@ -438,7 +432,7 @@ fn barrier_writes_exactly_what_changed_and_restores_it() {
 
 #[test]
 fn unflushed_end_record_costs_one_redundant_decision() {
-    let mut cluster = Cluster::new(seed());
+    let mut cluster = Cluster::new(torture_seed().unwrap_or(42));
     cluster.begin(TxnId(1));
     cluster.run();
     let coord = cluster.members.remove(&COORD).unwrap();
@@ -540,7 +534,7 @@ fn unflushed_end_record_costs_one_redundant_decision() {
 
 #[test]
 fn vetoing_participants_abort_forces_nothing_and_is_cheap_to_lose() {
-    let mut cluster = Cluster::new(seed());
+    let mut cluster = Cluster::new(torture_seed().unwrap_or(42));
     let txn = TxnId(1);
     cluster.member(P2).node.veto.insert(txn);
     let fsyncs = cluster.members[&P2].disk.log_fsync_count();

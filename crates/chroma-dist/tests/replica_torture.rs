@@ -11,6 +11,7 @@ use chroma_obs::{
     Event, EventBus, EventKind, MemorySink, Obs, Observable, TraceAuditor, Violation,
 };
 use chroma_store::{codec, StoreBytes};
+use proptest::torture_seed;
 
 /// splitmix64 — one deterministic stream per seed (CI sweeps
 /// `CHROMA_TORTURE_SEED` over a fixed matrix).
@@ -20,13 +21,6 @@ fn splitmix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-fn torture_seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
 }
 
 fn obj() -> ObjectId {
@@ -125,7 +119,7 @@ fn run_schedule(seed: u64) {
 
 #[test]
 fn seed_matrix_replica_torture() {
-    let base = torture_seed();
+    let base = torture_seed().unwrap_or(0);
     for sub in 0..4u64 {
         run_schedule(base.wrapping_mul(1000).wrapping_add(sub));
     }

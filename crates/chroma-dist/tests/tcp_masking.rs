@@ -9,16 +9,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chroma_base::NodeId;
-use chroma_dist::{Message, TcpConfig, TcpTransport, Transport, TransportEvent};
+use chroma_dist::{CorrId, Message, TcpConfig, TcpTransport, Transport, TransportEvent};
 use chroma_obs::{EventBus, EventKind, MemorySink, Obs, Observable};
 use chroma_store::StoreBytes;
-
-fn seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
+use proptest::torture_seed;
 
 const DEADLINE: Duration = Duration::from_secs(10);
 
@@ -61,7 +55,7 @@ fn pump_until(
     }
 }
 
-fn delivered_corrs(events: &[TransportEvent]) -> Vec<u64> {
+fn delivered_corrs(events: &[TransportEvent]) -> Vec<CorrId> {
     events
         .iter()
         .filter_map(|e| match e {
@@ -99,7 +93,7 @@ fn reconnect_resends_are_deduplicated() {
     // sever the ack path (b's own outbound carries its acks), then send
     // a seeded batch: deliveries flow, acknowledgements cannot
     b.disconnect(n1);
-    let batch = 5 + (seed() % 8); // 5..=12
+    let batch = 5 + (torture_seed().unwrap_or(42) % 8); // 5..=12
     for call in 1..=batch {
         a.send(
             n2,
@@ -137,7 +131,7 @@ fn reconnect_resends_are_deduplicated() {
 
     // exactly-once, corr by corr: the delivered set equals the sent set
     let mut delivered = delivered_corrs(&b_events);
-    let sent: Vec<u64> = sink
+    let sent: Vec<CorrId> = sink
         .events()
         .iter()
         .filter(|e| matches!(e.kind, EventKind::MsgSend { .. }))

@@ -12,6 +12,7 @@ use chroma_dist::{
 };
 use chroma_obs::{EventBus, MemorySink, Obs, Observable, TraceAuditor};
 use chroma_store::StoreBytes;
+use proptest::torture_seed;
 
 fn w(object: u64, value: u8) -> Write {
     Write {
@@ -233,13 +234,6 @@ fn rpc_is_at_most_once_across_heavy_faults() {
     }
 }
 
-fn seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
 /// A record's transaction and role (`true`: participant).
 fn slot(record: &TpcRecord) -> (TxnId, bool) {
     match record {
@@ -267,7 +261,7 @@ fn stored_records(sim: &Sim, node: NodeId) -> (usize, usize) {
 #[test]
 fn resolved_transactions_leave_one_small_record_per_role() {
     const TXNS: u64 = 200;
-    let seed = seed();
+    let seed = torture_seed().unwrap_or(42);
     let mut sim = Sim::new(seed);
     sim.net.loss = 0.1;
     sim.net.duplication = 0.1;

@@ -16,15 +16,9 @@ use std::time::{Duration, Instant};
 use chroma_base::ObjectId;
 use chroma_obs::{merge_trace_files, TraceAuditor};
 use chroma_store::DiskStore;
+use proptest::torture_seed;
 
 const BIN: &str = env!("CARGO_BIN_EXE_chroma-node");
-
-fn seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 /// Three ports nobody is listening on right now.
 fn free_ports() -> [u16; 3] {
@@ -58,7 +52,7 @@ impl ClusterPaths {
         let dir = std::env::temp_dir().join(format!(
             "chroma-cluster-{tag}-{}-{}",
             std::process::id(),
-            seed()
+            torture_seed().unwrap_or(42)
         ));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
@@ -114,7 +108,7 @@ impl ClusterPaths {
             .args(["--data", self.data(1).to_str().unwrap()])
             .args(["--trace", self.trace(1).to_str().unwrap()])
             .args(["--txns", &txns.to_string()])
-            .args(["--seed", &seed().to_string()])
+            .args(["--seed", &torture_seed().unwrap_or(42).to_string()])
             .args(["--linger-ms", "1500"])
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
@@ -154,7 +148,7 @@ fn parse_outcome(line: &str, outcomes: &mut Outcomes) {
 }
 
 fn expected_value(txn: u64) -> Vec<u8> {
-    format!("v{txn}-s{}", seed()).into_bytes()
+    format!("v{txn}-s{}", torture_seed().unwrap_or(42)).into_bytes()
 }
 
 fn txn_object(txn: u64) -> ObjectId {
@@ -250,7 +244,7 @@ fn kill9_mid_2pc_recovers_and_audits_clean() {
     let mut w2 = Some(paths.spawn_worker(2));
     let _w3 = paths.spawn_worker(3);
 
-    let s = seed();
+    let s = torture_seed().unwrap_or(42);
     let txns = 5 + (s % 3); // 5..=7
     let kill_at = 2 + (s % 2); // SIGKILL worker 2 as txn 2 or 3 begins
     let (mut coord, rx) = paths.spawn_coordinator(txns);

@@ -265,7 +265,7 @@ mod tests {
     fn stamped(lc: u64, corr: Option<u64>, kind: EventKind) -> Event {
         let mut e = Event::at(0, kind);
         e.lc = lc;
-        e.corr = corr;
+        e.corr = corr.and_then(std::num::NonZeroU64::new);
         e
     }
 

@@ -13,6 +13,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::Write as IoWrite;
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
@@ -51,6 +52,9 @@ thread_local! {
     /// The address of the bus this thread is draining (0: none). The
     /// drain's own emissions and callbacks must not start another.
     static DRAINING: Cell<usize> = const { Cell::new(0) };
+    /// The address of the bus whose chunk drains this thread puts off
+    /// (0: none), and whether one came due meanwhile.
+    static DEFERRING: Cell<(usize, bool)> = const { Cell::new((0, false)) };
 }
 
 /// Central collector: counts events per kind, aggregates latency
@@ -353,7 +357,7 @@ impl Core {
     /// names one, else `node`; when a node is known its Lamport clock
     /// ticks and stamps the event (`lc > 0`). `corr` flows through
     /// untouched.
-    fn emit(&self, node: Option<NodeId>, corr: Option<u64>, kind: EventKind) -> Event {
+    fn emit(&self, node: Option<NodeId>, corr: Option<NonZeroU64>, kind: EventKind) -> Event {
         self.debug_check_parent(&kind);
         let node = kind.intrinsic_node().or(node);
         let lc = node.map_or(0, |n| self.clock(n).fetch_add(1, Ordering::Relaxed) + 1);
@@ -385,10 +389,39 @@ impl Core {
             EventKind::NodeCrash { .. } | EventKind::WatchdogViolation { .. }
         ) {
             self.drain(true);
-        } else if full {
+        } else if full && !self.defer_drain() {
             self.drain(false);
         }
         event
+    }
+
+    /// The address that names this bus in the thread-local marks.
+    fn addr(&self) -> usize {
+        std::ptr::from_ref(self) as usize
+    }
+
+    /// Notes a chunk drain as due if this thread is deferring this
+    /// bus's drains; `false` means drain now.
+    fn defer_drain(&self) -> bool {
+        let me = self.addr();
+        DEFERRING.with(|d| {
+            let deferring = d.get().0 == me;
+            if deferring {
+                d.set((me, true));
+            }
+            deferring
+        })
+    }
+
+    /// Runs `f`, then the chunk drain that came due while it ran, if
+    /// any (see [`Obs::deferring_drains`]).
+    fn deferring_drains<R>(&self, f: impl FnOnce() -> R) -> R {
+        let deferring = Deferring::enter(self.addr());
+        let out = f();
+        if deferring.leave() {
+            self.drain(false);
+        }
+        out
     }
 
     /// Steps every event stamped below the current watermark through
@@ -397,7 +430,7 @@ impl Core {
     /// With `block` false, returns at once if another thread is
     /// draining. A no-op on a thread already draining this bus.
     pub(crate) fn drain(&self, block: bool) {
-        let me = std::ptr::from_ref(self) as usize;
+        let me = self.addr();
         if DRAINING.with(Cell::get) == me {
             return;
         }
@@ -482,6 +515,27 @@ impl Draining {
 impl Drop for Draining {
     fn drop(&mut self) {
         DRAINING.with(|d| d.set(self.0));
+    }
+}
+
+/// Puts off this thread's chunk drains of one bus until left (or
+/// dropped, a panicking closure included).
+struct Deferring((usize, bool));
+
+impl Deferring {
+    fn enter(bus: usize) -> Self {
+        Deferring(DEFERRING.with(|d| d.replace((bus, false))))
+    }
+
+    /// Ends the deferral: `true` if a drain came due.
+    fn leave(self) -> bool {
+        DEFERRING.with(Cell::get).1
+    }
+}
+
+impl Drop for Deferring {
+    fn drop(&mut self) {
+        DEFERRING.with(|d| d.set(self.0));
     }
 }
 
@@ -589,10 +643,24 @@ impl Obs {
     /// stamped record (None without a bus). Transports use the
     /// returned Lamport clock to ship the send's causal position to
     /// the receiving side.
-    pub fn emit_corr(&self, corr: u64, kind: EventKind) -> Option<Event> {
+    pub fn emit_corr(&self, corr: NonZeroU64, kind: EventKind) -> Option<Event> {
         self.bus
             .as_ref()
             .map(|bus| bus.core.emit(self.node, Some(corr), kind))
+    }
+
+    /// Runs `f` with this thread's chunk drains of the bus put off
+    /// until `f` returns. An emit inside `f` still counts, stamps and
+    /// stages its event, so stamp order is unchanged; only the drain an
+    /// emit that fills its slot would start runs after `f`, outside
+    /// whatever lock `f` holds (the runtime's stamp gate, which every
+    /// committing colour shares). A `node_crash` or `watchdog_violation`
+    /// still drains at once.
+    pub fn deferring_drains<R>(&self, f: impl FnOnce() -> R) -> R {
+        match &self.bus {
+            Some(bus) => bus.core.deferring_drains(f),
+            None => f(),
+        }
     }
 
     /// Merges an observed remote clock into `node`'s clock (no-op
@@ -1012,7 +1080,7 @@ mod tests {
         let obs = Obs::new(bus.clone());
         let send = obs
             .emit_corr(
-                9,
+                NonZeroU64::new(9).unwrap(),
                 EventKind::MsgSend {
                     from: n1,
                     to: n2,
@@ -1022,13 +1090,13 @@ mod tests {
             .unwrap();
         assert_eq!(send.node, Some(n1));
         assert_eq!(send.lc, 1);
-        assert_eq!(send.corr, Some(9));
+        assert_eq!(send.corr, NonZeroU64::new(9));
         // The receive side merges the send's clock first, so the
         // delivery is causally after it.
         bus.merge_clock(n2, send.lc);
         let deliver = obs
             .emit_corr(
-                9,
+                NonZeroU64::new(9).unwrap(),
                 EventKind::MsgDeliver {
                     from: n1,
                     to: n2,
@@ -1039,6 +1107,31 @@ mod tests {
         assert_eq!(deliver.node, Some(n2));
         assert!(deliver.lc > send.lc, "{} vs {}", deliver.lc, send.lc);
         assert_eq!(bus.lamport(n2), deliver.lc);
+    }
+
+    #[test]
+    fn deferred_chunk_drain_runs_after_the_closure() {
+        let bus = Arc::new(EventBus::new());
+        let recorder = FlightRecorder::attach(&bus, 4 * CHUNK);
+        let obs = Obs::new(bus.clone());
+        let staged = || bus.core.slot().events.len();
+        obs.deferring_drains(|| {
+            // A full chunk and more: the drain that came due waits.
+            for i in 0..=CHUNK as u64 {
+                obs.emit(begin(i));
+            }
+            assert_eq!(staged(), CHUNK + 1, "stamps are taken at the emit");
+        });
+        assert_eq!(staged(), 0, "the deferred drain ran on the way out");
+        let stamped: Vec<_> = recorder.events().iter().map(|e| e.kind).collect();
+        let emitted: Vec<_> = (0..=CHUNK as u64).map(begin).collect();
+        assert_eq!(stamped, emitted, "drained in stamp order");
+        // Without a deferral the chunk drains at its last emit.
+        for i in 0..CHUNK as u64 {
+            obs.emit(begin(100 + i));
+        }
+        assert_eq!(staged(), 0);
+        Obs::none().deferring_drains(|| ());
     }
 
     #[test]

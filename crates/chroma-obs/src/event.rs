@@ -20,6 +20,7 @@
 //! golden line in `tests/wire_golden.rs`.
 
 use std::fmt::{self, Write as _};
+use std::num::NonZeroU64;
 
 use chroma_base::{ActionId, Colour, LockMode, NodeId, ObjectId, MAX_LIVE_COLOURS};
 
@@ -92,6 +93,19 @@ impl WireField for u64 {
     }
     fn get(fields: &Fields, key: &str) -> Result<Self, TraceParseError> {
         get_num(fields, key)
+    }
+}
+
+/// Gauges: a value that does not fit in 32 bits is a corrupt line,
+/// not a wrapped reading (emitters saturate before they emit).
+impl WireField for u32 {
+    fn put(&self, line: &mut String, key: &str) {
+        put_bare(line, key, *self);
+    }
+    fn get(fields: &Fields, key: &str) -> Result<Self, TraceParseError> {
+        let raw = get_num(fields, key)?;
+        u32::try_from(raw)
+            .map_err(|_| TraceParseError::new(format!("field `{key}` value {raw} out of range")))
     }
 }
 
@@ -659,26 +673,28 @@ event_kinds! {
     }
     /// A periodic gauge sample: the live occupancy of the system's
     /// bounded structures, published so an operator (or `chroma-trace
-    /// watch`) can follow a run without stopping it.
+    /// watch`) can follow a run without stopping it. Each gauge is
+    /// 32 bits wide and saturates at `u32::MAX` (the emitter clamps; a
+    /// wider value on the wire is a parse error).
     MetricsSnapshot "metrics_snapshot" {
         /// Granted lock entries across all shards.
-        lock_entries: u64,
+        lock_entries: u32,
         /// Actions currently parked in a blocking lock wait.
-        lock_waiters: u64,
+        lock_waiters: u32,
         /// Batches sitting in the group-commit queue.
-        group_queue: u64,
+        group_queue: u32,
         /// Versions held across all version chains.
-        versions: u64,
+        versions: u32,
         /// Stamped commits since the last automatic GC sweep.
-        gc_backlog: u64,
+        gc_backlog: u32,
         /// Open read-only snapshot actions.
-        snapshots: u64,
+        snapshots: u32,
         /// Actions begun and not yet terminated.
-        live_actions: u64,
+        live_actions: u32,
         /// Batches committed to the segmented intentions log but not
         /// yet folded behind the checkpoint watermark (the recovery
         /// replay debt).
-        ckpt_backlog: u64,
+        ckpt_backlog: u32,
     }
     /// The active intentions-log segment was sealed: a fresh segment
     /// took over appends and the manifest committed to it.
@@ -769,11 +785,19 @@ pub struct Event {
     pub lc: u64,
     /// Correlation id pairing `msg_send` with the `msg_deliver` /
     /// `msg_drop` / `msg_dup` events it caused. Duplicated deliveries
-    /// share the original send's id.
-    pub corr: Option<u64>,
+    /// share the original send's id. Producers count from 1, so the
+    /// id is never 0 and `None` costs no extra word; a line carrying
+    /// `"corr":0` fails to parse.
+    pub corr: Option<NonZeroU64>,
     /// What happened.
     pub kind: EventKind,
 }
+
+// Every staged entry, drain batch, recorder slot and memory-sink slot
+// holds an `Event` by value, so its size is the monitor's memory per
+// event: keep the widest payload at four words.
+const _: () = assert!(std::mem::size_of::<EventKind>() <= 40);
+const _: () = assert!(std::mem::size_of::<Event>() <= 72);
 
 impl Event {
     /// An event with no causal context beyond the kind's intrinsic
@@ -804,7 +828,7 @@ impl Event {
             put_bare(&mut s, "lc", self.lc);
         }
         if let Some(corr) = self.corr {
-            put_bare(&mut s, "corr", corr);
+            put_bare(&mut s, "corr", corr.get());
         }
         // A kind with an intrinsic node already wrote it as payload;
         // writing it again would trip the duplicate-field check.
@@ -828,7 +852,11 @@ impl Event {
         let at_us = get_num(&fields, "at_us")?;
         let kind = EventKind::from_fields(get_tag(&fields, "ev")?, &fields)?;
         let lc = opt_num(&fields, "lc")?.unwrap_or(0);
-        let corr = opt_num(&fields, "corr")?;
+        let corr = opt_num(&fields, "corr")?
+            .map(|raw| {
+                NonZeroU64::new(raw).ok_or_else(|| TraceParseError::new("field `corr` is 0"))
+            })
+            .transpose()?;
         let node = match kind.intrinsic_node() {
             Some(n) => Some(n),
             None => opt_num(&fields, "node")?.map(node_from_raw).transpose()?,
@@ -1260,7 +1288,7 @@ mod tests {
                     | EventKind::MsgDup { .. }
                     | EventKind::MsgDeliver { .. }
             ) {
-                event.corr = Some(7);
+                event.corr = NonZeroU64::new(7);
             }
             if event.node.is_none() {
                 event.node = Some(NodeId::from_raw(3));
@@ -1384,6 +1412,36 @@ mod tests {
                     \"gc_backlog\":0,\"snapshots\":1,\"live_actions\":3}";
         let err = Event::from_json_line(line).unwrap_err();
         assert_eq!(err.message, "missing field `ckpt_backlog`");
+    }
+
+    #[test]
+    fn zero_corr_and_wide_gauges_are_rejected() {
+        // Correlation ids start at 1: a 0 is corruption, not "none".
+        let zero = "{\"at_us\":1,\"ev\":\"msg_send\",\"from\":1,\"to\":2,\
+                    \"kind\":\"ack\",\"lc\":1,\"corr\":0}";
+        let err = Event::from_json_line(zero).unwrap_err();
+        assert_eq!(err.message, "field `corr` is 0");
+        // Gauges are 32 bits: u32::MAX reads back, one more is refused.
+        let gauges = |first: u64| {
+            format!(
+                "{{\"at_us\":5,\"ev\":\"metrics_snapshot\",\"lock_entries\":{first},\
+                 \"lock_waiters\":0,\"group_queue\":0,\"versions\":2,\"gc_backlog\":0,\
+                 \"snapshots\":1,\"live_actions\":3,\"ckpt_backlog\":0}}"
+            )
+        };
+        let max = Event::from_json_line(&gauges(u64::from(u32::MAX))).unwrap();
+        assert!(matches!(
+            max.kind,
+            EventKind::MetricsSnapshot {
+                lock_entries: u32::MAX,
+                ..
+            }
+        ));
+        let err = Event::from_json_line(&gauges(1 << 32)).unwrap_err();
+        assert_eq!(
+            err.message,
+            "field `lock_entries` value 4294967296 out of range"
+        );
     }
 
     #[test]

@@ -150,7 +150,7 @@ mod tests {
         let n1 = NodeId::from_raw(1);
         let n2 = NodeId::from_raw(2);
         let with_corr = |mut e: Event, corr: u64| {
-            e.corr = Some(corr);
+            e.corr = std::num::NonZeroU64::new(corr);
             e
         };
         let events = vec![

@@ -38,6 +38,11 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder retaining the newest `capacity` events (minimum 1).
+    ///
+    /// The ring holds each event by value and grows as events arrive,
+    /// so once full it occupies `capacity × size_of::<Event>()` bytes
+    /// (72 B an event; the ring's growth rounds the capacity up to a
+    /// power of two): 4.5 MiB for 65 536 events.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         FlightRecorder {

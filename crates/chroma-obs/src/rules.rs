@@ -107,6 +107,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::num::NonZeroU64;
 
 use chroma_base::{ActionId, Colour, LockMode, NodeId, ObjectId};
 
@@ -1335,13 +1336,13 @@ impl ExactOnly {
                 self.check_staleness(node, object, version, out);
             }
             EventKind::MsgSend { .. } => {
-                if let Some(corr) = event.corr {
+                if let Some(corr) = event.corr.map(NonZeroU64::get) {
                     // one send per correlation id; keep the first
                     self.sends.entry(corr).or_insert(event.lc);
                 }
             }
             EventKind::MsgDeliver { to, .. } => {
-                if let Some(corr) = event.corr {
+                if let Some(corr) = event.corr.map(NonZeroU64::get) {
                     match self.sends.get(&corr) {
                         None => out.push(Violation::ReceiveWithoutSend { corr, node: to }),
                         Some(&send_lc) => {

@@ -17,6 +17,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::num::NonZeroU64;
 
 use chroma_base::{ActionId, NodeId, ObjectId};
 
@@ -406,13 +407,13 @@ impl SpanForest {
                     }
                 }
                 EventKind::MsgSend { .. } => {
-                    if let Some(corr) = event.corr {
+                    if let Some(corr) = event.corr.map(NonZeroU64::get) {
                         sends.entry(corr).or_insert(i);
                         paired.entry(corr).or_insert(false);
                     }
                 }
                 EventKind::MsgDeliver { from, to, kind } => {
-                    if let Some(corr) = event.corr {
+                    if let Some(corr) = event.corr.map(NonZeroU64::get) {
                         match sends.get(&corr) {
                             Some(&send_idx) => {
                                 paired.insert(corr, true);
@@ -912,7 +913,7 @@ mod tests {
             kind,
         };
         let with_corr = |mut e: Event, corr: u64| {
-            e.corr = Some(corr);
+            e.corr = NonZeroU64::new(corr);
             e
         };
         let events = vec![

@@ -19,13 +19,7 @@ use agreement::{
 use chroma_base::{ActionId, LockMode, NodeId, ObjectId};
 use chroma_obs::{Event, EventKind, TraceAuditor, Violation, Watchdog, WatchdogRule};
 use proptest::prelude::*;
-
-fn torture_seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
+use proptest::torture_seed;
 
 /// SplitMix64.
 struct Rng(u64);
@@ -445,7 +439,10 @@ fn mutate(events: &mut Vec<Event>, rng: &mut Rng) {
 
 /// The stream case `seed` stands for, and how many mutations it took.
 fn stream(seed: u64) -> (Vec<Event>, usize) {
-    let mut rng = Rng(seed ^ torture_seed().wrapping_mul(0x2545_F491_4F6C_DD1D));
+    let mut rng = Rng(seed
+        ^ torture_seed()
+            .unwrap_or(42)
+            .wrapping_mul(0x2545_F491_4F6C_DD1D));
     let steps = 20 + rng.below(120);
     let mut events = well_formed(&mut rng, steps);
     let mutations = rng.below(4);

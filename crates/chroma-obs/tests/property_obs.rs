@@ -2,6 +2,8 @@
 //! bus can emit, and the latency histogram's derived statistics stay
 //! within the bounds its bucketing promises.
 
+use std::num::NonZeroU64;
+
 use chroma_base::{ActionId, Colour, LockMode, NodeId, ObjectId};
 use chroma_obs::{Event, EventKind, Histogram, MsgKind};
 use proptest::prelude::*;
@@ -83,7 +85,7 @@ proptest! {
     ) {
         let mut event = Event::at(at_us, kind);
         event.lc = lc;
-        event.corr = has_corr.then_some(corr);
+        event.corr = NonZeroU64::new(corr).filter(|_| has_corr);
         if event.node.is_none() && has_bound {
             event.node = Some(NodeId::from_raw(bound));
         }

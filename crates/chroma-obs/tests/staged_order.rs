@@ -13,19 +13,13 @@ use std::sync::Arc;
 use chroma_base::{ActionId, Colour, LockMode, ObjectId};
 use chroma_core::Runtime;
 use chroma_obs::{Event, EventBus, EventKind, FlightRecorder, MemorySink, Watchdog, WatchdogRule};
+use proptest::torture_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const THREADS: u64 = 4;
 const ROUNDS: usize = 150;
 const CELLS: usize = 8;
-
-fn torture_seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 /// The action an event belongs to, for the kinds that name one.
 fn action_of(event: &Event) -> Option<ActionId> {
@@ -62,7 +56,7 @@ fn violations(events: &[Event]) -> Vec<EventKind> {
 
 #[test]
 fn stamp_order_keeps_program_order_and_the_live_verdict() {
-    let seed = torture_seed();
+    let seed = torture_seed().unwrap_or(42);
     let bus = Arc::new(EventBus::new());
     let sink = Arc::new(MemorySink::new(1_000_000));
     bus.add_sink(sink.clone());

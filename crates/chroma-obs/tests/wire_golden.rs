@@ -16,6 +16,7 @@
 
 mod agreement;
 
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 use agreement::{a, begin, c, commit, ev, grant, inherit, n, o, release, undo};
@@ -318,7 +319,7 @@ fn every_online_rule_keeps_its_wire_line_and_display() {
     }
 }
 
-fn stamped(lc: u64, corr: Option<u64>, kind: EventKind) -> Event {
+fn stamped(lc: u64, corr: Option<NonZeroU64>, kind: EventKind) -> Event {
     let mut e = ev(kind);
     e.lc = lc;
     e.corr = corr;
@@ -380,13 +381,13 @@ fn every_exact_only_finding_keeps_its_display() {
         ),
         (
             vec![
-                stamped(5, Some(7), msg(false)),
-                stamped(3, Some(7), msg(true)),
+                stamped(5, NonZeroU64::new(7), msg(false)),
+                stamped(3, NonZeroU64::new(7), msg(true)),
             ],
             &["causality: delivery of corr 7 carries lc 3, not after the send's lc 5"],
         ),
         (
-            vec![stamped(3, Some(9), msg(true))],
+            vec![stamped(3, NonZeroU64::new(9), msg(true))],
             &["causality: N2 applied a delivery with corr 9 that matches no send"],
         ),
         (
@@ -589,7 +590,7 @@ fn golden_kinds() -> Vec<(&'static str, Event)> {
             r#"{"at_us":0,"ev":"msg_send","from":1,"to":2,"kind":"prepare","lc":5,"corr":77}"#,
             stamped(
                 5,
-                Some(77),
+                NonZeroU64::new(77),
                 EventKind::MsgSend {
                     from: n(1),
                     to: n(2),
@@ -623,7 +624,7 @@ fn golden_kinds() -> Vec<(&'static str, Event)> {
             r#"{"at_us":0,"ev":"msg_deliver","from":1,"to":2,"kind":"replica_pull","lc":6,"corr":77}"#,
             stamped(
                 6,
-                Some(77),
+                NonZeroU64::new(77),
                 EventKind::MsgDeliver {
                     from: n(1),
                     to: n(2),
@@ -947,6 +948,19 @@ const REJECTED: &[(&str, &str)] = &[
         r#"{"at_us":1,"ev":"msg_send","from":1,"to":4294967296,"kind":"ack"}"#,
         "node id 4294967296 out of range",
     ),
+    // u32 (the gauges)
+    (
+        r#"{"at_us":1,"ev":"metrics_snapshot","lock_entries":1,"lock_waiters":0,"group_queue":0,"versions":2,"gc_backlog":0,"snapshots":1,"live_actions":3}"#,
+        "missing field `ckpt_backlog`",
+    ),
+    (
+        r#"{"at_us":1,"ev":"metrics_snapshot","lock_entries":true,"lock_waiters":0,"group_queue":0,"versions":2,"gc_backlog":0,"snapshots":1,"live_actions":3,"ckpt_backlog":0}"#,
+        "field `lock_entries` should be a number, got Bool(true)",
+    ),
+    (
+        r#"{"at_us":1,"ev":"metrics_snapshot","lock_entries":1,"lock_waiters":0,"group_queue":0,"versions":4294967296,"gc_backlog":0,"snapshots":1,"live_actions":3,"ckpt_backlog":0}"#,
+        "field `versions` value 4294967296 out of range",
+    ),
     // Colour
     (
         r#"{"at_us":1,"ev":"lock_release","action":1,"object":1}"#,
@@ -1058,6 +1072,10 @@ const REJECTED: &[(&str, &str)] = &[
     (
         r#"{"at_us":1,"ev":"disk_append","records":1,"bytes":8,"corr":false}"#,
         "field `corr` should be a number, got Bool(false)",
+    ),
+    (
+        r#"{"at_us":1,"ev":"disk_append","records":1,"bytes":8,"corr":0}"#,
+        "field `corr` is 0",
     ),
     (
         r#"{"at_us":1,"ev":"disk_append","records":1,"bytes":8,"node":"3"}"#,

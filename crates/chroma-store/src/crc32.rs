@@ -84,7 +84,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 mod tests {
     use super::{crc32, TABLES};
     use proptest::prelude::*;
-    use proptest::TestRng;
+    use proptest::{torture_seed, TestRng};
     use rand::SeedableRng;
 
     /// The bytewise table loop: one dependent lookup per byte.
@@ -94,13 +94,6 @@ mod tests {
             crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
         }
         !crc
-    }
-
-    fn torture_seed() -> u64 {
-        std::env::var("CHROMA_TORTURE_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42)
     }
 
     #[test]
@@ -142,7 +135,7 @@ mod tests {
                 assert_eq!(crc32(data), bytewise(data), "offset {offset}, length {len}");
             }
         }
-        let mut rng = TestRng::seed_from_u64(torture_seed());
+        let mut rng = TestRng::seed_from_u64(torture_seed().unwrap_or(42));
         let buffers = prop::collection::vec(any::<u8>(), 0..4096);
         for case in 0..256 {
             let data = buffers.generate(&mut rng);

@@ -311,6 +311,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     use super::*;
+    use proptest::torture_seed;
 
     impl VersionChains {
         /// The sweep as it was before the multi-version index, judged
@@ -365,13 +366,6 @@ mod tests {
                 assert_eq!(shard.versions, held, "version count drifted");
             }
         }
-    }
-
-    fn torture_seed() -> u64 {
-        std::env::var("CHROMA_TORTURE_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42)
     }
 
     fn o(n: u64) -> ObjectId {
@@ -538,7 +532,7 @@ mod tests {
     #[test]
     fn indexed_collect_matches_full_scan_oracle() {
         const COLOURS: usize = 3;
-        let seed = torture_seed();
+        let seed = torture_seed().unwrap_or(42);
         let mut rng = StdRng::seed_from_u64(seed);
         let indexed = VersionChains::new();
         let oracle = VersionChains::new();

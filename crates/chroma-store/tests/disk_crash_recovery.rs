@@ -13,6 +13,7 @@ use chroma_base::ObjectId;
 use chroma_obs::{EventBus, MemorySink, Obs, Observable, TraceAuditor};
 use chroma_store::{DiskError, DiskStore, DiskStoreOptions, OsFs, StoreBytes};
 use proptest::prelude::*;
+use proptest::torture_seed;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -106,13 +107,6 @@ fn splitmix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-fn torture_seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
 }
 
 proptest! {
@@ -222,7 +216,10 @@ proptest! {
 /// auditor, and fsync latency must appear in the metrics.
 #[test]
 fn seed_matrix_truncation_torture() {
-    let mut state = torture_seed().wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC0DE;
+    let mut state = torture_seed()
+        .unwrap_or(0)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ 0xC0DE;
     for round in 0..16u64 {
         let batch_size = splitmix(&mut state) % BASELINE_OBJECTS + 1;
         let dir = temp_dir();

@@ -29,13 +29,7 @@ use std::time::{Duration, Instant};
 use chroma_base::ObjectId;
 use chroma_obs::{EventBus, MemorySink, Obs, Observable, TraceAuditor};
 use chroma_store::{DiskError, DiskStore, DiskStoreOptions, Fs, FsFile, MemFs, StoreBytes};
-
-fn seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
+use proptest::torture_seed;
 
 /// splitmix64: one deterministic stream per seed.
 fn splitmix(state: &mut u64) -> u64 {
@@ -503,7 +497,7 @@ struct Case {
 
 impl Case {
     fn new() -> Self {
-        let seed = seed();
+        let seed = torture_seed().unwrap_or(42);
         let mut draw = Draw::new(seed);
         let before = [draw.batch(), draw.batch(), draw.batch()];
         let group = [draw.batch(), draw.batch(), draw.batch()];
@@ -570,7 +564,7 @@ fn a_failed_seal_after_a_group_poisons_and_keeps_the_group() {
 
 #[test]
 fn a_failed_checkpoint_poisons_and_loses_nothing() {
-    let seed = seed();
+    let seed = torture_seed().unwrap_or(42);
     let mut draw = Draw::new(seed);
     // The fold writes its image (append, sync), syncs `segments/`, then
     // rewrites the manifest (append, sync, rename, directory sync); a
@@ -625,7 +619,7 @@ fn segment_files(disk: &MemFs) -> (Vec<String>, Vec<String>) {
 
 #[test]
 fn a_failed_gc_remove_poisons_and_reopen_sweeps_what_it_left() {
-    let seed = seed();
+    let seed = torture_seed().unwrap_or(42);
     let mut draw = Draw::new(seed);
     // Every commit seals (segment_bytes 1). The second fold's GC removes
     // the first fold's image, then the two segments it folded: fail
@@ -751,7 +745,7 @@ fn two_groups_parked(
 
 #[test]
 fn pipeline_a_second_group_appends_and_syncs_while_the_first_is_parked() {
-    let mut draw = Draw::new(seed());
+    let mut draw = Draw::new(torture_seed().unwrap_or(42));
     let [x, a, b] = [draw.batch(), draw.batch(), draw.batch()];
     let (store, fs, [first, second]) = two_groups_parked(&x, &a, &b);
     // Both groups' frames are in the log, in order, before either sync
@@ -778,7 +772,7 @@ fn pipeline_a_second_group_appends_and_syncs_while_the_first_is_parked() {
 
 #[test]
 fn pipeline_results_post_in_log_order() {
-    let mut draw = Draw::new(seed());
+    let mut draw = Draw::new(torture_seed().unwrap_or(42));
     let [x, a, b] = [draw.batch(), draw.batch(), draw.batch()];
     let (store, fs, [first, second]) = two_groups_parked(&x, &a, &b);
     // The second group's fsync returns first: it is durable, but its
@@ -802,7 +796,7 @@ fn pipeline_results_post_in_log_order() {
 
 #[test]
 fn pipeline_a_failed_first_sync_fails_the_second_group_and_poisons() {
-    let seed = seed();
+    let seed = torture_seed().unwrap_or(42);
     let mut draw = Draw::new(seed);
     let [x, a, b] = [draw.batch(), draw.batch(), draw.batch()];
     let fs = FaultyFs::new();
@@ -850,7 +844,7 @@ fn pipeline_a_failed_append_stops_the_leader_waiting_behind_it() {
     // fails, the second leader must append nothing: behind a torn frame
     // its whole frames would read as a corrupt one, and the store would
     // never reopen.
-    let seed = seed();
+    let seed = torture_seed().unwrap_or(42);
     let mut draw = Draw::new(seed);
     let [x, a, b] = [draw.batch(), draw.batch(), draw.batch()];
     let k = 10; // past the first frame's length prefix, inside its payload

@@ -31,15 +31,9 @@ use std::thread::{self, ThreadId};
 use chroma_base::ObjectId;
 use chroma_obs::{Event, EventBus, MemorySink, Obs, Observable, TraceAuditor};
 use chroma_store::{DiskStore, DiskStoreOptions, Fs, FsFile, MemFs, StoreBytes};
+use proptest::torture_seed;
 
 const OBJECTS: u64 = 12;
-
-fn seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 /// splitmix64: one deterministic stream per seed.
 fn splitmix(state: &mut u64) -> u64 {
@@ -581,7 +575,7 @@ fn assert_named_steps(steps: &[Step], full: &Run) {
 
 #[test]
 fn every_power_cut_of_a_seeded_history_recovers() {
-    let seed = seed();
+    let seed = torture_seed().unwrap_or(42);
     let steps = history(seed);
     let full = run_history(&steps, None);
     assert!(!full.fs.dead());
@@ -627,7 +621,7 @@ fn every_power_cut_of_a_seeded_history_recovers() {
 
 #[test]
 fn acknowledged_batches_survive_power_loss_and_none_is_partial() {
-    let seed = seed();
+    let seed = torture_seed().unwrap_or(42);
     let mut rng = seed ^ 0x4D45_4D46;
     let mut serial = 0u64;
     let fs = CutFs::default();
@@ -708,7 +702,7 @@ fn synced_by_another_group(done: &[Op]) -> bool {
 fn concurrent_power_cut_torture() {
     const COMMITTERS: u64 = 6;
     const BATCHES: u64 = 4;
-    let seed = seed();
+    let seed = torture_seed().unwrap_or(42);
     let mut rng = seed ^ 0x434F_4E43;
     let mut audited_across = 0;
     for round in 0..16 {

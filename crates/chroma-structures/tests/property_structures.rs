@@ -131,6 +131,8 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// A compact generator of random structures with named actions/works.
+/// The draw can give two nodes one name, so every node is numbered
+/// afresh after it: the oracle below tells nodes apart by name.
 fn structure_strategy() -> impl Strategy<Value = Structure> {
     let leaf = (0u32..1000).prop_map(|i| Structure::work(format!("w{i}")));
     leaf.prop_recursive(3, 12, 3, |inner| {
@@ -144,6 +146,29 @@ fn structure_strategy() -> impl Strategy<Value = Structure> {
             }
         })
     })
+    .prop_map(|mut structure| {
+        number_nodes(&mut structure, &mut 0);
+        structure
+    })
+}
+
+/// Renames every node in pre-order, keeping its kind's letter (`a0`,
+/// `w1`, `s2`, ...), so no two nodes share a name.
+fn number_nodes(s: &mut Structure, next: &mut usize) {
+    let (name, children) = match s {
+        Structure::Work { name } => (name, None),
+        Structure::Action { name, children } | Structure::Independent { name, children, .. } => {
+            (name, Some(children))
+        }
+        Structure::Serializing { name, steps } | Structure::Glued { name, steps } => {
+            (name, Some(steps))
+        }
+    };
+    *name = format!("{}{next}", &name[..1]);
+    *next += 1;
+    for child in children.into_iter().flatten() {
+        number_nodes(child, next);
+    }
 }
 
 /// Collects the work-node names of a structure.
@@ -200,10 +225,8 @@ proptest! {
         };
         let mut works = Vec::new();
         work_names(&root, &mut works);
-        works.dedup();
         let mut names = Vec::new();
         node_names(&root, &mut names);
-        names.dedup();
         // Cap the schedules to keep runtime bounded.
         for aborter in names.iter().take(6) {
             let rt = Runtime::builder().build();

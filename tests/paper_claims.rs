@@ -28,14 +28,9 @@ use chroma::store::StoreBytes;
 use chroma::structures::compiler::{assign, Structure};
 use chroma::structures::{independent_sync, GluedChain, GluedGroup, SerializingAction};
 use chroma::EscrowCounter;
+use proptest::torture_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn torture_seed() -> Option<u64> {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-}
 
 fn rt_fast() -> Runtime {
     Runtime::builder()

@@ -24,6 +24,7 @@ use chroma::core::{ActionError, DiskBackend, PermanenceBackend, Runtime, Runtime
 use chroma::obs::{EventBus, MemorySink, TraceAuditor, Watchdog};
 use chroma::structures::{CompensatingChain, GluedChain, SerializingAction};
 use chroma::typed::EscrowCounter;
+use proptest::torture_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,16 +34,9 @@ const CELLS: usize = 8;
 /// Posts the periodic prune keeps on the board.
 const KEEP_POSTS: usize = 16;
 
-fn torture_seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
 #[test]
 fn mixed_structures_stress() {
-    let seed = torture_seed();
+    let seed = torture_seed().unwrap_or(42);
     stress(seed, None);
 
     let dir = std::env::temp_dir().join(format!("chroma-stress-{}", std::process::id()));

@@ -24,6 +24,7 @@ use chroma::core::{DiskBackend, Runtime, RuntimeConfig};
 use chroma::dist::{ReplicatedObject, Sim, Write, RETRY_INTERVAL};
 use chroma::obs::{Event, EventBus, MemorySink, Obs, Observable, TraceAuditor};
 use chroma::store::StoreBytes;
+use proptest::torture_seed;
 
 /// The node id the local (non-simulated) runtime is bound to in traces.
 /// Far above any id the simulator allocates, so the Chrome export gives
@@ -32,13 +33,6 @@ const LOCAL_RUNTIME_NODE: u32 = 100;
 
 /// The seeds CI's torture matrix runs.
 const SEED_MATRIX: [u64; 4] = [1, 7, 42, 1337];
-
-fn torture_seed() -> u64 {
-    std::env::var("CHROMA_TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7)
-}
 
 /// Runs the demonstration workload with simulation seed `seed` and
 /// returns its events, in emission order.
@@ -144,7 +138,7 @@ fn assert_audits_clean(seed: u64, events: &[Event]) {
 
 #[test]
 fn demonstration_trace_audits_clean() {
-    let seed = torture_seed();
+    let seed = torture_seed().unwrap_or(7);
     let events = demonstration_trace(seed);
     assert_audits_clean(seed, &events);
     if let Some(path) = std::env::var_os("CHROMA_TRACE_OUT") {
