@@ -413,17 +413,6 @@ impl Core {
         })
     }
 
-    /// Runs `f`, then the chunk drain that came due while it ran, if
-    /// any (see [`Obs::deferring_drains`]).
-    fn deferring_drains<R>(&self, f: impl FnOnce() -> R) -> R {
-        let deferring = Deferring::enter(self.addr());
-        let out = f();
-        if deferring.leave() {
-            self.drain(false);
-        }
-        out
-    }
-
     /// Steps every event stamped below the current watermark through
     /// the watchdog and into the recorders, in stamp order, then emits
     /// the violations found (and hands those to the recorders too).
@@ -657,10 +646,15 @@ impl Obs {
     /// committing colour shares). A `node_crash` or `watchdog_violation`
     /// still drains at once.
     pub fn deferring_drains<R>(&self, f: impl FnOnce() -> R) -> R {
-        match &self.bus {
-            Some(bus) => bus.core.deferring_drains(f),
-            None => f(),
+        let Some(bus) = &self.bus else {
+            return f();
+        };
+        let deferring = Deferring::enter(bus.core.addr());
+        let out = f();
+        if deferring.leave() {
+            bus.core.drain(false);
         }
+        out
     }
 
     /// Merges an observed remote clock into `node`'s clock (no-op
