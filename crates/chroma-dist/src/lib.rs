@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 
 mod backend;
+mod host;
 mod masking;
 mod msg;
 mod node;
@@ -31,6 +32,7 @@ mod transport;
 pub mod wire;
 
 pub use backend::PartitionedStore;
+pub use host::{txn_object, txn_value, Host, Report, TXN_DEADLINE_US};
 pub use masking::{Accept, Backoff, DedupWindow, SendWindow};
 pub use msg::{CorrId, Effect, Message, TimerTag, TxnId, Write};
 pub use node::{
@@ -38,6 +40,6 @@ pub use node::{
     RETRY_INTERVAL, TPC_LOG_BASE,
 };
 pub use replica::ReplicatedObject;
-pub use sim::{NetConfig, NetStats, Sim, SimTransport};
+pub use sim::{NetConfig, NetStats, Sim};
 pub use tcp::{MaskingStats, TcpConfig, TcpTransport};
-pub use transport::{dispatch, dispatch_with, Transport, TransportEvent};
+pub use transport::{dispatch_with, Transport, TransportEvent};

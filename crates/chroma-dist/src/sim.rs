@@ -8,9 +8,10 @@ use chroma_obs::{EventKind, Obs, ObsCell, Observable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::host::{Host, Report};
 use crate::msg::{CorrId, Effect, Message, TimerTag, TxnId, Write};
 use crate::node::Node;
-use crate::transport::{dispatch_with, Transport, TransportEvent};
+use crate::transport::{Transport, TransportEvent};
 use crate::wire;
 
 /// Network behaviour knobs (the paper's §2 failure model: messages may
@@ -113,7 +114,10 @@ pub struct Sim {
     /// run in the order they were scheduled.
     queue: BTreeMap<(u64, u64), Event>,
     rng: StdRng,
-    nodes: BTreeMap<NodeId, Node>,
+    /// Every node, each run by its own [`Host`].
+    hosts: BTreeMap<NodeId, Host>,
+    /// What the hosts reported, not yet taken.
+    reports: Vec<(NodeId, Report)>,
     next_node: u32,
     next_txn: u64,
     /// Correlation ids, one per logical send (duplicates share it).
@@ -137,7 +141,8 @@ impl Sim {
             seq: 0,
             queue: BTreeMap::new(),
             rng: StdRng::seed_from_u64(seed),
-            nodes: BTreeMap::new(),
+            hosts: BTreeMap::new(),
+            reports: Vec::new(),
             next_node: 0,
             next_txn: 1,
             next_corr: CorrId::MIN,
@@ -212,7 +217,7 @@ impl Sim {
         if obs.enabled() {
             node.install_obs(obs);
         }
-        self.nodes.insert(id, node);
+        self.hosts.insert(id, Host::new(node));
         id
     }
 
@@ -235,7 +240,7 @@ impl Sim {
     /// Panics if the node does not exist.
     #[must_use]
     pub fn node(&self, id: NodeId) -> &Node {
-        self.nodes.get(&id).expect("unknown node")
+        self.hosts.get(&id).expect("unknown node").node()
     }
 
     /// Returns a mutable reference to a node.
@@ -244,13 +249,13 @@ impl Sim {
     ///
     /// Panics if the node does not exist.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        self.nodes.get_mut(&id).expect("unknown node")
+        self.hosts.get_mut(&id).expect("unknown node").node_mut()
     }
 
     /// Returns the ids of all nodes, in order.
     #[must_use]
     pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
+        self.hosts.keys().copied().collect()
     }
 
     // ------------------------------------------------------------------
@@ -272,17 +277,9 @@ impl Sim {
         self.push(self.now + delay, Event::Recover { node });
     }
 
-    /// Applies a node's effects: messages enter the (lossy) network,
-    /// timers are queued.
-    fn apply_effects(&mut self, origin: NodeId, effects: Vec<Effect>) {
-        for effect in effects {
-            match effect {
-                Effect::Send { to, msg } => self.send(origin, to, msg),
-                Effect::SetTimer { delay, tag } => {
-                    self.push(self.now + delay, Event::Timer { node: origin, tag });
-                }
-            }
-        }
+    /// Applies a node's effects through its [`SimTransport`] view.
+    fn apply_effects(&mut self, id: NodeId, effects: Vec<Effect>) {
+        SimTransport { sim: self, id }.apply_effects(effects);
     }
 
     fn send(&mut self, from: NodeId, to: NodeId, msg: Message) {
@@ -338,27 +335,42 @@ impl Sim {
         }
     }
 
-    /// Runs one transport event against `id`'s node through the shared
-    /// [`dispatch_with`] path, with the node's durability barrier after
-    /// the handler, exactly as a `chroma-node` process runs it. The node
-    /// is lifted out of the map for the duration so the
-    /// [`SimTransport`] view can borrow the simulation mutably.
-    fn dispatch_to(&mut self, id: NodeId, event: TransportEvent) {
-        let mut node = self.nodes.remove(&id).expect("node present");
+    /// Hands `event` to `id`'s host, or wakes it without one, over its
+    /// [`SimTransport`] view (the host leaves the map meanwhile, so the
+    /// view can borrow the simulation), and keeps what it reports.
+    fn drive(&mut self, id: NodeId, event: Option<TransportEvent>) {
+        let mut host = self.hosts.remove(&id).expect("host present");
         let mut view = SimTransport { sim: self, id };
-        dispatch_with(&mut node, &mut view, event, Node::barrier);
-        self.nodes.insert(id, node);
+        let mut reports = Vec::new();
+        let report = &mut |report| reports.push((id, report));
+        match event {
+            Some(event) => host.handle(&mut view, event, report),
+            None => host.advance(&mut view, report),
+        }
+        self.hosts.insert(id, host);
+        self.reports.extend(reports);
     }
 
-    /// Processes the next event; returns `false` when the queue is
-    /// empty.
+    /// Processes the next event, or wakes the host whose
+    /// [`Host::wakeup_us`] comes before it; returns `false` when
+    /// neither is left.
     pub fn step(&mut self) -> bool {
+        let next = self.queue.first_key_value().map(|(&(at, _), _)| at);
+        let wake = (self.hosts.iter())
+            .filter_map(|(&id, host)| Some((host.wakeup_us()?, id)))
+            .min();
+        if let Some((at, id)) = wake.filter(|&(at, _)| next.is_none_or(|next| at < next)) {
+            self.now = at;
+            self.sync_time();
+            self.drive(id, None);
+            return true;
+        }
         let Some(((at, _), event)) = self.queue.pop_first() else {
             return false;
         };
         self.now = at;
         self.sync_time();
-        match event {
+        let (id, event) = match event {
             Event::Deliver {
                 from,
                 to,
@@ -369,7 +381,7 @@ impl Sim {
                 let msg = wire::decode(&payload).expect("sim frames use the shared wire codec");
                 let kind = msg.kind();
                 let obs = self.obs();
-                let Some(node) = self.nodes.get(&to) else {
+                let Some(node) = self.hosts.get(&to).map(Host::node) else {
                     return true;
                 };
                 if !node.up {
@@ -378,36 +390,32 @@ impl Sim {
                     return true;
                 }
                 self.stats.delivered += 1;
-                self.dispatch_to(
-                    to,
-                    TransportEvent::Deliver {
-                        from,
-                        msg,
-                        corr,
-                        send_lc,
-                    },
-                );
+                let deliver = TransportEvent::Deliver {
+                    from,
+                    msg,
+                    corr,
+                    send_lc,
+                };
+                (to, deliver)
             }
             Event::Timer { node: id, tag } => {
-                let Some(node) = self.nodes.get(&id) else {
-                    return true;
-                };
-                if !node.up {
+                if !self.hosts.get(&id).is_some_and(|host| host.node().up) {
                     return true;
                 }
-                self.dispatch_to(id, TransportEvent::Timer { tag });
+                (id, TransportEvent::Timer { tag })
             }
             Event::Crash { node: id } => {
-                if let Some(node) = self.nodes.get_mut(&id) {
+                if let Some(node) = self.hosts.get_mut(&id).map(Host::node_mut) {
                     let was_up = node.up;
                     node.crash();
                     if was_up {
                         self.obs().emit(EventKind::NodeCrash { node: id });
                     }
                 }
+                return true;
             }
             Event::Recover { node: id } => {
-                let effects = match self.nodes.get_mut(&id) {
+                let effects = match self.hosts.get_mut(&id).map(Host::node_mut) {
                     Some(node) if !node.up => {
                         let effects = node.recover();
                         self.obs().emit(EventKind::NodeRecover { node: id });
@@ -416,8 +424,10 @@ impl Sim {
                     _ => Vec::new(),
                 };
                 self.apply_effects(id, effects);
+                return true;
             }
-        }
+        };
+        self.drive(id, Some(event));
         true
     }
 
@@ -460,13 +470,31 @@ impl Sim {
     ) -> TxnId {
         let txn = TxnId(self.next_txn);
         self.next_txn += 1;
-        let effects = self
-            .nodes
-            .get_mut(&coordinator)
-            .expect("unknown coordinator")
-            .begin_transaction(txn, writes);
+        let effects = self.node_mut(coordinator).begin_transaction(txn, writes);
         self.apply_effects(coordinator, effects);
         txn
+    }
+
+    /// Makes `coordinator` run the process coordinator's schedule
+    /// ([`Host::coordinate`], its transaction ids from 1: not to be
+    /// mixed with [`Sim::begin_transaction`]) and begins it; its reports
+    /// wait in [`Sim::take_reports`].
+    pub fn schedule_transactions(
+        &mut self,
+        coordinator: NodeId,
+        participants: Vec<NodeId>,
+        txns: u64,
+        seed: u64,
+    ) {
+        let host = self.hosts.get_mut(&coordinator).expect("unknown node");
+        host.coordinate(participants, txns, seed);
+        self.drive(coordinator, None);
+    }
+
+    /// Takes what the hosts reported since the last call, in order,
+    /// each with the node that reported it.
+    pub fn take_reports(&mut self) -> Vec<(NodeId, Report)> {
+        std::mem::take(&mut self.reports)
     }
 
     /// Returns the coordinator's decision for `txn`, if reached.
@@ -478,31 +506,22 @@ impl Sim {
     /// Starts an at-most-once RPC from `client` to `server`. Returns
     /// the call id (poll via [`Node::rpc_reply`] on the client).
     pub fn rpc(&mut self, client: NodeId, server: NodeId, op: &crate::node::RpcOp) -> u64 {
-        let (call, effects) = self
-            .nodes
-            .get_mut(&client)
-            .expect("unknown client")
-            .rpc_call(server, op);
+        let (call, effects) = self.node_mut(client).rpc_call(server, op);
         self.apply_effects(client, effects);
         call
-    }
-
-    /// Returns node `id`'s [`Transport`] view of the simulation —
-    /// sends enter the seeded lossy network, timers join the event
-    /// queue, connect/disconnect map to partition healing/severing.
-    pub fn transport(&mut self, id: NodeId) -> SimTransport<'_> {
-        SimTransport { sim: self, id }
     }
 }
 
 /// One node's [`Transport`] view of a [`Sim`]: the simulator side of
 /// the trait [`TcpTransport`](crate::TcpTransport) implements with real
-/// sockets.
+/// sockets. Sends enter the seeded lossy network, timers join the event
+/// queue, connect and disconnect heal and sever partitions.
 ///
-/// Push-driven: the scheduler dispatches deliveries and timers eagerly,
-/// so [`poll`](Transport::poll) always returns `None`.
+/// Push-driven: the scheduler hands deliveries and timers to the
+/// node's [`Host`] itself, so [`poll`](Transport::poll) always returns
+/// `None`.
 #[derive(Debug)]
-pub struct SimTransport<'a> {
+pub(crate) struct SimTransport<'a> {
     sim: &'a mut Sim,
     id: NodeId,
 }
@@ -547,8 +566,8 @@ impl Observable for Sim {
     /// future) emits through it, and the simulation stamps its events
     /// with simulated time and reports network and crash activity.
     fn install_obs(&self, obs: Obs) {
-        for node in self.nodes.values() {
-            node.install_obs(obs.clone());
+        for host in self.hosts.values() {
+            host.node().install_obs(obs.clone());
         }
         self.obs.set(obs);
         self.sync_time();

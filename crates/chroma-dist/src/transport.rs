@@ -4,17 +4,18 @@
 //! machines (2PC, RPC, replication) and an unreliable network. This
 //! module factors that boundary into a trait with two implementations:
 //!
-//! * [`SimTransport`](crate::SimTransport) — the deterministic
-//!   discrete-event simulator's per-node view, where "the network" is a
-//!   seeded RNG and a priority queue;
+//! * the [`Sim`](crate::Sim)'s per-node view — the deterministic
+//!   discrete-event simulator, where "the network" is a seeded RNG and
+//!   a priority queue;
 //! * [`TcpTransport`](crate::TcpTransport) — real sockets between real
 //!   processes, with sequence numbers, duplicate suppression and
 //!   exponential-backoff reconnect doing the masking.
 //!
 //! A `Transport` is **one endpoint's** view: it knows its own identity,
 //! can send to peers, schedule timers, and yields inbound events. The
-//! protocol state machines never see which implementation they run on —
-//! [`dispatch`] is the one place a transport event meets a node.
+//! protocol state machines never see which implementation they run on:
+//! one [`Host`](crate::Host) feeds them every event, in the simulator
+//! and in `chroma-node` alike.
 
 use std::time::Duration;
 
@@ -47,9 +48,10 @@ pub enum TransportEvent {
     },
     /// The masking layer observed a hole in a peer's sequence stream:
     /// frames `expected..got` are missing and will never arrive (e.g.
-    /// the sender's resend buffer overflowed). Surfaced to the driver —
-    /// never silently skipped — so an operator can tell "the network
-    /// masked a failure" from "messages were lost for good".
+    /// the sender's resend buffer overflowed). A [`Host`](crate::Host)
+    /// reports it, so an operator can tell "the network masked a
+    /// failure" from "messages were lost for good"; [`dispatch_with`]
+    /// ignores it only for the benchmark's own loop.
     Gap {
         /// The peer whose stream has the hole.
         from: NodeId,
@@ -117,16 +119,10 @@ pub trait Transport {
 }
 
 /// Feeds one transport event to a node: merges the Lamport clock,
-/// emits the `MsgDeliver` trace event, runs the handler and the node's
-/// [`Node::barrier`], then applies the resulting effects — what the
-/// simulator's scheduler and the `chroma-node` process loop both run.
-pub fn dispatch<T: Transport + ?Sized>(node: &mut Node, transport: &mut T, event: TransportEvent) {
-    dispatch_with(node, transport, event, Node::barrier);
-}
-
-/// [`dispatch`] with a durability barrier: `barrier` runs after the
-/// node's handler mutated its stable state but **before** any resulting
-/// effect reaches the transport.
+/// emits the `MsgDeliver` trace event, runs the handler and `barrier`
+/// (a [`Host`](crate::Host) passes [`Node::barrier`]), then applies the
+/// resulting effects: the barrier runs **before** any of them reaches
+/// the transport.
 ///
 /// This is how a real process keeps the 2PC commit point honest under
 /// `kill -9`: the coordinator's `CoordCommit` record (and a
@@ -166,8 +162,8 @@ pub fn dispatch_with<T, F>(
             barrier(node);
             transport.apply_effects(effects);
         }
-        // A gap carries no payload to hand the node; the driver decides
-        // how loudly to surface it (the transport already counted it).
+        // A gap carries no payload to hand the node; a host reports it
+        // before it gets here (the transport already counted it).
         TransportEvent::Gap { .. } => {}
     }
 }

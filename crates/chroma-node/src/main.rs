@@ -1,9 +1,9 @@
 //! `chroma-node` — host one cluster member as a real OS process.
 //!
 //! The simulator proves the protocols; this binary proves the *code*:
-//! the same [`Node`] state machines, dispatched through the same
-//! [`dispatch_with`] path, run here over [`TcpTransport`] instead of
-//! the discrete-event scheduler — as separately killable processes.
+//! the same [`Node`] state machines, driven by the same [`Host`], run
+//! here over [`TcpTransport`] instead of the discrete-event scheduler —
+//! as separately killable processes.
 //!
 //! ```text
 //! chroma-node worker      --id 2 --listen 127.0.0.1:7102 \
@@ -15,10 +15,11 @@
 //! ```
 //!
 //! A **worker** is a 2PC participant: it answers prepares, votes,
-//! installs decisions — forever, until killed. A **coordinator** drives
-//! `--txns` transactions (one object each, every peer a participant),
-//! reporting each outcome on stdout as `txn N commit|abort obj O`, then
-//! lingers `--linger-ms` to answer straggler decision queries.
+//! installs decisions — forever, until killed. A **coordinator** runs
+//! the host's schedule of `--txns` transactions (one object each, every
+//! peer a participant), printing `begin txn N obj O` and each outcome
+//! as `txn N commit|abort obj O` on stdout, then lingers `--linger-ms`
+//! to answer straggler decision queries.
 //!
 //! Three things make `kill -9` survivable:
 //!
@@ -48,23 +49,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use chroma_base::{NodeId, ObjectId};
+use chroma_base::NodeId;
 use chroma_core::{DiskBackend, Runtime};
-use chroma_dist::{
-    dispatch_with, Node, TcpConfig, TcpTransport, Transport, TransportEvent, TxnId, Write,
-};
+use chroma_dist::{txn_object, Host, Node, Report, TcpConfig, TcpTransport, Transport};
 use chroma_obs::{AppendJsonlSink, EventBus, EventKind, Obs, Observable};
-use chroma_store::StoreBytes;
-
-/// Lowest object id the coordinator writes through 2PC; ids below
-/// belong to each process's co-hosted [`Runtime`], ids from
-/// [`chroma_dist::TPC_LOG_BASE`] (`1 << 62`) on to the node's 2PC
-/// records, one per transaction and role, all in the one store.
-const APP_OBJECT_BASE: u64 = 1_000;
-
-/// How long a coordinator drives one transaction before giving up and
-/// reporting whatever the durable log says.
-const TXN_DEADLINE: Duration = Duration::from_secs(30);
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -155,6 +143,9 @@ impl Opts {
                 other => return Err(format!("unknown flag {other}")),
             }
         }
+        if role == Role::Coordinator && peers.is_empty() {
+            return Err("a coordinator needs at least one --peer".into());
+        }
         Ok(Opts {
             role,
             id: id.ok_or("missing --id")?,
@@ -167,17 +158,6 @@ impl Opts {
             linger_ms,
         })
     }
-}
-
-/// The object a transaction writes and the bytes it installs there —
-/// shared vocabulary between the coordinator's stdout report and the
-/// test that checks worker stores post-mortem.
-fn txn_object(txn: u64) -> ObjectId {
-    ObjectId::from_raw(APP_OBJECT_BASE + txn)
-}
-
-fn txn_value(seed: u64, txn: u64) -> Vec<u8> {
-    format!("v{txn}-s{seed}").into_bytes()
 }
 
 fn run(opts: &Opts) -> Result<(), String> {
@@ -260,90 +240,72 @@ fn run(opts: &Opts) -> Result<(), String> {
         .atomic(|a| a.modify(boot, |count: &mut u64| *count += 1))
         .map_err(|e| format!("boot action failed: {e}"))?;
 
-    match opts.role {
-        Role::Worker => run_worker(opts, &mut node, &mut tcp),
-        Role::Coordinator => run_coordinator(opts, &mut node, &mut tcp),
-    }
-}
-
-/// Answer prepares/decisions forever; exit cleanly when stdin closes
-/// (the supervising process went away) — or never, if killed first.
-fn run_worker(opts: &Opts, node: &mut Node, tcp: &mut TcpTransport) -> Result<(), String> {
-    println!("worker {} ready on {}", opts.id, tcp.local_addr());
-    std::io::stdout().flush().ok();
-    std::thread::spawn(|| {
-        let mut sink = Vec::new();
-        std::io::Read::read_to_end(&mut std::io::stdin(), &mut sink).ok();
-        std::process::exit(0);
-    });
-    serve(node, tcp, |_| true);
-    Ok(())
-}
-
-/// Drive `--txns` transactions through 2PC, reporting each outcome on
-/// stdout, then linger to answer straggler decision queries.
-fn run_coordinator(opts: &Opts, node: &mut Node, tcp: &mut TcpTransport) -> Result<(), String> {
-    println!("coordinator {} ready on {}", opts.id, tcp.local_addr());
-    std::io::stdout().flush().ok();
-    let participants: Vec<NodeId> = opts.peers.iter().map(|&(peer, _)| peer).collect();
-    if participants.is_empty() {
-        return Err("a coordinator needs at least one --peer".into());
-    }
-    let mut committed = 0u64;
-    for i in 1..=opts.txns {
-        let txn = TxnId(i);
-        let object = txn_object(i);
-        let writes = participants.iter().map(|&p| {
-            (
-                p,
-                vec![Write {
-                    object,
-                    state: StoreBytes::from(txn_value(opts.seed, i)),
-                }],
-            )
-        });
-        println!("begin txn {i} obj {}", object.as_raw());
-        std::io::stdout().flush().ok();
-        let effects = node.begin_transaction(txn, writes);
-        tcp.apply_effects(effects);
-        let deadline = Instant::now() + TXN_DEADLINE;
-        serve(node, tcp, |node| {
-            node.coordinator_active(txn) && Instant::now() < deadline
-        });
-        let outcome = if node.coordinator_outcome(txn) == Some(true) {
-            committed += 1;
-            "commit"
-        } else {
-            "abort"
-        };
-        println!("txn {i} {outcome} obj {}", object.as_raw());
-        std::io::stdout().flush().ok();
-    }
-    // stragglers: a participant restarted late may still be querying
-    let linger_until = Instant::now() + Duration::from_millis(opts.linger_ms);
-    serve(node, tcp, |_| Instant::now() < linger_until);
-    println!("coordinator done: {committed}/{} committed", opts.txns);
-    std::io::stdout().flush().ok();
-    Ok(())
-}
-
-/// Serves the transport's events while `go` holds: each one runs its
-/// handler and the durability barrier before the resulting messages
-/// leave. The masking layer surfaces sequence holes instead of hiding
-/// them; a host must at least say so out loud.
-fn serve(node: &mut Node, tcp: &mut TcpTransport, mut go: impl FnMut(&Node) -> bool) {
-    while go(node) {
-        let Some(event) = tcp.poll(Some(Duration::from_millis(50))) else {
-            continue;
-        };
-        if let TransportEvent::Gap {
-            from,
-            expected,
-            got,
-        } = &event
-        {
-            eprintln!("chroma-node: gap from {from}: frames {expected}..{got} lost for good");
+    let mut host = Host::new(node);
+    let mut committed = 0;
+    let mut print = |report: Report| {
+        match report {
+            Report::Begin(txn) => {
+                println!("begin txn {} obj {}", txn.0, txn_object(txn.0).as_raw())
+            }
+            Report::Outcome(txn, commit) => {
+                committed += u64::from(commit);
+                let outcome = if commit { "commit" } else { "abort" };
+                println!("txn {} {outcome} obj {}", txn.0, txn_object(txn.0).as_raw());
+            }
+            Report::Gap(from, lost) => {
+                eprintln!("chroma-node: gap from {from}: frames {lost:?} lost for good");
+            }
         }
-        dispatch_with(node, tcp, event, Node::barrier);
+        std::io::stdout().flush().ok();
+    };
+    match opts.role {
+        // answer prepares and decisions forever; exit cleanly when stdin
+        // closes (the supervising process went away), or never, if
+        // killed first
+        Role::Worker => {
+            println!("worker {} ready on {}", opts.id, tcp.local_addr());
+            std::io::stdout().flush().ok();
+            std::thread::spawn(|| {
+                std::io::Read::read_to_end(&mut std::io::stdin(), &mut Vec::new()).ok();
+                std::process::exit(0);
+            });
+            serve(&mut host, &mut tcp, &mut print, |_| true);
+        }
+        // run the schedule, then linger for straggler decision queries:
+        // a participant restarted late may still be asking
+        Role::Coordinator => {
+            println!("coordinator {} ready on {}", opts.id, tcp.local_addr());
+            std::io::stdout().flush().ok();
+            let participants = opts.peers.iter().map(|&(peer, _)| peer).collect();
+            host.coordinate(participants, opts.txns, opts.seed);
+            serve(&mut host, &mut tcp, &mut print, |host| {
+                host.wakeup_us().is_some()
+            });
+            let linger_until = Instant::now() + Duration::from_millis(opts.linger_ms);
+            serve(&mut host, &mut tcp, &mut print, |_| {
+                Instant::now() < linger_until
+            });
+            println!("coordinator done: {committed}/{} committed", opts.txns);
+            std::io::stdout().flush().ok();
+        }
+    }
+    Ok(())
+}
+
+/// Serves the transport's events to the host while `go` holds, and
+/// wakes it at least every 50 ms without one, so a deadline passes on
+/// a silent network too.
+fn serve(
+    host: &mut Host,
+    tcp: &mut TcpTransport,
+    report: &mut dyn FnMut(Report),
+    go: impl Fn(&Host) -> bool,
+) {
+    host.advance(tcp, report);
+    while go(host) {
+        match tcp.poll(Some(Duration::from_millis(50))) {
+            Some(event) => host.handle(tcp, event, report),
+            None => host.advance(tcp, report),
+        }
     }
 }

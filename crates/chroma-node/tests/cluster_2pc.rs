@@ -334,4 +334,24 @@ fn bad_usage_exits_with_diagnostics() {
         .expect("run chroma-node");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--listen"));
+
+    // a coordinator with nobody to coordinate is misuse too: refused
+    // before it creates its data directory or its trace
+    let paths = ClusterPaths::new("peerless");
+    let out = Command::new(BIN)
+        .args(["coordinator", "--id", "1", "--listen", &paths.addr(1)])
+        .arg("--data")
+        .arg(paths.data(1))
+        .arg("--trace")
+        .arg(paths.trace(1))
+        .output()
+        .expect("run chroma-node");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--peer") && stderr.contains("usage"),
+        "{stderr}"
+    );
+    assert!(!paths.data(1).exists() && !paths.trace(1).exists());
+    std::fs::remove_dir_all(&paths.dir).ok();
 }

@@ -850,60 +850,17 @@ impl EventSink for MemorySink {
     }
 }
 
-/// Streams events as JSON lines to any writer (a file, a `Vec<u8>`,
-/// standard output).
-///
-/// Write errors are swallowed at `record` time — tracing must never
-/// take down the traced system — but remembered, and reported by
-/// [`JsonlSink::had_errors`].
-pub struct JsonlSink {
-    out: Mutex<Box<dyn IoWrite + Send>>,
-    failed: AtomicBool,
-}
-
-impl JsonlSink {
-    /// Wraps a writer.
-    #[must_use]
-    pub fn new(writer: impl IoWrite + Send + 'static) -> Self {
-        JsonlSink {
-            out: Mutex::new(Box::new(writer)),
-            failed: AtomicBool::new(false),
-        }
-    }
-
-    /// `true` if any write or flush failed.
-    #[must_use]
-    pub fn had_errors(&self) -> bool {
-        self.failed.load(Ordering::Relaxed)
-    }
-}
-
-impl EventSink for JsonlSink {
-    fn record(&self, event: &Event) {
-        let mut out = self.out.lock();
-        if writeln!(out, "{}", event.to_json_line()).is_err() {
-            self.failed.store(true, Ordering::Relaxed);
-        }
-    }
-
-    fn flush(&self) {
-        if self.out.lock().flush().is_err() {
-            self.failed.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
 /// A crash-tolerant JSONL file sink for real processes: each event is
 /// written as **one** `write(2)` of a complete line to a file opened in
 /// append mode.
 ///
-/// [`JsonlSink`] buffers through `writeln!`, so a `kill -9` can leave a
-/// torn line mid-buffer. Here a line either fully reaches the kernel or
-/// was never issued — the strongest guarantee available without fsync
-/// per event — so a killed process's trace ends at a line boundary
-/// (modulo filesystem-level tearing, which lenient merge parsing
-/// tolerates). Append mode also makes restarts of the same process
-/// continue the same trace file.
+/// A buffered writer could leave a torn line mid-buffer at a `kill -9`.
+/// Here a line either fully reaches the kernel or was never issued —
+/// the strongest guarantee available without fsync per event — so a
+/// killed process's trace ends at a line boundary (modulo
+/// filesystem-level tearing, which lenient merge parsing tolerates).
+/// Append mode also makes restarts of the same process continue the
+/// same trace file.
 pub struct AppendJsonlSink {
     file: Mutex<std::fs::File>,
     failed: AtomicBool,
@@ -1035,20 +992,12 @@ mod tests {
 
     #[test]
     fn jsonl_sink_writes_parseable_lines() {
+        let path =
+            std::env::temp_dir().join(format!("chroma-bus-jsonl-{}.jsonl", std::process::id()));
+        std::fs::remove_file(&path).ok();
         let bus = EventBus::new();
         bus.set_time_us(7);
-        let buffer: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl IoWrite for Shared {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let sink = Arc::new(JsonlSink::new(Shared(buffer.clone())));
+        let sink = Arc::new(AppendJsonlSink::open(&path).unwrap());
         bus.add_sink(sink.clone());
         bus.emit(begin(1));
         bus.emit(EventKind::NodeCrash {
@@ -1056,7 +1005,8 @@ mod tests {
         });
         bus.flush();
         assert!(!sink.had_errors());
-        let text = String::from_utf8(buffer.lock().clone()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         let lines: Vec<_> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in lines {

@@ -11,7 +11,7 @@
 //!   two-phase commit, crashes and network behaviour;
 //! * [`EventBus`] collects events from every subsystem, counts them,
 //!   feeds latency [`Histogram`]s and fans out to pluggable sinks
-//!   ([`MemorySink`] for tests, [`JsonlSink`] for offline analysis);
+//!   ([`MemorySink`] for tests, [`AppendJsonlSink`] for offline analysis);
 //! * one rule engine states the paper's invariants R1–R11 once —
 //!   strict 2PL, commit-time lock inheritance by the closest ancestor
 //!   holding the colour, no write without a write lock, 2PC safety,
@@ -77,9 +77,7 @@ mod span;
 mod watchdog;
 
 pub use audit::{AuditReport, TraceAuditor};
-pub use bus::{
-    AppendJsonlSink, EventBus, EventSink, JsonlSink, MemorySink, Obs, ObsCell, Observable,
-};
+pub use bus::{AppendJsonlSink, EventBus, EventSink, MemorySink, Obs, ObsCell, Observable};
 pub use event::{escape_json_str, Event, EventKind, MsgKind, TraceParseError, WatchdogRule};
 pub use export::{chrome_trace, chrome_trace_from};
 pub use merge::{merge_events, merge_trace_files, MergeOutcome};

@@ -1,7 +1,7 @@
 //! The always-on flight recorder: a fixed-size ring of recent events
 //! that turns any live incident into a post-mortem trace.
 //!
-//! Unlike [`JsonlSink`](crate::JsonlSink), which streams the whole run
+//! Unlike [`AppendJsonlSink`](crate::AppendJsonlSink), which streams the whole run
 //! to disk, the recorder keeps only the newest
 //! [`FlightRecorder::capacity`] events in memory, and it costs the
 //! emitting thread nothing beyond staging the event: the bus hands the

@@ -14,9 +14,7 @@ use std::time::{Duration, Instant};
 
 use chroma::base::{NodeId, ObjectId};
 use chroma::core::{DiskBackend, Runtime, RuntimeConfig};
-use chroma::dist::{
-    dispatch, Node, PartitionedStore, ReplicatedObject, Sim, TcpConfig, TxnId, Write,
-};
+use chroma::dist::{Host, Node, PartitionedStore, ReplicatedObject, Sim, TcpConfig, TxnId, Write};
 use chroma::obs::{EventBus, MemorySink, Obs, Observable, TraceAuditor};
 use chroma::store::StoreBytes;
 use chroma::{NetConfig, TcpTransport, Transport};
@@ -212,9 +210,10 @@ fn transport_boundary_through_the_facade() {
     t2.add_peer(n1, t1.local_addr());
 
     // `Node::builder().transport(..)` is the process-host construction
-    // path: identity comes from the transport.
+    // path: identity comes from the transport. A `Host` drives each
+    // node, as in a `chroma-node` process.
     let mut coord = Node::builder().transport(&t1).build().unwrap();
-    let mut worker = Node::builder().transport(&t2).build().unwrap();
+    let mut worker = Host::new(Node::builder().transport(&t2).build().unwrap());
 
     let txn = TxnId(1);
     let object = ObjectId::from_raw(5_000);
@@ -227,23 +226,27 @@ fn transport_boundary_through_the_facade() {
         }],
     );
     t1.apply_effects(coord.begin_transaction(txn, writes));
+    let mut coord = Host::new(coord);
 
     let deadline = Instant::now() + Duration::from_secs(10);
-    while coord.coordinator_active(txn) {
+    while coord.node().coordinator_active(txn) {
         assert!(Instant::now() < deadline, "loopback 2PC timed out");
         if let Some(event) = t1.poll(Some(Duration::from_millis(5))) {
-            dispatch(&mut coord, &mut t1, event);
+            coord.handle(&mut t1, event, &mut |_| {});
         }
         if let Some(event) = t2.poll(Some(Duration::from_millis(5))) {
-            dispatch(&mut worker, &mut t2, event);
+            worker.handle(&mut t2, event, &mut |_| {});
         }
     }
     assert_eq!(
-        coord.coordinator_outcome(txn),
+        coord.node().coordinator_outcome(txn),
         Some(true),
         "a healthy loopback commit must succeed"
     );
-    assert!(worker.resolved(txn), "the participant must have resolved");
+    assert!(
+        worker.node().resolved(txn),
+        "the participant must have resolved"
+    );
 
     // `NetConfig` is the simulator's failure-model knob — the same
     // replication workload shrugs off a duplicating network.
