@@ -9,7 +9,8 @@ use std::sync::Arc;
 use chroma_base::{ColourSet, NodeId};
 use chroma_core::{DiskBackend, Runtime};
 use chroma_obs::{
-    EventBus, EventKind, MemorySink, Obs, Observable, Outcome, SpanForest, SpanKind, TraceAuditor,
+    EventBus, EventKind, FlightRecorder, Obs, Observable, Outcome, SpanForest, SpanKind,
+    TraceAuditor,
 };
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -28,9 +29,9 @@ fn scratch(tag: &str) -> PathBuf {
 /// returns the store events it emitted (the disk store's batch append
 /// and group fsync; segment and checkpoint traffic is the background
 /// checkpointer's).
-fn storage_events_of_one_commit(rt: &Runtime, sink: &MemorySink) -> Vec<EventKind> {
+fn storage_events_of_one_commit(rt: &Runtime, recorder: &FlightRecorder) -> Vec<EventKind> {
     let objects: Vec<_> = (0..3i64).map(|v| rt.create_object(&v).unwrap()).collect();
-    let before = sink.events().len();
+    let before = recorder.events().len();
     rt.atomic(|a| {
         for &object in &objects {
             a.modify(object, |v: &mut i64| *v += 1)?;
@@ -38,7 +39,7 @@ fn storage_events_of_one_commit(rt: &Runtime, sink: &MemorySink) -> Vec<EventKin
         Ok(())
     })
     .unwrap();
-    sink.events()[before..]
+    recorder.events()[before..]
         .iter()
         .map(|e| e.kind)
         .filter(|k| {
@@ -56,8 +57,7 @@ fn storage_events_of_one_commit(rt: &Runtime, sink: &MemorySink) -> Vec<EventKin
 fn nested_workload_trace_audits_clean() {
     let rt = Runtime::builder().build();
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(100_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 100_000);
     rt.install_obs(Obs::new(bus.clone()));
 
     let o = rt.create_object(&0i64).unwrap();
@@ -82,10 +82,10 @@ fn nested_workload_trace_audits_clean() {
 
     // The local backend is an in-memory map: it writes no log, so an
     // outermost commit reports no storage event.
-    assert_eq!(storage_events_of_one_commit(&rt, &sink), []);
+    assert_eq!(storage_events_of_one_commit(&rt, &recorder), []);
 
-    assert_eq!(sink.dropped(), 0);
-    let report = TraceAuditor::audit_events(&sink.events());
+    assert_eq!(recorder.dropped(), 0);
+    let report = TraceAuditor::audit_events(&recorder.events());
     assert!(report.is_clean(), "{report}");
 
     let snap = bus.snapshot();
@@ -112,8 +112,7 @@ fn critical_path_phases_sum_to_measured_commit_latency() {
         .backend(Arc::new(DiskBackend::open(&dir).unwrap()))
         .build();
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(100_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 100_000);
     rt.install_obs(Obs::new(bus).at_node(NodeId::from_raw(7)));
 
     let o = rt.create_object(&0i64).unwrap();
@@ -125,7 +124,7 @@ fn critical_path_phases_sum_to_measured_commit_latency() {
         .unwrap();
     }
 
-    let events = sink.events();
+    let events = recorder.events();
     // A node-bound `Obs` stamps that node on every runtime event.
     assert!(
         events.iter().all(|e| e.node == Some(NodeId::from_raw(7))),
@@ -180,10 +179,9 @@ fn disk_commit_reports_its_append_then_its_group_fsync() {
         .backend(Arc::new(DiskBackend::open(&dir).unwrap()))
         .build();
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(100_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 100_000);
     rt.install_obs(Obs::new(bus));
-    let events = storage_events_of_one_commit(&rt, &sink);
+    let events = storage_events_of_one_commit(&rt, &recorder);
     assert!(
         matches!(
             events.as_slice(),

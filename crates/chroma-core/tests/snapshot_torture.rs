@@ -17,7 +17,7 @@ use std::sync::{Arc, Barrier};
 
 use chroma_base::{ActionId, Colour, ColourSet, ObjectId};
 use chroma_core::{ActionError, Runtime};
-use chroma_obs::{Event, EventBus, EventKind, MemorySink, Obs, Observable, Violation};
+use chroma_obs::{Event, EventBus, EventKind, FlightRecorder, Obs, Observable, Violation};
 use proptest::torture_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,8 +52,7 @@ fn zipfian_writers_vs_snapshot_scans_survive_crashes_and_audit_clean() {
     let seed = torture_seed().unwrap_or(42);
     let rt = Runtime::builder().build();
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(2_000_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 2_000_000);
     rt.install_obs(Obs::new(bus));
 
     let objects: Arc<Vec<ObjectId>> = Arc::new(
@@ -147,8 +146,8 @@ fn zipfian_writers_vs_snapshot_scans_survive_crashes_and_audit_clean() {
         assert_eq!(total, expected, "committed increments lost in crash");
     }
 
-    assert_eq!(sink.dropped(), 0, "trace truncated; grow the sink");
-    let events = sink.events();
+    assert_eq!(recorder.dropped(), 0, "trace truncated; grow the recorder");
+    let events = recorder.events();
     assert!(
         events
             .iter()
@@ -169,8 +168,7 @@ fn zipfian_writers_vs_snapshot_scans_survive_crashes_and_audit_clean() {
 fn crash_kills_open_snapshots() {
     let rt = Runtime::builder().build();
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(100_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 100_000);
     rt.install_obs(Obs::new(bus));
 
     let o = rt.create_object(&7u64).unwrap();
@@ -194,8 +192,8 @@ fn crash_kills_open_snapshots() {
     assert_eq!(fresh.read::<u64>(o).unwrap(), 7);
     fresh.end();
 
-    assert_eq!(sink.dropped(), 0);
-    let report = agreement::audit(&sink.events());
+    assert_eq!(recorder.dropped(), 0);
+    let report = agreement::audit(&recorder.events());
     assert!(report.is_clean(), "{report}");
 }
 
@@ -391,12 +389,11 @@ fn snapshots_cut_across_colours() {
 
     let rt = Runtime::builder().build();
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(2_000_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 2_000_000);
     rt.install_obs(Obs::new(bus));
     cut_across_colours(&rt, seed);
-    assert_eq!(sink.dropped(), 0, "trace truncated; grow the sink");
-    let events = sink.events();
+    assert_eq!(recorder.dropped(), 0, "trace truncated; grow the recorder");
+    let events = recorder.events();
     assert!(events
         .iter()
         .any(|e| matches!(e.kind, EventKind::SnapshotRead { stamp, .. } if stamp > 0)));
@@ -411,8 +408,7 @@ fn snapshots_cut_across_colours() {
 fn snapshot_id_cannot_reach_the_lock_table() {
     let rt = Runtime::builder().build();
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(100_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 100_000);
     rt.install_obs(Obs::new(bus));
 
     let o = rt.create_object(&1u64).unwrap();
@@ -425,7 +421,7 @@ fn snapshot_id_cannot_reach_the_lock_table() {
     assert_eq!(snap.read::<u64>(o).unwrap(), 1);
     snap.end();
 
-    let events = sink.events();
+    let events = recorder.events();
     assert!(events
         .iter()
         .any(|e| matches!(e.kind, EventKind::SnapshotOpen { .. })));

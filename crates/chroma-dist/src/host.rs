@@ -85,16 +85,16 @@ impl Host {
         &mut self.node
     }
 
-    /// Makes the host coordinate transactions `1..=txns`, one in flight
-    /// at a time, each writing [`txn_value`]`(seed, t)` at
-    /// [`txn_object`]`(t)` on every participant and each given
+    /// Makes the host coordinate the transactions `txns`, in order and
+    /// one in flight at a time, each writing [`txn_value`]`(seed, t)`
+    /// at [`txn_object`]`(t)` on every participant and each given
     /// [`TXN_DEADLINE_US`]. The first begins at the next
-    /// [`Host::advance`].
-    pub fn coordinate(&mut self, participants: Vec<NodeId>, txns: u64, seed: u64) {
+    /// [`Host::advance`]. The ids must be new to the node.
+    pub fn coordinate(&mut self, participants: Vec<NodeId>, txns: RangeInclusive<u64>, seed: u64) {
         self.schedule = Some(Schedule {
             participants,
             seed,
-            txns: 1..=txns,
+            txns,
             in_flight: None,
         });
     }

@@ -475,10 +475,10 @@ impl Sim {
         txn
     }
 
-    /// Makes `coordinator` run the process coordinator's schedule
-    /// ([`Host::coordinate`], its transaction ids from 1: not to be
-    /// mixed with [`Sim::begin_transaction`]) and begins it; its reports
-    /// wait in [`Sim::take_reports`].
+    /// Makes `coordinator` run the process coordinator's schedule of
+    /// `txns` transactions ([`Host::coordinate`], with the next `txns`
+    /// ids [`Sim::begin_transaction`] would have used) and begins it;
+    /// its reports wait in [`Sim::take_reports`].
     pub fn schedule_transactions(
         &mut self,
         coordinator: NodeId,
@@ -486,8 +486,10 @@ impl Sim {
         txns: u64,
         seed: u64,
     ) {
+        let first = self.next_txn;
+        self.next_txn += txns;
         let host = self.hosts.get_mut(&coordinator).expect("unknown node");
-        host.coordinate(participants, txns, seed);
+        host.coordinate(participants, first..=first + txns - 1, seed);
         self.drive(coordinator, None);
     }
 

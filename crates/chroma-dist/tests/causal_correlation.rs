@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use chroma_base::ObjectId;
 use chroma_dist::{ReplicatedObject, Sim, Write};
-use chroma_obs::{EventBus, EventKind, MemorySink, Obs, Observable, SpanForest, TraceAuditor};
+use chroma_obs::{EventBus, EventKind, FlightRecorder, Obs, Observable, SpanForest, TraceAuditor};
 use chroma_store::StoreBytes;
 use proptest::torture_seed;
 
@@ -30,8 +30,7 @@ fn every_applied_receive_pairs_with_exactly_one_send() {
     sim.net.duplication = 0.25;
 
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(500_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 500_000);
     sim.install_obs(Obs::new(bus.clone()));
 
     let nodes = vec![sim.add_node(), sim.add_node(), sim.add_node()];
@@ -56,8 +55,8 @@ fn every_applied_receive_pairs_with_exactly_one_send() {
     sim.run_to_quiescence();
     assert_eq!(sim.coordinator_outcome(nodes[0], txn), Some(true));
 
-    let events = sink.events();
-    assert_eq!(sink.dropped(), 0, "trace ring overflowed");
+    let events = recorder.events();
+    assert_eq!(recorder.dropped(), 0, "trace ring overflowed");
 
     // The schedule must actually have exercised the fault paths, or the
     // pairing claim below is vacuous.

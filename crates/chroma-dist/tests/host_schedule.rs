@@ -3,17 +3,19 @@
 //! transaction reports exactly one outcome, a committed transaction's
 //! value is installed on both workers and an aborted one's nowhere,
 //! the trace audits clean, a seed replays its reports and trace
-//! exactly, and a participant that vanishes after voting yes is cut by
-//! the transaction deadline in simulated time.
+//! exactly, a participant that vanishes after voting yes is cut by
+//! the transaction deadline in simulated time, and a schedule never
+//! reuses the id of an ad-hoc transaction on the same coordinator.
 //!
 //! `CHROMA_TORTURE_SEED` draws the loss and duplication rates, the
 //! transaction count and the worker crash schedule.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
-use chroma_base::NodeId;
-use chroma_dist::{txn_object, txn_value, Report, Sim, TxnId, TXN_DEADLINE_US};
-use chroma_obs::{EventBus, MemorySink, Obs, Observable, TraceAuditor};
+use chroma_base::{NodeId, ObjectId};
+use chroma_dist::{txn_object, txn_value, Report, Sim, TxnId, Write, TXN_DEADLINE_US};
+use chroma_obs::{EventBus, FlightRecorder, Obs, Observable, TraceAuditor};
 use proptest::torture_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,8 +30,7 @@ fn run(seed: u64) -> (Vec<Report>, Vec<String>, Sim, [NodeId; 2], u64) {
     sim.net.loss = draw.gen_range(0.0..0.3);
     sim.net.duplication = draw.gen_range(0.0..0.3);
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(1_000_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 1_000_000);
     sim.install_obs(Obs::new(Arc::clone(&bus)));
     let coordinator = sim.add_node();
     let workers = [sim.add_node(), sim.add_node()];
@@ -42,14 +43,13 @@ fn run(seed: u64) -> (Vec<Report>, Vec<String>, Sim, [NodeId; 2], u64) {
     sim.schedule_transactions(coordinator, workers.to_vec(), txns, seed);
     sim.run_to_quiescence();
 
-    bus.flush();
-    assert_eq!(sink.dropped(), 0, "seed {seed}: trace ring overflowed");
-    let audit = TraceAuditor::audit_events(&sink.events());
+    assert_eq!(recorder.dropped(), 0, "seed {seed}: trace ring overflowed");
+    let audit = TraceAuditor::audit_events(&recorder.events());
     assert!(
         audit.is_clean(),
         "seed {seed}: trace audit failed:\n{audit}"
     );
-    let trace = sink.events().iter().map(|e| e.to_json_line()).collect();
+    let trace = recorder.events().iter().map(|e| e.to_json_line()).collect();
     let reports = sim.take_reports();
     assert!(reports.iter().all(|&(node, _)| node == coordinator));
     let reports = reports.into_iter().map(|(_, report)| report).collect();
@@ -127,4 +127,46 @@ fn participant_lost_after_its_yes_vote_is_cut_at_the_deadline() {
     assert_eq!(reports, expected);
     assert!(sim.now() < 2 * TXN_DEADLINE_US);
     assert!(sim.node(kept).read(txn_object(2)).is_none());
+}
+
+#[test]
+fn a_schedule_and_ad_hoc_transactions_never_share_an_id() {
+    let seed = torture_seed().unwrap_or(42);
+    let mut sim = Sim::new(seed);
+    let coordinator = sim.add_node();
+    let workers = vec![sim.add_node(), sim.add_node()];
+    let ad_hoc = |sim: &mut Sim, object: u64| {
+        let write = Write {
+            object: ObjectId::from_raw(object),
+            state: vec![1].into(),
+        };
+        let txn = sim.begin_transaction(coordinator, vec![(workers[0], vec![write])]);
+        sim.run_to_quiescence();
+        txn
+    };
+    let before = ad_hoc(&mut sim, 7);
+    sim.schedule_transactions(coordinator, workers.clone(), 3, seed);
+    sim.run_to_quiescence();
+    let after = ad_hoc(&mut sim, 8);
+
+    // a lossless network: every scheduled transaction commits
+    let mut ids = vec![before, after];
+    let mut committed = 0;
+    for (_, report) in sim.take_reports() {
+        match report {
+            Report::Begin(txn) => ids.push(txn),
+            Report::Outcome(txn, true) => {
+                committed += 1;
+                for &worker in &workers {
+                    let read = sim.node(worker).read(txn_object(txn.0));
+                    let value = txn_value(seed, txn.0);
+                    assert_eq!(read.as_deref(), Some(&value[..]), "{txn:?} on {worker:?}");
+                }
+            }
+            Report::Outcome(_, false) | Report::Gap(..) => {}
+        }
+    }
+    assert_eq!((ids.len(), committed), (5, 3));
+    let distinct: HashSet<TxnId> = ids.iter().copied().collect();
+    assert_eq!(distinct.len(), ids.len(), "an id was used twice: {ids:?}");
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use chroma_base::ObjectId;
 use chroma_dist::{Sim, Write, RETRY_INTERVAL};
-use chroma_obs::{EventBus, MemorySink, Obs, Observable, TraceAuditor};
+use chroma_obs::{EventBus, FlightRecorder, Obs, Observable, TraceAuditor};
 use chroma_store::StoreBytes;
 use proptest::prelude::*;
 
@@ -25,8 +25,7 @@ proptest! {
         sim.net.loss = loss_permille as f64 / 1000.0;
         sim.net.duplication = dup_permille as f64 / 1000.0;
         let bus = Arc::new(EventBus::new());
-        let sink = Arc::new(MemorySink::new(500_000));
-        bus.add_sink(sink.clone());
+        let recorder = FlightRecorder::attach(&bus, 500_000);
         sim.install_obs(Obs::new(bus.clone()));
 
         let nodes = [sim.add_node(), sim.add_node(), sim.add_node()];
@@ -50,8 +49,8 @@ proptest! {
         sim.schedule_recover(nodes[crash_victim], when + 25 * RETRY_INTERVAL);
         sim.run_to_quiescence();
 
-        prop_assert_eq!(sink.dropped(), 0, "trace ring overflowed");
-        let events = sink.events();
+        prop_assert_eq!(recorder.dropped(), 0, "trace ring overflowed");
+        let events = recorder.events();
         let report = TraceAuditor::audit_events(&events);
         prop_assert!(report.is_clean(), "audit failed:\n{}", report);
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use chroma_base::{NodeId, ObjectId};
 use chroma_dist::{Message, Node, RpcOp, RpcResult, Sim, TxnId, Write, RETRY_INTERVAL};
-use chroma_obs::{EventBus, EventKind, MemorySink, MsgKind, Obs, Observable};
+use chroma_obs::{EventBus, EventKind, FlightRecorder, MsgKind, Obs, Observable};
 use chroma_store::StoreBytes;
 
 fn w(object: u64, value: u8) -> Write {
@@ -278,8 +278,7 @@ fn retry_interval_timers_do_not_livelock_idle_nodes() {
 fn trace_records_protocol_events() {
     let mut sim = Sim::new(52);
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(10_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 10_000);
     sim.install_obs(Obs::new(bus.clone()));
     let coord = sim.add_node();
     let p = sim.add_node();
@@ -287,8 +286,7 @@ fn trace_records_protocol_events() {
     sim.schedule_recover(p, 400_000);
     sim.begin_transaction(coord, vec![(p, vec![w(1, 1)])]);
     sim.run_to_quiescence();
-    bus.flush();
-    let events = sink.events();
+    let events = recorder.events();
     assert!(
         events.iter().any(|e| matches!(
             e.kind,

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use chroma_base::{NodeId, ObjectId};
 use chroma_dist::{Message, Node, ReplicatedObject, Sim, TxnId, Write, RETRY_INTERVAL};
 use chroma_obs::{
-    Event, EventBus, EventKind, MemorySink, Obs, Observable, TraceAuditor, Violation,
+    Event, EventBus, EventKind, FlightRecorder, Obs, Observable, TraceAuditor, Violation,
 };
 use chroma_store::{codec, StoreBytes};
 use proptest::torture_seed;
@@ -40,8 +40,7 @@ fn run_schedule(seed: u64) {
         sim.net.duplication = 0.05;
     }
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(500_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 500_000);
     sim.install_obs(Obs::new(bus.clone()));
 
     let nodes = vec![sim.add_node(), sim.add_node(), sim.add_node()];
@@ -107,13 +106,13 @@ fn run_schedule(seed: u64) {
     assert_eq!(version, top, "seed {seed}");
     assert_eq!(&bytes[..], b"final", "seed {seed}");
 
-    assert_eq!(sink.dropped(), 0, "seed {seed}: trace ring overflowed");
+    assert_eq!(recorder.dropped(), 0, "seed {seed}: trace ring overflowed");
     // The final write/read alone guarantee the replication vocabulary is
     // present, so a clean audit is never vacuous.
     assert!(bus.counter("replica_write") >= 1, "seed {seed}");
     assert!(bus.counter("replica_install") >= 3, "seed {seed}");
     assert!(bus.counter("replica_read") >= 1, "seed {seed}");
-    let report = TraceAuditor::audit_events(&sink.events());
+    let report = TraceAuditor::audit_events(&recorder.events());
     assert!(report.is_clean(), "seed {seed} audit failed:\n{report}");
 }
 

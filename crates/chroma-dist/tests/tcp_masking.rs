@@ -10,26 +10,28 @@ use std::time::{Duration, Instant};
 
 use chroma_base::NodeId;
 use chroma_dist::{CorrId, Message, TcpConfig, TcpTransport, Transport, TransportEvent};
-use chroma_obs::{EventBus, EventKind, MemorySink, Obs, Observable};
+use chroma_obs::{EventBus, EventKind, FlightRecorder, Obs, Observable};
 use chroma_store::StoreBytes;
 use proptest::torture_seed;
 
 const DEADLINE: Duration = Duration::from_secs(10);
 
 /// Builds a symmetric two-endpoint loopback pair sharing one bus.
-fn pair(config_a: TcpConfig, config_b: TcpConfig) -> (TcpTransport, TcpTransport, Arc<MemorySink>) {
+fn pair(
+    config_a: TcpConfig,
+    config_b: TcpConfig,
+) -> (TcpTransport, TcpTransport, Arc<FlightRecorder>) {
     let n1 = NodeId::from_raw(1);
     let n2 = NodeId::from_raw(2);
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(100_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 100_000);
     let mut a = TcpTransport::bind(n1, "127.0.0.1:0", config_a).expect("bind a");
     let mut b = TcpTransport::bind(n2, "127.0.0.1:0", config_b).expect("bind b");
     a.install_obs(Obs::new(bus.clone()));
     b.install_obs(Obs::new(bus));
     a.add_peer(n2, b.local_addr());
     b.add_peer(n1, a.local_addr());
-    (a, b, sink)
+    (a, b, recorder)
 }
 
 /// Polls `t` briefly, appending everything it yields.
@@ -73,7 +75,7 @@ fn delivered_corrs(events: &[TransportEvent]) -> Vec<CorrId> {
 fn reconnect_resends_are_deduplicated() {
     let n1 = NodeId::from_raw(1);
     let n2 = NodeId::from_raw(2);
-    let (mut a, mut b, sink) = pair(TcpConfig::default(), TcpConfig::default());
+    let (mut a, mut b, recorder) = pair(TcpConfig::default(), TcpConfig::default());
     let mut a_events = Vec::new();
     let mut b_events = Vec::new();
 
@@ -131,7 +133,7 @@ fn reconnect_resends_are_deduplicated() {
 
     // exactly-once, corr by corr: the delivered set equals the sent set
     let mut delivered = delivered_corrs(&b_events);
-    let sent: Vec<CorrId> = sink
+    let sent: Vec<CorrId> = recorder
         .events()
         .iter()
         .filter(|e| matches!(e.kind, EventKind::MsgSend { .. }))
@@ -174,7 +176,7 @@ fn resend_overflow_surfaces_a_gap_not_a_silent_skip() {
         resend_capacity: 2,
         ..TcpConfig::default()
     };
-    let (mut a, mut b, _sink) = pair(tiny, TcpConfig::default());
+    let (mut a, mut b, _recorder) = pair(tiny, TcpConfig::default());
     let mut a_events = Vec::new();
     let mut b_events = Vec::new();
 

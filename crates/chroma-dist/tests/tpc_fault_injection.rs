@@ -10,7 +10,7 @@ use chroma_base::{NodeId, ObjectId};
 use chroma_dist::{
     RpcOp, Sim, TpcRecord, TxnId, Write, MAX_DECISION_ATTEMPTS, RETRY_INTERVAL, TPC_LOG_BASE,
 };
-use chroma_obs::{EventBus, MemorySink, Obs, Observable, TraceAuditor};
+use chroma_obs::{EventBus, FlightRecorder, Obs, Observable, TraceAuditor};
 use chroma_store::StoreBytes;
 use proptest::torture_seed;
 
@@ -146,8 +146,7 @@ fn randomized_sweep_preserves_atomicity() {
         // Capture the full event stream so the trace auditor can check
         // the protocol invariants offline after the run.
         let bus = Arc::new(EventBus::new());
-        let sink = Arc::new(MemorySink::new(200_000));
-        bus.add_sink(sink.clone());
+        let recorder = FlightRecorder::attach(&bus, 200_000);
         sim.install_obs(Obs::new(bus));
         let coord = sim.add_node();
         let p1 = sim.add_node();
@@ -185,8 +184,8 @@ fn randomized_sweep_preserves_atomicity() {
 
         // The trace itself must satisfy the paper's protocol rules: no
         // divergent decisions, no commit without a full yes-quorum.
-        assert_eq!(sink.dropped(), 0, "seed {seed}: trace ring overflowed");
-        let report = TraceAuditor::audit_events(&sink.events());
+        assert_eq!(recorder.dropped(), 0, "seed {seed}: trace ring overflowed");
+        let report = TraceAuditor::audit_events(&recorder.events());
         assert!(
             report.is_clean(),
             "seed {seed}: trace audit failed:\n{report}"

@@ -277,7 +277,7 @@ fn run(opts: &Opts) -> Result<(), String> {
             println!("coordinator {} ready on {}", opts.id, tcp.local_addr());
             std::io::stdout().flush().ok();
             let participants = opts.peers.iter().map(|&(peer, _)| peer).collect();
-            host.coordinate(participants, opts.txns, opts.seed);
+            host.coordinate(participants, 1..=opts.txns, opts.seed);
             serve(&mut host, &mut tcp, &mut print, |host| {
                 host.wakeup_us().is_some()
             });

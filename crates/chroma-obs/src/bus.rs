@@ -1,5 +1,5 @@
 //! The event bus, the `Obs` handle instrumented code holds, and the
-//! built-in sinks.
+//! append-only JSONL sink.
 //!
 //! An emit makes one write that other threads share: the global
 //! sequence stamp, taken only while a watchdog or recorder is attached.
@@ -10,7 +10,7 @@
 //! happens-before, which is all the rules need.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write as IoWrite;
 use std::num::NonZeroU64;
@@ -783,73 +783,6 @@ impl fmt::Debug for ObsCell {
     }
 }
 
-/// A bounded in-memory ring of events, for tests and the auditor.
-///
-/// When full, the oldest events are dropped and counted.
-pub struct MemorySink {
-    capacity: usize,
-    inner: Mutex<MemoryInner>,
-}
-
-#[derive(Default)]
-struct MemoryInner {
-    events: VecDeque<Event>,
-    dropped: u64,
-}
-
-impl MemorySink {
-    /// A ring holding at most `capacity` events (minimum 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        MemorySink {
-            capacity: capacity.max(1),
-            inner: Mutex::new(MemoryInner::default()),
-        }
-    }
-
-    /// Copies out the retained events, oldest first.
-    #[must_use]
-    pub fn events(&self) -> Vec<Event> {
-        self.inner.lock().events.iter().copied().collect()
-    }
-
-    /// Number of retained events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
-    }
-
-    /// `true` if no events are retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// How many events were evicted because the ring was full.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
-    }
-
-    /// Discards all retained events.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.events.clear();
-        inner.dropped = 0;
-    }
-}
-
-impl EventSink for MemorySink {
-    fn record(&self, event: &Event) {
-        let mut inner = self.inner.lock();
-        if inner.events.len() == self.capacity {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        inner.events.push_back(*event);
-    }
-}
-
 /// A crash-tolerant JSONL file sink for real processes: each event is
 /// written as **one** `write(2)` of a complete line to a file opened in
 /// append mode.
@@ -971,26 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_sink_is_a_bounded_ring() {
-        let bus = EventBus::new();
-        let sink = Arc::new(MemorySink::new(3));
-        bus.add_sink(sink.clone());
-        for i in 0..5 {
-            bus.emit(begin(i));
-        }
-        assert_eq!(sink.len(), 3);
-        assert_eq!(sink.dropped(), 2);
-        let kept: Vec<_> = sink.events();
-        assert_eq!(
-            kept[0].kind,
-            begin(2),
-            "oldest two were evicted, 2..5 remain"
-        );
-        sink.clear();
-        assert!(sink.is_empty());
-    }
-
-    #[test]
     fn jsonl_sink_writes_parseable_lines() {
         let path =
             std::env::temp_dir().join(format!("chroma-bus-jsonl-{}.jsonl", std::process::id()));
@@ -1081,19 +994,18 @@ mod tests {
     #[test]
     fn at_node_binds_nodeless_kinds() {
         let bus = Arc::new(EventBus::new());
-        let sink = Arc::new(MemorySink::new(8));
-        bus.add_sink(sink.clone());
+        let recorder = FlightRecorder::attach(&bus, 8);
         let obs = Obs::new(bus.clone()).at_node(NodeId::from_raw(5));
         assert_eq!(obs.node(), Some(NodeId::from_raw(5)));
         obs.emit(begin(1));
-        let e = sink.events()[0];
+        let e = recorder.events()[0];
         assert_eq!(e.node, Some(NodeId::from_raw(5)));
         assert_eq!(e.lc, 1);
         // A kind whose payload names a node ignores the binding.
         obs.emit(EventKind::NodeCrash {
             node: NodeId::from_raw(9),
         });
-        let e = sink.events()[1];
+        let e = recorder.events()[1];
         assert_eq!(e.node, Some(NodeId::from_raw(9)));
         assert_eq!(bus.lamport(NodeId::from_raw(9)), 1);
     }

@@ -793,9 +793,9 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-// Every staged entry, drain batch, recorder slot and memory-sink slot
-// holds an `Event` by value, so its size is the monitor's memory per
-// event: keep the widest payload at four words.
+// Every staged entry, drain batch and recorder slot holds an `Event`
+// by value, so its size is the monitor's memory per event: keep the
+// widest payload at four words.
 const _: () = assert!(std::mem::size_of::<EventKind>() <= 40);
 const _: () = assert!(std::mem::size_of::<Event>() <= 72);
 

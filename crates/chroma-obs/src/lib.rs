@@ -10,8 +10,9 @@
 //!   begins/commits/aborts, lock traffic, undo logging, the disk log,
 //!   two-phase commit, crashes and network behaviour;
 //! * [`EventBus`] collects events from every subsystem, counts them,
-//!   feeds latency [`Histogram`]s and fans out to pluggable sinks
-//!   ([`MemorySink`] for tests, [`AppendJsonlSink`] for offline analysis);
+//!   feeds latency [`Histogram`]s and hands each event in-line to
+//!   pluggable [`EventSink`]s ([`AppendJsonlSink`] streams a process's
+//!   trace to disk for offline analysis);
 //! * one rule engine states the paper's invariants R1–R11 once —
 //!   strict 2PL, commit-time lock inheritance by the closest ancestor
 //!   holding the colour, no write without a write lock, 2PC safety,
@@ -35,7 +36,10 @@
 //!   system is running;
 //! * [`FlightRecorder`] is an always-on ring of recent events, fed in
 //!   the same order, that dumps an offline-analyzable JSONL post-mortem
-//!   on crash, violation, or demand.
+//!   on crash, violation, or demand. It is also the in-memory trace
+//!   that tests audit: every read drains the bus first, so it holds
+//!   every event emitted so far, pending violations included, in the
+//!   order the watchdog checked them.
 //!
 //! Instrumented code holds an [`Obs`] handle — a cheap clone that is a
 //! no-op until a bus is installed, so the hot paths pay one branch when
@@ -46,11 +50,10 @@
 //! ```
 //! use std::sync::Arc;
 //! use chroma_base::ActionId;
-//! use chroma_obs::{EventBus, EventKind, MemorySink, Obs, TraceAuditor};
+//! use chroma_obs::{EventBus, EventKind, FlightRecorder, Obs, TraceAuditor};
 //!
 //! let bus = Arc::new(EventBus::new());
-//! let sink = Arc::new(MemorySink::new(1024));
-//! bus.add_sink(sink.clone());
+//! let recorder = FlightRecorder::attach(&bus, 1024);
 //!
 //! let obs = Obs::new(bus.clone());
 //! let a = ActionId::from_raw(1);
@@ -58,7 +61,7 @@
 //! obs.emit(EventKind::ActionCommit { action: a });
 //!
 //! assert_eq!(bus.counter("action_begin"), 1);
-//! let report = TraceAuditor::audit_events(&sink.events());
+//! let report = TraceAuditor::audit_events(&recorder.events());
 //! assert!(report.is_clean(), "{report}");
 //! ```
 
@@ -77,7 +80,7 @@ mod span;
 mod watchdog;
 
 pub use audit::{AuditReport, TraceAuditor};
-pub use bus::{AppendJsonlSink, EventBus, EventSink, MemorySink, Obs, ObsCell, Observable};
+pub use bus::{AppendJsonlSink, EventBus, EventSink, Obs, ObsCell, Observable};
 pub use event::{escape_json_str, Event, EventKind, MsgKind, TraceParseError, WatchdogRule};
 pub use export::{chrome_trace, chrome_trace_from};
 pub use merge::{merge_events, merge_trace_files, MergeOutcome};

@@ -176,7 +176,8 @@ fn violation_event(violation: &Violation) -> Option<EventKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::{EventBus, MemorySink};
+    use crate::bus::EventBus;
+    use crate::FlightRecorder;
     use chroma_base::{ActionId, Colour, LockMode, NodeId, ObjectId};
     use std::sync::atomic::AtomicUsize;
 
@@ -190,17 +191,16 @@ mod tests {
         Colour::from_index(i)
     }
 
-    /// A bus with an attached watchdog, a memory sink and a violation
-    /// counter bumped by the callback.
+    /// A bus with an attached watchdog, a flight recorder and a
+    /// violation counter bumped by the callback.
     fn rig() -> (
         Arc<EventBus>,
         Arc<Watchdog>,
-        Arc<MemorySink>,
+        Arc<FlightRecorder>,
         Arc<AtomicUsize>,
     ) {
         let bus = Arc::new(EventBus::new());
-        let sink = Arc::new(MemorySink::new(4096));
-        bus.add_sink(sink.clone());
+        let recorder = FlightRecorder::attach(&bus, 4096);
         let watchdog = Watchdog::attach(&bus);
         let fired = Arc::new(AtomicUsize::new(0));
         let fired2 = fired.clone();
@@ -208,7 +208,7 @@ mod tests {
             assert!(matches!(event.kind, EventKind::WatchdogViolation { .. }));
             fired2.fetch_add(1, Ordering::SeqCst);
         });
-        (bus, watchdog, sink, fired)
+        (bus, watchdog, recorder, fired)
     }
 
     fn begin(bus: &EventBus, action: u64) {
@@ -228,13 +228,13 @@ mod tests {
         });
     }
 
-    /// The violation must appear in the sink within `budget` events of
-    /// the offending event (the watchdog read that follows it drains
-    /// the bus, which emits it with zero intervening events; the
-    /// assertion is deliberately looser so the *contract* tested is the
-    /// bounded budget).
-    fn assert_violation_within(sink: &MemorySink, rule: WatchdogRule, budget: usize) {
-        let events = sink.events();
+    /// The violation must appear in the recording within `budget`
+    /// events of the offending event (the read drains the bus, which
+    /// emits it with zero intervening events; the assertion is
+    /// deliberately looser so the *contract* tested is the bounded
+    /// budget).
+    fn assert_violation_within(recorder: &FlightRecorder, rule: WatchdogRule, budget: usize) {
+        let events = recorder.events();
         let offending = events
             .len()
             .checked_sub(budget + 1)
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn r1_grant_after_release_fires_online() {
-        let (bus, wd, sink, fired) = rig();
+        let (bus, wd, recorder, fired) = rig();
         begin(&bus, 1);
         grant(&bus, 1, 7, LockMode::Read);
         bus.emit(EventKind::LockRelease {
@@ -278,22 +278,22 @@ mod tests {
         assert_eq!(wd.violations(), 1);
         assert_eq!(wd.rule_count(WatchdogRule::LockAfterShrink), 1);
         assert_eq!(fired.load(Ordering::SeqCst), 1, "callback ran");
-        assert_violation_within(&sink, WatchdogRule::LockAfterShrink, 1);
+        assert_violation_within(&recorder, WatchdogRule::LockAfterShrink, 1);
     }
 
     #[test]
     fn r1_grant_to_terminated_action_fires() {
-        let (bus, wd, sink, _) = rig();
+        let (bus, wd, recorder, _) = rig();
         begin(&bus, 1);
         bus.emit(EventKind::ActionCommit { action: aid(1) });
         grant(&bus, 1, 7, LockMode::Write);
         assert_eq!(wd.rule_count(WatchdogRule::LockAfterShrink), 1);
-        assert_violation_within(&sink, WatchdogRule::LockAfterShrink, 1);
+        assert_violation_within(&recorder, WatchdogRule::LockAfterShrink, 1);
     }
 
     #[test]
     fn r2_inherit_without_lock_fires() {
-        let (bus, wd, sink, _) = rig();
+        let (bus, wd, recorder, _) = rig();
         begin(&bus, 1);
         bus.emit(EventKind::ActionBegin {
             action: aid(2),
@@ -307,12 +307,12 @@ mod tests {
             colour: col(0),
         });
         assert_eq!(wd.rule_count(WatchdogRule::InheritWithoutLock), 1);
-        assert_violation_within(&sink, WatchdogRule::InheritWithoutLock, 1);
+        assert_violation_within(&recorder, WatchdogRule::InheritWithoutLock, 1);
     }
 
     #[test]
     fn r2_bad_inherit_target_fires() {
-        let (bus, wd, sink, _) = rig();
+        let (bus, wd, recorder, _) = rig();
         // grandparent(1, colour 0) -> parent(2, colour 0) -> child(3)
         begin(&bus, 1);
         bus.emit(EventKind::ActionBegin {
@@ -335,12 +335,12 @@ mod tests {
             colour: col(0),
         });
         assert_eq!(wd.rule_count(WatchdogRule::BadInheritTarget), 1);
-        assert_violation_within(&sink, WatchdogRule::BadInheritTarget, 1);
+        assert_violation_within(&recorder, WatchdogRule::BadInheritTarget, 1);
     }
 
     #[test]
     fn r2_release_without_lock_fires() {
-        let (bus, wd, sink, _) = rig();
+        let (bus, wd, recorder, _) = rig();
         begin(&bus, 1);
         bus.emit(EventKind::LockRelease {
             action: aid(1),
@@ -348,12 +348,12 @@ mod tests {
             colour: col(0),
         });
         assert_eq!(wd.rule_count(WatchdogRule::ReleaseWithoutLock), 1);
-        assert_violation_within(&sink, WatchdogRule::ReleaseWithoutLock, 1);
+        assert_violation_within(&recorder, WatchdogRule::ReleaseWithoutLock, 1);
     }
 
     #[test]
     fn r3_write_bypassing_lock_fires() {
-        let (bus, wd, sink, fired) = rig();
+        let (bus, wd, recorder, fired) = rig();
         begin(&bus, 1);
         grant(&bus, 1, 7, LockMode::Read);
         // A before-image under a read lock: the classic write-without-
@@ -365,12 +365,12 @@ mod tests {
         });
         assert_eq!(wd.rule_count(WatchdogRule::WriteWithoutWriteLock), 1);
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert_violation_within(&sink, WatchdogRule::WriteWithoutWriteLock, 1);
+        assert_violation_within(&recorder, WatchdogRule::WriteWithoutWriteLock, 1);
     }
 
     #[test]
     fn r4_commit_without_quorum_fires() {
-        let (bus, wd, sink, _) = rig();
+        let (bus, wd, recorder, _) = rig();
         bus.emit(EventKind::TpcVote {
             node: NodeId::from_raw(1),
             txn: 9,
@@ -383,7 +383,7 @@ mod tests {
             participants: 3,
         });
         assert_eq!(wd.rule_count(WatchdogRule::CommitWithoutQuorum), 1);
-        assert_violation_within(&sink, WatchdogRule::CommitWithoutQuorum, 1);
+        assert_violation_within(&recorder, WatchdogRule::CommitWithoutQuorum, 1);
     }
 
     #[test]
@@ -418,7 +418,7 @@ mod tests {
 
     #[test]
     fn r9_group_fsync_coverage_fires() {
-        let (bus, wd, sink, _) = rig();
+        let (bus, wd, recorder, _) = rig();
         bus.emit(EventKind::DiskAppend {
             records: 2,
             bytes: 64,
@@ -429,12 +429,12 @@ mod tests {
             bytes: 128,
         });
         assert_eq!(wd.rule_count(WatchdogRule::GroupFsyncCoverage), 1);
-        assert_violation_within(&sink, WatchdogRule::GroupFsyncCoverage, 1);
+        assert_violation_within(&recorder, WatchdogRule::GroupFsyncCoverage, 1);
     }
 
     #[test]
     fn r9_replay_mark_mismatch_fires() {
-        let (bus, wd, sink, _) = rig();
+        let (bus, wd, recorder, _) = rig();
         bus.emit(EventKind::DiskAppend {
             records: 2,
             bytes: 64,
@@ -451,12 +451,12 @@ mod tests {
             objects: 4,
         });
         assert_eq!(wd.rule_count(WatchdogRule::ReplayMarkMismatch), 1);
-        assert_violation_within(&sink, WatchdogRule::ReplayMarkMismatch, 1);
+        assert_violation_within(&recorder, WatchdogRule::ReplayMarkMismatch, 1);
     }
 
     #[test]
     fn r11_gc_uncheckpointed_segment_fires() {
-        let (bus, wd, sink, _) = rig();
+        let (bus, wd, recorder, _) = rig();
         bus.emit(EventKind::DiskAppend {
             records: 2,
             bytes: 64,
@@ -477,12 +477,12 @@ mod tests {
             bytes: 64,
         });
         assert_eq!(wd.rule_count(WatchdogRule::GcUncheckpointedSegment), 1);
-        assert_violation_within(&sink, WatchdogRule::GcUncheckpointedSegment, 1);
+        assert_violation_within(&recorder, WatchdogRule::GcUncheckpointedSegment, 1);
     }
 
     #[test]
     fn r11_replay_manifest_mismatch_fires() {
-        let (bus, wd, sink, _) = rig();
+        let (bus, wd, recorder, _) = rig();
         bus.emit(EventKind::DiskAppend {
             records: 2,
             bytes: 64,
@@ -504,7 +504,7 @@ mod tests {
             objects: 0,
         });
         assert_eq!(wd.rule_count(WatchdogRule::ReplayManifestMismatch), 1);
-        assert_violation_within(&sink, WatchdogRule::ReplayManifestMismatch, 2);
+        assert_violation_within(&recorder, WatchdogRule::ReplayManifestMismatch, 2);
     }
 
     #[test]
@@ -592,12 +592,12 @@ mod tests {
 
     #[test]
     fn r9_r11_second_replay_of_only_new_batches_fires() {
-        let (bus, wd, sink, _) = rig();
+        let (bus, wd, recorder, _) = rig();
         crash_commit_crash(&bus, 1);
         assert_eq!(wd.rule_count(WatchdogRule::ReplayMarkMismatch), 1);
         assert_eq!(wd.rule_count(WatchdogRule::ReplayManifestMismatch), 1);
-        assert_violation_within(&sink, WatchdogRule::ReplayMarkMismatch, 2);
-        assert_violation_within(&sink, WatchdogRule::ReplayManifestMismatch, 2);
+        assert_violation_within(&recorder, WatchdogRule::ReplayMarkMismatch, 2);
+        assert_violation_within(&recorder, WatchdogRule::ReplayManifestMismatch, 2);
     }
 
     #[test]
@@ -653,7 +653,7 @@ mod tests {
 
     #[test]
     fn r10_snapshot_read_not_newest_fires() {
-        let (bus, wd, sink, _) = rig();
+        let (bus, wd, recorder, _) = rig();
         bus.emit(EventKind::VersionPublish {
             object: oid(7),
             colour: col(0),
@@ -677,12 +677,12 @@ mod tests {
             stamp: 1,
         });
         assert_eq!(wd.rule_count(WatchdogRule::SnapshotReadNotNewest), 1);
-        assert_violation_within(&sink, WatchdogRule::SnapshotReadNotNewest, 1);
+        assert_violation_within(&recorder, WatchdogRule::SnapshotReadNotNewest, 1);
     }
 
     #[test]
     fn r10_snapshot_reader_taking_locks_fires() {
-        let (bus, wd, sink, _) = rig();
+        let (bus, wd, recorder, _) = rig();
         begin(&bus, 5);
         bus.emit(EventKind::SnapshotOpen {
             action: aid(5),
@@ -695,12 +695,12 @@ mod tests {
             mode: LockMode::Read,
         });
         assert_eq!(wd.rule_count(WatchdogRule::SnapshotReaderLocks), 1);
-        assert_violation_within(&sink, WatchdogRule::SnapshotReaderLocks, 1);
+        assert_violation_within(&recorder, WatchdogRule::SnapshotReaderLocks, 1);
     }
 
     #[test]
     fn clean_nested_lifecycle_stays_silent() {
-        let (bus, wd, sink, fired) = rig();
+        let (bus, wd, recorder, fired) = rig();
         // parent holds colour 0; child writes under a write lock, then
         // inherits to the parent, which releases at commit.
         begin(&bus, 1);
@@ -773,7 +773,7 @@ mod tests {
         bus.emit(EventKind::ActionCommit { action: aid(9) });
         assert_eq!(wd.violations(), 0, "clean run must stay silent");
         assert_eq!(fired.load(Ordering::SeqCst), 0);
-        assert!(sink
+        assert!(recorder
             .events()
             .iter()
             .all(|e| !matches!(e.kind, EventKind::WatchdogViolation { .. })));

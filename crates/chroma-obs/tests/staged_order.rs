@@ -1,5 +1,5 @@
 //! Staged monitoring under concurrency. Four threads drive one runtime
-//! while a memory sink, a flight recorder and the watchdog watch its
+//! while an in-line sink, a flight recorder and the watchdog watch its
 //! bus. The recorder and the watchdog see events in the bus's stamp
 //! order, drained a chunk at a time; that order must keep every
 //! thread's program order, a replay of the recording must reach the
@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use chroma_base::{ActionId, Colour, LockMode, ObjectId};
 use chroma_core::Runtime;
-use chroma_obs::{Event, EventBus, EventKind, FlightRecorder, MemorySink, Watchdog, WatchdogRule};
+use chroma_obs::{Event, EventBus, EventKind, EventSink, FlightRecorder, Watchdog, WatchdogRule};
+use parking_lot::Mutex;
 use proptest::torture_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,6 +21,17 @@ use rand::{Rng, SeedableRng};
 const THREADS: u64 = 4;
 const ROUNDS: usize = 150;
 const CELLS: usize = 8;
+
+/// The events in the order the bus hands them to sinks: in-line, so
+/// each thread's events in its program order.
+#[derive(Default)]
+struct Inline(Mutex<Vec<Event>>);
+
+impl EventSink for Inline {
+    fn record(&self, event: &Event) {
+        self.0.lock().push(*event);
+    }
+}
 
 /// The action an event belongs to, for the kinds that name one.
 fn action_of(event: &Event) -> Option<ActionId> {
@@ -58,7 +70,7 @@ fn violations(events: &[Event]) -> Vec<EventKind> {
 fn stamp_order_keeps_program_order_and_the_live_verdict() {
     let seed = torture_seed().unwrap_or(42);
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(1_000_000));
+    let sink = Arc::new(Inline::default());
     bus.add_sink(sink.clone());
     let recorder = FlightRecorder::attach(&bus, 1_000_000);
     let watchdog = Watchdog::attach(&bus);
@@ -123,7 +135,8 @@ fn stamp_order_keeps_program_order_and_the_live_verdict() {
     // Reads drain: the breach is reported once, by the rule it broke.
     assert_eq!(watchdog.violations(), 1);
     assert_eq!(watchdog.rule_count(WatchdogRule::LockAfterShrink), 1);
-    let live = violations(&sink.events());
+    let seen = sink.0.lock().clone();
+    let live = violations(&seen);
     assert!(
         matches!(
             live[..],
@@ -140,7 +153,6 @@ fn stamp_order_keeps_program_order_and_the_live_verdict() {
     // The recorder holds every event, in an order that keeps each
     // thread's own order (the sink sees a thread's events in-line).
     let recorded = recorder.events();
-    let seen = sink.events();
     assert_eq!(recorder.dropped(), 0);
     assert_eq!(recorded.len(), seen.len(), "recorder and sink disagree");
     for actions in &per_thread {

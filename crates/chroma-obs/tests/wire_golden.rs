@@ -22,22 +22,21 @@ use std::sync::Arc;
 use agreement::{a, begin, c, commit, ev, grant, inherit, n, o, release, undo};
 use chroma_base::LockMode;
 use chroma_obs::{
-    Event, EventBus, EventKind, MemorySink, MsgKind, TraceAuditor, Watchdog, WatchdogRule,
+    Event, EventBus, EventKind, FlightRecorder, MsgKind, TraceAuditor, Watchdog, WatchdogRule,
 };
 
 /// The `watchdog_violation` lines a live bus emits for `stream`.
 fn live_lines(stream: &[Event]) -> Vec<String> {
     let bus = Arc::new(EventBus::new());
     bus.set_time_us(7);
-    let sink = Arc::new(MemorySink::new(256));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 256);
     Watchdog::attach(&bus);
     for event in stream {
         bus.emit(event.kind);
     }
-    // the watchdog steps staged events when the bus drains
-    bus.flush();
-    sink.events()
+    // the read drains the bus: the watchdog steps the staged events
+    recorder
+        .events()
         .iter()
         .filter(|e| matches!(e.kind, EventKind::WatchdogViolation { .. }))
         .map(Event::to_json_line)

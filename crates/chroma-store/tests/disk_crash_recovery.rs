@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use chroma_base::ObjectId;
-use chroma_obs::{EventBus, MemorySink, Obs, Observable, TraceAuditor};
+use chroma_obs::{EventBus, FlightRecorder, Obs, Observable, TraceAuditor};
 use chroma_store::{DiskError, DiskStore, DiskStoreOptions, OsFs, StoreBytes};
 use proptest::prelude::*;
 use proptest::torture_seed;
@@ -232,8 +232,7 @@ fn seed_matrix_truncation_torture() {
 
         let store = DiskStore::open(&dir).unwrap();
         let bus = Arc::new(EventBus::new());
-        let sink = Arc::new(MemorySink::new(10_000));
-        bus.add_sink(sink.clone());
+        let recorder = FlightRecorder::attach(&bus, 10_000);
         store.install_obs(Obs::new(bus.clone()));
 
         assert_all_or_nothing(&store, batch_size, survives);
@@ -255,8 +254,8 @@ fn seed_matrix_truncation_torture() {
         assert!(bus.snapshot().histogram("store.fsync_us").is_some());
 
         // The whole traced recovery + commit is clean under audit.
-        assert_eq!(sink.dropped(), 0);
-        let report = TraceAuditor::audit_events(&sink.events());
+        assert_eq!(recorder.dropped(), 0);
+        let report = TraceAuditor::audit_events(&recorder.events());
         assert!(report.is_clean(), "round {round} audit failed:\n{report}");
         std::fs::remove_dir_all(&dir).ok();
     }

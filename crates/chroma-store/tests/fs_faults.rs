@@ -27,7 +27,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use chroma_base::ObjectId;
-use chroma_obs::{EventBus, MemorySink, Obs, Observable, TraceAuditor};
+use chroma_obs::{EventBus, FlightRecorder, Obs, Observable, TraceAuditor};
 use chroma_store::{DiskError, DiskStore, DiskStoreOptions, Fs, FsFile, MemFs, StoreBytes};
 use proptest::torture_seed;
 
@@ -802,8 +802,7 @@ fn pipeline_a_failed_first_sync_fails_the_second_group_and_poisons() {
     let fs = FaultyFs::new();
     let store = open(&fs, 1 << 20);
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(1_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 1_000);
     store.install_obs(Obs::new(bus.clone()));
     store.commit_batch(updates(&x)).expect("commit x");
     fs.park_next_syncs(2);
@@ -829,7 +828,7 @@ fn pipeline_a_failed_first_sync_fails_the_second_group_and_poisons() {
     // x's group and b's, one append each.
     assert_eq!(bus.counter("disk_append"), 2, "{what}");
     assert_eq!(bus.counter("disk_group_commit"), 2, "{what}");
-    let report = TraceAuditor::audit_events(&sink.events());
+    let report = TraceAuditor::audit_events(&recorder.events());
     assert!(report.is_clean(), "{what}: {report}");
     drop(store);
     // Each failed batch all-or-nothing after power loss (the second

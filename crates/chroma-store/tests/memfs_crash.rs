@@ -29,7 +29,7 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::thread::{self, ThreadId};
 
 use chroma_base::ObjectId;
-use chroma_obs::{Event, EventBus, MemorySink, Obs, Observable, TraceAuditor};
+use chroma_obs::{Event, EventBus, FlightRecorder, Obs, Observable, TraceAuditor};
 use chroma_store::{DiskStore, DiskStoreOptions, Fs, FsFile, MemFs, StoreBytes};
 use proptest::torture_seed;
 
@@ -246,19 +246,17 @@ fn contents(store: &DiskStore) -> Batch {
         .collect()
 }
 
-/// A bus recording into a sink large enough for any test here.
-fn traced() -> (Arc<EventBus>, Arc<MemorySink>) {
+/// A bus with a flight recorder large enough for any test here.
+fn traced() -> (Arc<EventBus>, Arc<FlightRecorder>) {
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(100_000));
-    bus.add_sink(sink.clone());
-    (bus, sink)
+    let recorder = FlightRecorder::attach(&bus, 100_000);
+    (bus, recorder)
 }
 
-/// Every event `bus` recorded into `sink`.
-fn events(bus: &EventBus, sink: &MemorySink) -> Vec<Event> {
-    bus.flush();
-    assert_eq!(sink.dropped(), 0);
-    sink.events()
+/// Every event `recorder` holds, none evicted.
+fn events(recorder: &FlightRecorder) -> Vec<Event> {
+    assert_eq!(recorder.dropped(), 0);
+    recorder.events()
 }
 
 fn assert_audits_clean(events: &[Event], what: &str) {
@@ -327,7 +325,7 @@ struct Run {
     /// How many operations preceded each step that ran.
     step_starts: Vec<usize>,
     bus: Arc<EventBus>,
-    sink: Arc<MemorySink>,
+    recorder: Arc<FlightRecorder>,
     /// Every acknowledged batch, applied in order.
     acked: Batch,
     /// The batch whose commit the cut interrupted.
@@ -338,7 +336,7 @@ struct Run {
 fn run_history(steps: &[Step], cut: Option<PowerCut>) -> Run {
     let fs = CutFs::default();
     fs.arm(cut);
-    let (bus, sink) = traced();
+    let (bus, recorder) = traced();
     let mut store: Option<DiskStore> = None;
     let (mut acked, mut interrupted) = (Batch::new(), None);
     let mut step_starts = Vec::new();
@@ -376,7 +374,7 @@ fn run_history(steps: &[Step], cut: Option<PowerCut>) -> Run {
         fs,
         step_starts,
         bus,
-        sink,
+        recorder,
         acked,
         interrupted,
     }
@@ -389,7 +387,7 @@ fn recover_and_check(run: Run, reopen_at: usize, what: &str) -> bool {
     let Run {
         fs,
         bus,
-        sink,
+        recorder,
         acked,
         interrupted,
         ..
@@ -445,7 +443,7 @@ fn recover_and_check(run: Run, reopen_at: usize, what: &str) -> bool {
         "{what}: nothing to fold"
     );
     drop(reopen(store, "after the fold"));
-    assert_audits_clean(&events(&bus, &sink), what);
+    assert_audits_clean(&events(&recorder), what);
     reopen_cut
 }
 
@@ -709,7 +707,7 @@ fn concurrent_power_cut_torture() {
         let what = format!("seed {seed} round {round}");
         let fs = CutFs::default();
         let store = open(&fs).expect("fresh open");
-        let (bus, sink) = traced();
+        let (bus, recorder) = traced();
         store.install_obs(Obs::new(bus.clone()));
         // Each group appends and fsyncs; each seal takes nine steps.
         fs.arm(Some(PowerCut::at(1 + (splitmix(&mut rng) % 60) as usize)));
@@ -742,13 +740,13 @@ fn concurrent_power_cut_torture() {
         } else {
             fs.disk.crash();
         }
-        let pre_crash = events(&bus, &sink);
+        let pre_crash = events(&recorder);
         // The live trace audits clean whatever the cut did.
         assert_audits_clean(&pre_crash, &what);
 
         fs.arm(None);
         let store = open(&fs).unwrap_or_else(|e| panic!("{what}: reopen: {e}"));
-        let (recovery_bus, recovery_sink) = traced();
+        let (recovery_bus, recovery_recorder) = traced();
         store.install_obs(Obs::new(recovery_bus.clone()));
         for i in 0..COMMITTERS {
             for j in 0..BATCHES {
@@ -774,7 +772,7 @@ fn concurrent_power_cut_torture() {
             .commit_batch(updates(&after))
             .expect("commit after reopen");
         assert_eq!(recovery_bus.counter("disk_group_commit"), 1, "{what}");
-        let recovery = events(&recovery_bus, &recovery_sink);
+        let recovery = events(&recovery_recorder);
         assert_audits_clean(&recovery, &what);
         // Replay counts what reached the disk. When a group's bytes
         // reached it only through another group's fsync, no event

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use chroma_base::ObjectId;
-use chroma_obs::{EventBus, MemorySink, Obs, Observable, TraceAuditor};
+use chroma_obs::{EventBus, FlightRecorder, Obs, Observable, TraceAuditor};
 use chroma_store::{DiskStore, DiskStoreOptions, StoreBytes};
 use proptest::prelude::*;
 
@@ -84,8 +84,7 @@ proptest! {
     fn multi_segment_script_matches_model(steps in proptest::collection::vec(step_strategy(), 1..40)) {
         let dir = temp_dir();
         let bus = Arc::new(EventBus::new());
-        let sink = Arc::new(MemorySink::new(100_000));
-        bus.add_sink(sink.clone());
+        let recorder = FlightRecorder::attach(&bus, 100_000);
         let mut store = open_traced(&dir, &bus);
         let mut model: std::collections::HashMap<u64, StoreBytes> =
             std::collections::HashMap::new();
@@ -147,8 +146,8 @@ proptest! {
         expect.sort_unstable();
         prop_assert_eq!(ids, expect);
 
-        prop_assert_eq!(sink.dropped(), 0);
-        let report = TraceAuditor::audit_events(&sink.events());
+        prop_assert_eq!(recorder.dropped(), 0);
+        let report = TraceAuditor::audit_events(&recorder.events());
         prop_assert!(report.is_clean(), "script audit failed:\n{report}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -161,8 +160,7 @@ proptest! {
 fn traced_segment_lifecycle_audits_clean() {
     let dir = temp_dir();
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(100_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 100_000);
 
     {
         let store = DiskStore::open_with(&dir, tiny()).unwrap();
@@ -194,8 +192,8 @@ fn traced_segment_lifecycle_audits_clean() {
         Some(&value(12, 12)[..])
     );
 
-    assert_eq!(sink.dropped(), 0);
-    let report = TraceAuditor::audit_events(&sink.events());
+    assert_eq!(recorder.dropped(), 0);
+    let report = TraceAuditor::audit_events(&recorder.events());
     assert!(report.is_clean(), "lifecycle audit failed:\n{report}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -22,7 +22,7 @@ use chroma::core::{ActionError, Runtime, RuntimeConfig};
 use chroma::dist::{Sim, Write};
 use chroma::locks::{ClassicPolicy, ColouredPolicy, FlatAncestry, LockTable};
 use chroma::obs::{
-    EventBus, EventKind, MemorySink, Obs, Observable, Outcome, SpanForest, SpanKind,
+    EventBus, EventKind, FlightRecorder, Obs, Observable, Outcome, SpanForest, SpanKind,
 };
 use chroma::store::StoreBytes;
 use chroma::structures::compiler::{assign, Structure};
@@ -419,15 +419,13 @@ fn e08_distributed_make_builds_concurrently_and_keeps_its_work() {
     // when the last one begins.
     make.set_command_delay(Duration::from_millis(200));
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(100_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 100_000);
     rt.install_obs(Obs::new(bus.clone()));
     let report = make.make("app").unwrap();
     assert_eq!(report.rebuilt.len(), 5);
     assert_eq!(report.rebuilt.last().map(String::as_str), Some("app"));
-    bus.flush();
 
-    let events = sink.events();
+    let events = recorder.events();
     let forest = SpanForest::build(&events);
     let writers: Vec<ActionId> = events
         .iter()

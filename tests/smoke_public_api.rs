@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use chroma::base::{NodeId, ObjectId};
 use chroma::core::{DiskBackend, Runtime, RuntimeConfig};
 use chroma::dist::{Host, Node, PartitionedStore, ReplicatedObject, Sim, TcpConfig, TxnId, Write};
-use chroma::obs::{EventBus, MemorySink, Obs, Observable, TraceAuditor};
+use chroma::obs::{EventBus, FlightRecorder, Obs, Observable, TraceAuditor};
 use chroma::store::StoreBytes;
 use chroma::{NetConfig, TcpTransport, Transport};
 
@@ -36,8 +36,7 @@ fn facade_covers_the_stack_end_to_end() {
     // ---- coloured atomic actions, traced ----
     let rt = Runtime::builder().build();
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(100_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 100_000);
     rt.install_obs(Obs::new(bus.clone()));
 
     let account = rt.create_object(&100i64).unwrap();
@@ -108,10 +107,10 @@ fn facade_covers_the_stack_end_to_end() {
 
     // The whole trace — local, disk, distributed — is clean under the
     // auditor, replication rules included.
-    assert_eq!(sink.dropped(), 0);
+    assert_eq!(recorder.dropped(), 0);
     assert!(bus.counter("replica_write") >= 2);
     assert!(bus.counter("replica_install") >= 2);
-    let report = TraceAuditor::audit_events(&sink.events());
+    let report = TraceAuditor::audit_events(&recorder.events());
     assert!(report.is_clean(), "audit failed:\n{report}");
 }
 
@@ -123,8 +122,7 @@ fn snapshot_reads_through_the_facade_are_lock_free_and_audited() {
     // that is clean under the auditor's MVCC rule (R10).
     let rt = Runtime::builder().build();
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(100_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 100_000);
     rt.install_obs(Obs::new(bus.clone()));
 
     let counter = rt.create_object(&0u64).unwrap();
@@ -148,8 +146,8 @@ fn snapshot_reads_through_the_facade_are_lock_free_and_audited() {
     assert!(bus.counter("snapshot_open") >= 1);
     assert!(bus.counter("snapshot_read") >= 2);
 
-    assert_eq!(sink.dropped(), 0);
-    let report = TraceAuditor::audit_events(&sink.events());
+    assert_eq!(recorder.dropped(), 0);
+    let report = TraceAuditor::audit_events(&recorder.events());
     assert!(report.is_clean(), "audit failed:\n{report}");
 }
 

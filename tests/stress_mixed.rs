@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use chroma::apps::{BulletinBoard, Ledger};
 use chroma::core::{ActionError, DiskBackend, PermanenceBackend, Runtime, RuntimeConfig};
-use chroma::obs::{EventBus, MemorySink, TraceAuditor, Watchdog};
+use chroma::obs::{EventBus, FlightRecorder, TraceAuditor, Watchdog};
 use chroma::structures::{CompensatingChain, GluedChain, SerializingAction};
 use chroma::typed::EscrowCounter;
 use proptest::torture_seed;
@@ -48,8 +48,7 @@ fn mixed_structures_stress() {
 
 fn stress(seed: u64, backend: Option<Arc<dyn PermanenceBackend>>) {
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(1_000_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 1_000_000);
     let watchdog = Watchdog::attach(&bus);
     let mut builder = Runtime::builder()
         .config(RuntimeConfig {
@@ -315,8 +314,8 @@ fn stress(seed: u64, backend: Option<Arc<dyn PermanenceBackend>>) {
     assert!(unexpected.is_empty(), "seed {seed}: {unexpected:?}");
     // 7. The watchdog stayed silent and the whole trace audits clean.
     assert_eq!(watchdog.violations(), 0, "seed {seed}: watchdog violations");
-    assert_eq!(sink.dropped(), 0, "trace truncated; grow the sink");
-    let report = TraceAuditor::audit_events(&sink.events());
+    assert_eq!(recorder.dropped(), 0, "trace truncated; grow the recorder");
+    let report = TraceAuditor::audit_events(&recorder.events());
     assert!(report.is_clean(), "seed {seed}: {report}");
 }
 

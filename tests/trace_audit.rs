@@ -15,14 +15,14 @@
 //!     cargo test --release --test trace_audit
 //! ```
 
-use std::io::Write as _;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use chroma::base::{ColourSet, NodeId, ObjectId};
 use chroma::core::{DiskBackend, Runtime, RuntimeConfig};
 use chroma::dist::{ReplicatedObject, Sim, Write, RETRY_INTERVAL};
-use chroma::obs::{Event, EventBus, MemorySink, Obs, Observable, TraceAuditor};
+use chroma::obs::{Event, EventBus, FlightRecorder, Obs, Observable, TraceAuditor};
 use chroma::store::StoreBytes;
 use proptest::torture_seed;
 
@@ -35,12 +35,11 @@ const LOCAL_RUNTIME_NODE: u32 = 100;
 const SEED_MATRIX: [u64; 4] = [1, 7, 42, 1337];
 
 /// Runs the demonstration workload with simulation seed `seed` and
-/// returns its events, in emission order.
-fn demonstration_trace(seed: u64) -> Vec<Event> {
+/// returns the recorder holding its events, in the bus's stamp order.
+fn demonstration_trace(seed: u64) -> Arc<FlightRecorder> {
     static RUNS: AtomicU64 = AtomicU64::new(0);
     let bus = Arc::new(EventBus::new());
-    let sink = Arc::new(MemorySink::new(1_000_000));
-    bus.add_sink(sink.clone());
+    let recorder = FlightRecorder::attach(&bus, 1_000_000);
 
     // Nested local actions over a real on-disk log: lock, undo,
     // inheritance, fsync and the disk event vocabulary. This wall-clock
@@ -127,8 +126,8 @@ fn demonstration_trace(seed: u64) -> Vec<Event> {
     let (version, _) = replica.read(&sim).expect("replica read");
     assert_eq!(version, 2, "replica failed to converge");
 
-    bus.flush();
-    sink.events()
+    assert_eq!(recorder.dropped(), 0, "trace truncated; grow the recorder");
+    recorder
 }
 
 fn assert_audits_clean(seed: u64, events: &[Event]) {
@@ -139,15 +138,12 @@ fn assert_audits_clean(seed: u64, events: &[Event]) {
 #[test]
 fn demonstration_trace_audits_clean() {
     let seed = torture_seed().unwrap_or(7);
-    let events = demonstration_trace(seed);
-    assert_audits_clean(seed, &events);
+    let recorder = demonstration_trace(seed);
+    assert_audits_clean(seed, &recorder.events());
     if let Some(path) = std::env::var_os("CHROMA_TRACE_OUT") {
-        let mut out =
-            std::io::BufWriter::new(std::fs::File::create(&path).expect("create CHROMA_TRACE_OUT"));
-        for event in &events {
-            writeln!(out, "{}", event.to_json_line()).expect("write trace");
-        }
-        out.flush().expect("write trace");
+        recorder
+            .dump_to(Path::new(&path))
+            .expect("write CHROMA_TRACE_OUT");
     }
 }
 
@@ -164,9 +160,9 @@ fn demonstration_trace_is_a_function_of_its_seed() {
         events
     };
     for seed in SEED_MATRIX {
-        let first = demonstration_trace(seed);
+        let first = demonstration_trace(seed).events();
         assert_audits_clean(seed, &first);
-        let second = demonstration_trace(seed);
+        let second = demonstration_trace(seed).events();
         let (first, second) = (masked(first), masked(second));
         assert_eq!(
             first.len(),
