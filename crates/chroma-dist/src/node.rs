@@ -1018,9 +1018,9 @@ impl Node {
     /// The durability barrier: commits what the handlers staged since
     /// the last barrier that wrote — installed objects, and each changed
     /// 2PC record at its key from [`TPC_LOG_BASE`] — as one atomic
-    /// batch. A [`Host`](crate::Host) runs it after every handler,
-    /// before the resulting messages leave, in the simulator and in
-    /// `chroma-node` alike. It writes only when the
+    /// batch. A [`Host`](crate::Host) runs it once after the handlers
+    /// of a batch of events, before any of their messages leave, in the
+    /// simulator and in `chroma-node` alike. It writes only when the
     /// stage holds an object write, a `CoordCommit` or a `Prepared`:
     /// the commit points. End records (`CoordEnd`, `ParticipantDone`)
     /// wait for the next barrier that writes. Losing one costs one

@@ -335,18 +335,17 @@ impl Sim {
         }
     }
 
-    /// Hands `event` to `id`'s host, or wakes it without one, over its
-    /// [`SimTransport`] view (the host leaves the map meanwhile, so the
-    /// view can borrow the simulation), and keeps what it reports.
+    /// Hands `event` to `id`'s host as a batch of one, or wakes it
+    /// without one, over its [`SimTransport`] view (the host leaves the
+    /// map meanwhile, so the view can borrow the simulation), and keeps
+    /// what it reports.
     fn drive(&mut self, id: NodeId, event: Option<TransportEvent>) {
         let mut host = self.hosts.remove(&id).expect("host present");
         let mut view = SimTransport { sim: self, id };
         let mut reports = Vec::new();
-        let report = &mut |report| reports.push((id, report));
-        match event {
-            Some(event) => host.handle(&mut view, event, report),
-            None => host.advance(&mut view, report),
-        }
+        let report = &mut |batch: &[Report]| reports.extend(batch.iter().map(|r| (id, r.clone())));
+        // one event per batch: a seeded run stays a function of its seed
+        host.handle(&mut view, event, report);
         self.hosts.insert(id, host);
         self.reports.extend(reports);
     }

@@ -26,7 +26,7 @@
 //! to force retransmission and gaps.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::io::{self, Read, Write as IoWrite};
+use std::io::{self, BufReader, Read, Write as IoWrite};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -38,7 +38,7 @@ use chroma_obs::{EventKind, Obs, ObsCell, Observable};
 use parking_lot::Mutex;
 
 use crate::masking::{Accept, Backoff, DedupWindow, SendWindow};
-use crate::msg::{CorrId, Message, TimerTag};
+use crate::msg::{CorrId, Effect, Message, TimerTag};
 use crate::transport::{Transport, TransportEvent};
 use crate::wire;
 
@@ -111,11 +111,12 @@ pub struct MaskingStats {
     pub decode_errors: u64,
 }
 
-/// What a reader thread learned from one inbound frame.
+/// What a reader thread learned from one read of a connection: every
+/// frame that read brought in whole, in order.
 struct InEvent {
     peer: NodeId,
     incarnation: u64,
-    frame: InFrame,
+    frames: Vec<InFrame>,
 }
 
 enum InFrame {
@@ -385,21 +386,18 @@ impl TcpTransport {
                 }
             }
         }
-        let frames: Vec<(u64, Vec<u8>)> = out
-            .window
-            .unsent()
-            .map(|(seq, tail)| (seq, tail.to_vec()))
-            .collect();
-        for (seq, tail) in frames {
-            let mut body = Vec::with_capacity(9 + tail.len());
-            body.push(TAG_DATA);
-            body.extend_from_slice(&seq.to_le_bytes());
-            body.extend_from_slice(&tail);
-            let stream = out.stream.as_mut().expect("connected above");
-            if write_frame(stream, &body).is_err() {
-                self.drop_stream(out, now);
-                return;
-            }
+        let Some(stream) = out.stream.as_mut() else {
+            return;
+        };
+        // every unsent frame and the owed ack leave in one write
+        let ack = self.pending_acks.get(&peer).copied();
+        let written = encode_unsent(&out.window, ack)
+            .and_then(|(buf, seqs)| stream.write_all(&buf).map(|()| seqs));
+        let Ok(seqs) = written else {
+            self.drop_stream(out, now);
+            return;
+        };
+        for seq in seqs {
             if seq <= out.max_written {
                 self.stats.resent += 1;
             } else {
@@ -407,16 +405,8 @@ impl TcpTransport {
             }
             out.window.mark_sent(seq);
         }
-        if let Some(&upto) = self.pending_acks.get(&peer) {
-            let mut body = Vec::with_capacity(9);
-            body.push(TAG_ACK);
-            body.extend_from_slice(&upto.to_le_bytes());
-            let stream = out.stream.as_mut().expect("connected above");
-            if write_frame(stream, &body).is_ok() {
-                self.pending_acks.remove(&peer);
-            } else {
-                self.drop_stream(out, now);
-            }
+        if ack.is_some() {
+            self.pending_acks.remove(&peer);
         }
     }
 
@@ -429,22 +419,28 @@ impl TcpTransport {
     }
 
     fn handle_in(&mut self, event: InEvent) {
-        match event.frame {
+        for frame in event.frames {
+            self.handle_frame(event.peer, event.incarnation, frame);
+        }
+    }
+
+    fn handle_frame(&mut self, peer: NodeId, incarnation: u64, frame: InFrame) {
+        match frame {
             InFrame::Data {
                 seq,
                 corr,
                 send_lc,
                 payload,
             } => {
-                let entry = self.inbound.entry(event.peer).or_insert(InboundState {
-                    incarnation: event.incarnation,
+                let entry = self.inbound.entry(peer).or_insert(InboundState {
+                    incarnation,
                     window: DedupWindow::new(),
                 });
-                if entry.incarnation != event.incarnation {
+                if entry.incarnation != incarnation {
                     // the peer restarted: its sequence numbers started
                     // over, so the old high-water mark is meaningless
                     *entry = InboundState {
-                        incarnation: event.incarnation,
+                        incarnation,
                         window: DedupWindow::new(),
                     };
                 }
@@ -456,7 +452,7 @@ impl TcpTransport {
                         if let Accept::Gap { expected, got } = verdict {
                             self.stats.gaps += 1;
                             self.pending.push_back(TransportEvent::Gap {
-                                from: event.peer,
+                                from: peer,
                                 expected,
                                 got,
                             });
@@ -465,7 +461,7 @@ impl TcpTransport {
                             Ok(msg) => {
                                 self.stats.fresh += 1;
                                 self.pending.push_back(TransportEvent::Deliver {
-                                    from: event.peer,
+                                    from: peer,
                                     msg,
                                     corr,
                                     send_lc,
@@ -476,32 +472,22 @@ impl TcpTransport {
                     }
                 }
                 if let Some(high) = high {
-                    self.pending_acks.insert(event.peer, high);
+                    self.pending_acks.insert(peer, high);
                 }
             }
             InFrame::Ack { upto } => {
-                if let Some(out) = self.out.get_mut(&event.peer) {
+                if let Some(out) = self.out.get_mut(&peer) {
                     out.window.ack(upto);
                 }
             }
         }
     }
-}
 
-impl Transport for TcpTransport {
-    fn local(&self) -> NodeId {
-        self.local
-    }
-
-    fn obs(&self) -> Obs {
-        self.obs.get().clone()
-    }
-
-    fn now_us(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    fn send(&mut self, to: NodeId, msg: Message) {
+    /// Queues `msg` for `to` without writing it: emits its `MsgSend`
+    /// event and pushes its frame into the peer's resend buffer.
+    /// Returns `false` if it was refused (unknown peer, or a frame
+    /// past [`MAX_FRAME`]).
+    fn queue(&mut self, to: NodeId, msg: Message) -> bool {
         let from = self.local;
         let kind = msg.kind();
         let corr = self.next_corr();
@@ -519,16 +505,15 @@ impl Transport for TcpTransport {
         if !self.addrs.contains_key(&to) || DATA_HEADER + payload.len() > MAX_FRAME {
             self.stats.send_errors += 1;
             obs.emit_corr(corr, EventKind::MsgDrop { from, to, kind });
-            return;
+            return false;
         }
+        // an invariant, not an environment error: the check above keeps
+        // the payload under MAX_FRAME (16 MiB), far below u32::MAX
+        let len = u32::try_from(payload.len()).expect("message below frame cap");
         let mut tail = Vec::with_capacity(20 + payload.len());
         tail.extend_from_slice(&corr.get().to_le_bytes());
         tail.extend_from_slice(&send_lc.to_le_bytes());
-        tail.extend_from_slice(
-            &u32::try_from(payload.len())
-                .expect("message below frame cap")
-                .to_le_bytes(),
-        );
+        tail.extend_from_slice(&len.to_le_bytes());
         tail.extend_from_slice(&payload);
         let config = self.config;
         self.out
@@ -536,7 +521,27 @@ impl Transport for TcpTransport {
             .or_insert_with(|| Outbound::new(&config))
             .window
             .push(tail);
-        self.flush_peer(to);
+        true
+    }
+}
+
+impl Transport for TcpTransport {
+    fn local(&self) -> NodeId {
+        self.local
+    }
+
+    fn obs(&self) -> Obs {
+        self.obs.get().clone()
+    }
+
+    fn now_us(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
+    }
+
+    fn send(&mut self, to: NodeId, msg: Message) {
+        if self.queue(to, msg) {
+            self.flush_peer(to);
+        }
     }
 
     fn set_timer(&mut self, delay_us: u64, tag: TimerTag) {
@@ -590,33 +595,51 @@ impl Transport for TcpTransport {
             if !self.pending.is_empty() {
                 continue;
             }
+            // what the readers already queued is ready, whatever the
+            // timeout: a zero-timeout poll must still see it
+            if let Ok(event) = self.rx.try_recv() {
+                self.handle_in(event);
+                continue;
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|left| left.is_zero()) {
+                return None;
+            }
+            // about to wait: queued frames and owed acks leave first
+            // (a draining host's own batch carries the acks it owes)
             self.flush_all();
             let mut wait = Duration::from_millis(10);
             if let Some((&(at, _), _)) = self.timers.first_key_value() {
                 wait = wait.min(Duration::from_micros(at.saturating_sub(now)));
             }
-            if let Some(deadline) = deadline {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return None;
-                }
+            if let Some(left) = left {
                 wait = wait.min(left);
             }
             match self.rx.recv_timeout(wait) {
-                Ok(event) => {
-                    self.handle_in(event);
-                    // drain whatever else already queued, without waiting
-                    while let Ok(event) = self.rx.try_recv() {
-                        self.handle_in(event);
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        return None;
-                    }
-                }
+                Ok(event) => self.handle_in(event),
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
                 Err(mpsc::RecvTimeoutError::Disconnected) => return None,
             }
+        }
+    }
+
+    /// Queues every send first, then flushes each peer it touched
+    /// once: the frames of one batch for one peer, and the ack owed to
+    /// it, leave in one write.
+    fn apply_effects(&mut self, effects: Vec<Effect>) {
+        let mut touched = BTreeSet::new();
+        for effect in effects {
+            match effect {
+                Effect::Send { to, msg } => {
+                    if self.queue(to, msg) {
+                        touched.insert(to);
+                    }
+                }
+                Effect::SetTimer { delay, tag } => self.set_timer(delay, tag),
+            }
+        }
+        for peer in touched {
+            self.flush_peer(peer);
         }
     }
 }
@@ -665,7 +688,43 @@ fn write_frame(stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
     stream.write_all(&buf)
 }
 
-fn read_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
+/// Encodes every frame of `window` not yet written, then the
+/// cumulative ack `ack` if one is owed, as one buffer; returns it with
+/// the data frames' sequence numbers.
+fn encode_unsent(window: &SendWindow, ack: Option<u64>) -> io::Result<(Vec<u8>, Vec<u64>)> {
+    let mut buf = Vec::new();
+    let mut seqs = Vec::new();
+    for (seq, tail) in window.unsent() {
+        put_frame(&mut buf, TAG_DATA, seq, tail)?;
+        seqs.push(seq);
+    }
+    if let Some(upto) = ack {
+        put_frame(&mut buf, TAG_ACK, upto, &[])?;
+    }
+    Ok((buf, seqs))
+}
+
+/// Appends one frame whose body is `tag`, `word` (a sequence number or
+/// an acked one) and `tail` to `buf`.
+fn put_frame(buf: &mut Vec<u8>, tag: u8, word: u64, tail: &[u8]) -> io::Result<()> {
+    let len = u32::try_from(1 + 8 + tail.len()).map_err(|_| io::ErrorKind::InvalidInput)?;
+    buf.extend_from_slice(&len.to_le_bytes());
+    buf.push(tag);
+    buf.extend_from_slice(&word.to_le_bytes());
+    buf.extend_from_slice(tail);
+    Ok(())
+}
+
+/// Whether `buf` starts with a whole frame, length prefix and body.
+fn holds_frame(buf: &[u8]) -> bool {
+    let Some(len) = buf.get(..4) else {
+        return false;
+    };
+    let len = u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize;
+    buf.len() >= 4 + len
+}
+
+fn read_frame(stream: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     stream.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len) as usize;
@@ -714,7 +773,8 @@ fn accept_loop(
     }
 }
 
-fn read_loop(mut stream: TcpStream, tx: &mpsc::Sender<InEvent>, shutdown: &Arc<AtomicBool>) {
+fn read_loop(stream: TcpStream, tx: &mpsc::Sender<InEvent>, shutdown: &Arc<AtomicBool>) {
+    let mut stream = BufReader::new(stream);
     // a connection introduces itself before carrying traffic
     let Ok(hello) = read_frame(&mut stream) else {
         return;
@@ -723,20 +783,31 @@ fn read_loop(mut stream: TcpStream, tx: &mpsc::Sender<InEvent>, shutdown: &Arc<A
         return;
     };
     while !shutdown.load(Ordering::SeqCst) {
-        let Ok(body) = read_frame(&mut stream) else {
-            return;
+        // the first frame may block; every further one that read
+        // already buffered whole joins it, and the host gets them all
+        // as one message, so one drain sees a peer's batch whole
+        let mut frames = Vec::new();
+        let alive = loop {
+            // a corrupt frame kills the connection, and the sender redials
+            let Some(frame) = read_frame(&mut stream).ok().and_then(|b| parse_frame(&b)) else {
+                break false;
+            };
+            frames.push(frame);
+            if !holds_frame(stream.buffer()) {
+                break true;
+            }
         };
-        let Some(frame) = parse_frame(&body) else {
-            return; // corrupt stream: kill the connection, sender redials
-        };
-        if tx
-            .send(InEvent {
+        if !frames.is_empty() {
+            let event = InEvent {
                 peer,
                 incarnation,
-                frame,
-            })
-            .is_err()
-        {
+                frames,
+            };
+            if tx.send(event).is_err() {
+                return;
+            }
+        }
+        if !alive {
             return;
         }
     }
@@ -873,6 +944,38 @@ mod tests {
             a.peer_acked(b_id) >= 1,
             "cumulative ack never travelled back"
         );
+    }
+
+    #[test]
+    fn zero_timeout_poll_returns_a_frame_the_peer_delivered() {
+        let (a_id, b_id) = (NodeId::from_raw(1), NodeId::from_raw(2));
+        let mut a = TcpTransport::bind(a_id, "127.0.0.1:0", TcpConfig::default()).unwrap();
+        let mut b = TcpTransport::bind(b_id, "127.0.0.1:0", TcpConfig::default()).unwrap();
+        a.add_peer(b_id, b.local_addr());
+        b.add_peer(a_id, a.local_addr());
+        let ping = Message::Ack {
+            txn: crate::msg::TxnId(1),
+        };
+        a.send(b_id, ping.clone());
+        // b never waits: the frame must come through a poll that may
+        // not block, once b's reader has queued it
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match b.poll(Some(Duration::ZERO)) {
+                Some(TransportEvent::Deliver { from, msg, .. }) => {
+                    assert_eq!((from, msg), (a_id, ping));
+                    break;
+                }
+                Some(other) => panic!("unexpected {other:?}"),
+                None => {}
+            }
+            assert!(
+                Instant::now() < deadline,
+                "a zero-timeout poll never returned the delivered frame"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(b.stats().fresh, 1);
     }
 
     #[test]

@@ -119,10 +119,10 @@ pub trait Transport {
 }
 
 /// Feeds one transport event to a node: merges the Lamport clock,
-/// emits the `MsgDeliver` trace event, runs the handler and `barrier`
-/// (a [`Host`](crate::Host) passes [`Node::barrier`]), then applies the
-/// resulting effects: the barrier runs **before** any of them reaches
-/// the transport.
+/// emits the `MsgDeliver` trace event and runs the handler, then
+/// `barrier`, then applies the resulting effects: one event, one
+/// barrier, and the barrier runs **before** any effect reaches the
+/// transport.
 ///
 /// This is how a real process keeps the 2PC commit point honest under
 /// `kill -9`: the coordinator's `CoordCommit` record (and a
@@ -130,6 +130,11 @@ pub trait Transport {
 /// `Decision` (resp. `VoteYes`) message can leave. A crash between the
 /// barrier and the sends only loses volatile messages, which the
 /// protocol already retransmits.
+///
+/// A [`Host`](crate::Host) does not call it: it runs the handlers of a
+/// whole batch of events under one barrier. It stays for the
+/// benchmark's in-process loop, which passes its own timed barrier and
+/// ignores a gap.
 pub fn dispatch_with<T, F>(
     node: &mut Node,
     transport: &mut T,
@@ -138,6 +143,23 @@ pub fn dispatch_with<T, F>(
 ) where
     T: Transport + ?Sized,
     F: FnMut(&mut Node),
+{
+    if matches!(event, TransportEvent::Gap { .. }) {
+        return;
+    }
+    let effects = handle_event(node, &*transport, event);
+    barrier(node);
+    transport.apply_effects(effects);
+}
+
+/// Runs the node's handler for one delivery or timer and returns its
+/// effects, which must not reach the transport before the next
+/// barrier. A delivery first merges the sender's Lamport clock and
+/// emits its `MsgDeliver` event. A gap carries no payload to hand the
+/// node and yields nothing: the transport already counted it.
+pub(crate) fn handle_event<T>(node: &mut Node, transport: &T, event: TransportEvent) -> Vec<Effect>
+where
+    T: Transport + ?Sized,
 {
     match event {
         TransportEvent::Deliver {
@@ -153,17 +175,9 @@ pub fn dispatch_with<T, F>(
             // strictly exceed the send's (audit rule R8)
             obs.merge_clock(to, send_lc);
             obs.emit_corr(corr, EventKind::MsgDeliver { from, to, kind });
-            let effects = node.handle_message(from, msg);
-            barrier(node);
-            transport.apply_effects(effects);
+            node.handle_message(from, msg)
         }
-        TransportEvent::Timer { tag } => {
-            let effects = node.handle_timer(tag);
-            barrier(node);
-            transport.apply_effects(effects);
-        }
-        // A gap carries no payload to hand the node; a host reports it
-        // before it gets here (the transport already counted it).
-        TransportEvent::Gap { .. } => {}
+        TransportEvent::Timer { tag } => node.handle_timer(tag),
+        TransportEvent::Gap { .. } => Vec::new(),
     }
 }

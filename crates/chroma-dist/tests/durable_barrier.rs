@@ -4,7 +4,7 @@
 //! A coordinator and two participants are driven by hand through
 //! `handle_message` / `handle_timer`, each over its own `DiskStore`,
 //! with the barrier after every handler — the `chroma-node` loop without
-//! the sockets. A seeded schedule (`CHROMA_TORTURE_SEED`) mixes commits,
+//! the sockets, in batches of one event. A seeded schedule (`CHROMA_TORTURE_SEED`) mixes commits,
 //! vetoes, prepare timeouts, reordered and duplicated prepares and
 //! decisions, RPC `Put`s and replica installs. After every barrier a
 //! node rebuilt from a reopened store must equal the live one, up to

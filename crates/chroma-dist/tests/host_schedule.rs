@@ -3,12 +3,15 @@
 //! transaction reports exactly one outcome, a committed transaction's
 //! value is installed on both workers and an aborted one's nowhere,
 //! the trace audits clean, a seed replays its reports and trace
-//! exactly, a participant that vanishes after voting yes is cut by
-//! the transaction deadline in simulated time, and a schedule never
-//! reuses the id of an ad-hoc transaction on the same coordinator.
+//! exactly, a transaction reports at its commit point while the next
+//! begins in the same batch, the deadline cuts a transaction whose
+//! coordinator lost it in a crash and a participant's ack that never
+//! comes, both in simulated time, and a schedule never reuses the id
+//! of an ad-hoc transaction on the same coordinator.
 //!
 //! `CHROMA_TORTURE_SEED` draws the loss and duplication rates, the
-//! transaction count and the worker crash schedule.
+//! transaction count and the worker crash schedule, and the
+//! coordinator's crash and recovery times.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -85,6 +88,21 @@ fn schedule_under_loss_and_a_worker_crash_settles_every_transaction() {
     assert!(again_trace == trace, "seed {seed}: traces differ");
 }
 
+/// Steps `sim` until the coordinator reports an outcome; returns the
+/// reports of that step and the simulated time it ran at, and keeps the
+/// earlier ones in `reports`.
+fn step_to_outcome(sim: &mut Sim, reports: &mut Vec<Report>) -> (Vec<Report>, u64) {
+    for _ in 0..100_000 {
+        assert!(sim.step(), "the schedule stalled");
+        let new: Vec<Report> = sim.take_reports().into_iter().map(|(_, r)| r).collect();
+        if new.iter().any(|r| matches!(r, Report::Outcome(..))) {
+            return (new, sim.now());
+        }
+        reports.extend(new);
+    }
+    panic!("no outcome within 100 000 steps");
+}
+
 #[test]
 fn participant_lost_after_its_yes_vote_is_cut_at_the_deadline() {
     let mut sim = Sim::new(torture_seed().unwrap_or(42));
@@ -97,36 +115,95 @@ fn participant_lost_after_its_yes_vote_is_cut_at_the_deadline() {
     }
     sim.schedule_crash(lost, 0);
 
-    // its decision is never acknowledged: only the deadline ends T1
-    let mut reports = sim.take_reports();
-    let outcome_at = (0..100_000).find_map(|_| {
-        assert!(sim.step(), "the schedule stalled");
-        let new = sim.take_reports();
-        let outcome = new.iter().any(|(_, r)| matches!(r, Report::Outcome(..)));
-        reports.extend(new);
-        outcome.then(|| sim.now())
-    });
-    assert_eq!(outcome_at, Some(TXN_DEADLINE_US));
+    // T1 reports commit at its commit point, not at its deadline, and
+    // T2 begins in that same batch: the ack `lost` never sends holds
+    // nothing up
+    let (t1, t2) = (TxnId(1), TxnId(2));
+    let mut reports = sim.take_reports().into_iter().map(|(_, r)| r).collect();
+    let (batch, decided_at) = step_to_outcome(&mut sim, &mut reports);
+    assert_eq!(batch, [Report::Outcome(t1, true), Report::Begin(t2)]);
+    assert!(
+        decided_at < TXN_DEADLINE_US / 100,
+        "T1 decided at {decided_at}"
+    );
+    reports.extend(batch);
+
+    // the schedule goes on: T2 cannot prepare at `lost` and aborts well
+    // before any deadline
+    let (batch, aborted_at) = step_to_outcome(&mut sim, &mut reports);
+    assert_eq!(batch, [Report::Outcome(t2, false)]);
+    assert!(
+        aborted_at < TXN_DEADLINE_US / 10,
+        "T2 aborted at {aborted_at}"
+    );
+    reports.extend(batch);
+    assert_eq!(
+        reports,
+        [
+            Report::Begin(t1),
+            Report::Outcome(t1, true),
+            Report::Begin(t2),
+            Report::Outcome(t2, false),
+        ]
+    );
     assert_eq!(
         sim.node(kept).read(txn_object(1)).as_deref(),
         Some(&txn_value(7, 1)[..])
     );
-
-    // the schedule goes on: T2 cannot prepare at `lost` and aborts well
-    // before its own deadline
-    sim.run_to_quiescence();
-    reports.extend(sim.take_reports());
-    let (t1, t2) = (TxnId(1), TxnId(2));
-    let expected = [
-        Report::Begin(t1),
-        Report::Outcome(t1, true),
-        Report::Begin(t2),
-        Report::Outcome(t2, false),
-    ];
-    let reports: Vec<Report> = reports.into_iter().map(|(_, r)| r).collect();
-    assert_eq!(reports, expected);
-    assert!(sim.now() < 2 * TXN_DEADLINE_US);
     assert!(sim.node(kept).read(txn_object(2)).is_none());
+
+    // T1's missing ack keeps the schedule serving until exactly its
+    // deadline, and no longer
+    sim.run_to_quiescence();
+    assert!(sim.take_reports().is_empty());
+    assert_eq!(sim.now(), TXN_DEADLINE_US);
+}
+
+#[test]
+fn coordinator_crash_before_its_decision_is_cut_at_the_deadline() {
+    let seed = torture_seed().unwrap_or(42);
+    let mut draw = StdRng::seed_from_u64(seed);
+    let mut sim = Sim::new(seed);
+    let coordinator = sim.add_node();
+    let workers = [sim.add_node(), sim.add_node()];
+    sim.schedule_transactions(coordinator, workers.to_vec(), 2, seed);
+    // down before any vote can arrive (a message takes at least
+    // `delay_min`), up again at a drawn time: the recovered coordinator
+    // holds no state for T1, so nothing ever decides it
+    let crash_at = draw.gen_range(0..sim.net.delay_min);
+    sim.schedule_crash(coordinator, crash_at);
+    sim.schedule_recover(coordinator, crash_at + draw.gen_range(1..1_000_000u64));
+
+    let (t1, t2) = (TxnId(1), TxnId(2));
+    let mut reports = sim.take_reports().into_iter().map(|(_, r)| r).collect();
+    let (batch, cut_at) = step_to_outcome(&mut sim, &mut reports);
+    assert_eq!(batch, [Report::Outcome(t1, false), Report::Begin(t2)]);
+    assert_eq!(cut_at, TXN_DEADLINE_US, "seed {seed}");
+    reports.extend(batch);
+
+    // presumed abort: the workers asked, learned abort and installed
+    // nothing; T2 then commits as usual
+    sim.run_to_quiescence();
+    reports.extend(sim.take_reports().into_iter().map(|(_, r)| r));
+    assert_eq!(
+        reports,
+        [
+            Report::Begin(t1),
+            Report::Outcome(t1, false),
+            Report::Begin(t2),
+            Report::Outcome(t2, true),
+        ],
+        "seed {seed}"
+    );
+    for worker in workers {
+        assert!(sim.node(worker).resolved(t1), "seed {seed}");
+        assert!(sim.node(worker).read(txn_object(1)).is_none());
+        let value = txn_value(seed, 2);
+        assert_eq!(
+            sim.node(worker).read(txn_object(2)).as_deref(),
+            Some(&value[..])
+        );
+    }
 }
 
 #[test]

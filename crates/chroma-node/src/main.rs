@@ -18,20 +18,25 @@
 //! installs decisions — forever, until killed. A **coordinator** runs
 //! the host's schedule of `--txns` transactions (one object each, every
 //! peer a participant), printing `begin txn N obj O` and each outcome
-//! as `txn N commit|abort obj O` on stdout, then lingers `--linger-ms`
-//! to answer straggler decision queries.
+//! as `txn N commit|abort obj O` on stdout. An outcome is printed at its
+//! commit point, and the next transaction begins in the same batch; the
+//! coordinator serves on until every participant acknowledged every
+//! decision (or its deadline passed), then lingers `--linger-ms` to
+//! answer straggler decision queries.
 //!
 //! Three things make `kill -9` survivable:
 //!
 //! * the node's stable half *is* the [`DiskBackend`]'s store
-//!   (`Node::builder().backend(..)` adopts it), and every dispatch runs
-//!   [`Node::barrier`] — what the handler staged (installed objects,
-//!   changed 2PC records) reaches the store's intentions log as one batch
-//!   *before* any resulting message leaves. A handler that staged
-//!   nothing costs no write; a coordinator's `CoordEnd` rides along with
-//!   the next barrier that writes, since losing it only repeats a
-//!   decision the participants acknowledge again. A simulated node runs
-//!   the same barrier over an in-memory disk;
+//!   (`Node::builder().backend(..)` adopts it), and every batch of
+//!   ready events runs one [`Node::barrier`] — what its handlers staged
+//!   (installed objects, changed 2PC records) reaches the store's
+//!   intentions log as one batch *before* any resulting message leaves.
+//!   A participant handed `[Decision(t), Prepare(t+1)]` installs t and
+//!   prepares t+1 under one fsync. A batch that staged nothing costs no
+//!   write; a coordinator's `CoordEnd` rides along with the next barrier
+//!   that writes, since losing it only repeats a decision the
+//!   participants acknowledge again. A simulated node runs the same
+//!   barrier over an in-memory disk, one event at a time;
 //! * on restart `DiskStore::open` replays the log, the node reads its
 //!   2PC table (one record per transaction and role) back from the
 //!   store and [`Node::recover`] re-derives its protocol obligations —
@@ -42,6 +47,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::fmt::Write as FmtWrite;
 use std::io::Write as IoWrite;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -242,21 +248,32 @@ fn run(opts: &Opts) -> Result<(), String> {
 
     let mut host = Host::new(node);
     let mut committed = 0;
-    let mut print = |report: Report| {
-        match report {
-            Report::Begin(txn) => {
-                println!("begin txn {} obj {}", txn.0, txn_object(txn.0).as_raw())
-            }
-            Report::Outcome(txn, commit) => {
-                committed += u64::from(commit);
-                let outcome = if commit { "commit" } else { "abort" };
-                println!("txn {} {outcome} obj {}", txn.0, txn_object(txn.0).as_raw());
-            }
-            Report::Gap(from, lost) => {
-                eprintln!("chroma-node: gap from {from}: frames {lost:?} lost for good");
+    // a batch's lines leave in one write, before its frames do, so a
+    // `begin txn` line still precedes its prepares
+    let mut print = |reports: &[Report]| {
+        let mut lines = String::new();
+        for report in reports {
+            match *report {
+                Report::Begin(txn) => {
+                    let obj = txn_object(txn.0).as_raw();
+                    writeln!(lines, "begin txn {} obj {obj}", txn.0).ok();
+                }
+                Report::Outcome(txn, commit) => {
+                    committed += u64::from(commit);
+                    let outcome = if commit { "commit" } else { "abort" };
+                    let obj = txn_object(txn.0).as_raw();
+                    writeln!(lines, "txn {} {outcome} obj {obj}", txn.0).ok();
+                }
+                Report::Gap(from, ref lost) => {
+                    eprintln!("chroma-node: gap from {from}: frames {lost:?} lost for good");
+                }
             }
         }
-        std::io::stdout().flush().ok();
+        if !lines.is_empty() {
+            let mut stdout = std::io::stdout().lock();
+            stdout.write_all(lines.as_bytes()).ok();
+            stdout.flush().ok();
+        }
     };
     match opts.role {
         // answer prepares and decisions forever; exit cleanly when stdin
@@ -292,20 +309,32 @@ fn run(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Serves the transport's events to the host while `go` holds, and
-/// wakes it at least every 50 ms without one, so a deadline passes on
-/// a silent network too.
+/// The most ready events one batch takes: a bound on how long one
+/// barrier holds back the first event's effects, not a tuning knob.
+const MAX_BATCH: usize = 64;
+
+/// Serves the transport's events to the host while `go` holds: waits
+/// for one, drains what else is ready without waiting (up to
+/// [`MAX_BATCH`]) and hands them over as one batch, under one barrier.
+/// Wakes the host at least every 50 ms without one, so a deadline
+/// passes on a silent network too.
 fn serve(
     host: &mut Host,
     tcp: &mut TcpTransport,
-    report: &mut dyn FnMut(Report),
+    report: &mut dyn FnMut(&[Report]),
     go: impl Fn(&Host) -> bool,
 ) {
     host.advance(tcp, report);
     while go(host) {
-        match tcp.poll(Some(Duration::from_millis(50))) {
-            Some(event) => host.handle(tcp, event, report),
-            None => host.advance(tcp, report),
-        }
+        let Some(first) = tcp.poll(Some(Duration::from_millis(50))) else {
+            host.advance(tcp, report);
+            continue;
+        };
+        let ready = std::iter::from_fn(|| tcp.poll(Some(Duration::ZERO)));
+        let batch: Vec<_> = std::iter::once(first)
+            .chain(ready)
+            .take(MAX_BATCH)
+            .collect();
+        host.handle(tcp, batch, report);
     }
 }

@@ -1,7 +1,8 @@
 //! The acceptance test of the process deployment: a 3-process cluster
 //! (one coordinator, two workers over `TcpTransport`) survives
 //! `kill -9` of a worker mid-2PC, recovers from its durable store,
-//! keeps committing, and the merged per-process traces audit clean.
+//! keeps committing, and the merged per-process traces audit clean. A
+//! coordinator with no linger exits only after every acknowledgement.
 //!
 //! `CHROMA_TORTURE_SEED` varies the write payloads, transaction count
 //! and kill point, so the CI seed matrix explores different interleavings.
@@ -98,7 +99,7 @@ impl ClusterPaths {
         Reaped(child)
     }
 
-    fn spawn_coordinator(&self, txns: u64) -> (Reaped, mpsc::Receiver<String>) {
+    fn spawn_coordinator(&self, txns: u64, linger_ms: u64) -> (Reaped, mpsc::Receiver<String>) {
         let mut cmd = Command::new(BIN);
         cmd.arg("coordinator")
             .args(["--id", "1"])
@@ -109,7 +110,7 @@ impl ClusterPaths {
             .args(["--trace", self.trace(1).to_str().unwrap()])
             .args(["--txns", &txns.to_string()])
             .args(["--seed", &torture_seed().unwrap_or(42).to_string()])
-            .args(["--linger-ms", "1500"])
+            .args(["--linger-ms", &linger_ms.to_string()])
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit());
@@ -224,7 +225,7 @@ fn healthy_cluster_commits_everything_and_audits_clean() {
     let _w2 = paths.spawn_worker(2);
     let _w3 = paths.spawn_worker(3);
     let txns = 3;
-    let (mut coord, rx) = paths.spawn_coordinator(txns);
+    let (mut coord, rx) = paths.spawn_coordinator(txns, 1500);
     let outcomes = drain_outcomes(&rx, txns, |_| {});
     assert_eq!(
         outcomes.committed.len() as u64,
@@ -247,7 +248,7 @@ fn kill9_mid_2pc_recovers_and_audits_clean() {
     let s = torture_seed().unwrap_or(42);
     let txns = 5 + (s % 3); // 5..=7
     let kill_at = 2 + (s % 2); // SIGKILL worker 2 as txn 2 or 3 begins
-    let (mut coord, rx) = paths.spawn_coordinator(txns);
+    let (mut coord, rx) = paths.spawn_coordinator(txns, 1500);
 
     let begin_marker = format!("begin txn {kill_at} ");
     let mut killed = false;
@@ -280,6 +281,34 @@ fn kill9_mid_2pc_recovers_and_audits_clean() {
     std::fs::remove_dir_all(&paths.dir).ok();
 }
 
+/// A coordinator reports each outcome at its commit point, before the
+/// participants install it; with no linger it still exits only once
+/// every participant acknowledged, so both stores hold every commit
+/// the moment it is gone.
+#[test]
+fn coordinator_without_linger_exits_after_every_ack() {
+    let paths = ClusterPaths::new("nolinger");
+    let _w2 = paths.spawn_worker(2);
+    let _w3 = paths.spawn_worker(3);
+    let txns = 3 + torture_seed().unwrap_or(42) % 4; // 3..=6
+    let (mut coord, rx) = paths.spawn_coordinator(txns, 0);
+    let outcomes = drain_outcomes(&rx, txns, |_| {});
+    assert_eq!(
+        outcomes.committed.len() as u64,
+        txns,
+        "healthy cluster must commit everything: {outcomes:?}"
+    );
+    let done = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("coordinator stdout closed before `coordinator done`");
+    assert_eq!(done, format!("coordinator done: {txns}/{txns} committed"));
+    coord.0.wait().expect("coordinator exit");
+    check_store(&paths.data(2), &outcomes);
+    check_store(&paths.data(3), &outcomes);
+    audit_merged(&paths);
+    std::fs::remove_dir_all(&paths.dir).ok();
+}
+
 /// The same durable store that survives `kill -9` must also produce a
 /// clean second boot: stable state round-trips, and the re-reported
 /// outcomes match what the coordinator printed the first time.
@@ -289,7 +318,7 @@ fn worker_store_round_trips_across_restart() {
     let w2 = paths.spawn_worker(2);
     let _w3 = paths.spawn_worker(3);
     let txns = 2;
-    let (mut coord, rx) = paths.spawn_coordinator(txns);
+    let (mut coord, rx) = paths.spawn_coordinator(txns, 1500);
     let outcomes = drain_outcomes(&rx, txns, |_| {});
     coord.0.wait().expect("coordinator exit");
     drop(w2); // SIGKILL via Reaped

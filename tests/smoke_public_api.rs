@@ -230,10 +230,10 @@ fn transport_boundary_through_the_facade() {
     while coord.node().coordinator_active(txn) {
         assert!(Instant::now() < deadline, "loopback 2PC timed out");
         if let Some(event) = t1.poll(Some(Duration::from_millis(5))) {
-            coord.handle(&mut t1, event, &mut |_| {});
+            coord.handle(&mut t1, [event], &mut |_| {});
         }
         if let Some(event) = t2.poll(Some(Duration::from_millis(5))) {
-            worker.handle(&mut t2, event, &mut |_| {});
+            worker.handle(&mut t2, [event], &mut |_| {});
         }
     }
     assert_eq!(
