@@ -116,23 +116,6 @@ impl NameServer {
         })
     }
 
-    /// Looks up from within an existing action (shares its isolation).
-    ///
-    /// # Errors
-    ///
-    /// Lock or codec failures.
-    pub fn lookup_from(
-        &self,
-        scope: &ActionScope<'_>,
-        name: &str,
-    ) -> Result<Option<String>, ActionError> {
-        Ok(scope
-            .read::<Directory>(self.directory)?
-            .bindings
-            .get(name)
-            .cloned())
-    }
-
     /// Runs `body` with a scope suitable for grouped updates (a single
     /// top-level action over the directory).
     ///

@@ -22,13 +22,12 @@ use std::collections::BTreeMap;
 
 use chroma_base::{NodeId, ObjectId};
 use chroma_core::{BackendError, PermanenceBackend};
-use chroma_obs::{EventKind, Observable};
-use chroma_store::{codec, StoreBytes};
+use chroma_obs::Observable;
+use chroma_store::StoreBytes;
 use parking_lot::Mutex;
 
-use crate::msg::Write;
 use crate::node::RETRY_INTERVAL;
-use crate::replica::read_freshest;
+use crate::replica::{plan_write, read_freshest, register_peers, up_members};
 use crate::sim::{NetConfig, Sim};
 
 /// How many coordinators a commit tries before reporting
@@ -119,11 +118,7 @@ impl PartitionedStore {
     #[must_use]
     pub fn up_count(&self) -> usize {
         let inner = self.inner.lock();
-        inner
-            .nodes
-            .iter()
-            .filter(|&&n| inner.sim.node(n).up)
-            .count()
+        up_members(&inner.sim, &inner.nodes).len()
     }
 
     /// Crashes storage node `index` (volatile state lost; its replica
@@ -174,45 +169,21 @@ impl PermanenceBackend for PartitionedStore {
             // Plan the per-node writes: each object goes to its *up*
             // replicas, version-stamped; down replicas catch up on
             // recovery via the pull protocol (peer registration happens
-            // here). Node order, so the plan reaches the wire in an
-            // order the seed fixes.
-            let mut per_node: BTreeMap<NodeId, Vec<Write>> = BTreeMap::new();
+            // here; placement is fixed, so it never changes). Node
+            // order, so the plan reaches the wire in an order the seed
+            // fixes.
+            let mut per_node = BTreeMap::new();
             for (object, state) in &updates {
                 let replicas = Self::replicas_of(&inner, *object);
-                // placement is fixed, so a registration never changes
-                for &replica in &replicas {
-                    inner
-                        .sim
-                        .node_mut(replica)
-                        .replica_peers
-                        .entry(*object)
-                        .or_insert_with(|| {
-                            replicas.iter().copied().filter(|&r| r != replica).collect()
-                        });
-                }
-                let up: Vec<NodeId> = replicas
-                    .iter()
-                    .copied()
-                    .filter(|&r| inner.sim.node(r).up)
-                    .collect();
+                register_peers(&mut inner.sim, *object, &replicas);
+                let up = up_members(&inner.sim, &replicas);
                 if up.is_empty() {
                     return Err(BackendError::Unavailable(format!(
                         "every replica of {object} is down"
                     )));
                 }
-                inner.sim.obs().emit(EventKind::ReplicaWrite {
-                    object: *object,
-                    version,
-                    fanout: up.len() as u64,
-                });
-                let payload =
-                    codec::to_bytes(&(version, state.to_vec())).expect("versioned state encodes");
-                for node in up {
-                    per_node.entry(node).or_default().push(Write {
-                        object: *object,
-                        state: StoreBytes::from(payload.clone()),
-                    });
-                }
+                let obs = inner.sim.obs();
+                plan_write(&obs, &mut per_node, *object, version, state, &up);
             }
 
             // The coordinator comes from the planned (hence up) nodes,
@@ -220,9 +191,9 @@ impl PermanenceBackend for PartitionedStore {
             // immediately re-elected.
             let candidates: Vec<NodeId> = per_node.keys().copied().collect();
             let coordinator = candidates[attempt % candidates.len()];
-            let writes: Vec<(NodeId, Vec<Write>)> =
-                per_node.iter().map(|(&n, w)| (n, w.clone())).collect();
-            let txn = inner.sim.begin_transaction(coordinator, writes);
+            let txn = inner
+                .sim
+                .begin_transaction(coordinator, per_node.into_iter().collect());
             inner.sim.run_to_quiescence();
             if inner.sim.coordinator_outcome(coordinator, txn) == Some(true) {
                 return Ok(());

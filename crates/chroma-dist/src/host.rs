@@ -1,14 +1,15 @@
 //! The one driver around a [`Node`], which the simulator and the
-//! `chroma-node` process both run. A [`Host`] is sans-IO: its driver
-//! hands it a batch of ready [`TransportEvent`]s with the [`Transport`]
-//! the node's effects leave on, and it reads time only through
-//! [`Transport::now_us`], so the seeded [`Sim`](crate::Sim) can wake it
-//! at [`Host::wakeup_us`] in simulated time. The host runs every
-//! handler of the batch, then one [`Node::barrier`], then releases all
-//! their effects together: no effect leaves before the barrier that
-//! made its cause durable. [`Report`]s reach the driver through a
-//! callback, once per batch and before the batch's effects leave: a
-//! transaction's [`Report::Begin`] goes out before its prepares do.
+//! `chroma-node` process both run, and the one door into it. A
+//! [`Host`] is sans-IO: its driver hands it a batch of ready
+//! [`TransportEvent`]s or a local action ([`Host::act`]) with the
+//! [`Transport`] the node's effects leave on, and it reads time only
+//! through [`Transport::now_us`], so the seeded [`Sim`](crate::Sim) can
+//! wake it at [`Host::wakeup_us`] in simulated time. The host runs the
+//! handlers, then one [`Node::barrier`], then releases all their
+//! effects together: no effect leaves before the barrier that made its
+//! cause durable. [`Report`]s reach the driver through a callback, once
+//! per batch and before the batch's effects leave: a transaction's
+//! [`Report::Begin`] goes out before its prepares do.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -152,16 +153,21 @@ impl Host {
                 }
             }
         }
-        if handled {
-            self.node.barrier();
-        }
-        self.step_schedule(&*transport, &mut reports, &mut effects);
-        if !reports.is_empty() {
-            report(&reports);
-        }
-        if !effects.is_empty() {
-            transport.apply_effects(effects);
-        }
+        self.release(transport, handled, reports, effects, report);
+    }
+
+    /// Runs a local action, one no event brought (a recovery, a
+    /// transaction begun from outside), on [`Host::handle`]'s path:
+    /// `action`, the barrier, the schedule step, the reports, then one
+    /// [`Transport::apply_effects`] of the effects `action` returns.
+    pub fn act<T: Transport + ?Sized>(
+        &mut self,
+        transport: &mut T,
+        action: impl FnOnce(&mut Node) -> Vec<Effect>,
+        report: &mut dyn FnMut(&[Report]),
+    ) {
+        let effects = action(&mut self.node);
+        self.release(transport, true, Vec::new(), effects, report);
     }
 
     /// Moves the schedule on without an event: an empty
@@ -172,6 +178,28 @@ impl Host {
         report: &mut dyn FnMut(&[Report]),
     ) {
         self.handle(transport, [], report);
+    }
+
+    /// The one path out: the barrier (when a handler ran), the
+    /// schedule step, the reports, then the effects.
+    fn release<T: Transport + ?Sized>(
+        &mut self,
+        transport: &mut T,
+        handled: bool,
+        mut reports: Vec<Report>,
+        mut effects: Vec<Effect>,
+        report: &mut dyn FnMut(&[Report]),
+    ) {
+        if handled {
+            self.node.barrier();
+        }
+        self.step_schedule(&*transport, &mut reports, &mut effects);
+        if !reports.is_empty() {
+            report(&reports);
+        }
+        if !effects.is_empty() {
+            transport.apply_effects(effects);
+        }
     }
 
     /// After a barrier: reports the undecided transaction once its

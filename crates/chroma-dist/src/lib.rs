@@ -33,7 +33,6 @@ pub mod wire;
 
 pub use backend::PartitionedStore;
 pub use host::{txn_object, txn_value, Host, Report, TXN_DEADLINE_US};
-pub use masking::{Accept, Backoff, DedupWindow, SendWindow};
 pub use msg::{CorrId, Effect, Message, TimerTag, TxnId, Write};
 pub use node::{
     Node, NodeBuilder, RpcOp, RpcResult, TpcRecord, MAX_DECISION_ATTEMPTS, MAX_PREPARE_ATTEMPTS,

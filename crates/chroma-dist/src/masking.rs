@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 /// reconnect ([`SendWindow::rewind_sent`]) retransmits exactly the
 /// unacknowledged suffix.
 #[derive(Debug)]
-pub struct SendWindow {
+pub(crate) struct SendWindow {
     next_seq: u64,
     /// Highest cumulatively acknowledged sequence number.
     acked: u64,
@@ -45,7 +45,7 @@ impl SendWindow {
     /// and counted in [`SendWindow::trimmed`] — the receiver will see
     /// that hole as a gap, by design.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         SendWindow {
             next_seq: 1,
             acked: 0,
@@ -57,7 +57,7 @@ impl SendWindow {
     }
 
     /// Buffers `frame`, assigning and returning its sequence number.
-    pub fn push(&mut self, frame: Vec<u8>) -> u64 {
+    pub(crate) fn push(&mut self, frame: Vec<u8>) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.unacked.push_back((seq, frame));
@@ -70,7 +70,7 @@ impl SendWindow {
 
     /// Applies a cumulative acknowledgement: every frame with sequence
     /// number `<= upto` is released.
-    pub fn ack(&mut self, upto: u64) {
+    pub(crate) fn ack(&mut self, upto: u64) {
         if upto > self.acked {
             self.acked = upto;
         }
@@ -81,7 +81,7 @@ impl SendWindow {
 
     /// Frames buffered but not yet written to the current connection,
     /// oldest first.
-    pub fn unsent(&self) -> impl Iterator<Item = (u64, &[u8])> {
+    pub(crate) fn unsent(&self) -> impl Iterator<Item = (u64, &[u8])> {
         let sent = self.sent;
         self.unacked
             .iter()
@@ -91,7 +91,7 @@ impl SendWindow {
 
     /// Records that every frame up to `seq` has been written to the
     /// current connection.
-    pub fn mark_sent(&mut self, seq: u64) {
+    pub(crate) fn mark_sent(&mut self, seq: u64) {
         if seq > self.sent {
             self.sent = seq;
         }
@@ -99,33 +99,33 @@ impl SendWindow {
 
     /// A new connection replaced the old one: everything past the last
     /// cumulative ack must be retransmitted.
-    pub fn rewind_sent(&mut self) {
+    pub(crate) fn rewind_sent(&mut self) {
         self.sent = self.acked;
     }
 
     /// Highest cumulatively acknowledged sequence number.
     #[must_use]
-    pub fn acked(&self) -> u64 {
+    pub(crate) fn acked(&self) -> u64 {
         self.acked
     }
 
     /// Number of frames currently awaiting acknowledgement.
     #[must_use]
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.unacked.len()
     }
 
     /// Frames dropped from the buffer because it overflowed; each one
     /// will surface as a receiver-side gap.
     #[must_use]
-    pub fn trimmed(&self) -> u64 {
+    pub(crate) fn trimmed(&self) -> u64 {
         self.trimmed
     }
 }
 
 /// The receiver's verdict on one inbound sequence number.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Accept {
+pub(crate) enum Accept {
     /// First sight: deliver the frame.
     Fresh,
     /// Already delivered (a retransmission or network duplicate): drop.
@@ -148,20 +148,20 @@ pub enum Accept {
 /// sequence number arrives first, which is how a restarted receiver
 /// rejoins a sender mid-stream without flagging the missed prefix.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct DedupWindow {
+pub(crate) struct DedupWindow {
     high: Option<u64>,
 }
 
 impl DedupWindow {
     /// Creates an unanchored window.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DedupWindow::default()
     }
 
     /// Classifies sequence number `seq` and advances the high-water
     /// mark past it.
-    pub fn accept(&mut self, seq: u64) -> Accept {
+    pub(crate) fn accept(&mut self, seq: u64) -> Accept {
         let verdict = match self.high {
             None => Accept::Fresh,
             Some(high) if seq <= high => return Accept::Duplicate,
@@ -178,7 +178,7 @@ impl DedupWindow {
     /// The highest sequence number accepted so far (for cumulative
     /// acks); `None` until the window anchors.
     #[must_use]
-    pub fn high(&self) -> Option<u64> {
+    pub(crate) fn high(&self) -> Option<u64> {
         self.high
     }
 }
@@ -186,7 +186,7 @@ impl DedupWindow {
 /// Exponential backoff for reconnect attempts: delays double from
 /// `base` up to `max`, and a successful connection resets the run.
 #[derive(Clone, Copy, Debug)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     base_us: u64,
     max_us: u64,
     cur_us: u64,
@@ -195,7 +195,7 @@ pub struct Backoff {
 impl Backoff {
     /// Creates a backoff ranging from `base_us` to `max_us`.
     #[must_use]
-    pub fn new(base_us: u64, max_us: u64) -> Self {
+    pub(crate) fn new(base_us: u64, max_us: u64) -> Self {
         let base_us = base_us.max(1);
         Backoff {
             base_us,
@@ -206,14 +206,14 @@ impl Backoff {
 
     /// Returns the delay to wait before the next attempt and doubles
     /// the subsequent one (capped at the maximum).
-    pub fn next_delay_us(&mut self) -> u64 {
+    pub(crate) fn next_delay_us(&mut self) -> u64 {
         let delay = self.cur_us;
         self.cur_us = (self.cur_us.saturating_mul(2)).min(self.max_us);
         delay
     }
 
     /// An attempt succeeded: the next failure starts over from `base`.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.cur_us = self.base_us;
     }
 }

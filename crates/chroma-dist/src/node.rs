@@ -656,7 +656,7 @@ impl Node {
     ) -> Vec<Effect> {
         let local = self.read_versioned(object).map(|(v, _)| v).unwrap_or(0);
         if version > local {
-            self.stage_versioned(object, version, &state);
+            self.write_versioned(object, version, &state);
         }
         // A non-stale holder's copy is authoritative: adopt-and-trust.
         if !holder_stale {
@@ -710,14 +710,10 @@ impl Node {
         Some((version, StoreBytes::from(state)))
     }
 
-    /// Writes a replicated object's `(version, state)`; it is durable
-    /// when the call returns.
+    /// Stages a replicated object's `(version, state)` and reports its
+    /// install: like every handler's write, it is durable after the
+    /// next [`Node::barrier`].
     pub fn write_versioned(&mut self, object: ObjectId, version: u64, state: &[u8]) {
-        self.stage_versioned(object, version, state);
-        self.barrier();
-    }
-
-    fn stage_versioned(&mut self, object: ObjectId, version: u64, state: &[u8]) {
         let bytes = codec::to_bytes(&(version, state.to_vec())).expect("versioned encodes");
         self.stage(vec![(object, StoreBytes::from(bytes))]);
         self.obs().emit(EventKind::ReplicaInstall {
@@ -759,7 +755,7 @@ impl Node {
     }
 
     // ------------------------------------------------------------------
-    // Event entry points (called by the simulation)
+    // Event entry points (called by the node's Host)
     // ------------------------------------------------------------------
 
     /// Handles a delivered message. A node that is down never gets here.
@@ -1018,9 +1014,10 @@ impl Node {
     /// The durability barrier: commits what the handlers staged since
     /// the last barrier that wrote — installed objects, and each changed
     /// 2PC record at its key from [`TPC_LOG_BASE`] — as one atomic
-    /// batch. A [`Host`](crate::Host) runs it once after the handlers
-    /// of a batch of events, before any of their messages leave, in the
-    /// simulator and in `chroma-node` alike. It writes only when the
+    /// batch. Only a [`Host`](crate::Host) runs it, once after the
+    /// handlers of a batch of events or a local action, before any of
+    /// their messages leave, in the simulator and in `chroma-node`
+    /// alike (`bench/` has its shims). It writes only when the
     /// stage holds an object write, a `CoordCommit` or a `Prepared`:
     /// the commit points. End records (`CoordEnd`, `ParticipantDone`)
     /// wait for the next barrier that writes. Losing one costs one

@@ -12,9 +12,11 @@
 //! * a **recovering** replica marks its copies stale and pulls current
 //!   state from its peers before serving reads again.
 
+use std::collections::BTreeMap;
+
 use chroma_base::{NodeId, ObjectId};
-use chroma_obs::EventKind;
-use chroma_store::StoreBytes;
+use chroma_obs::{EventKind, Obs};
+use chroma_store::{codec, StoreBytes};
 
 use crate::msg::{TxnId, Write};
 use crate::node::RETRY_INTERVAL;
@@ -45,15 +47,16 @@ pub struct ReplicatedObject {
 
 impl ReplicatedObject {
     /// Creates a replicated object with an initial state at every
-    /// member (version 0), and registers the peer sets used for
-    /// pull-on-recover.
+    /// member (version 0), each written through its host, and registers
+    /// the peer sets used for pull-on-recover.
     pub fn create(cluster: &mut Sim, object: ObjectId, members: &[NodeId], initial: &[u8]) -> Self {
         for &member in members {
-            let peers: Vec<NodeId> = members.iter().copied().filter(|&m| m != member).collect();
-            let node = cluster.node_mut(member);
-            node.write_versioned(object, 0, initial);
-            node.replica_peers.insert(object, peers);
+            cluster.act(member, |node| {
+                node.write_versioned(object, 0, initial);
+                Vec::new()
+            });
         }
+        register_peers(cluster, object, members);
         ReplicatedObject {
             object,
             members: members.to_vec(),
@@ -80,44 +83,16 @@ impl ReplicatedObject {
     /// replicas; run the simulation to quiescence for the write to
     /// settle.
     pub fn write(&self, cluster: &mut Sim, state: &[u8]) -> Option<TxnId> {
-        let up: Vec<NodeId> = self
-            .members
-            .iter()
-            .copied()
-            .filter(|&m| cluster.node(m).up)
-            .collect();
+        let up = up_members(cluster, &self.members);
         let coordinator = *up.first()?;
-        let version = up
-            .iter()
-            .filter_map(|&m| cluster.node(m).read_versioned(self.object).map(|(v, _)| v))
-            .max()
-            .unwrap_or(0)
-            + 1;
+        let version = self.versions(cluster).iter().map(|&(_, v)| v).max();
+        let version = version.unwrap_or(0) + 1;
         // Attribute the write to the coordinating replica so the trace
         // shows which node drove the 2PC round.
-        cluster
-            .obs()
-            .at_node(coordinator)
-            .emit(EventKind::ReplicaWrite {
-                object: self.object,
-                version,
-                fanout: up.len() as u64,
-            });
-        let bytes = chroma_store::codec::to_bytes(&(version, state.to_vec()))
-            .expect("versioned state encodes");
-        let writes: Vec<(NodeId, Vec<Write>)> = up
-            .iter()
-            .map(|&m| {
-                (
-                    m,
-                    vec![Write {
-                        object: self.object,
-                        state: StoreBytes::from(bytes.clone()),
-                    }],
-                )
-            })
-            .collect();
-        Some(cluster.begin_transaction(coordinator, writes))
+        let obs = cluster.obs().at_node(coordinator);
+        let mut plan = BTreeMap::new();
+        plan_write(&obs, &mut plan, self.object, version, state, &up);
+        Some(cluster.begin_transaction(coordinator, plan.into_iter().collect()))
     }
 
     /// Reads from any single up, non-stale replica (read-one),
@@ -132,17 +107,9 @@ impl ReplicatedObject {
     /// assertions in tests.
     #[must_use]
     pub fn versions(&self, cluster: &Sim) -> Vec<(NodeId, u64)> {
-        self.members
-            .iter()
-            .copied()
-            .filter(|&m| cluster.node(m).up)
-            .filter_map(|m| {
-                cluster
-                    .node(m)
-                    .read_versioned(self.object)
-                    .map(|(v, _)| (m, v))
-            })
-            .collect()
+        let read = |m: NodeId| cluster.node(m).read_versioned(self.object);
+        let up = up_members(cluster, &self.members).into_iter();
+        up.filter_map(|m| read(m).map(|(v, _)| (m, v))).collect()
     }
 
     /// Crashes `member` now and schedules its recovery after `downtime`
@@ -150,6 +117,50 @@ impl ReplicatedObject {
     pub fn crash_member(&self, sim: &mut Sim, member: NodeId, downtime: u64) {
         sim.schedule_crash(member, 0);
         sim.schedule_recover(member, downtime.max(RETRY_INTERVAL));
+    }
+}
+
+/// The up nodes among `members`, in member order.
+pub(crate) fn up_members(cluster: &Sim, members: &[NodeId]) -> Vec<NodeId> {
+    members
+        .iter()
+        .copied()
+        .filter(|&m| cluster.node(m).up)
+        .collect()
+}
+
+/// Registers `members` as `object`'s replica group: each member's peers
+/// are the others, whom it pulls from on recovery.
+pub(crate) fn register_peers(cluster: &mut Sim, object: ObjectId, members: &[NodeId]) {
+    for &member in members {
+        let peers = members.iter().copied().filter(|&m| m != member).collect();
+        cluster.node_mut(member).replica_peers.insert(object, peers);
+    }
+}
+
+/// Plans one write-all-available write: reports it as a `ReplicaWrite`
+/// on `obs` and adds `object`'s `(version, state)` to each of the `up`
+/// members' writes in `plan`. The caller picks version and coordinator.
+pub(crate) fn plan_write(
+    obs: &Obs,
+    plan: &mut BTreeMap<NodeId, Vec<Write>>,
+    object: ObjectId,
+    version: u64,
+    state: &[u8],
+    up: &[NodeId],
+) {
+    obs.emit(EventKind::ReplicaWrite {
+        object,
+        version,
+        fanout: up.len() as u64,
+    });
+    let bytes = codec::to_bytes(&(version, state.to_vec())).expect("versioned state encodes");
+    let state = StoreBytes::from(bytes);
+    for &node in up {
+        plan.entry(node).or_default().push(Write {
+            object,
+            state: state.clone(),
+        });
     }
 }
 
@@ -161,13 +172,8 @@ pub(crate) fn read_freshest(
     object: ObjectId,
     members: &[NodeId],
 ) -> Option<(u64, StoreBytes)> {
-    let (member, version, state) = members
-        .iter()
-        .copied()
-        .filter(|&m| {
-            let node = cluster.node(m);
-            node.up && !node.stale.contains(&object)
-        })
+    let (member, version, state) = (up_members(cluster, members).into_iter())
+        .filter(|&m| !cluster.node(m).stale.contains(&object))
         .filter_map(|m| {
             cluster
                 .node(m)

@@ -88,6 +88,11 @@ pub struct NetStats {
 /// the same seed and the same call sequence replay the same history,
 /// which is what makes protocol fault-injection tests debuggable.
 ///
+/// Each node runs in its own [`Host`], as in `chroma-node`, and only
+/// through it: a delivery or timer is a batch of one event, and a
+/// recovery, [`Sim::begin_transaction`] and [`Sim::rpc`] are local
+/// actions ([`Host::act`]).
+///
 /// # Examples
 ///
 /// ```
@@ -277,11 +282,6 @@ impl Sim {
         self.push(self.now + delay, Event::Recover { node });
     }
 
-    /// Applies a node's effects through its [`SimTransport`] view.
-    fn apply_effects(&mut self, id: NodeId, effects: Vec<Effect>) {
-        SimTransport { sim: self, id }.apply_effects(effects);
-    }
-
     fn send(&mut self, from: NodeId, to: NodeId, msg: Message) {
         self.stats.sent += 1;
         let kind = msg.kind();
@@ -335,17 +335,25 @@ impl Sim {
         }
     }
 
-    /// Hands `event` to `id`'s host as a batch of one, or wakes it
-    /// without one, over its [`SimTransport`] view (the host leaves the
-    /// map meanwhile, so the view can borrow the simulation), and keeps
-    /// what it reports.
-    fn drive(&mut self, id: NodeId, event: Option<TransportEvent>) {
-        let mut host = self.hosts.remove(&id).expect("host present");
+    /// Runs `action` on `id`'s node as a local action of its host.
+    pub(crate) fn act(&mut self, id: NodeId, action: impl FnOnce(&mut Node) -> Vec<Effect>) {
+        self.drive(id, |host, view, report| host.act(view, action, report));
+    }
+
+    /// Runs `f` on `id`'s host over its [`SimTransport`] view (the host
+    /// leaves the map meanwhile, so the view can borrow the simulation)
+    /// and keeps what it reports.
+    fn drive(
+        &mut self,
+        id: NodeId,
+        f: impl FnOnce(&mut Host, &mut SimTransport<'_>, &mut dyn FnMut(&[Report])),
+    ) {
+        let mut host = self.hosts.remove(&id).expect("unknown node");
         let mut view = SimTransport { sim: self, id };
         let mut reports = Vec::new();
-        let report = &mut |batch: &[Report]| reports.extend(batch.iter().map(|r| (id, r.clone())));
-        // one event per batch: a seeded run stays a function of its seed
-        host.handle(&mut view, event, report);
+        f(&mut host, &mut view, &mut |batch: &[Report]| {
+            reports.extend(batch.iter().map(|r| (id, r.clone())));
+        });
         self.hosts.insert(id, host);
         self.reports.extend(reports);
     }
@@ -361,7 +369,7 @@ impl Sim {
         if let Some((at, id)) = wake.filter(|&(at, _)| next.is_none_or(|next| at < next)) {
             self.now = at;
             self.sync_time();
-            self.drive(id, None);
+            self.drive(id, |host, view, report| host.advance(view, report));
             return true;
         }
         let Some(((at, _), event)) = self.queue.pop_first() else {
@@ -414,19 +422,19 @@ impl Sim {
                 return true;
             }
             Event::Recover { node: id } => {
-                let effects = match self.hosts.get_mut(&id).map(Host::node_mut) {
-                    Some(node) if !node.up => {
+                if self.hosts.get(&id).is_some_and(|host| !host.node().up) {
+                    let obs = self.obs();
+                    self.act(id, |node| {
                         let effects = node.recover();
-                        self.obs().emit(EventKind::NodeRecover { node: id });
+                        obs.emit(EventKind::NodeRecover { node: id });
                         effects
-                    }
-                    _ => Vec::new(),
-                };
-                self.apply_effects(id, effects);
+                    });
+                }
                 return true;
             }
         };
-        self.drive(id, Some(event));
+        // one event per batch: a seeded run stays a function of its seed
+        self.drive(id, |host, view, report| host.handle(view, [event], report));
         true
     }
 
@@ -469,8 +477,7 @@ impl Sim {
     ) -> TxnId {
         let txn = TxnId(self.next_txn);
         self.next_txn += 1;
-        let effects = self.node_mut(coordinator).begin_transaction(txn, writes);
-        self.apply_effects(coordinator, effects);
+        self.act(coordinator, |node| node.begin_transaction(txn, writes));
         txn
     }
 
@@ -489,7 +496,7 @@ impl Sim {
         self.next_txn += txns;
         let host = self.hosts.get_mut(&coordinator).expect("unknown node");
         host.coordinate(participants, first..=first + txns - 1, seed);
-        self.drive(coordinator, None);
+        self.drive(coordinator, |host, view, report| host.advance(view, report));
     }
 
     /// Takes what the hosts reported since the last call, in order,
@@ -507,8 +514,12 @@ impl Sim {
     /// Starts an at-most-once RPC from `client` to `server`. Returns
     /// the call id (poll via [`Node::rpc_reply`] on the client).
     pub fn rpc(&mut self, client: NodeId, server: NodeId, op: &crate::node::RpcOp) -> u64 {
-        let (call, effects) = self.node_mut(client).rpc_call(server, op);
-        self.apply_effects(client, effects);
+        let mut call = 0;
+        self.act(client, |node| {
+            let (id, effects) = node.rpc_call(server, op);
+            call = id;
+            effects
+        });
         call
     }
 }

@@ -60,29 +60,27 @@ const MAX_FRAME: usize = 16 * 1024 * 1024;
 /// sequence number, correlation id, send clock, payload length.
 const DATA_HEADER: usize = 1 + 8 + 8 + 8 + 4;
 
-/// Knobs for [`TcpTransport`].
+/// First reconnect delay after a failed dial or dead connection, µs.
+const RECONNECT_MIN_US: u64 = 10_000;
+/// Reconnect delay cap, µs: delays double up to this.
+const RECONNECT_MAX_US: u64 = 1_000_000;
+/// Dial timeout; also the per-write timeout (a peer that stalls longer
+/// than this is treated as disconnected).
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// The one knob of a [`TcpTransport`].
 #[derive(Clone, Copy, Debug)]
 pub struct TcpConfig {
-    /// First reconnect delay after a failed dial or dead connection.
-    pub reconnect_min: Duration,
-    /// Reconnect delay cap (delays double up to this).
-    pub reconnect_max: Duration,
     /// Per-peer resend buffer capacity (frames). Overflow drops the
     /// oldest unacknowledged frame, which the receiver reports as a
     /// gap.
     pub resend_capacity: usize,
-    /// Dial timeout; also used as the per-write timeout (a peer that
-    /// stalls longer than this is treated as disconnected).
-    pub connect_timeout: Duration,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            reconnect_min: Duration::from_millis(10),
-            reconnect_max: Duration::from_secs(1),
             resend_capacity: 1024,
-            connect_timeout: Duration::from_millis(200),
         }
     }
 }
@@ -151,13 +149,10 @@ struct Outbound {
 }
 
 impl Outbound {
-    fn new(config: &TcpConfig) -> Self {
+    fn new(resend_capacity: usize) -> Self {
         Outbound {
-            window: SendWindow::new(config.resend_capacity),
-            backoff: Backoff::new(
-                u64::try_from(config.reconnect_min.as_micros()).unwrap_or(u64::MAX),
-                u64::try_from(config.reconnect_max.as_micros()).unwrap_or(u64::MAX),
-            ),
+            window: SendWindow::new(resend_capacity),
+            backoff: Backoff::new(RECONNECT_MIN_US, RECONNECT_MAX_US),
             stream: None,
             blocked: false,
             next_attempt_us: 0,
@@ -331,13 +326,18 @@ impl TcpTransport {
         if !self.addrs.contains_key(&peer) {
             return;
         }
-        let config = self.config;
-        let mut out = self
-            .out
-            .remove(&peer)
-            .unwrap_or_else(|| Outbound::new(&config));
+        let capacity = self.config.resend_capacity;
+        let mut out = (self.out.remove(&peer)).unwrap_or_else(|| Outbound::new(capacity));
         self.flush_out(peer, &mut out);
         self.out.insert(peer, out);
+    }
+
+    /// `peer`'s outbound state, made on first use.
+    fn outbound(&mut self, peer: NodeId) -> &mut Outbound {
+        let capacity = self.config.resend_capacity;
+        self.out
+            .entry(peer)
+            .or_insert_with(|| Outbound::new(capacity))
     }
 
     fn flush_out(&mut self, peer: NodeId, out: &mut Outbound) {
@@ -358,10 +358,10 @@ impl TcpTransport {
                 return;
             }
             let addr = self.addrs[&peer];
-            let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)
+            let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)
                 .and_then(|stream| {
                     stream.set_nodelay(true)?;
-                    stream.set_write_timeout(Some(self.config.connect_timeout))?;
+                    stream.set_write_timeout(Some(CONNECT_TIMEOUT))?;
                     Ok(stream)
                 })
                 .and_then(|mut stream| {
@@ -515,12 +515,7 @@ impl TcpTransport {
         tail.extend_from_slice(&send_lc.to_le_bytes());
         tail.extend_from_slice(&len.to_le_bytes());
         tail.extend_from_slice(&payload);
-        let config = self.config;
-        self.out
-            .entry(to)
-            .or_insert_with(|| Outbound::new(&config))
-            .window
-            .push(tail);
+        self.outbound(to).window.push(tail);
         true
     }
 }
@@ -555,11 +550,7 @@ impl Transport for TcpTransport {
     }
 
     fn connect(&mut self, peer: NodeId) {
-        let config = self.config;
-        let out = self
-            .out
-            .entry(peer)
-            .or_insert_with(|| Outbound::new(&config));
+        let out = self.outbound(peer);
         out.blocked = false;
         out.next_attempt_us = 0;
         out.backoff.reset();
@@ -567,11 +558,7 @@ impl Transport for TcpTransport {
     }
 
     fn disconnect(&mut self, peer: NodeId) {
-        let config = self.config;
-        let out = self
-            .out
-            .entry(peer)
-            .or_insert_with(|| Outbound::new(&config));
+        let out = self.outbound(peer);
         out.blocked = true;
         if let Some(stream) = out.stream.take() {
             stream.shutdown(Shutdown::Both).ok();

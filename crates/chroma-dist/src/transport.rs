@@ -108,6 +108,8 @@ pub trait Transport {
 
     /// Applies a node's effects: sends enter the network, timers are
     /// scheduled. The default implementation preserves effect order.
+    /// Only a [`Host`](crate::Host) calls it, after its barrier (and
+    /// [`dispatch_with`], for the benchmark's loop).
     fn apply_effects(&mut self, effects: Vec<Effect>) {
         for effect in effects {
             match effect {
@@ -118,23 +120,13 @@ pub trait Transport {
     }
 }
 
-/// Feeds one transport event to a node: merges the Lamport clock,
-/// emits the `MsgDeliver` trace event and runs the handler, then
-/// `barrier`, then applies the resulting effects: one event, one
-/// barrier, and the barrier runs **before** any effect reaches the
-/// transport.
+/// Feeds one transport event to a node: runs its handler, then
+/// `barrier`, then applies the resulting effects, so the barrier runs
+/// **before** any effect reaches the transport. A gap is ignored.
 ///
-/// This is how a real process keeps the 2PC commit point honest under
-/// `kill -9`: the coordinator's `CoordCommit` record (and a
-/// participant's `Prepared` record) must be on disk before the first
-/// `Decision` (resp. `VoteYes`) message can leave. A crash between the
-/// barrier and the sends only loses volatile messages, which the
-/// protocol already retransmits.
-///
-/// A [`Host`](crate::Host) does not call it: it runs the handlers of a
-/// whole batch of events under one barrier. It stays for the
-/// benchmark's in-process loop, which passes its own timed barrier and
-/// ignores a gap.
+/// Product code does not call it: a [`Host`](crate::Host) runs the
+/// handlers of a whole batch under one barrier. It stays for the
+/// benchmark's in-process loop, which passes its own timed barrier.
 pub fn dispatch_with<T, F>(
     node: &mut Node,
     transport: &mut T,

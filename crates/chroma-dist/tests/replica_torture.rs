@@ -269,6 +269,7 @@ fn late_decision_does_not_roll_back_caught_up_replica() {
     let mut node = Node::new(id);
     node.replica_peers.insert(obj(), vec![peer]);
     node.write_versioned(obj(), 0, b"v0");
+    node.barrier();
 
     // Prepare version 1; the decision is delayed in the network.
     let payload = codec::to_bytes(&(1u64, b"v1".to_vec())).unwrap();
@@ -285,6 +286,7 @@ fn late_decision_does_not_roll_back_caught_up_replica() {
     );
     // Meanwhile the node catches up to version 2 from its peers.
     node.write_versioned(obj(), 2, b"v2");
+    node.barrier();
     // The late commit must not roll the copy back to version 1.
     node.handle_message(
         coord,

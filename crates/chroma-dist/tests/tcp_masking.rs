@@ -172,10 +172,7 @@ fn reconnect_resends_are_deduplicated() {
 fn resend_overflow_surfaces_a_gap_not_a_silent_skip() {
     let n1 = NodeId::from_raw(1);
     let n2 = NodeId::from_raw(2);
-    let tiny = TcpConfig {
-        resend_capacity: 2,
-        ..TcpConfig::default()
-    };
+    let tiny = TcpConfig { resend_capacity: 2 };
     let (mut a, mut b, _recorder) = pair(tiny, TcpConfig::default());
     let mut a_events = Vec::new();
     let mut b_events = Vec::new();

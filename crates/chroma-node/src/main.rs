@@ -39,8 +39,8 @@
 //!   barrier over an in-memory disk, one event at a time;
 //! * on restart `DiskStore::open` replays the log, the node reads its
 //!   2PC table (one record per transaction and role) back from the
-//!   store and [`Node::recover`] re-derives its protocol obligations —
-//!   the same recovery a simulated crash runs;
+//!   store and [`Node::recover`], the host's first local action,
+//!   re-derives its protocol obligations as a simulated recovery does;
 //! * the process appends to its per-node JSONL trace with its Lamport
 //!   clock restored from the trace's own tail, so a merged cluster
 //!   trace (`chroma-trace merge`) still audits clean across the crash.
@@ -214,7 +214,7 @@ fn run(opts: &Opts) -> Result<(), String> {
     }
 
     // -- the protocol node over that store, its 2PC table read back
-    let mut node = Node::builder()
+    let node = Node::builder()
         .transport(&tcp)
         .backend(backend.store())
         .build()
@@ -226,8 +226,8 @@ fn run(opts: &Opts) -> Result<(), String> {
         at_node.emit(EventKind::NodeCrash { node: opts.id });
         at_node.emit(EventKind::NodeRecover { node: opts.id });
     }
-    let recovery = node.recover();
-    tcp.apply_effects(recovery);
+    let mut host = Host::new(node);
+    host.act(&mut tcp, Node::recover, &mut |_| {});
 
     // -- a co-hosted Runtime on the same backend: each boot commits a
     // genuine action recording the incarnation, proving the full local
@@ -246,7 +246,6 @@ fn run(opts: &Opts) -> Result<(), String> {
         .atomic(|a| a.modify(boot, |count: &mut u64| *count += 1))
         .map_err(|e| format!("boot action failed: {e}"))?;
 
-    let mut host = Host::new(node);
     let mut committed = 0;
     // a batch's lines leave in one write, before its frames do, so a
     // `begin txn` line still precedes its prepares

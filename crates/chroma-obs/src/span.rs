@@ -380,6 +380,11 @@ impl SpanForest {
                         }
                     };
                     attribute(&mut forest, idx, i, at);
+                    // a merged trace is in causal order, and its nodes'
+                    // clocks disagree: the span opens at its earliest
+                    // stamp, not at its first event
+                    let span = &mut forest.spans[idx];
+                    span.begin_us = span.begin_us.min(at);
                     if let EventKind::TpcDecide { commit, .. } = event.kind {
                         if let SpanKind::Txn { decision, .. } = &mut forest.spans[idx].kind {
                             decision.get_or_insert(commit);
@@ -526,12 +531,15 @@ impl SpanForest {
                     report.txns.total_us += span.duration_us();
                     if decision.is_some() {
                         // the decide event splits vote collection
-                        // from decision propagation
+                        // from decision propagation; clamped like an
+                        // action's points, so the two halves sum to
+                        // the total whatever the nodes' clocks say
                         let decide_at = span
                             .events
                             .iter()
                             .find(|&&i| matches!(events[i].kind, EventKind::TpcDecide { .. }))
-                            .map_or(span.end_us, |&i| events[i].at_us);
+                            .map_or(span.end_us, |&i| events[i].at_us)
+                            .clamp(span.begin_us, span.end_us);
                         report.txns.vote_collection_us += decide_at - span.begin_us;
                         report.txns.resolution_us += span.end_us - decide_at;
                     }
@@ -1041,5 +1049,57 @@ mod tests {
         assert_eq!(report.txns.total_us, 60);
         assert_eq!(report.txns.vote_collection_us, 40);
         assert_eq!(report.txns.resolution_us, 20);
+    }
+
+    #[test]
+    fn txn_span_of_a_merged_trace_opens_at_its_earliest_stamp() {
+        // two nodes' traces merged in causal order: the first voter's
+        // clock reads ahead of the coordinator's, so the first event in
+        // trace order is not the earliest stamp
+        let coordinator = NodeId::from_raw(1);
+        let voter = NodeId::from_raw(2);
+        let events = vec![
+            ev(
+                100,
+                EventKind::TpcVote {
+                    node: voter,
+                    txn: 9,
+                    yes: true,
+                },
+            ),
+            ev(
+                30,
+                EventKind::TpcVote {
+                    node: coordinator,
+                    txn: 9,
+                    yes: true,
+                },
+            ),
+            ev(
+                45,
+                EventKind::TpcDecide {
+                    node: coordinator,
+                    txn: 9,
+                    commit: true,
+                    participants: 2,
+                },
+            ),
+            ev(
+                130,
+                EventKind::TpcResolve {
+                    node: voter,
+                    txn: 9,
+                    commit: true,
+                },
+            ),
+        ];
+        let forest = SpanForest::build(&events);
+        let txns = forest.critical_path(&events).txns;
+        assert_eq!(txns.vote_collection_us + txns.resolution_us, txns.total_us);
+        assert_eq!(txns.total_us, 100);
+        assert_eq!(txns.vote_collection_us, 15);
+        assert_eq!(txns.resolution_us, 85);
+        let span = &forest.spans[forest.roots[0]];
+        assert_eq!((span.begin_us, span.end_us), (30, 130));
     }
 }

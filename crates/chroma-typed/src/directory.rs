@@ -65,12 +65,6 @@ impl<V: Stored> KeyedDirectory<V> {
         })
     }
 
-    /// Returns the number of buckets.
-    #[must_use]
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     fn bucket_of(&self, key: &str) -> ObjectId {
         // FNV-1a over the key bytes: stable, dependency-free.
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
