@@ -15,10 +15,12 @@
 //!   commit with replication (the distributed version).
 
 use std::collections::HashMap;
+use std::path::Path;
+use std::sync::Arc;
 
 use chroma_base::ObjectId;
 use chroma_obs::Observable;
-use chroma_store::{DiskStore, StoreBytes};
+use chroma_store::{DiskError, DiskStore, DiskStoreOptions, Fs, StoreBytes};
 use parking_lot::RwLock;
 
 /// Errors a permanence backend can report.
@@ -178,9 +180,28 @@ impl DiskBackend {
     ///
     /// Filesystem failures or log corruption
     /// ([`chroma_store::DiskError`]).
-    pub fn open(dir: impl AsRef<std::path::Path>) -> Result<Self, chroma_store::DiskError> {
+    pub fn open(dir: impl AsRef<Path>) -> Result<Self, DiskError> {
         Ok(DiskBackend {
             store: DiskStore::open(dir)?,
+        })
+    }
+
+    /// Opens (creating if necessary) a disk-backed backend in `dir` on
+    /// the filesystem `fs` with `options`, running crash recovery
+    /// ([`DiskStore::open_fs`]). Over a [`MemFs`](chroma_store::MemFs),
+    /// a reopen after [`MemFs::crash`](chroma_store::MemFs::crash) is
+    /// the restart after a power loss.
+    ///
+    /// # Errors
+    ///
+    /// As [`open`](DiskBackend::open).
+    pub fn open_with(
+        fs: Arc<dyn Fs>,
+        dir: impl AsRef<Path>,
+        options: DiskStoreOptions,
+    ) -> Result<Self, DiskError> {
+        Ok(DiskBackend {
+            store: DiskStore::open_fs(fs, dir, options)?,
         })
     }
 
@@ -247,6 +268,53 @@ mod tests {
         assert_eq!(backend.checkpoint_backlog(), 0);
         assert!(bus.snapshot().histogram("store.fsync_us").is_some());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_runtime_on_memfs_keeps_exactly_its_commits_across_a_power_loss() {
+        use crate::{ActionError, Runtime, RuntimeConfig};
+        use chroma_store::MemFs;
+
+        let disk = MemFs::new();
+        let open = || {
+            DiskBackend::open_with(Arc::new(disk.clone()), "node", DiskStoreOptions::default())
+                .unwrap()
+        };
+        let runtime = |backend: DiskBackend| {
+            Runtime::builder()
+                .config(RuntimeConfig::default())
+                .backend(Arc::new(backend))
+                .build()
+        };
+        let rt = runtime(open());
+        let a = rt.create_object(&1i64).unwrap();
+        let b = rt.create_object(&2i64).unwrap();
+        rt.atomic(|s| {
+            s.modify(a, |v: &mut i64| *v += 10)?;
+            s.modify(b, |v: &mut i64| *v += 20)
+        })
+        .unwrap();
+        let created = rt.atomic(|s| s.create(&7i64)).unwrap();
+        // An aborted action leaves nothing behind.
+        let aborted: Result<(), ActionError> = rt.atomic(|s| {
+            s.modify(a, |v: &mut i64| *v = -1)?;
+            s.create(&-1i64)?;
+            Err(ActionError::failed("abort"))
+        });
+        assert!(aborted.is_err());
+        drop(rt);
+
+        disk.crash();
+        let backend = open();
+        let mut held = backend.store().object_ids().unwrap();
+        held.sort_unstable();
+        assert_eq!(held, vec![a, b, created], "exactly the committed objects");
+        let rt = runtime(backend);
+        assert_eq!(rt.read_committed::<i64>(a).unwrap(), 11);
+        assert_eq!(rt.read_committed::<i64>(b).unwrap(), 22);
+        assert_eq!(rt.read_committed::<i64>(created).unwrap(), 7);
+        // The reopened runtime numbers new objects past the recovered ones.
+        assert!(rt.create_object(&0i64).unwrap() > created);
     }
 
     #[test]

@@ -1008,14 +1008,16 @@ impl Shared {
             batch_bytes[i] += push_commit(group_buf, batch.id)?;
         }
         active.append(group_buf)?;
-        let info = segments.last_mut().expect("live list never empty");
+        let info = segments
+            .last_mut()
+            .expect("the active segment ends the live list");
         info.batches += group.len() as u64;
         info.bytes += batch_bytes.iter().sum::<u64>();
         // Two leaders race for the append role, so a group with lower
         // ids can land after one with higher ids.
         info.max_batch = info
             .max_batch
-            .max(group.last().expect("group is non-empty").id);
+            .max(group.last().expect("a group holds its leader's batch").id);
         Ok(batch_bytes)
     }
 
@@ -1048,7 +1050,12 @@ impl Shared {
     /// The new segment is in the manifest *before* any record lands in
     /// it.
     fn seal_active(&self, wal: &mut WalState, obs: &Obs) -> Result<(), DiskError> {
-        let next_seq = wal.segments.last().expect("live list never empty").seq + 1;
+        let next_seq = wal
+            .segments
+            .last()
+            .expect("the active segment ends the live list")
+            .seq
+            + 1;
         let segments_dir = self.dir.join("segments");
         let file = self
             .fs
@@ -1063,7 +1070,10 @@ impl Shared {
             .chain([next_seq])
             .collect();
         self.write_manifest_counted(wal.image, &seqs)?;
-        let old = *wal.segments.last().expect("live list never empty");
+        let old = *wal
+            .segments
+            .last()
+            .expect("the active segment ends the live list");
         wal.segments.push(SegmentInfo {
             seq: next_seq,
             batches: 0,
@@ -1123,7 +1133,7 @@ impl Shared {
         }
         let batches: u64 = folds.iter().map(|s| s.batches).sum();
         let watermark = folds.iter().map(|s| s.max_batch).max().unwrap_or(0);
-        let upto = folds.last().expect("folds is non-empty").seq;
+        let upto = folds.last().expect("an empty fold returned above").seq;
         obs.emit(EventKind::CheckpointBegin {
             segments: folds.len() as u64,
             batches,
@@ -1471,16 +1481,16 @@ impl FrameReader {
             return Ok(None); // torn tail (or clean EOF)
         }
         self.fill(4)?;
-        let len_bytes = &self.buf[self.start..self.start + 4];
-        let len = u32::from_le_bytes(len_bytes.try_into().expect("4-byte length"));
+        let len = u32::from_le_bytes(std::array::from_fn(|i| self.buf[self.start + i]));
         if left < 4 + u64::from(len) + 4 {
             return Ok(None); // torn record: discard from here
         }
         let frame = 4 + len as usize + 4;
         self.fill(frame)?;
         let at = self.consume(frame);
-        let (checked, crc) = self.buf[at..at + frame].split_at(frame - 4);
-        let stored = u32::from_le_bytes(crc.try_into().expect("4-byte CRC"));
+        let crc_at = at + frame - 4;
+        let checked = &self.buf[at..crc_at];
+        let stored = u32::from_le_bytes(std::array::from_fn(|i| self.buf[crc_at + i]));
         let computed = crc32(checked);
         if stored != computed {
             return Err(DiskError::CorruptLog(format!(

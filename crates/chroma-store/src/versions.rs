@@ -44,7 +44,21 @@
 //! two or more versions and a sweep visits only those: its cost follows
 //! the versions written since the last sweep, not the number of objects
 //! ever written.
+//!
+//! Layout. Almost every chain holds one version once it has been swept,
+//! so a chain lives inline in its shard's table entry in one of three
+//! shapes: one version; a creation (the tombstone base under the
+//! created version, two versions that need no heap because the
+//! tombstone is implied); or, only while it holds two or more explicit
+//! versions, a `Vec` of them. A sweep that leaves one version moves the
+//! chain back inline. A version is 32 B (a colour, a stamp and a shared
+//! state handle), a chain 40 B, so an object costs one 48 B table entry
+//! (plus the table's slack) and no heap block unless a write since the
+//! last sweep put a second explicit version on it; every count here
+//! (`chain_len`, `total_versions`, [`GcStats`]) still counts a creation
+//! as two versions.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -101,12 +115,130 @@ struct Version {
     state: Option<StoreBytes>,
 }
 
+impl Version {
+    /// A base version: stamp 0, reported as colour 0.
+    fn base(state: Option<StoreBytes>) -> Self {
+        Version {
+            colour: Colour::from_index(0),
+            stamp: 0,
+            state,
+        }
+    }
+}
+
+impl From<&Version> for VisibleVersion {
+    fn from(v: &Version) -> Self {
+        VisibleVersion::Version {
+            colour: v.colour,
+            stamp: v.stamp,
+            state: v.state.clone(),
+        }
+    }
+}
+
+/// One object's versions, oldest first, in the cheapest shape that
+/// holds them (see the module docs). Never empty.
+#[derive(Debug)]
+enum Chain {
+    /// One version, inline.
+    One(Version),
+    /// A creation, inline: a tombstone base (stamp 0, colour 0) under
+    /// the created version, which holds a state. Two versions.
+    Created(Version),
+    /// Two or more versions on the heap.
+    Many(Vec<Version>),
+}
+
+// A chain lives inline in its table entry: growing it past one
+// version's width plus the tag should fail the build, not a benchmark.
+const _: () = assert!(std::mem::size_of::<Chain>() <= 40);
+
+impl Chain {
+    /// Versions held (a creation holds two).
+    fn len(&self) -> usize {
+        match self {
+            Chain::One(_) => 1,
+            Chain::Created(_) => 2,
+            Chain::Many(versions) => versions.len(),
+        }
+    }
+
+    fn newest(&self) -> &Version {
+        match self {
+            Chain::One(newest) | Chain::Created(newest) => newest,
+            Chain::Many(versions) => &versions[versions.len() - 1],
+        }
+    }
+
+    /// Appends `version`: a tombstone base alone becomes a creation;
+    /// anything else with a second version moves to the heap.
+    fn push(&mut self, version: Version) {
+        debug_assert!(
+            self.newest().stamp < version.stamp,
+            "version stamps must be appended in increasing order"
+        );
+        *self = match std::mem::replace(self, Chain::Many(Vec::new())) {
+            Chain::One(Version {
+                stamp: 0,
+                state: None,
+                ..
+            }) => Chain::Created(version),
+            Chain::One(first) => Chain::Many(vec![first, version]),
+            Chain::Created(created) => Chain::Many(vec![Version::base(None), created, version]),
+            Chain::Many(mut versions) => {
+                versions.push(version);
+                Chain::Many(versions)
+            }
+        };
+    }
+
+    /// The newest version stamped at or below `stamp`.
+    fn visible(&self, stamp: u64) -> VisibleVersion {
+        let found = match self {
+            Chain::One(only) => (only.stamp <= stamp).then_some(only),
+            Chain::Created(created) if created.stamp > stamp => {
+                return VisibleVersion::from(&Version::base(None));
+            }
+            Chain::Created(created) => Some(created),
+            Chain::Many(versions) => versions.iter().rev().find(|v| v.stamp <= stamp),
+        };
+        // A chain always starts at a base (stamp 0) version, which
+        // every snapshot sees; finding nothing means the chain was
+        // never seeded, and stable storage still holds the base.
+        found.map_or(VisibleVersion::NoChain, VisibleVersion::from)
+    }
+
+    /// Drops the versions [`reclaimable`] names for `oldest` and
+    /// returns how many went; a chain left at one version moves back
+    /// inline.
+    fn reclaim(&mut self, oldest: u64) -> usize {
+        match self {
+            Chain::One(_) => 0,
+            // `reclaimable` over [tombstone, created]: the tombstone
+            // goes once the created version is selectable.
+            Chain::Created(created) if created.stamp <= oldest => {
+                *self = Chain::One(std::mem::replace(created, Version::base(None)));
+                1
+            }
+            Chain::Created(_) => 0,
+            Chain::Many(versions) => {
+                let reclaimed = reclaimable(versions, oldest);
+                versions.drain(..reclaimed);
+                if versions.len() == 1 {
+                    *self = Chain::One(versions.swap_remove(0));
+                }
+                reclaimed
+            }
+        }
+    }
+}
+
 /// One shard of the chains.
 #[derive(Debug, Default)]
 struct ChainShard {
-    /// Object → its versions, oldest first. Never empty: a chain starts
-    /// with one version and a sweep always keeps the newest.
-    chains: HashMap<ObjectId, Vec<Version>>,
+    /// Object → its versions. Never empty: a chain starts with one
+    /// version and a sweep always keeps the newest.
+    chains: HashMap<ObjectId, Chain>,
     /// The objects whose chain holds two or more versions, each once:
     /// the only chains a sweep can shorten.
     multi: Vec<ObjectId>,
@@ -118,16 +250,19 @@ impl ChainShard {
     /// Appends `version` to `object`'s chain, indexing the chain when
     /// it reaches two versions.
     fn push(&mut self, object: ObjectId, version: Version) {
-        let chain = self.chains.entry(object).or_default();
-        debug_assert!(
-            chain.last().is_none_or(|v| v.stamp < version.stamp),
-            "version stamps must be appended in increasing order"
-        );
-        chain.push(version);
-        self.versions += 1;
-        if chain.len() == 2 {
-            self.multi.push(object);
+        match self.chains.entry(object) {
+            Entry::Vacant(slot) => {
+                slot.insert(Chain::One(version));
+            }
+            Entry::Occupied(slot) => {
+                let chain = slot.into_mut();
+                chain.push(version);
+                if chain.len() == 2 {
+                    self.multi.push(object);
+                }
+            }
         }
+        self.versions += 1;
     }
 }
 
@@ -196,14 +331,7 @@ impl VersionChains {
     pub fn seed_base(&self, object: ObjectId, before: Option<StoreBytes>) {
         let mut shard = self.shard(object).lock();
         if !shard.chains.contains_key(&object) {
-            shard.push(
-                object,
-                Version {
-                    colour: Colour::from_index(0),
-                    stamp: 0,
-                    state: before,
-                },
-            );
+            shard.push(object, Version::base(before));
         }
     }
 
@@ -231,21 +359,11 @@ impl VersionChains {
     /// versions are stamped 0).
     #[must_use]
     pub fn read_visible(&self, object: ObjectId, stamp: u64) -> VisibleVersion {
-        let shard = self.shard(object).lock();
-        let Some(chain) = shard.chains.get(&object) else {
-            return VisibleVersion::NoChain;
-        };
-        match chain.iter().rev().find(|v| v.stamp <= stamp) {
-            Some(v) => VisibleVersion::Version {
-                colour: v.colour,
-                stamp: v.stamp,
-                state: v.state.clone(),
-            },
-            // A chain always starts at a base (stamp 0) version, which
-            // every snapshot sees; reaching here means the chain was
-            // never seeded, and stable storage still holds the base.
-            None => VisibleVersion::NoChain,
-        }
+        self.shard(object)
+            .lock()
+            .chains
+            .get(&object)
+            .map_or(VisibleVersion::NoChain, |chain| chain.visible(stamp))
     }
 
     /// Reclaims versions no live snapshot can reach. `oldest` must be
@@ -267,9 +385,10 @@ impl VersionChains {
                 versions,
             } = &mut *shard;
             multi.retain(|object| {
-                let chain = chains.get_mut(object).expect("an indexed chain exists");
-                let reclaimed = reclaimable(chain, oldest);
-                chain.drain(..reclaimed);
+                let chain = chains
+                    .get_mut(object)
+                    .expect("every indexed object has a chain");
+                let reclaimed = chain.reclaim(oldest);
                 *versions -= reclaimed as u64;
                 stats.reclaimed += reclaimed as u64;
                 chain.len() > 1
@@ -286,7 +405,7 @@ impl VersionChains {
             .lock()
             .chains
             .get(&object)
-            .map_or(0, Vec::len)
+            .map_or(0, Chain::len)
     }
 
     /// Total versions held across all chains.
@@ -313,6 +432,29 @@ mod tests {
     use super::*;
     use proptest::torture_seed;
 
+    impl Chain {
+        /// The versions held, oldest first, a creation's tombstone
+        /// included.
+        fn to_vec(&self) -> Vec<Version> {
+            match self {
+                Chain::One(only) => vec![only.clone()],
+                Chain::Created(created) => vec![Version::base(None), created.clone()],
+                Chain::Many(versions) => versions.clone(),
+            }
+        }
+
+        /// The chain `push` builds from `versions` (oldest first, not
+        /// empty).
+        fn rebuilt(versions: Vec<Version>) -> Chain {
+            let mut versions = versions.into_iter();
+            let mut chain = Chain::One(versions.next().expect("a chain is never empty"));
+            for version in versions {
+                chain.push(version);
+            }
+            chain
+        }
+    }
+
     impl VersionChains {
         /// The sweep as it was before the multi-version index, judged
         /// against *every* live stamp rather than the oldest: every
@@ -325,14 +467,16 @@ mod tests {
             for shard in self.shards.iter() {
                 let mut shard = shard.lock();
                 for chain in shard.chains.values_mut() {
-                    let mut keep_from = chain.len().saturating_sub(1);
+                    let mut versions = chain.to_vec();
+                    let mut keep_from = versions.len().saturating_sub(1);
                     for &stamp in live {
-                        let selected = chain.iter().rposition(|v| v.stamp <= stamp).unwrap_or(0);
+                        let selected = versions.iter().rposition(|v| v.stamp <= stamp).unwrap_or(0);
                         keep_from = keep_from.min(selected);
                     }
                     stats.reclaimed += keep_from as u64;
-                    chain.drain(..keep_from);
-                    stats.retained += chain.len() as u64;
+                    versions.drain(..keep_from);
+                    stats.retained += versions.len() as u64;
+                    *chain = Chain::rebuilt(versions);
                 }
                 // Keep this instance's own bookkeeping whole for the
                 // steps that follow; the oracle never reads it.
@@ -364,6 +508,17 @@ mod tests {
                 assert_eq!(indexed, expected, "index != multi-version chains");
                 let held: u64 = shard.chains.values().map(|c| c.len() as u64).sum();
                 assert_eq!(shard.versions, held, "version count drifted");
+                for chain in shard.chains.values() {
+                    match chain {
+                        Chain::One(_) => {}
+                        Chain::Created(created) => {
+                            assert!(created.state.is_some(), "a creation without its state");
+                        }
+                        Chain::Many(versions) => {
+                            assert!(versions.len() > 1, "a one-version chain on the heap");
+                        }
+                    }
+                }
             }
         }
     }
@@ -376,6 +531,85 @@ mod tests {
     }
     fn b(v: u8) -> StoreBytes {
         StoreBytes::from(vec![v])
+    }
+
+    /// The shape `object`'s chain is stored in.
+    fn shape(chains: &VersionChains, object: ObjectId) -> &'static str {
+        match chains.shard(object).lock().chains.get(&object) {
+            None => "none",
+            Some(Chain::One(_)) => "one",
+            Some(Chain::Created(_)) => "created",
+            Some(Chain::Many(_)) => "many",
+        }
+    }
+
+    #[test]
+    fn a_creation_lives_inline_and_reads_absent_below_its_stamp() {
+        let chains = VersionChains::new();
+        chains.seed_base(o(1), None);
+        assert_eq!(shape(&chains, o(1)), "one");
+        chains.assert_index_exact();
+        chains.append(o(1), c(1), 4, b(44));
+        assert_eq!(shape(&chains, o(1)), "created");
+        assert_eq!((chains.chain_len(o(1)), chains.total_versions()), (2, 2));
+        chains.assert_index_exact();
+        let absent = VisibleVersion::Version {
+            colour: c(0),
+            stamp: 0,
+            state: None,
+        };
+        let created = VisibleVersion::Version {
+            colour: c(1),
+            stamp: 4,
+            state: Some(b(44)),
+        };
+        assert_eq!(chains.read_visible(o(1), 0), absent);
+        assert_eq!(chains.read_visible(o(1), 3), absent);
+        assert_eq!(chains.read_visible(o(1), 4), created);
+        // A snapshot below the creation pins the tombstone.
+        assert_eq!(chains.collect(3).reclaimed, 0);
+        assert_eq!(shape(&chains, o(1)), "created");
+        chains.assert_index_exact();
+        // Once nothing older is live the sweep leaves one inline version.
+        let stats = chains.collect(4);
+        assert_eq!((stats.reclaimed, stats.retained), (1, 1));
+        assert_eq!(shape(&chains, o(1)), "one");
+        assert_eq!(chains.read_visible(o(1), 4), created);
+        chains.assert_index_exact();
+    }
+
+    #[test]
+    fn a_chain_moves_to_the_heap_at_two_explicit_versions_and_back_after_a_sweep() {
+        let chains = VersionChains::new();
+        // A creation that gets a third version.
+        chains.seed_base(o(1), None);
+        chains.append(o(1), c(0), 1, b(1));
+        chains.append(o(1), c(0), 2, b(2));
+        // An existing object's base and its first write.
+        chains.seed_base(o(2), Some(b(20)));
+        chains.append(o(2), c(0), 3, b(23));
+        assert_eq!((shape(&chains, o(1)), chains.chain_len(o(1))), ("many", 3));
+        assert_eq!((shape(&chains, o(2)), chains.chain_len(o(2))), ("many", 2));
+        chains.assert_index_exact();
+        let read = |object, stamp| match chains.read_visible(object, stamp) {
+            VisibleVersion::Version { stamp, state, .. } => (stamp, state),
+            VisibleVersion::NoChain => panic!("chain exists"),
+        };
+        assert_eq!(read(o(1), 0), (0, None));
+        assert_eq!(read(o(1), 1), (1, Some(b(1))));
+        assert_eq!(read(o(1), 2), (2, Some(b(2))));
+        assert_eq!(read(o(2), 2), (0, Some(b(20))));
+        // Dropping the tombstone leaves two versions on the heap.
+        assert_eq!(chains.collect(1).reclaimed, 1);
+        assert_eq!((shape(&chains, o(1)), chains.chain_len(o(1))), ("many", 2));
+        assert_eq!(shape(&chains, o(2)), "many");
+        chains.assert_index_exact();
+        let stats = chains.collect(3);
+        assert_eq!((stats.reclaimed, stats.retained), (2, 2));
+        assert_eq!((shape(&chains, o(1)), shape(&chains, o(2))), ("one", "one"));
+        assert_eq!(read(o(1), 3), (2, Some(b(2))));
+        assert_eq!(read(o(2), 3), (3, Some(b(23))));
+        chains.assert_index_exact();
     }
 
     #[test]
